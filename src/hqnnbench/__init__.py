@@ -4,7 +4,7 @@ A pure-numpy stack: statevector circuit simulation with adjoint-mode
 gradients, four variational circuit families, a small reverse-mode
 classical NN library, dataset/fold utilities, rank-based metrics,
 nonparametric tests, and an experiment harness with a CLI
-(``hqnnbench run|report|selftest``).
+(``hqnnbench run|report``).
 """
 
 from .statevec import (
@@ -12,12 +12,6 @@ from .statevec import (
     EncodingError,
     Gate,
     Observable,
-    StateVector,
-    amplitude_encode,
-    apply_gate,
-    expval,
-    gate_matrix,
-    new_zero_state,
 )
 from .qnn import (
     Circuit,
@@ -25,7 +19,6 @@ from .qnn import (
     build_ang_arb,
     build_ang_ry,
     build_qcnn,
-    circuit_unitary,
     init_params,
     qnn_backward,
     qnn_backward_batch,
@@ -75,18 +68,11 @@ __all__ = [
     "EncodingError",
     "Gate",
     "Observable",
-    "StateVector",
-    "amplitude_encode",
-    "apply_gate",
-    "expval",
-    "gate_matrix",
-    "new_zero_state",
     "Circuit",
     "build_amp_gen",
     "build_ang_arb",
     "build_ang_ry",
     "build_qcnn",
-    "circuit_unitary",
     "init_params",
     "qnn_backward",
     "qnn_backward_batch",

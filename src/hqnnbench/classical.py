@@ -281,13 +281,14 @@ class MaxPool(Layer):
         k, nd = self.kernel_size, self.ndim
         out_sp = grad_out.shape[2:]
         grad_x = np.zeros(x_shape)
-        # Recover per-window offsets from the flat argmax, then scatter-add.
+        # Recover per-window offsets from the flat argmax, then scatter; the
+        # windows do not overlap, so every index is hit at most once.
         offs = np.unravel_index(arg, (k,) * nd)
         grids = np.meshgrid(*[np.arange(d) for d in grad_out.shape], indexing="ij", sparse=True)
         idx = tuple(grids[:2]) + tuple(
             grids[2 + a] * k + offs[a] for a in range(nd)
         )
-        np.add.at(grad_x, idx, grad_out)
+        grad_x[idx] = grad_out
         return grad_x
 
     def out_shape(self, in_shape):

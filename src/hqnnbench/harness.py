@@ -43,16 +43,14 @@ from .classical import (
     stack_params,
 )
 from .data import Dataset, FoldPlan, load_beats_csv, load_npz, make_folds, synth_beats, synth_blobs
-from .metrics import MetricReport, average_precision, balanced_accuracy, roc_auc
+from .metrics import MetricReport
 from .qnn import (
     Circuit,
     build_amp_gen,
     build_ang_arb,
     build_ang_ry,
     build_qcnn,
-    circuit_unitary,
     init_params,
-    qnn_backward,
     qnn_backward_batch,
     qnn_forward_batch,
 )
@@ -440,7 +438,10 @@ def _train_fold(
                     raise FloatingPointError(f"non-finite loss in epoch {epoch}")
                 model.backward(grad)
                 adam_step(params, opt)
-            report = MetricReport.compute(_predict(model, x[val_idx], batch_size), y[val_idx])
+            val_logits = _predict(model, x[val_idx], batch_size)
+            if not np.isfinite(val_logits).all():
+                raise FloatingPointError(f"non-finite validation logits in epoch {epoch}")
+            report = MetricReport.compute(val_logits, y[val_idx])
             epoch_reports.append(report.as_dict())
             for m, v in report.as_dict().items():
                 best[m] = max(best[m], v)
@@ -722,6 +723,25 @@ def _load_existing(results_path: Path) -> list[dict]:
     return rows
 
 
+def _drop_truncated_tail(results_path: Path) -> None:
+    """Cut an unterminated, unparseable last line (a crash mid-write) from the file."""
+    if not results_path.exists():
+        return
+    data = results_path.read_bytes()
+    if not data or data.endswith(b"\n"):
+        return
+    start = data.rfind(b"\n") + 1
+    try:
+        json.loads(data[start:])
+    except ValueError:
+        print(f"warning: dropping truncated last line of {results_path}", file=sys.stderr)
+        with open(results_path, "r+b") as fh:
+            fh.truncate(start)
+    else:
+        with open(results_path, "ab") as fh:
+            fh.write(b"\n")
+
+
 def run_grid(
     run_cfg: dict,
     data_dir: Path,
@@ -742,6 +762,7 @@ def run_grid(
     configs = expand_grid(run_cfg)
 
     results_path = out_dir / "results.jsonl"
+    _drop_truncated_tail(results_path)
     rows = _load_existing(results_path)
     done_hashes = {r["config_hash"] for r in rows}
     todo = [c for c in configs if c.config_hash() not in done_hashes]
@@ -793,85 +814,6 @@ def run_grid(
 
 
 # ---------------------------------------------------------------------------
-# Self-test: quick oracle checks, independent of the pytest suite.
-# ---------------------------------------------------------------------------
-
-
-def _selftest() -> int:
-    failures = 0
-
-    def check(name: str, ok: bool, detail: str = "") -> None:
-        nonlocal failures
-        if ok:
-            print(f"ok: {name}")
-        else:
-            failures += 1
-            print(f"FAIL: {name} {detail}")
-
-    rng = np.random.default_rng(20240817)
-
-    # Statevector simulation vs dense unitary product.
-    worst = 0.0
-    for _ in range(20):
-        n = int(rng.integers(1, 5))
-        latent = int(rng.integers(1, 2 * n + 1))
-        circuit = build_ang_ry(n, latent, entangle=bool(rng.integers(0, 2)))
-        x = rng.normal(size=(1, latent))
-        theta = rng.normal(size=circuit.n_params)
-        out, amps = qnn_forward_batch(circuit, x, theta, return_state=True)
-        dense = circuit_unitary(circuit, x[0], theta)
-        psi0 = np.zeros(1 << n, dtype=np.complex128)
-        psi0[0] = 1.0
-        ref = dense @ psi0
-        worst = max(worst, float(np.abs(amps[0] - ref).max()))
-    check("statevector matches dense-matrix oracle", worst < 1e-10, f"(max err {worst:.2e})")
-
-    # Adjoint gradients vs parameter shift.
-    worst = 0.0
-    for _ in range(10):
-        circuit = build_ang_arb(3, 7, entangle=True)
-        x = rng.normal(size=7)
-        theta = rng.normal(size=circuit.n_params)
-        _, gp = qnn_backward(circuit, x, theta, np.ones(circuit.out_dim))
-        for j in range(circuit.n_params):
-            shift = np.zeros_like(theta)
-            shift[j] = math.pi / 2
-            f_plus = qnn_forward_batch(circuit, x[None, :], theta + shift)[0].sum()
-            f_minus = qnn_forward_batch(circuit, x[None, :], theta - shift)[0].sum()
-            worst = max(worst, abs(gp[j] - (f_plus - f_minus) / 2.0))
-    check("adjoint gradients match parameter shift", worst < 1e-10, f"(max err {worst:.2e})")
-
-    # Metric worked examples.
-    check(
-        "roc_auc worked example",
-        abs(roc_auc([0.1, 0.4, 0.35, 0.8], [0, 0, 1, 1]) - 0.75) < 1e-15,
-    )
-    check(
-        "average_precision worked example",
-        abs(average_precision([0.8, 0.4, 0.35, 0.1], [1, 0, 1, 0]) - 5.0 / 6.0) < 1e-15,
-    )
-    check(
-        "balanced_accuracy worked example",
-        abs(balanced_accuracy([1, 1, -1, -1], [1, 0, 1, 0]) - 0.5) < 1e-15,
-    )
-
-    # Exact test p-values.
-    w = wilcoxon_signed_rank([2, 3, 4, 5, 6], [1, 2, 3, 4, 5])
-    check("wilcoxon exact worked example", abs(w.p_value - 0.0625) < 1e-15, f"(p={w.p_value})")
-    u = mann_whitney_u([1, 2, 3], [4, 5, 6])
-    check("mann-whitney exact worked example", abs(u.p_value - 0.1) < 1e-15, f"(p={u.p_value})")
-
-    loss, grad = bce_with_logits([0.0], [1.0])
-    check(
-        "bce-with-logits worked example",
-        abs(loss - math.log(2)) < 1e-12 and abs(grad[0] + 0.5) < 1e-12,
-    )
-
-    print("selftest:", "FAILED" if failures else "all checks passed")
-    return 1 if failures else 0
-
-
-# ---------------------------------------------------------------------------
 # CLI.
 # ---------------------------------------------------------------------------
 
@@ -894,11 +836,7 @@ def main(argv=None) -> int:
     p_rep = sub.add_parser("report", help="regenerate tables from stored results")
     p_rep.add_argument("--out", required=True, help="directory with results.jsonl")
 
-    sub.add_parser("selftest", help="run quick oracle checks")
-
     args = parser.parse_args(argv)
-    if args.command == "selftest":
-        return _selftest()
     if args.command == "report":
         out_dir = Path(args.out)
         rows = _load_existing(out_dir / "results.jsonl")

@@ -16,16 +16,8 @@ import numpy as np
 def midranks(values: np.ndarray) -> np.ndarray:
     """Ranks 1..n with tied values sharing their average rank."""
     v = np.asarray(values, dtype=np.float64)
-    order = np.argsort(v, kind="stable")
-    ranks = np.empty(v.size, dtype=np.float64)
-    i = 0
-    while i < v.size:
-        j = i
-        while j + 1 < v.size and v[order[j + 1]] == v[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+    _, group, counts = np.unique(v, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - (counts - 1) / 2.0)[group]
 
 
 def _check_binary(labels: np.ndarray, need_both: bool = True) -> np.ndarray:
@@ -61,22 +53,14 @@ def average_precision(scores, labels) -> float:
         raise ValueError("average precision needs at least one positive")
     order = np.argsort(-s, kind="stable")
     s_sorted = s[order]
-    y_sorted = y[order]
-    ap = 0.0
-    tp = 0
-    seen = 0
-    i = 0
-    while i < s_sorted.size:
-        j = i
-        while j + 1 < s_sorted.size and s_sorted[j + 1] == s_sorted[i]:
-            j += 1
-        tp_prev = tp
-        tp += int(y_sorted[i : j + 1].sum())
-        seen = j + 1
-        if tp > tp_prev:
-            ap += (tp - tp_prev) / n_pos * (tp / seen)
-        i = j + 1
-    return ap
+    # one precision/recall step per group of tied scores, taken at its last row
+    group_end = np.append(s_sorted[1:] != s_sorted[:-1], True)
+    tp = np.cumsum(y[order])[group_end]
+    seen = np.flatnonzero(group_end) + 1
+    gain = np.diff(tp, prepend=0)
+    step = gain > 0
+    terms = gain[step] / n_pos * (tp[step] / seen[step])
+    return float(np.cumsum(terms)[-1])  # cumsum keeps left-to-right addition
 
 
 def balanced_accuracy(logits, labels) -> float:

@@ -36,13 +36,10 @@ from .statevec import (
     Observable,
     apply_cnot,
     apply_cz,
-    apply_dry,
-    apply_drz,
     apply_ry,
     apply_rz,
     elementary_ops,
     expval_batch,
-    gate_matrix,
     measurement_diagonals,
 )
 
@@ -363,11 +360,12 @@ def qnn_backward_batch(
             apply_cz(lam, e.q0, e.q1)
             continue
         theta = e.angle.resolve(x, p)
-        rot, drot = (apply_ry, apply_dry) if e.kind == "ry" else (apply_rz, apply_drz)
+        rot = apply_ry if e.kind == "ry" else apply_rz
         rot(psi, e.q0, np.negative(theta))  # psi is now the pre-gate state
         if e.angle.source != "const":
-            mu = drot(psi.copy(), e.q0, theta)
-            g = 2.0 * np.sum(np.conj(lam) * mu, axis=1).real
+            # dR(t)/dt = R(t + pi) / 2, which cancels the 2 of 2 Re <lam|dR|psi>
+            mu = rot(psi.copy(), e.q0, theta + math.pi)
+            g = np.sum(np.conj(lam) * mu, axis=1).real
             if e.angle.source == "param":
                 grad_params[e.angle.index] += g.sum()
             else:
@@ -393,16 +391,3 @@ def qnn_backward(circuit: Circuit, inputs, params, upstream_grad) -> tuple[np.nd
         np.atleast_2d(np.asarray(upstream_grad, dtype=np.float64)),
     )
     return gx[0], gp
-
-
-def circuit_unitary(circuit: Circuit, inputs=None, params=None) -> np.ndarray:
-    """Dense unitary of the whole gate program (excludes state preparation).
-
-    Built from Kronecker-product gate matrices, independently of the
-    stride-based simulation kernels; intended for small-register oracles.
-    """
-    dim = 1 << circuit.n_qubits
-    mat = np.eye(dim, dtype=np.complex128)
-    for gate in circuit.ops:
-        mat = gate_matrix(gate, circuit.n_qubits, inputs, params) @ mat
-    return mat

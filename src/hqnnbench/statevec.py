@@ -22,7 +22,7 @@ the batch shape. All kernels mutate in place and return the array.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from typing import NamedTuple
@@ -30,8 +30,6 @@ from typing import NamedTuple
 import numpy as np
 
 MAX_QUBITS = 10
-
-_NORM_EPS = 1e-12  # below this an amplitude-encoding input has no direction
 
 
 class EncodingError(ValueError):
@@ -95,17 +93,13 @@ class Angle:
     def param(index: int) -> "Angle":
         return Angle("param", index=index)
 
-    def resolve(self, inputs=None, params=None):
+    def resolve(self, inputs: np.ndarray, params: np.ndarray):
         """Concrete angle value(s). Batched inputs yield one angle per row."""
         if self.source == "const":
             return self.value
         if self.source == "input":
-            if inputs is None:
-                raise ValueError(f"angle reads input slot {self.index} but no inputs given")
-            return np.asarray(inputs)[..., self.index]
-        if params is None:
-            raise ValueError(f"angle reads param slot {self.index} but no params given")
-        return np.asarray(params)[..., self.index]
+            return inputs[..., self.index]
+        return params[..., self.index]
 
 
 def _as_angle(a) -> Angle:
@@ -246,28 +240,6 @@ def apply_rz(amps: np.ndarray, qubit: int, theta) -> np.ndarray:
     return amps
 
 
-def apply_dry(amps: np.ndarray, qubit: int, theta) -> np.ndarray:
-    """Apply d(RY)/d(theta); not unitary, used by the adjoint sweep."""
-    v = _pair_view(amps, qubit)
-    c = _bc(0.5 * np.cos(np.multiply(theta, 0.5)))
-    s = _bc(0.5 * np.sin(np.multiply(theta, 0.5)))
-    a0 = v[..., 0, :].copy()
-    a1 = v[..., 1, :]
-    v[..., 0, :] = -s * a0 - c * a1
-    v[..., 1, :] = c * a0 - s * a1
-    return amps
-
-
-def apply_drz(amps: np.ndarray, qubit: int, theta) -> np.ndarray:
-    """Apply d(RZ)/d(theta); not unitary, used by the adjoint sweep."""
-    v = _pair_view(amps, qubit)
-    half = np.multiply(theta, 0.5)
-    ph = _bc(np.cos(half) - 1j * np.sin(half))
-    v[..., 0, :] *= -0.5j * ph
-    v[..., 1, :] *= 0.5j * np.conj(ph)
-    return amps
-
-
 def _bit_axis_view(amps: np.ndarray) -> np.ndarray:
     n = amps.shape[-1].bit_length() - 1
     return amps.reshape(amps.shape[:-1] + (2,) * n)
@@ -297,77 +269,6 @@ def apply_cz(amps: np.ndarray, qa: int, qb: int) -> np.ndarray:
     v = _bit_axis_view(amps)
     v[_bit_index(v, **{f"q{qa}": 1, f"q{qb}": 1})] *= -1
     return amps
-
-
-def apply_elem(amps: np.ndarray, elem: Elem, inputs=None, params=None) -> np.ndarray:
-    if elem.kind == "ry":
-        return apply_ry(amps, elem.q0, elem.angle.resolve(inputs, params))
-    if elem.kind == "rz":
-        return apply_rz(amps, elem.q0, elem.angle.resolve(inputs, params))
-    if elem.kind == "cnot":
-        return apply_cnot(amps, elem.q0, elem.q1)
-    return apply_cz(amps, elem.q0, elem.q1)
-
-
-# ---------------------------------------------------------------------------
-# The StateVector type and its operations.
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class StateVector:
-    """An n-qubit register as a dense complex amplitude vector."""
-
-    n_qubits: int
-    amps: np.ndarray = field(repr=False)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
-
-    def copy(self) -> "StateVector":
-        return StateVector(self.n_qubits, self.amps.copy())
-
-
-def new_zero_state(n_qubits: int) -> StateVector:
-    """The register |0...0> on ``n_qubits`` qubits."""
-    if not 1 <= n_qubits <= MAX_QUBITS:
-        raise ValueError(f"n_qubits must be in 1..{MAX_QUBITS}, got {n_qubits}")
-    amps = np.zeros(1 << n_qubits, dtype=np.complex128)
-    amps[0] = 1.0
-    return StateVector(n_qubits, amps)
-
-
-def amplitude_encode(features, n_qubits: int) -> StateVector:
-    """Encode a real feature vector as normalized amplitudes, zero-padded.
-
-    Raises :class:`EncodingError` when the vector norm is numerically zero
-    (no direction to encode) or the vector exceeds the register capacity.
-    """
-    if not 1 <= n_qubits <= MAX_QUBITS:
-        raise ValueError(f"n_qubits must be in 1..{MAX_QUBITS}, got {n_qubits}")
-    f = np.asarray(features, dtype=np.float64).ravel()
-    dim = 1 << n_qubits
-    if f.size > dim:
-        raise EncodingError(f"{f.size} features exceed {n_qubits}-qubit capacity {dim}")
-    nrm = float(np.linalg.norm(f))
-    if nrm <= _NORM_EPS:
-        raise EncodingError(f"feature vector norm {nrm:.3e} too small to amplitude-encode")
-    amps = np.zeros(dim, dtype=np.complex128)
-    amps[: f.size] = f / nrm
-    return StateVector(n_qubits, amps)
-
-
-def apply_gate(state: StateVector, gate: Gate, inputs=None, params=None) -> StateVector:
-    """Apply ``gate`` to ``state`` in place and return the state.
-
-    ``inputs``/``params`` bind the gate's slot angles, if it has any.
-    """
-    for q in gate.targets:
-        if q >= state.n_qubits:
-            raise ValueError(f"qubit {q} out of range for {state.n_qubits}-qubit state")
-    for elem in elementary_ops(gate):
-        apply_elem(state.amps, elem, inputs, params)
-    return state
 
 
 @dataclass(frozen=True)
@@ -433,51 +334,3 @@ def expval_batch(amps: np.ndarray, n_qubits: int, obs: Observable) -> np.ndarray
     """Expectation values for amplitudes shaped (..., 2**n) -> (..., out_dim)."""
     probs = amps.real**2 + amps.imag**2
     return probs @ measurement_diagonals(n_qubits, obs).T
-
-
-def expval(state: StateVector, obs: Observable) -> np.ndarray:
-    """Expectation value(s) of ``obs`` on ``state`` as a 1-D real array."""
-    return expval_batch(state.amps, state.n_qubits, obs)
-
-
-# ---------------------------------------------------------------------------
-# Dense-matrix route (independent of the stride kernels; used as an oracle
-# by tests and the self-test command).
-# ---------------------------------------------------------------------------
-
-
-def _dense_1q(u: np.ndarray, qubit: int, n_qubits: int) -> np.ndarray:
-    return np.kron(np.kron(np.eye(1 << (n_qubits - 1 - qubit)), u), np.eye(1 << qubit))
-
-
-def gate_matrix(gate: Gate, n_qubits: int, inputs=None, params=None) -> np.ndarray:
-    """Full 2**n x 2**n unitary of ``gate``, built by Kronecker products."""
-    dim = 1 << n_qubits
-    if any(q >= n_qubits for q in gate.targets):
-        raise ValueError("gate target out of range")
-    mat = np.eye(dim, dtype=np.complex128)
-    for elem in elementary_ops(gate):
-        if elem.kind == "ry":
-            t = float(elem.angle.resolve(inputs, params))
-            u = np.array(
-                [[math.cos(t / 2), -math.sin(t / 2)], [math.sin(t / 2), math.cos(t / 2)]],
-                dtype=np.complex128,
-            )
-            g = _dense_1q(u, elem.q0, n_qubits)
-        elif elem.kind == "rz":
-            t = float(elem.angle.resolve(inputs, params))
-            u = np.diag([np.exp(-0.5j * t), np.exp(0.5j * t)])
-            g = _dense_1q(u, elem.q0, n_qubits)
-        elif elem.kind == "cnot":
-            g = np.zeros((dim, dim), dtype=np.complex128)
-            for i in range(dim):
-                j = i ^ (1 << elem.q1) if (i >> elem.q0) & 1 else i
-                g[j, i] = 1.0
-        else:  # cz
-            d = np.ones(dim, dtype=np.complex128)
-            for i in range(dim):
-                if (i >> elem.q0) & 1 and (i >> elem.q1) & 1:
-                    d[i] = -1.0
-            g = np.diag(d)
-        mat = g @ mat
-    return mat

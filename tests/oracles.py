@@ -14,14 +14,88 @@ import math
 import numpy as np
 
 from hqnnbench.qnn import Circuit, qnn_forward
-from hqnnbench.statevec import Angle, Gate, Observable, gate_matrix
+from hqnnbench.statevec import Angle, Gate, GateKind, Observable
 
 # ---------------------------------------------------------------------------
-# Dense statevector / expectation route.
+# Dense statevector / expectation route. Gates are expanded here from the
+# conventions in the ``hqnnbench.statevec`` docstring, not by the package.
 # ---------------------------------------------------------------------------
 
 _Z = np.diag([1.0, -1.0]).astype(np.complex128)
 _I2 = np.eye(2, dtype=np.complex128)
+
+
+def _ry(t: float) -> np.ndarray:
+    c, s = math.cos(t / 2), math.sin(t / 2)
+    return np.array([[c, -s], [s, c]], dtype=np.complex128)
+
+
+def _rz(t: float) -> np.ndarray:
+    return np.diag([np.exp(-0.5j * t), np.exp(0.5j * t)])
+
+
+def _on_qubit(u: np.ndarray, qubit: int, n_qubits: int) -> np.ndarray:
+    return np.kron(np.kron(np.eye(1 << (n_qubits - 1 - qubit)), u), np.eye(1 << qubit))
+
+
+def _cnot_matrix(control: int, target: int, n_qubits: int) -> np.ndarray:
+    """Basis permutation: flip the target bit where the control bit is set."""
+    dim = 1 << n_qubits
+    m = np.zeros((dim, dim), dtype=np.complex128)
+    for i in range(dim):
+        m[i ^ (1 << target) if (i >> control) & 1 else i, i] = 1.0
+    return m
+
+
+def _cz_matrix(a: int, b: int, n_qubits: int) -> np.ndarray:
+    """Sign diagonal: -1 where both bits are set."""
+    idx = np.arange(1 << n_qubits)
+    return np.diag(1.0 - 2.0 * ((idx >> a) & (idx >> b) & 1)).astype(np.complex128)
+
+
+def _angle_value(angle: Angle, inputs, params) -> float:
+    if angle.source == "const":
+        return angle.value
+    return float(np.asarray(inputs if angle.source == "input" else params)[angle.index])
+
+
+def gate_matrix(gate: Gate, n_qubits: int, inputs=None, params=None) -> np.ndarray:
+    """Full 2**n x 2**n unitary of ``gate``, built by Kronecker products."""
+    t = [_angle_value(a, inputs, params) for a in gate.angles]
+    kind, n = gate.kind, n_qubits
+    if kind is GateKind.RY:
+        return _on_qubit(_ry(t[0]), gate.targets[0], n)
+    if kind is GateKind.RZ:
+        return _on_qubit(_rz(t[0]), gate.targets[0], n)
+    if kind is GateKind.ARB:  # RZ(phi) acts first
+        return _on_qubit(_rz(t[2]) @ _ry(t[1]) @ _rz(t[0]), gate.targets[0], n)
+    if kind is GateKind.CNOT:
+        return _cnot_matrix(*gate.targets, n)
+    if kind is GateKind.CZ:
+        return _cz_matrix(*gate.targets, n)
+    a, b = gate.targets  # two-qubit block, in application order
+    steps = (
+        _on_qubit(_rz(-math.pi / 2), b, n),
+        _cnot_matrix(b, a, n),
+        _on_qubit(_rz(t[0]), a, n),
+        _on_qubit(_ry(t[1]), b, n),
+        _cnot_matrix(a, b, n),
+        _on_qubit(_ry(t[2]), b, n),
+        _cnot_matrix(b, a, n),
+        _on_qubit(_rz(math.pi / 2), a, n),
+    )
+    mat = np.eye(1 << n, dtype=np.complex128)
+    for step in steps:
+        mat = step @ mat
+    return mat
+
+
+def circuit_unitary(circuit: Circuit, inputs=None, params=None) -> np.ndarray:
+    """Dense unitary of the whole gate program (excludes state preparation)."""
+    mat = np.eye(1 << circuit.n_qubits, dtype=np.complex128)
+    for gate in circuit.ops:
+        mat = gate_matrix(gate, circuit.n_qubits, inputs, params) @ mat
+    return mat
 
 
 def dense_observable_matrices(n_qubits: int, obs: Observable) -> list[np.ndarray]:
@@ -45,16 +119,13 @@ def dense_observable_matrices(n_qubits: int, obs: Observable) -> list[np.ndarray
 
 def dense_circuit_state(circuit: Circuit, inputs, params) -> np.ndarray:
     """Final statevector via dense matrix products only."""
+    psi = np.zeros(1 << circuit.n_qubits, dtype=np.complex128)
     if circuit.encoding == "amplitude":
         x = np.asarray(inputs, dtype=np.float64)
-        psi = np.zeros(1 << circuit.n_qubits, dtype=np.complex128)
         psi[: x.size] = x / np.linalg.norm(x)
     else:
-        psi = np.zeros(1 << circuit.n_qubits, dtype=np.complex128)
         psi[0] = 1.0
-    for gate in circuit.ops:
-        psi = gate_matrix(gate, circuit.n_qubits, inputs, params) @ psi
-    return psi
+    return circuit_unitary(circuit, inputs, params) @ psi
 
 
 def dense_expectations(circuit: Circuit, inputs, params) -> np.ndarray:

@@ -284,6 +284,25 @@ class TestRunExperiment:
         assert res.per_fold[1]["aborted"] is None
         assert res.aggregate == res.per_fold[1]["best"]
 
+    def test_non_finite_validation_logits_abort_the_fold(self, monkeypatch):
+        ds = synth_blobs(32, 4, 6.0, seed=5)
+        folds = make_folds(ds, 2, seed=5)
+        cfg = ModelConfig(family="classical", preproc="conv0", latent_dim=16, head="none")
+        real = harness._predict
+        calls = {"n": 0}
+
+        def nan_once(*args, **kwargs):
+            calls["n"] += 1
+            out = real(*args, **kwargs)
+            return np.full_like(out, np.nan) if calls["n"] == 1 else out
+
+        monkeypatch.setattr(harness, "_predict", nan_once)
+        res = run_experiment(cfg, ds, folds, epochs=2, batch_size=16)
+        assert res.per_fold[0]["aborted"].startswith("FloatingPointError")
+        assert res.per_fold[0]["best"] is None
+        assert res.per_fold[1]["aborted"] is None
+        assert res.aggregate == res.per_fold[1]["best"]
+
     def test_all_folds_aborted_gives_null_aggregate(self, monkeypatch):
         ds = synth_blobs(32, 4, 6.0, seed=6)
         folds = make_folds(ds, 2, seed=6)
@@ -447,6 +466,31 @@ class TestRunGrid:
         meta = json.loads((out / "run_meta.json").read_text())
         assert meta["n_skipped"] == 2
 
+    def test_resume_drops_truncated_last_line(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        run_grid(dict(TINY_RUN), tmp_path, out)
+        full = (out / "results.jsonl").read_bytes()
+        first = full[: full.index(b"\n") + 1]
+        (out / "results.jsonl").write_bytes(full[:-40])  # crash mid-way through row 2
+        rows = run_grid(dict(TINY_RUN), tmp_path, out)
+        assert "truncated" in capsys.readouterr().err
+        assert len(rows) == 2
+        assert json.loads(first) in rows
+        assert (out / "results.jsonl").read_bytes() == full
+        assert json.loads((out / "run_meta.json").read_text())["n_skipped"] == 1
+
+        (out / "results.jsonl").write_bytes(full[:-1])  # complete row, newline lost
+        assert len(run_grid(dict(TINY_RUN), tmp_path, out)) == 2
+        assert (out / "results.jsonl").read_bytes() == full
+
+    def test_resume_rejects_malformed_inner_line(self, tmp_path):
+        out = tmp_path / "out"
+        run_grid(dict(TINY_RUN), tmp_path, out)
+        lines = (out / "results.jsonl").read_bytes().splitlines(keepends=True)
+        (out / "results.jsonl").write_bytes(lines[0][:-40] + b"\n" + lines[1])
+        with pytest.raises(json.JSONDecodeError):
+            run_grid(dict(TINY_RUN), tmp_path, out)
+
     def test_bit_identical_reruns(self, tmp_path):
         a = run_grid(dict(TINY_RUN), tmp_path, tmp_path / "a")
         b = run_grid(dict(TINY_RUN), tmp_path, tmp_path / "b")
@@ -515,6 +559,8 @@ class TestCli:
         assert r0["config"]["seed"] == 0 and r1["config"]["seed"] == 1
         assert r0["config_hash"] != r1["config_hash"]
 
-    def test_selftest_passes(self, capsys):
-        assert main(["selftest"]) == 0
-        assert "all checks passed" in capsys.readouterr().out
+    def test_selftest_is_unknown_command(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["selftest"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err

@@ -13,7 +13,6 @@ from hqnnbench.qnn import (
     build_ang_arb,
     build_ang_ry,
     build_qcnn,
-    circuit_unitary,
     init_params,
     qnn_backward,
     qnn_backward_batch,
@@ -23,6 +22,7 @@ from hqnnbench.qnn import (
 from hqnnbench.statevec import Angle, EncodingError, Gate, GateKind, Observable
 
 from oracles import (
+    circuit_unitary,
     dense_expectations,
     fd_jacobian,
     param_shift_jacobian,

@@ -7,27 +7,22 @@ import math
 import numpy as np
 import pytest
 
+from hqnnbench.qnn import Circuit, qnn_forward_batch
 from hqnnbench.statevec import (
     Angle,
     EncodingError,
     Gate,
     Observable,
-    StateVector,
-    amplitude_encode,
     apply_cnot,
     apply_cz,
-    apply_gate,
     apply_ry,
     apply_rz,
     elementary_ops,
-    expval,
     expval_batch,
-    gate_matrix,
     measurement_diagonals,
-    new_zero_state,
 )
 
-from oracles import dense_observable_matrices
+from oracles import dense_observable_matrices, gate_matrix
 
 
 def random_gate(rng, n_qubits):
@@ -54,25 +49,39 @@ def random_state(rng, n_qubits):
     return amps.astype(np.complex128)
 
 
+def final_state(n_qubits, ops, x=None):
+    """Run ``ops`` through the batched forward pass (B=1) and return the state.
+
+    With ``x`` the register starts amplitude-encoded from the real vector
+    ``x``; without it the register starts in |0...0>.
+    """
+    if x is None:
+        circuit = Circuit(n_qubits, "angle", tuple(ops), 0, 1, Observable.global_z())
+        x = np.zeros(1)
+    else:
+        circuit = Circuit(n_qubits, "amplitude", tuple(ops), 0, 1 << n_qubits, Observable.global_z())
+    _, amps = qnn_forward_batch(circuit, np.atleast_2d(x), np.zeros(0), return_state=True)
+    return amps[0]
+
+
 class TestZeroState:
     def test_one_qubit(self):
-        s = new_zero_state(1)
-        assert np.array_equal(s.amps, [1.0 + 0.0j, 0.0 + 0.0j])
+        assert np.array_equal(final_state(1, ()), [1.0 + 0.0j, 0.0 + 0.0j])
 
     def test_two_qubits(self):
-        assert np.array_equal(new_zero_state(2).amps, [1, 0, 0, 0])
+        assert np.array_equal(final_state(2, ()), [1, 0, 0, 0])
 
     def test_rejects_empty_and_oversized_register(self):
         with pytest.raises(ValueError):
-            new_zero_state(0)
+            Circuit(0, "angle", (), 0, 1, Observable.global_z())
         with pytest.raises(ValueError):
-            new_zero_state(11)
+            Circuit(11, "angle", (), 0, 1, Observable.global_z())
 
 
 class TestSingleGates:
     def test_ry_pi_flips_zero(self):
-        s = apply_gate(new_zero_state(1), Gate.ry(0, math.pi))
-        assert np.allclose(s.amps, [0.0, 1.0], atol=1e-15)
+        s = final_state(1, (Gate.ry(0, math.pi),))
+        assert np.allclose(s, [0.0, 1.0], atol=1e-15)
 
     def test_ry_matrix_convention(self):
         # RY(t) = [[cos t/2, -sin t/2], [sin t/2, cos t/2]]
@@ -82,11 +91,14 @@ class TestSingleGates:
             [[math.cos(t / 2), -math.sin(t / 2)], [math.sin(t / 2), math.cos(t / 2)]]
         )
         assert np.allclose(m, expect, atol=1e-15)
+        # a batch of basis rows comes back as the rows of the transposed matrix
+        assert np.allclose(apply_ry(np.eye(2, dtype=np.complex128), 0, t).T, m, atol=1e-15)
 
     def test_rz_matrix_convention(self):
         t = -1.234
         m = gate_matrix(Gate.rz(0, t), 1)
         assert np.allclose(m, np.diag([np.exp(-0.5j * t), np.exp(0.5j * t)]), atol=1e-15)
+        assert np.allclose(apply_rz(np.eye(2, dtype=np.complex128), 0, t).T, m, atol=1e-15)
 
     def test_arbrot_applies_phi_first(self):
         phi, theta, omega = 0.3, 1.1, -0.7
@@ -96,22 +108,22 @@ class TestSingleGates:
             [[math.cos(theta / 2), -math.sin(theta / 2)], [math.sin(theta / 2), math.cos(theta / 2)]]
         )
         assert np.allclose(m, rz(omega) @ ry @ rz(phi), atol=1e-14)
+        x = np.array([0.6, -0.8])
+        s = final_state(1, (Gate.arb(0, phi, theta, omega),), x=x)
+        assert np.abs(s - m @ x).max() < 1e-14
 
     def test_cnot_truth_table(self):
         # qubit 0 is the least significant bit: flipping the target (qubit 1)
         # when control (qubit 0) is set maps index 1 -> 3 and 3 -> 1.
-        s = new_zero_state(2)
-        s.amps[:] = 0
-        s.amps[1] = 1.0
-        apply_gate(s, Gate.cnot(0, 1))
-        assert np.argmax(np.abs(s.amps)) == 3
-        apply_gate(s, Gate.cnot(0, 1))
-        assert np.argmax(np.abs(s.amps)) == 1
+        amps = np.zeros(4, dtype=np.complex128)
+        amps[1] = 1.0
+        apply_cnot(amps, 0, 1)
+        assert np.argmax(np.abs(amps)) == 3
+        apply_cnot(amps, 0, 1)
+        assert np.argmax(np.abs(amps)) == 1
 
     def test_cnot_control_clear_is_identity(self):
-        s = new_zero_state(2)
-        apply_gate(s, Gate.cnot(0, 1))
-        assert np.array_equal(s.amps, [1, 0, 0, 0])
+        assert np.array_equal(final_state(2, (Gate.cnot(0, 1),)), [1, 0, 0, 0])
 
     def test_two_qubit_gate_rejects_duplicate_targets(self):
         with pytest.raises(ValueError):
@@ -119,7 +131,7 @@ class TestSingleGates:
 
     def test_out_of_range_target_rejected(self):
         with pytest.raises(ValueError):
-            apply_gate(new_zero_state(2), Gate.ry(2, 0.1))
+            apply_ry(np.zeros(4, dtype=np.complex128), 2, 0.1)
 
 
 class TestGateInverses:
@@ -144,36 +156,33 @@ class TestGateInverses:
 
 class TestAmplitudeEncode:
     def test_normalizes(self):
-        s = amplitude_encode([3.0, 4.0], 1)
-        assert np.allclose(s.amps, [0.6, 0.8])
+        assert np.allclose(final_state(1, (), x=[3.0, 4.0]), [0.6, 0.8])
 
     def test_basis_vector_padded(self):
         f = np.zeros(16)
         f[0] = 1.0
-        s = amplitude_encode(f, 4)
-        expect = np.zeros(16)
-        expect[0] = 1.0
-        assert np.array_equal(s.amps, expect)
+        assert np.array_equal(final_state(4, (), x=f), f)
 
     def test_zero_norm_rejected(self):
-        with pytest.raises(EncodingError):
-            amplitude_encode([0.0, 0.0], 1)
+        c = Circuit(1, "amplitude", (), 0, 2, Observable.global_z())
+        with pytest.raises(EncodingError, match="row 1"):
+            qnn_forward_batch(c, np.array([[1.0, 0.0], [0.0, 0.0]]), np.zeros(0))
 
     def test_capacity_exceeded_rejected(self):
-        with pytest.raises(EncodingError):
-            amplitude_encode(np.ones(5), 2)
+        c = Circuit(2, "amplitude", (), 0, 4, Observable.global_z())
+        with pytest.raises(ValueError):
+            qnn_forward_batch(c, np.ones((1, 5)), np.zeros(0))
 
 
 class TestExpectations:
     def test_single_z_on_zero_state(self):
-        assert expval(new_zero_state(1), Observable.single_z(0))[0] == 1.0
+        assert expval_batch(final_state(1, ()), 1, Observable.single_z(0))[0] == 1.0
 
     def test_bell_state_global_and_local(self):
-        s = new_zero_state(2)
-        s.amps[:] = 0
-        s.amps[0] = s.amps[3] = 1 / math.sqrt(2)
-        assert abs(expval(s, Observable.global_z())[0] - 1.0) < 1e-15
-        assert np.abs(expval(s, Observable.local_z())).max() < 1e-15
+        s = np.zeros(4, dtype=np.complex128)
+        s[0] = s[3] = 1 / math.sqrt(2)
+        assert abs(expval_batch(s, 2, Observable.global_z())[0] - 1.0) < 1e-15
+        assert np.abs(expval_batch(s, 2, Observable.local_z())).max() < 1e-15
 
     def test_global_z_matches_popcount_sum_and_dense(self):
         rng = np.random.default_rng(9)
@@ -206,25 +215,23 @@ class TestDenseOracle:
         rng = np.random.default_rng(11)
         for _ in range(40):
             n = int(rng.integers(1, 5))
-            state = new_zero_state(n)
-            state.amps[:] = random_state(rng, n)
-            ref = state.amps.copy()
-            for _ in range(int(rng.integers(1, 8))):
-                g = random_gate(rng, n)
-                apply_gate(state, g)
+            x = rng.normal(size=1 << n)
+            gates = [random_gate(rng, n) for _ in range(int(rng.integers(1, 8)))]
+            ref = x / np.linalg.norm(x)
+            for g in gates:
                 ref = gate_matrix(g, n) @ ref
-            assert np.abs(state.amps - ref).max() < 1e-10
-            assert abs(np.linalg.norm(state.amps) - 1.0) < 1e-10
+            state = final_state(n, gates, x=x)
+            assert np.abs(state - ref).max() < 1e-10
+            assert abs(np.linalg.norm(state) - 1.0) < 1e-10
 
     def test_block_expansion_is_unitary_and_consistent(self):
         rng = np.random.default_rng(12)
         g = Gate.block(0, 2, 0.4, -1.2, 2.2)
         m = gate_matrix(g, 3)
         assert np.allclose(m @ m.conj().T, np.eye(8), atol=1e-12)
-        state = StateVector(3, random_state(rng, 3))
-        ref = m @ state.amps
-        apply_gate(state, g)
-        assert np.abs(state.amps - ref).max() < 1e-12
+        x = rng.normal(size=8)
+        ref = m @ (x / np.linalg.norm(x))
+        assert np.abs(final_state(3, (g,), x=x) - ref).max() < 1e-12
 
     def test_block_elementary_sequence(self):
         kinds = [e.kind for e in elementary_ops(Gate.block(0, 1, 0.1, 0.2, 0.3))]
@@ -257,13 +264,9 @@ class TestBatchedKernels:
 
 class TestAngleSlots:
     def test_slot_resolution(self):
-        g = Gate.ry(0, Angle.input(1))
-        s = apply_gate(new_zero_state(1), g, inputs=[0.0, math.pi])
-        assert np.allclose(s.amps, [0.0, 1.0], atol=1e-15)
-
-    def test_missing_binding_raises(self):
-        with pytest.raises(ValueError):
-            apply_gate(new_zero_state(1), Gate.ry(0, Angle.param(0)))
+        c = Circuit(1, "angle", (Gate.ry(0, Angle.input(1)),), 0, 2, Observable.global_z())
+        _, amps = qnn_forward_batch(c, np.array([[0.0, math.pi]]), np.zeros(0), return_state=True)
+        assert np.allclose(amps[0], [0.0, 1.0], atol=1e-15)
 
     def test_angle_source_validation(self):
         with pytest.raises(ValueError):
