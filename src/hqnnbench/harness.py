@@ -11,7 +11,9 @@ fold bests (mean by default).
 Persistence: ``results.jsonl`` holds one JSON object per configuration with
 sorted keys and no timing information, so identical runs produce
 byte-identical files; wall-clock timings go to ``timings.jsonl``. Completed
-configurations (keyed by config hash) are skipped on re-run.
+configurations (keyed by config hash) are skipped on re-run; a re-run whose
+epochs, folds, seed, batch size, aggregate or dataset name differ from the
+stored ``run_meta.json`` is refused.
 """
 
 from __future__ import annotations
@@ -742,6 +744,20 @@ def _drop_truncated_tail(results_path: Path) -> None:
             fh.write(b"\n")
 
 
+class ProtocolMismatchError(ValueError):
+    """An output directory holds results trained under a different protocol."""
+
+
+def _check_same_protocol(stored: dict, protocol: dict, out_dir: Path) -> None:
+    """Refuse to resume into rows whose ``run_meta.json`` records another protocol."""
+    changed = [f"{key} {stored[key]!r} -> {value!r}" for key, value in protocol.items() if key in stored and stored[key] != value]
+    if changed:
+        raise ProtocolMismatchError(
+            f"{out_dir} holds results from a different protocol ({', '.join(changed)}); "
+            "use a new --out directory"
+        )
+
+
 def run_grid(
     run_cfg: dict,
     data_dir: Path,
@@ -761,7 +777,18 @@ def run_grid(
     folds = make_folds(dataset, k, seed)
     configs = expand_grid(run_cfg)
 
+    protocol = {
+        "epochs": epochs,
+        "batch_size": batch_size,
+        "folds": k,
+        "seed": seed,
+        "aggregate": aggregate,
+        "dataset": run_cfg.get("dataset", "blobs"),
+    }
     results_path = out_dir / "results.jsonl"
+    meta_path = out_dir / "run_meta.json"
+    if meta_path.exists() and results_path.exists() and results_path.read_bytes().strip():
+        _check_same_protocol(json.loads(meta_path.read_text()), protocol, out_dir)
     _drop_truncated_tail(results_path)
     rows = _load_existing(results_path)
     done_hashes = {r["config_hash"] for r in rows}
@@ -770,15 +797,10 @@ def run_grid(
     meta = {
         "n_configs": len(configs),
         "n_skipped": len(configs) - len(todo),
-        "epochs": epochs,
-        "batch_size": batch_size,
-        "folds": k,
-        "seed": seed,
-        "aggregate": aggregate,
-        "dataset": run_cfg.get("dataset", "blobs"),
+        **protocol,
         "groups": sorted({c.group for c in configs}),
     }
-    (out_dir / "run_meta.json").write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
+    meta_path.write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
 
     def emit(json_dict: dict, wall_times: list[float]) -> None:
         with open(results_path, "a") as fh:
@@ -861,7 +883,11 @@ def main(argv=None) -> int:
         score = "aborted" if not agg else f"roc_auc={agg['roc_auc']:.4f}"
         print(f"[{n_done}] {json_dict['label']}: {score}", flush=True)
 
-    rows = run_grid(run_cfg, Path(args.data_dir), Path(args.out), jobs=args.jobs, progress=progress)
+    try:
+        rows = run_grid(run_cfg, Path(args.data_dir), Path(args.out), jobs=args.jobs, progress=progress)
+    except ProtocolMismatchError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(f"{len(rows)} results in {Path(args.out) / 'results.jsonl'}")
     return 0
 

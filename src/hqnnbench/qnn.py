@@ -14,10 +14,35 @@ Four circuit families are provided:
   convolution and pooling stages that halve the active register until one
   qubit remains.
 
+Each ``Circuit`` is compiled once, when it is built, into a program of
+fused gates (Jones & Gacon, arXiv:2009.02823; the fusion follows qsim):
+
+* every run of RY/RZ rotations on one qubit becomes one 2x2 unitary. The
+  run reaches across gates on other qubits, so an encoding rotation and the
+  variational ARB after it on the same qubit fuse into one gate;
+* every two-qubit ``BLOCK`` becomes one 4x4 unitary;
+* every maximal run of CNOT/CZ gates becomes one signed basis permutation,
+  ``out[i] = sign[i] * a[perm[i]]``.
+
+A fused gate is *batch-shared* when all its angles are parameters or
+constants and *per-sample* when it reads an input slot. The fused gates
+between two permutations form a ``Stage``; the small matrices of a stage are
+computed together, one batch of ``(d, d, G, B)`` arrays per step signature.
+
 Gradients are computed in adjoint mode: one forward pass, then a single
-reverse sweep that un-applies each elementary gate while accumulating
-``2 Re <lambda| dG |psi>`` terms. This is exact for noiseless statevector
-simulation; the parameter-shift rule is kept around only as a test oracle.
+reverse sweep that un-applies each fused gate ``U`` on the state ``psi``
+and on ``mu = conj(lambda)`` (with ``U^T``, so no conjugate copies are
+made). Before un-applying, it takes one reduced overlap per gate,
+``G_ij = sum_rest conj(lambda_i) psi_j`` over the gate's qubits: per sample
+for per-sample gates, summed over the batch for shared ones. With
+``U = S_k R_k P_k`` for rotation ``k``, every angle gradient of the gate
+follows from ``G`` alone::
+
+    g_k = Re tr(S_k^H G^T S_k Gamma_k),   Gamma_k = 2 dR_k/dt R_k^-1
+
+where ``Gamma_k`` is the constant RY(pi) or RZ(pi). This is exact for
+noiseless statevector simulation; the parameter-shift rule is kept around
+only as a test oracle.
 """
 
 from __future__ import annotations
@@ -29,21 +54,228 @@ import numpy as np
 
 from .statevec import (
     Angle,
-    Elem,
     EncodingError,
     Gate,
+    GateKind,
     MAX_QUBITS,
     Observable,
-    apply_cnot,
-    apply_cz,
-    apply_ry,
-    apply_rz,
-    elementary_ops,
+    apply_gate,
+    apply_signed_perm,
     expval_batch,
+    gate_overlap,
     measurement_diagonals,
+    rotation_matrices,
 )
 
 _NORM_EPS = 1e-12
+
+# ---------------------------------------------------------------------------
+# Compilation into fused gates.
+# ---------------------------------------------------------------------------
+
+# A fused gate is a product of steps on its own qubits ("wires", in gate
+# target order). ("ry", w) and ("rz", w) each read one angle; ("cnot", w) is
+# the fixed local permutation with control wire w. The local basis index of
+# a two-qubit gate is 2 * bit(wire 0) + bit(wire 1).
+_ROTATION_STEPS = {GateKind.RY: (("ry", 0),), GateKind.RZ: (("rz", 0),), GateKind.ARB: (("rz", 0), ("ry", 0), ("rz", 0))}
+_BLOCK_STEPS = (("rz", 1), ("cnot", 1), ("rz", 0), ("ry", 1), ("cnot", 0), ("ry", 1), ("cnot", 1), ("rz", 0))
+# 2 dR/dt R^-1 = R(pi) for both rotation kinds.
+_GENERATORS = {"ry": np.array([[0, -1], [1, 0]], dtype=np.complex128), "rz": np.diag([-1j, 1j])}
+
+
+def _embed(m: np.ndarray, dim: int, wire: int) -> np.ndarray:
+    """A matrix-major 2x2 (batch) acting on ``wire`` of a ``dim``-level gate."""
+    if dim == 2:
+        return m
+    out = np.zeros((4, 4) + m.shape[2:], dtype=np.complex128)
+    for a in range(2):
+        if wire == 0:
+            out[a::2, a::2] = m
+        else:
+            out[2 * a : 2 * a + 2, 2 * a : 2 * a + 2] = m
+    return out
+
+
+# CNOT in the local basis by control wire, shaped (4, 4, 1, 1) to broadcast:
+# control 0 swaps |10> and |11>, control 1 swaps |01> and |11>.
+_LOCAL_CNOT = {
+    c: np.eye(4, dtype=np.complex128)[order][:, :, None, None] for c, order in ((0, [0, 1, 3, 2]), (1, [0, 3, 2, 1]))
+}
+
+
+def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Matrix-major product: ``(d, d, ...) @ (d, d, ...)`` over the leading axes."""
+    out = a[:, 0, None] * b[None, 0]
+    for j in range(1, a.shape[0]):
+        out += a[:, j, None] * b[None, j]
+    return out
+
+
+def _product(mats: list[np.ndarray]) -> np.ndarray:
+    """``mats[-1] @ ... @ mats[0]``: the steps in application order."""
+    u = mats[0]
+    for m in mats[1:]:
+        u = _mm(m, u)
+    return u
+
+
+@dataclass(frozen=True)
+class FusedGate:
+    """One compiled gate: the product of ``steps`` on ``qubits``."""
+
+    qubits: tuple[int, ...]
+    steps: tuple[tuple[str, int], ...]
+    angles: tuple[Angle, ...]  # one per rotation step, in application order
+
+    @property
+    def dim(self) -> int:
+        return 1 << len(self.qubits)
+
+    @property
+    def per_sample(self) -> bool:
+        return any(a.source == "input" for a in self.angles)
+
+
+class _Group:
+    """The gates of one stage with one step signature, handled as a batch.
+
+    Matrices are matrix-major, ``(d, d, G, Bx)``: ``G`` counts the gates and
+    ``Bx`` is the batch for per-sample gates and 1 for shared ones.
+    """
+
+    def __init__(self, gates: list[FusedGate]):
+        first = gates[0]
+        self.steps, self.dim, self.per_sample = first.steps, first.dim, first.per_sample
+        self.shape = (len(gates), len(first.angles))
+        flat = [a for g in gates for a in g.angles]  # gate-major
+        self.const = np.array([a.value for a in flat])
+        pos = {src: np.array([k for k, a in enumerate(flat) if a.source == src], dtype=np.intp) for src in ("param", "input")}
+        self.param_pos, self.input_pos = pos["param"], pos["input"]
+        self.param_idx = np.array([flat[k].index for k in self.param_pos], dtype=np.intp)
+        self.input_idx = np.array([flat[k].index for k in self.input_pos], dtype=np.intp)
+        self.live = np.zeros(self.shape[1], dtype=bool)  # rotations with a gradient to find
+        self.live[np.concatenate([self.param_pos, self.input_pos]) % self.shape[1]] = True
+        rotation_steps = [k for k, (kind, _) in enumerate(self.steps) if kind != "cnot"]
+        self.first_live = rotation_steps[int(np.argmax(self.live))]
+        # tr(W Gamma) as a sum over Gamma's nonzero entries Gamma[j, i] W[i, j]
+        gammas = [_embed(_GENERATORS[kind], self.dim, wire) for kind, wire in self.steps if kind != "cnot"]
+        self.traces = [[(i, j, gamma[j, i]) for j, i in zip(*np.nonzero(gamma))] for gamma in gammas]
+
+    def step_matrices(self, x: np.ndarray, params: np.ndarray) -> list[np.ndarray]:
+        bx = x.shape[0] if self.per_sample else 1
+        angles = np.empty((self.const.size, bx))
+        angles[:] = self.const[:, None]
+        angles[self.param_pos] = params[self.param_idx, None]
+        if self.per_sample:
+            angles[self.input_pos] = x[:, self.input_idx].T
+        angles = angles.reshape(self.shape + (bx,))
+        mats, r = [], 0
+        for kind, wire in self.steps:
+            if kind == "cnot":
+                mats.append(_LOCAL_CNOT[wire])
+                continue
+            mats.append(_embed(rotation_matrices(kind, angles[:, r]), self.dim, wire))
+            r += 1
+        return mats
+
+    def gradients(self, overlaps: np.ndarray, mats: list[np.ndarray]) -> np.ndarray:
+        """Angle gradients ``(G, n_rot, Bx)`` from the overlaps ``(d, d, G, Bx)``."""
+        w = overlaps.swapaxes(0, 1)  # S_k^H G^T S_k, starting from the last step
+        grads = np.zeros((self.shape[0], self.shape[1], overlaps.shape[3]))
+        r = self.shape[1]
+        for k in range(len(self.steps) - 1, self.first_live - 1, -1):
+            if self.steps[k][0] != "cnot":
+                r -= 1
+                if self.live[r]:
+                    grads[:, r] = sum(c * w[i, j] for i, j, c in self.traces[r]).real
+            if k > self.first_live:
+                m = mats[k]
+                w = _mm(_mm(m.conj().swapaxes(0, 1), w), m)
+        return grads
+
+    def scatter(self, grads: np.ndarray, grad_inputs: np.ndarray, grad_params: np.ndarray) -> None:
+        flat = grads.reshape(self.const.size, -1)
+        if self.param_pos.size:
+            np.add.at(grad_params, self.param_idx, flat[self.param_pos].sum(axis=1))
+        if self.input_pos.size:
+            np.add.at(grad_inputs, (slice(None), self.input_idx), flat[self.input_pos].T)
+
+
+class Stage:
+    """Fused gates between two entangler runs, applied in order."""
+
+    def __init__(self, gates: list[FusedGate]):
+        self.gates = tuple(gates)
+        keys: dict = {}
+        members: list[list[FusedGate]] = []
+        where = []
+        for g in self.gates:
+            key = (len(g.qubits), g.steps, g.per_sample)
+            if key not in keys:
+                keys[key] = len(members)
+                members.append([])
+            where.append((keys[key], len(members[keys[key]])))
+            members[keys[key]].append(g)
+        self.groups = tuple(_Group(m) for m in members)
+        self.where = tuple(where)
+
+
+class SignedPerm:
+    """A run of CNOT/CZ gates as one map ``out[i] = sign[i] * a[perm[i]]``."""
+
+    def __init__(self, gates: list[Gate], n_qubits: int):
+        idx = np.arange(1 << n_qubits)
+        perm, sign = idx, np.ones(1 << n_qubits)
+        for g in gates:
+            a, b = g.targets
+            if g.kind is GateKind.CNOT:
+                step, step_sign = idx ^ (((idx >> a) & 1) << b), 1.0
+            else:
+                step, step_sign = idx, 1.0 - 2.0 * ((idx >> a) & (idx >> b) & 1)
+            perm, sign = perm[step], step_sign * sign[step]
+        inverse = np.argsort(perm)
+        self.perm, self.sign = perm, (sign if np.any(sign < 0) else None)
+        self.inv_perm, self.inv_sign = inverse, (sign[inverse] if self.sign is not None else None)
+
+
+def _compile_program(ops: tuple[Gate, ...], n_qubits: int) -> tuple:
+    """Fuse a gate list into a tuple of ``Stage`` and ``SignedPerm`` ops."""
+    program: list = []
+    stage: list[FusedGate] = []
+    pending: dict[int, tuple[list, list]] = {}  # qubit -> (steps, angles) of its open rotation run
+    run: list[Gate] = []
+
+    def close(qubits) -> None:
+        for q in [q for q in pending if q in qubits]:
+            steps, angles = pending.pop(q)
+            stage.append(FusedGate((q,), tuple(steps), tuple(angles)))
+
+    for gate in ops:
+        if gate.kind in (GateKind.CNOT, GateKind.CZ):
+            close(tuple(pending))
+            if stage:
+                program.append(Stage(stage))
+                stage = []
+            run.append(gate)
+            continue
+        if run:
+            program.append(SignedPerm(run, n_qubits))
+            run = []
+        if gate.kind is GateKind.BLOCK:
+            close(gate.targets)
+            p0, p1, p2 = gate.angles
+            angles = (Angle.const(-math.pi / 2), p0, p1, p2, Angle.const(math.pi / 2))
+            stage.append(FusedGate(gate.targets, _BLOCK_STEPS, angles))
+        else:
+            steps, angles = pending.setdefault(gate.targets[0], ([], []))
+            steps.extend(_ROTATION_STEPS[gate.kind])
+            angles.extend(gate.angles)
+    close(tuple(pending))
+    if stage:
+        program.append(Stage(stage))
+    if run:
+        program.append(SignedPerm(run, n_qubits))
+    return tuple(program)
 
 
 @dataclass(frozen=True)
@@ -52,7 +284,8 @@ class Circuit:
 
     ``encoding`` is ``"angle"`` (inputs consumed by gate slots, register
     starts in |0...0>) or ``"amplitude"`` (register starts as the normalized
-    input vector; gates may not read input slots).
+    input vector; gates may not read input slots). ``program`` is the fused
+    form that the simulator runs.
     """
 
     n_qubits: int
@@ -61,7 +294,7 @@ class Circuit:
     n_params: int
     n_inputs: int
     observable: Observable
-    _elems: tuple[Elem, ...] = field(init=False, repr=False, compare=False)
+    program: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 1 <= self.n_qubits <= MAX_QUBITS:
@@ -70,24 +303,20 @@ class Circuit:
             raise ValueError(f"unknown encoding {self.encoding!r}")
         if self.encoding == "amplitude" and self.n_inputs != 1 << self.n_qubits:
             raise ValueError("amplitude-encoded circuits must consume 2**n_qubits inputs")
-        elems = []
         for gate in self.ops:
             if any(q >= self.n_qubits for q in gate.targets):
                 raise ValueError(f"gate target out of range: {gate}")
-            for elem in elementary_ops(gate):
-                ang = elem.angle
-                if ang is not None:
-                    if ang.source == "param" and ang.index >= self.n_params:
-                        raise ValueError(f"param slot {ang.index} >= n_params {self.n_params}")
-                    if ang.source == "input":
-                        if self.encoding == "amplitude":
-                            raise ValueError("amplitude-encoded circuits take no input slots")
-                        if ang.index >= self.n_inputs:
-                            raise ValueError(f"input slot {ang.index} >= n_inputs {self.n_inputs}")
-                elems.append(elem)
+            for ang in gate.angles:
+                if ang.source == "param" and ang.index >= self.n_params:
+                    raise ValueError(f"param slot {ang.index} >= n_params {self.n_params}")
+                if ang.source == "input":
+                    if self.encoding == "amplitude":
+                        raise ValueError("amplitude-encoded circuits take no input slots")
+                    if ang.index >= self.n_inputs:
+                        raise ValueError(f"input slot {ang.index} >= n_inputs {self.n_inputs}")
         if self.observable.kind == "single_z" and self.observable.qubit >= self.n_qubits:
             raise ValueError("observable qubit out of range")
-        object.__setattr__(self, "_elems", tuple(elems))
+        object.__setattr__(self, "program", _compile_program(self.ops, self.n_qubits))
 
     @property
     def out_dim(self) -> int:
@@ -275,29 +504,23 @@ def _check_shapes(circuit: Circuit, x: np.ndarray, params: np.ndarray) -> None:
 
 
 def _encode_batch(circuit: Circuit, x: np.ndarray) -> np.ndarray:
+    """Initial states, shaped (2**n, B) like every state inside the simulator."""
     dim = 1 << circuit.n_qubits
     if circuit.encoding == "amplitude":
         norms = np.linalg.norm(x, axis=1)
         if np.any(norms <= _NORM_EPS):
             bad = int(np.argmin(norms))
             raise EncodingError(f"batch row {bad} has norm {norms[bad]:.3e}, cannot amplitude-encode")
-        return (x / norms[:, None]).astype(np.complex128)
-    amps = np.zeros((x.shape[0], dim), dtype=np.complex128)
-    amps[:, 0] = 1.0
+        return np.ascontiguousarray((x / norms[:, None]).T, dtype=np.complex128)
+    amps = np.zeros((dim, x.shape[0]), dtype=np.complex128)
+    amps[0] = 1.0
     return amps
 
 
-def _run_forward(circuit: Circuit, amps: np.ndarray, x: np.ndarray, params: np.ndarray) -> np.ndarray:
-    for e in circuit._elems:
-        if e.kind == "ry":
-            apply_ry(amps, e.q0, e.angle.resolve(x, params))
-        elif e.kind == "rz":
-            apply_rz(amps, e.q0, e.angle.resolve(x, params))
-        elif e.kind == "cnot":
-            apply_cnot(amps, e.q0, e.q1)
-        else:
-            apply_cz(amps, e.q0, e.q1)
-    return amps
+def _gate_matrix(us: np.ndarray, group: _Group, slot: int) -> np.ndarray:
+    """One gate's unitary from its group's ``(d, d, G, Bx)`` batch."""
+    u = us[:, :, slot]
+    return u if group.per_sample else u[..., 0]
 
 
 def qnn_forward_batch(
@@ -306,13 +529,25 @@ def qnn_forward_batch(
     params: np.ndarray,
     return_state: bool = False,
 ):
-    """Evaluate the circuit on a batch, returning (B, out_dim) expectations."""
+    """Evaluate the circuit on a batch, returning (B, out_dim) expectations.
+
+    With ``return_state`` the final amplitudes come back too, shaped (B, 2**n).
+    """
     x = np.asarray(inputs, dtype=np.float64)
     p = np.asarray(params, dtype=np.float64)
     _check_shapes(circuit, x, p)
-    amps = _run_forward(circuit, _encode_batch(circuit, x), x, p)
-    out = expval_batch(amps, circuit.n_qubits, circuit.observable)
-    return (out, amps) if return_state else out
+    state = _encode_batch(circuit, x)
+    buf = np.empty_like(state)
+    for op in circuit.program:
+        if isinstance(op, SignedPerm):
+            state, buf = apply_signed_perm(state, op.perm, op.sign, buf), state
+            continue
+        us = [_product(g.step_matrices(x, p)) for g in op.groups]
+        for gate, (gi, slot) in zip(op.gates, op.where):
+            u = _gate_matrix(us[gi], op.groups[gi], slot)
+            state, buf = apply_gate(state, gate.qubits, u, buf), state
+    out = expval_batch(state.T, circuit.n_qubits, circuit.observable)
+    return (out, state.T) if return_state else out
 
 
 def qnn_forward(circuit: Circuit, inputs, params) -> np.ndarray:
@@ -342,40 +577,44 @@ def qnn_backward_batch(
         raise ValueError(f"upstream must have shape {(x.shape[0], circuit.out_dim)}, got {up.shape}")
 
     if final_amps is None:
-        psi = _run_forward(circuit, _encode_batch(circuit, x), x, p)
-    else:
-        psi = final_amps.copy()
-    diags = measurement_diagonals(circuit.n_qubits, circuit.observable)
-    lam = (up @ diags) * psi
+        final_amps = qnn_forward_batch(circuit, x, p, return_state=True)[1]
+    psi = np.array(final_amps.T, dtype=np.complex128, order="C")
+    mu = np.conj(psi)  # conj(lambda), lambda = M psi
+    mu *= (up @ measurement_diagonals(circuit.n_qubits, circuit.observable)).T
+    psi_buf, mu_buf = np.empty_like(psi), np.empty_like(mu)
 
     grad_inputs = np.zeros_like(x)
     grad_params = np.zeros(circuit.n_params)
-    for e in reversed(circuit._elems):
-        if e.kind == "cnot":
-            apply_cnot(psi, e.q0, e.q1)
-            apply_cnot(lam, e.q0, e.q1)
+    for op in reversed(circuit.program):
+        if isinstance(op, SignedPerm):
+            psi, psi_buf = apply_signed_perm(psi, op.inv_perm, op.inv_sign, psi_buf), psi
+            mu, mu_buf = apply_signed_perm(mu, op.inv_perm, op.inv_sign, mu_buf), mu
             continue
-        if e.kind == "cz":
-            apply_cz(psi, e.q0, e.q1)
-            apply_cz(lam, e.q0, e.q1)
-            continue
-        theta = e.angle.resolve(x, p)
-        rot = apply_ry if e.kind == "ry" else apply_rz
-        rot(psi, e.q0, np.negative(theta))  # psi is now the pre-gate state
-        if e.angle.source != "const":
-            # dR(t)/dt = R(t + pi) / 2, which cancels the 2 of 2 Re <lam|dR|psi>
-            mu = rot(psi.copy(), e.q0, theta + math.pi)
-            g = np.sum(np.conj(lam) * mu, axis=1).real
-            if e.angle.source == "param":
-                grad_params[e.angle.index] += g.sum()
-            else:
-                grad_inputs[:, e.angle.index] += g
-        rot(lam, e.q0, np.negative(theta))
+        mats = [g.step_matrices(x, p) for g in op.groups]
+        us = [_product(m) for m in mats]
+        overlaps = [
+            np.empty((g.dim, g.dim, g.shape[0], x.shape[0] if g.per_sample else 1), dtype=np.complex128)
+            if g.live.any()
+            else None
+            for g in op.groups
+        ]
+        for gate, (gi, slot) in zip(reversed(op.gates), reversed(op.where)):
+            group = op.groups[gi]
+            u = _gate_matrix(us[gi], group, slot)
+            if overlaps[gi] is not None:
+                g = gate_overlap(mu, psi, gate.qubits, group.per_sample)
+                overlaps[gi][:, :, slot] = g.reshape(g.shape[:2] + (-1,))
+            ut = u.swapaxes(0, 1)
+            psi, psi_buf = apply_gate(psi, gate.qubits, ut.conj(), psi_buf), psi
+            mu, mu_buf = apply_gate(mu, gate.qubits, ut, mu_buf), mu
+        for group, ov, m in zip(op.groups, overlaps, mats):
+            if ov is not None:
+                group.scatter(group.gradients(ov, m), grad_inputs, grad_params)
 
     if circuit.encoding == "amplitude":
-        # lam is now (U^dag M U) psi0; real-direction gradient on the encoded
-        # state is 2 Re(lam), chained through x -> x/||x||.
-        g0 = 2.0 * lam.real
+        # mu is now conj((U^dag M U) psi0); the real-direction gradient on the
+        # encoded state is 2 Re(lambda), chained through x -> x/||x||.
+        g0 = 2.0 * mu.real.T
         norms = np.linalg.norm(x, axis=1, keepdims=True)
         xhat = x / norms
         grad_inputs += (g0 - np.sum(g0 * xhat, axis=1, keepdims=True) * xhat) / norms

@@ -13,19 +13,21 @@ Conventions (fixed, used everywhere in this package):
   RZ(-pi/2) on b; CNOT b->a; RZ(p0) on a; RY(p1) on b; CNOT a->b;
   RY(p2) on b; CNOT b->a; RZ(pi/2) on a.
 
-The low-level kernels (``apply_ry`` etc.) operate on raw complex amplitude
-arrays whose *last* axis enumerates basis states; leading axes are treated
-as batch dimensions and rotation angles may be scalars or arrays matching
-the batch shape. All kernels mutate in place and return the array.
+The kernels (``apply_gate``, ``gate_overlap``, ``apply_signed_perm``) work
+on raw complex amplitude arrays shaped ``(2**n, B)``: the basis index is the
+*first* axis and the batch the last, so each view a kernel takes keeps the
+batch contiguous whichever qubit it targets. ``apply_gate`` applies a 2x2 or
+4x4 unitary, batch-shared or one per batch column, out of place into a
+caller-owned buffer. Small matrices are matrix-major, ``(d, d, ...)``, so
+their batch axes stay contiguous too. ``expval_batch`` takes the transposed
+``(B, 2**n)`` view, which is also what the forward pass returns as its state.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -149,126 +151,112 @@ class Gate:
         return Gate(GateKind.BLOCK, (a, b), (_as_angle(p0), _as_angle(p1), _as_angle(p2)))
 
 
-class Elem(NamedTuple):
-    """An elementary operation: ry/rz rotation or cnot/cz entangler.
-
-    Composite gates (ARB, BLOCK) expand to these; the simulation and the
-    adjoint differentiation sweep only ever see elementary operations.
-    """
-
-    kind: str  # "ry" | "rz" | "cnot" | "cz"
-    q0: int
-    q1: int = -1  # cnot target / second cz qubit
-    angle: Angle | None = None
-
-
-_HALF_PI = math.pi / 2
-
-
-def elementary_ops(gate: Gate) -> tuple[Elem, ...]:
-    """Expand a gate into its elementary rotation/entangler sequence."""
-    k = gate.kind
-    if k is GateKind.RY:
-        return (Elem("ry", gate.targets[0], angle=gate.angles[0]),)
-    if k is GateKind.RZ:
-        return (Elem("rz", gate.targets[0], angle=gate.angles[0]),)
-    if k is GateKind.ARB:
-        q = gate.targets[0]
-        phi, theta, omega = gate.angles
-        return (
-            Elem("rz", q, angle=phi),
-            Elem("ry", q, angle=theta),
-            Elem("rz", q, angle=omega),
-        )
-    if k is GateKind.CNOT:
-        return (Elem("cnot", gate.targets[0], gate.targets[1]),)
-    if k is GateKind.CZ:
-        return (Elem("cz", gate.targets[0], gate.targets[1]),)
-    # TwoQubitBlock
-    a, b = gate.targets
-    p0, p1, p2 = gate.angles
-    return (
-        Elem("rz", b, angle=Angle.const(-_HALF_PI)),
-        Elem("cnot", b, a),
-        Elem("rz", a, angle=p0),
-        Elem("ry", b, angle=p1),
-        Elem("cnot", a, b),
-        Elem("ry", b, angle=p2),
-        Elem("cnot", b, a),
-        Elem("rz", a, angle=Angle.const(_HALF_PI)),
-    )
-
-
 # ---------------------------------------------------------------------------
-# Low-level kernels on raw amplitude arrays (last axis = basis index).
+# Kernels on raw amplitude arrays shaped (2**n, B): the basis index is the
+# first axis and the batch the last, so every view a kernel takes keeps the
+# batch axis contiguous, whichever qubit it targets.
 # ---------------------------------------------------------------------------
 
-
-def _pair_view(amps: np.ndarray, qubit: int) -> np.ndarray:
-    """Reshape so axis -2 is the target qubit's bit (stride-pair layout)."""
-    dim = amps.shape[-1]
-    low = 1 << qubit
-    if low >= dim:
-        raise ValueError(f"qubit {qubit} out of range for dim-{dim} register")
-    return amps.reshape(amps.shape[:-1] + (dim // (2 * low), 2, low))
+# Columns per BLAS call in ``apply_gate``. Larger (2 x 2) @ (2 x N) products
+# make OpenBLAS start threads on matrices too thin to split, which was
+# measured 50-100x slower on 2 cores.
+_BLAS_COLS = 4096
 
 
-def _bc(x, ndim_tail: int = 2):
-    """Append singleton axes so a batch-shaped angle broadcasts over a view."""
-    x = np.asarray(x)
-    if x.ndim == 0:
-        return x
-    return x.reshape(x.shape + (1,) * ndim_tail)
-
-
-def apply_ry(amps: np.ndarray, qubit: int, theta) -> np.ndarray:
-    v = _pair_view(amps, qubit)
-    c = _bc(np.cos(np.multiply(theta, 0.5)))
-    s = _bc(np.sin(np.multiply(theta, 0.5)))
-    a0 = v[..., 0, :].copy()
-    a1 = v[..., 1, :]
-    v[..., 0, :] = c * a0 - s * a1
-    v[..., 1, :] = s * a0 + c * a1
-    return amps
-
-def apply_rz(amps: np.ndarray, qubit: int, theta) -> np.ndarray:
-    v = _pair_view(amps, qubit)
+def rotation_matrices(kind: str, theta) -> np.ndarray:
+    """RY or RZ matrices in matrix-major layout: shape (2, 2) + theta's shape."""
     half = np.multiply(theta, 0.5)
-    ph = _bc(np.cos(half) - 1j * np.sin(half))
-    v[..., 0, :] *= ph
-    v[..., 1, :] *= np.conj(ph)
-    return amps
+    c, s = np.cos(half), np.sin(half)
+    m = np.zeros((2, 2) + np.shape(theta), dtype=np.complex128)
+    if kind == "ry":
+        m[0, 0] = m[1, 1] = c
+        m[0, 1] = -s
+        m[1, 0] = s
+    else:
+        m[0, 0] = c - 1j * s
+        m[1, 1] = c + 1j * s
+    return m
 
 
-def _bit_axis_view(amps: np.ndarray) -> np.ndarray:
-    n = amps.shape[-1].bit_length() - 1
-    return amps.reshape(amps.shape[:-1] + (2,) * n)
+def _local_views(amps: np.ndarray, qubits: tuple[int, ...]) -> list[np.ndarray]:
+    """Views of ``amps`` indexed by a gate's local basis state.
+
+    The local index of a two-qubit gate on ``(a, b)`` is ``2 * bit_a + bit_b``.
+    Each view has the batch as its last axis.
+    """
+    dim, batch = amps.shape
+    if len(qubits) == 1:
+        (q,) = qubits
+        if 1 << q >= dim:
+            raise ValueError(f"qubit {q} out of range for dim-{dim} register")
+        v = amps.reshape(dim >> (q + 1), 2, 1 << q, batch)
+        return [v[:, 0], v[:, 1]]
+    a, b = qubits
+    hi, lo = max(a, b), min(a, b)
+    v = amps.reshape(dim >> (hi + 1), 2, 1 << (hi - lo - 1), 2, 1 << lo, batch)
+    if a == hi:
+        return [v[:, k >> 1, :, k & 1] for k in range(4)]
+    return [v[:, k & 1, :, k >> 1] for k in range(4)]
 
 
-def _bit_index(view: np.ndarray, **bits: int):
-    # qubit q lives on axis (ndim - 1 - q); kwargs like q0=..., q1=...
-    idx = [slice(None)] * view.ndim
-    for name, val in bits.items():
-        idx[view.ndim - 1 - int(name[1:])] = val
-    return tuple(idx)
+def apply_gate(amps: np.ndarray, qubits: tuple[int, ...], u: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write ``U`` applied to ``qubits`` of ``amps`` into ``out`` and return it.
+
+    ``u`` is matrix-major: ``(d, d)`` for a batch-shared gate or ``(d, d, B)``
+    for one matrix per batch column. ``out`` must not overlap ``amps``.
+    """
+    if u.ndim == 2 and len(qubits) == 1:
+        cols = amps.shape[1] << qubits[0]
+        src = amps.reshape(-1, 2, cols)
+        dst = out.reshape(-1, 2, cols)
+        for s in range(0, cols, _BLAS_COLS):
+            np.matmul(u, src[..., s : s + _BLAS_COLS], out=dst[..., s : s + _BLAS_COLS])
+        return out
+    src = _local_views(amps, qubits)
+    tmp = np.empty_like(src[0])
+    for i, dst in enumerate(_local_views(out, qubits)):
+        first = True
+        for j, v in enumerate(src):
+            c = u[i, j]
+            if not c.any():  # structural zeros, e.g. half of a two-qubit block
+                continue
+            if first:
+                np.multiply(v, c, out=dst)
+                first = False
+            else:
+                dst += np.multiply(v, c, out=tmp)
+    return out
 
 
-def apply_cnot(amps: np.ndarray, control: int, target: int) -> np.ndarray:
-    v = _bit_axis_view(amps)
-    i10 = {f"q{control}": 1, f"q{target}": 0}
-    i11 = {f"q{control}": 1, f"q{target}": 1}
-    a = _bit_index(v, **i10)
-    b = _bit_index(v, **i11)
-    tmp = v[a].copy()
-    v[a] = v[b]
-    v[b] = tmp
-    return amps
+def gate_overlap(mu: np.ndarray, psi: np.ndarray, qubits: tuple[int, ...], per_sample: bool) -> np.ndarray:
+    """Reduced overlap ``G[i, j] = sum_rest mu_i psi_j`` on a gate's qubits.
+
+    Matrix-major: ``(d, d, B)`` per batch column, or ``(d, d)`` summed over
+    the batch as well.
+    """
+    if not per_sample and len(qubits) == 1:
+        cols = mu.shape[1] << qubits[0]
+        m = mu.reshape(-1, 2, cols)
+        p = psi.reshape(-1, 2, cols)
+        return np.matmul(m, p.transpose(0, 2, 1)).sum(axis=0)
+    ms = _local_views(mu, qubits)
+    ps = _local_views(psi, qubits)
+    batch = mu.shape[1]
+    g = np.empty((len(ms), len(ms)) + ((batch,) if per_sample else ()), dtype=np.complex128)
+    tmp = np.empty_like(ms[0])
+    for i, m in enumerate(ms):
+        for j, p in enumerate(ps):
+            np.multiply(m, p, out=tmp)
+            g[i, j] = tmp.reshape(-1, batch).sum(axis=0) if per_sample else tmp.sum()
+    return g
 
 
-def apply_cz(amps: np.ndarray, qa: int, qb: int) -> np.ndarray:
-    v = _bit_axis_view(amps)
-    v[_bit_index(v, **{f"q{qa}": 1, f"q{qb}": 1})] *= -1
-    return amps
+def apply_signed_perm(amps: np.ndarray, perm: np.ndarray, sign: np.ndarray | None, out: np.ndarray) -> np.ndarray:
+    """``out[i] = sign[i] * amps[perm[i]]``; ``sign=None`` means all +1."""
+    np.take(amps, perm, axis=0, out=out)
+    if sign is not None:
+        out *= sign[:, None]
+    return out
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ from hqnnbench.harness import (
     ExperimentResult,
     HybridModel,
     ModelConfig,
+    ProtocolMismatchError,
     QnnArch,
     aggregate_tables,
     build_model,
@@ -491,6 +492,19 @@ class TestRunGrid:
         with pytest.raises(json.JSONDecodeError):
             run_grid(dict(TINY_RUN), tmp_path, out)
 
+    def test_resume_refuses_a_different_protocol(self, tmp_path):
+        out = tmp_path / "out"
+        run_grid(dict(TINY_RUN), tmp_path, out)
+        results = (out / "results.jsonl").read_bytes()
+        meta = (out / "run_meta.json").read_bytes()
+        changes = (("epochs", 3), ("folds", 3), ("seed", 1), ("batch_size", 8),
+                   ("aggregate", "median"), ("dataset", "synth_beats"))
+        for key, value in changes:
+            with pytest.raises(ProtocolMismatchError, match=key):
+                run_grid(dict(TINY_RUN, beats_n=40, **{key: value}), tmp_path, out)
+            assert (out / "results.jsonl").read_bytes() == results
+            assert (out / "run_meta.json").read_bytes() == meta
+
     def test_bit_identical_reruns(self, tmp_path):
         a = run_grid(dict(TINY_RUN), tmp_path, tmp_path / "a")
         b = run_grid(dict(TINY_RUN), tmp_path, tmp_path / "b")
@@ -558,6 +572,15 @@ class TestCli:
         r1 = json.loads((tmp_path / "s1/results.jsonl").read_text())
         assert r0["config"]["seed"] == 0 and r1["config"]["seed"] == 1
         assert r0["config_hash"] != r1["config_hash"]
+
+    def test_run_refuses_a_different_protocol(self, tmp_path, capsys):
+        cfg = self.write_cfg(tmp_path)
+        out = str(tmp_path / "out")
+        assert main(["run", "--config", str(cfg), "--data-dir", str(tmp_path), "--out", out, "--epochs", "1"]) == 0
+        capsys.readouterr()
+        rc = main(["run", "--config", str(cfg), "--data-dir", str(tmp_path), "--out", out, "--epochs", "2"])
+        assert rc != 0
+        assert "different protocol" in capsys.readouterr().err
 
     def test_selftest_is_unknown_command(self, capsys):
         with pytest.raises(SystemExit) as exc:

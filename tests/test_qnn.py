@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from hqnnbench.qnn import (
     Circuit,
+    SignedPerm,
+    Stage,
     build_amp_gen,
     build_ang_arb,
     build_ang_ry,
@@ -25,6 +28,7 @@ from oracles import (
     circuit_unitary,
     dense_expectations,
     fd_jacobian,
+    fd_scalar_grad,
     param_shift_jacobian,
     random_circuit,
 )
@@ -308,3 +312,127 @@ class TestAdjointGradients:
         g1 = qnn_backward_batch(c, xs, p, up, final_amps=amps)
         g2 = qnn_backward_batch(c, xs, p, up)
         assert np.array_equal(g1[0], g2[0]) and np.array_equal(g1[1], g2[1])
+
+
+class TestCompiledProgram:
+    """The fusion read off the builders; a fallback to per-rotation gates shows here."""
+
+    @staticmethod
+    def layout(c):
+        return [
+            ("perm",) if isinstance(op, SignedPerm) else ("stage", tuple((g.dim, g.per_sample) for g in op.gates))
+            for op in c.program
+        ]
+
+    def test_amp_gen_8_is_32_shared_stages_and_32_permutations(self):
+        layout = self.layout(build_amp_gen(8, True))
+        assert layout == [("stage", ((2, False),) * 8), ("perm",)] * 32
+
+    def test_ang_ry_8_is_32_per_sample_stages_and_32_permutations(self):
+        c = build_ang_ry(8, 256, True)
+        assert self.layout(c) == [("stage", ((2, True),) * 8), ("perm",)] * 32
+        # RY encoding then ARB: four rotations per fused gate
+        assert {len(g.angles) for op in c.program if isinstance(op, Stage) for g in op.gates} == {4}
+
+    def test_unentangled_ang_arb_8_is_one_per_sample_stage(self):
+        c = build_ang_arb(8, 256, False)
+        assert self.layout(c) == [("stage", ((2, True),) * 8)]
+        (stage,) = c.program
+        assert [g.qubits for g in stage.gates] == [(q,) for q in range(8)]
+        assert {len(g.angles) for g in stage.gates} == {6 * 11}
+        assert len(stage.groups) == 1
+
+    def test_entangled_ang_arb_cz_layers_are_sign_only_permutations(self):
+        perms = [op for op in build_ang_arb(4, 36, True).program if isinstance(op, SignedPerm)]
+        assert len(perms) == 2
+        for op in perms:
+            assert np.array_equal(op.perm, np.arange(16)) and op.sign is not None
+
+    def test_qcnn_is_only_4x4_blocks(self):
+        for n, n_blocks in ((4, 8), (8, 20)):
+            (stage,) = build_qcnn(n).program
+            assert isinstance(stage, Stage)
+            assert [g.dim for g in stage.gates] == [4] * n_blocks
+            assert not any(g.per_sample for g in stage.gates)
+
+
+def _fused_slot_reuse_circuit():
+    """One input slot feeding several rotations of one fused gate and of its group."""
+    ops = (
+        Gate.ry(0, Angle.input(0)),
+        Gate.rz(0, Angle.input(0)),
+        Gate.arb(0, Angle.input(1), Angle.input(0), Angle.param(0)),
+        Gate.arb(1, Angle.input(1), Angle.input(0), Angle.param(1)),
+        Gate.block(0, 1, Angle.input(1), Angle.param(2), Angle.input(1)),
+        Gate.cnot(1, 0),
+        Gate.ry(1, Angle.input(0)),
+    )
+    return Circuit(2, "angle", ops, 3, 2, Observable.local_z())
+
+
+class TestBatchedAdjoint:
+    """B=5 distinct rows: per-sample overlaps must not mix rows, shared ones must sum them."""
+
+    B = 5
+
+    def cases(self):
+        rng = np.random.default_rng(41)
+        out = []
+        for encoding in ("angle", "amplitude"):
+            for _ in range(8):
+                c, _, p = random_circuit(rng, max_qubits=6, encoding=encoding)
+                xs = rng.normal(size=(self.B, c.n_inputs))
+                if encoding == "amplitude":
+                    xs += np.sign(xs) * 0.1  # keep every row's norm away from zero
+                out.append((c, xs, p, rng.normal(size=(self.B, c.out_dim))))
+        c = _fused_slot_reuse_circuit()
+        out.append((c, rng.normal(size=(self.B, 2)), rng.normal(size=3), rng.normal(size=(self.B, 2))))
+        return out
+
+    def test_forward_rows_match_dense_oracle(self):
+        for c, xs, p, _ in self.cases():
+            batch = qnn_forward_batch(c, xs, p)
+            for row, x in zip(batch, xs):
+                assert np.abs(row - dense_expectations(c, x, p)).max() < 1e-10
+
+    def test_param_gradients_match_row_summed_parameter_shift(self):
+        for c, xs, p, ups in self.cases():
+            _, gp = qnn_backward_batch(c, xs, p, ups)
+            expect = sum(up @ param_shift_jacobian(c, x, p) for x, up in zip(xs, ups))
+            assert np.abs(gp - expect).max() < 1e-10
+
+    def test_input_gradients_match_per_row_fd(self):
+        for c, xs, p, ups in self.cases():
+            gx, _ = qnn_backward_batch(c, xs, p, ups)
+            for row, x, up in zip(gx, xs, ups):
+                fd = fd_scalar_grad(lambda z: float(up @ qnn_forward(c, z, p)), x, 1e-5)
+                assert np.allclose(row, fd, rtol=1e-5, atol=1e-7)
+
+    def test_batch_rows_match_single_sample_backward(self):
+        for c, xs, p, ups in self.cases():
+            gx, gp = qnn_backward_batch(c, xs, p, ups)
+            gp_sum = np.zeros(c.n_params)
+            for row, x, up in zip(gx, xs, ups):
+                gx_i, gp_i = qnn_backward(c, x, p, up)
+                assert np.abs(row - gx_i).max() < 1e-12
+                gp_sum += gp_i
+            assert np.abs(gp - gp_sum).max() < 1e-12
+
+
+class TestBackwardMemory:
+    def test_peak_stays_within_eight_states(self):
+        # n=8, B=256: one state is 256 * 2**8 complex128 = 1 MiB
+        rng = np.random.default_rng(42)
+        limit = 8 * 256 * (1 << 8) * 16
+        for c in (build_amp_gen(8, True), build_ang_arb(8, 256, True), build_ang_ry(8, 256, True)):
+            xs = rng.normal(size=(256, c.n_inputs))
+            p = init_params(c.n_params, rng)
+            out, amps = qnn_forward_batch(c, xs, p, return_state=True)
+            up = np.ones_like(out)
+            tracemalloc.start()
+            try:
+                qnn_backward_batch(c, xs, p, up, final_amps=amps)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= limit, f"{c.n_inputs}-input circuit peaked at {peak / 2**20:.2f} MiB"

@@ -7,22 +7,18 @@ import math
 import numpy as np
 import pytest
 
-from hqnnbench.qnn import Circuit, qnn_forward_batch
+from hqnnbench.qnn import Circuit, FusedGate, qnn_forward_batch
 from hqnnbench.statevec import (
     Angle,
     EncodingError,
     Gate,
     Observable,
-    apply_cnot,
-    apply_cz,
-    apply_ry,
-    apply_rz,
-    elementary_ops,
+    apply_gate,
     expval_batch,
     measurement_diagonals,
 )
 
-from oracles import dense_observable_matrices, gate_matrix
+from oracles import dense_circuit_state, dense_observable_matrices, gate_matrix
 
 
 def random_gate(rng, n_qubits):
@@ -64,6 +60,12 @@ def final_state(n_qubits, ops, x=None):
     return amps[0]
 
 
+def simulated_matrix(n_qubits, ops):
+    """The unitary the simulator applies: its action on each basis state."""
+    basis = np.eye(1 << n_qubits)
+    return np.stack([final_state(n_qubits, ops, x=e) for e in basis], axis=1)
+
+
 class TestZeroState:
     def test_one_qubit(self):
         assert np.array_equal(final_state(1, ()), [1.0 + 0.0j, 0.0 + 0.0j])
@@ -91,14 +93,13 @@ class TestSingleGates:
             [[math.cos(t / 2), -math.sin(t / 2)], [math.sin(t / 2), math.cos(t / 2)]]
         )
         assert np.allclose(m, expect, atol=1e-15)
-        # a batch of basis rows comes back as the rows of the transposed matrix
-        assert np.allclose(apply_ry(np.eye(2, dtype=np.complex128), 0, t).T, m, atol=1e-15)
+        assert np.allclose(simulated_matrix(1, (Gate.ry(0, t),)), m, atol=1e-15)
 
     def test_rz_matrix_convention(self):
         t = -1.234
         m = gate_matrix(Gate.rz(0, t), 1)
         assert np.allclose(m, np.diag([np.exp(-0.5j * t), np.exp(0.5j * t)]), atol=1e-15)
-        assert np.allclose(apply_rz(np.eye(2, dtype=np.complex128), 0, t).T, m, atol=1e-15)
+        assert np.allclose(simulated_matrix(1, (Gate.rz(0, t),)), m, atol=1e-15)
 
     def test_arbrot_applies_phi_first(self):
         phi, theta, omega = 0.3, 1.1, -0.7
@@ -115,12 +116,10 @@ class TestSingleGates:
     def test_cnot_truth_table(self):
         # qubit 0 is the least significant bit: flipping the target (qubit 1)
         # when control (qubit 0) is set maps index 1 -> 3 and 3 -> 1.
-        amps = np.zeros(4, dtype=np.complex128)
-        amps[1] = 1.0
-        apply_cnot(amps, 0, 1)
-        assert np.argmax(np.abs(amps)) == 3
-        apply_cnot(amps, 0, 1)
-        assert np.argmax(np.abs(amps)) == 1
+        e1 = np.eye(4)[1]
+        assert np.argmax(np.abs(final_state(2, (Gate.cnot(0, 1),), x=e1))) == 3
+        assert np.argmax(np.abs(final_state(2, (Gate.cnot(0, 1),) * 2, x=e1))) == 1
+        assert np.array_equal(simulated_matrix(2, (Gate.cnot(0, 1),)), gate_matrix(Gate.cnot(0, 1), 2))
 
     def test_cnot_control_clear_is_identity(self):
         assert np.array_equal(final_state(2, (Gate.cnot(0, 1),)), [1, 0, 0, 0])
@@ -131,27 +130,26 @@ class TestSingleGates:
 
     def test_out_of_range_target_rejected(self):
         with pytest.raises(ValueError):
-            apply_ry(np.zeros(4, dtype=np.complex128), 2, 0.1)
+            Circuit(2, "angle", (Gate.ry(2, 0.1),), 0, 1, Observable.global_z())
+        amps = np.zeros((4, 1), dtype=np.complex128)
+        with pytest.raises(ValueError):
+            apply_gate(amps, (2,), np.eye(2), np.empty_like(amps))
 
 
 class TestGateInverses:
     def test_ry_inverse(self):
         rng = np.random.default_rng(7)
-        amps = random_state(rng, 3)
-        orig = amps.copy()
-        apply_ry(amps, 1, 0.813)
-        apply_ry(amps, 1, -0.813)
-        assert np.abs(amps - orig).max() < 1e-12
+        x = rng.normal(size=8)
+        s = final_state(3, (Gate.ry(1, 0.813), Gate.ry(1, -0.813)), x=x)
+        assert np.abs(s - x / np.linalg.norm(x)).max() < 1e-12
 
     def test_cnot_cz_involutions(self):
         rng = np.random.default_rng(8)
-        amps = random_state(rng, 3)
-        orig = amps.copy()
-        apply_cnot(amps, 2, 0)
-        apply_cnot(amps, 2, 0)
-        apply_cz(amps, 0, 1)
-        apply_cz(amps, 0, 1)
-        assert np.abs(amps - orig).max() < 1e-15
+        x = rng.normal(size=8)
+        ops = (Gate.cnot(2, 0), Gate.cnot(2, 0), Gate.cz(0, 1), Gate.cz(0, 1))
+        assert np.abs(final_state(3, ops, x=x) - x / np.linalg.norm(x)).max() < 1e-15
+        # a lone CZ is the oracle's sign diagonal
+        assert np.array_equal(simulated_matrix(3, (Gate.cz(0, 1),)), gate_matrix(Gate.cz(0, 1), 3))
 
 
 class TestAmplitudeEncode:
@@ -233,33 +231,52 @@ class TestDenseOracle:
         ref = m @ (x / np.linalg.norm(x))
         assert np.abs(final_state(3, (g,), x=x) - ref).max() < 1e-12
 
-    def test_block_elementary_sequence(self):
-        kinds = [e.kind for e in elementary_ops(Gate.block(0, 1, 0.1, 0.2, 0.3))]
-        assert kinds == ["rz", "cnot", "rz", "ry", "cnot", "ry", "cnot", "rz"]
+    def test_block_is_one_4x4_matching_the_oracle(self):
+        for a, b, n in ((0, 1, 2), (1, 0, 2), (0, 2, 3), (2, 0, 3)):
+            g = Gate.block(a, b, 0.1, 0.2, 0.3)
+            circuit = Circuit(n, "amplitude", (g,), 0, 1 << n, Observable.global_z())
+            (stage,) = circuit.program
+            assert [(f.qubits, f.dim) for f in stage.gates] == [((a, b), 4)]
+            assert np.abs(simulated_matrix(n, (g,)) - gate_matrix(g, n)).max() < 1e-14
 
 
 class TestBatchedKernels:
+    """Per-row angles in one batch against the dense oracle row by row."""
+
+    def rows_match_dense(self, c, xs):
+        _, amps = qnn_forward_batch(c, xs, np.zeros(0), return_state=True)
+        for row, x in zip(amps, xs):
+            assert np.abs(row - dense_circuit_state(c, x, np.zeros(0))).max() < 1e-13
+
     def test_batched_matches_per_row(self):
         rng = np.random.default_rng(13)
-        batch = np.stack([random_state(rng, 3) for _ in range(5)])
-        thetas = rng.normal(size=5)
-        rows = [apply_ry(batch[i].copy(), 1, thetas[i]) for i in range(5)]
-        apply_ry(batch, 1, thetas)
-        assert np.abs(batch - np.stack(rows)).max() < 1e-15
+        c = Circuit(3, "angle", (Gate.ry(1, Angle.input(0)), Gate.ry(0, 0.4)), 0, 1, Observable.global_z())
+        self.rows_match_dense(c, rng.normal(size=(5, 1)))
 
     def test_batched_rz_and_entanglers(self):
         rng = np.random.default_rng(14)
-        batch = np.stack([random_state(rng, 2) for _ in range(4)])
-        thetas = rng.normal(size=4)
-        rows = [batch[i].copy() for i in range(4)]
-        for i in range(4):
-            apply_rz(rows[i], 0, thetas[i])
-            apply_cnot(rows[i], 0, 1)
-            apply_cz(rows[i], 1, 0)
-        apply_rz(batch, 0, thetas)
-        apply_cnot(batch, 0, 1)
-        apply_cz(batch, 1, 0)
-        assert np.abs(batch - np.stack(rows)).max() < 1e-15
+        ops = (
+            Gate.ry(1, Angle.input(0)),
+            Gate.rz(0, Angle.input(1)),
+            Gate.cnot(0, 1),
+            Gate.cz(1, 2),
+            Gate.arb(2, Angle.input(1), 0.4, Angle.input(0)),
+            Gate.block(2, 0, Angle.input(0), -0.3, Angle.input(1)),
+        )
+        self.rows_match_dense(Circuit(3, "angle", ops, 0, 2, Observable.global_z()), rng.normal(size=(5, 2)))
+
+
+class TestFusion:
+    def test_fused_gates_keep_the_rotation_order(self):
+        ops = (Gate.ry(0, 0.3), Gate.rz(1, 0.2), Gate.arb(0, 0.1, -0.5, 0.9), Gate.rz(0, 1.3))
+        c = Circuit(2, "angle", ops, 0, 1, Observable.global_z())
+        (stage,) = c.program
+        assert [(f.qubits, len(f.angles)) for f in stage.gates] == [((0,), 5), ((1,), 1)]
+        assert isinstance(stage.gates[0], FusedGate)
+        ref = np.eye(4)
+        for g in ops:
+            ref = gate_matrix(g, 2) @ ref
+        assert np.abs(simulated_matrix(2, ops) - ref).max() < 1e-14
 
 
 class TestAngleSlots:
