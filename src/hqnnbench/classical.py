@@ -8,9 +8,14 @@ Everything here is plain numpy. Each layer stores its parameters as
 * ``params()``              -> list of trainable ``Param``s,
 * ``out_shape(in_shape)``   -> static shape inference (no batch axis).
 
-Convolutions are dimension-agnostic (1-D/2-D/3-D) and are computed by
-summing kernel-offset slices with einsum channel contractions -- no im2col
-buffer. Arrays use shape (batch, channels, *spatial).
+Arrays use shape (batch, channels, *spatial). Convolutions are
+dimension-agnostic (1-D/2-D/3-D) and are lowered to BLAS matrix products
+(im2col + GEMM): a strided window view of the padded input is copied into
+per-sample (C_in * k**ndim, positions) column matrices; batched matmuls
+with the (C_out, C_in * k**ndim) weight matrix give the output, the weight
+gradient and the input-gradient columns, which are slice-added back onto the
+input grid. The column copy is bounded by ``_CONV_COLS_BYTES``; a batch
+whose columns would exceed it is processed in chunks of samples.
 """
 
 from __future__ import annotations
@@ -93,9 +98,17 @@ def _pad_spatial(x: np.ndarray, pad: int) -> np.ndarray:
     return np.pad(x, width)
 
 
+# Bytes of im2col columns one ``Conv`` matmul may copy out of the window
+# view; larger batches are processed in chunks of samples. The 1-D beats
+# layers need at most ~8.8 MB, so they run in one chunk, while a volumetric
+# batch would otherwise copy hundreds of MB per layer.
+_CONV_COLS_BYTES = 1 << 24
+
+
 class Conv(Layer):
-    """N-dimensional convolution (cross-correlation), stride 1 support only
-    beyond what the grid needs: arbitrary stride along every spatial axis.
+    """N-dimensional convolution (cross-correlation) with the same stride and
+    zero padding along every spatial axis.
+
     Weight shape is (out_channels, in_channels, k, k, ...)."""
 
     def __init__(
@@ -129,43 +142,62 @@ class Conv(Layer):
             raise ValueError(f"spatial shape {spatial} too small for kernel {k}")
         return out
 
+    def _columns(self, xp: np.ndarray) -> tuple[np.ndarray, list[slice]]:
+        """Window view of ``xp`` as (B, C_in, *k, *out) and its batch chunks.
+
+        Reshaping a chunk to (b, C_in * k**ndim, prod(out)) copies its im2col
+        columns; each chunk's copy stays within ``_CONV_COLS_BYTES``.
+        """
+        nd = self.ndim
+        win = sliding_window_view(xp, (self.kernel_size,) * nd, axis=tuple(range(2, 2 + nd)))
+        win = win[(slice(None), slice(None)) + (slice(None, None, self.stride),) * nd]
+        win = win.transpose((0, 1) + tuple(range(2 + nd, 2 + 2 * nd)) + tuple(range(2, 2 + nd)))
+        step = max(1, _CONV_COLS_BYTES // (math.prod(win.shape[1:]) * win.itemsize))
+        return win, [slice(b, b + step) for b in range(0, xp.shape[0], step)]
+
     def forward(self, x, training=False):
         if x.ndim != self.ndim + 2 or x.shape[1] != self.in_channels:
             raise ValueError(f"expected (B, {self.in_channels}, {'x'.join('*' * self.ndim)}), got {x.shape}")
         self._in_spatial = x.shape[2:]
+        out_sp = self._out_spatial(x.shape[2:])
         xp = _pad_spatial(x, self.padding)
         self._xp = xp
-        out_sp = self._out_spatial(x.shape[2:])
-        s = self.stride
-        y = np.zeros((x.shape[0], self.out_channels) + out_sp)
-        for offset in np.ndindex(*(self.kernel_size,) * self.ndim):
-            sl = tuple(
-                slice(o, o + s * d, s) for o, d in zip(offset, out_sp)
-            )
-            patch = xp[(slice(None), slice(None)) + sl]
-            y += np.einsum("bi...,oi->bo...", patch, self.weight.value[(slice(None), slice(None)) + offset])
-        return y + self.bias.value.reshape((1, -1) + (1,) * self.ndim)
+        win, chunks = self._columns(xp)
+        w2 = self.weight.value.reshape(self.out_channels, -1)
+        y = np.empty((x.shape[0], self.out_channels) + out_sp)
+        y3 = y.reshape(x.shape[0], self.out_channels, math.prod(out_sp))
+        # Each chunk's columns are a temporary of one statement, so two
+        # chunks' copies are never alive at once.
+        for sl in chunks:
+            np.matmul(w2, win[sl].reshape(-1, w2.shape[1], y3.shape[2]), out=y3[sl])
+        y += self.bias.value.reshape((1, -1) + (1,) * self.ndim)
+        return y
 
     def backward(self, grad_out):
-        s = self.stride
         out_sp = grad_out.shape[2:]
+        g3 = grad_out.reshape(grad_out.shape[0], self.out_channels, math.prod(out_sp))
+        win, chunks = self._columns(self._xp)
+        w2 = self.weight.value.reshape(self.out_channels, -1)
+        gw2 = self.weight.grad.reshape(w2.shape)
         grad_xp = np.zeros_like(self._xp)
-        for offset in np.ndindex(*(self.kernel_size,) * self.ndim):
-            sl = tuple(slice(o, o + s * d, s) for o, d in zip(offset, out_sp))
-            idx = (slice(None), slice(None)) + sl
-            patch = self._xp[idx]
-            w_off = self.weight.value[(slice(None), slice(None)) + offset]
-            # contract batch + all spatial axes, leaving (out_ch, in_ch)
-            ax = (0,) + tuple(range(2, grad_out.ndim))
-            self.weight.grad[(slice(None), slice(None)) + offset] += np.tensordot(
-                grad_out, patch, axes=(ax, ax)
-            )
-            grad_xp[idx] += np.einsum("bo...,oi->bi...", grad_out, w_off)
+        for sl in chunks:
+            cols = win[sl].reshape(-1, w2.shape[1], g3.shape[2])
+            gw2 += np.matmul(g3[sl], cols.transpose(0, 2, 1)).sum(axis=0)
+            del cols  # before the input-gradient columns of the same size
+            self._add_columns(grad_xp[sl], np.matmul(w2.T, g3[sl]), out_sp)
         self.bias.grad += grad_out.sum(axis=tuple(i for i in range(grad_out.ndim) if i != 1))
         if self.padding:
             core = tuple(slice(self.padding, self.padding + d) for d in self._in_spatial)
             return grad_xp[(slice(None), slice(None)) + core]
         return grad_xp
+
+    def _add_columns(self, grad_xp: np.ndarray, cols: np.ndarray, out_sp: tuple[int, ...]) -> None:
+        """col2im: slice-add (b, C_in * k**ndim, prod(out)) columns onto the padded grid."""
+        k, s = self.kernel_size, self.stride
+        cols = cols.reshape(cols.shape[:1] + self.weight.value.shape[1:] + out_sp)
+        for offset in np.ndindex(*(k,) * self.ndim):
+            sl = tuple(slice(o, o + s * d, s) for o, d in zip(offset, out_sp))
+            grad_xp[(slice(None), slice(None)) + sl] += cols[(slice(None), slice(None)) + offset]
 
     def params(self):
         return [self.weight, self.bias]
@@ -201,28 +233,38 @@ class BatchNorm(Layer):
         axes = self._stat_axes(x)
         shape = (1, -1) + (1,) * (x.ndim - 2)
         if training:
+            # The same operations as x.mean() and x.var(), sharing x - mean.
             mean = x.mean(axis=axes)
-            var = x.var(axis=axes)
+            xhat = x - mean.reshape(shape)
+            var = np.multiply(xhat, xhat).sum(axis=axes) / (x.size // x.shape[1])
             self.running_mean += self.MOMENTUM * (mean - self.running_mean)
             self.running_var += self.MOMENTUM * (var - self.running_var)
         else:
             mean, var = self.running_mean, self.running_var
+            xhat = x - mean.reshape(shape)
         inv_std = 1.0 / np.sqrt(var + self.EPS)
-        xhat = (x - mean.reshape(shape)) * inv_std.reshape(shape)
+        xhat *= inv_std.reshape(shape)
         self._cache = (xhat, inv_std, axes, shape, training, x.shape)
-        return self.gamma.value.reshape(shape) * xhat + self.beta.value.reshape(shape)
+        y = self.gamma.value.reshape(shape) * xhat
+        y += self.beta.value.reshape(shape)
+        return y
 
     def backward(self, grad_out):
         xhat, inv_std, axes, shape, training, x_shape = self._cache
-        self.gamma.grad += (grad_out * xhat).sum(axis=axes)
+        tmp = np.multiply(grad_out, xhat)
+        self.gamma.grad += tmp.sum(axis=axes)
         self.beta.grad += grad_out.sum(axis=axes)
         g = grad_out * self.gamma.value.reshape(shape)
-        if not training:
-            return g * inv_std.reshape(shape)
-        m = np.prod([x_shape[a] for a in axes])
-        gs = g.sum(axis=axes, keepdims=True)
-        gxs = (g * xhat).sum(axis=axes, keepdims=True)
-        return inv_std.reshape(shape) * (g - gs / m - xhat * gxs / m)
+        if training:
+            m = np.prod([x_shape[a] for a in axes])
+            gs = g.sum(axis=axes, keepdims=True)
+            gxs = np.multiply(g, xhat, out=tmp).sum(axis=axes, keepdims=True)
+            g -= gs / m
+            np.multiply(xhat, gxs, out=tmp)
+            tmp /= m
+            g -= tmp
+        g *= inv_std.reshape(shape)
+        return g
 
     def params(self):
         return [self.gamma, self.beta]
@@ -254,6 +296,20 @@ class TanhPi(Layer):
         return grad_out * math.pi * (1.0 - self._t**2)
 
 
+def _copy_where(dst: np.ndarray, src, where: np.ndarray) -> None:
+    """``np.copyto(dst, src, where=where)`` bit for bit, as bitwise integer ops.
+
+    A masked copy branches per element; on the random masks of max pooling it
+    measured about 3x slower than these whole-array passes.
+    """
+    bits = dst.view(np.dtype(f"u{dst.itemsize}"))
+    mask = where.astype(bits.dtype)
+    np.negative(mask, out=mask)  # all ones where ``where`` holds
+    diff = bits ^ np.asarray(src, dtype=dst.dtype).view(bits.dtype)
+    diff &= mask
+    bits ^= diff
+
+
 class MaxPool(Layer):
     """Non-overlapping max pooling (kernel=stride); trailing remainders that
     do not fill a window are dropped, so output dims are floor(d/k)."""
@@ -263,32 +319,39 @@ class MaxPool(Layer):
         self.ndim = ndim
         self._cache = None
 
+    def _window_slices(self, out_sp: tuple[int, ...]) -> list[tuple[slice, ...]]:
+        """Index of each of the k**ndim window offsets, in row-major order."""
+        k = self.kernel_size
+        return [
+            (slice(None), slice(None)) + tuple(slice(o, o + k * d, k) for o, d in zip(offset, out_sp))
+            for offset in np.ndindex(*(k,) * self.ndim)
+        ]
+
     def forward(self, x, training=False):
-        k, nd = self.kernel_size, self.ndim
+        k = self.kernel_size
         spatial = x.shape[2:]
         if any(d < k for d in spatial):
             raise ValueError(f"spatial shape {spatial} too small to pool by {k}")
-        win = sliding_window_view(x, (k,) * nd, axis=tuple(range(2, x.ndim)))
-        strided = win[(slice(None), slice(None)) + tuple(slice(None, None, k) for _ in range(nd))]
-        flat = strided.reshape(strided.shape[: 2 + nd] + (k**nd,))
-        arg = flat.argmax(axis=-1)
-        y = np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0]
+        windows = self._window_slices(tuple(d // k for d in spatial))
+        y = x[windows[0]].copy()
+        arg = np.zeros(y.shape, dtype=np.min_scalar_type(len(windows) - 1))
+        for j, idx in enumerate(windows[1:], 1):
+            # argmax semantics: ties keep the first maximum, and the first
+            # NaN wins (a NaN in y is never replaced; one in xs replaces y).
+            xs = x[idx]
+            take = ~(xs <= y)
+            take &= y == y
+            _copy_where(y, xs, take)
+            _copy_where(arg, j, take)
         self._cache = (x.shape, arg)
         return y
 
     def backward(self, grad_out):
         x_shape, arg = self._cache
-        k, nd = self.kernel_size, self.ndim
-        out_sp = grad_out.shape[2:]
         grad_x = np.zeros(x_shape)
-        # Recover per-window offsets from the flat argmax, then scatter; the
-        # windows do not overlap, so every index is hit at most once.
-        offs = np.unravel_index(arg, (k,) * nd)
-        grids = np.meshgrid(*[np.arange(d) for d in grad_out.shape], indexing="ij", sparse=True)
-        idx = tuple(grids[:2]) + tuple(
-            grids[2 + a] * k + offs[a] for a in range(nd)
-        )
-        grad_x[idx] = grad_out
+        # The windows do not overlap, so every input is written at most once.
+        for j, idx in enumerate(self._window_slices(grad_out.shape[2:])):
+            _copy_where(grad_x[idx], grad_out, arg == j)
         return grad_x
 
     def out_shape(self, in_shape):

@@ -12,8 +12,8 @@ Persistence: ``results.jsonl`` holds one JSON object per configuration with
 sorted keys and no timing information, so identical runs produce
 byte-identical files; wall-clock timings go to ``timings.jsonl``. Completed
 configurations (keyed by config hash) are skipped on re-run; a re-run whose
-epochs, folds, seed, batch size, aggregate or dataset name differ from the
-stored ``run_meta.json`` is refused.
+epochs, folds, seed, batch size, aggregate, dataset name or data digest
+differ from the stored ``run_meta.json`` is refused.
 """
 
 from __future__ import annotations
@@ -758,6 +758,16 @@ def _check_same_protocol(stored: dict, protocol: dict, out_dir: Path) -> None:
         )
 
 
+def _data_digest(dataset: Dataset) -> str:
+    """SHA-256 over the shape and bytes of the samples, labels and subject ids."""
+    h = hashlib.sha256()
+    for arr in (dataset.samples, dataset.labels, dataset.subject_ids):
+        if arr is not None:
+            h.update(repr(arr.shape).encode())
+            h.update(np.ascontiguousarray(arr).data)
+    return h.hexdigest()
+
+
 def run_grid(
     run_cfg: dict,
     data_dir: Path,
@@ -784,6 +794,7 @@ def run_grid(
         "seed": seed,
         "aggregate": aggregate,
         "dataset": run_cfg.get("dataset", "blobs"),
+        "data_digest": _data_digest(dataset),
     }
     results_path = out_dir / "results.jsonl"
     meta_path = out_dir / "run_meta.json"

@@ -343,3 +343,96 @@ def lda_scores(train_x, train_y, test_x) -> np.ndarray:
     cov += np.eye(cov.shape[0]) * 1e-6
     w = np.linalg.solve(cov, mu1 - mu0)
     return test_x @ w
+
+
+# ---------------------------------------------------------------------------
+# Classical layers: direct convolution, argmax max pooling, and the batch
+# normalization formulas written as single expressions.
+# ---------------------------------------------------------------------------
+
+
+def _pad(x: np.ndarray, padding: int) -> np.ndarray:
+    return np.pad(x, [(0, 0), (0, 0)] + [(padding, padding)] * (x.ndim - 2))
+
+
+def _conv_positions(xp: np.ndarray, k: int, stride: int):
+    """Yield (output position, window index into one padded sample)."""
+    out_sp = tuple((d - k) // stride + 1 for d in xp.shape[2:])
+    for pos in itertools.product(*(range(d) for d in out_sp)):
+        yield pos, (slice(None),) + tuple(slice(p * stride, p * stride + k) for p in pos)
+
+
+def conv_direct(x, weight, bias, stride: int, padding: int) -> np.ndarray:
+    """Cross-correlation by direct summation, one output element at a time:
+    y[b, o, p] = bias[o] + sum_{i, off} weight[o, i, off] * xp[b, i, p * stride + off]."""
+    k = weight.shape[2]
+    xp = _pad(x, padding)
+    out_sp = tuple((d - k) // stride + 1 for d in xp.shape[2:])
+    y = np.empty((x.shape[0], weight.shape[0]) + out_sp)
+    for b in range(x.shape[0]):
+        for pos, win in _conv_positions(xp, k, stride):
+            for o in range(weight.shape[0]):
+                y[(b, o) + pos] = bias[o] + (xp[b][win] * weight[o]).sum()
+    return y
+
+
+def conv_direct_grads(x, weight, grad_out, stride: int, padding: int):
+    """(grad_weight, grad_bias, grad_x) of ``conv_direct`` by scattering each
+    output element's upstream gradient back over its window."""
+    k = weight.shape[2]
+    xp = _pad(x, padding)
+    grad_w = np.zeros_like(weight)
+    grad_xp = np.zeros_like(xp)
+    for b in range(x.shape[0]):
+        for pos, win in _conv_positions(xp, k, stride):
+            for o in range(weight.shape[0]):
+                g = grad_out[(b, o) + pos]
+                grad_w[o] += g * xp[b][win]
+                grad_xp[b][win] += g * weight[o]
+    core = tuple(slice(padding, padding + d) for d in x.shape[2:])
+    grad_b = grad_out.sum(axis=(0,) + tuple(range(2, grad_out.ndim)))
+    return grad_w, grad_b, grad_xp[(slice(None), slice(None)) + core]
+
+
+def maxpool_argmax(x: np.ndarray, k: int, ndim: int):
+    """Non-overlapping max pooling through ``argmax`` over flattened windows.
+
+    Returns (y, arg) with arg the flat in-window index of the selected element:
+    the first maximum, or the first NaN.
+    """
+    win = np.lib.stride_tricks.sliding_window_view(x, (k,) * ndim, axis=tuple(range(2, x.ndim)))
+    strided = win[(slice(None), slice(None)) + tuple(slice(None, None, k) for _ in range(ndim))]
+    flat = strided.reshape(strided.shape[: 2 + ndim] + (k**ndim,))
+    arg = flat.argmax(axis=-1)
+    return np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0], arg
+
+
+def maxpool_argmax_backward(x_shape, arg: np.ndarray, grad_out: np.ndarray, k: int, ndim: int):
+    """Scatter ``grad_out`` to the input element ``maxpool_argmax`` selected."""
+    grad_x = np.zeros(x_shape)
+    offs = np.unravel_index(arg, (k,) * ndim)
+    grids = np.meshgrid(*[np.arange(d) for d in grad_out.shape], indexing="ij", sparse=True)
+    idx = tuple(grids[:2]) + tuple(grids[2 + a] * k + offs[a] for a in range(ndim))
+    grad_x[idx] = grad_out
+    return grad_x
+
+
+def batchnorm_reference(x, gamma, beta, mean, var, eps: float, grad_out, training: bool):
+    """(y, grad_x, grad_gamma, grad_beta) of batch normalization, each as one
+    expression in the operation order ``BatchNorm`` keeps. ``mean``/``var``
+    are the statistics to normalize with (batch ones when ``training``)."""
+    axes = (0,) + tuple(range(2, x.ndim))
+    shape = (1, -1) + (1,) * (x.ndim - 2)
+    inv_std = 1.0 / np.sqrt(var + eps)
+    xhat = (x - mean.reshape(shape)) * inv_std.reshape(shape)
+    y = gamma.reshape(shape) * xhat + beta.reshape(shape)
+    grad_gamma = (grad_out * xhat).sum(axis=axes)
+    grad_beta = grad_out.sum(axis=axes)
+    g = grad_out * gamma.reshape(shape)
+    if not training:
+        return y, g * inv_std.reshape(shape), grad_gamma, grad_beta
+    m = np.prod([x.shape[a] for a in axes])
+    gs = g.sum(axis=axes, keepdims=True)
+    gxs = (g * xhat).sum(axis=axes, keepdims=True)
+    grad_x = inv_std.reshape(shape) * (g - gs / m - xhat * gxs / m)
+    return y, grad_x, grad_gamma, grad_beta

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import hqnnbench.classical as classical
 from hqnnbench.classical import (
     BatchNorm,
     Conv,
@@ -30,10 +32,32 @@ from hqnnbench.classical import (
 from hqnnbench.qnn import build_ang_ry
 from hqnnbench.harness import HybridModel, ModelConfig, QnnArch
 
-from oracles import fd_scalar_grad
+from oracles import (
+    batchnorm_reference,
+    conv_direct,
+    conv_direct_grads,
+    fd_scalar_grad,
+    maxpool_argmax,
+    maxpool_argmax_backward,
+)
 
 RTOL = 1e-4
 ATOL = 1e-7
+POOL_INPUT_KINDS = ("normal", "ties", "int", "nan")
+
+
+def assert_same_bits(a, b):
+    assert a.shape == b.shape and a.dtype == b.dtype
+    assert np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+
+
+def conv_fwd_bwd(conv, x, grad_out):
+    """(y, grad_w, grad_b, grad_x) of one forward/backward pass from zero grads."""
+    for p in conv.params():
+        p.zero_grad()
+    y = conv.forward(x)
+    grad_x = conv.backward(grad_out)
+    return y, conv.weight.grad.copy(), conv.bias.grad.copy(), grad_x
 
 
 def stack_param_count(stack):
@@ -140,6 +164,57 @@ class TestConv:
         with pytest.raises(ValueError):
             conv.out_shape((1, 2))
 
+    @pytest.mark.parametrize("padding", [0, 1])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("spatial", [(10,), (6, 7), (5, 4, 6)])
+    def test_matches_direct_oracle(self, spatial, stride, padding):
+        rng = np.random.default_rng([len(spatial), stride, padding])
+        conv = Conv(2, 3, kernel_size=3, ndim=len(spatial), rng=rng, stride=stride, padding=padding)
+        x = rng.normal(size=(2, 2) + spatial)
+        ref_y = conv_direct(x, conv.weight.value, conv.bias.value, stride, padding)
+        grad_out = rng.normal(size=ref_y.shape)
+        y, grad_w, grad_b, grad_x = conv_fwd_bwd(conv, x, grad_out)
+        ref_w, ref_b, ref_x = conv_direct_grads(x, conv.weight.value, grad_out, stride, padding)
+        for got, ref in ((y, ref_y), (grad_w, ref_w), (grad_b, ref_b), (grad_x, ref_x)):
+            assert got.shape == ref.shape
+            np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
+        assert y.flags.c_contiguous
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_chunked_matches_single_chunk(self, monkeypatch, stride):
+        rng = np.random.default_rng(16)
+        conv = Conv(2, 3, kernel_size=3, ndim=2, rng=rng, stride=stride, padding=1)
+        x = rng.normal(size=(5, 2, 7, 6))
+        grad_out = rng.normal(size=(5, 3) + conv.out_shape((2, 7, 6))[1:])
+        whole = conv_fwd_bwd(conv, x, grad_out)
+        # room for two samples' columns: chunks of 2, 2 and 1
+        sample_bytes = 2 * 9 * math.prod(grad_out.shape[2:]) * 8
+        monkeypatch.setattr(classical, "_CONV_COLS_BYTES", 2 * sample_bytes + 8)
+        assert len(conv._columns(np.zeros((5, 2, 9, 8)))[1]) == 3
+        chunked = conv_fwd_bwd(conv, x, grad_out)
+        for got, ref in zip(chunked, whole):
+            np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
+
+    def test_chunked_volumetric_peak_is_bounded(self):
+        # One sample's columns are 27 * 24**3 doubles (~3 MB), so the batch
+        # needs ~36 MB unchunked and runs in chunks of 5 samples.
+        rng = np.random.default_rng(17)
+        conv = Conv(1, 4, kernel_size=3, ndim=3, rng=rng, stride=1, padding=1)
+        x = rng.normal(size=(12, 1, 24, 24, 24))
+        grad_out = rng.normal(size=(12, 4, 24, 24, 24))
+        assert 12 * 27 * 24**3 * 8 > 2 * classical._CONV_COLS_BYTES
+        padded = 12 * 26**3 * 8
+        # the padded input, the output, the padded input gradient, and the columns
+        limit = classical._CONV_COLS_BYTES + 2 * padded + grad_out.nbytes + (1 << 16)
+        tracemalloc.start()
+        try:
+            conv.forward(x, training=True)
+            conv.backward(grad_out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= limit, f"peaked at {peak / 2**20:.2f} MiB, limit {limit / 2**20:.2f} MiB"
+
 
 class TestBatchNorm:
     def test_constant_batch_normalizes_to_zero(self):
@@ -165,6 +240,30 @@ class TestBatchNorm:
         bn.beta.value[:] = rng.normal(size=3)
         stack = LayerStack([bn], (3, 4))
         fd_check_stack(stack, rng.normal(size=(6, 3, 4)), rng)
+
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("shape", [(16, 3, 20), (4, 2, 5, 6), (3, 2, 3, 4, 5)])
+    def test_bit_identical_to_reference(self, shape, training):
+        rng = np.random.default_rng(18)
+        bn = BatchNorm(shape[1])
+        bn.gamma.value[:] = rng.normal(1.0, 0.2, size=shape[1])
+        bn.beta.value[:] = rng.normal(size=shape[1])
+        bn.running_mean[:] = rng.normal(size=shape[1])
+        bn.running_var[:] = rng.uniform(0.5, 2.0, size=shape[1])
+        x = rng.normal(loc=3.0, scale=2.0, size=shape)
+        grad_out = rng.normal(size=shape)
+        axes = (0,) + tuple(range(2, x.ndim))
+        if training:
+            mean, var = x.mean(axis=axes), x.var(axis=axes)
+        else:
+            mean, var = bn.running_mean.copy(), bn.running_var.copy()
+        ref = batchnorm_reference(
+            x, bn.gamma.value, bn.beta.value, mean, var, BatchNorm.EPS, grad_out, training
+        )
+        y = bn.forward(x, training=training)
+        grad_x = bn.backward(grad_out)
+        for got, want in zip((y, grad_x, bn.gamma.grad, bn.beta.grad), ref):
+            assert_same_bits(got, want)
 
     def test_fd_eval_mode(self):
         rng = np.random.default_rng(10)
@@ -224,6 +323,33 @@ class TestActivationsAndPooling:
         x = rng.permutation(64).astype(float).reshape(1, 1, 8, 8) * 0.1
         stack = LayerStack([MaxPool(2, 2)], (1, 8, 8))
         fd_check_stack(stack, x, rng)
+
+    @pytest.mark.parametrize("kind", POOL_INPUT_KINDS)
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("ndim", [1, 2, 3])
+    def test_maxpool_matches_argmax_reference_bitwise(self, ndim, k, kind):
+        rng = np.random.default_rng([ndim, k, POOL_INPUT_KINDS.index(kind)])
+        # every spatial size leaves a remainder that does not fill a window
+        spatial = {1: (4 * k + 1,), 2: (2 * k + 1, 3 * k - 1), 3: (k + 1, 2 * k + 1, k + 2)}[ndim]
+        shape = (3, 2) + spatial
+        if kind == "normal":
+            x = rng.normal(size=shape)
+        elif kind == "int":
+            x = rng.integers(-2, 3, size=shape)
+        else:
+            x = rng.integers(-2, 3, size=shape).astype(float)
+            zeros = x == 0
+            x[zeros] = rng.choice([0.0, -0.0], size=zeros.sum())  # ties between signed zeros
+            if kind == "nan":
+                nans = rng.random(shape) < 0.2
+                x[nans] = rng.choice([np.nan, -np.nan], size=nans.sum())
+        mp = MaxPool(k, ndim)
+        y = mp.forward(x)
+        ref_y, arg = maxpool_argmax(x, k, ndim)
+        assert_same_bits(y, ref_y)
+        grad_out = rng.normal(size=y.shape)
+        grad_out[rng.random(y.shape) < 0.2] = -0.0
+        assert_same_bits(mp.backward(grad_out), maxpool_argmax_backward(x.shape, arg, grad_out, k, ndim))
 
     def test_flatten_reshape_roundtrip(self):
         rng = np.random.default_rng(13)

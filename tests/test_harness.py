@@ -505,6 +505,18 @@ class TestRunGrid:
             assert (out / "results.jsonl").read_bytes() == results
             assert (out / "run_meta.json").read_bytes() == meta
 
+    def test_resume_refuses_changed_dataset_parameters(self, tmp_path):
+        out = tmp_path / "out"
+        run_grid(dict(TINY_RUN), tmp_path, out)
+        results = (out / "results.jsonl").read_bytes()
+        for key, value in (("blobs_n", 64), ("blobs_separation", 5.0)):
+            with pytest.raises(ProtocolMismatchError, match="data_digest"):
+                run_grid(dict(TINY_RUN, **{key: value}), tmp_path, out)
+            assert (out / "results.jsonl").read_bytes() == results
+        # the same data resumes and skips the finished configs
+        run_grid(dict(TINY_RUN), tmp_path, out)
+        assert json.loads((out / "run_meta.json").read_text())["n_skipped"] == 2
+
     def test_bit_identical_reruns(self, tmp_path):
         a = run_grid(dict(TINY_RUN), tmp_path, tmp_path / "a")
         b = run_grid(dict(TINY_RUN), tmp_path, tmp_path / "b")
