@@ -4,7 +4,8 @@ Everything here is plain numpy. Each layer stores its parameters as
 ``Param`` objects (value + accumulated gradient) and implements
 
 * ``forward(x, training)``  -> output, caching whatever backward needs,
-* ``backward(grad_out)``    -> grad wrt input, accumulating into ``p.grad``,
+* ``backward(grad_out)``    -> grad wrt input, accumulating into ``p.grad``;
+  layers with parameters take ``input_grad=False`` to accumulate only,
 * ``params()``              -> list of trainable ``Param``s,
 * ``out_shape(in_shape)``   -> static shape inference (no batch axis).
 
@@ -77,10 +78,10 @@ class FullyConnected(Layer):
         self._x = x
         return x @ self.weight.value.T + self.bias.value
 
-    def backward(self, grad_out):
+    def backward(self, grad_out, input_grad=True):
         self.weight.grad += grad_out.T @ self._x
         self.bias.grad += grad_out.sum(axis=0)
-        return grad_out @ self.weight.value
+        return grad_out @ self.weight.value if input_grad else None
 
     def params(self):
         return [self.weight, self.bias]
@@ -173,19 +174,22 @@ class Conv(Layer):
         y += self.bias.value.reshape((1, -1) + (1,) * self.ndim)
         return y
 
-    def backward(self, grad_out):
+    def backward(self, grad_out, input_grad=True):
         out_sp = grad_out.shape[2:]
         g3 = grad_out.reshape(grad_out.shape[0], self.out_channels, math.prod(out_sp))
         win, chunks = self._columns(self._xp)
         w2 = self.weight.value.reshape(self.out_channels, -1)
         gw2 = self.weight.grad.reshape(w2.shape)
-        grad_xp = np.zeros_like(self._xp)
+        grad_xp = np.zeros_like(self._xp) if input_grad else None
         for sl in chunks:
             cols = win[sl].reshape(-1, w2.shape[1], g3.shape[2])
             gw2 += np.matmul(g3[sl], cols.transpose(0, 2, 1)).sum(axis=0)
             del cols  # before the input-gradient columns of the same size
-            self._add_columns(grad_xp[sl], np.matmul(w2.T, g3[sl]), out_sp)
+            if input_grad:
+                self._add_columns(grad_xp[sl], np.matmul(w2.T, g3[sl]), out_sp)
         self.bias.grad += grad_out.sum(axis=tuple(i for i in range(grad_out.ndim) if i != 1))
+        if not input_grad:
+            return None
         if self.padding:
             core = tuple(slice(self.padding, self.padding + d) for d in self._in_spatial)
             return grad_xp[(slice(None), slice(None)) + core]
@@ -249,11 +253,13 @@ class BatchNorm(Layer):
         y += self.beta.value.reshape(shape)
         return y
 
-    def backward(self, grad_out):
+    def backward(self, grad_out, input_grad=True):
         xhat, inv_std, axes, shape, training, x_shape = self._cache
         tmp = np.multiply(grad_out, xhat)
         self.gamma.grad += tmp.sum(axis=axes)
         self.beta.grad += grad_out.sum(axis=axes)
+        if not input_grad:
+            return None
         g = grad_out * self.gamma.value.reshape(shape)
         if training:
             m = np.prod([x_shape[a] for a in axes])
@@ -417,10 +423,23 @@ def stack_forward(stack: LayerStack, x: np.ndarray, training: bool = False) -> n
     return x
 
 
-def stack_backward(stack: LayerStack, grad_out: np.ndarray) -> np.ndarray:
-    for layer in reversed(stack.layers):
-        grad_out = layer.backward(grad_out)
-    return grad_out
+def stack_backward(stack: LayerStack, grad_out: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
+    """Accumulate parameter gradients and return the gradient wrt the input.
+
+    With ``input_grad=False`` the pass stops at the lowest layer with
+    parameters, which accumulates its parameter gradients only; nothing is
+    returned. Training needs no gradient of the raw samples.
+    """
+    if input_grad:
+        for layer in reversed(stack.layers):
+            grad_out = layer.backward(grad_out)
+        return grad_out
+    with_params = [i for i, layer in enumerate(stack.layers) if layer.params()]
+    if with_params:
+        for layer in reversed(stack.layers[with_params[0] + 1 :]):
+            grad_out = layer.backward(grad_out)
+        stack.layers[with_params[0]].backward(grad_out, input_grad=False)
+    return None
 
 
 def stack_params(stack: LayerStack) -> list[Param]:

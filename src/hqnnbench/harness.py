@@ -355,7 +355,7 @@ class HybridModel:
         gq = stack_backward(self.head, grad_logits[:, None])
         gz, gp = qnn_backward_batch(self.circuit, z, self.theta.value, gq, final_amps=amps)
         self.theta.grad += gp
-        stack_backward(self.pre, gz)
+        stack_backward(self.pre, gz, input_grad=False)
 
 
 class ClassicalModel:
@@ -373,7 +373,7 @@ class ClassicalModel:
         return stack_forward(self.head, z, training=training)[:, 0]
 
     def backward(self, grad_logits: np.ndarray) -> None:
-        stack_backward(self.pre, stack_backward(self.head, grad_logits[:, None]))
+        stack_backward(self.pre, stack_backward(self.head, grad_logits[:, None]), input_grad=False)
 
 
 def build_model(config: ModelConfig, input_shape: tuple[int, ...], rng: np.random.Generator):

@@ -29,6 +29,13 @@ constants and *per-sample* when it reads an input slot. The fused gates
 between two permutations form a ``Stage``; the small matrices of a stage are
 computed together, one batch of ``(d, d, G, B)`` arrays per step signature.
 
+A stage that holds only one-qubit gates is a *Kronecker layer*: its gates
+act on distinct qubits and commute. Its batch-shared gates are applied as
+blocks of up to ``_KRON_QUBITS`` adjacent qubits, each one d x d unitary
+(d <= 16), the Kronecker product of its members with the identity on any
+qubit in the block's run that no member occupies. Per-sample gates and
+two-qubit ``BLOCK`` gates are applied one by one.
+
 Gradients are computed in adjoint mode: one forward pass, then a single
 reverse sweep that un-applies each fused gate ``U`` on the state ``psi``
 and on ``mu = conj(lambda)`` (with ``U^T``, so no conjugate copies are
@@ -40,9 +47,15 @@ follows from ``G`` alone::
 
     g_k = Re tr(S_k^H G^T S_k Gamma_k),   Gamma_k = 2 dR_k/dt R_k^-1
 
-where ``Gamma_k`` is the constant RY(pi) or RZ(pi). This is exact for
-noiseless statevector simulation; the parameter-shift rule is kept around
-only as a test oracle.
+where ``Gamma_k`` is the constant RY(pi) or RZ(pi). In a Kronecker layer
+every overlap is taken at the stage output, before any un-apply: one d x d
+overlap per block, from which each member's 2x2 overlap is the partial
+trace over the block's other qubits (un-applying a unitary on another qubit
+from both states cancels in ``sum_rest``). The sweep does not un-apply the
+first stage of a circuit when that stage is a Kronecker layer: nothing reads
+``psi`` afterwards, and ``mu`` is only read for the input gradient of an
+amplitude-encoded circuit. All of this is exact for noiseless statevector
+simulation; the parameter-shift rule is kept around only as a test oracle.
 """
 
 from __future__ import annotations
@@ -201,8 +214,68 @@ class _Group:
             np.add.at(grad_inputs, (slice(None), self.input_idx), flat[self.input_pos].T)
 
 
+# Qubits per Kronecker block. Amp-Gen 8 fwd+bwd at B=256 on 2 cores, median
+# of 12 interleaved rounds: 284 ms with 1 (every gate its own pass), 173 ms
+# with 2, 150 ms with 3, 145 ms with 4 and 137 ms with 5, the last three
+# within each other's quartiles; all 8 qubits in one 256x256 block took
+# 293 ms. Four qubits split an 8-qubit register into two 16x16 blocks.
+_KRON_QUBITS = 4
+_I2 = np.eye(2, dtype=np.complex128)
+
+
+def _kron(factors: list[np.ndarray]) -> np.ndarray:
+    """``factors[0] (x) factors[1] (x) ...`` of 2x2s; wire 0 is the most significant."""
+    u = factors[0]
+    for f in factors[1:]:
+        d = 2 * u.shape[0]
+        u = (u[:, None, :, None] * f[None, :, None, :]).reshape(d, d)
+    return u
+
+
+def _partial_trace(g: np.ndarray, wire: int, n_wires: int) -> np.ndarray:
+    """The 2x2 overlap of one wire of a block overlap: the trace over the others."""
+    a, b = 1 << wire, 1 << (n_wires - 1 - wire)
+    return np.einsum("aibajb->ij", g.reshape(a, 2, b, a, 2, b))
+
+
+@dataclass(frozen=True)
+class _Apply:
+    """One kernel call of a stage: a fused gate, or a Kronecker block.
+
+    ``members`` are ``(group, slot, wire)``. A fused gate has one member with
+    ``wire=None``. A block is the Kronecker product of batch-shared one-qubit
+    gates on the descending run ``qubits``, with the identity on any wire that
+    no member occupies.
+    """
+
+    qubits: tuple[int, ...]
+    per_sample: bool
+    members: tuple[tuple[int, int, int | None], ...]
+
+    def unitary(self, us: list[np.ndarray], groups: tuple) -> np.ndarray:
+        gi, slot, wire = self.members[0]
+        if wire is None:
+            return _gate_matrix(us[gi], groups[gi], slot)
+        factors = [_I2] * len(self.qubits)
+        for gi, slot, wire in self.members:
+            factors[wire] = us[gi][:, :, slot, 0]
+        return _kron(factors)
+
+    def member_overlap(self, g: np.ndarray, wire: int | None) -> np.ndarray:
+        """A member's overlap ``(d, d, Bx)`` from the overlap ``g`` on ``qubits``."""
+        g = g if wire is None else _partial_trace(g, wire, len(self.qubits))
+        return g.reshape(g.shape[:2] + (-1,))
+
+
 class Stage:
-    """Fused gates between two entangler runs, applied in order."""
+    """Fused gates between two entangler runs.
+
+    When every gate acts on one qubit, the gates act on distinct qubits and
+    commute: the batch-shared ones are applied as Kronecker blocks of up to
+    ``_KRON_QUBITS`` adjacent qubits (``q // _KRON_QUBITS``), the per-sample
+    ones one by one, and the adjoint sweep may take every overlap at the stage
+    output. Otherwise the gates are applied one by one, in order.
+    """
 
     def __init__(self, gates: list[FusedGate]):
         self.gates = tuple(gates)
@@ -217,11 +290,28 @@ class Stage:
             where.append((keys[key], len(members[keys[key]])))
             members[keys[key]].append(g)
         self.groups = tuple(_Group(m) for m in members)
-        self.where = tuple(where)
+        self.commuting = all(len(g.qubits) == 1 for g in self.gates)
+        blocks: dict[int, dict[int, tuple[int, int]]] = {}
+        loose = []
+        for g, (gi, slot) in zip(self.gates, where):
+            if self.commuting and not g.per_sample:
+                blocks.setdefault(g.qubits[0] // _KRON_QUBITS, {})[g.qubits[0]] = (gi, slot)
+            else:
+                loose.append(_Apply(g.qubits, g.per_sample, ((gi, slot, None),)))
+        kron = []
+        for _, block in sorted(blocks.items()):
+            hi, lo = max(block), min(block)
+            wires = tuple((gi, slot, hi - q) for q, (gi, slot) in block.items())
+            kron.append(_Apply(tuple(range(hi, lo - 1, -1)), False, wires))
+        self.apps = tuple(kron + loose)
 
 
 class SignedPerm:
-    """A run of CNOT/CZ gates as one map ``out[i] = sign[i] * a[perm[i]]``."""
+    """A run of CNOT/CZ gates as one map ``out[i] = sign[i] * a[perm[i]]``.
+
+    ``perm`` is None when the run moves no amplitude (CZ gates only, or
+    CNOTs that cancel), ``sign`` when it flips none.
+    """
 
     def __init__(self, gates: list[Gate], n_qubits: int):
         idx = np.arange(1 << n_qubits)
@@ -234,8 +324,10 @@ class SignedPerm:
                 step, step_sign = idx, 1.0 - 2.0 * ((idx >> a) & (idx >> b) & 1)
             perm, sign = perm[step], step_sign * sign[step]
         inverse = np.argsort(perm)
-        self.perm, self.sign = perm, (sign if np.any(sign < 0) else None)
-        self.inv_perm, self.inv_sign = inverse, (sign[inverse] if self.sign is not None else None)
+        moves = not np.array_equal(perm, idx)
+        self.perm, self.sign = (perm if moves else None), (sign if np.any(sign < 0) else None)
+        self.inv_perm = inverse if moves else None
+        self.inv_sign = sign[inverse] if self.sign is not None else None
 
 
 def _compile_program(ops: tuple[Gate, ...], n_qubits: int) -> tuple:
@@ -523,6 +615,15 @@ def _gate_matrix(us: np.ndarray, group: _Group, slot: int) -> np.ndarray:
     return u if group.per_sample else u[..., 0]
 
 
+def _take_overlaps(app: _Apply, mu: np.ndarray, psi: np.ndarray, overlaps: list) -> None:
+    """Write the overlaps of ``app``'s members that have gradients to find."""
+    if any(overlaps[gi] is not None for gi, _, _ in app.members):
+        g = gate_overlap(mu, psi, app.qubits, app.per_sample)
+        for gi, slot, wire in app.members:
+            if overlaps[gi] is not None:
+                overlaps[gi][:, :, slot] = app.member_overlap(g, wire)
+
+
 def qnn_forward_batch(
     circuit: Circuit,
     inputs: np.ndarray,
@@ -543,9 +644,8 @@ def qnn_forward_batch(
             state, buf = apply_signed_perm(state, op.perm, op.sign, buf), state
             continue
         us = [_product(g.step_matrices(x, p)) for g in op.groups]
-        for gate, (gi, slot) in zip(op.gates, op.where):
-            u = _gate_matrix(us[gi], op.groups[gi], slot)
-            state, buf = apply_gate(state, gate.qubits, u, buf), state
+        for app in op.apps:
+            state, buf = apply_gate(state, app.qubits, app.unitary(us, op.groups), buf), state
     out = expval_batch(state.T, circuit.n_qubits, circuit.observable)
     return (out, state.T) if return_state else out
 
@@ -598,15 +698,23 @@ def qnn_backward_batch(
             else None
             for g in op.groups
         ]
-        for gate, (gi, slot) in zip(reversed(op.gates), reversed(op.where)):
-            group = op.groups[gi]
-            u = _gate_matrix(us[gi], group, slot)
-            if overlaps[gi] is not None:
-                g = gate_overlap(mu, psi, gate.qubits, group.per_sample)
-                overlaps[gi][:, :, slot] = g.reshape(g.shape[:2] + (-1,))
-            ut = u.swapaxes(0, 1)
-            psi, psi_buf = apply_gate(psi, gate.qubits, ut.conj(), psi_buf), psi
-            mu, mu_buf = apply_gate(mu, gate.qubits, ut, mu_buf), mu
+
+        # Nothing reads psi after the last op of the sweep, and mu only for
+        # an amplitude-encoded input gradient; a commuting stage takes every
+        # overlap before un-applying anything.
+        last = op.commuting and op is circuit.program[0]
+        keep_psi, keep_mu = not last, not last or circuit.encoding == "amplitude"
+        if op.commuting:
+            for app in op.apps:
+                _take_overlaps(app, mu, psi, overlaps)
+        for app in reversed(op.apps):
+            if not op.commuting:
+                _take_overlaps(app, mu, psi, overlaps)
+            ut = app.unitary(us, op.groups).swapaxes(0, 1)
+            if keep_psi:
+                psi, psi_buf = apply_gate(psi, app.qubits, ut.conj(), psi_buf), psi
+            if keep_mu:
+                mu, mu_buf = apply_gate(mu, app.qubits, ut, mu_buf), mu
         for group, ov, m in zip(op.groups, overlaps, mats):
             if ov is not None:
                 group.scatter(group.gradients(ov, m), grad_inputs, grad_params)

@@ -16,11 +16,18 @@ Conventions (fixed, used everywhere in this package):
 The kernels (``apply_gate``, ``gate_overlap``, ``apply_signed_perm``) work
 on raw complex amplitude arrays shaped ``(2**n, B)``: the basis index is the
 *first* axis and the batch the last, so each view a kernel takes keeps the
-batch contiguous whichever qubit it targets. ``apply_gate`` applies a 2x2 or
-4x4 unitary, batch-shared or one per batch column, out of place into a
-caller-owned buffer. Small matrices are matrix-major, ``(d, d, ...)``, so
-their batch axes stay contiguous too. ``expval_batch`` takes the transposed
-``(B, 2**n)`` view, which is also what the forward pass returns as its state.
+batch contiguous whichever qubit it targets. ``apply_gate`` applies a d x d
+unitary on ``log2 d`` qubits, batch-shared or one per batch column, out of
+place into a caller-owned buffer; ``gate_overlap`` reduces two states onto a
+gate's qubits. A gate's local index puts its first target in the most
+significant bit, so on a contiguous descending run ``(lo + k - 1, ..., lo)``
+(any one qubit, or a Kronecker block of adjacent qubits) the local index is
+the middle axis of ``amps.reshape(-1, 2**k, B << lo)``, and both kernels take
+a batch-shared gate there as one BLAS matmul per column chunk. Elsewhere a
+gate has one or two qubits and is applied elementwise. Small matrices are
+matrix-major, ``(d, d, ...)``, so their batch axes stay contiguous too.
+``expval_batch`` takes the transposed ``(B, 2**n)`` view, which is also what
+the forward pass returns as its state.
 """
 
 from __future__ import annotations
@@ -157,9 +164,14 @@ class Gate:
 # batch axis contiguous, whichever qubit it targets.
 # ---------------------------------------------------------------------------
 
-# Columns per BLAS call in ``apply_gate``. Larger (2 x 2) @ (2 x N) products
-# make OpenBLAS start threads on matrices too thin to split, which was
-# measured 50-100x slower on 2 cores.
+# Columns per BLAS call in ``apply_gate``'s batch-shared branch, for every d.
+# On 2 cores, (d x d) @ (d x 4096) products cost about 5, 9, 17 and 40 ns
+# per column for d = 2, 4, 8, 16. A 2x2 product this narrow stays on one
+# OpenBLAS thread; wider ones save at most ~20% per column, and in some
+# processes every (2 x 2) @ (2 x 16384) call took 5-16 ms instead of
+# ~0.07 ms. Products with d >= 4 run on two threads and have rare multi-ms
+# outliers (d=4 on qubits 4-5: 8-37 ms once in 300 calls, median 0.15 ms),
+# but narrower calls cost up to twice as much per column at d = 16.
 _BLAS_COLS = 4096
 
 
@@ -199,16 +211,33 @@ def _local_views(amps: np.ndarray, qubits: tuple[int, ...]) -> list[np.ndarray]:
     return [v[:, k & 1, :, k >> 1] for k in range(4)]
 
 
+def _shared_run(amps: np.ndarray, qubits: tuple[int, ...]) -> int | None:
+    """Column count of a contiguous descending run ``(lo + k - 1, ..., lo)``, else None.
+
+    On such a run the local index of ``_local_views`` is the middle axis of
+    ``amps.reshape(-1, 2**k, B << lo)``, so a batch-shared gate is one matmul.
+    """
+    lo = qubits[-1]
+    if qubits != tuple(range(lo + len(qubits) - 1, lo - 1, -1)):
+        return None
+    if 1 << (lo + len(qubits)) > amps.shape[0]:
+        raise ValueError(f"qubit {qubits[0]} out of range for dim-{amps.shape[0]} register")
+    return amps.shape[1] << lo
+
+
 def apply_gate(amps: np.ndarray, qubits: tuple[int, ...], u: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Write ``U`` applied to ``qubits`` of ``amps`` into ``out`` and return it.
 
     ``u`` is matrix-major: ``(d, d)`` for a batch-shared gate or ``(d, d, B)``
-    for one matrix per batch column. ``out`` must not overlap ``amps``.
+    for one matrix per batch column. A batch-shared gate on a contiguous
+    descending qubit run (any one qubit, or a Kronecker block) is a BLAS
+    matmul; everything else is elementwise over the local views.
+    ``out`` must not overlap ``amps``.
     """
-    if u.ndim == 2 and len(qubits) == 1:
-        cols = amps.shape[1] << qubits[0]
-        src = amps.reshape(-1, 2, cols)
-        dst = out.reshape(-1, 2, cols)
+    cols = _shared_run(amps, qubits) if u.ndim == 2 else None
+    if cols is not None:
+        src = amps.reshape(-1, u.shape[0], cols)
+        dst = out.reshape(-1, u.shape[0], cols)
         for s in range(0, cols, _BLAS_COLS):
             np.matmul(u, src[..., s : s + _BLAS_COLS], out=dst[..., s : s + _BLAS_COLS])
         return out
@@ -232,12 +261,14 @@ def gate_overlap(mu: np.ndarray, psi: np.ndarray, qubits: tuple[int, ...], per_s
     """Reduced overlap ``G[i, j] = sum_rest mu_i psi_j`` on a gate's qubits.
 
     Matrix-major: ``(d, d, B)`` per batch column, or ``(d, d)`` summed over
-    the batch as well.
+    the batch as well. The batch-summed overlap on a contiguous descending
+    run is a BLAS matmul, as in ``apply_gate``.
     """
-    if not per_sample and len(qubits) == 1:
-        cols = mu.shape[1] << qubits[0]
-        m = mu.reshape(-1, 2, cols)
-        p = psi.reshape(-1, 2, cols)
+    cols = None if per_sample else _shared_run(mu, qubits)
+    if cols is not None:
+        d = 1 << len(qubits)
+        m = mu.reshape(-1, d, cols)
+        p = psi.reshape(-1, d, cols)
         return np.matmul(m, p.transpose(0, 2, 1)).sum(axis=0)
     ms = _local_views(mu, qubits)
     ps = _local_views(psi, qubits)
@@ -251,11 +282,21 @@ def gate_overlap(mu: np.ndarray, psi: np.ndarray, qubits: tuple[int, ...], per_s
     return g
 
 
-def apply_signed_perm(amps: np.ndarray, perm: np.ndarray, sign: np.ndarray | None, out: np.ndarray) -> np.ndarray:
-    """``out[i] = sign[i] * amps[perm[i]]``; ``sign=None`` means all +1."""
-    np.take(amps, perm, axis=0, out=out)
-    if sign is not None:
-        out *= sign[:, None]
+def apply_signed_perm(
+    amps: np.ndarray, perm: np.ndarray | None, sign: np.ndarray | None, out: np.ndarray
+) -> np.ndarray:
+    """``out[i] = sign[i] * amps[perm[i]]``; ``perm=None`` is the identity and ``sign=None`` all +1.
+
+    A sign-only map (a run of CZ gates) is one multiply, with no gather.
+    """
+    if perm is not None:
+        np.take(amps, perm, axis=0, out=out)
+        if sign is not None:
+            out *= sign[:, None]
+    elif sign is not None:
+        np.multiply(amps, sign[:, None], out=out)
+    else:
+        np.copyto(out, amps)
     return out
 
 

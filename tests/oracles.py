@@ -125,7 +125,9 @@ def dense_circuit_state(circuit: Circuit, inputs, params) -> np.ndarray:
         psi[: x.size] = x / np.linalg.norm(x)
     else:
         psi[0] = 1.0
-    return circuit_unitary(circuit, inputs, params) @ psi
+    for gate in circuit.ops:
+        psi = gate_matrix(gate, circuit.n_qubits, inputs, params) @ psi
+    return psi
 
 
 def dense_expectations(circuit: Circuit, inputs, params) -> np.ndarray:
@@ -247,6 +249,48 @@ def random_circuit(rng: np.random.Generator, max_qubits: int = 4, encoding: str 
             inputs = rng.normal(size=n_inputs)
     params = rng.normal(size=n_params)
     return circuit, inputs, params
+
+
+def one_qubit_stage_circuit(rng: np.random.Generator, n: int, encoding: str = "angle", n_stages: int = 3):
+    """A random circuit whose stages hold only one-qubit gates, with inputs/params.
+
+    Stages are separated by random CNOT/CZ runs. In each stage every qubit
+    is left out, gets batch-shared rotations (param and constant angles) or,
+    under angle encoding, per-sample rotations (at least one input angle), so
+    Kronecker blocks of one to four qubits, blocks with qubits left out and
+    stages mixing both kinds all occur. Every param and input slot feeds one
+    rotation, so the two-term shift rule is exact for both.
+    """
+    counts = {"param": 0, "input": 0}
+
+    def fresh(source: str) -> Angle:
+        counts[source] += 1
+        return Angle(source, index=counts[source] - 1)
+
+    ops = []
+    for s in range(n_stages):
+        if s and n >= 2:
+            for _ in range(int(rng.integers(1, 3))):
+                a, b = (int(q) for q in rng.choice(n, size=2, replace=False))
+                ops.append(Gate.cnot(a, b) if rng.integers(0, 2) else Gate.cz(a, b))
+        for q in range(n):
+            role = int(rng.integers(0, 3 if encoding == "angle" else 2))  # 0 none, 1 shared, 2 per-sample
+            if role == 0:
+                continue
+            for r in range(int(rng.integers(1, 3))):
+                make = (Gate.arb, Gate.ry, Gate.rz)[int(rng.integers(0, 3))]
+                angles = []
+                for k in range(3 if make is Gate.arb else 1):
+                    if role == 2 and r == 0 and (k == 0 or rng.integers(0, 2)):
+                        angles.append(fresh("input"))
+                    else:
+                        angles.append(fresh("param") if rng.integers(0, 3) else Angle.const(float(rng.normal())))
+                ops.append(make(q, *angles))
+    n_inputs = 1 << n if encoding == "amplitude" else max(counts["input"], 1)
+    obs = (Observable.local_z(), Observable.global_z(), Observable.single_z(int(rng.integers(0, n))))
+    obs = obs[int(rng.integers(0, 3))]
+    circuit = Circuit(n, encoding, tuple(ops), counts["param"], n_inputs, obs)
+    return circuit, rng.normal(size=n_inputs), rng.normal(size=counts["param"])
 
 
 # ---------------------------------------------------------------------------

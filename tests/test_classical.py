@@ -30,7 +30,7 @@ from hqnnbench.classical import (
     stack_params,
 )
 from hqnnbench.qnn import build_ang_ry
-from hqnnbench.harness import HybridModel, ModelConfig, QnnArch
+from hqnnbench.harness import ClassicalModel, HybridModel, ModelConfig, QnnArch
 
 from oracles import (
     batchnorm_reference,
@@ -409,6 +409,65 @@ class TestPreprocessorBuilders:
         rng = np.random.default_rng(19)
         stack = build_preprocessor("conv3", (1, 8, 8), 4, tanh_pi=True, rng=rng)
         fd_check_stack(stack, rng.normal(size=(3, 1, 8, 8)), rng, n_probe=6)
+
+
+class TestParameterOnlyBackward:
+    """``input_grad=False`` stops at the lowest layer with parameters and asks it for
+    parameter gradients only; the parameter gradients stay bit-identical."""
+
+    @pytest.mark.parametrize(
+        "variant, in_shape",
+        [("conv0", (40,)), ("conv1", (40,)), ("conv3", (1, 12, 12)), ("conv3", (2, 8, 8, 8)), ("batchnorm", (3, 4))],
+    )
+    def test_parameter_gradients_are_bit_identical(self, variant, in_shape):
+        rng = np.random.default_rng(63)
+        if variant == "batchnorm":  # build_preprocessor never puts BatchNorm lowest
+            stack = LayerStack([BatchNorm(3), Flatten(), FullyConnected(12, 16, rng)], in_shape)
+        else:
+            stack = build_preprocessor(variant, in_shape, 16, tanh_pi=True, rng=rng)
+        x = rng.normal(size=(5,) + in_shape)
+        grad_out = rng.normal(size=(5, 16))
+        grads = []
+        for input_grad in (True, False):
+            for p in stack_params(stack):
+                p.zero_grad()
+            stack_forward(stack, x, training=True)
+            got = stack_backward(stack, grad_out, input_grad=input_grad)
+            assert (got is None) != input_grad
+            grads.append([p.grad.copy() for p in stack_params(stack)])
+        for full, params_only in zip(*grads):
+            assert_same_bits(full, params_only)
+
+    def test_training_step_computes_no_gradient_of_the_samples(self, monkeypatch):
+        col2im, fc_returns = [], []
+        add_columns, fc_backward = Conv._add_columns, FullyConnected.backward
+
+        def counting_add_columns(self, *args):
+            col2im.append(self)
+            return add_columns(self, *args)
+
+        def recording_fc_backward(self, *args, **kwargs):
+            fc_returns.append((self, fc_backward(self, *args, **kwargs)))
+            return fc_returns[-1][1]
+
+        monkeypatch.setattr(Conv, "_add_columns", counting_add_columns)
+        monkeypatch.setattr(FullyConnected, "backward", recording_fc_backward)
+        rng = np.random.default_rng(64)
+        x = rng.normal(size=(4, 1, 12, 12))
+
+        model = ClassicalModel(ModelConfig("classical", "conv3", 16, head="mlp"), x.shape[1:], rng)
+        model.forward(x, training=True)
+        model.backward(rng.normal(size=4))
+        convs = [layer for layer in model.pre.layers if isinstance(layer, Conv)]
+        assert [id(c) for c in col2im] == [id(c) for c in reversed(convs[1:])]
+
+        fc_returns.clear()
+        hybrid = HybridModel(ModelConfig("hybrid", "conv0", 16, qnn=QnnArch("ang_arb", True, "global")), (30,), rng)
+        hybrid.forward(rng.normal(size=(4, 30)), training=True)
+        hybrid.backward(rng.normal(size=4))
+        returned = {id(layer): g for layer, g in fc_returns}
+        assert returned[id(hybrid.pre.layers[-1])] is None  # the conv0 projection
+        assert returned[id(hybrid.head.layers[0])] is not None  # the head feeds the circuit
 
 
 class TestHeadBuilders:

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import collections
+import functools
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import hqnnbench.qnn as qnn_module
 from hqnnbench.qnn import (
     Circuit,
     SignedPerm,
@@ -29,6 +32,7 @@ from oracles import (
     dense_expectations,
     fd_jacobian,
     fd_scalar_grad,
+    one_qubit_stage_circuit,
     param_shift_jacobian,
     random_circuit,
 )
@@ -346,7 +350,8 @@ class TestCompiledProgram:
         perms = [op for op in build_ang_arb(4, 36, True).program if isinstance(op, SignedPerm)]
         assert len(perms) == 2
         for op in perms:
-            assert np.array_equal(op.perm, np.arange(16)) and op.sign is not None
+            # the identity permutation is dropped, so the kernel only multiplies
+            assert op.perm is None and op.inv_perm is None and op.sign is not None
 
     def test_qcnn_is_only_4x4_blocks(self):
         for n, n_blocks in ((4, 8), (8, 20)):
@@ -354,6 +359,25 @@ class TestCompiledProgram:
             assert isinstance(stage, Stage)
             assert [g.dim for g in stage.gates] == [4] * n_blocks
             assert not any(g.per_sample for g in stage.gates)
+            # two-qubit gates do not commute: one kernel call per gate, no Kronecker block
+            assert not stage.commuting
+            assert [(app.qubits, app.members) for app in stage.apps] == [
+                (g.qubits, ((0, k, None),)) for k, g in enumerate(stage.gates)
+            ]
+
+    def test_amp_gen_8_stages_are_two_4_qubit_kronecker_blocks(self):
+        for op in build_amp_gen(8, True).program:
+            if isinstance(op, Stage):
+                assert [app.qubits for app in op.apps] == [(3, 2, 1, 0), (7, 6, 5, 4)]
+                assert [sorted(w for _, _, w in app.members) for app in op.apps] == [[0, 1, 2, 3]] * 2
+
+    def test_ang_arb_8_l20_tail_is_one_single_qubit_block_and_seven_per_sample_gates(self):
+        # 20 features fill qubits 0-5 and two slots of qubit 6; qubit 7 reads only padding
+        (stage,) = build_ang_arb(8, 20, True).program
+        assert stage.commuting
+        assert [(app.qubits, app.per_sample, len(app.members)) for app in stage.apps] == [((7,), False, 1)] + [
+            ((q,), True, 1) for q in range(7)
+        ]
 
 
 def _fused_slot_reuse_circuit():
@@ -436,3 +460,110 @@ class TestBackwardMemory:
             finally:
                 tracemalloc.stop()
             assert peak <= limit, f"{c.n_inputs}-input circuit peaked at {peak / 2**20:.2f} MiB"
+
+
+@functools.lru_cache(maxsize=None)
+def _one_qubit_stage_cases():
+    """Random one-qubit-stage circuits for n = 1..10 (B=3 distinct rows), plus the Ang-Arb 8/l20 tail."""
+    rng = np.random.default_rng(51)
+    out = []
+    for n in range(1, 11):
+        for encoding in ("angle", "angle", "amplitude"):
+            c, _, p = one_qubit_stage_circuit(rng, n, encoding, n_stages=3 if n < 9 else 2)
+            xs = rng.normal(size=(3, c.n_inputs))
+            out.append((c, xs, p, rng.normal(size=(3, c.out_dim))))
+    c = build_ang_arb(8, 20, True)
+    out.append((c, rng.normal(size=(3, 20)), rng.normal(size=c.n_params), rng.normal(size=(3, 1))))
+    return out
+
+
+def _input_shift_jacobian(circuit, x, params):
+    """d(outputs)/d(inputs) by the two-term shift rule: exact when each input feeds one rotation."""
+    jac = np.zeros((circuit.out_dim, x.size))
+    for j in range(x.size):
+        shift = np.zeros_like(x)
+        shift[j] = math.pi / 2.0
+        jac[:, j] = (qnn_forward(circuit, x + shift, params) - qnn_forward(circuit, x - shift, params)) / 2.0
+    return jac
+
+
+class TestKroneckerBlocks:
+    """One-qubit-only stages: batch-shared gates run as Kronecker blocks of up to
+    four qubits, and the adjoint sweep takes every overlap at the stage output."""
+
+    def test_cases_cover_the_block_layouts(self):
+        widths, holes, blocks_per_stage, mixed = set(), False, set(), False
+        for c, *_ in _one_qubit_stage_cases():
+            for op in c.program:
+                if not isinstance(op, Stage):
+                    continue
+                assert op.commuting
+                blocks = [app for app in op.apps if app.members[0][2] is not None]
+                widths |= {len(app.qubits) for app in blocks}
+                holes |= any(len(app.members) < len(app.qubits) for app in blocks)
+                blocks_per_stage.add(len(blocks))
+                mixed |= bool(blocks) and any(app.per_sample for app in op.apps)
+        assert widths == {1, 2, 3, 4} and holes and mixed and 3 in blocks_per_stage
+
+    def test_forward_rows_match_dense_oracle(self):
+        for c, xs, p, _ in _one_qubit_stage_cases():
+            for row, x in zip(qnn_forward_batch(c, xs, p), xs):
+                assert np.abs(row - dense_expectations(c, x, p)).max() < 1e-10
+
+    def test_param_gradients_match_row_summed_parameter_shift(self):
+        for c, xs, p, ups in _one_qubit_stage_cases():
+            _, gp = qnn_backward_batch(c, xs, p, ups)
+            expect = sum(up @ param_shift_jacobian(c, x, p) for x, up in zip(xs, ups))
+            assert np.abs(gp - expect).max() < 1e-10
+
+    def test_input_gradients_match_shift_rule_or_fd(self):
+        for c, xs, p, ups in _one_qubit_stage_cases():
+            gx, _ = qnn_backward_batch(c, xs, p, ups)
+            for row, x, up in zip(gx, xs, ups):
+                if c.encoding == "angle":
+                    assert np.abs(row - up @ _input_shift_jacobian(c, x, p)).max() < 1e-10
+                else:  # directional central differences: up to 1024 inputs per row
+                    for v in np.random.default_rng(52).normal(size=(3, x.size)):
+                        f = lambda t: float(up @ qnn_forward(c, x + t * v, p))  # noqa: E731
+                        assert math.isclose(row @ v, (f(1e-5) - f(-1e-5)) / 2e-5, rel_tol=1e-5, abs_tol=1e-7)
+
+
+class TestBackwardKernelCalls:
+    """Every stage but the first un-applies each kernel call on psi and on mu.
+    The first stage is processed last: nothing reads psi afterwards, and mu only
+    for the input gradient of an amplitude-encoded circuit."""
+
+    @staticmethod
+    def count_calls(monkeypatch, c):
+        calls = collections.Counter()
+
+        def counting(name):
+            real = getattr(qnn_module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            return wrapper
+
+        rng = np.random.default_rng(44)
+        xs = rng.normal(size=(4, c.n_inputs))
+        p = rng.normal(size=c.n_params)
+        out, amps = qnn_forward_batch(c, xs, p, return_state=True)
+        for name in ("apply_gate", "gate_overlap"):
+            monkeypatch.setattr(qnn_module, name, counting(name))
+        qnn_backward_batch(c, xs, p, np.ones_like(out), final_amps=amps)
+        return calls
+
+    def test_amp_gen_8_two_blocks_per_stage(self, monkeypatch):
+        calls = self.count_calls(monkeypatch, build_amp_gen(8, True))
+        assert calls == {"apply_gate": 31 * 2 * 2 + 2, "gate_overlap": 32 * 2}
+
+    def test_ang_arb_8_first_stage_is_not_unapplied(self, monkeypatch):
+        # 11 stages; in the last, qubits 6 and 7 read only padding and form one shared block
+        calls = self.count_calls(monkeypatch, build_ang_arb(8, 256, True))
+        assert calls == {"apply_gate": (9 * 8 + 7) * 2, "gate_overlap": 9 * 8 + 7 + 8}
+
+    def test_qcnn_unapplies_every_gate(self, monkeypatch):
+        calls = self.count_calls(monkeypatch, build_qcnn(4))
+        assert calls == {"apply_gate": 8 * 2, "gate_overlap": 8}

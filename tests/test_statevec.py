@@ -15,6 +15,7 @@ from hqnnbench.statevec import (
     Observable,
     apply_gate,
     expval_batch,
+    gate_overlap,
     measurement_diagonals,
 )
 
@@ -264,6 +265,42 @@ class TestBatchedKernels:
             Gate.block(2, 0, Angle.input(0), -0.3, Angle.input(1)),
         )
         self.rows_match_dense(Circuit(3, "angle", ops, 0, 2, Observable.global_z()), rng.normal(size=(5, 2)))
+
+
+class TestSharedRunKernels:
+    """A batch-shared d x d gate on a contiguous descending qubit run is one BLAS product."""
+
+    @staticmethod
+    def runs(n):
+        for k in range(1, 5):
+            for lo in range(n - k + 1):
+                yield k, lo, tuple(range(lo + k - 1, lo - 1, -1))
+
+    def test_apply_gate_matches_the_dense_kronecker_embedding(self):
+        rng = np.random.default_rng(15)
+        for n in (4, 6):
+            amps = rng.normal(size=(1 << n, 3)) + 1j * rng.normal(size=(1 << n, 3))
+            for k, lo, run in self.runs(n):
+                u = rng.normal(size=(1 << k, 1 << k)) + 1j * rng.normal(size=(1 << k, 1 << k))
+                dense = np.kron(np.kron(np.eye(1 << (n - lo - k)), u), np.eye(1 << lo))
+                got = apply_gate(amps, run, u, np.empty_like(amps))
+                assert np.abs(got - dense @ amps).max() < 1e-12
+
+    def test_overlap_matches_the_direct_sum(self):
+        rng = np.random.default_rng(16)
+        for n in (4, 6):
+            mu, psi = (rng.normal(size=(1 << n, 3)) + 1j * rng.normal(size=(1 << n, 3)) for _ in range(2))
+            for k, lo, run in self.runs(n):
+                shape = (1 << (n - lo - k), 1 << k, 1 << lo, 3)
+                ref = np.einsum("aibc,ajbc->ij", mu.reshape(shape), psi.reshape(shape))
+                assert np.abs(gate_overlap(mu, psi, run, per_sample=False) - ref).max() < 1e-12
+
+    def test_run_out_of_range_rejected(self):
+        amps = np.zeros((16, 1), dtype=np.complex128)
+        with pytest.raises(ValueError):
+            apply_gate(amps, (4, 3), np.eye(4), np.empty_like(amps))
+        with pytest.raises(ValueError):
+            gate_overlap(amps, amps, (4, 3), per_sample=False)
 
 
 class TestFusion:
