@@ -470,7 +470,7 @@ def build_preprocessor(
     input_shape: tuple[int, ...],
     latent_dim: int,
     tanh_pi: bool,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
 ) -> LayerStack:
     """Feature-extractor builder.
 
@@ -480,8 +480,6 @@ def build_preprocessor(
     projection to ``latent_dim``, then pi*tanh when requested. Unchanneled
     1-D inputs of shape (length,) are treated as one channel.
     """
-    if rng is None:
-        rng = np.random.default_rng()
     input_shape = tuple(int(d) for d in input_shape)
     if latent_dim <= 0:
         raise ValueError("latent_dim must be positive")
@@ -510,28 +508,19 @@ def build_preprocessor(
     return LayerStack(layers=layers, in_shape=input_shape)
 
 
-def build_head(
-    variant: str,
-    in_dim: int,
-    hidden_dim: int | None = None,
-    rng: np.random.Generator | None = None,
-) -> LayerStack:
+def build_head(variant: str, in_dim: int, rng: np.random.Generator) -> LayerStack:
     """Classifier-head builder mapping a feature vector to a single logit.
 
-    ``"none"`` and ``"linear_out"`` are one affine layer (no hidden layers;
-    ``linear_out`` is the hybrid model's post-circuit map); ``"fcnone"`` is
-    two stacked affine layers; ``"fcrelu"`` adds ReLU between them; ``"mlp"``
-    has three hidden affine+ReLU layers. Hidden width defaults to ``in_dim``.
+    ``"none"`` is one affine layer (also the hybrid model's post-circuit
+    map); ``"fcnone"`` is two stacked affine layers; ``"fcrelu"`` adds ReLU
+    between them; ``"mlp"`` has three hidden affine+ReLU layers. Hidden
+    layers are ``in_dim`` wide.
     """
-    if rng is None:
-        rng = np.random.default_rng()
     if in_dim < 1:
         raise ValueError("in_dim must be >= 1")
-    if hidden_dim is None:
-        hidden_dim = in_dim
-    h = hidden_dim
+    h = in_dim
     layers: list[Layer]
-    if variant in ("none", "linear_out"):
+    if variant == "none":
         layers = [FullyConnected(in_dim, 1, rng)]
     elif variant == "fcnone":
         layers = [FullyConnected(in_dim, h, rng), FullyConnected(h, 1, rng)]

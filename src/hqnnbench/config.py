@@ -1,0 +1,300 @@
+"""The experiment grid's schema and the run-configuration file.
+
+A ``ModelConfig`` is one point of the grid: a hybrid (preprocessor, circuit,
+linear readout) or a classical (preprocessor, head) model. The default grid
+crosses pre-processing depth (conv3/conv1/conv0), latent dimension (16/256),
+the pi*tanh activation toggle (angle-encoded hybrids only), four circuit
+families (Ang-RY, Ang-Arb, Amp-Gen, QCNN) with their entanglement/observable
+axes, and four classical heads -- 150 configurations.
+
+``expand_grid`` enumerates the points a run configuration selects,
+``parse_run_config`` reads the flat ``key = value`` file that holds it, and
+``check_run_keys`` rejects keys that nothing reads. ``load_run_dataset`` and
+``default_batch_size`` turn its dataset keys into a ``Dataset``.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+from dataclasses import asdict, dataclass
+from pathlib import Path
+
+from .data import Dataset, load_beats_csv, load_npz, synth_beats, synth_blobs
+from .qnn import Circuit, build_amp_gen, build_ang_arb, build_ang_ry, build_qcnn
+from .statevec import Observable
+
+QUBITS_FOR_LATENT = {16: 4, 256: 8}
+PREPROCS = ("conv3", "conv1", "conv0")
+HEADS = ("none", "fcnone", "fcrelu", "mlp")
+QNN_KINDS = ("ang_ry", "ang_arb", "amp_gen", "qcnn")
+ANGLE_KINDS = ("ang_ry", "ang_arb")
+GROUP_NAMES = {"ang_ry": "Ang-RY", "ang_arb": "Ang-Arb", "amp_gen": "Amp-Gen", "qcnn": "QCNN"}
+METRIC_NAMES = ("roc_auc", "avg_precision", "balanced_acc")
+
+# Every key a run configuration may hold: the grid axes, the training
+# protocol, and the dataset keys of the README's run-configuration table.
+RUN_KEYS = frozenset(
+    (
+        "families qnn preproc latent tanh entangle observable heads "
+        "folds epochs batch_size aggregate seed "
+        "dataset blobs_n blobs_dim blobs_separation "
+        "beats_n beats_subjects beats_noise beats_ambiguity beats_file "
+        "npz_file images_key labels_key"
+    ).split()
+)
+
+
+@dataclass(frozen=True)
+class QnnArch:
+    """One circuit family plus its entanglement/observable switches."""
+
+    kind: str
+    entangle: bool = True
+    observable: str = "global"  # "local" | "global" | "single"
+
+    def __post_init__(self):
+        if self.kind not in QNN_KINDS:
+            raise ValueError(f"unknown qnn kind {self.kind!r}")
+        if self.kind == "qcnn":
+            if not self.entangle or self.observable != "single":
+                raise ValueError("qcnn always entangles and measures a single final qubit")
+        elif self.observable not in ("local", "global"):
+            raise ValueError(f"observable must be local or global, got {self.observable!r}")
+
+    def build(self, latent_dim: int) -> Circuit:
+        if latent_dim not in QUBITS_FOR_LATENT:
+            raise ValueError(f"latent_dim must be one of {sorted(QUBITS_FOR_LATENT)}")
+        n = QUBITS_FOR_LATENT[latent_dim]
+        obs = Observable.local_z() if self.observable == "local" else Observable.global_z()
+        if self.kind == "ang_ry":
+            return build_ang_ry(n, latent_dim, self.entangle, obs)
+        if self.kind == "ang_arb":
+            return build_ang_arb(n, latent_dim, self.entangle, obs)
+        if self.kind == "amp_gen":
+            return build_amp_gen(n, self.entangle, obs)
+        return build_qcnn(n)
+
+
+@dataclass(frozen=True)
+class ModelConfig:
+    """One point of the experiment grid."""
+
+    family: str  # "hybrid" | "classical"
+    preproc: str
+    latent_dim: int
+    tanh_pi: bool = False
+    qnn: QnnArch | None = None
+    head: str | None = None
+    seed: int = 0
+
+    def __post_init__(self):
+        if self.preproc not in PREPROCS:
+            raise ValueError(f"unknown preproc {self.preproc!r}")
+        if self.latent_dim not in QUBITS_FOR_LATENT:
+            raise ValueError(f"latent_dim must be one of {sorted(QUBITS_FOR_LATENT)}")
+        if self.family == "hybrid":
+            if self.qnn is None or self.head is not None:
+                raise ValueError("hybrid configs carry a qnn and no classical head")
+            if self.tanh_pi and self.qnn.kind not in ANGLE_KINDS:
+                raise ValueError("tanh_pi applies only to angle-encoded circuits")
+        elif self.family == "classical":
+            if self.head not in HEADS or self.qnn is not None:
+                raise ValueError("classical configs carry a head and no qnn")
+            if self.tanh_pi:
+                raise ValueError("tanh_pi applies only to angle-encoded circuits")
+        else:
+            raise ValueError(f"unknown family {self.family!r}")
+
+    @property
+    def group(self) -> str:
+        return "classical" if self.family == "classical" else GROUP_NAMES[self.qnn.kind]
+
+    @property
+    def label(self) -> str:
+        if self.family == "classical":
+            return f"classical-{self.preproc}-l{self.latent_dim}-{self.head}"
+        q = self.qnn
+        ent = "ent" if q.entangle else "noent"
+        tanh = "-tanh" if self.tanh_pi else ""
+        return f"hybrid-{q.kind}-{self.preproc}-l{self.latent_dim}-{ent}-{q.observable}{tanh}"
+
+    def to_dict(self) -> dict:
+        return asdict(self)
+
+    @staticmethod
+    def from_dict(d: dict) -> "ModelConfig":
+        q = d.get("qnn")
+        return ModelConfig(
+            family=d["family"],
+            preproc=d["preproc"],
+            latent_dim=int(d["latent_dim"]),
+            tanh_pi=bool(d.get("tanh_pi", False)),
+            qnn=None if q is None else QnnArch(q["kind"], bool(q["entangle"]), q["observable"]),
+            head=d.get("head"),
+            seed=int(d.get("seed", 0)),
+        )
+
+    def config_hash(self) -> str:
+        blob = json.dumps(self.to_dict(), sort_keys=True).encode()
+        return hashlib.sha256(blob).hexdigest()
+
+
+# ---------------------------------------------------------------------------
+# Grid expansion and the run-configuration file.
+# ---------------------------------------------------------------------------
+
+
+def _as_list(value) -> list:
+    return list(value) if isinstance(value, (list, tuple)) else [value]
+
+
+def expand_grid(run_cfg: dict) -> list[ModelConfig]:
+    """Enumerate ModelConfigs for the axes in ``run_cfg`` (defaults = full grid)."""
+    families = _as_list(run_cfg.get("families", ["hybrid", "classical"]))
+    preprocs = _as_list(run_cfg.get("preproc", list(PREPROCS)))
+    latents = [int(v) for v in _as_list(run_cfg.get("latent", [16, 256]))]
+    kinds = _as_list(run_cfg.get("qnn", list(QNN_KINDS)))
+    entangles = [bool(v) for v in _as_list(run_cfg.get("entangle", [True, False]))]
+    observables = _as_list(run_cfg.get("observable", ["local", "global"]))
+    heads = _as_list(run_cfg.get("heads", list(HEADS)))
+    tanhs = [bool(v) for v in _as_list(run_cfg.get("tanh", [True, False]))]
+    seed = int(run_cfg.get("seed", 0))
+    for name, axis in {
+        "families": families,
+        "preproc": preprocs,
+        "latent": latents,
+        "qnn": kinds,
+        "entangle": entangles,
+        "observable": observables,
+        "heads": heads,
+        "tanh": tanhs,
+    }.items():
+        if not axis:
+            raise ValueError(f"empty axis {name!r}")
+
+    configs: list[ModelConfig] = []
+    if "hybrid" in families:
+        for kind in kinds:
+            for preproc in preprocs:
+                for latent in latents:
+                    base = dict(family="hybrid", preproc=preproc, latent_dim=latent, seed=seed)
+                    if kind in ANGLE_KINDS:
+                        for tanh in tanhs:
+                            for ent in entangles:
+                                for obs in observables:
+                                    configs.append(
+                                        ModelConfig(
+                                            tanh_pi=tanh, qnn=QnnArch(kind, ent, obs), **base
+                                        )
+                                    )
+                    elif kind == "amp_gen":
+                        for ent in entangles:
+                            for obs in observables:
+                                configs.append(ModelConfig(qnn=QnnArch(kind, ent, obs), **base))
+                    else:  # qcnn
+                        configs.append(ModelConfig(qnn=QnnArch(kind, True, "single"), **base))
+    if "classical" in families:
+        for preproc in preprocs:
+            for latent in latents:
+                for head in heads:
+                    configs.append(
+                        ModelConfig(
+                            family="classical",
+                            preproc=preproc,
+                            latent_dim=latent,
+                            head=head,
+                            seed=seed,
+                        )
+                    )
+    if not configs:
+        raise ValueError("grid expansion produced no configurations")
+    return configs
+
+
+def _coerce(token: str):
+    low = token.lower()
+    if low == "true":
+        return True
+    if low == "false":
+        return False
+    for cast in (int, float):
+        try:
+            return cast(token)
+        except ValueError:
+            pass
+    return token
+
+
+def parse_run_config(path) -> dict:
+    """Read a flat ``key = value`` run configuration.
+
+    ``#`` starts a comment; comma-separated values become lists; tokens are
+    coerced to int/float/bool when they parse as such.
+    """
+    cfg: dict = {}
+    with open(path) as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            key, sep, val = line.partition("=")
+            key, val = key.strip(), val.strip()
+            if not sep or not key or not val:
+                raise ValueError(f"{path}:{line_no}: expected 'key = value', got {raw.rstrip()!r}")
+            if "," in val:
+                cfg[key] = [_coerce(tok.strip()) for tok in val.split(",") if tok.strip()]
+            else:
+                cfg[key] = _coerce(val)
+    return cfg
+
+
+class UnknownRunKeyError(ValueError):
+    """A run configuration holds a key that nothing reads."""
+
+
+def check_run_keys(run_cfg: dict) -> None:
+    """Refuse unknown keys: a misspelt key would silently leave its default in force."""
+    unknown = sorted(set(run_cfg) - RUN_KEYS)
+    if unknown:
+        raise UnknownRunKeyError(
+            f"unknown run-config key(s) {', '.join(map(repr, unknown))}; "
+            f"known keys: {', '.join(sorted(RUN_KEYS))}"
+        )
+
+
+def load_run_dataset(run_cfg: dict, data_dir: Path) -> Dataset:
+    """Materialize the dataset named by the run configuration."""
+    name = run_cfg.get("dataset", "blobs")
+    seed = int(run_cfg.get("seed", 0))
+    if name == "blobs":
+        return synth_blobs(
+            n=int(run_cfg.get("blobs_n", 512)),
+            dim=int(run_cfg.get("blobs_dim", 16)),
+            separation=float(run_cfg.get("blobs_separation", 10.0)),
+            seed=seed,
+        )
+    if name == "synth_beats":
+        return synth_beats(
+            n=int(run_cfg.get("beats_n", 2000)),
+            seed=seed,
+            n_subjects=int(run_cfg.get("beats_subjects", 20)),
+            noise=float(run_cfg.get("beats_noise", 0.35)),
+            ambiguity=float(run_cfg.get("beats_ambiguity", 0.065)),
+        )
+    if name == "beats_csv":
+        return load_beats_csv(Path(data_dir) / run_cfg.get("beats_file", "beats.csv"))
+    if name == "npz":
+        if "npz_file" not in run_cfg:
+            raise ValueError("dataset npz requires npz_file")
+        return load_npz(
+            Path(data_dir) / run_cfg["npz_file"],
+            run_cfg.get("images_key", "images"),
+            run_cfg.get("labels_key", "labels"),
+        )
+    raise ValueError(f"unknown dataset {name!r}")
+
+
+def default_batch_size(dataset: Dataset) -> int:
+    """256 for flat 1-D samples, 64 for image/volume samples."""
+    return 256 if len(dataset.sample_shape) == 1 else 64

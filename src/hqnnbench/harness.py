@@ -1,12 +1,9 @@
-"""Experiment orchestration: config grid, training runs, aggregation, CLI.
+"""Training runs: models, k-fold training, the grid runner and the CLI.
 
-The default grid crosses pre-processing depth (conv3/conv1/conv0), latent
-dimension (16/256), the pi*tanh activation toggle (angle-encoded hybrids
-only), four circuit families (Ang-RY, Ang-Arb, Amp-Gen, QCNN) with their
-entanglement/observable axes, and four classical heads -- 150 configurations.
-Every configuration trains over k folds with Adam on BCE-with-logits,
-records the best value of each validation metric per fold, and aggregates
-fold bests (mean by default).
+Every configuration (see ``config``) trains over k folds with Adam on
+BCE-with-logits, records the best value of each validation metric per fold,
+and aggregates fold bests (mean by default). ``run_grid`` trains a grid and
+writes its comparison tables (see ``tables``).
 
 Persistence: ``results.jsonl`` holds one JSON object per configuration with
 sorted keys and no timing information, so identical runs produce
@@ -14,12 +11,14 @@ byte-identical files; wall-clock timings go to ``timings.jsonl``. Completed
 configurations (keyed by config hash) are skipped on re-run; a re-run whose
 epochs, folds, seed, batch size, aggregate, dataset name or data digest
 differ from the stored ``run_meta.json`` is refused.
+
+Training and run code call the layers through this module's globals, where
+``perfbench/spans.py`` wraps them for its traced runs.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import math
@@ -44,284 +43,24 @@ from .classical import (
     stack_forward,
     stack_params,
 )
-from .data import Dataset, FoldPlan, load_beats_csv, load_npz, make_folds, synth_beats, synth_blobs
-from .metrics import MetricReport
-from .qnn import (
-    Circuit,
-    build_amp_gen,
-    build_ang_arb,
-    build_ang_ry,
-    build_qcnn,
-    init_params,
-    qnn_backward_batch,
-    qnn_forward_batch,
+from .config import (
+    METRIC_NAMES,
+    ModelConfig,
+    UnknownRunKeyError,
+    check_run_keys,
+    default_batch_size,
+    expand_grid,
+    load_run_dataset,
+    parse_run_config,
 )
-from .statevec import EncodingError, Observable
-from .stats import bonferroni, mann_whitney_u, wilcoxon_signed_rank
 
-QUBITS_FOR_LATENT = {16: 4, 256: 8}
-PREPROCS = ("conv3", "conv1", "conv0")
-HEADS = ("none", "fcnone", "fcrelu", "mlp")
-QNN_KINDS = ("ang_ry", "ang_arb", "amp_gen", "qcnn")
-ANGLE_KINDS = ("ang_ry", "ang_arb")
-GROUP_NAMES = {"ang_ry": "Ang-RY", "ang_arb": "Ang-Arb", "amp_gen": "Amp-Gen", "qcnn": "QCNN"}
-METRIC_NAMES = ("roc_auc", "avg_precision", "balanced_acc")
-
-
-@dataclass(frozen=True)
-class QnnArch:
-    """One circuit family plus its entanglement/observable switches."""
-
-    kind: str
-    entangle: bool = True
-    observable: str = "global"  # "local" | "global" | "single"
-
-    def __post_init__(self):
-        if self.kind not in QNN_KINDS:
-            raise ValueError(f"unknown qnn kind {self.kind!r}")
-        if self.kind == "qcnn":
-            if not self.entangle or self.observable != "single":
-                raise ValueError("qcnn always entangles and measures a single final qubit")
-        elif self.observable not in ("local", "global"):
-            raise ValueError(f"observable must be local or global, got {self.observable!r}")
-
-    def build(self, latent_dim: int) -> Circuit:
-        if latent_dim not in QUBITS_FOR_LATENT:
-            raise ValueError(f"latent_dim must be one of {sorted(QUBITS_FOR_LATENT)}")
-        n = QUBITS_FOR_LATENT[latent_dim]
-        obs = Observable.local_z() if self.observable == "local" else Observable.global_z()
-        if self.kind == "ang_ry":
-            return build_ang_ry(n, latent_dim, self.entangle, obs)
-        if self.kind == "ang_arb":
-            return build_ang_arb(n, latent_dim, self.entangle, obs)
-        if self.kind == "amp_gen":
-            return build_amp_gen(n, self.entangle, obs)
-        return build_qcnn(n)
-
-
-@dataclass(frozen=True)
-class ModelConfig:
-    """One point of the experiment grid."""
-
-    family: str  # "hybrid" | "classical"
-    preproc: str
-    latent_dim: int
-    tanh_pi: bool = False
-    qnn: QnnArch | None = None
-    head: str | None = None
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.preproc not in PREPROCS:
-            raise ValueError(f"unknown preproc {self.preproc!r}")
-        if self.latent_dim not in QUBITS_FOR_LATENT:
-            raise ValueError(f"latent_dim must be one of {sorted(QUBITS_FOR_LATENT)}")
-        if self.family == "hybrid":
-            if self.qnn is None or self.head is not None:
-                raise ValueError("hybrid configs carry a qnn and no classical head")
-            if self.tanh_pi and self.qnn.kind not in ANGLE_KINDS:
-                raise ValueError("tanh_pi applies only to angle-encoded circuits")
-        elif self.family == "classical":
-            if self.head not in HEADS or self.qnn is not None:
-                raise ValueError("classical configs carry a head and no qnn")
-            if self.tanh_pi:
-                raise ValueError("tanh_pi applies only to angle-encoded circuits")
-        else:
-            raise ValueError(f"unknown family {self.family!r}")
-
-    @property
-    def group(self) -> str:
-        return "classical" if self.family == "classical" else GROUP_NAMES[self.qnn.kind]
-
-    @property
-    def label(self) -> str:
-        if self.family == "classical":
-            return f"classical-{self.preproc}-l{self.latent_dim}-{self.head}"
-        q = self.qnn
-        ent = "ent" if q.entangle else "noent"
-        tanh = "-tanh" if self.tanh_pi else ""
-        return f"hybrid-{q.kind}-{self.preproc}-l{self.latent_dim}-{ent}-{q.observable}{tanh}"
-
-    def to_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "preproc": self.preproc,
-            "latent_dim": self.latent_dim,
-            "tanh_pi": self.tanh_pi,
-            "qnn": None
-            if self.qnn is None
-            else {
-                "kind": self.qnn.kind,
-                "entangle": self.qnn.entangle,
-                "observable": self.qnn.observable,
-            },
-            "head": self.head,
-            "seed": self.seed,
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "ModelConfig":
-        q = d.get("qnn")
-        return ModelConfig(
-            family=d["family"],
-            preproc=d["preproc"],
-            latent_dim=int(d["latent_dim"]),
-            tanh_pi=bool(d.get("tanh_pi", False)),
-            qnn=None if q is None else QnnArch(q["kind"], bool(q["entangle"]), q["observable"]),
-            head=d.get("head"),
-            seed=int(d.get("seed", 0)),
-        )
-
-    def config_hash(self) -> str:
-        blob = json.dumps(self.to_dict(), sort_keys=True).encode()
-        return hashlib.sha256(blob).hexdigest()
-
-
-# ---------------------------------------------------------------------------
-# Grid expansion and the run-configuration file.
-# ---------------------------------------------------------------------------
-
-
-def _as_list(value) -> list:
-    return list(value) if isinstance(value, (list, tuple)) else [value]
-
-
-def expand_grid(run_cfg: dict) -> list[ModelConfig]:
-    """Enumerate ModelConfigs for the axes in ``run_cfg`` (defaults = full grid)."""
-    families = _as_list(run_cfg.get("families", ["hybrid", "classical"]))
-    preprocs = _as_list(run_cfg.get("preproc", list(PREPROCS)))
-    latents = [int(v) for v in _as_list(run_cfg.get("latent", [16, 256]))]
-    kinds = _as_list(run_cfg.get("qnn", list(QNN_KINDS)))
-    entangles = [bool(v) for v in _as_list(run_cfg.get("entangle", [True, False]))]
-    observables = _as_list(run_cfg.get("observable", ["local", "global"]))
-    heads = _as_list(run_cfg.get("heads", list(HEADS)))
-    tanhs = [bool(v) for v in _as_list(run_cfg.get("tanh", [True, False]))]
-    seed = int(run_cfg.get("seed", 0))
-    for name, axis in {
-        "families": families,
-        "preproc": preprocs,
-        "latent": latents,
-        "qnn": kinds,
-        "entangle": entangles,
-        "observable": observables,
-        "heads": heads,
-        "tanh": tanhs,
-    }.items():
-        if not axis:
-            raise ValueError(f"empty axis {name!r}")
-
-    configs: list[ModelConfig] = []
-    if "hybrid" in families:
-        for kind in kinds:
-            for preproc in preprocs:
-                for latent in latents:
-                    base = dict(family="hybrid", preproc=preproc, latent_dim=latent, seed=seed)
-                    if kind in ANGLE_KINDS:
-                        for tanh in tanhs:
-                            for ent in entangles:
-                                for obs in observables:
-                                    configs.append(
-                                        ModelConfig(
-                                            tanh_pi=tanh, qnn=QnnArch(kind, ent, obs), **base
-                                        )
-                                    )
-                    elif kind == "amp_gen":
-                        for ent in entangles:
-                            for obs in observables:
-                                configs.append(ModelConfig(qnn=QnnArch(kind, ent, obs), **base))
-                    else:  # qcnn
-                        configs.append(ModelConfig(qnn=QnnArch(kind, True, "single"), **base))
-    if "classical" in families:
-        for preproc in preprocs:
-            for latent in latents:
-                for head in heads:
-                    configs.append(
-                        ModelConfig(
-                            family="classical",
-                            preproc=preproc,
-                            latent_dim=latent,
-                            head=head,
-                            seed=seed,
-                        )
-                    )
-    if not configs:
-        raise ValueError("grid expansion produced no configurations")
-    return configs
-
-
-def _coerce(token: str):
-    low = token.lower()
-    if low == "true":
-        return True
-    if low == "false":
-        return False
-    for cast in (int, float):
-        try:
-            return cast(token)
-        except ValueError:
-            pass
-    return token
-
-
-def parse_run_config(path) -> dict:
-    """Read a flat ``key = value`` run configuration.
-
-    ``#`` starts a comment; comma-separated values become lists; tokens are
-    coerced to int/float/bool when they parse as such.
-    """
-    cfg: dict = {}
-    with open(path) as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, sep, val = line.partition("=")
-            key, val = key.strip(), val.strip()
-            if not sep or not key or not val:
-                raise ValueError(f"{path}:{line_no}: expected 'key = value', got {raw.rstrip()!r}")
-            if "," in val:
-                cfg[key] = [_coerce(tok.strip()) for tok in val.split(",") if tok.strip()]
-            else:
-                cfg[key] = _coerce(val)
-    return cfg
-
-
-def load_run_dataset(run_cfg: dict, data_dir: Path) -> Dataset:
-    """Materialize the dataset named by the run configuration."""
-    name = run_cfg.get("dataset", "blobs")
-    seed = int(run_cfg.get("seed", 0))
-    if name == "blobs":
-        return synth_blobs(
-            n=int(run_cfg.get("blobs_n", 512)),
-            dim=int(run_cfg.get("blobs_dim", 16)),
-            separation=float(run_cfg.get("blobs_separation", 10.0)),
-            seed=seed,
-        )
-    if name == "synth_beats":
-        return synth_beats(
-            n=int(run_cfg.get("beats_n", 2000)),
-            seed=seed,
-            n_subjects=int(run_cfg.get("beats_subjects", 20)),
-            noise=float(run_cfg.get("beats_noise", 0.35)),
-            ambiguity=float(run_cfg.get("beats_ambiguity", 0.065)),
-        )
-    if name == "beats_csv":
-        return load_beats_csv(Path(data_dir) / run_cfg.get("beats_file", "beats.csv"))
-    if name == "npz":
-        if "npz_file" not in run_cfg:
-            raise ValueError("dataset npz requires npz_file")
-        return load_npz(
-            Path(data_dir) / run_cfg["npz_file"],
-            run_cfg.get("images_key", "images"),
-            run_cfg.get("labels_key", "labels"),
-        )
-    raise ValueError(f"unknown dataset {name!r}")
-
-
-def default_batch_size(dataset: Dataset) -> int:
-    """256 for flat 1-D samples, 64 for image/volume samples."""
-    return 256 if len(dataset.sample_shape) == 1 else 64
-
+# Not used here: perfbench and tests/test_acceptance.py read them as harness attributes.
+from .config import PREPROCS, QNN_KINDS, QUBITS_FOR_LATENT, QnnArch  # noqa: F401
+from .data import Dataset, FoldPlan, make_folds
+from .metrics import MetricReport
+from .qnn import init_params, qnn_backward_batch, qnn_forward_batch
+from .statevec import EncodingError
+from .tables import aggregate_tables, write_tables
 
 # ---------------------------------------------------------------------------
 # Models.
@@ -337,7 +76,7 @@ class HybridModel:
         )
         self.circuit = config.qnn.build(config.latent_dim)
         self.theta = Param(init_params(self.circuit.n_params, rng))
-        self.head = build_head("linear_out", self.circuit.out_dim, rng=rng)
+        self.head = build_head("none", self.circuit.out_dim, rng=rng)
         self._cache = None
 
     def parameters(self) -> list[Param]:
@@ -496,220 +235,19 @@ def run_experiment(
 
 
 # ---------------------------------------------------------------------------
-# Aggregation tables and comparisons.
-# ---------------------------------------------------------------------------
-
-GROUP_ORDER = ("classical", "Ang-RY", "Ang-Arb", "Amp-Gen", "QCNN")
-COMPARE_METRIC = "roc_auc"
-
-
-def _row_group(row: dict) -> str:
-    cfg = row["config"]
-    return "classical" if cfg["family"] == "classical" else GROUP_NAMES[cfg["qnn"]["kind"]]
-
-
-def _match_key(cfg: dict, drop: str) -> str:
-    redacted = json.loads(json.dumps(cfg))
-    if drop in redacted:
-        redacted[drop] = None
-    else:
-        redacted["qnn"][drop] = None
-    redacted.pop("seed", None)
-    return json.dumps(redacted, sort_keys=True)
-
-
-def _paired_scores(rows: list[dict], drop: str, val_a, val_b, keep=None):
-    """Aggregate scores paired across configs equal except in one field."""
-    buckets: dict[str, dict] = {}
-    for row in rows:
-        cfg = row["config"]
-        if keep is not None and not keep(cfg):
-            continue
-        axis_value = cfg[drop] if drop in cfg else cfg["qnn"][drop]
-        buckets.setdefault(_match_key(cfg, drop), {})[axis_value] = row["aggregate"][COMPARE_METRIC]
-    xs, ys = [], []
-    for _, pair in sorted(buckets.items()):
-        if val_a in pair and val_b in pair:
-            xs.append(pair[val_a])
-            ys.append(pair[val_b])
-    return xs, ys
-
-
-def _paired_test(xs: list[float], ys: list[float]):
-    try:
-        res = wilcoxon_signed_rank(xs, ys)
-        return res.statistic, res.p_value, res.method
-    except ValueError:
-        # identical lists: no evidence of any difference
-        return 0.0, 1.0, "WilcoxonExact"
-
-
-def aggregate_tables(rows: list[dict], alpha: float = 0.05):
-    """Summaries over completed runs.
-
-    Returns ``(table1, comparisons, boxplot)`` where table1 rows are
-    group/metric median-min-max, comparisons pair axis values (paired
-    signed-rank tests) and groups (unpaired U tests) on the ROC-AUC
-    aggregate with Bonferroni correction over the whole table, and boxplot
-    rows are per-config (group, score) points.
-    """
-    if not rows:
-        raise ValueError("no results to aggregate")
-    done = [r for r in rows if r.get("aggregate")]
-    groups_all = {_row_group(r) for r in rows}
-    by_group: dict[str, list[dict]] = {}
-    for r in done:
-        by_group.setdefault(_row_group(r), []).append(r)
-    for g in sorted(groups_all):
-        if g not in by_group:
-            raise ValueError(f"group {g!r} has zero completed runs")
-
-    table1 = []
-    for g in GROUP_ORDER:
-        if g not in by_group:
-            continue
-        for m in METRIC_NAMES:
-            scores = [r["aggregate"][m] for r in by_group[g]]
-            table1.append(
-                {
-                    "group": g,
-                    "metric": m,
-                    "median": median(scores),
-                    "min": min(scores),
-                    "max": max(scores),
-                }
-            )
-
-    is_hybrid = lambda c: c["family"] == "hybrid"  # noqa: E731
-    of_kinds = lambda *kinds: (lambda c: is_hybrid(c) and c["qnn"]["kind"] in kinds)  # noqa: E731
-    comparisons = []
-
-    def add_paired(axis: str, drop: str, val_a, val_b, name_a: str, name_b: str, keep=None):
-        xs, ys = _paired_scores(done, drop, val_a, val_b, keep)
-        if not xs:
-            return
-        stat, p, method = _paired_test(xs, ys)
-        comparisons.append(
-            {
-                "axis": axis,
-                "group_a": name_a,
-                "group_b": name_b,
-                "test": method,
-                "n_a": len(xs),
-                "n_b": len(ys),
-                "statistic": stat,
-                "raw_p": p,
-            }
-        )
-
-    for a, b in (("conv3", "conv1"), ("conv3", "conv0"), ("conv1", "conv0")):
-        add_paired("preproc", "preproc", a, b, a, b)
-    add_paired("latent_dim", "latent_dim", 16, 256, "latent16", "latent256")
-    add_paired(
-        "activation", "tanh_pi", True, False, "tanh_pi", "identity", keep=of_kinds(*ANGLE_KINDS)
-    )
-    add_paired(
-        "entanglement",
-        "entangle",
-        True,
-        False,
-        "entangled",
-        "unentangled",
-        keep=of_kinds("ang_ry", "ang_arb", "amp_gen"),
-    )
-    for kind in ("ang_ry", "ang_arb", "amp_gen"):
-        add_paired(
-            f"observable[{GROUP_NAMES[kind]}]",
-            "observable",
-            "local",
-            "global",
-            "local",
-            "global",
-            keep=of_kinds(kind),
-        )
-    present = [g for g in GROUP_ORDER if g in by_group]
-    for i, ga in enumerate(present):
-        for gb in present[i + 1 :]:
-            a_scores = [r["aggregate"][COMPARE_METRIC] for r in by_group[ga]]
-            b_scores = [r["aggregate"][COMPARE_METRIC] for r in by_group[gb]]
-            res = mann_whitney_u(a_scores, b_scores)
-            comparisons.append(
-                {
-                    "axis": "group",
-                    "group_a": ga,
-                    "group_b": gb,
-                    "test": res.method,
-                    "n_a": len(a_scores),
-                    "n_b": len(b_scores),
-                    "statistic": res.statistic,
-                    "raw_p": res.p_value,
-                }
-            )
-
-    corrected = bonferroni([c["raw_p"] for c in comparisons]) if comparisons else []
-    for c, cp in zip(comparisons, corrected):
-        c["corrected_p"] = float(cp)
-        c["significant_at_0.05"] = bool(cp < alpha)
-
-    boxplot = [
-        {"group": _row_group(r), "aggregate_score": r["aggregate"][COMPARE_METRIC]} for r in done
-    ]
-    return table1, comparisons, boxplot
-
-
-def _write_csv(path: Path, rows: list[dict], columns: list[str]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=columns)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({c: row.get(c, "") for c in columns})
-
-
-def write_tables(out_dir: Path, rows: list[dict]) -> None:
-    table1, comparisons, boxplot = aggregate_tables(rows)
-    _write_csv(out_dir / "table1.csv", table1, ["group", "metric", "median", "min", "max"])
-    _write_csv(
-        out_dir / "comparisons.csv",
-        comparisons,
-        [
-            "axis",
-            "group_a",
-            "group_b",
-            "test",
-            "n_a",
-            "n_b",
-            "statistic",
-            "raw_p",
-            "corrected_p",
-            "significant_at_0.05",
-        ],
-    )
-    _write_csv(out_dir / "boxplot_data.csv", boxplot, ["group", "aggregate_score"])
-
-
-# ---------------------------------------------------------------------------
 # Run command plumbing (sequential or process-parallel over configs).
 # ---------------------------------------------------------------------------
 
-_WORKER_STATE: dict = {}
+_WORKER_ARGS: tuple = ()  # a pool worker's (dataset, folds, epochs, batch_size, aggregate)
 
 
-def _init_worker(dataset, folds, epochs, batch_size, aggregate):
-    _WORKER_STATE.update(
-        dataset=dataset, folds=folds, epochs=epochs, batch_size=batch_size, aggregate=aggregate
-    )
+def _init_worker(*args) -> None:
+    global _WORKER_ARGS
+    _WORKER_ARGS = args
 
 
 def _run_one(config_dict: dict):
-    config = ModelConfig.from_dict(config_dict)
-    result = run_experiment(
-        config,
-        _WORKER_STATE["dataset"],
-        _WORKER_STATE["folds"],
-        _WORKER_STATE["epochs"],
-        _WORKER_STATE["batch_size"],
-        _WORKER_STATE["aggregate"],
-    )
+    result = run_experiment(ModelConfig.from_dict(config_dict), *_WORKER_ARGS)
     return result.to_json_dict(), result.wall_times
 
 
@@ -776,6 +314,7 @@ def run_grid(
     progress=None,
 ) -> list[dict]:
     """Execute the configured grid, append results, and write tables."""
+    check_run_keys(run_cfg)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     dataset = load_run_dataset(run_cfg, Path(data_dir))
@@ -837,12 +376,12 @@ def run_grid(
             for json_dict, wall_times in pool.map(_run_one, [c.to_dict() for c in todo]):
                 emit(json_dict, wall_times)
     else:
-        _init_worker(dataset, folds, epochs, batch_size, aggregate)
         for config in todo:
-            emit(*_run_one(config.to_dict()))
+            result = run_experiment(config, dataset, folds, epochs, batch_size, aggregate)
+            emit(result.to_json_dict(), result.wall_times)
 
     if rows:
-        write_tables(out_dir, rows)
+        write_tables(out_dir, *aggregate_tables(rows))
     return rows
 
 
@@ -876,10 +415,12 @@ def main(argv=None) -> int:
         if not rows:
             print(f"no results found in {out_dir}", file=sys.stderr)
             return 1
-        write_tables(out_dir, rows)
+        write_tables(out_dir, *aggregate_tables(rows))
         print(f"wrote table1.csv, comparisons.csv, boxplot_data.csv to {out_dir}")
         return 0
 
+    if args.jobs < 1:
+        p_run.error(f"--jobs must be at least 1, got {args.jobs}")
     run_cfg = parse_run_config(args.config)
     if args.epochs is not None:
         run_cfg["epochs"] = args.epochs
@@ -896,7 +437,7 @@ def main(argv=None) -> int:
 
     try:
         rows = run_grid(run_cfg, Path(args.data_dir), Path(args.out), jobs=args.jobs, progress=progress)
-    except ProtocolMismatchError as exc:
+    except (ProtocolMismatchError, UnknownRunKeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(f"{len(rows)} results in {Path(args.out) / 'results.jsonl'}")

@@ -102,14 +102,6 @@ class Angle:
     def param(index: int) -> "Angle":
         return Angle("param", index=index)
 
-    def resolve(self, inputs: np.ndarray, params: np.ndarray):
-        """Concrete angle value(s). Batched inputs yield one angle per row."""
-        if self.source == "const":
-            return self.value
-        if self.source == "input":
-            return inputs[..., self.index]
-        return params[..., self.index]
-
 
 def _as_angle(a) -> Angle:
     return a if isinstance(a, Angle) else Angle.const(a)

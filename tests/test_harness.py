@@ -2,30 +2,33 @@
 
 from __future__ import annotations
 
+import importlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import hqnnbench.harness as harness
-from hqnnbench.data import synth_blobs, make_folds
-from hqnnbench.harness import (
-    ExperimentResult,
-    HybridModel,
+from hqnnbench.config import (
     ModelConfig,
-    ProtocolMismatchError,
     QnnArch,
-    aggregate_tables,
-    build_model,
     default_batch_size,
     expand_grid,
     load_run_dataset,
-    main,
     parse_run_config,
+)
+from hqnnbench.data import synth_blobs, make_folds
+from hqnnbench.harness import (
+    HybridModel,
+    ProtocolMismatchError,
+    build_model,
+    main,
     run_experiment,
     run_grid,
 )
 from hqnnbench.statevec import EncodingError
+from hqnnbench.tables import aggregate_tables
 
 
 class TestQnnArch:
@@ -532,6 +535,12 @@ class TestRunGrid:
             tmp_path / "par/results.jsonl"
         ).read_bytes()
 
+    def test_unknown_key_is_refused(self, tmp_path):
+        for key in ("epoch", "fold"):
+            with pytest.raises(ValueError, match=f"'{key}'"):
+                run_grid(dict(TINY_RUN, **{key: 1}), tmp_path, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
     def test_progress_callback(self, tmp_path):
         seen = []
         run_grid(dict(TINY_RUN), tmp_path, tmp_path / "out", progress=seen.append)
@@ -593,6 +602,34 @@ class TestCli:
         rc = main(["run", "--config", str(cfg), "--data-dir", str(tmp_path), "--out", out, "--epochs", "2"])
         assert rc != 0
         assert "different protocol" in capsys.readouterr().err
+
+    def test_run_refuses_an_unknown_key(self, tmp_path, capsys):
+        cfg = self.write_cfg(tmp_path)
+        cfg.write_text(cfg.read_text() + "epoch = 1\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--data-dir", str(tmp_path), "--out", str(out)]) == 2
+        assert "'epoch'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_rejected(self, tmp_path, capsys, jobs):
+        cfg = self.write_cfg(tmp_path)
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--config", str(cfg), "--data-dir", str(tmp_path), "--out", str(out),
+                  "--epochs", "1", "--jobs", jobs])
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_console_scripts_resolve(self):
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+        assert scripts
+        for name, target in scripts.items():
+            module, _, attr = target.partition(":")
+            assert callable(getattr(importlib.import_module(module), attr, None)), name
 
     def test_selftest_is_unknown_command(self, capsys):
         with pytest.raises(SystemExit) as exc:
