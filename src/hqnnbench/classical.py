@@ -6,13 +6,12 @@ Everything here is plain numpy. Each layer stores its parameters as
 * ``forward(x, training)``  -> output, caching whatever backward needs,
 * ``backward(grad_out)``    -> grad wrt input, accumulating into ``p.grad``;
   layers with parameters take ``input_grad=False`` to accumulate only,
-* ``params()``              -> list of trainable ``Param``s,
-* ``out_shape(in_shape)``   -> static shape inference (no batch axis).
+* ``params()``              -> list of trainable ``Param``s.
 
 Arrays use shape (batch, channels, *spatial). Convolutions are
-dimension-agnostic (1-D/2-D/3-D) and are lowered to BLAS matrix products
-(im2col + GEMM): a strided window view of the padded input is copied into
-per-sample (C_in * k**ndim, positions) column matrices; batched matmuls
+dimension-agnostic (1-D/2-D/3-D), run at stride 1 and are lowered to BLAS
+matrix products (im2col + GEMM): a window view of the padded input is copied
+into per-sample (C_in * k**ndim, positions) column matrices; batched matmuls
 with the (C_out, C_in * k**ndim) weight matrix give the output, the weight
 gradient and the input-gradient columns, which are slice-added back onto the
 input grid. The column copy is bounded by ``_CONV_COLS_BYTES``; a batch
@@ -49,7 +48,7 @@ def _uniform_fan_in(rng: np.random.Generator, fan_in: int, shape: tuple[int, ...
 
 
 class Layer:
-    """Base class; subclasses override forward/backward/params/out_shape."""
+    """Base class; subclasses override forward/backward/params."""
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         raise NotImplementedError
@@ -59,9 +58,6 @@ class Layer:
 
     def params(self) -> list[Param]:
         return []
-
-    def out_shape(self, in_shape: tuple[int, ...]) -> tuple[int, ...]:
-        return in_shape
 
 
 class FullyConnected(Layer):
@@ -86,11 +82,6 @@ class FullyConnected(Layer):
     def params(self):
         return [self.weight, self.bias]
 
-    def out_shape(self, in_shape):
-        if len(in_shape) != 1 or in_shape[0] != self.in_dim:
-            raise ValueError(f"expected ({self.in_dim},), got {in_shape}")
-        return (self.out_dim,)
-
 
 def _pad_spatial(x: np.ndarray, pad: int) -> np.ndarray:
     if pad == 0:
@@ -107,7 +98,7 @@ _CONV_COLS_BYTES = 1 << 24
 
 
 class Conv(Layer):
-    """N-dimensional convolution (cross-correlation) with the same stride and
+    """N-dimensional convolution (cross-correlation) at stride 1 with the same
     zero padding along every spatial axis.
 
     Weight shape is (out_channels, in_channels, k, k, ...)."""
@@ -119,14 +110,12 @@ class Conv(Layer):
         kernel_size: int,
         ndim: int,
         rng: np.random.Generator,
-        stride: int = 1,
         padding: int = 0,
     ):
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.kernel_size = kernel_size
         self.ndim = ndim
-        self.stride = stride
         self.padding = padding
         fan_in = in_channels * kernel_size**ndim
         self.weight = Param(
@@ -136,13 +125,6 @@ class Conv(Layer):
         self._xp: np.ndarray | None = None
         self._in_spatial: tuple[int, ...] | None = None
 
-    def _out_spatial(self, spatial: tuple[int, ...]) -> tuple[int, ...]:
-        k, s, p = self.kernel_size, self.stride, self.padding
-        out = tuple((d + 2 * p - k) // s + 1 for d in spatial)
-        if any(d < 1 for d in out):
-            raise ValueError(f"spatial shape {spatial} too small for kernel {k}")
-        return out
-
     def _columns(self, xp: np.ndarray) -> tuple[np.ndarray, list[slice]]:
         """Window view of ``xp`` as (B, C_in, *k, *out) and its batch chunks.
 
@@ -151,7 +133,6 @@ class Conv(Layer):
         """
         nd = self.ndim
         win = sliding_window_view(xp, (self.kernel_size,) * nd, axis=tuple(range(2, 2 + nd)))
-        win = win[(slice(None), slice(None)) + (slice(None, None, self.stride),) * nd]
         win = win.transpose((0, 1) + tuple(range(2 + nd, 2 + 2 * nd)) + tuple(range(2, 2 + nd)))
         step = max(1, _CONV_COLS_BYTES // (math.prod(win.shape[1:]) * win.itemsize))
         return win, [slice(b, b + step) for b in range(0, xp.shape[0], step)]
@@ -160,10 +141,12 @@ class Conv(Layer):
         if x.ndim != self.ndim + 2 or x.shape[1] != self.in_channels:
             raise ValueError(f"expected (B, {self.in_channels}, {'x'.join('*' * self.ndim)}), got {x.shape}")
         self._in_spatial = x.shape[2:]
-        out_sp = self._out_spatial(x.shape[2:])
         xp = _pad_spatial(x, self.padding)
+        if any(d < self.kernel_size for d in xp.shape[2:]):
+            raise ValueError(f"spatial shape {x.shape[2:]} too small for kernel {self.kernel_size}")
         self._xp = xp
         win, chunks = self._columns(xp)
+        out_sp = win.shape[2 + self.ndim :]
         w2 = self.weight.value.reshape(self.out_channels, -1)
         y = np.empty((x.shape[0], self.out_channels) + out_sp)
         y3 = y.reshape(x.shape[0], self.out_channels, math.prod(out_sp))
@@ -197,19 +180,13 @@ class Conv(Layer):
 
     def _add_columns(self, grad_xp: np.ndarray, cols: np.ndarray, out_sp: tuple[int, ...]) -> None:
         """col2im: slice-add (b, C_in * k**ndim, prod(out)) columns onto the padded grid."""
-        k, s = self.kernel_size, self.stride
         cols = cols.reshape(cols.shape[:1] + self.weight.value.shape[1:] + out_sp)
-        for offset in np.ndindex(*(k,) * self.ndim):
-            sl = tuple(slice(o, o + s * d, s) for o, d in zip(offset, out_sp))
+        for offset in np.ndindex(*(self.kernel_size,) * self.ndim):
+            sl = tuple(slice(o, o + d) for o, d in zip(offset, out_sp))
             grad_xp[(slice(None), slice(None)) + sl] += cols[(slice(None), slice(None)) + offset]
 
     def params(self):
         return [self.weight, self.bias]
-
-    def out_shape(self, in_shape):
-        if len(in_shape) != self.ndim + 1 or in_shape[0] != self.in_channels:
-            raise ValueError(f"expected ({self.in_channels}, ...x{self.ndim}), got {in_shape}")
-        return (self.out_channels,) + self._out_spatial(in_shape[1:])
 
 
 class BatchNorm(Layer):
@@ -360,12 +337,6 @@ class MaxPool(Layer):
             _copy_where(grad_x[idx], grad_out, arg == j)
         return grad_x
 
-    def out_shape(self, in_shape):
-        k = self.kernel_size
-        if any(d < k for d in in_shape[1:]):
-            raise ValueError(f"spatial shape {in_shape[1:]} too small to pool by {k}")
-        return (in_shape[0],) + tuple(d // k for d in in_shape[1:])
-
 
 class Flatten(Layer):
     def __init__(self):
@@ -377,9 +348,6 @@ class Flatten(Layer):
 
     def backward(self, grad_out):
         return grad_out.reshape(self._shape)
-
-    def out_shape(self, in_shape):
-        return (int(np.prod(in_shape)),)
 
 
 class Reshape(Layer):
@@ -396,11 +364,6 @@ class Reshape(Layer):
     def backward(self, grad_out):
         return grad_out.reshape(self._shape)
 
-    def out_shape(self, in_shape):
-        if int(np.prod(in_shape)) != int(np.prod(self.target)):
-            raise ValueError(f"cannot reshape {in_shape} to {self.target}")
-        return self.target
-
 
 @dataclass
 class LayerStack:
@@ -408,13 +371,6 @@ class LayerStack:
 
     layers: list[Layer]
     in_shape: tuple[int, ...]
-
-    @property
-    def out_shape(self) -> tuple[int, ...]:
-        shape = self.in_shape
-        for layer in self.layers:
-            shape = layer.out_shape(shape)
-        return shape
 
 
 def stack_forward(stack: LayerStack, x: np.ndarray, training: bool = False) -> np.ndarray:
@@ -458,7 +414,7 @@ _CONV3_CHANNELS = (8, 16, 32)
 
 def _conv_block(in_ch: int, out_ch: int, ndim: int, rng: np.random.Generator) -> list[Layer]:
     return [
-        Conv(in_ch, out_ch, kernel_size=3, ndim=ndim, rng=rng, stride=1, padding=1),
+        Conv(in_ch, out_ch, kernel_size=3, ndim=ndim, rng=rng, padding=1),
         BatchNorm(out_ch),
         ReLU(),
         MaxPool(2, ndim),
@@ -500,9 +456,11 @@ def build_preprocessor(
         layers.append(Flatten())
     else:
         raise ValueError(f"unknown preprocessor variant {variant!r}")
-    # Walking out_shape here also rejects inputs too small to pool.
-    probe = LayerStack(layers=list(layers), in_shape=input_shape)
-    layers.append(FullyConnected(probe.out_shape[0], latent_dim, rng))
+    # One zero sample through the layers so far gives the projection's width
+    # and rejects inputs too small to convolve or pool. An eval-mode forward
+    # pass draws nothing from ``rng`` and leaves BatchNorm's statistics alone.
+    flat = stack_forward(LayerStack(list(layers), input_shape), np.zeros((1,) + input_shape))
+    layers.append(FullyConnected(flat.shape[1], latent_dim, rng))
     if tanh_pi:
         layers.append(TanhPi())
     return LayerStack(layers=layers, in_shape=input_shape)
@@ -565,6 +523,13 @@ def bce_with_logits(logits: np.ndarray, targets: np.ndarray) -> tuple[float, np.
     return loss, grad.reshape(np.asarray(logits).shape)
 
 
+# Adam's hyper-parameters (Kingma & Ba's defaults), the same for every run.
+ADAM_LR = 0.001
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
     """First/second moment buffers and step counter for one parameter set."""
@@ -572,18 +537,10 @@ class AdamState:
     m: list[np.ndarray]
     v: list[np.ndarray]
     t: int = 0
-    lr: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
 
-def adam_init(params: list[Param], lr: float = 0.001) -> AdamState:
-    return AdamState(
-        m=[np.zeros_like(p.value) for p in params],
-        v=[np.zeros_like(p.value) for p in params],
-        lr=lr,
-    )
+def adam_init(params: list[Param]) -> AdamState:
+    return AdamState(m=[np.zeros_like(p.value) for p in params], v=[np.zeros_like(p.value) for p in params])
 
 
 def adam_step(params: list[Param], state: AdamState) -> None:
@@ -593,11 +550,11 @@ def adam_step(params: list[Param], state: AdamState) -> None:
     ):
         raise ValueError("param list does not match optimizer state")
     state.t += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     bc1 = 1.0 - b1**state.t
     bc2 = 1.0 - b2**state.t
     for p, m, v in zip(params, state.m, state.v):
         m += (1.0 - b1) * (p.grad - m)
         v += (1.0 - b2) * (p.grad**2 - v)
-        p.value -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        p.value -= ADAM_LR * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
         p.zero_grad()

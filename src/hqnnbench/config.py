@@ -9,14 +9,16 @@ axes, and four classical heads -- 150 configurations.
 
 ``expand_grid`` enumerates the points a run configuration selects,
 ``parse_run_config`` reads the flat ``key = value`` file that holds it, and
-``check_run_keys`` rejects keys that nothing reads. ``load_run_dataset`` and
-``default_batch_size`` turn its dataset keys into a ``Dataset``.
+``check_run_config`` rejects keys that nothing reads and training-protocol
+values that no run accepts. ``load_run_dataset`` and ``default_batch_size``
+turn its dataset keys into a ``Dataset``.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -31,6 +33,7 @@ QNN_KINDS = ("ang_ry", "ang_arb", "amp_gen", "qcnn")
 ANGLE_KINDS = ("ang_ry", "ang_arb")
 GROUP_NAMES = {"ang_ry": "Ang-RY", "ang_arb": "Ang-Arb", "amp_gen": "Amp-Gen", "qcnn": "QCNN"}
 METRIC_NAMES = ("roc_auc", "avg_precision", "balanced_acc")
+AGGREGATES = ("mean", "median")
 
 # Every key a run configuration may hold: the grid axes, the training
 # protocol, and the dataset keys of the README's run-configuration table.
@@ -121,19 +124,6 @@ class ModelConfig:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    @staticmethod
-    def from_dict(d: dict) -> "ModelConfig":
-        q = d.get("qnn")
-        return ModelConfig(
-            family=d["family"],
-            preproc=d["preproc"],
-            latent_dim=int(d["latent_dim"]),
-            tanh_pi=bool(d.get("tanh_pi", False)),
-            qnn=None if q is None else QnnArch(q["kind"], bool(q["entangle"]), q["observable"]),
-            head=d.get("head"),
-            seed=int(d.get("seed", 0)),
-        )
 
     def config_hash(self) -> str:
         blob = json.dumps(self.to_dict(), sort_keys=True).encode()
@@ -249,18 +239,41 @@ def parse_run_config(path) -> dict:
     return cfg
 
 
-class UnknownRunKeyError(ValueError):
-    """A run configuration holds a key that nothing reads."""
+class RunConfigError(ValueError):
+    """A run configuration holds a key that nothing reads or a value that no run accepts."""
 
 
-def check_run_keys(run_cfg: dict) -> None:
-    """Refuse unknown keys: a misspelt key would silently leave its default in force."""
+# Least value of each integer training-protocol key.
+_LEAST = {"folds": 2, "epochs": 1, "batch_size": 1}
+
+
+def check_run_config(run_cfg: dict) -> None:
+    """Refuse unknown keys and out-of-range protocol values before any work starts.
+
+    A misspelt key would silently leave its default in force, and a bad
+    ``folds``, ``epochs``, ``batch_size`` or ``aggregate`` would fail only
+    after the data is loaded and the output directory written.
+    """
     unknown = sorted(set(run_cfg) - RUN_KEYS)
     if unknown:
-        raise UnknownRunKeyError(
+        raise RunConfigError(
             f"unknown run-config key(s) {', '.join(map(repr, unknown))}; "
             f"known keys: {', '.join(sorted(RUN_KEYS))}"
         )
+    for key, least in _LEAST.items():
+        value = run_cfg.get(key, least)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+            raise RunConfigError(f"{key} must be an integer of at least {least}, got {value!r}")
+    if run_cfg.get("aggregate", "mean") not in AGGREGATES:
+        raise RunConfigError(f"aggregate must be {' or '.join(AGGREGATES)}, got {run_cfg['aggregate']!r}")
+
+
+_BEATS_ARGS = {
+    "beats_n": ("n", int),
+    "beats_subjects": ("n_subjects", int),
+    "beats_noise": ("noise", float),
+    "beats_ambiguity": ("ambiguity", float),
+}
 
 
 def load_run_dataset(run_cfg: dict, data_dir: Path) -> Dataset:
@@ -275,13 +288,9 @@ def load_run_dataset(run_cfg: dict, data_dir: Path) -> Dataset:
             seed=seed,
         )
     if name == "synth_beats":
-        return synth_beats(
-            n=int(run_cfg.get("beats_n", 2000)),
-            seed=seed,
-            n_subjects=int(run_cfg.get("beats_subjects", 20)),
-            noise=float(run_cfg.get("beats_noise", 0.35)),
-            ambiguity=float(run_cfg.get("beats_ambiguity", 0.065)),
-        )
+        # Keys the configuration leaves out keep synth_beats' own defaults.
+        args = {arg: cast(run_cfg[key]) for key, (arg, cast) in _BEATS_ARGS.items() if key in run_cfg}
+        return synth_beats(seed=seed, **args)
     if name == "beats_csv":
         return load_beats_csv(Path(data_dir) / run_cfg.get("beats_file", "beats.csv"))
     if name == "npz":

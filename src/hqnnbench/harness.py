@@ -46,8 +46,8 @@ from .classical import (
 from .config import (
     METRIC_NAMES,
     ModelConfig,
-    UnknownRunKeyError,
-    check_run_keys,
+    RunConfigError,
+    check_run_config,
     default_batch_size,
     expand_grid,
     load_run_dataset,
@@ -204,12 +204,7 @@ def run_experiment(
     non-finite losses) abort the affected fold with a diagnostic record
     instead of raising.
     """
-    if epochs < 1:
-        raise ValueError("epochs must be at least 1")
-    if batch_size < 1:
-        raise ValueError("batch_size must be at least 1")
-    if aggregate not in ("mean", "median"):
-        raise ValueError("aggregate must be 'mean' or 'median'")
+    check_run_config({"epochs": epochs, "batch_size": batch_size, "aggregate": aggregate})
     hash_int = int(config.config_hash()[:16], 16)
     per_fold: list[dict | None] = [None] * folds.k
     wall: list[float] = [0.0] * folds.k
@@ -246,9 +241,8 @@ def _init_worker(*args) -> None:
     _WORKER_ARGS = args
 
 
-def _run_one(config_dict: dict):
-    result = run_experiment(ModelConfig.from_dict(config_dict), *_WORKER_ARGS)
-    return result.to_json_dict(), result.wall_times
+def _run_one(config: ModelConfig) -> ExperimentResult:
+    return run_experiment(config, *_WORKER_ARGS)
 
 
 def _load_existing(results_path: Path) -> list[dict]:
@@ -314,14 +308,14 @@ def run_grid(
     progress=None,
 ) -> list[dict]:
     """Execute the configured grid, append results, and write tables."""
-    check_run_keys(run_cfg)
+    check_run_config(run_cfg)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     dataset = load_run_dataset(run_cfg, Path(data_dir))
     seed = int(run_cfg.get("seed", 0))
-    k = int(run_cfg.get("folds", 5))
-    epochs = int(run_cfg.get("epochs", 50))
-    batch_size = int(run_cfg.get("batch_size", default_batch_size(dataset)))
+    k = run_cfg.get("folds", 5)
+    epochs = run_cfg.get("epochs", 50)
+    batch_size = run_cfg.get("batch_size", default_batch_size(dataset))
     aggregate = run_cfg.get("aggregate", "mean")
     folds = make_folds(dataset, k, seed)
     configs = expand_grid(run_cfg)
@@ -352,13 +346,14 @@ def run_grid(
     }
     meta_path.write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
 
-    def emit(json_dict: dict, wall_times: list[float]) -> None:
+    def emit(result: ExperimentResult) -> None:
+        json_dict = result.to_json_dict()
         with open(results_path, "a") as fh:
             fh.write(json.dumps(json_dict, sort_keys=True) + "\n")
         with open(out_dir / "timings.jsonl", "a") as fh:
             fh.write(
                 json.dumps(
-                    {"config_hash": json_dict["config_hash"], "wall_times": wall_times},
+                    {"config_hash": json_dict["config_hash"], "wall_times": result.wall_times},
                     sort_keys=True,
                 )
                 + "\n"
@@ -373,12 +368,11 @@ def run_grid(
             initializer=_init_worker,
             initargs=(dataset, folds, epochs, batch_size, aggregate),
         ) as pool:
-            for json_dict, wall_times in pool.map(_run_one, [c.to_dict() for c in todo]):
-                emit(json_dict, wall_times)
+            for result in pool.map(_run_one, todo):
+                emit(result)
     else:
         for config in todo:
-            result = run_experiment(config, dataset, folds, epochs, batch_size, aggregate)
-            emit(result.to_json_dict(), result.wall_times)
+            emit(run_experiment(config, dataset, folds, epochs, batch_size, aggregate))
 
     if rows:
         write_tables(out_dir, *aggregate_tables(rows))
@@ -437,7 +431,7 @@ def main(argv=None) -> int:
 
     try:
         rows = run_grid(run_cfg, Path(args.data_dir), Path(args.out), jobs=args.jobs, progress=progress)
-    except (ProtocolMismatchError, UnknownRunKeyError) as exc:
+    except (ProtocolMismatchError, RunConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(f"{len(rows)} results in {Path(args.out) / 'results.jsonl'}")

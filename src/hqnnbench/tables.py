@@ -18,7 +18,7 @@ from statistics import median
 from .config import ANGLE_KINDS, GROUP_NAMES, METRIC_NAMES
 from .stats import bonferroni, mann_whitney_u, wilcoxon_signed_rank
 
-GROUP_ORDER = ("classical", "Ang-RY", "Ang-Arb", "Amp-Gen", "QCNN")
+GROUP_ORDER = ("classical", *GROUP_NAMES.values())
 COMPARE_METRIC = "roc_auc"
 
 

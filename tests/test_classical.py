@@ -123,7 +123,7 @@ class TestFullyConnected:
 class TestConv:
     def test_delta_kernel_is_identity(self):
         rng = np.random.default_rng(3)
-        conv = Conv(1, 1, kernel_size=3, ndim=1, rng=rng, stride=1, padding=1)
+        conv = Conv(1, 1, kernel_size=3, ndim=1, rng=rng, padding=1)
         conv.weight.value[:] = np.array([[[0.0, 1.0, 0.0]]])
         conv.bias.value[:] = 0.0
         x = rng.normal(size=(2, 1, 9))
@@ -131,7 +131,7 @@ class TestConv:
 
     def test_matches_direct_convolution_2d(self):
         rng = np.random.default_rng(4)
-        conv = Conv(2, 3, kernel_size=3, ndim=2, rng=rng, stride=1, padding=1)
+        conv = Conv(2, 3, kernel_size=3, ndim=2, rng=rng, padding=1)
         x = rng.normal(size=(1, 2, 5, 5))
         y = conv.forward(x)
         xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
@@ -141,20 +141,10 @@ class TestConv:
                     ref = (xp[0, :, i_ : i_ + 3, j : j + 3] * conv.weight.value[o]).sum()
                     assert abs(y[0, o, i_, j] - ref - conv.bias.value[o]) < 1e-12
 
-    def test_stride_two(self):
-        rng = np.random.default_rng(5)
-        conv = Conv(1, 1, kernel_size=3, ndim=1, rng=rng, stride=2, padding=0)
-        x = rng.normal(size=(1, 1, 9))
-        y = conv.forward(x)
-        assert y.shape == (1, 1, 4)
-        w = conv.weight.value[0, 0]
-        for t in range(4):
-            assert abs(y[0, 0, t] - (x[0, 0, 2 * t : 2 * t + 3] * w).sum() - conv.bias.value[0]) < 1e-12
-
     def test_fd_all_dims(self):
         rng = np.random.default_rng(6)
         for ndim, spatial in ((1, (8,)), (2, (5, 5)), (3, (4, 4, 4))):
-            conv = Conv(2, 2, kernel_size=3, ndim=ndim, rng=rng, stride=1, padding=1)
+            conv = Conv(2, 2, kernel_size=3, ndim=ndim, rng=rng, padding=1)
             stack = LayerStack([conv], (2,) + spatial)
             fd_check_stack(stack, rng.normal(size=(2, 2) + spatial), rng, n_probe=10)
 
@@ -162,35 +152,35 @@ class TestConv:
         rng = np.random.default_rng(7)
         conv = Conv(1, 1, kernel_size=3, ndim=1, rng=rng)
         with pytest.raises(ValueError):
-            conv.out_shape((1, 2))
+            conv.forward(np.zeros((1, 1, 2)))
 
     @pytest.mark.parametrize("padding", [0, 1])
-    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("kernel_size", [1, 2, 3])
     @pytest.mark.parametrize("spatial", [(10,), (6, 7), (5, 4, 6)])
-    def test_matches_direct_oracle(self, spatial, stride, padding):
-        rng = np.random.default_rng([len(spatial), stride, padding])
-        conv = Conv(2, 3, kernel_size=3, ndim=len(spatial), rng=rng, stride=stride, padding=padding)
+    def test_matches_direct_oracle(self, spatial, kernel_size, padding):
+        rng = np.random.default_rng([len(spatial), kernel_size, padding])
+        conv = Conv(2, 3, kernel_size=kernel_size, ndim=len(spatial), rng=rng, padding=padding)
         x = rng.normal(size=(2, 2) + spatial)
-        ref_y = conv_direct(x, conv.weight.value, conv.bias.value, stride, padding)
+        ref_y = conv_direct(x, conv.weight.value, conv.bias.value, 1, padding)
         grad_out = rng.normal(size=ref_y.shape)
         y, grad_w, grad_b, grad_x = conv_fwd_bwd(conv, x, grad_out)
-        ref_w, ref_b, ref_x = conv_direct_grads(x, conv.weight.value, grad_out, stride, padding)
+        ref_w, ref_b, ref_x = conv_direct_grads(x, conv.weight.value, grad_out, 1, padding)
         for got, ref in ((y, ref_y), (grad_w, ref_w), (grad_b, ref_b), (grad_x, ref_x)):
             assert got.shape == ref.shape
             np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
         assert y.flags.c_contiguous
 
-    @pytest.mark.parametrize("stride", [1, 2])
-    def test_chunked_matches_single_chunk(self, monkeypatch, stride):
+    @pytest.mark.parametrize("per_chunk", [1, 2])
+    def test_chunked_matches_single_chunk(self, monkeypatch, per_chunk):
         rng = np.random.default_rng(16)
-        conv = Conv(2, 3, kernel_size=3, ndim=2, rng=rng, stride=stride, padding=1)
+        conv = Conv(2, 3, kernel_size=3, ndim=2, rng=rng, padding=1)
         x = rng.normal(size=(5, 2, 7, 6))
-        grad_out = rng.normal(size=(5, 3) + conv.out_shape((2, 7, 6))[1:])
+        grad_out = rng.normal(size=conv.forward(x).shape)
         whole = conv_fwd_bwd(conv, x, grad_out)
-        # room for two samples' columns: chunks of 2, 2 and 1
+        # room for ``per_chunk`` samples' columns: 5 chunks of 1, or chunks of 2, 2 and 1
         sample_bytes = 2 * 9 * math.prod(grad_out.shape[2:]) * 8
-        monkeypatch.setattr(classical, "_CONV_COLS_BYTES", 2 * sample_bytes + 8)
-        assert len(conv._columns(np.zeros((5, 2, 9, 8)))[1]) == 3
+        monkeypatch.setattr(classical, "_CONV_COLS_BYTES", per_chunk * sample_bytes + 8)
+        assert len(conv._columns(np.zeros((5, 2, 9, 8)))[1]) == -(-5 // per_chunk)
         chunked = conv_fwd_bwd(conv, x, grad_out)
         for got, ref in zip(chunked, whole):
             np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
@@ -199,7 +189,7 @@ class TestConv:
         # One sample's columns are 27 * 24**3 doubles (~3 MB), so the batch
         # needs ~36 MB unchunked and runs in chunks of 5 samples.
         rng = np.random.default_rng(17)
-        conv = Conv(1, 4, kernel_size=3, ndim=3, rng=rng, stride=1, padding=1)
+        conv = Conv(1, 4, kernel_size=3, ndim=3, rng=rng, padding=1)
         x = rng.normal(size=(12, 1, 24, 24, 24))
         grad_out = rng.normal(size=(12, 4, 24, 24, 24))
         assert 12 * 27 * 24**3 * 8 > 2 * classical._CONV_COLS_BYTES
@@ -308,7 +298,6 @@ class TestActivationsAndPooling:
         y = mp.forward(np.arange(7.0).reshape(1, 1, 7))
         assert y.shape == (1, 1, 3)
         assert np.allclose(y, [[[1.0, 3.0, 5.0]]])
-        assert mp.out_shape((1, 7)) == (1, 3)
 
     def test_maxpool_backward_routes_to_argmax(self):
         mp = MaxPool(2, 2)
@@ -359,9 +348,8 @@ class TestActivationsAndPooling:
         assert flat.shape == (4, 12)
         assert np.array_equal(fl.backward(flat), x)
         assert rs.forward(flat).shape == (4, 2, 6)
-        assert rs.out_shape((12,)) == (2, 6)
         with pytest.raises(ValueError):
-            rs.out_shape((13,))
+            rs.forward(np.zeros((4, 13)))
 
 
 class TestPreprocessorBuilders:
@@ -369,7 +357,7 @@ class TestPreprocessorBuilders:
         rng = np.random.default_rng(14)
         stack = build_preprocessor("conv0", (360,), 16, tanh_pi=False, rng=rng)
         assert [type(l).__name__ for l in stack.layers] == ["Flatten", "FullyConnected"]
-        assert stack.out_shape == (16,)
+        assert stack_forward(stack, np.zeros((2, 360))).shape == (2, 16)
         assert stack_param_count(stack) == 360 * 16 + 16
 
     def test_conv3_structure_2d(self):
@@ -380,13 +368,13 @@ class TestPreprocessorBuilders:
             ["Conv", "BatchNorm", "ReLU", "MaxPool"] * 3 + ["Flatten", "FullyConnected", "TanhPi"]
         )
         # 28 -> 14 -> 7 -> 3 spatial, channels 8/16/32
-        assert stack.out_shape == (16,)
-        assert stack.layers[-3].out_shape((32, 3, 3)) == (32 * 9,)
+        assert stack.layers[-2].in_dim == 32 * 9
+        assert stack_forward(stack, np.zeros((2, 1, 28, 28))).shape == (2, 16)
 
     def test_conv1_3d(self):
         rng = np.random.default_rng(16)
         stack = build_preprocessor("conv1", (1, 8, 8, 8), 256, tanh_pi=False, rng=rng)
-        assert stack.out_shape == (256,)
+        assert stack.layers[-1].in_dim == 8 * 4**3
         y = stack_forward(stack, rng.normal(size=(2, 1, 8, 8, 8)), training=True)
         assert y.shape == (2, 256)
 
@@ -488,7 +476,7 @@ class TestHeadBuilders:
         stack = build_head("mlp", 8, rng=np.random.default_rng(23))
         names = [type(l).__name__ for l in stack.layers]
         assert names == ["FullyConnected", "ReLU"] * 3 + ["FullyConnected"]
-        assert stack.out_shape == (1,)
+        assert stack_forward(stack, np.zeros((3, 8))).shape == (3, 1)
 
     def test_invalid_variant_and_dim(self):
         rng = np.random.default_rng(24)

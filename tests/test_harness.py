@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
 import importlib
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +13,7 @@ import pytest
 
 import hqnnbench.harness as harness
 from hqnnbench.config import (
+    RUN_KEYS,
     ModelConfig,
     QnnArch,
     default_batch_size,
@@ -58,18 +61,6 @@ class TestQnnArch:
 
 
 class TestModelConfig:
-    def test_round_trip(self):
-        cfg = ModelConfig(
-            family="hybrid",
-            preproc="conv1",
-            latent_dim=256,
-            tanh_pi=True,
-            qnn=QnnArch("ang_arb", False, "local"),
-            seed=3,
-        )
-        assert ModelConfig.from_dict(cfg.to_dict()) == cfg
-        assert ModelConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
-
     def test_hash_is_stable_and_discriminating(self):
         a = ModelConfig(family="classical", preproc="conv0", latent_dim=16, head="mlp")
         b = ModelConfig(family="classical", preproc="conv0", latent_dim=16, head="mlp")
@@ -133,6 +124,12 @@ class TestExpandGrid:
         hashes = {c.config_hash() for c in configs}
         labels = {c.label for c in configs}
         assert len(hashes) == 150 and len(labels) == 150
+
+    def test_default_grid_hashes_are_pinned(self):
+        # Resume skips configs by hash: if these hashes changed, every existing
+        # output directory would retrain its configs and append duplicate rows.
+        digest = hashlib.sha256("".join(c.config_hash() for c in expand_grid({})).encode())
+        assert digest.hexdigest() == "1509eda71bee6d13efef0da7c7dba23ebc1c6791d87d12845f5a392712563770"
 
     def test_restricted_axes(self):
         assert len(expand_grid({"families": "hybrid", "qnn": "amp_gen"})) == 24
@@ -200,6 +197,16 @@ class TestRunConfigParsing:
             load_run_dataset({"dataset": "imagenet"}, tmp_path)
         with pytest.raises(ValueError):
             load_run_dataset({"dataset": "npz"}, tmp_path)
+
+    def test_readme_lists_every_run_key(self):
+        # README promises that a key it does not list is refused.
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        ini = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
+        keys = {line.split("=")[0].strip() for line in ini.splitlines() if "=" in line.split("#")[0]}
+        table = readme[readme.index("| dataset ") :].split("\n\n")[0]
+        for row in table.splitlines()[2:]:
+            keys |= set(re.findall(r"`([a-z_]+)`", row.split("|")[2]))
+        assert keys == RUN_KEYS
 
     def test_default_batch_size(self):
         assert default_batch_size(synth_blobs(8, 5, 1.0, 0)) == 256
@@ -541,6 +548,15 @@ class TestRunGrid:
                 run_grid(dict(TINY_RUN, **{key: 1}), tmp_path, tmp_path / "out")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("aggregate", "max"), ("epochs", 0), ("batch_size", 0), ("folds", 1), ("epochs", 2.5)],
+    )
+    def test_bad_protocol_value_is_refused_up_front(self, tmp_path, key, value):
+        with pytest.raises(ValueError, match=key):
+            run_grid(dict(TINY_RUN, **{key: value}), tmp_path, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
     def test_progress_callback(self, tmp_path):
         seen = []
         run_grid(dict(TINY_RUN), tmp_path, tmp_path / "out", progress=seen.append)
@@ -609,6 +625,14 @@ class TestCli:
         out = tmp_path / "out"
         assert main(["run", "--config", str(cfg), "--data-dir", str(tmp_path), "--out", str(out)]) == 2
         assert "'epoch'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_run_refuses_a_bad_protocol_value(self, tmp_path, capsys):
+        cfg = self.write_cfg(tmp_path)
+        cfg.write_text(cfg.read_text() + "aggregate = max\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--data-dir", str(tmp_path), "--out", str(out)]) == 2
+        assert "aggregate must be mean or median, got 'max'" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
