@@ -64,8 +64,6 @@ class FullyConnected(Layer):
     """Affine map on flattened-feature inputs: y = x W^T + b."""
 
     def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator):
-        self.in_dim = in_dim
-        self.out_dim = out_dim
         self.weight = Param(_uniform_fan_in(rng, in_dim, (out_dim, in_dim)))
         self.bias = Param(_uniform_fan_in(rng, in_dim, (out_dim,)))
         self._x: np.ndarray | None = None
@@ -101,27 +99,27 @@ class Conv(Layer):
     """N-dimensional convolution (cross-correlation) at stride 1 with the same
     zero padding along every spatial axis.
 
-    Weight shape is (out_channels, in_channels, k, k, ...)."""
+    Weight shape is (out_ch, in_ch, k, k, ...)."""
 
     def __init__(
         self,
-        in_channels: int,
-        out_channels: int,
+        in_ch: int,
+        out_ch: int,
         kernel_size: int,
         ndim: int,
         rng: np.random.Generator,
         padding: int = 0,
     ):
-        self.in_channels = in_channels
-        self.out_channels = out_channels
+        self.in_ch = in_ch
+        self.out_ch = out_ch
         self.kernel_size = kernel_size
         self.ndim = ndim
         self.padding = padding
-        fan_in = in_channels * kernel_size**ndim
+        fan_in = in_ch * kernel_size**ndim
         self.weight = Param(
-            _uniform_fan_in(rng, fan_in, (out_channels, in_channels) + (kernel_size,) * ndim)
+            _uniform_fan_in(rng, fan_in, (out_ch, in_ch) + (kernel_size,) * ndim)
         )
-        self.bias = Param(_uniform_fan_in(rng, fan_in, (out_channels,)))
+        self.bias = Param(_uniform_fan_in(rng, fan_in, (out_ch,)))
         self._xp: np.ndarray | None = None
         self._in_spatial: tuple[int, ...] | None = None
 
@@ -138,8 +136,8 @@ class Conv(Layer):
         return win, [slice(b, b + step) for b in range(0, xp.shape[0], step)]
 
     def forward(self, x, training=False):
-        if x.ndim != self.ndim + 2 or x.shape[1] != self.in_channels:
-            raise ValueError(f"expected (B, {self.in_channels}, {'x'.join('*' * self.ndim)}), got {x.shape}")
+        if x.ndim != self.ndim + 2 or x.shape[1] != self.in_ch:
+            raise ValueError(f"expected (B, {self.in_ch}, {'x'.join('*' * self.ndim)}), got {x.shape}")
         self._in_spatial = x.shape[2:]
         xp = _pad_spatial(x, self.padding)
         if any(d < self.kernel_size for d in xp.shape[2:]):
@@ -147,9 +145,9 @@ class Conv(Layer):
         self._xp = xp
         win, chunks = self._columns(xp)
         out_sp = win.shape[2 + self.ndim :]
-        w2 = self.weight.value.reshape(self.out_channels, -1)
-        y = np.empty((x.shape[0], self.out_channels) + out_sp)
-        y3 = y.reshape(x.shape[0], self.out_channels, math.prod(out_sp))
+        w2 = self.weight.value.reshape(self.out_ch, -1)
+        y = np.empty((x.shape[0], self.out_ch) + out_sp)
+        y3 = y.reshape(x.shape[0], self.out_ch, math.prod(out_sp))
         # Each chunk's columns are a temporary of one statement, so two
         # chunks' copies are never alive at once.
         for sl in chunks:
@@ -159,9 +157,9 @@ class Conv(Layer):
 
     def backward(self, grad_out, input_grad=True):
         out_sp = grad_out.shape[2:]
-        g3 = grad_out.reshape(grad_out.shape[0], self.out_channels, math.prod(out_sp))
+        g3 = grad_out.reshape(grad_out.shape[0], self.out_ch, math.prod(out_sp))
         win, chunks = self._columns(self._xp)
-        w2 = self.weight.value.reshape(self.out_channels, -1)
+        w2 = self.weight.value.reshape(self.out_ch, -1)
         gw2 = self.weight.grad.reshape(w2.shape)
         grad_xp = np.zeros_like(self._xp) if input_grad else None
         for sl in chunks:
@@ -199,12 +197,11 @@ class BatchNorm(Layer):
     EPS = 1e-5
     MOMENTUM = 0.1
 
-    def __init__(self, n_channels: int):
-        self.n_channels = n_channels
-        self.gamma = Param(np.ones(n_channels))
-        self.beta = Param(np.zeros(n_channels))
-        self.running_mean = np.zeros(n_channels)
-        self.running_var = np.ones(n_channels)
+    def __init__(self, channels: int):
+        self.gamma = Param(np.ones(channels))
+        self.beta = Param(np.zeros(channels))
+        self.running_mean = np.zeros(channels)
+        self.running_var = np.ones(channels)
         self._cache = None
 
     def _stat_axes(self, x: np.ndarray) -> tuple[int, ...]:
@@ -365,21 +362,13 @@ class Reshape(Layer):
         return grad_out.reshape(self._shape)
 
 
-@dataclass
-class LayerStack:
-    """A plain sequence of layers run in order."""
-
-    layers: list[Layer]
-    in_shape: tuple[int, ...]
-
-
-def stack_forward(stack: LayerStack, x: np.ndarray, training: bool = False) -> np.ndarray:
-    for layer in stack.layers:
+def stack_forward(layers: list[Layer], x: np.ndarray, training: bool = False) -> np.ndarray:
+    for layer in layers:
         x = layer.forward(x, training=training)
     return x
 
 
-def stack_backward(stack: LayerStack, grad_out: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
+def stack_backward(layers: list[Layer], grad_out: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
     """Accumulate parameter gradients and return the gradient wrt the input.
 
     With ``input_grad=False`` the pass stops at the lowest layer with
@@ -387,22 +376,19 @@ def stack_backward(stack: LayerStack, grad_out: np.ndarray, input_grad: bool = T
     returned. Training needs no gradient of the raw samples.
     """
     if input_grad:
-        for layer in reversed(stack.layers):
+        for layer in reversed(layers):
             grad_out = layer.backward(grad_out)
         return grad_out
-    with_params = [i for i, layer in enumerate(stack.layers) if layer.params()]
+    with_params = [i for i, layer in enumerate(layers) if layer.params()]
     if with_params:
-        for layer in reversed(stack.layers[with_params[0] + 1 :]):
+        for layer in reversed(layers[with_params[0] + 1 :]):
             grad_out = layer.backward(grad_out)
-        stack.layers[with_params[0]].backward(grad_out, input_grad=False)
+        layers[with_params[0]].backward(grad_out, input_grad=False)
     return None
 
 
-def stack_params(stack: LayerStack) -> list[Param]:
-    out: list[Param] = []
-    for layer in stack.layers:
-        out.extend(layer.params())
-    return out
+def stack_params(layers: list[Layer]) -> list[Param]:
+    return [p for layer in layers for p in layer.params()]
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +413,7 @@ def build_preprocessor(
     latent_dim: int,
     tanh_pi: bool,
     rng: np.random.Generator,
-) -> LayerStack:
+) -> list[Layer]:
     """Feature-extractor builder.
 
     ``variant`` is ``"conv3"`` (three conv/BN/ReLU/pool blocks, channels
@@ -459,14 +445,14 @@ def build_preprocessor(
     # One zero sample through the layers so far gives the projection's width
     # and rejects inputs too small to convolve or pool. An eval-mode forward
     # pass draws nothing from ``rng`` and leaves BatchNorm's statistics alone.
-    flat = stack_forward(LayerStack(list(layers), input_shape), np.zeros((1,) + input_shape))
+    flat = stack_forward(layers, np.zeros((1,) + input_shape))
     layers.append(FullyConnected(flat.shape[1], latent_dim, rng))
     if tanh_pi:
         layers.append(TanhPi())
-    return LayerStack(layers=layers, in_shape=input_shape)
+    return layers
 
 
-def build_head(variant: str, in_dim: int, rng: np.random.Generator) -> LayerStack:
+def build_head(variant: str, in_dim: int, rng: np.random.Generator) -> list[Layer]:
     """Classifier-head builder mapping a feature vector to a single logit.
 
     ``"none"`` is one affine layer (also the hybrid model's post-circuit
@@ -491,7 +477,7 @@ def build_head(variant: str, in_dim: int, rng: np.random.Generator) -> LayerStac
         layers.append(FullyConnected(h, 1, rng))
     else:
         raise ValueError(f"unknown head variant {variant!r}")
-    return LayerStack(layers=layers, in_shape=(in_dim,))
+    return layers
 
 
 # ---------------------------------------------------------------------------

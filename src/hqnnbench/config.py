@@ -244,15 +244,15 @@ class RunConfigError(ValueError):
 
 
 # Least value of each integer training-protocol key.
-_LEAST = {"folds": 2, "epochs": 1, "batch_size": 1}
+_LEAST = {"folds": 2, "epochs": 1, "batch_size": 1, "seed": 0}
 
 
 def check_run_config(run_cfg: dict) -> None:
     """Refuse unknown keys and out-of-range protocol values before any work starts.
 
     A misspelt key would silently leave its default in force, and a bad
-    ``folds``, ``epochs``, ``batch_size`` or ``aggregate`` would fail only
-    after the data is loaded and the output directory written.
+    ``folds``, ``epochs``, ``batch_size``, ``seed`` or ``aggregate`` would
+    fail only once training or data generation had started.
     """
     unknown = sorted(set(run_cfg) - RUN_KEYS)
     if unknown:
@@ -295,13 +295,13 @@ def load_run_dataset(run_cfg: dict, data_dir: Path) -> Dataset:
         return load_beats_csv(Path(data_dir) / run_cfg.get("beats_file", "beats.csv"))
     if name == "npz":
         if "npz_file" not in run_cfg:
-            raise ValueError("dataset npz requires npz_file")
+            raise RunConfigError("dataset npz requires npz_file")
         return load_npz(
             Path(data_dir) / run_cfg["npz_file"],
             run_cfg.get("images_key", "images"),
             run_cfg.get("labels_key", "labels"),
         )
-    raise ValueError(f"unknown dataset {name!r}")
+    raise RunConfigError(f"unknown dataset {name!r}")
 
 
 def default_batch_size(dataset: Dataset) -> int:

@@ -246,34 +246,27 @@ def _run_one(config: ModelConfig) -> ExperimentResult:
 
 
 def _load_existing(results_path: Path) -> list[dict]:
+    """The rows of ``results.jsonl``, none if it does not exist.
+
+    An unterminated, unparseable last line (a crash mid-write) is cut from
+    the file with a warning; a parseable one gets its newline.
+    """
     if not results_path.exists():
         return []
-    rows = []
-    with open(results_path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                rows.append(json.loads(line))
-    return rows
-
-
-def _drop_truncated_tail(results_path: Path) -> None:
-    """Cut an unterminated, unparseable last line (a crash mid-write) from the file."""
-    if not results_path.exists():
-        return
     data = results_path.read_bytes()
-    if not data or data.endswith(b"\n"):
-        return
-    start = data.rfind(b"\n") + 1
-    try:
-        json.loads(data[start:])
-    except ValueError:
-        print(f"warning: dropping truncated last line of {results_path}", file=sys.stderr)
-        with open(results_path, "r+b") as fh:
-            fh.truncate(start)
-    else:
-        with open(results_path, "ab") as fh:
-            fh.write(b"\n")
+    if data and not data.endswith(b"\n"):
+        start = data.rfind(b"\n") + 1
+        try:
+            json.loads(data[start:])
+        except ValueError:
+            print(f"warning: dropping truncated last line of {results_path}", file=sys.stderr)
+            with open(results_path, "r+b") as fh:
+                fh.truncate(start)
+            data = data[:start]
+        else:
+            with open(results_path, "ab") as fh:
+                fh.write(b"\n")
+    return [json.loads(line) for line in data.splitlines() if line.strip()]
 
 
 class ProtocolMismatchError(ValueError):
@@ -309,8 +302,6 @@ def run_grid(
 ) -> list[dict]:
     """Execute the configured grid, append results, and write tables."""
     check_run_config(run_cfg)
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     dataset = load_run_dataset(run_cfg, Path(data_dir))
     seed = int(run_cfg.get("seed", 0))
     k = run_cfg.get("folds", 5)
@@ -319,6 +310,9 @@ def run_grid(
     aggregate = run_cfg.get("aggregate", "mean")
     folds = make_folds(dataset, k, seed)
     configs = expand_grid(run_cfg)
+    # Only a configuration that loads, splits and expands gets an output directory.
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     protocol = {
         "epochs": epochs,
@@ -333,7 +327,6 @@ def run_grid(
     meta_path = out_dir / "run_meta.json"
     if meta_path.exists() and results_path.exists() and results_path.read_bytes().strip():
         _check_same_protocol(json.loads(meta_path.read_text()), protocol, out_dir)
-    _drop_truncated_tail(results_path)
     rows = _load_existing(results_path)
     done_hashes = {r["config_hash"] for r in rows}
     todo = [c for c in configs if c.config_hash() not in done_hashes]

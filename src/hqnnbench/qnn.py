@@ -583,8 +583,8 @@ def build_qcnn(n_qubits: int) -> Circuit:
 
 
 # ---------------------------------------------------------------------------
-# Forward evaluation and adjoint-mode differentiation. The core works on
-# batches (inputs shaped (B, n_inputs)); single-sample wrappers squeeze.
+# Forward evaluation and adjoint-mode differentiation on batches (inputs
+# shaped (B, n_inputs)).
 # ---------------------------------------------------------------------------
 
 
@@ -650,24 +650,18 @@ def qnn_forward_batch(
     return (out, state.T) if return_state else out
 
 
-def qnn_forward(circuit: Circuit, inputs, params) -> np.ndarray:
-    """Single-sample circuit evaluation; returns a 1-D output vector."""
-    out = qnn_forward_batch(circuit, np.atleast_2d(np.asarray(inputs, dtype=np.float64)), params)
-    return out[0]
-
-
 def qnn_backward_batch(
     circuit: Circuit,
     inputs: np.ndarray,
     params: np.ndarray,
     upstream: np.ndarray,
-    final_amps: np.ndarray | None = None,
+    final_amps: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Adjoint-mode gradients of ``sum_b upstream_b . outputs_b``.
 
     Returns per-sample input gradients (B, n_inputs) and batch-summed
-    parameter gradients (n_params,). ``final_amps`` may pass the state
-    from a ``return_state=True`` forward call to skip re-simulation.
+    parameter gradients (n_params,). ``final_amps`` is the state from the
+    ``return_state=True`` forward call on the same inputs and parameters.
     """
     x = np.asarray(inputs, dtype=np.float64)
     p = np.asarray(params, dtype=np.float64)
@@ -676,8 +670,6 @@ def qnn_backward_batch(
     if up.shape != (x.shape[0], circuit.out_dim):
         raise ValueError(f"upstream must have shape {(x.shape[0], circuit.out_dim)}, got {up.shape}")
 
-    if final_amps is None:
-        final_amps = qnn_forward_batch(circuit, x, p, return_state=True)[1]
     psi = np.array(final_amps.T, dtype=np.complex128, order="C")
     mu = np.conj(psi)  # conj(lambda), lambda = M psi
     mu *= (up @ measurement_diagonals(circuit.n_qubits, circuit.observable)).T
@@ -727,14 +719,3 @@ def qnn_backward_batch(
         xhat = x / norms
         grad_inputs += (g0 - np.sum(g0 * xhat, axis=1, keepdims=True) * xhat) / norms
     return grad_inputs, grad_params
-
-
-def qnn_backward(circuit: Circuit, inputs, params, upstream_grad) -> tuple[np.ndarray, np.ndarray]:
-    """Single-sample adjoint gradients of ``upstream_grad . outputs``."""
-    gx, gp = qnn_backward_batch(
-        circuit,
-        np.atleast_2d(np.asarray(inputs, dtype=np.float64)),
-        params,
-        np.atleast_2d(np.asarray(upstream_grad, dtype=np.float64)),
-    )
-    return gx[0], gp

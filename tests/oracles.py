@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from hqnnbench.qnn import Circuit, qnn_forward
+from hqnnbench.qnn import Circuit, qnn_backward_batch, qnn_forward_batch
 from hqnnbench.statevec import Angle, Gate, GateKind, Observable
 
 # ---------------------------------------------------------------------------
@@ -134,6 +134,30 @@ def dense_expectations(circuit: Circuit, inputs, params) -> np.ndarray:
     psi = dense_circuit_state(circuit, inputs, params)
     mats = dense_observable_matrices(circuit.n_qubits, circuit.observable)
     return np.array([float((psi.conj() @ (m @ psi)).real) for m in mats])
+
+
+# ---------------------------------------------------------------------------
+# The package's batched circuit passes on one sample (or a fresh batch).
+# ---------------------------------------------------------------------------
+
+
+def qnn_forward(circuit: Circuit, inputs, params) -> np.ndarray:
+    """One sample's outputs (out_dim,) from the batched forward pass."""
+    return qnn_forward_batch(circuit, np.atleast_2d(np.asarray(inputs, dtype=np.float64)), params)[0]
+
+
+def qnn_backward(circuit: Circuit, inputs, params, upstream) -> tuple[np.ndarray, np.ndarray]:
+    """Adjoint gradients of ``upstream . outputs`` after a fresh forward pass.
+
+    ``inputs`` is one sample (n_inputs,) with ``upstream`` (out_dim,), or a
+    batch (B, n_inputs) with ``upstream`` (B, out_dim). The input gradient
+    has the shape of ``inputs``; the parameter gradient is summed over rows.
+    """
+    x = np.asarray(inputs, dtype=np.float64)
+    xs = np.atleast_2d(x)
+    _, amps = qnn_forward_batch(circuit, xs, params, return_state=True)
+    gx, gp = qnn_backward_batch(circuit, xs, params, np.atleast_2d(upstream), final_amps=amps)
+    return gx.reshape(x.shape), gp
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,6 @@ from hqnnbench.classical import (
     Conv,
     Flatten,
     FullyConnected,
-    LayerStack,
     MaxPool,
     Param,
     ReLU,
@@ -52,8 +51,6 @@ from hqnnbench.qnn import (
     Circuit,
     build_amp_gen,
     build_ang_ry,
-    qnn_backward,
-    qnn_forward,
     qnn_forward_batch,
 )
 from hqnnbench.statevec import Angle, Gate, Observable
@@ -66,6 +63,8 @@ from oracles import (
     mwu_bruteforce,
     pair_counting_auc,
     param_shift_jacobian,
+    qnn_backward,
+    qnn_forward,
     random_circuit,
     wilcoxon_bruteforce,
 )
@@ -153,9 +152,9 @@ def test_criterion_04_parameter_parity():
     _report(4, ok, f"4 qubits: {p4_amp} == {p4_ang} == 48; 8 qubits: {p8_amp} == {p8_ang} == 768")
 
 
-def _stack_fd_ok(stack: LayerStack, x: np.ndarray, rng: np.random.Generator, n_probe=8) -> bool:
+def _stack_fd_ok(stack: list, x: np.ndarray, rng: np.random.Generator, n_probe=8) -> bool:
     def loss_fn(xv):
-        out = stack_forward(LayerStack(stack.layers, stack.in_shape), xv, training=True)
+        out = stack_forward(stack, xv, training=True)
         return float(np.tanh(out).sum())
 
     out = stack_forward(stack, x, training=True)
@@ -191,21 +190,21 @@ def test_criterion_05_classical_and_hybrid_autodiff():
     checks: list[tuple[str, bool]] = []
 
     layer_cases = [
-        ("fully_connected", LayerStack([FullyConnected(6, 4, rng)], (6,)), (3, 6)),
-        ("conv1d", LayerStack([Conv(2, 2, 3, 1, rng, padding=1)], (2, 8)), (2, 2, 8)),
-        ("conv2d", LayerStack([Conv(2, 2, 3, 2, rng, padding=1)], (2, 5, 5)), (2, 2, 5, 5)),
-        ("conv3d", LayerStack([Conv(1, 2, 3, 3, rng, padding=1)], (1, 4, 4, 4)), (2, 1, 4, 4, 4)),
-        ("batchnorm", LayerStack([BatchNorm(3)], (3, 4)), (6, 3, 4)),
-        ("relu", LayerStack([ReLU()], (7,)), (4, 7)),
-        ("tanh_pi", LayerStack([TanhPi()], (7,)), (4, 7)),
-        ("flatten", LayerStack([Flatten()], (2, 3)), (4, 2, 3)),
-        ("reshape", LayerStack([Reshape((3, 2))], (6,)), (4, 6)),
+        ("fully_connected", [FullyConnected(6, 4, rng)], (3, 6)),
+        ("conv1d", [Conv(2, 2, 3, 1, rng, padding=1)], (2, 2, 8)),
+        ("conv2d", [Conv(2, 2, 3, 2, rng, padding=1)], (2, 2, 5, 5)),
+        ("conv3d", [Conv(1, 2, 3, 3, rng, padding=1)], (2, 1, 4, 4, 4)),
+        ("batchnorm", [BatchNorm(3)], (6, 3, 4)),
+        ("relu", [ReLU()], (4, 7)),
+        ("tanh_pi", [TanhPi()], (4, 7)),
+        ("flatten", [Flatten()], (4, 2, 3)),
+        ("reshape", [Reshape((3, 2))], (4, 6)),
     ]
     for name, stack, shape in layer_cases:
         checks.append((name, _stack_fd_ok(stack, rng.normal(size=shape), rng)))
     # maxpool needs distinct values so the argmax is FD-stable
     mp_x = rng.permutation(64).astype(float).reshape(1, 1, 8, 8) * 0.1
-    checks.append(("maxpool", _stack_fd_ok(LayerStack([MaxPool(2, 2)], (1, 8, 8)), mp_x, rng)))
+    checks.append(("maxpool", _stack_fd_ok([MaxPool(2, 2)], mp_x, rng)))
     conv3 = build_preprocessor("conv3", (1, 8, 8), 4, tanh_pi=True, rng=rng)
     checks.append(("conv3_stack", _stack_fd_ok(conv3, rng.normal(size=(3, 1, 8, 8)), rng, n_probe=4)))
 

@@ -14,7 +14,6 @@ from hqnnbench.classical import (
     Conv,
     Flatten,
     FullyConnected,
-    LayerStack,
     MaxPool,
     Param,
     ReLU,
@@ -72,7 +71,7 @@ def fd_check_stack(stack, x, rng, n_probe=25):
     """
 
     def loss_fn(xv):
-        out = stack_forward(LayerStack(stack.layers, stack.in_shape), xv, training=True)
+        out = stack_forward(stack, xv, training=True)
         return float(np.tanh(out).sum())
 
     out = stack_forward(stack, x, training=True)
@@ -116,7 +115,7 @@ class TestFullyConnected:
 
     def test_fd(self):
         rng = np.random.default_rng(2)
-        stack = LayerStack([FullyConnected(6, 4, rng)], (6,))
+        stack = [FullyConnected(6, 4, rng)]
         fd_check_stack(stack, rng.normal(size=(3, 6)), rng)
 
 
@@ -145,7 +144,7 @@ class TestConv:
         rng = np.random.default_rng(6)
         for ndim, spatial in ((1, (8,)), (2, (5, 5)), (3, (4, 4, 4))):
             conv = Conv(2, 2, kernel_size=3, ndim=ndim, rng=rng, padding=1)
-            stack = LayerStack([conv], (2,) + spatial)
+            stack = [conv]
             fd_check_stack(stack, rng.normal(size=(2, 2) + spatial), rng, n_probe=10)
 
     def test_too_small_input_rejected(self):
@@ -228,7 +227,7 @@ class TestBatchNorm:
         bn = BatchNorm(3)
         bn.gamma.value[:] = rng.normal(1.0, 0.2, size=3)
         bn.beta.value[:] = rng.normal(size=3)
-        stack = LayerStack([bn], (3, 4))
+        stack = [bn]
         fd_check_stack(stack, rng.normal(size=(6, 3, 4)), rng)
 
     @pytest.mark.parametrize("training", [True, False])
@@ -285,7 +284,7 @@ class TestActivationsAndPooling:
 
     def test_tanh_pi_fd(self):
         rng = np.random.default_rng(11)
-        stack = LayerStack([TanhPi()], (6,))
+        stack = [TanhPi()]
         fd_check_stack(stack, rng.normal(size=(3, 6)), rng)
 
     def test_maxpool_worked_example(self):
@@ -310,7 +309,7 @@ class TestActivationsAndPooling:
         rng = np.random.default_rng(12)
         # distinct values keep the max selection stable under the FD probe
         x = rng.permutation(64).astype(float).reshape(1, 1, 8, 8) * 0.1
-        stack = LayerStack([MaxPool(2, 2)], (1, 8, 8))
+        stack = [MaxPool(2, 2)]
         fd_check_stack(stack, x, rng)
 
     @pytest.mark.parametrize("kind", POOL_INPUT_KINDS)
@@ -356,25 +355,25 @@ class TestPreprocessorBuilders:
     def test_conv0_is_flatten_plus_projection(self):
         rng = np.random.default_rng(14)
         stack = build_preprocessor("conv0", (360,), 16, tanh_pi=False, rng=rng)
-        assert [type(l).__name__ for l in stack.layers] == ["Flatten", "FullyConnected"]
+        assert [type(l).__name__ for l in stack] == ["Flatten", "FullyConnected"]
         assert stack_forward(stack, np.zeros((2, 360))).shape == (2, 16)
         assert stack_param_count(stack) == 360 * 16 + 16
 
     def test_conv3_structure_2d(self):
         rng = np.random.default_rng(15)
         stack = build_preprocessor("conv3", (1, 28, 28), 16, tanh_pi=True, rng=rng)
-        names = [type(l).__name__ for l in stack.layers]
+        names = [type(l).__name__ for l in stack]
         assert names == (
             ["Conv", "BatchNorm", "ReLU", "MaxPool"] * 3 + ["Flatten", "FullyConnected", "TanhPi"]
         )
         # 28 -> 14 -> 7 -> 3 spatial, channels 8/16/32
-        assert stack.layers[-2].in_dim == 32 * 9
+        assert stack[-2].weight.value.shape[1] == 32 * 9
         assert stack_forward(stack, np.zeros((2, 1, 28, 28))).shape == (2, 16)
 
     def test_conv1_3d(self):
         rng = np.random.default_rng(16)
         stack = build_preprocessor("conv1", (1, 8, 8, 8), 256, tanh_pi=False, rng=rng)
-        assert stack.layers[-1].in_dim == 8 * 4**3
+        assert stack[-1].weight.value.shape[1] == 8 * 4**3
         y = stack_forward(stack, rng.normal(size=(2, 1, 8, 8, 8)), training=True)
         assert y.shape == (2, 256)
 
@@ -410,7 +409,7 @@ class TestParameterOnlyBackward:
     def test_parameter_gradients_are_bit_identical(self, variant, in_shape):
         rng = np.random.default_rng(63)
         if variant == "batchnorm":  # build_preprocessor never puts BatchNorm lowest
-            stack = LayerStack([BatchNorm(3), Flatten(), FullyConnected(12, 16, rng)], in_shape)
+            stack = [BatchNorm(3), Flatten(), FullyConnected(12, 16, rng)]
         else:
             stack = build_preprocessor(variant, in_shape, 16, tanh_pi=True, rng=rng)
         x = rng.normal(size=(5,) + in_shape)
@@ -446,7 +445,7 @@ class TestParameterOnlyBackward:
         model = ClassicalModel(ModelConfig("classical", "conv3", 16, head="mlp"), x.shape[1:], rng)
         model.forward(x, training=True)
         model.backward(rng.normal(size=4))
-        convs = [layer for layer in model.pre.layers if isinstance(layer, Conv)]
+        convs = [layer for layer in model.pre if isinstance(layer, Conv)]
         assert [id(c) for c in col2im] == [id(c) for c in reversed(convs[1:])]
 
         fc_returns.clear()
@@ -454,15 +453,15 @@ class TestParameterOnlyBackward:
         hybrid.forward(rng.normal(size=(4, 30)), training=True)
         hybrid.backward(rng.normal(size=4))
         returned = {id(layer): g for layer, g in fc_returns}
-        assert returned[id(hybrid.pre.layers[-1])] is None  # the conv0 projection
-        assert returned[id(hybrid.head.layers[0])] is not None  # the head feeds the circuit
+        assert returned[id(hybrid.pre[-1])] is None  # the conv0 projection
+        assert returned[id(hybrid.head[0])] is not None  # the head feeds the circuit
 
 
 class TestHeadBuilders:
     def test_none_head_is_single_affine_map(self):
         stack = build_head("none", 16, rng=np.random.default_rng(20))
         assert stack_param_count(stack) == 17
-        assert len(stack.layers) == 1
+        assert len(stack) == 1
 
     def test_fcrelu_param_count(self):
         stack = build_head("fcrelu", 16, rng=np.random.default_rng(21))
@@ -470,11 +469,11 @@ class TestHeadBuilders:
 
     def test_fcnone_has_no_activation(self):
         stack = build_head("fcnone", 8, rng=np.random.default_rng(22))
-        assert [type(l).__name__ for l in stack.layers] == ["FullyConnected", "FullyConnected"]
+        assert [type(l).__name__ for l in stack] == ["FullyConnected", "FullyConnected"]
 
     def test_mlp_has_three_hidden_layers(self):
         stack = build_head("mlp", 8, rng=np.random.default_rng(23))
-        names = [type(l).__name__ for l in stack.layers]
+        names = [type(l).__name__ for l in stack]
         assert names == ["FullyConnected", "ReLU"] * 3 + ["FullyConnected"]
         assert stack_forward(stack, np.zeros((3, 8))).shape == (3, 1)
 

@@ -595,6 +595,16 @@ class TestCli:
         assert rc == 0
         assert "comparisons.csv" in capsys.readouterr().out
 
+    def test_report_drops_a_truncated_last_line(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        run_grid(dict(TINY_RUN), tmp_path, out)
+        full = (out / "results.jsonl").read_bytes()
+        (out / "results.jsonl").write_bytes(full[:-40])  # crash mid-way through row 2
+        assert main(["report", "--out", str(out)]) == 0
+        assert "truncated" in capsys.readouterr().err
+        assert (out / "results.jsonl").read_bytes() == full[: full.index(b"\n") + 1]
+        assert len((out / "boxplot_data.csv").read_text().splitlines()) > 1
+
     def test_report_without_results_fails(self, tmp_path, capsys):
         assert main(["report", "--out", str(tmp_path)]) == 1
         assert "no results" in capsys.readouterr().err
@@ -633,6 +643,29 @@ class TestCli:
         out = tmp_path / "out"
         assert main(["run", "--config", str(cfg), "--data-dir", str(tmp_path), "--out", str(out)]) == 2
         assert "aggregate must be mean or median, got 'max'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("dataset = npz", "dataset npz requires npz_file"),
+            ("dataset = nosuch", "unknown dataset 'nosuch'"),
+            ("seed = -1", "seed must be an integer of at least 0, got -1"),
+            ("blobs_n = 7", None),  # synth_blobs refuses an odd count itself
+        ],
+        ids=["npz_without_file", "unknown_dataset", "negative_seed", "odd_blobs_n"],
+    )
+    def test_run_refuses_a_bad_dataset_key_before_creating_out(self, tmp_path, capsys, line, message):
+        cfg = self.write_cfg(tmp_path)
+        cfg.write_text(cfg.read_text() + line + "\n")
+        out = tmp_path / "out"
+        argv = ["run", "--config", str(cfg), "--data-dir", str(tmp_path), "--out", str(out)]
+        if message is None:
+            with pytest.raises(ValueError, match="even"):
+                main(argv)
+        else:
+            assert main(argv) == 2
+            assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])

