@@ -16,6 +16,24 @@ with the (C_out, C_in * k**ndim) weight matrix give the output, the weight
 gradient and the input-gradient columns, which are slice-added back onto the
 input grid. The column copy is bounded by ``_CONV_COLS_BYTES``; a batch
 whose columns would exceed it is processed in chunks of samples.
+
+A conv block is Conv -> BatchNorm -> ReLU -> MaxPool(2), and its last three
+layers run as one, ``BatchNormReLUPool``, which pools before it activates.
+BatchNorm's statistics and x̂ are computed at full size as ``BatchNorm``
+computes them; only the pooled x̂ goes through γ·x̂ + β and the ReLU. This
+gives the values of the unfused stack: per channel, a ↦ ReLU(γ·a + β) with
+each step rounded is monotone, non-decreasing for γ >= 0 and non-increasing
+for γ < 0, so the largest output of a window is the output of its largest x̂
+where γ >= 0 and of its smallest x̂ where γ < 0. The layer takes both at once
+as the first maximum of s·x̂, s = ±1 per channel, folded into the
+normalisation's scale (negation is exact). MaxPool's tie rule holds for s·x̂:
+the first maximum wins and the first NaN wins. The values never differ from
+the unfused stack's, though a zero may differ in sign. The element a window
+routes its gradient to can differ only where distinct x̂ of the window map to
+the same positive output (γ = 0, or two x̂ within rounding); a window whose
+output is 0 passes no gradient either way. The backward pass takes the ReLU
+mask and the γ/β gradients at pooled size, and writes BatchNorm's input
+gradient into the cached full-size x̂.
 """
 
 from __future__ import annotations
@@ -204,11 +222,13 @@ class BatchNorm(Layer):
         self.running_var = np.ones(channels)
         self._cache = None
 
-    def _stat_axes(self, x: np.ndarray) -> tuple[int, ...]:
-        return (0,) + tuple(range(2, x.ndim))
+    def _normalize(self, x: np.ndarray, training: bool, sign: np.ndarray):
+        """(sign·x̂, inv_std, stat axes, channel shape), updating the running stats when training.
 
-    def forward(self, x, training=False):
-        axes = self._stat_axes(x)
+        The result is a new array. ``sign`` is ±1 per channel and exact: it is
+        folded into the scale, and negation commutes with rounding.
+        """
+        axes = (0,) + tuple(range(2, x.ndim))
         shape = (1, -1) + (1,) * (x.ndim - 2)
         if training:
             # The same operations as x.mean() and x.var(), sharing x - mean.
@@ -221,7 +241,11 @@ class BatchNorm(Layer):
             mean, var = self.running_mean, self.running_var
             xhat = x - mean.reshape(shape)
         inv_std = 1.0 / np.sqrt(var + self.EPS)
-        xhat *= inv_std.reshape(shape)
+        xhat *= (sign * inv_std).reshape(shape)
+        return xhat, inv_std, axes, shape
+
+    def forward(self, x, training=False):
+        xhat, inv_std, axes, shape = self._normalize(x, training, np.ones_like(self.gamma.value))
         self._cache = (xhat, inv_std, axes, shape, training, x.shape)
         y = self.gamma.value.reshape(shape) * xhat
         y += self.beta.value.reshape(shape)
@@ -277,62 +301,134 @@ class TanhPi(Layer):
 
 
 def _copy_where(dst: np.ndarray, src, where: np.ndarray) -> None:
-    """``np.copyto(dst, src, where=where)`` bit for bit, as bitwise integer ops.
+    """``np.copyto(dst, src, where=where)`` bit for bit, as integer ops on the bits.
 
     A masked copy branches per element; on the random masks of max pooling it
     measured about 3x slower than these whole-array passes.
     """
     bits = dst.view(np.dtype(f"u{dst.itemsize}"))
-    mask = where.astype(bits.dtype)
-    np.negative(mask, out=mask)  # all ones where ``where`` holds
     diff = bits ^ np.asarray(src, dtype=dst.dtype).view(bits.dtype)
-    diff &= mask
+    diff *= where  # zero where ``where`` does not hold
     bits ^= diff
+
+
+def _pool_windows(shape: tuple[int, ...], k: int) -> list[tuple[slice, ...]]:
+    """Index of each of the k**ndim offsets of the non-overlapping k-windows
+    that fit in ``shape`` (batch, channels, *spatial), in row-major order.
+
+    Trailing remainders that do not fill a window are left out, so every
+    index selects an array of the pooled shape (batch, channels, *floor(d/k)).
+    """
+    spatial = shape[2:]
+    if any(d < k for d in spatial):
+        raise ValueError(f"spatial shape {spatial} too small to pool by {k}")
+    return [
+        (slice(None), slice(None)) + tuple(slice(o, o + k * (d // k), k) for o, d in zip(offset, spatial))
+        for offset in np.ndindex(*(k,) * len(spatial))
+    ]
+
+
+def _first_max(x: np.ndarray, windows: list[tuple[slice, ...]]) -> tuple[np.ndarray, np.ndarray]:
+    """Max over the windows and the offset it came from, with argmax semantics:
+    ties keep the first maximum, and the first NaN wins."""
+    y = x[windows[0]].copy()
+    arg = np.zeros(y.shape, dtype=np.min_scalar_type(len(windows) - 1))
+    for j, idx in enumerate(windows[1:], 1):
+        # A NaN in y is never replaced; one in xs replaces y.
+        xs = x[idx]
+        take = ~(xs <= y)
+        take &= y == y
+        _copy_where(y, xs, take)
+        _copy_where(arg, j, take)
+    return y, arg
 
 
 class MaxPool(Layer):
     """Non-overlapping max pooling (kernel=stride); trailing remainders that
     do not fill a window are dropped, so output dims are floor(d/k)."""
 
-    def __init__(self, kernel_size: int, ndim: int):
+    def __init__(self, kernel_size: int):
         self.kernel_size = kernel_size
-        self.ndim = ndim
         self._cache = None
 
-    def _window_slices(self, out_sp: tuple[int, ...]) -> list[tuple[slice, ...]]:
-        """Index of each of the k**ndim window offsets, in row-major order."""
-        k = self.kernel_size
-        return [
-            (slice(None), slice(None)) + tuple(slice(o, o + k * d, k) for o, d in zip(offset, out_sp))
-            for offset in np.ndindex(*(k,) * self.ndim)
-        ]
-
     def forward(self, x, training=False):
-        k = self.kernel_size
-        spatial = x.shape[2:]
-        if any(d < k for d in spatial):
-            raise ValueError(f"spatial shape {spatial} too small to pool by {k}")
-        windows = self._window_slices(tuple(d // k for d in spatial))
-        y = x[windows[0]].copy()
-        arg = np.zeros(y.shape, dtype=np.min_scalar_type(len(windows) - 1))
-        for j, idx in enumerate(windows[1:], 1):
-            # argmax semantics: ties keep the first maximum, and the first
-            # NaN wins (a NaN in y is never replaced; one in xs replaces y).
-            xs = x[idx]
-            take = ~(xs <= y)
-            take &= y == y
-            _copy_where(y, xs, take)
-            _copy_where(arg, j, take)
-        self._cache = (x.shape, arg)
+        windows = _pool_windows(x.shape, self.kernel_size)
+        y, arg = _first_max(x, windows)
+        self._cache = (x.shape, windows, arg)
         return y
 
     def backward(self, grad_out):
-        x_shape, arg = self._cache
+        x_shape, windows, arg = self._cache
         grad_x = np.zeros(x_shape)
         # The windows do not overlap, so every input is written at most once.
-        for j, idx in enumerate(self._window_slices(grad_out.shape[2:])):
+        for j, idx in enumerate(windows):
             _copy_where(grad_x[idx], grad_out, arg == j)
         return grad_x
+
+
+class BatchNormReLUPool(Layer):
+    """BatchNorm -> ReLU -> MaxPool(2) as one layer that pools before it activates.
+
+    Statistics and x̂ are BatchNorm's, computed at full size. Only the pooled
+    x̂ goes through γ·x̂ + β and the ReLU. See the module docstring for why
+    the outputs are those of the three-layer stack.
+    """
+
+    def __init__(self, channels: int):
+        self.bn = BatchNorm(channels)
+        self._cache = None
+
+    def forward(self, x, training=False):
+        windows = _pool_windows(x.shape, 2)
+        gamma = self.bn.gamma.value
+        # z = s·x̂: its first max is x̂'s first max where γ >= 0 and its first min where γ < 0.
+        sign = np.where(gamma < 0, -1.0, 1.0)
+        z, inv_std, _, shape = self.bn._normalize(x, training, sign)
+        xhat, arg = _first_max(z, windows)
+        xhat *= sign.reshape(shape)
+        y = gamma.reshape(shape) * xhat
+        y += self.bn.beta.value.reshape(shape)
+        mask = y > 0
+        y *= mask
+        self._cache = (z, xhat, mask, windows, arg, sign, inv_std, shape, training)
+        return y
+
+    def backward(self, grad_out, input_grad=True):
+        z, xhat, mask, windows, arg, sign, inv_std, shape, training = self._cache
+        self._cache = None  # z and xhat are overwritten below
+        g = grad_out * mask
+        per_channel = (g.shape[0], g.shape[1], -1)
+        sum_g = np.einsum("bcn->c", g.reshape(per_channel))
+        sum_gx = np.einsum("bcn,bcn->c", g.reshape(per_channel), xhat.reshape(per_channel))
+        self.bn.gamma.grad += sum_gx
+        self.bn.beta.grad += sum_g
+        if not input_grad:
+            return None
+        # BatchNorm's input gradient is inv_std·(scatter(γ·g) - Σγg/m - x̂·Σ(γg·x̂)/m).
+        # The scattered gradient is zero off the selected elements, so both
+        # sums are the pooled ones above times γ. It is written into z.
+        scale = self.bn.gamma.value * inv_std
+        grad_x = z
+        if training:
+            m = z.size // z.shape[1]
+            # z·(s·c1) is c1·x̂, since s = ±1.
+            c1 = -(scale * sum_gx) / m
+            grad_x *= (sign * c1).reshape(shape)
+            grad_x += (-(scale * sum_g) / m).reshape(shape)
+        else:
+            grad_x.fill(0.0)
+        g *= scale.reshape(shape)
+        # Add g at the selected elements, one window offset at a time, with
+        # xhat as scratch. A NaN in g also reaches the rest of its window; in
+        # training mode the sums above spread it to every element anyway.
+        for j, idx in enumerate(windows):
+            np.multiply(g, arg == j, out=xhat)
+            dst = grad_x[idx]
+            dst += xhat
+        return grad_x
+
+    def params(self):
+        return self.bn.params()
 
 
 class Flatten(Layer):
@@ -399,11 +495,13 @@ _CONV3_CHANNELS = (8, 16, 32)
 
 
 def _conv_block(in_ch: int, out_ch: int, ndim: int, rng: np.random.Generator) -> list[Layer]:
+    # Conv -> BatchNorm -> ReLU -> MaxPool(2), the last three fused: the tail
+    # pools s·x̂ (s = sign of γ per channel) with MaxPool's first-max/first-NaN
+    # rule and runs γ·x̂ + β and the ReLU on the pooled array only, which gives
+    # the unfused values because both steps are monotone (module docstring).
     return [
         Conv(in_ch, out_ch, kernel_size=3, ndim=ndim, rng=rng, padding=1),
-        BatchNorm(out_ch),
-        ReLU(),
-        MaxPool(2, ndim),
+        BatchNormReLUPool(out_ch),
     ]
 
 

@@ -231,7 +231,7 @@ def parse_run_config(path) -> dict:
             key, sep, val = line.partition("=")
             key, val = key.strip(), val.strip()
             if not sep or not key or not val:
-                raise ValueError(f"{path}:{line_no}: expected 'key = value', got {raw.rstrip()!r}")
+                raise RunConfigError(f"{path}:{line_no}: expected 'key = value', got {raw.rstrip()!r}")
             if "," in val:
                 cfg[key] = [_coerce(tok.strip()) for tok in val.split(",") if tok.strip()]
             else:

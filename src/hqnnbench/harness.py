@@ -302,14 +302,18 @@ def run_grid(
 ) -> list[dict]:
     """Execute the configured grid, append results, and write tables."""
     check_run_config(run_cfg)
-    dataset = load_run_dataset(run_cfg, Path(data_dir))
     seed = int(run_cfg.get("seed", 0))
     k = run_cfg.get("folds", 5)
+    try:
+        dataset = load_run_dataset(run_cfg, Path(data_dir))
+        folds = make_folds(dataset, k, seed)
+        configs = expand_grid(run_cfg)
+    except ValueError as exc:
+        # A dataset, fold plan or grid that cannot be built is a bad configuration.
+        raise RunConfigError(str(exc)) from exc
     epochs = run_cfg.get("epochs", 50)
     batch_size = run_cfg.get("batch_size", default_batch_size(dataset))
     aggregate = run_cfg.get("aggregate", "mean")
-    folds = make_folds(dataset, k, seed)
-    configs = expand_grid(run_cfg)
     # Only a configuration that loads, splits and expands gets an output directory.
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -408,11 +412,6 @@ def main(argv=None) -> int:
 
     if args.jobs < 1:
         p_run.error(f"--jobs must be at least 1, got {args.jobs}")
-    run_cfg = parse_run_config(args.config)
-    if args.epochs is not None:
-        run_cfg["epochs"] = args.epochs
-    if args.seed is not None:
-        run_cfg["seed"] = args.seed
     n_done = 0
 
     def progress(json_dict: dict) -> None:
@@ -423,6 +422,11 @@ def main(argv=None) -> int:
         print(f"[{n_done}] {json_dict['label']}: {score}", flush=True)
 
     try:
+        run_cfg = parse_run_config(args.config)
+        if args.epochs is not None:
+            run_cfg["epochs"] = args.epochs
+        if args.seed is not None:
+            run_cfg["seed"] = args.seed
         rows = run_grid(run_cfg, Path(args.data_dir), Path(args.out), jobs=args.jobs, progress=progress)
     except (ProtocolMismatchError, RunConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -280,9 +280,12 @@ def apply_signed_perm(
     """``out[i] = sign[i] * amps[perm[i]]``; ``perm=None`` is the identity and ``sign=None`` all +1.
 
     A sign-only map (a run of CZ gates) is one multiply, with no gather.
+    ``perm`` indexes ``amps`` by construction, so the gather runs with
+    ``mode="clip"``: under the default ``"raise"`` NumPy gathers into a
+    temporary buffer and copies it to ``out``.
     """
     if perm is not None:
-        np.take(amps, perm, axis=0, out=out)
+        np.take(amps, perm, axis=0, out=out, mode="clip")
         if sign is not None:
             out *= sign[:, None]
     elif sign is not None:

@@ -204,7 +204,7 @@ def test_criterion_05_classical_and_hybrid_autodiff():
         checks.append((name, _stack_fd_ok(stack, rng.normal(size=shape), rng)))
     # maxpool needs distinct values so the argmax is FD-stable
     mp_x = rng.permutation(64).astype(float).reshape(1, 1, 8, 8) * 0.1
-    checks.append(("maxpool", _stack_fd_ok([MaxPool(2, 2)], mp_x, rng)))
+    checks.append(("maxpool", _stack_fd_ok([MaxPool(2)], mp_x, rng)))
     conv3 = build_preprocessor("conv3", (1, 8, 8), 4, tanh_pi=True, rng=rng)
     checks.append(("conv3_stack", _stack_fd_ok(conv3, rng.normal(size=(3, 1, 8, 8)), rng, n_probe=4)))
 

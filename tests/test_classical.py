@@ -11,6 +11,7 @@ import pytest
 import hqnnbench.classical as classical
 from hqnnbench.classical import (
     BatchNorm,
+    BatchNormReLUPool,
     Conv,
     Flatten,
     FullyConnected,
@@ -288,18 +289,18 @@ class TestActivationsAndPooling:
         fd_check_stack(stack, rng.normal(size=(3, 6)), rng)
 
     def test_maxpool_worked_example(self):
-        mp = MaxPool(2, 1)
+        mp = MaxPool(2)
         y = mp.forward(np.array([[[1.0, 3.0, 2.0, 0.0]]]))
         assert np.allclose(y, [[[3.0, 2.0]]])
 
     def test_maxpool_floor_semantics(self):
-        mp = MaxPool(2, 1)
+        mp = MaxPool(2)
         y = mp.forward(np.arange(7.0).reshape(1, 1, 7))
         assert y.shape == (1, 1, 3)
         assert np.allclose(y, [[[1.0, 3.0, 5.0]]])
 
     def test_maxpool_backward_routes_to_argmax(self):
-        mp = MaxPool(2, 2)
+        mp = MaxPool(2)
         x = np.array([[[[1.0, 2.0], [4.0, 3.0]]]])
         mp.forward(x)
         g = mp.backward(np.array([[[[5.0]]]]))
@@ -309,7 +310,7 @@ class TestActivationsAndPooling:
         rng = np.random.default_rng(12)
         # distinct values keep the max selection stable under the FD probe
         x = rng.permutation(64).astype(float).reshape(1, 1, 8, 8) * 0.1
-        stack = [MaxPool(2, 2)]
+        stack = [MaxPool(2)]
         fd_check_stack(stack, x, rng)
 
     @pytest.mark.parametrize("kind", POOL_INPUT_KINDS)
@@ -331,7 +332,7 @@ class TestActivationsAndPooling:
             if kind == "nan":
                 nans = rng.random(shape) < 0.2
                 x[nans] = rng.choice([np.nan, -np.nan], size=nans.sum())
-        mp = MaxPool(k, ndim)
+        mp = MaxPool(k)
         y = mp.forward(x)
         ref_y, arg = maxpool_argmax(x, k, ndim)
         assert_same_bits(y, ref_y)
@@ -351,6 +352,64 @@ class TestActivationsAndPooling:
             rs.forward(np.zeros((4, 13)))
 
 
+class TestBatchNormReLUPool:
+    """The fused conv-block tail against BatchNorm -> ReLU -> MaxPool(2), the stack it replaces."""
+
+    # One channel each for γ > 0 and γ < 0, then γ = +0 and -0 with β > 0 and
+    # with β < 0. β = -0 keeps a signed zero x̂ signed through the affine map.
+    # With γ = ±0 and β > 0 every window ties after the affine map, so which
+    # element γ's gradient reads is a free choice there.
+    GAMMA = np.array([1.3, -0.7, 0.0, -0.0, 0.0, -0.0])
+    BETA = np.array([-0.0, 0.1, 0.4, 0.4, -0.4, -0.4])
+    KINDS = ("normal", "ties", "signed_zeros", "nan")
+    UNTIED = [0, 1, 4, 5]
+    # every spatial size leaves a remainder that does not fill a window
+    SPATIAL = {1: (9,), 2: (5, 7), 3: (3, 5, 5)}
+
+    def layers(self, rng, zero_mean):
+        c = self.GAMMA.size
+        bn, fused = BatchNorm(c), BatchNormReLUPool(c)
+        running_mean = np.zeros(c) if zero_mean else rng.normal(size=c)
+        running_var = rng.uniform(0.5, 2.0, size=c)
+        for b in (bn, fused.bn):
+            b.gamma.value[:], b.beta.value[:] = self.GAMMA, self.BETA
+            b.running_mean[:], b.running_var[:] = running_mean, running_var
+        return [bn, ReLU(), MaxPool(2)], fused
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("ndim", [1, 2, 3])
+    def test_matches_the_unfused_stack(self, ndim, training, kind):
+        rng = np.random.default_rng([ndim, int(training), self.KINDS.index(kind)])
+        shape = (4, self.GAMMA.size) + self.SPATIAL[ndim]
+        if kind == "normal":
+            x = rng.normal(size=shape)
+        else:
+            x = rng.integers(-2, 3, size=shape).astype(float)
+            if kind != "ties":
+                zeros = x == 0
+                x[zeros] = rng.choice([0.0, -0.0], size=zeros.sum())
+            if kind == "nan":
+                nans = rng.random(shape) < 0.2
+                x[nans] = rng.choice([np.nan, -np.nan], size=nans.sum())
+        # A zero running mean keeps the signed zeros signed in eval mode's x̂.
+        ref, fused = self.layers(rng, zero_mean=kind == "signed_zeros")
+        want = stack_forward(ref, x, training=training)
+        got = fused.forward(x, training=training)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want, equal_nan=True)  # == elementwise, NaN in the same places
+        assert_same_bits(fused.bn.running_mean, ref[0].running_mean)
+        assert_same_bits(fused.bn.running_var, ref[0].running_var)
+
+        grad_out = rng.normal(size=want.shape)
+        want_x = stack_backward(ref, grad_out)
+        got_x = fused.backward(grad_out)
+        close = dict(rtol=0, atol=1e-12, equal_nan=True)
+        np.testing.assert_allclose(got_x, want_x, **close)
+        np.testing.assert_allclose(fused.bn.beta.grad, ref[0].beta.grad, **close)
+        np.testing.assert_allclose(fused.bn.gamma.grad[self.UNTIED], ref[0].gamma.grad[self.UNTIED], **close)
+
+
 class TestPreprocessorBuilders:
     def test_conv0_is_flatten_plus_projection(self):
         rng = np.random.default_rng(14)
@@ -364,7 +423,7 @@ class TestPreprocessorBuilders:
         stack = build_preprocessor("conv3", (1, 28, 28), 16, tanh_pi=True, rng=rng)
         names = [type(l).__name__ for l in stack]
         assert names == (
-            ["Conv", "BatchNorm", "ReLU", "MaxPool"] * 3 + ["Flatten", "FullyConnected", "TanhPi"]
+            ["Conv", "BatchNormReLUPool"] * 3 + ["Flatten", "FullyConnected", "TanhPi"]
         )
         # 28 -> 14 -> 7 -> 3 spatial, channels 8/16/32
         assert stack[-2].weight.value.shape[1] == 32 * 9
@@ -404,12 +463,22 @@ class TestParameterOnlyBackward:
 
     @pytest.mark.parametrize(
         "variant, in_shape",
-        [("conv0", (40,)), ("conv1", (40,)), ("conv3", (1, 12, 12)), ("conv3", (2, 8, 8, 8)), ("batchnorm", (3, 4))],
+        [
+            ("conv0", (40,)),
+            ("conv1", (40,)),
+            ("conv3", (1, 12, 12)),
+            ("conv3", (2, 8, 8, 8)),
+            ("batchnorm", (3, 4)),
+            ("fused_tail", (3, 4)),
+        ],
     )
     def test_parameter_gradients_are_bit_identical(self, variant, in_shape):
         rng = np.random.default_rng(63)
-        if variant == "batchnorm":  # build_preprocessor never puts BatchNorm lowest
+        # build_preprocessor never puts BatchNorm or the fused tail lowest
+        if variant == "batchnorm":
             stack = [BatchNorm(3), Flatten(), FullyConnected(12, 16, rng)]
+        elif variant == "fused_tail":
+            stack = [BatchNormReLUPool(3), Flatten(), FullyConnected(6, 16, rng)]
         else:
             stack = build_preprocessor(variant, in_shape, 16, tanh_pi=True, rng=rng)
         x = rng.normal(size=(5,) + in_shape)

@@ -651,7 +651,7 @@ class TestCli:
             ("dataset = npz", "dataset npz requires npz_file"),
             ("dataset = nosuch", "unknown dataset 'nosuch'"),
             ("seed = -1", "seed must be an integer of at least 0, got -1"),
-            ("blobs_n = 7", None),  # synth_blobs refuses an odd count itself
+            ("blobs_n = 7", "n must be even for balanced classes"),  # synth_blobs refuses an odd count
         ],
         ids=["npz_without_file", "unknown_dataset", "negative_seed", "odd_blobs_n"],
     )
@@ -660,12 +660,26 @@ class TestCli:
         cfg.write_text(cfg.read_text() + line + "\n")
         out = tmp_path / "out"
         argv = ["run", "--config", str(cfg), "--data-dir", str(tmp_path), "--out", str(out)]
-        if message is None:
-            with pytest.raises(ValueError, match="even"):
-                main(argv)
-        else:
-            assert main(argv) == 2
-            assert capsys.readouterr().err == f"error: {message}\n"
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "lines, message",
+        [
+            ("blobs_n = 4\nfolds = 3", "error: class 0 has fewer than k=3 samples\n"),  # make_folds
+            ("folds 2", "expected 'key = value', got 'folds 2'\n"),  # parse_run_config
+            ("latent = 7", "error: latent_dim must be one of [16, 256]\n"),  # expand_grid
+        ],
+        ids=["too_few_per_class", "malformed_line", "bad_grid_axis"],
+    )
+    def test_run_reports_a_config_that_cannot_split_or_expand(self, tmp_path, capsys, lines, message):
+        cfg = self.write_cfg(tmp_path)
+        cfg.write_text(cfg.read_text() + lines + "\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--data-dir", str(tmp_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.endswith(message) and err.count("\n") == 1
         assert not out.exists()
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])

@@ -14,6 +14,7 @@ from hqnnbench.statevec import (
     Gate,
     Observable,
     apply_gate,
+    apply_signed_perm,
     expval_batch,
     gate_overlap,
     measurement_diagonals,
@@ -301,6 +302,22 @@ class TestSharedRunKernels:
             apply_gate(amps, (4, 3), np.eye(4), np.empty_like(amps))
         with pytest.raises(ValueError):
             gate_overlap(amps, amps, (4, 3), per_sample=False)
+
+
+class TestSignedPermutation:
+    """``apply_signed_perm`` is ``sign[:, None] * amps[perm]``, written into ``out``."""
+
+    @pytest.mark.parametrize("with_perm, with_sign", [(True, True), (True, False), (False, True), (False, False)])
+    def test_matches_the_fancy_index(self, with_perm, with_sign):
+        rng = np.random.default_rng(17)
+        n, batch = 5, 3
+        amps = rng.normal(size=(1 << n, batch)) + 1j * rng.normal(size=(1 << n, batch))
+        perm = rng.permutation(1 << n) if with_perm else None
+        sign = rng.choice([-1.0, 1.0], size=1 << n) if with_sign else None
+        want = (np.ones(1 << n) if sign is None else sign)[:, None] * amps[np.arange(1 << n) if perm is None else perm]
+        out = np.empty_like(amps)
+        assert apply_signed_perm(amps, perm, sign, out) is out
+        assert np.array_equal(out, want)
 
 
 class TestFusion:
