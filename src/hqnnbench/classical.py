@@ -8,32 +8,36 @@ Everything here is plain numpy. Each layer stores its parameters as
   layers with parameters take ``input_grad=False`` to accumulate only,
 * ``params()``              -> list of trainable ``Param``s.
 
-Arrays use shape (batch, channels, *spatial). Convolutions are
-dimension-agnostic (1-D/2-D/3-D), run at stride 1 and are lowered to BLAS
-matrix products (im2col + GEMM): a window view of the padded input is copied
-into per-sample (C_in * k**ndim, positions) column matrices; batched matmuls
-with the (C_out, C_in * k**ndim) weight matrix give the output, the weight
-gradient and the input-gradient columns, which are slice-added back onto the
-input grid. The column copy is bounded by ``_CONV_COLS_BYTES``; a batch
-whose columns would exceed it is processed in chunks of samples.
+Arrays use shape (batch, channels, *spatial). A conv block is
+Conv -> BatchNorm -> ReLU -> MaxPool(2), built from two layers: ``Conv`` and
+``BatchNormReLUPool``.
 
-A conv block is Conv -> BatchNorm -> ReLU -> MaxPool(2), and its last three
-layers run as one, ``BatchNormReLUPool``, which pools before it activates.
-BatchNorm's statistics and x̂ are computed at full size as ``BatchNorm``
-computes them; only the pooled x̂ goes through γ·x̂ + β and the ReLU. This
-gives the values of the unfused stack: per channel, a ↦ ReLU(γ·a + β) with
-each step rounded is monotone, non-decreasing for γ >= 0 and non-increasing
-for γ < 0, so the largest output of a window is the output of its largest x̂
-where γ >= 0 and of its smallest x̂ where γ < 0. The layer takes both at once
-as the first maximum of s·x̂, s = ±1 per channel, folded into the
-normalisation's scale (negation is exact). MaxPool's tie rule holds for s·x̂:
-the first maximum wins and the first NaN wins. The values never differ from
-the unfused stack's, though a zero may differ in sign. The element a window
-routes its gradient to can differ only where distinct x̂ of the window map to
-the same positive output (γ = 0, or two x̂ within rounding); a window whose
-output is 0 passes no gradient either way. The backward pass takes the ReLU
-mask and the γ/β gradients at pooled size, and writes BatchNorm's input
-gradient into the cached full-size x̂.
+``Conv`` is dimension-agnostic (1-D/2-D/3-D) with a 3-wide kernel, stride 1
+and one zero of padding per side, so it keeps the spatial shape. It is
+lowered to BLAS matrix products (im2col + GEMM): a window view of the padded
+input is copied into per-sample (C_in * 3**ndim, positions) column matrices;
+batched matmuls with the (C_out, C_in * 3**ndim) weight matrix give the
+output, the weight gradient and the input-gradient columns, which are
+slice-added back onto the input grid. The column copy is bounded by
+``_CONV_COLS_BYTES``; a batch whose columns would exceed it is processed in
+chunks of samples.
+
+``BatchNormReLUPool`` pools before it activates. It computes the batch
+statistics and x̂ at full size; only the pooled x̂ goes through γ·x̂ + β and
+the ReLU. This gives the values of the three-step stack: per channel,
+a ↦ ReLU(γ·a + β) with each step rounded is monotone, non-decreasing for
+γ >= 0 and non-increasing for γ < 0, so the largest output of a window is
+the output of its largest x̂ where γ >= 0 and of its smallest x̂ where γ < 0.
+The layer takes both at once as the first maximum of s·x̂, s = ±1 per
+channel, folded into the normalisation's scale (negation is exact). Max
+pooling's argmax tie rule holds for s·x̂: the first maximum wins and the
+first NaN wins. The values never differ from the stack's, though a zero may
+differ in sign. The element a window routes its gradient to can differ only
+where distinct x̂ of the window map to the same positive output (γ = 0, or
+two x̂ within rounding); a window whose output is 0 passes no gradient either
+way. The backward pass takes the ReLU mask and the γ/β gradients at pooled
+size, and writes batch normalization's input gradient into the cached
+full-size x̂.
 """
 
 from __future__ import annotations
@@ -99,13 +103,6 @@ class FullyConnected(Layer):
         return [self.weight, self.bias]
 
 
-def _pad_spatial(x: np.ndarray, pad: int) -> np.ndarray:
-    if pad == 0:
-        return x
-    width = [(0, 0), (0, 0)] + [(pad, pad)] * (x.ndim - 2)
-    return np.pad(x, width)
-
-
 # Bytes of im2col columns one ``Conv`` matmul may copy out of the window
 # view; larger batches are processed in chunks of samples. The 1-D beats
 # layers need at most ~8.8 MB, so they run in one chunk, while a volumetric
@@ -114,41 +111,29 @@ _CONV_COLS_BYTES = 1 << 24
 
 
 class Conv(Layer):
-    """N-dimensional convolution (cross-correlation) at stride 1 with the same
-    zero padding along every spatial axis.
+    """N-dimensional convolution (cross-correlation) with a 3-wide kernel at
+    stride 1 and one zero of padding along every spatial axis, so the output
+    keeps the input's spatial shape.
 
-    Weight shape is (out_ch, in_ch, k, k, ...)."""
+    Weight shape is (out_ch, in_ch, 3, 3, ...)."""
 
-    def __init__(
-        self,
-        in_ch: int,
-        out_ch: int,
-        kernel_size: int,
-        ndim: int,
-        rng: np.random.Generator,
-        padding: int = 0,
-    ):
+    def __init__(self, in_ch: int, out_ch: int, ndim: int, rng: np.random.Generator):
         self.in_ch = in_ch
         self.out_ch = out_ch
-        self.kernel_size = kernel_size
         self.ndim = ndim
-        self.padding = padding
-        fan_in = in_ch * kernel_size**ndim
-        self.weight = Param(
-            _uniform_fan_in(rng, fan_in, (out_ch, in_ch) + (kernel_size,) * ndim)
-        )
+        fan_in = in_ch * 3**ndim
+        self.weight = Param(_uniform_fan_in(rng, fan_in, (out_ch, in_ch) + (3,) * ndim))
         self.bias = Param(_uniform_fan_in(rng, fan_in, (out_ch,)))
         self._xp: np.ndarray | None = None
-        self._in_spatial: tuple[int, ...] | None = None
 
     def _columns(self, xp: np.ndarray) -> tuple[np.ndarray, list[slice]]:
         """Window view of ``xp`` as (B, C_in, *k, *out) and its batch chunks.
 
-        Reshaping a chunk to (b, C_in * k**ndim, prod(out)) copies its im2col
+        Reshaping a chunk to (b, C_in * 3**ndim, prod(out)) copies its im2col
         columns; each chunk's copy stays within ``_CONV_COLS_BYTES``.
         """
         nd = self.ndim
-        win = sliding_window_view(xp, (self.kernel_size,) * nd, axis=tuple(range(2, 2 + nd)))
+        win = sliding_window_view(xp, (3,) * nd, axis=tuple(range(2, 2 + nd)))
         win = win.transpose((0, 1) + tuple(range(2 + nd, 2 + 2 * nd)) + tuple(range(2, 2 + nd)))
         step = max(1, _CONV_COLS_BYTES // (math.prod(win.shape[1:]) * win.itemsize))
         return win, [slice(b, b + step) for b in range(0, xp.shape[0], step)]
@@ -156,15 +141,11 @@ class Conv(Layer):
     def forward(self, x, training=False):
         if x.ndim != self.ndim + 2 or x.shape[1] != self.in_ch:
             raise ValueError(f"expected (B, {self.in_ch}, {'x'.join('*' * self.ndim)}), got {x.shape}")
-        self._in_spatial = x.shape[2:]
-        xp = _pad_spatial(x, self.padding)
-        if any(d < self.kernel_size for d in xp.shape[2:]):
-            raise ValueError(f"spatial shape {x.shape[2:]} too small for kernel {self.kernel_size}")
-        self._xp = xp
+        xp = self._xp = np.pad(x, [(0, 0), (0, 0)] + [(1, 1)] * self.ndim)
         win, chunks = self._columns(xp)
-        out_sp = win.shape[2 + self.ndim :]
+        out_sp = x.shape[2:]
         w2 = self.weight.value.reshape(self.out_ch, -1)
-        y = np.empty((x.shape[0], self.out_ch) + out_sp)
+        y = np.empty(x.shape[:1] + (self.out_ch,) + out_sp)
         y3 = y.reshape(x.shape[0], self.out_ch, math.prod(out_sp))
         # Each chunk's columns are a temporary of one statement, so two
         # chunks' copies are never alive at once.
@@ -189,89 +170,17 @@ class Conv(Layer):
         self.bias.grad += grad_out.sum(axis=tuple(i for i in range(grad_out.ndim) if i != 1))
         if not input_grad:
             return None
-        if self.padding:
-            core = tuple(slice(self.padding, self.padding + d) for d in self._in_spatial)
-            return grad_xp[(slice(None), slice(None)) + core]
-        return grad_xp
+        return grad_xp[(slice(None), slice(None)) + (slice(1, -1),) * self.ndim]
 
     def _add_columns(self, grad_xp: np.ndarray, cols: np.ndarray, out_sp: tuple[int, ...]) -> None:
-        """col2im: slice-add (b, C_in * k**ndim, prod(out)) columns onto the padded grid."""
+        """col2im: slice-add (b, C_in * 3**ndim, prod(out)) columns onto the padded grid."""
         cols = cols.reshape(cols.shape[:1] + self.weight.value.shape[1:] + out_sp)
-        for offset in np.ndindex(*(self.kernel_size,) * self.ndim):
+        for offset in np.ndindex(*(3,) * self.ndim):
             sl = tuple(slice(o, o + d) for o, d in zip(offset, out_sp))
             grad_xp[(slice(None), slice(None)) + sl] += cols[(slice(None), slice(None)) + offset]
 
     def params(self):
         return [self.weight, self.bias]
-
-
-class BatchNorm(Layer):
-    """Per-channel batch normalization with running statistics.
-
-    Training uses biased batch variance; running stats are updated with
-    momentum 0.1 and used verbatim in eval mode. eps = 1e-5.
-    """
-
-    EPS = 1e-5
-    MOMENTUM = 0.1
-
-    def __init__(self, channels: int):
-        self.gamma = Param(np.ones(channels))
-        self.beta = Param(np.zeros(channels))
-        self.running_mean = np.zeros(channels)
-        self.running_var = np.ones(channels)
-        self._cache = None
-
-    def _normalize(self, x: np.ndarray, training: bool, sign: np.ndarray):
-        """(sign·x̂, inv_std, stat axes, channel shape), updating the running stats when training.
-
-        The result is a new array. ``sign`` is ±1 per channel and exact: it is
-        folded into the scale, and negation commutes with rounding.
-        """
-        axes = (0,) + tuple(range(2, x.ndim))
-        shape = (1, -1) + (1,) * (x.ndim - 2)
-        if training:
-            # The same operations as x.mean() and x.var(), sharing x - mean.
-            mean = x.mean(axis=axes)
-            xhat = x - mean.reshape(shape)
-            var = np.multiply(xhat, xhat).sum(axis=axes) / (x.size // x.shape[1])
-            self.running_mean += self.MOMENTUM * (mean - self.running_mean)
-            self.running_var += self.MOMENTUM * (var - self.running_var)
-        else:
-            mean, var = self.running_mean, self.running_var
-            xhat = x - mean.reshape(shape)
-        inv_std = 1.0 / np.sqrt(var + self.EPS)
-        xhat *= (sign * inv_std).reshape(shape)
-        return xhat, inv_std, axes, shape
-
-    def forward(self, x, training=False):
-        xhat, inv_std, axes, shape = self._normalize(x, training, np.ones_like(self.gamma.value))
-        self._cache = (xhat, inv_std, axes, shape, training, x.shape)
-        y = self.gamma.value.reshape(shape) * xhat
-        y += self.beta.value.reshape(shape)
-        return y
-
-    def backward(self, grad_out, input_grad=True):
-        xhat, inv_std, axes, shape, training, x_shape = self._cache
-        tmp = np.multiply(grad_out, xhat)
-        self.gamma.grad += tmp.sum(axis=axes)
-        self.beta.grad += grad_out.sum(axis=axes)
-        if not input_grad:
-            return None
-        g = grad_out * self.gamma.value.reshape(shape)
-        if training:
-            m = np.prod([x_shape[a] for a in axes])
-            gs = g.sum(axis=axes, keepdims=True)
-            gxs = np.multiply(g, xhat, out=tmp).sum(axis=axes, keepdims=True)
-            g -= gs / m
-            np.multiply(xhat, gxs, out=tmp)
-            tmp /= m
-            g -= tmp
-        g *= inv_std.reshape(shape)
-        return g
-
-    def params(self):
-        return [self.gamma, self.beta]
 
 
 class ReLU(Layer):
@@ -312,19 +221,19 @@ def _copy_where(dst: np.ndarray, src, where: np.ndarray) -> None:
     bits ^= diff
 
 
-def _pool_windows(shape: tuple[int, ...], k: int) -> list[tuple[slice, ...]]:
-    """Index of each of the k**ndim offsets of the non-overlapping k-windows
+def _pool_windows(shape: tuple[int, ...]) -> list[tuple[slice, ...]]:
+    """Index of each of the 2**ndim offsets of the non-overlapping 2-windows
     that fit in ``shape`` (batch, channels, *spatial), in row-major order.
 
     Trailing remainders that do not fill a window are left out, so every
-    index selects an array of the pooled shape (batch, channels, *floor(d/k)).
+    index selects an array of the pooled shape (batch, channels, *floor(d/2)).
     """
     spatial = shape[2:]
-    if any(d < k for d in spatial):
-        raise ValueError(f"spatial shape {spatial} too small to pool by {k}")
+    if any(d < 2 for d in spatial):
+        raise ValueError(f"spatial shape {spatial} too small to pool by 2")
     return [
-        (slice(None), slice(None)) + tuple(slice(o, o + k * (d // k), k) for o, d in zip(offset, spatial))
-        for offset in np.ndindex(*(k,) * len(spatial))
+        (slice(None), slice(None)) + tuple(slice(o, o + 2 * (d // 2), 2) for o, d in zip(offset, spatial))
+        for offset in np.ndindex(*(2,) * len(spatial))
     ]
 
 
@@ -343,51 +252,50 @@ def _first_max(x: np.ndarray, windows: list[tuple[slice, ...]]) -> tuple[np.ndar
     return y, arg
 
 
-class MaxPool(Layer):
-    """Non-overlapping max pooling (kernel=stride); trailing remainders that
-    do not fill a window are dropped, so output dims are floor(d/k)."""
-
-    def __init__(self, kernel_size: int):
-        self.kernel_size = kernel_size
-        self._cache = None
-
-    def forward(self, x, training=False):
-        windows = _pool_windows(x.shape, self.kernel_size)
-        y, arg = _first_max(x, windows)
-        self._cache = (x.shape, windows, arg)
-        return y
-
-    def backward(self, grad_out):
-        x_shape, windows, arg = self._cache
-        grad_x = np.zeros(x_shape)
-        # The windows do not overlap, so every input is written at most once.
-        for j, idx in enumerate(windows):
-            _copy_where(grad_x[idx], grad_out, arg == j)
-        return grad_x
-
-
 class BatchNormReLUPool(Layer):
     """BatchNorm -> ReLU -> MaxPool(2) as one layer that pools before it activates.
 
-    Statistics and x̂ are BatchNorm's, computed at full size. Only the pooled
-    x̂ goes through γ·x̂ + β and the ReLU. See the module docstring for why
-    the outputs are those of the three-layer stack.
+    Batch normalization is per channel, with the biased batch variance in
+    training; the running statistics are updated with momentum 0.1 and used
+    verbatim in eval mode. eps = 1e-5. Statistics and x̂ are computed at full
+    size; only the pooled x̂ goes through γ·x̂ + β and the ReLU. See the module
+    docstring for why the outputs are those of the three-step stack.
     """
 
+    EPS = 1e-5
+    MOMENTUM = 0.1
+
     def __init__(self, channels: int):
-        self.bn = BatchNorm(channels)
+        self.gamma = Param(np.ones(channels))
+        self.beta = Param(np.zeros(channels))
+        self.running_mean = np.zeros(channels)
+        self.running_var = np.ones(channels)
         self._cache = None
 
     def forward(self, x, training=False):
-        windows = _pool_windows(x.shape, 2)
-        gamma = self.bn.gamma.value
-        # z = s·x̂: its first max is x̂'s first max where γ >= 0 and its first min where γ < 0.
+        windows = _pool_windows(x.shape)
+        axes = (0,) + tuple(range(2, x.ndim))
+        shape = (1, -1) + (1,) * (x.ndim - 2)
+        if training:
+            # The same operations as x.mean() and x.var(), sharing x - mean.
+            mean = x.mean(axis=axes)
+            z = x - mean.reshape(shape)
+            var = np.multiply(z, z).sum(axis=axes) / (x.size // x.shape[1])
+            self.running_mean += self.MOMENTUM * (mean - self.running_mean)
+            self.running_var += self.MOMENTUM * (var - self.running_var)
+        else:
+            z = x - self.running_mean.reshape(shape)
+            var = self.running_var
+        inv_std = 1.0 / np.sqrt(var + self.EPS)
+        gamma = self.gamma.value
+        # z = s·x̂: its first max is x̂'s first max where γ >= 0 and its first
+        # min where γ < 0. s = ±1 is folded into the scale; negation is exact.
         sign = np.where(gamma < 0, -1.0, 1.0)
-        z, inv_std, _, shape = self.bn._normalize(x, training, sign)
+        z *= (sign * inv_std).reshape(shape)
         xhat, arg = _first_max(z, windows)
         xhat *= sign.reshape(shape)
         y = gamma.reshape(shape) * xhat
-        y += self.bn.beta.value.reshape(shape)
+        y += self.beta.value.reshape(shape)
         mask = y > 0
         y *= mask
         self._cache = (z, xhat, mask, windows, arg, sign, inv_std, shape, training)
@@ -400,14 +308,14 @@ class BatchNormReLUPool(Layer):
         per_channel = (g.shape[0], g.shape[1], -1)
         sum_g = np.einsum("bcn->c", g.reshape(per_channel))
         sum_gx = np.einsum("bcn,bcn->c", g.reshape(per_channel), xhat.reshape(per_channel))
-        self.bn.gamma.grad += sum_gx
-        self.bn.beta.grad += sum_g
+        self.gamma.grad += sum_gx
+        self.beta.grad += sum_g
         if not input_grad:
             return None
-        # BatchNorm's input gradient is inv_std·(scatter(γ·g) - Σγg/m - x̂·Σ(γg·x̂)/m).
+        # Batch normalization's input gradient is inv_std·(scatter(γ·g) - Σγg/m - x̂·Σ(γg·x̂)/m).
         # The scattered gradient is zero off the selected elements, so both
         # sums are the pooled ones above times γ. It is written into z.
-        scale = self.bn.gamma.value * inv_std
+        scale = self.gamma.value * inv_std
         grad_x = z
         if training:
             m = z.size // z.shape[1]
@@ -428,7 +336,7 @@ class BatchNormReLUPool(Layer):
         return grad_x
 
     def params(self):
-        return self.bn.params()
+        return [self.gamma, self.beta]
 
 
 class Flatten(Layer):
@@ -495,14 +403,9 @@ _CONV3_CHANNELS = (8, 16, 32)
 
 
 def _conv_block(in_ch: int, out_ch: int, ndim: int, rng: np.random.Generator) -> list[Layer]:
-    # Conv -> BatchNorm -> ReLU -> MaxPool(2), the last three fused: the tail
-    # pools s·x̂ (s = sign of γ per channel) with MaxPool's first-max/first-NaN
-    # rule and runs γ·x̂ + β and the ReLU on the pooled array only, which gives
-    # the unfused values because both steps are monotone (module docstring).
-    return [
-        Conv(in_ch, out_ch, kernel_size=3, ndim=ndim, rng=rng, padding=1),
-        BatchNormReLUPool(out_ch),
-    ]
+    # Conv -> BatchNorm -> ReLU -> MaxPool(2), the last three as one layer
+    # that pools before it activates (module docstring).
+    return [Conv(in_ch, out_ch, ndim, rng), BatchNormReLUPool(out_ch)]
 
 
 def build_preprocessor(
@@ -541,8 +444,8 @@ def build_preprocessor(
     else:
         raise ValueError(f"unknown preprocessor variant {variant!r}")
     # One zero sample through the layers so far gives the projection's width
-    # and rejects inputs too small to convolve or pool. An eval-mode forward
-    # pass draws nothing from ``rng`` and leaves BatchNorm's statistics alone.
+    # and rejects inputs too small to pool. An eval-mode forward pass draws
+    # nothing from ``rng`` and leaves the running statistics alone.
     flat = stack_forward(layers, np.zeros((1,) + input_shape))
     layers.append(FullyConnected(flat.shape[1], latent_dim, rng))
     if tanh_pi:

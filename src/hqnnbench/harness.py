@@ -293,6 +293,20 @@ def _data_digest(dataset: Dataset) -> str:
     return h.hexdigest()
 
 
+def _check_preprocessors(configs: list[ModelConfig], sample_shape: tuple[int, ...]) -> None:
+    """Refuse a grid with a preprocessor that cannot take ``sample_shape``.
+
+    Each distinct preprocessor variant is built once, on a throwaway RNG so
+    that no training stream moves, and with a one-wide projection: the
+    projection does not change which shapes a variant takes.
+    """
+    for variant in sorted({c.preproc for c in configs}):
+        try:
+            build_preprocessor(variant, sample_shape, 1, False, np.random.default_rng(0))
+        except ValueError as exc:
+            raise RunConfigError(f"preproc {variant} cannot take samples of shape {sample_shape}: {exc}") from exc
+
+
 def run_grid(
     run_cfg: dict,
     data_dir: Path,
@@ -308,13 +322,15 @@ def run_grid(
         dataset = load_run_dataset(run_cfg, Path(data_dir))
         folds = make_folds(dataset, k, seed)
         configs = expand_grid(run_cfg)
-    except ValueError as exc:
-        # A dataset, fold plan or grid that cannot be built is a bad configuration.
+    except (OSError, ValueError) as exc:
+        # A data file that cannot be read, or a dataset, fold plan or grid
+        # that cannot be built, is a bad configuration.
         raise RunConfigError(str(exc)) from exc
+    _check_preprocessors(configs, dataset.sample_shape)
     epochs = run_cfg.get("epochs", 50)
     batch_size = run_cfg.get("batch_size", default_batch_size(dataset))
     aggregate = run_cfg.get("aggregate", "mean")
-    # Only a configuration that loads, splits and expands gets an output directory.
+    # Only a configuration that loads, splits, expands and builds gets an output directory.
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 

@@ -487,7 +487,7 @@ def maxpool_argmax_backward(x_shape, arg: np.ndarray, grad_out: np.ndarray, k: i
 
 def batchnorm_reference(x, gamma, beta, mean, var, eps: float, grad_out, training: bool):
     """(y, grad_x, grad_gamma, grad_beta) of batch normalization, each as one
-    expression in the operation order ``BatchNorm`` keeps. ``mean``/``var``
+    expression in the operation order of ``BatchNormReLUPool``. ``mean``/``var``
     are the statistics to normalize with (batch ones when ``training``)."""
     axes = (0,) + tuple(range(2, x.ndim))
     shape = (1, -1) + (1,) * (x.ndim - 2)

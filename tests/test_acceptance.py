@@ -30,11 +30,10 @@ from statistics import median
 import numpy as np
 
 from hqnnbench.classical import (
-    BatchNorm,
+    BatchNormReLUPool,
     Conv,
     Flatten,
     FullyConnected,
-    MaxPool,
     Param,
     ReLU,
     Reshape,
@@ -191,10 +190,9 @@ def test_criterion_05_classical_and_hybrid_autodiff():
 
     layer_cases = [
         ("fully_connected", [FullyConnected(6, 4, rng)], (3, 6)),
-        ("conv1d", [Conv(2, 2, 3, 1, rng, padding=1)], (2, 2, 8)),
-        ("conv2d", [Conv(2, 2, 3, 2, rng, padding=1)], (2, 2, 5, 5)),
-        ("conv3d", [Conv(1, 2, 3, 3, rng, padding=1)], (2, 1, 4, 4, 4)),
-        ("batchnorm", [BatchNorm(3)], (6, 3, 4)),
+        ("conv1d", [Conv(2, 2, 1, rng)], (2, 2, 8)),
+        ("conv2d", [Conv(2, 2, 2, rng)], (2, 2, 5, 5)),
+        ("conv3d", [Conv(1, 2, 3, rng)], (2, 1, 4, 4, 4)),
         ("relu", [ReLU()], (4, 7)),
         ("tanh_pi", [TanhPi()], (4, 7)),
         ("flatten", [Flatten()], (4, 2, 3)),
@@ -202,9 +200,12 @@ def test_criterion_05_classical_and_hybrid_autodiff():
     ]
     for name, stack, shape in layer_cases:
         checks.append((name, _stack_fd_ok(stack, rng.normal(size=shape), rng)))
-    # maxpool needs distinct values so the argmax is FD-stable
-    mp_x = rng.permutation(64).astype(float).reshape(1, 1, 8, 8) * 0.1
-    checks.append(("maxpool", _stack_fd_ok([MaxPool(2)], mp_x, rng)))
+    # The conv-block tail (BatchNorm -> ReLU -> MaxPool(2)) with γ of both
+    # signs; distinct values keep each window's selection FD-stable.
+    tail = BatchNormReLUPool(3)
+    tail.gamma.value[:], tail.beta.value[:] = [1.3, -0.7, 0.9], [0.1, -0.2, 0.05]
+    tail_x = rng.permutation(72).astype(float).reshape(4, 3, 6) * 0.1
+    checks.append(("batchnorm_relu_pool", _stack_fd_ok([tail], tail_x, rng)))
     conv3 = build_preprocessor("conv3", (1, 8, 8), 4, tanh_pi=True, rng=rng)
     checks.append(("conv3_stack", _stack_fd_ok(conv3, rng.normal(size=(3, 1, 8, 8)), rng, n_probe=4)))
 

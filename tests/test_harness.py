@@ -682,6 +682,24 @@ class TestCli:
         assert err.startswith("error: ") and err.endswith(message) and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "lines, message",
+        [
+            ("dataset = npz\nnpz_file = missing.npz", "No such file or directory"),
+            ("dataset = beats_csv\nbeats_file = missing.csv", "No such file or directory"),
+            ("blobs_dim = 4\npreproc = conv3", "preproc conv3 cannot take samples of shape (4,)"),
+        ],
+        ids=["missing_npz_file", "missing_beats_file", "unpoolable_samples"],
+    )
+    def test_run_refuses_unreadable_or_unbuildable_data_before_creating_out(self, tmp_path, capsys, lines, message):
+        cfg = self.write_cfg(tmp_path)
+        cfg.write_text(cfg.read_text() + lines + "\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--data-dir", str(tmp_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and err.count("\n") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_rejected(self, tmp_path, capsys, jobs):
         cfg = self.write_cfg(tmp_path)
