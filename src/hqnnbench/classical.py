@@ -339,20 +339,8 @@ class BatchNormReLUPool(Layer):
         return [self.gamma, self.beta]
 
 
-class Flatten(Layer):
-    def __init__(self):
-        self._shape: tuple[int, ...] | None = None
-
-    def forward(self, x, training=False):
-        self._shape = x.shape
-        return x.reshape(x.shape[0], -1)
-
-    def backward(self, grad_out):
-        return grad_out.reshape(self._shape)
-
-
 class Reshape(Layer):
-    """Static per-sample reshape, e.g. a flat vector to (1, length)."""
+    """Static per-sample reshape, e.g. a flat vector to (1, length), or ``(-1,)`` to flatten."""
 
     def __init__(self, target: tuple[int, ...]):
         self.target = tuple(target)
@@ -419,9 +407,10 @@ def build_preprocessor(
 
     ``variant`` is ``"conv3"`` (three conv/BN/ReLU/pool blocks, channels
     8/16/32), ``"conv1"`` (one such block at 8 channels) or ``"conv0"``
-    (no convolutions). All variants end in Flatten plus a fully-connected
-    projection to ``latent_dim``, then pi*tanh when requested. Unchanneled
-    1-D inputs of shape (length,) are treated as one channel.
+    (no convolutions). All variants then flatten each sample with
+    ``Reshape((-1,))`` and project it to ``latent_dim`` with a fully-connected
+    layer, then apply pi*tanh when requested. Unchanneled 1-D inputs of
+    shape (length,) are treated as one channel.
     """
     input_shape = tuple(int(d) for d in input_shape)
     if latent_dim <= 0:
@@ -438,11 +427,9 @@ def build_preprocessor(
         for out_ch in _CONV3_CHANNELS[:n_blocks]:
             layers.extend(_conv_block(in_ch, out_ch, ndim, rng))
             in_ch = out_ch
-        layers.append(Flatten())
-    elif variant == "conv0":
-        layers.append(Flatten())
-    else:
+    elif variant != "conv0":
         raise ValueError(f"unknown preprocessor variant {variant!r}")
+    layers.append(Reshape((-1,)))
     # One zero sample through the layers so far gives the projection's width
     # and rejects inputs too small to pool. An eval-mode forward pass draws
     # nothing from ``rng`` and leaves the running statistics alone.

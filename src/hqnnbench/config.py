@@ -32,7 +32,6 @@ HEADS = ("none", "fcnone", "fcrelu", "mlp")
 QNN_KINDS = ("ang_ry", "ang_arb", "amp_gen", "qcnn")
 ANGLE_KINDS = ("ang_ry", "ang_arb")
 GROUP_NAMES = {"ang_ry": "Ang-RY", "ang_arb": "Ang-Arb", "amp_gen": "Amp-Gen", "qcnn": "QCNN"}
-METRIC_NAMES = ("roc_auc", "avg_precision", "balanced_acc")
 AGGREGATES = ("mean", "median")
 
 # Every key a run configuration may hold: the grid axes, the training
@@ -220,10 +219,15 @@ def parse_run_config(path) -> dict:
     """Read a flat ``key = value`` run configuration.
 
     ``#`` starts a comment; comma-separated values become lists; tokens are
-    coerced to int/float/bool when they parse as such.
+    coerced to int/float/bool when they parse as such. A file that cannot be
+    opened is a ``RunConfigError``.
     """
     cfg: dict = {}
-    with open(path) as fh:
+    try:
+        fh = open(path)
+    except OSError as exc:
+        raise RunConfigError(f"cannot read run config: {exc}") from None
+    with fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:

@@ -5,20 +5,20 @@ Two on-disk formats are supported:
 * Beats CSV: one row per sample, exactly 362 comma-separated columns --
   360 real-valued features, then a 0/1 label, then an integer subject id.
   Values are used as parsed (no normalization).
-* NPZ: a ZIP archive whose entries are version-1.0 NPY arrays. The reader
-  parses NPY headers itself (magic/version/header dict) and accepts
-  little-endian or byte-order-free payloads only. Unsigned-byte images are
-  mapped to reals in [-1, 1] via v/127.5 - 1; other numeric types are kept
-  as-is. Arrays with three or more axes per sample are canonicalized to
-  channel-first layout (a trailing axis of size 1 or 3 is treated as
-  channels; otherwise a singleton channel axis is inserted).
+* NPZ: a ZIP archive of NPY arrays, as ``np.savez`` writes it, read with
+  ``np.load(..., allow_pickle=False)``: any NPY version, byte order or
+  memory order loads, and pickled (object) entries are refused.
+  Unsigned-byte images are mapped to reals in [-1, 1] via v/127.5 - 1;
+  other numeric types are kept as-is. Images are made channel-first: with
+  three or more axes per sample, a leading axis of size 1 or 3 is already
+  channels, else a trailing one of size 1 or 3 is moved to the front; any
+  other array with two or more axes per sample gains a singleton channel
+  axis.
 """
 
 from __future__ import annotations
 
-import ast
 import csv
-import struct
 import zipfile
 from dataclasses import dataclass
 
@@ -101,42 +101,16 @@ def load_beats_csv(path) -> Dataset:
     return Dataset(np.array(feats), np.array(labels), np.array(subjects))
 
 
-_NPY_MAGIC = b"\x93NUMPY"
-
-
-def _read_npy(buf: bytes, name: str) -> np.ndarray:
-    """Parse one version-1.0 NPY payload from raw bytes."""
-    if buf[:6] != _NPY_MAGIC:
-        raise DataFormatError(f"{name}: bad NPY magic {buf[:6]!r}")
-    major, minor = buf[6], buf[7]
-    if major != 1:
-        raise DataFormatError(f"{name}: unsupported NPY version {major}.{minor}")
-    (header_len,) = struct.unpack("<H", buf[8:10])
-    header = buf[10 : 10 + header_len].decode("latin1")
-    try:
-        meta = ast.literal_eval(header)
-        descr, fortran, shape = meta["descr"], meta["fortran_order"], tuple(meta["shape"])
-    except (ValueError, SyntaxError, KeyError, TypeError) as exc:
-        raise DataFormatError(f"{name}: malformed NPY header: {exc}") from None
-    if fortran:
-        raise DataFormatError(f"{name}: fortran_order arrays are not supported")
-    dtype = np.dtype(descr)
-    if dtype.byteorder == ">":
-        raise DataFormatError(f"{name}: big-endian payloads are not supported")
-    data = buf[10 + header_len :]
-    count = int(np.prod(shape)) if shape else 1
-    if len(data) < count * dtype.itemsize:
-        raise DataFormatError(f"{name}: payload truncated")
-    return np.frombuffer(data, dtype=dtype, count=count).reshape(shape)
-
-
 def _canonical_images(images: np.ndarray) -> np.ndarray:
     """Map images to channel-first float64 with byte values scaled to [-1, 1]."""
+    images = np.ascontiguousarray(images)  # so a Fortran-order entry trains exactly as its C-order twin
     if images.dtype == np.uint8:
         images = images.astype(np.float64) / 127.5 - 1.0
     else:
         images = images.astype(np.float64)
     per_sample = images.ndim - 1
+    if per_sample >= 3 and images.shape[1] in (1, 3):
+        return images  # already channel-first
     if per_sample >= 3 and images.shape[-1] in (1, 3):
         images = np.moveaxis(images, -1, 1)
     elif per_sample >= 2:
@@ -144,23 +118,30 @@ def _canonical_images(images: np.ndarray) -> np.ndarray:
     return images
 
 
-def load_npz(path, images_key: str, labels_key: str) -> Dataset:
-    """Read images and labels arrays from a ZIP of NPY-1.0 entries."""
+def _npz_entry(archive: np.lib.npyio.NpzFile, key: str, path) -> np.ndarray:
+    if key not in archive:
+        raise DataFormatError(f"{path}: no entry named {key!r} (have {sorted(archive.files)})")
     try:
-        zf = zipfile.ZipFile(path)
-    except zipfile.BadZipFile as exc:
-        raise DataFormatError(f"{path}: not a ZIP archive: {exc}") from None
-    with zf:
-        names = set(zf.namelist())
+        value = archive[key]
+    except ValueError as exc:
+        raise DataFormatError(f"{key}: cannot read NPY entry (truncated, malformed or pickled): {exc}") from None
+    if not isinstance(value, np.ndarray):  # NpzFile hands back raw bytes for a non-NPY member
+        raise DataFormatError(f"{key}: bad NPY magic {value[:6]!r}")
+    return value
 
-        def entry(key: str) -> bytes:
-            for candidate in (key, key + ".npy"):
-                if candidate in names:
-                    return zf.read(candidate)
-            raise DataFormatError(f"{path}: no entry named {key!r} (have {sorted(names)})")
 
-        images = _read_npy(entry(images_key), images_key)
-        labels = _read_npy(entry(labels_key), labels_key)
+def load_npz(path, images_key: str, labels_key: str) -> Dataset:
+    """Read images and labels arrays from an NPZ archive, refusing pickles."""
+    with open(path, "rb") as fh:
+        try:
+            archive = np.load(fh, allow_pickle=False)
+        except (ValueError, EOFError, zipfile.BadZipFile):
+            raise DataFormatError(f"{path}: not an NPZ archive (a ZIP of NPY entries)") from None
+        if not isinstance(archive, np.lib.npyio.NpzFile):
+            raise DataFormatError(f"{path}: holds one bare NPY array, not an NPZ archive")
+        with archive:
+            images = _npz_entry(archive, images_key, path)
+            labels = _npz_entry(archive, labels_key, path)
     if not np.issubdtype(images.dtype, np.number):
         raise DataFormatError(f"{images_key}: non-numeric dtype {images.dtype}")
     if images.ndim < 2:
@@ -170,9 +151,7 @@ def load_npz(path, images_key: str, labels_key: str) -> Dataset:
     if labels.ndim != 1:
         raise DataFormatError(f"{labels_key}: expected shape [n] or [n,1], got {labels.shape}")
     if labels.shape[0] != images.shape[0]:
-        raise DataFormatError(
-            f"{labels_key}: {labels.shape[0]} labels for {images.shape[0]} images"
-        )
+        raise DataFormatError(f"{labels_key}: {labels.shape[0]} labels for {images.shape[0]} images")
     labels = labels.astype(np.int64)
     if not np.isin(labels, (0, 1)).all():
         raise DataFormatError(f"{labels_key}: labels must be 0/1")

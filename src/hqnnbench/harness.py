@@ -28,7 +28,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from statistics import median
-from typing import Iterable
 
 import numpy as np
 
@@ -44,7 +43,6 @@ from .classical import (
     stack_params,
 )
 from .config import (
-    METRIC_NAMES,
     ModelConfig,
     RunConfigError,
     check_run_config,
@@ -57,7 +55,7 @@ from .config import (
 # Not used here: perfbench and tests/test_acceptance.py read them as harness attributes.
 from .config import PREPROCS, QNN_KINDS, QUBITS_FOR_LATENT, QnnArch  # noqa: F401
 from .data import Dataset, FoldPlan, make_folds
-from .metrics import MetricReport
+from .metrics import METRIC_NAMES, MetricReport
 from .qnn import init_params, qnn_backward_batch, qnn_forward_batch
 from .statevec import EncodingError
 from .tables import aggregate_tables, write_tables
@@ -196,7 +194,6 @@ def run_experiment(
     epochs: int,
     batch_size: int,
     aggregate: str = "mean",
-    fold_order: Iterable[int] | None = None,
 ) -> ExperimentResult:
     """Train ``config`` over every fold and aggregate fold-best metrics.
 
@@ -206,22 +203,18 @@ def run_experiment(
     """
     check_run_config({"epochs": epochs, "batch_size": batch_size, "aggregate": aggregate})
     hash_int = int(config.config_hash()[:16], 16)
-    per_fold: list[dict | None] = [None] * folds.k
-    wall: list[float] = [0.0] * folds.k
-    order = list(fold_order) if fold_order is not None else list(range(folds.k))
-    if sorted(order) != list(range(folds.k)):
-        raise ValueError("fold_order must permute all folds")
-    for f in order:
-        train_idx, val_idx = folds.folds[f]
+    per_fold: list[dict] = []
+    wall: list[float] = []
+    for f, (train_idx, val_idx) in enumerate(folds.folds):
         rng = np.random.default_rng([config.seed, hash_int, f])
         t0 = time.perf_counter()
         try:
             entry = _train_fold(config, dataset, train_idx, val_idx, epochs, batch_size, rng)
         except (EncodingError, FloatingPointError, OverflowError) as exc:
             entry = {"epochs": [], "best": None, "aborted": f"{type(exc).__name__}: {exc}"}
-        wall[f] = time.perf_counter() - t0
+        wall.append(time.perf_counter() - t0)
         entry["fold"] = f
-        per_fold[f] = entry
+        per_fold.append(entry)
 
     combine = {"mean": lambda v: sum(v) / len(v), "median": median}[aggregate]
     bests = [e["best"] for e in per_fold if e["best"] is not None]

@@ -8,7 +8,7 @@ one threshold; balanced accuracy thresholds logits at zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -92,8 +92,7 @@ class MetricReport:
         )
 
     def as_dict(self) -> dict[str, float]:
-        return {
-            "roc_auc": self.roc_auc,
-            "avg_precision": self.avg_precision,
-            "balanced_acc": self.balanced_acc,
-        }
+        return {name: getattr(self, name) for name in METRIC_NAMES}
+
+
+METRIC_NAMES = tuple(f.name for f in fields(MetricReport))

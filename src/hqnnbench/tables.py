@@ -15,7 +15,8 @@ import json
 from pathlib import Path
 from statistics import median
 
-from .config import ANGLE_KINDS, GROUP_NAMES, METRIC_NAMES
+from .config import ANGLE_KINDS, GROUP_NAMES
+from .metrics import METRIC_NAMES
 from .stats import bonferroni, mann_whitney_u, wilcoxon_signed_rank
 
 GROUP_ORDER = ("classical", *GROUP_NAMES.values())

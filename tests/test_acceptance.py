@@ -32,7 +32,6 @@ import numpy as np
 from hqnnbench.classical import (
     BatchNormReLUPool,
     Conv,
-    Flatten,
     FullyConnected,
     Param,
     ReLU,
@@ -195,7 +194,7 @@ def test_criterion_05_classical_and_hybrid_autodiff():
         ("conv3d", [Conv(1, 2, 3, rng)], (2, 1, 4, 4, 4)),
         ("relu", [ReLU()], (4, 7)),
         ("tanh_pi", [TanhPi()], (4, 7)),
-        ("flatten", [Flatten()], (4, 2, 3)),
+        ("flatten", [Reshape((-1,))], (4, 2, 3)),
         ("reshape", [Reshape((3, 2))], (4, 6)),
     ]
     for name, stack, shape in layer_cases:

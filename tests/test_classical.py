@@ -12,7 +12,6 @@ import hqnnbench.classical as classical
 from hqnnbench.classical import (
     BatchNormReLUPool,
     Conv,
-    Flatten,
     FullyConnected,
     Param,
     ReLU,
@@ -367,7 +366,7 @@ class TestActivationsAndPooling:
 
     def test_flatten_reshape_roundtrip(self):
         rng = np.random.default_rng(13)
-        fl, rs = Flatten(), Reshape((2, 6))
+        fl, rs = Reshape((-1,)), Reshape((2, 6))
         x = rng.normal(size=(4, 2, 6))
         flat = fl.forward(x)
         assert flat.shape == (4, 12)
@@ -454,7 +453,8 @@ class TestPreprocessorBuilders:
     def test_conv0_is_flatten_plus_projection(self):
         rng = np.random.default_rng(14)
         stack = build_preprocessor("conv0", (360,), 16, tanh_pi=False, rng=rng)
-        assert [type(l).__name__ for l in stack] == ["Flatten", "FullyConnected"]
+        assert [type(l).__name__ for l in stack] == ["Reshape", "FullyConnected"]
+        assert stack[0].target == (-1,)
         assert stack_forward(stack, np.zeros((2, 360))).shape == (2, 16)
         assert stack_param_count(stack) == 360 * 16 + 16
 
@@ -463,7 +463,7 @@ class TestPreprocessorBuilders:
         stack = build_preprocessor("conv3", (1, 28, 28), 16, tanh_pi=True, rng=rng)
         names = [type(l).__name__ for l in stack]
         assert names == (
-            ["Conv", "BatchNormReLUPool"] * 3 + ["Flatten", "FullyConnected", "TanhPi"]
+            ["Conv", "BatchNormReLUPool"] * 3 + ["Reshape", "FullyConnected", "TanhPi"]
         )
         # 28 -> 14 -> 7 -> 3 spatial, channels 8/16/32
         assert stack[-2].weight.value.shape[1] == 32 * 9
@@ -515,7 +515,7 @@ class TestParameterOnlyBackward:
         rng = np.random.default_rng(63)
         # build_preprocessor never puts the fused tail lowest
         if variant == "fused_tail":
-            stack = [BatchNormReLUPool(3), Flatten(), FullyConnected(6, 16, rng)]
+            stack = [BatchNormReLUPool(3), Reshape((-1,)), FullyConnected(6, 16, rng)]
         else:
             stack = build_preprocessor(variant, in_shape, 16, tanh_pi=True, rng=rng)
         x = rng.normal(size=(5,) + in_shape)

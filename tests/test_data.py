@@ -129,6 +129,23 @@ class TestNpz:
         assert np.all(ds.samples[:, 1] == 1.0)
         assert np.all(ds.samples[:, 0] == -1.0)
 
+    @pytest.mark.parametrize(
+        "shape, sample_shape",
+        [
+            ((4, 1, 12, 12), (1, 12, 12)),  # channel-first stays as it is
+            ((4, 3, 8, 8), (3, 8, 8)),
+            ((4, 1, 8, 8, 8), (1, 8, 8, 8)),
+            ((4, 8, 8, 8), (1, 8, 8, 8)),  # an unchanneled volume gains a channel axis
+        ],
+    )
+    def test_channel_axis(self, tmp_path, shape, sample_shape):
+        p = tmp_path / "d.npz"
+        imgs = np.arange(np.prod(shape), dtype=np.float32).reshape(shape)
+        np.savez(p, images=imgs, labels=np.array([0, 1, 0, 1]))
+        ds = load_npz(p, "images", "labels")
+        assert ds.sample_shape == sample_shape
+        assert np.array_equal(ds.samples, imgs.reshape(ds.samples.shape))
+
     def test_trailing_singleton_channel(self, tmp_path):
         p = tmp_path / "d.npz"
         np.savez(p, images=np.zeros((2, 5, 6, 1)), labels=np.array([0, 1]))
@@ -165,23 +182,46 @@ class TestNpz:
         with pytest.raises(DataFormatError, match="wrong_key"):
             load_npz(p, "wrong_key", "labels")
 
-    def test_fortran_order_rejected(self, tmp_path):
+    def assert_loads_like(self, tmp_path, imgs, labs, want_imgs, want_labs):
+        np.savez(tmp_path / "got.npz", images=imgs, labels=labs)
+        np.savez(tmp_path / "want.npz", images=want_imgs, labels=want_labs)
+        got = load_npz(tmp_path / "got.npz", "images", "labels")
+        want = load_npz(tmp_path / "want.npz", "images", "labels")
+        assert np.array_equal(got.samples, want.samples)
+        assert got.samples.strides == want.samples.strides  # same layout, so same training arithmetic
+        assert np.array_equal(got.labels, want.labels)
+
+    def test_fortran_order_loads_as_c_order(self, tmp_path):
+        imgs = np.arange(60, dtype=np.uint8).reshape(3, 4, 5)
+        fortran = np.asfortranarray(imgs)
+        assert fortran.flags.f_contiguous and not fortran.flags.c_contiguous
+        labs = np.array([0, 1, 0])
+        self.assert_loads_like(tmp_path, fortran, labs, imgs, labs)
+
+    def test_big_endian_loads_as_little_endian(self, tmp_path):
+        imgs = np.arange(8, dtype="<f8").reshape(2, 4) / 3.0
+        labs = np.array([0, 1], dtype="<i8")
+        self.assert_loads_like(tmp_path, imgs.astype(">f8"), labs.astype(">i8"), imgs, labs)
+
+    def test_npy_version_2_entry_loads(self, tmp_path):
+        imgs = np.arange(8.0).reshape(2, 4)
+        buf = io.BytesIO()
+        np.lib.format.write_array(buf, imgs, version=(2, 0))
         p = tmp_path / "d.npz"
-        imgs = np.asfortranarray(np.zeros((3, 4, 5)))
-        assert imgs.flags.f_contiguous and not imgs.flags.c_contiguous
-        write_npz_raw(
-            p, {"images.npy": npy_bytes(imgs), "labels.npy": npy_bytes(np.array([0, 1, 0]))}
-        )
-        with pytest.raises(DataFormatError, match="fortran_order"):
+        write_npz_raw(p, {"images.npy": buf.getvalue(), "labels.npy": npy_bytes(np.array([0, 1]))})
+        assert np.array_equal(load_npz(p, "images", "labels").samples, imgs)
+
+    def test_pickled_object_entry_rejected(self, tmp_path):
+        p = tmp_path / "d.npz"
+        imgs = np.array([[1.0, "a"], [None, 2.0]], dtype=object)
+        np.savez(p, images=imgs, labels=np.array([0, 1]))
+        with pytest.raises(DataFormatError, match="pickled"):
             load_npz(p, "images", "labels")
 
-    def test_big_endian_rejected(self, tmp_path):
+    def test_bare_npy_file_rejected(self, tmp_path):
         p = tmp_path / "d.npz"
-        imgs = np.zeros((2, 4), dtype=">f8")
-        write_npz_raw(
-            p, {"images.npy": npy_bytes(imgs), "labels.npy": npy_bytes(np.array([0, 1]))}
-        )
-        with pytest.raises(DataFormatError, match="big-endian"):
+        p.write_bytes(npy_bytes(np.zeros((2, 4))))
+        with pytest.raises(DataFormatError, match="bare NPY array"):
             load_npz(p, "images", "labels")
 
     def test_bad_magic_rejected(self, tmp_path):
@@ -204,9 +244,10 @@ class TestNpz:
 
     def test_not_a_zip(self, tmp_path):
         p = tmp_path / "d.npz"
-        p.write_bytes(b"garbage")
-        with pytest.raises(DataFormatError, match="ZIP"):
-            load_npz(p, "images", "labels")
+        for payload in (b"garbage", b"", b"PK\x03\x04" + b"\x00" * 60):  # the last one is a corrupt ZIP
+            p.write_bytes(payload)
+            with pytest.raises(DataFormatError, match="ZIP"):
+                load_npz(p, "images", "labels")
 
 
 class TestDataset:

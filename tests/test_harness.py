@@ -256,16 +256,6 @@ class TestRunExperiment:
             run_experiment(cfg, ds, folds, epochs=1, batch_size=0)
         with pytest.raises(ValueError):
             run_experiment(cfg, ds, folds, epochs=1, batch_size=8, aggregate="max")
-        with pytest.raises(ValueError):
-            run_experiment(cfg, ds, folds, epochs=1, batch_size=8, fold_order=[0, 0])
-
-    def test_fold_order_does_not_change_results(self):
-        ds = synth_blobs(48, 6, 4.0, seed=3)
-        folds = make_folds(ds, 3, seed=3)
-        cfg = ModelConfig(family="classical", preproc="conv0", latent_dim=16, head="fcnone")
-        a = run_experiment(cfg, ds, folds, epochs=3, batch_size=16)
-        b = run_experiment(cfg, ds, folds, epochs=3, batch_size=16, fold_order=[2, 0, 1])
-        assert a.to_json_dict() == b.to_json_dict()
 
     def test_median_aggregate(self):
         ds = synth_blobs(48, 6, 4.0, seed=4)
@@ -557,6 +547,18 @@ class TestRunGrid:
             run_grid(dict(TINY_RUN, **{key: value}), tmp_path, tmp_path / "out")
         assert not (tmp_path / "out").exists()
 
+    def test_channel_first_images_train_conv1(self, tmp_path):
+        rng = np.random.default_rng(21)
+        labels = np.arange(60) % 2
+        images = rng.integers(0, 128, size=(60, 1, 12, 12), dtype=np.uint8)
+        images[labels == 1, :, 4:8, 4:8] += 127
+        np.savez(tmp_path / "d.npz", images=images, labels=labels)
+        run = {"dataset": "npz", "npz_file": "d.npz", "families": "classical", "preproc": "conv1",
+               "latent": 16, "heads": "none", "folds": 2, "epochs": 1}
+        rows = run_grid(run, tmp_path, tmp_path / "out")
+        assert [r["config"]["preproc"] for r in rows] == ["conv1"]
+        assert rows[0]["aggregate"] is not None
+
     def test_progress_callback(self, tmp_path):
         seen = []
         run_grid(dict(TINY_RUN), tmp_path, tmp_path / "out", progress=seen.append)
@@ -698,6 +700,14 @@ class TestCli:
         assert main(["run", "--config", str(cfg), "--data-dir", str(tmp_path), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_run_refuses_a_missing_config_file(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = ["run", "--config", str(tmp_path / "nosuch.cfg"), "--data-dir", str(tmp_path), "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read run config: ") and "nosuch.cfg" in err and err.count("\n") == 1
         assert not out.exists()
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
