@@ -20,6 +20,7 @@ import hashlib
 import json
 import numbers
 from dataclasses import asdict, dataclass
+from itertools import product
 from pathlib import Path
 
 from .data import Dataset, load_beats_csv, load_npz, synth_beats, synth_blobs
@@ -29,8 +30,22 @@ from .statevec import Observable
 QUBITS_FOR_LATENT = {16: 4, 256: 8}
 PREPROCS = ("conv3", "conv1", "conv0")
 HEADS = ("none", "fcnone", "fcrelu", "mlp")
-QNN_KINDS = ("ang_ry", "ang_arb", "amp_gen", "qcnn")
-ANGLE_KINDS = ("ang_ry", "ang_arb")
+# The switches a circuit family may vary: the values a family that varies one
+# takes, in the grid's default order, and the one value every other family holds.
+SWITCHES = {
+    "tanh": ((True, False), False),
+    "entangle": ((True, False), True),
+    "observable": (("local", "global"), "single"),
+}
+# Which switches each circuit family varies; the grid, config validation and
+# the paired comparisons all read it from here.
+FAMILY_AXES = {
+    "ang_ry": ("tanh", "entangle", "observable"),
+    "ang_arb": ("tanh", "entangle", "observable"),
+    "amp_gen": ("entangle", "observable"),
+    "qcnn": (),
+}
+QNN_KINDS = tuple(FAMILY_AXES)
 GROUP_NAMES = {"ang_ry": "Ang-RY", "ang_arb": "Ang-Arb", "amp_gen": "Amp-Gen", "qcnn": "QCNN"}
 AGGREGATES = ("mean", "median")
 
@@ -47,6 +62,13 @@ RUN_KEYS = frozenset(
 )
 
 
+def _check_switch(kind: str, switch: str, value) -> None:
+    varied, fixed = SWITCHES[switch]
+    allowed = varied if switch in FAMILY_AXES[kind] else (fixed,)
+    if value not in allowed:
+        raise ValueError(f"{kind} takes {switch} {' or '.join(map(repr, allowed))}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class QnnArch:
     """One circuit family plus its entanglement/observable switches."""
@@ -56,13 +78,10 @@ class QnnArch:
     observable: str = "global"  # "local" | "global" | "single"
 
     def __post_init__(self):
-        if self.kind not in QNN_KINDS:
+        if self.kind not in FAMILY_AXES:
             raise ValueError(f"unknown qnn kind {self.kind!r}")
-        if self.kind == "qcnn":
-            if not self.entangle or self.observable != "single":
-                raise ValueError("qcnn always entangles and measures a single final qubit")
-        elif self.observable not in ("local", "global"):
-            raise ValueError(f"observable must be local or global, got {self.observable!r}")
+        _check_switch(self.kind, "entangle", self.entangle)
+        _check_switch(self.kind, "observable", self.observable)
 
     def build(self, latent_dim: int) -> Circuit:
         if latent_dim not in QUBITS_FOR_LATENT:
@@ -98,13 +117,10 @@ class ModelConfig:
         if self.family == "hybrid":
             if self.qnn is None or self.head is not None:
                 raise ValueError("hybrid configs carry a qnn and no classical head")
-            if self.tanh_pi and self.qnn.kind not in ANGLE_KINDS:
-                raise ValueError("tanh_pi applies only to angle-encoded circuits")
+            _check_switch(self.qnn.kind, "tanh", self.tanh_pi)
         elif self.family == "classical":
-            if self.head not in HEADS or self.qnn is not None:
-                raise ValueError("classical configs carry a head and no qnn")
-            if self.tanh_pi:
-                raise ValueError("tanh_pi applies only to angle-encoded circuits")
+            if self.head not in HEADS or self.qnn is not None or self.tanh_pi:
+                raise ValueError("classical configs carry a head, no qnn and no tanh_pi")
         else:
             raise ValueError(f"unknown family {self.family!r}")
 
@@ -139,63 +155,37 @@ def _as_list(value) -> list:
 
 
 def expand_grid(run_cfg: dict) -> list[ModelConfig]:
-    """Enumerate ModelConfigs for the axes in ``run_cfg`` (defaults = full grid)."""
+    """Enumerate ModelConfigs for the axes in ``run_cfg`` (defaults = full grid).
+
+    A circuit family takes the requested values of the switches it varies
+    (``FAMILY_AXES``) and its fixed value of every other switch.
+    """
     families = _as_list(run_cfg.get("families", ["hybrid", "classical"]))
     preprocs = _as_list(run_cfg.get("preproc", list(PREPROCS)))
     latents = [int(v) for v in _as_list(run_cfg.get("latent", [16, 256]))]
     kinds = _as_list(run_cfg.get("qnn", list(QNN_KINDS)))
-    entangles = [bool(v) for v in _as_list(run_cfg.get("entangle", [True, False]))]
-    observables = _as_list(run_cfg.get("observable", ["local", "global"]))
     heads = _as_list(run_cfg.get("heads", list(HEADS)))
-    tanhs = [bool(v) for v in _as_list(run_cfg.get("tanh", [True, False]))]
+    switches = {s: _as_list(run_cfg.get(s, list(varied))) for s, (varied, _) in SWITCHES.items()}
+    switches["tanh"] = [bool(v) for v in switches["tanh"]]
+    switches["entangle"] = [bool(v) for v in switches["entangle"]]
     seed = int(run_cfg.get("seed", 0))
-    for name, axis in {
-        "families": families,
-        "preproc": preprocs,
-        "latent": latents,
-        "qnn": kinds,
-        "entangle": entangles,
-        "observable": observables,
-        "heads": heads,
-        "tanh": tanhs,
-    }.items():
+    axes = {"families": families, "preproc": preprocs, "latent": latents, "qnn": kinds, "heads": heads, **switches}
+    for name, axis in axes.items():
         if not axis:
             raise ValueError(f"empty axis {name!r}")
 
     configs: list[ModelConfig] = []
     if "hybrid" in families:
         for kind in kinds:
-            for preproc in preprocs:
-                for latent in latents:
-                    base = dict(family="hybrid", preproc=preproc, latent_dim=latent, seed=seed)
-                    if kind in ANGLE_KINDS:
-                        for tanh in tanhs:
-                            for ent in entangles:
-                                for obs in observables:
-                                    configs.append(
-                                        ModelConfig(
-                                            tanh_pi=tanh, qnn=QnnArch(kind, ent, obs), **base
-                                        )
-                                    )
-                    elif kind == "amp_gen":
-                        for ent in entangles:
-                            for obs in observables:
-                                configs.append(ModelConfig(qnn=QnnArch(kind, ent, obs), **base))
-                    else:  # qcnn
-                        configs.append(ModelConfig(qnn=QnnArch(kind, True, "single"), **base))
+            # An unknown kind varies nothing here and is refused by QnnArch.
+            varies = FAMILY_AXES.get(kind, ())
+            values = [switches[s] if s in varies else [fixed] for s, (_, fixed) in SWITCHES.items()]
+            for preproc, latent, (tanh, ent, obs) in product(preprocs, latents, product(*values)):
+                qnn = QnnArch(kind, ent, obs)
+                configs.append(ModelConfig("hybrid", preproc, latent, tanh, qnn, seed=seed))
     if "classical" in families:
-        for preproc in preprocs:
-            for latent in latents:
-                for head in heads:
-                    configs.append(
-                        ModelConfig(
-                            family="classical",
-                            preproc=preproc,
-                            latent_dim=latent,
-                            head=head,
-                            seed=seed,
-                        )
-                    )
+        for preproc, latent, head in product(preprocs, latents, heads):
+            configs.append(ModelConfig("classical", preproc, latent, head=head, seed=seed))
     if not configs:
         raise ValueError("grid expansion produced no configurations")
     return configs

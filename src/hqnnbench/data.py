@@ -31,7 +31,7 @@ class DataFormatError(ValueError):
 
 @dataclass
 class Dataset:
-    """Samples with binary labels and optional per-sample subject ids."""
+    """Finite samples with binary labels and optional per-sample subject ids."""
 
     samples: np.ndarray
     labels: np.ndarray
@@ -40,6 +40,8 @@ class Dataset:
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=np.float64)
         self.labels = np.asarray(self.labels, dtype=np.int64)
+        if not np.isfinite(self.samples).all():
+            raise ValueError("samples must be finite, not NaN or infinite")
         if self.labels.shape != (self.samples.shape[0],):
             raise ValueError("labels length must match number of samples")
         if not np.isin(self.labels, (0, 1)).all():

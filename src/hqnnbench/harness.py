@@ -58,7 +58,7 @@ from .data import Dataset, FoldPlan, make_folds
 from .metrics import METRIC_NAMES, MetricReport
 from .qnn import init_params, qnn_backward_batch, qnn_forward_batch
 from .statevec import EncodingError
-from .tables import aggregate_tables, write_tables
+from .tables import NoCompletedRunsError, aggregate_tables, write_tables
 
 # ---------------------------------------------------------------------------
 # Models.
@@ -415,7 +415,11 @@ def main(argv=None) -> int:
         if not rows:
             print(f"no results found in {out_dir}", file=sys.stderr)
             return 1
-        write_tables(out_dir, *aggregate_tables(rows))
+        try:
+            write_tables(out_dir, *aggregate_tables(rows))
+        except NoCompletedRunsError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
         print(f"wrote table1.csv, comparisons.csv, boxplot_data.csv to {out_dir}")
         return 0
 
@@ -440,6 +444,9 @@ def main(argv=None) -> int:
     except (ProtocolMismatchError, RunConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except NoCompletedRunsError as exc:  # results.jsonl and run_meta.json are written; no table is
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     print(f"{len(rows)} results in {Path(args.out) / 'results.jsonl'}")
     return 0
 

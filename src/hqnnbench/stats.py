@@ -1,10 +1,17 @@
 """Nonparametric two-sided tests and multiple-comparison correction.
 
-Both tests compute exact p-values by dynamic programming over rank sums for
-small samples (Wilcoxon: n <= 25 after dropping zero differences;
-Mann-Whitney: n_a + n_b <= 12) and fall back to a normal approximation with
-tie and continuity corrections otherwise. Midranks are doubled inside the
-DP so all achievable rank sums are integers even under ties.
+Both tests share one exact null distribution and one normal approximation.
+Midranks are doubled so every achievable rank sum is an integer even under
+ties. Under the null, the Wilcoxon W+ is the sum of a uniformly random
+subset of any size of the doubled ranks of |differences|, and the
+Mann-Whitney rank sum of the first sample is the sum of a uniformly random
+n_a-subset of the doubled pooled ranks; ``_exact_p`` counts both with one
+subset-sum pass and sums the two-sided tail of deviations from the mean at
+least as large as the observed one. Exact p-values are used for small
+samples (Wilcoxon: n <= 25 after dropping zero differences; Mann-Whitney:
+n_a + n_b <= 12); otherwise ``_normal_p`` applies tie-corrected variances
+and a continuity correction of 0.5 that is clamped at zero, so a statistic
+within 0.5 of its mean gets p = 1.
 """
 
 from __future__ import annotations
@@ -28,9 +35,35 @@ class StatTestResult:
     n: tuple[int, ...]
 
 
-def _phi_two_sided(z: float) -> float:
-    """Two-sided normal tail probability 2*(1 - Phi(|z|))."""
-    return math.erfc(abs(z) / math.sqrt(2.0))
+def _exact_p(ranks: np.ndarray, size: int | None, observed: float) -> float:
+    """P(|S - E S| >= |observed - E S|) for S the sum of a random subset of ``ranks``.
+
+    The subset is of any size when ``size`` is None, else of ``size``
+    elements. Adding ``total + 1`` to every doubled rank makes a subset's
+    sum encode its size, so one 1-D subset-sum pass counts both cases.
+    """
+    weights = np.rint(2.0 * ranks).astype(np.int64)
+    total = int(weights.sum())
+    step = 0 if size is None else total + 1
+    counts = np.zeros(total + weights.size * step + 1, dtype=np.float64)
+    counts[0] = 1.0
+    for wt in weights + step:
+        counts[wt:] += counts[:-wt].copy()
+    start = size * step if size else 0
+    counts = counts[start : start + total + 1]  # counts[s]: subsets whose doubled sum is s
+    # Twice the mean of the doubled sum, integral: doubled midranks of n values sum to n(n + 1).
+    mean2 = total if size is None else 2 * size * total // weights.size
+    dev = np.abs(2 * np.arange(total + 1) - mean2)
+    hits = counts[dev >= abs(2 * int(round(2.0 * observed)) - mean2)].sum()
+    return min(float(hits) / counts.sum(), 1.0)
+
+
+def _normal_p(statistic: float, mean: float, var: float) -> float:
+    """Two-sided normal-approximation p-value, continuity correction clamped at zero."""
+    if var <= 0:
+        return 1.0
+    z = max(abs(statistic - mean) - 0.5, 0.0) / math.sqrt(var)
+    return min(math.erfc(z / math.sqrt(2.0)), 1.0)
 
 
 def _tie_counts(ranked_values: np.ndarray) -> np.ndarray:
@@ -42,9 +75,8 @@ def wilcoxon_signed_rank(x, y) -> StatTestResult:
     """Two-sided Wilcoxon signed-rank test on paired samples.
 
     Zero differences are dropped. The statistic is min(W+, W-). For n <= 25
-    the p-value enumerates all 2^n sign patterns exactly (via DP over
-    doubled ranks); otherwise a normal approximation with tie and
-    continuity corrections is used.
+    the p-value counts all 2^n sign patterns exactly; otherwise the normal
+    approximation is used.
     """
     xv = np.asarray(x, dtype=np.float64).ravel()
     yv = np.asarray(y, dtype=np.float64).ravel()
@@ -56,44 +88,21 @@ def wilcoxon_signed_rank(x, y) -> StatTestResult:
     if n == 0:
         raise ValueError("all differences are zero; no test possible")
     ranks = midranks(np.abs(d))
-    w_plus = float(ranks[d > 0].sum())
-    w_minus = float(ranks[d < 0].sum())
-    w = min(w_plus, w_minus)
-
+    w = min(float(ranks[d > 0].sum()), float(ranks[d < 0].sum()))
     if n <= WILCOXON_EXACT_MAX:
-        # counts[s] = number of sign patterns whose doubled W+ equals s.
-        weights = np.rint(2.0 * ranks).astype(np.int64)
-        total = int(weights.sum())
-        counts = np.zeros(total + 1, dtype=np.float64)
-        counts[0] = 1.0
-        for wt in weights:
-            shifted = counts[:-wt].copy() if wt else counts.copy()
-            counts[wt:] += shifted
-        w2 = int(round(2.0 * w))
-        lo = total - w2
-        if lo <= w2 + 1:
-            p = 1.0
-        else:
-            p = float(counts[: w2 + 1].sum() + counts[lo:].sum()) / 2.0**n
-        return StatTestResult(w, min(p, 1.0), "WilcoxonExact", (n,))
-
-    mean = n * (n + 1) / 4.0
+        return StatTestResult(w, _exact_p(ranks, None, w), "WilcoxonExact", (n,))
     var = n * (n + 1) * (2 * n + 1) / 24.0
     t = _tie_counts(np.abs(d))
     var -= float((t**3 - t).sum()) / 48.0
-    if var <= 0:
-        return StatTestResult(w, 1.0, "WilcoxonNormal", (n,))
-    # Continuity correction shrinks the deviation toward the mean.
-    z = (w - mean + 0.5) / math.sqrt(var) if w < mean else (w - mean - 0.5) / math.sqrt(var)
-    return StatTestResult(w, min(_phi_two_sided(z), 1.0), "WilcoxonNormal", (n,))
+    return StatTestResult(w, _normal_p(w, n * (n + 1) / 4.0, var), "WilcoxonNormal", (n,))
 
 
 def mann_whitney_u(a, b) -> StatTestResult:
     """Two-sided Mann-Whitney U test on independent samples.
 
     The statistic is U of the first sample. For n_a + n_b <= 12 the p-value
-    enumerates all C(n_a+n_b, n_a) group assignments exactly; otherwise a
-    normal approximation with tie and continuity corrections is used.
+    counts all C(n_a+n_b, n_a) group assignments exactly; otherwise the
+    normal approximation is used.
     """
     av = np.asarray(a, dtype=np.float64).ravel()
     bv = np.asarray(b, dtype=np.float64).ravel()
@@ -102,36 +111,15 @@ def mann_whitney_u(a, b) -> StatTestResult:
         raise ValueError("both groups must be nonempty")
     pooled = np.concatenate([av, bv])
     ranks = midranks(pooled)
-    u_a = float(ranks[:n_a].sum()) - n_a * (n_a + 1) / 2.0
-
+    rank_sum = float(ranks[:n_a].sum())
+    u_a = rank_sum - n_a * (n_a + 1) / 2.0
     if n_a + n_b <= MWU_EXACT_MAX:
-        weights = np.rint(2.0 * ranks).astype(np.int64)
-        total = int(weights.sum())
-        # dp[j, s] = number of j-subsets of the doubled ranks summing to s.
-        dp = np.zeros((n_a + 1, total + 1), dtype=np.float64)
-        dp[0, 0] = 1.0
-        for wt in weights:
-            for j in range(n_a, 0, -1):
-                dp[j, wt:] += dp[j - 1, : total + 1 - wt]
-        dist = dp[n_a]  # indexed by doubled rank sum of the chosen subset
-        # Doubled U deviation from its center n_a*n_b is integral too.
-        base = n_a * (n_a + 1)
-        dev = abs(int(round(2.0 * u_a)) - n_a * n_b)
-        sums = np.flatnonzero(dist)
-        hits = dist[sums][np.abs(sums - base - n_a * n_b) >= dev].sum()
-        p = float(hits) / math.comb(n_a + n_b, n_a)
-        return StatTestResult(u_a, min(p, 1.0), "MannWhitneyExact", (n_a, n_b))
-
+        return StatTestResult(u_a, _exact_p(ranks, n_a, rank_sum), "MannWhitneyExact", (n_a, n_b))
     n = n_a + n_b
-    mean = n_a * n_b / 2.0
     var = n_a * n_b * (n + 1) / 12.0
     t = _tie_counts(pooled)
     var -= n_a * n_b * float((t**3 - t).sum()) / (12.0 * n * (n - 1))
-    if var <= 0:
-        return StatTestResult(u_a, 1.0, "MannWhitneyNormal", (n_a, n_b))
-    dev = abs(u_a - mean)
-    z = max(dev - 0.5, 0.0) / math.sqrt(var)
-    return StatTestResult(u_a, min(_phi_two_sided(z), 1.0), "MannWhitneyNormal", (n_a, n_b))
+    return StatTestResult(u_a, _normal_p(u_a, n_a * n_b / 2.0, var), "MannWhitneyNormal", (n_a, n_b))
 
 
 def bonferroni(p_values) -> np.ndarray:

@@ -12,15 +12,35 @@ from __future__ import annotations
 
 import csv
 import json
+from itertools import combinations
 from pathlib import Path
 from statistics import median
 
-from .config import ANGLE_KINDS, GROUP_NAMES
+from .config import FAMILY_AXES, GROUP_NAMES, PREPROCS
 from .metrics import METRIC_NAMES
-from .stats import bonferroni, mann_whitney_u, wilcoxon_signed_rank
+from .stats import StatTestResult, bonferroni, mann_whitney_u, wilcoxon_signed_rank
 
 GROUP_ORDER = ("classical", *GROUP_NAMES.values())
 COMPARE_METRIC = "roc_auc"
+
+
+def _varying(switch: str) -> tuple[str, ...]:
+    return tuple(kind for kind, axes in FAMILY_AXES.items() if switch in axes)
+
+
+# The paired comparisons in table order: the axis, the config field that
+# differs within a pair, the two values compared with their column names, and
+# the circuit kinds whose hybrids pair (None: every configuration pairs).
+PAIRED = (
+    *(("preproc", "preproc", (a, a), (b, b), None) for a, b in combinations(PREPROCS, 2)),
+    ("latent_dim", "latent_dim", (16, "latent16"), (256, "latent256"), None),
+    ("activation", "tanh_pi", (True, "tanh_pi"), (False, "identity"), _varying("tanh")),
+    ("entanglement", "entangle", (True, "entangled"), (False, "unentangled"), _varying("entangle")),
+    *(
+        (f"observable[{GROUP_NAMES[k]}]", "observable", ("local", "local"), ("global", "global"), (k,))
+        for k in _varying("observable")
+    ),
+)
 
 
 def _match_key(cfg: dict, drop: str) -> str:
@@ -33,15 +53,15 @@ def _match_key(cfg: dict, drop: str) -> str:
     return json.dumps(redacted, sort_keys=True)
 
 
-def _paired_scores(rows: list[dict], drop: str, val_a, val_b, keep=None):
-    """Aggregate scores paired across configs equal except in one field."""
+def _paired_scores(rows: list[dict], field: str, val_a, val_b, kinds):
+    """Aggregate scores paired across configs equal except in ``field``."""
     buckets: dict[str, dict] = {}
     for row in rows:
         cfg = row["config"]
-        if keep is not None and not keep(cfg):
+        if kinds is not None and (cfg["qnn"] is None or cfg["qnn"]["kind"] not in kinds):
             continue
-        axis_value = cfg[drop] if drop in cfg else cfg["qnn"][drop]
-        buckets.setdefault(_match_key(cfg, drop), {})[axis_value] = row["aggregate"][COMPARE_METRIC]
+        axis_value = cfg[field] if field in cfg else cfg["qnn"][field]
+        buckets.setdefault(_match_key(cfg, field), {})[axis_value] = row["aggregate"][COMPARE_METRIC]
     xs, ys = [], []
     for _, pair in sorted(buckets.items()):
         if val_a in pair and val_b in pair:
@@ -50,13 +70,30 @@ def _paired_scores(rows: list[dict], drop: str, val_a, val_b, keep=None):
     return xs, ys
 
 
-def _paired_test(xs: list[float], ys: list[float]):
+def _paired_test(xs: list[float], ys: list[float]) -> StatTestResult:
     try:
-        res = wilcoxon_signed_rank(xs, ys)
-        return res.statistic, res.p_value, res.method
+        return wilcoxon_signed_rank(xs, ys)
     except ValueError:
         # identical lists: no evidence of any difference
-        return 0.0, 1.0, "WilcoxonExact"
+        return StatTestResult(0.0, 1.0, "WilcoxonExact", (0,))
+
+
+def _comparison(axis: str, name_a: str, name_b: str, xs: list[float], ys: list[float], test) -> dict:
+    res = test(xs, ys)
+    return {
+        "axis": axis,
+        "group_a": name_a,
+        "group_b": name_b,
+        "test": res.method,
+        "n_a": len(xs),
+        "n_b": len(ys),
+        "statistic": res.statistic,
+        "raw_p": res.p_value,
+    }
+
+
+class NoCompletedRunsError(ValueError):
+    """A model group in the results has no configuration with an aggregate."""
 
 
 def aggregate_tables(rows: list[dict]):
@@ -64,9 +101,10 @@ def aggregate_tables(rows: list[dict]):
 
     Returns ``(table1, comparisons, boxplot)`` where table1 rows are
     group/metric median-min-max, comparisons pair axis values (paired
-    signed-rank tests) and groups (unpaired U tests) on the ROC-AUC
-    aggregate with Bonferroni correction over the whole table, and boxplot
-    rows are per-config (group, score) points.
+    signed-rank tests, in ``PAIRED`` order) and groups (unpaired U tests) on
+    the ROC-AUC aggregate with Bonferroni correction over the whole table,
+    and boxplot rows are per-config (group, score) points. A group whose
+    every configuration aborted is a ``NoCompletedRunsError``.
     """
     if not rows:
         raise ValueError("no results to aggregate")
@@ -77,7 +115,7 @@ def aggregate_tables(rows: list[dict]):
         by_group.setdefault(r["group"], []).append(r)
     for g in sorted(groups_all):
         if g not in by_group:
-            raise ValueError(f"group {g!r} has zero completed runs")
+            raise NoCompletedRunsError(f"group {g!r} has zero completed runs")
 
     table1 = []
     for g in GROUP_ORDER:
@@ -95,71 +133,14 @@ def aggregate_tables(rows: list[dict]):
                 }
             )
 
-    is_hybrid = lambda c: c["family"] == "hybrid"  # noqa: E731
-    of_kinds = lambda *kinds: (lambda c: is_hybrid(c) and c["qnn"]["kind"] in kinds)  # noqa: E731
     comparisons = []
-
-    def add_paired(axis: str, drop: str, val_a, val_b, name_a: str, name_b: str, keep=None):
-        xs, ys = _paired_scores(done, drop, val_a, val_b, keep)
-        if not xs:
-            return
-        stat, p, method = _paired_test(xs, ys)
-        comparisons.append(
-            {
-                "axis": axis,
-                "group_a": name_a,
-                "group_b": name_b,
-                "test": method,
-                "n_a": len(xs),
-                "n_b": len(ys),
-                "statistic": stat,
-                "raw_p": p,
-            }
-        )
-
-    for a, b in (("conv3", "conv1"), ("conv3", "conv0"), ("conv1", "conv0")):
-        add_paired("preproc", "preproc", a, b, a, b)
-    add_paired("latent_dim", "latent_dim", 16, 256, "latent16", "latent256")
-    add_paired(
-        "activation", "tanh_pi", True, False, "tanh_pi", "identity", keep=of_kinds(*ANGLE_KINDS)
-    )
-    add_paired(
-        "entanglement",
-        "entangle",
-        True,
-        False,
-        "entangled",
-        "unentangled",
-        keep=of_kinds("ang_ry", "ang_arb", "amp_gen"),
-    )
-    for kind in ("ang_ry", "ang_arb", "amp_gen"):
-        add_paired(
-            f"observable[{GROUP_NAMES[kind]}]",
-            "observable",
-            "local",
-            "global",
-            "local",
-            "global",
-            keep=of_kinds(kind),
-        )
-    present = [g for g in GROUP_ORDER if g in by_group]
-    for i, ga in enumerate(present):
-        for gb in present[i + 1 :]:
-            a_scores = [r["aggregate"][COMPARE_METRIC] for r in by_group[ga]]
-            b_scores = [r["aggregate"][COMPARE_METRIC] for r in by_group[gb]]
-            res = mann_whitney_u(a_scores, b_scores)
-            comparisons.append(
-                {
-                    "axis": "group",
-                    "group_a": ga,
-                    "group_b": gb,
-                    "test": res.method,
-                    "n_a": len(a_scores),
-                    "n_b": len(b_scores),
-                    "statistic": res.statistic,
-                    "raw_p": res.p_value,
-                }
-            )
+    for axis, field, (val_a, name_a), (val_b, name_b), kinds in PAIRED:
+        xs, ys = _paired_scores(done, field, val_a, val_b, kinds)
+        if xs:
+            comparisons.append(_comparison(axis, name_a, name_b, xs, ys, _paired_test))
+    scores = {g: [r["aggregate"][COMPARE_METRIC] for r in by_group[g]] for g in GROUP_ORDER if g in by_group}
+    for ga, gb in combinations(scores, 2):
+        comparisons.append(_comparison("group", ga, gb, scores[ga], scores[gb], mann_whitney_u))
 
     corrected = bonferroni([c["raw_p"] for c in comparisons]) if comparisons else []
     for c, cp in zip(comparisons, corrected):

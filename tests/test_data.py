@@ -65,6 +65,14 @@ class TestBeatsCsv:
         with pytest.raises(DataFormatError, match="row 1, column 5"):
             load_beats_csv(p)
 
+    def test_nan_cell_rejected(self, tmp_path):
+        p = tmp_path / "beats.csv"
+        bad = beat_row(1, 2)
+        bad[5] = "nan"  # float() parses it, so only the finiteness check refuses it
+        write_csv(p, [beat_row(0, 1), bad])
+        with pytest.raises(ValueError, match="finite"):
+            load_beats_csv(p)
+
     def test_bad_label_rejected(self, tmp_path):
         p = tmp_path / "beats.csv"
         write_csv(p, [beat_row(2, 1)])
@@ -164,6 +172,14 @@ class TestNpz:
         ds = load_npz(p, "images", "labels")
         assert ds.samples.shape == (5, 360)
 
+    def test_nan_image_rejected(self, tmp_path):
+        p = tmp_path / "d.npz"
+        images = np.zeros((4, 6, 6))
+        images[1, 2, 2] = np.nan
+        np.savez(p, images=images, labels=np.array([0, 1, 0, 1]))
+        with pytest.raises(ValueError, match="finite"):
+            load_npz(p, "images", "labels")
+
     def test_label_count_mismatch(self, tmp_path):
         p = tmp_path / "d.npz"
         np.savez(p, images=np.zeros((3, 4)), labels=np.array([0, 1]))
@@ -258,6 +274,13 @@ class TestDataset:
             Dataset(np.zeros((3, 2)), np.array([0, 1]))
         with pytest.raises(ValueError):
             Dataset(np.zeros((3, 2)), np.array([0, 1, 0]), subject_ids=np.array([1, 2]))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_samples_rejected(self, value):
+        samples = np.zeros((4, 2, 5))
+        samples[2, 1, 3] = value
+        with pytest.raises(ValueError, match="samples must be finite, not NaN or infinite"):
+            Dataset(samples, np.array([0, 1, 0, 1]))
 
     def test_properties(self):
         ds = Dataset(np.zeros((4, 2, 5)), np.array([0, 1, 0, 1]))
@@ -357,6 +380,10 @@ class TestSynthBlobs:
             synth_blobs(7, 4, 1.0, seed=0)
         with pytest.raises(ValueError):
             synth_blobs(8, 0, 1.0, seed=0)
+
+    def test_infinite_separation_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            synth_blobs(8, 3, np.inf, seed=0)
 
     def test_zero_separation_is_chance_level(self):
         ds = synth_blobs(800, 6, 0.0, seed=12)

@@ -430,6 +430,32 @@ class TestAggregateTables:
         with pytest.raises(ValueError):
             aggregate_tables([])
 
+    def test_default_grid_comparison_set_is_pinned(self):
+        rng = np.random.default_rng(0)
+        rows = [fake_row(c, float(rng.random())) for c in expand_grid({})]
+        _, comparisons, _ = aggregate_tables(rows)
+        got = [(c["axis"], c["group_a"], c["group_b"], c["test"], c["n_a"], c["n_b"]) for c in comparisons]
+        paired = [
+            ("preproc", "conv3", "conv1", "WilcoxonNormal", 50, 50),
+            ("preproc", "conv3", "conv0", "WilcoxonNormal", 50, 50),
+            ("preproc", "conv1", "conv0", "WilcoxonNormal", 50, 50),
+            ("latent_dim", "latent16", "latent256", "WilcoxonNormal", 75, 75),
+            ("activation", "tanh_pi", "identity", "WilcoxonNormal", 48, 48),
+            ("entanglement", "entangled", "unentangled", "WilcoxonNormal", 60, 60),
+            ("observable[Ang-RY]", "local", "global", "WilcoxonExact", 24, 24),
+            ("observable[Ang-Arb]", "local", "global", "WilcoxonExact", 24, 24),
+            ("observable[Amp-Gen]", "local", "global", "WilcoxonExact", 12, 12),
+        ]
+        sizes = {"classical": 24, "Ang-RY": 48, "Ang-Arb": 48, "Amp-Gen": 24, "QCNN": 6}
+        groups = list(sizes)
+        unpaired = [
+            ("group", a, b, "MannWhitneyNormal", sizes[a], sizes[b])
+            for i, a in enumerate(groups)
+            for b in groups[i + 1 :]
+        ]
+        assert got == paired + unpaired
+        assert len(got) == 19
+
 
 TINY_RUN = {
     "dataset": "blobs",
@@ -610,6 +636,52 @@ class TestCli:
     def test_report_without_results_fails(self, tmp_path, capsys):
         assert main(["report", "--out", str(tmp_path)]) == 1
         assert "no results" in capsys.readouterr().err
+
+    def test_report_on_a_group_without_completed_runs(self, tmp_path, capsys):
+        grid = {"qnn": "qcnn", "preproc": "conv0", "latent": 16, "heads": ["none", "mlp"]}
+        rows = [fake_row(c, None if c.family == "hybrid" else 0.9) for c in expand_grid(grid)]
+        results = "".join(json.dumps(r, sort_keys=True) + "\n" for r in rows)
+        (tmp_path / "results.jsonl").write_text(results)
+        assert main(["report", "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == "error: group 'QCNN' has zero completed runs\n"
+        assert (tmp_path / "results.jsonl").read_text() == results
+        assert not (tmp_path / "comparisons.csv").exists()
+
+    def test_run_whose_every_fold_aborts_keeps_its_results(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(
+            harness, "_train_fold", lambda *a, **k: (_ for _ in ()).throw(FloatingPointError("nan"))
+        )
+        cfg = self.write_cfg(tmp_path)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--data-dir", str(tmp_path), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert "aborted" in captured.out
+        assert captured.err == "error: group 'classical' has zero completed runs\n"
+        row = json.loads((out / "results.jsonl").read_text())
+        assert row["aggregate"] is None
+        assert json.loads((out / "run_meta.json").read_text())["n_configs"] == 1
+        assert not (out / "comparisons.csv").exists()
+
+    @pytest.mark.parametrize("source", ["npz_image", "beats_cell", "blobs_separation"])
+    def test_run_refuses_non_finite_samples_before_creating_out(self, tmp_path, capsys, source):
+        cfg = self.write_cfg(tmp_path)
+        if source == "npz_image":
+            images = np.zeros((16, 8))
+            images[3, 4] = np.nan
+            np.savez(tmp_path / "d.npz", images=images, labels=np.arange(16) % 2)
+            extra = "dataset = npz\nnpz_file = d.npz\n"
+        elif source == "beats_cell":
+            rows = [[0.5] * 360 + [i % 2, i // 2] for i in range(8)]
+            rows[5][17] = "nan"
+            (tmp_path / "beats.csv").write_text("".join(",".join(map(str, r)) + "\n" for r in rows))
+            extra = "dataset = beats_csv\n"
+        else:
+            extra = "blobs_separation = inf\n"
+        cfg.write_text(cfg.read_text() + extra)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--data-dir", str(tmp_path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: samples must be finite, not NaN or infinite\n"
+        assert not out.exists()
 
     def test_seed_override_changes_hashes(self, tmp_path):
         cfg = self.write_cfg(tmp_path)

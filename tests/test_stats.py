@@ -90,6 +90,23 @@ class TestWilcoxonExactness:
         assert max(agree) < 0.01
 
 
+class TestNormalContinuityCorrection:
+    def test_wilcoxon_at_its_mean_gives_p_one(self):
+        # 26 differences +-1..+-13 put W+ = W- = n(n+1)/4 = 175.5 on the normal path;
+        # a correction that pushes the deviation past zero would give p = 0.98986.
+        d = np.concatenate([np.arange(1.0, 14.0), -np.arange(1.0, 14.0)])
+        res = wilcoxon_signed_rank(d, np.zeros(26))
+        assert res.method == "WilcoxonNormal"
+        assert res.statistic == 175.5
+        assert res.p_value == 1.0
+
+    def test_mann_whitney_at_its_mean_gives_p_one(self):
+        a = np.arange(0.0, 14.0, 2.0)
+        res = mann_whitney_u(np.r_[a, a + 1], np.r_[a + 1, a])  # U = n_a * n_b / 2
+        assert res.method == "MannWhitneyNormal"
+        assert res.p_value == 1.0
+
+
 class TestMannWhitneyExamples:
     def test_fully_separated_groups(self):
         res = mann_whitney_u([1.0, 2.0, 3.0], [4.0, 5.0, 6.0])
