@@ -38,6 +38,11 @@ two x̂ within rounding); a window whose output is 0 passes no gradient either
 way. The backward pass takes the ReLU mask and the γ/β gradients at pooled
 size, and writes batch normalization's input gradient into the cached
 full-size x̂.
+
+The grid's variants are two tables that the builders read: ``PREPROC_CHANNELS``
+(each preprocessor's conv-block channels) and ``HEAD_LAYERS`` (each head's
+hidden layers and whether a ReLU follows each). ``harness.Model`` chains a
+preprocessor, a hybrid's circuit, and a head.
 """
 
 from __future__ import annotations
@@ -387,13 +392,11 @@ def stack_params(layers: list[Layer]) -> list[Param]:
 # Model builders used by the experiment grid.
 # ---------------------------------------------------------------------------
 
-_CONV3_CHANNELS = (8, 16, 32)
-
-
-def _conv_block(in_ch: int, out_ch: int, ndim: int, rng: np.random.Generator) -> list[Layer]:
-    # Conv -> BatchNorm -> ReLU -> MaxPool(2), the last three as one layer
-    # that pools before it activates (module docstring).
-    return [Conv(in_ch, out_ch, ndim, rng), BatchNormReLUPool(out_ch)]
+# Each preprocessor variant by the output channels of its conv blocks.
+PREPROC_CHANNELS = {"conv3": (8, 16, 32), "conv1": (8,), "conv0": ()}
+# Each head variant by its number of hidden ``in_dim``-wide affine layers and
+# whether a ReLU follows each.
+HEAD_LAYERS = {"none": (0, False), "fcnone": (1, False), "fcrelu": (1, True), "mlp": (3, True)}
 
 
 def build_preprocessor(
@@ -405,30 +408,27 @@ def build_preprocessor(
 ) -> list[Layer]:
     """Feature-extractor builder.
 
-    ``variant`` is ``"conv3"`` (three conv/BN/ReLU/pool blocks, channels
-    8/16/32), ``"conv1"`` (one such block at 8 channels) or ``"conv0"``
-    (no convolutions). All variants then flatten each sample with
-    ``Reshape((-1,))`` and project it to ``latent_dim`` with a fully-connected
-    layer, then apply pi*tanh when requested. Unchanneled 1-D inputs of
-    shape (length,) are treated as one channel.
+    ``variant`` names a row of ``PREPROC_CHANNELS``: one conv block per
+    listed channel count, each Conv -> BatchNorm -> ReLU -> MaxPool(2) (the
+    last three as one ``BatchNormReLUPool``). Every variant then flattens
+    each sample with ``Reshape((-1,))``, projects it to ``latent_dim`` with a
+    fully-connected layer, and applies pi*tanh when requested. Unchanneled
+    1-D inputs of shape (length,) are treated as one channel.
     """
     input_shape = tuple(int(d) for d in input_shape)
     if latent_dim <= 0:
         raise ValueError("latent_dim must be positive")
+    if variant not in PREPROC_CHANNELS:
+        raise ValueError(f"unknown preprocessor variant {variant!r}")
+    channels = PREPROC_CHANNELS[variant]
     layers: list[Layer] = []
     shape = input_shape
-    if variant in ("conv3", "conv1"):
-        if len(shape) == 1:
-            layers.append(Reshape((1,) + shape))
-            shape = (1,) + shape
-        ndim = len(shape) - 1
-        n_blocks = 3 if variant == "conv3" else 1
-        in_ch = shape[0]
-        for out_ch in _CONV3_CHANNELS[:n_blocks]:
-            layers.extend(_conv_block(in_ch, out_ch, ndim, rng))
-            in_ch = out_ch
-    elif variant != "conv0":
-        raise ValueError(f"unknown preprocessor variant {variant!r}")
+    if channels and len(shape) == 1:
+        layers.append(Reshape((1,) + shape))
+        shape = (1,) + shape
+    # A block takes the sample's channels, or the previous block's.
+    for in_ch, out_ch in zip(shape[:1] + channels, channels):
+        layers += [Conv(in_ch, out_ch, len(shape) - 1, rng), BatchNormReLUPool(out_ch)]
     layers.append(Reshape((-1,)))
     # One zero sample through the layers so far gives the projection's width
     # and rejects inputs too small to pool. An eval-mode forward pass draws
@@ -443,28 +443,22 @@ def build_preprocessor(
 def build_head(variant: str, in_dim: int, rng: np.random.Generator) -> list[Layer]:
     """Classifier-head builder mapping a feature vector to a single logit.
 
-    ``"none"`` is one affine layer (also the hybrid model's post-circuit
-    map); ``"fcnone"`` is two stacked affine layers; ``"fcrelu"`` adds ReLU
-    between them; ``"mlp"`` has three hidden affine+ReLU layers. Hidden
-    layers are ``in_dim`` wide.
+    ``variant`` names a row of ``HEAD_LAYERS``: that many hidden affine
+    layers ``in_dim`` wide, each followed by a ReLU where the row says so,
+    then one affine layer to the logit. The head with no hidden layer is
+    also the hybrid model's map from circuit outputs to the logit.
     """
     if in_dim < 1:
         raise ValueError("in_dim must be >= 1")
-    h = in_dim
-    layers: list[Layer]
-    if variant == "none":
-        layers = [FullyConnected(in_dim, 1, rng)]
-    elif variant == "fcnone":
-        layers = [FullyConnected(in_dim, h, rng), FullyConnected(h, 1, rng)]
-    elif variant == "fcrelu":
-        layers = [FullyConnected(in_dim, h, rng), ReLU(), FullyConnected(h, 1, rng)]
-    elif variant == "mlp":
-        layers = [FullyConnected(in_dim, h, rng), ReLU()]
-        for _ in range(2):
-            layers += [FullyConnected(h, h, rng), ReLU()]
-        layers.append(FullyConnected(h, 1, rng))
-    else:
+    if variant not in HEAD_LAYERS:
         raise ValueError(f"unknown head variant {variant!r}")
+    n_hidden, relu = HEAD_LAYERS[variant]
+    layers: list[Layer] = []
+    for _ in range(n_hidden):
+        layers.append(FullyConnected(in_dim, in_dim, rng))
+        if relu:
+            layers.append(ReLU())
+    layers.append(FullyConnected(in_dim, 1, rng))
     return layers
 
 

@@ -2,10 +2,11 @@
 
 A ``ModelConfig`` is one point of the grid: a hybrid (preprocessor, circuit,
 linear readout) or a classical (preprocessor, head) model. The default grid
-crosses pre-processing depth (conv3/conv1/conv0), latent dimension (16/256),
-the pi*tanh activation toggle (angle-encoded hybrids only), four circuit
-families (Ang-RY, Ang-Arb, Amp-Gen, QCNN) with their entanglement/observable
-axes, and four classical heads -- 150 configurations.
+crosses pre-processing depth (``classical.PREPROC_CHANNELS``), latent
+dimension (16/256), the pi*tanh activation toggle (angle-encoded hybrids
+only), four circuit families (Ang-RY, Ang-Arb, Amp-Gen, QCNN) with their
+entanglement/observable axes, and four classical heads
+(``classical.HEAD_LAYERS``) -- 150 configurations.
 
 ``expand_grid`` enumerates the points a run configuration selects,
 ``parse_run_config`` reads the flat ``key = value`` file that holds it, and
@@ -23,13 +24,14 @@ from dataclasses import asdict, dataclass
 from itertools import product
 from pathlib import Path
 
+from .classical import HEAD_LAYERS, PREPROC_CHANNELS
 from .data import Dataset, load_beats_csv, load_npz, synth_beats, synth_blobs
 from .qnn import Circuit, build_amp_gen, build_ang_arb, build_ang_ry, build_qcnn
 from .statevec import Observable
 
 QUBITS_FOR_LATENT = {16: 4, 256: 8}
-PREPROCS = ("conv3", "conv1", "conv0")
-HEADS = ("none", "fcnone", "fcrelu", "mlp")
+PREPROCS = tuple(PREPROC_CHANNELS)
+HEADS = tuple(HEAD_LAYERS)
 # The switches a circuit family may vary: the values a family that varies one
 # takes, in the grid's default order, and the one value every other family holds.
 SWITCHES = {

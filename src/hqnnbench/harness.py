@@ -1,16 +1,18 @@
-"""Training runs: models, k-fold training, the grid runner and the CLI.
+"""Training runs: the model, k-fold training, the grid runner and the CLI.
 
-Every configuration (see ``config``) trains over k folds with Adam on
-BCE-with-logits, records the best value of each validation metric per fold,
-and aggregates fold bests (mean by default). ``run_grid`` trains a grid and
-writes its comparison tables (see ``tables``).
+Every configuration (see ``config``) trains as one ``Model`` (preprocessor,
+circuit if any, head) over k folds with Adam on BCE-with-logits, records the
+best value of each validation metric per fold, and aggregates fold bests
+(mean by default). ``run_grid`` trains a grid and writes its comparison
+tables (see ``tables``), or removes them when they are refused.
 
 Persistence: ``results.jsonl`` holds one JSON object per configuration with
 sorted keys and no timing information, so identical runs produce
 byte-identical files; wall-clock timings go to ``timings.jsonl``. Completed
 configurations (keyed by config hash) are skipped on re-run; a re-run whose
 epochs, folds, seed, batch size, aggregate, dataset name or data digest
-differ from the stored ``run_meta.json`` is refused.
+differ from the stored, atomically replaced ``run_meta.json``, or whose
+``run_meta.json`` does not parse, is refused.
 
 Training and run code call the layers through this module's globals, where
 ``perfbench/spans.py`` wraps them for its traced runs.
@@ -22,6 +24,7 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -58,65 +61,51 @@ from .data import Dataset, FoldPlan, make_folds
 from .metrics import METRIC_NAMES, MetricReport
 from .qnn import init_params, qnn_backward_batch, qnn_forward_batch
 from .statevec import EncodingError
-from .tables import NoCompletedRunsError, aggregate_tables, write_tables
+from .tables import TABLE_COLUMNS, NoCompletedRunsError, aggregate_tables, write_tables
 
 # ---------------------------------------------------------------------------
 # Models.
 # ---------------------------------------------------------------------------
 
 
-class HybridModel:
-    """Classical preprocessor -> circuit -> linear logit map."""
+class Model:
+    """Preprocessor -> circuit (hybrids only) -> head; a hybrid's head is one affine map.
+    Parameters are drawn from ``rng`` and listed in one order: preprocessor, circuit θ, head."""
 
     def __init__(self, config: ModelConfig, input_shape: tuple[int, ...], rng: np.random.Generator):
         self.pre = build_preprocessor(
             config.preproc, input_shape, config.latent_dim, config.tanh_pi, rng
         )
-        self.circuit = config.qnn.build(config.latent_dim)
-        self.theta = Param(init_params(self.circuit.n_params, rng))
-        self.head = build_head("none", self.circuit.out_dim, rng=rng)
+        self.circuit = self.theta = None
+        if config.qnn is not None:
+            self.circuit = config.qnn.build(config.latent_dim)
+            self.theta = Param(init_params(self.circuit.n_params, rng))
+        width = config.latent_dim if self.circuit is None else self.circuit.out_dim
+        self.head = build_head(config.head or "none", width, rng=rng)
         self._cache = None
 
     def parameters(self) -> list[Param]:
-        return stack_params(self.pre) + [self.theta] + stack_params(self.head)
+        theta = [] if self.theta is None else [self.theta]
+        return stack_params(self.pre) + theta + stack_params(self.head)
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         z = stack_forward(self.pre, x, training=training)
-        q, amps = qnn_forward_batch(self.circuit, z, self.theta.value, return_state=True)
-        logits = stack_forward(self.head, q, training=training)[:, 0]
-        self._cache = (z, amps)
-        return logits
-
-    def backward(self, grad_logits: np.ndarray) -> None:
-        z, amps = self._cache
-        gq = stack_backward(self.head, grad_logits[:, None])
-        gz, gp = qnn_backward_batch(self.circuit, z, self.theta.value, gq, final_amps=amps)
-        self.theta.grad += gp
-        stack_backward(self.pre, gz, input_grad=False)
-
-
-class ClassicalModel:
-    """Preprocessor -> classical head, no circuit."""
-
-    def __init__(self, config: ModelConfig, input_shape: tuple[int, ...], rng: np.random.Generator):
-        self.pre = build_preprocessor(config.preproc, input_shape, config.latent_dim, False, rng)
-        self.head = build_head(config.head, config.latent_dim, rng=rng)
-
-    def parameters(self) -> list[Param]:
-        return stack_params(self.pre) + stack_params(self.head)
-
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        z = stack_forward(self.pre, x, training=training)
+        if self.circuit is not None:
+            q, amps = qnn_forward_batch(self.circuit, z, self.theta.value, return_state=True)
+            self._cache = (z, amps)
+            z = q
         return stack_forward(self.head, z, training=training)[:, 0]
 
     def backward(self, grad_logits: np.ndarray) -> None:
-        stack_backward(self.pre, stack_backward(self.head, grad_logits[:, None]), input_grad=False)
+        g = stack_backward(self.head, grad_logits[:, None])
+        if self.circuit is not None:
+            z, amps = self._cache
+            g, gp = qnn_backward_batch(self.circuit, z, self.theta.value, g, final_amps=amps)
+            self.theta.grad += gp
+        stack_backward(self.pre, g, input_grad=False)
 
 
-def build_model(config: ModelConfig, input_shape: tuple[int, ...], rng: np.random.Generator):
-    if config.family == "hybrid":
-        return HybridModel(config, input_shape, rng)
-    return ClassicalModel(config, input_shape, rng)
+build_model = Model  # the name training calls
 
 
 # ---------------------------------------------------------------------------
@@ -266,14 +255,27 @@ class ProtocolMismatchError(ValueError):
     """An output directory holds results trained under a different protocol."""
 
 
-def _check_same_protocol(stored: dict, protocol: dict, out_dir: Path) -> None:
-    """Refuse to resume into rows whose ``run_meta.json`` records another protocol."""
+def _check_same_protocol(meta_path: Path, protocol: dict) -> None:
+    """Refuse to resume into rows whose ``run_meta.json`` records another protocol or does not parse."""
+    try:
+        stored = json.loads(meta_path.read_text())
+        if not isinstance(stored, dict):
+            raise ValueError("not a JSON object")
+    except ValueError as exc:
+        raise ProtocolMismatchError(f"{meta_path} cannot be read ({exc}); use a new --out directory") from None
     changed = [f"{key} {stored[key]!r} -> {value!r}" for key, value in protocol.items() if key in stored and stored[key] != value]
     if changed:
         raise ProtocolMismatchError(
-            f"{out_dir} holds results from a different protocol ({', '.join(changed)}); "
+            f"{meta_path.parent} holds results from a different protocol ({', '.join(changed)}); "
             "use a new --out directory"
         )
+
+
+def _write_tables(out_dir: Path, rows: list[dict]) -> None:
+    """Write the tables of ``rows``, removing an earlier run's first so that a refusal leaves none."""
+    for name in TABLE_COLUMNS:
+        (out_dir / name).unlink(missing_ok=True)
+    write_tables(out_dir, *aggregate_tables(rows))
 
 
 def _data_digest(dataset: Dataset) -> str:
@@ -339,7 +341,7 @@ def run_grid(
     results_path = out_dir / "results.jsonl"
     meta_path = out_dir / "run_meta.json"
     if meta_path.exists() and results_path.exists() and results_path.read_bytes().strip():
-        _check_same_protocol(json.loads(meta_path.read_text()), protocol, out_dir)
+        _check_same_protocol(meta_path, protocol)
     rows = _load_existing(results_path)
     done_hashes = {r["config_hash"] for r in rows}
     todo = [c for c in configs if c.config_hash() not in done_hashes]
@@ -350,7 +352,10 @@ def run_grid(
         **protocol,
         "groups": sorted({c.group for c in configs}),
     }
-    meta_path.write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
+    # Renamed over the old file, so a kill mid-write leaves the previous meta whole.
+    tmp_path = out_dir / "run_meta.json.tmp"
+    tmp_path.write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
+    os.replace(tmp_path, meta_path)
 
     def emit(result: ExperimentResult) -> None:
         json_dict = result.to_json_dict()
@@ -381,7 +386,7 @@ def run_grid(
             emit(run_experiment(config, dataset, folds, epochs, batch_size, aggregate))
 
     if rows:
-        write_tables(out_dir, *aggregate_tables(rows))
+        _write_tables(out_dir, rows)
     return rows
 
 
@@ -409,22 +414,9 @@ def main(argv=None) -> int:
     p_rep.add_argument("--out", required=True, help="directory with results.jsonl")
 
     args = parser.parse_args(argv)
-    if args.command == "report":
-        out_dir = Path(args.out)
-        rows = _load_existing(out_dir / "results.jsonl")
-        if not rows:
-            print(f"no results found in {out_dir}", file=sys.stderr)
-            return 1
-        try:
-            write_tables(out_dir, *aggregate_tables(rows))
-        except NoCompletedRunsError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        print(f"wrote table1.csv, comparisons.csv, boxplot_data.csv to {out_dir}")
-        return 0
-
-    if args.jobs < 1:
+    if args.command == "run" and args.jobs < 1:
         p_run.error(f"--jobs must be at least 1, got {args.jobs}")
+    out_dir = Path(args.out)
     n_done = 0
 
     def progress(json_dict: dict) -> None:
@@ -435,19 +427,27 @@ def main(argv=None) -> int:
         print(f"[{n_done}] {json_dict['label']}: {score}", flush=True)
 
     try:
+        if args.command == "report":
+            rows = _load_existing(out_dir / "results.jsonl")
+            if not rows:
+                print(f"no results found in {out_dir}", file=sys.stderr)
+                return 1
+            _write_tables(out_dir, rows)
+            print(f"wrote {', '.join(TABLE_COLUMNS)} to {out_dir}")
+            return 0
         run_cfg = parse_run_config(args.config)
         if args.epochs is not None:
             run_cfg["epochs"] = args.epochs
         if args.seed is not None:
             run_cfg["seed"] = args.seed
-        rows = run_grid(run_cfg, Path(args.data_dir), Path(args.out), jobs=args.jobs, progress=progress)
+        rows = run_grid(run_cfg, Path(args.data_dir), out_dir, jobs=args.jobs, progress=progress)
     except (ProtocolMismatchError, RunConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except NoCompletedRunsError as exc:  # results.jsonl and run_meta.json are written; no table is
+    except NoCompletedRunsError as exc:  # results.jsonl and run_meta.json stay; the tables are removed
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    print(f"{len(rows)} results in {Path(args.out) / 'results.jsonl'}")
+    print(f"{len(rows)} results in {out_dir / 'results.jsonl'}")
     return 0
 
 

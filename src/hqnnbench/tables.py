@@ -153,6 +153,25 @@ def aggregate_tables(rows: list[dict]):
     return table1, comparisons, boxplot
 
 
+# The file and the columns of each of ``aggregate_tables``'s tables, in its order.
+TABLE_COLUMNS = {
+    "table1.csv": ["group", "metric", "median", "min", "max"],
+    "comparisons.csv": [
+        "axis",
+        "group_a",
+        "group_b",
+        "test",
+        "n_a",
+        "n_b",
+        "statistic",
+        "raw_p",
+        "corrected_p",
+        "significant_at_0.05",
+    ],
+    "boxplot_data.csv": ["group", "aggregate_score"],
+}
+
+
 def _write_csv(path: Path, rows: list[dict], columns: list[str]) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=columns)
@@ -163,21 +182,5 @@ def _write_csv(path: Path, rows: list[dict], columns: list[str]) -> None:
 
 def write_tables(out_dir: Path, table1: list[dict], comparisons: list[dict], boxplot: list[dict]) -> None:
     """Write ``aggregate_tables``'s three tables as CSV files in ``out_dir``."""
-    _write_csv(out_dir / "table1.csv", table1, ["group", "metric", "median", "min", "max"])
-    _write_csv(
-        out_dir / "comparisons.csv",
-        comparisons,
-        [
-            "axis",
-            "group_a",
-            "group_b",
-            "test",
-            "n_a",
-            "n_b",
-            "statistic",
-            "raw_p",
-            "corrected_p",
-            "significant_at_0.05",
-        ],
-    )
-    _write_csv(out_dir / "boxplot_data.csv", boxplot, ["group", "aggregate_score"])
+    for (name, columns), rows in zip(TABLE_COLUMNS.items(), (table1, comparisons, boxplot)):
+        _write_csv(out_dir / name, rows, columns)

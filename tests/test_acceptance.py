@@ -43,7 +43,7 @@ from hqnnbench.classical import (
     stack_forward,
     stack_params,
 )
-from hqnnbench.harness import HybridModel, ModelConfig, QnnArch, run_grid
+from hqnnbench.harness import Model, ModelConfig, QnnArch, run_grid
 from hqnnbench.metrics import average_precision, balanced_accuracy, roc_auc
 from hqnnbench.qnn import (
     Circuit,
@@ -212,7 +212,7 @@ def test_criterion_05_classical_and_hybrid_autodiff():
     config = ModelConfig(
         family="hybrid", preproc="conv0", latent_dim=16, qnn=QnnArch("ang_ry", True, "global")
     )
-    model = HybridModel(config, (6,), rng)
+    model = Model(config, (6,), rng)
     model.circuit = build_ang_ry(2, 16, entangle=True)
     model.theta = Param(0.3 * rng.normal(size=model.circuit.n_params))
     x = rng.normal(size=(4, 6))

@@ -27,7 +27,7 @@ from hqnnbench.classical import (
     stack_params,
 )
 from hqnnbench.qnn import build_ang_ry
-from hqnnbench.harness import ClassicalModel, HybridModel, ModelConfig, QnnArch
+from hqnnbench.harness import Model, ModelConfig, QnnArch
 
 from oracles import (
     batchnorm_reference,
@@ -548,14 +548,14 @@ class TestParameterOnlyBackward:
         rng = np.random.default_rng(64)
         x = rng.normal(size=(4, 1, 12, 12))
 
-        model = ClassicalModel(ModelConfig("classical", "conv3", 16, head="mlp"), x.shape[1:], rng)
+        model = Model(ModelConfig("classical", "conv3", 16, head="mlp"), x.shape[1:], rng)
         model.forward(x, training=True)
         model.backward(rng.normal(size=4))
         convs = [layer for layer in model.pre if isinstance(layer, Conv)]
         assert [id(c) for c in col2im] == [id(c) for c in reversed(convs[1:])]
 
         fc_returns.clear()
-        hybrid = HybridModel(ModelConfig("hybrid", "conv0", 16, qnn=QnnArch("ang_arb", True, "global")), (30,), rng)
+        hybrid = Model(ModelConfig("hybrid", "conv0", 16, qnn=QnnArch("ang_arb", True, "global")), (30,), rng)
         hybrid.forward(rng.normal(size=(4, 30)), training=True)
         hybrid.backward(rng.normal(size=4))
         returned = {id(layer): g for layer, g in fc_returns}
@@ -668,7 +668,7 @@ class TestHybridSeam:
             latent_dim=16,
             qnn=QnnArch("ang_ry", True, "global"),
         )
-        model = HybridModel(config, (6,), rng)
+        model = Model(config, (6,), rng)
         # swap in a small 2-qubit circuit to keep the FD sweep cheap
         model.circuit = build_ang_ry(2, 16, entangle=True)
         model.theta = Param(0.3 * rng.normal(size=model.circuit.n_params))

@@ -12,7 +12,10 @@ import numpy as np
 import pytest
 
 import hqnnbench.harness as harness
+from hqnnbench.classical import build_head, build_preprocessor, stack_params
 from hqnnbench.config import (
+    HEADS,
+    QNN_KINDS,
     RUN_KEYS,
     ModelConfig,
     QnnArch,
@@ -23,13 +26,14 @@ from hqnnbench.config import (
 )
 from hqnnbench.data import synth_blobs, make_folds
 from hqnnbench.harness import (
-    HybridModel,
+    Model,
     ProtocolMismatchError,
     build_model,
     main,
     run_experiment,
     run_grid,
 )
+from hqnnbench.qnn import init_params
 from hqnnbench.statevec import EncodingError
 from hqnnbench.tables import aggregate_tables
 
@@ -334,7 +338,7 @@ class TestHybridModelPlumbing:
             family="hybrid", preproc="conv0", latent_dim=16, qnn=QnnArch("ang_ry", True, "local")
         )
         model = build_model(cfg, (12,), rng)
-        assert isinstance(model, HybridModel)
+        assert isinstance(model, Model) and model.circuit is not None
         n_pre = 12 * 16 + 16
         n_theta = 48
         n_head = 4 * 1 + 1  # local observable feeds a 4-wide linear map
@@ -348,6 +352,33 @@ class TestHybridModelPlumbing:
         model = build_model(cfg, (12,), rng)
         logits = model.forward(rng.normal(size=(3, 12)))
         assert logits.shape == (3,)
+
+
+class TestModelDrawOrder:
+    """``results.jsonl`` stays byte-identical only while the model draws its
+    parameters in this order: preprocessor, circuit θ, head."""
+
+    # One config of each circuit family and one of each classical head.
+    CONFIGS = expand_grid({"preproc": "conv1", "latent": 16, "tanh": False, "entangle": True, "observable": "local"})
+
+    @pytest.mark.parametrize("config", CONFIGS, ids=[c.label for c in CONFIGS])
+    def test_parameters_are_drawn_preprocessor_theta_head(self, config):
+        shape = (12,)
+        got = build_model(config, shape, np.random.default_rng(5)).parameters()
+        rng = np.random.default_rng(5)
+        pre = build_preprocessor(config.preproc, shape, config.latent_dim, config.tanh_pi, rng)
+        want = [p.value for p in stack_params(pre)]
+        width = config.latent_dim
+        if config.qnn is not None:
+            circuit = config.qnn.build(config.latent_dim)
+            want.append(init_params(circuit.n_params, rng))
+            width = circuit.out_dim
+        want += [p.value for p in stack_params(build_head(config.head or "none", width, rng))]
+        assert [(p.value.shape, p.value.tobytes()) for p in got] == [(w.shape, w.tobytes()) for w in want]
+
+    def test_every_family_and_head_is_covered(self):
+        assert sorted({c.qnn.kind for c in self.CONFIGS if c.qnn}) == sorted(QNN_KINDS)
+        assert sorted({c.head for c in self.CONFIGS if c.head}) == sorted(HEADS)
 
 
 def fake_row(config: ModelConfig, score: float | None) -> dict:
@@ -457,6 +488,7 @@ class TestAggregateTables:
         assert len(got) == 19
 
 
+TABLES = ("table1.csv", "comparisons.csv", "boxplot_data.csv")
 TINY_RUN = {
     "dataset": "blobs",
     "blobs_n": 32,
@@ -661,6 +693,65 @@ class TestCli:
         assert row["aggregate"] is None
         assert json.loads((out / "run_meta.json").read_text())["n_configs"] == 1
         assert not (out / "comparisons.csv").exists()
+
+    def test_refused_resume_removes_the_earlier_tables(self, tmp_path, capsys, monkeypatch):
+        cfg = tmp_path / "run.cfg"
+        base = "dataset = blobs\nblobs_n = 64\npreproc = conv0\nlatent = 16\nheads = none\n"
+        base += "tanh = false\nentangle = true\nobservable = global\nfolds = 2\nepochs = 1\n"
+        cfg.write_text(base + "qnn = ang_ry\n")
+        out = tmp_path / "out"
+        argv = ["run", "--config", str(cfg), "--data-dir", str(tmp_path), "--out", str(out)]
+        assert main(argv) == 0
+        assert all((out / name).exists() for name in TABLES)
+
+        train_fold = harness._train_fold
+
+        def abort_qcnn(config, *args):
+            if config.qnn is not None and config.qnn.kind == "qcnn":
+                raise FloatingPointError("nan")
+            return train_fold(config, *args)
+
+        monkeypatch.setattr(harness, "_train_fold", abort_qcnn)
+        cfg.write_text(base + "qnn = ang_ry, qcnn\n")
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: group 'QCNN' has zero completed runs\n"
+        assert len((out / "results.jsonl").read_text().splitlines()) == 3
+        assert not any((out / name).exists() for name in TABLES)
+
+    def test_refused_report_removes_the_earlier_tables(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        run_grid(dict(TINY_RUN), tmp_path, out)
+        assert all((out / name).exists() for name in TABLES)
+        rows = [json.loads(line) for line in (out / "results.jsonl").read_text().splitlines()]
+        for row in rows:
+            if row["group"] == "Ang-RY":
+                row["aggregate"] = None
+        results = "".join(json.dumps(r, sort_keys=True) + "\n" for r in rows)
+        (out / "results.jsonl").write_text(results)
+        assert main(["report", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: group 'Ang-RY' has zero completed runs\n"
+        assert (out / "results.jsonl").read_text() == results
+        assert not any((out / name).exists() for name in TABLES)
+
+    @pytest.mark.parametrize("damage", ["truncated", "list", "number"])
+    def test_run_refuses_an_unreadable_run_meta(self, tmp_path, capsys, damage):
+        cfg = self.write_cfg(tmp_path)
+        out = tmp_path / "out"
+        argv = ["run", "--config", str(cfg), "--data-dir", str(tmp_path), "--out", str(out), "--epochs", "1"]
+        assert main(argv) == 0
+        meta = out / "run_meta.json"
+        # A kill mid-write, or a file that parses to something other than an object.
+        meta.write_bytes({"truncated": meta.read_bytes()[:40], "list": b"[]\n", "number": b"1\n"}[damage])
+        argv[-1] = "2"  # a different protocol, which a list would otherwise let through
+        results = (out / "results.jsonl").read_bytes()
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {meta} cannot be read") and err.count("\n") == 1
+        assert (out / "results.jsonl").read_bytes() == results
+        files = sorted(p.name for p in out.iterdir())
+        assert files == sorted(["results.jsonl", "run_meta.json", "timings.jsonl", *TABLES])
 
     @pytest.mark.parametrize("source", ["npz_image", "beats_cell", "blobs_separation"])
     def test_run_refuses_non_finite_samples_before_creating_out(self, tmp_path, capsys, source):
