@@ -227,28 +227,47 @@ def _run_one(config: ModelConfig) -> ExperimentResult:
     return run_experiment(config, *_WORKER_ARGS)
 
 
+class ResultsFileError(ValueError):
+    """A line of ``results.jsonl`` other than an unterminated last one is not a JSON object."""
+
+
+def _parse_row(results_path: Path, number: int, line: bytes) -> dict:
+    try:
+        row = json.loads(line)
+        if not isinstance(row, dict):
+            raise ValueError("not a JSON object")
+    except ValueError as exc:
+        raise ResultsFileError(
+            f"{results_path} line {number} cannot be read ({exc}); repair or remove it, or use a new --out directory"
+        ) from None
+    return row
+
+
 def _load_existing(results_path: Path) -> list[dict]:
     """The rows of ``results.jsonl``, none if it does not exist.
 
     An unterminated, unparseable last line (a crash mid-write) is cut from
-    the file with a warning; a parseable one gets its newline.
+    the file with a warning; a parseable one gets its newline. Any other
+    line that does not parse raises ``ResultsFileError`` before the file is
+    touched.
     """
     if not results_path.exists():
         return []
     data = results_path.read_bytes()
-    if data and not data.endswith(b"\n"):
-        start = data.rfind(b"\n") + 1
+    lines = data.split(b"\n")
+    rows = [_parse_row(results_path, k, line) for k, line in enumerate(lines[:-1], 1) if line.strip()]
+    if lines[-1].strip():
         try:
-            json.loads(data[start:])
+            json.loads(lines[-1])
         except ValueError:
             print(f"warning: dropping truncated last line of {results_path}", file=sys.stderr)
             with open(results_path, "r+b") as fh:
-                fh.truncate(start)
-            data = data[:start]
+                fh.truncate(len(data) - len(lines[-1]))
         else:
+            rows.append(_parse_row(results_path, len(lines), lines[-1]))
             with open(results_path, "ab") as fh:
                 fh.write(b"\n")
-    return [json.loads(line) for line in data.splitlines() if line.strip()]
+    return rows
 
 
 class ProtocolMismatchError(ValueError):
@@ -441,7 +460,7 @@ def main(argv=None) -> int:
         if args.seed is not None:
             run_cfg["seed"] = args.seed
         rows = run_grid(run_cfg, Path(args.data_dir), out_dir, jobs=args.jobs, progress=progress)
-    except (ProtocolMismatchError, RunConfigError) as exc:
+    except (ProtocolMismatchError, ResultsFileError, RunConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NoCompletedRunsError as exc:  # results.jsonl and run_meta.json stay; the tables are removed

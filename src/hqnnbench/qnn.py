@@ -30,11 +30,16 @@ between two permutations form a ``Stage``; the small matrices of a stage are
 computed together, one batch of ``(d, d, G, B)`` arrays per step signature.
 
 A stage that holds only one-qubit gates is a *Kronecker layer*: its gates
-act on distinct qubits and commute. Its batch-shared gates are applied as
-blocks of up to ``_KRON_QUBITS`` adjacent qubits, each one d x d unitary
-(d <= 16), the Kronecker product of its members with the identity on any
-qubit in the block's run that no member occupies. Per-sample gates and
-two-qubit ``BLOCK`` gates are applied one by one.
+act on distinct qubits and commute. They are applied as blocks of adjacent
+qubits, each one d x d unitary (d <= 16), the Kronecker product of its
+members' ``(2, 2, Bx)`` matrices with the identity on any qubit in the
+block's run that no member occupies. A block is per-sample, one matrix per
+batch column, as soon as one member is. Blocks of batch-shared stages span
+up to ``_KRON_QUBITS`` qubits; per-sample ones at most half the register,
+so at n = 8 a data re-uploading layer is two 16x16 blocks per sample, which
+the stage applies to each sample's 16x16 amplitude matrix ``Psi_b`` as
+``U_b Psi_b V_b^T`` on sample-major storage (``statevec.apply_rows``).
+Two-qubit ``BLOCK`` gates are applied one by one.
 
 Gradients are computed in adjoint mode: one forward pass, then a single
 reverse sweep that un-applies each fused gate ``U`` on the state ``psi``
@@ -49,9 +54,12 @@ follows from ``G`` alone::
 
 where ``Gamma_k`` is the constant RY(pi) or RZ(pi). In a Kronecker layer
 every overlap is taken at the stage output, before any un-apply: one d x d
-overlap per block, from which each member's 2x2 overlap is the partial
-trace over the block's other qubits (un-applying a unitary on another qubit
-from both states cancels in ``sum_rest``). The sweep does not un-apply the
+overlap per block (for per-sample blocks ``M_b P_b^T`` and ``M_b^T P_b`` on
+the sample matrices of ``mu`` and ``psi``), from which each member's 2x2
+overlap is the partial trace over the block's other qubits (un-applying a
+unitary on another qubit from both states cancels in ``sum_rest``). A
+per-sample block is un-applied as ``U_b^H P_b conj(V_b)`` from ``psi`` and
+``U_b^T M_b V_b`` from ``mu``. The sweep does not un-apply the
 first stage of a circuit when that stage is a Kronecker layer: nothing reads
 ``psi`` afterwards, and ``mu`` is only read for the input gradient of an
 amplitude-encoded circuit. All of this is exact for noiseless statevector
@@ -73,11 +81,14 @@ from .statevec import (
     MAX_QUBITS,
     Observable,
     apply_gate,
+    apply_rows,
     apply_signed_perm,
     expval_batch,
     gate_overlap,
     measurement_diagonals,
     rotation_matrices,
+    rows_overlap,
+    transpose_into,
 )
 
 _NORM_EPS = 1e-12
@@ -220,22 +231,61 @@ class _Group:
 # within each other's quartiles; all 8 qubits in one 256x256 block took
 # 293 ms. Four qubits split an 8-qubit register into two 16x16 blocks.
 _KRON_QUBITS = 4
-_I2 = np.eye(2, dtype=np.complex128)
+_I2 = np.eye(2, dtype=np.complex128)[:, :, None]
 
 
-def _kron(factors: list[np.ndarray]) -> np.ndarray:
-    """``factors[0] (x) factors[1] (x) ...`` of 2x2s; wire 0 is the most significant."""
+# Per-sample blocks of at least this many qubits run on sample-major storage
+# as stacked BLAS matmuls, smaller ones elementwise on the (2**n, B) storage.
+# One block product at B=256 on 2 cores: d=4 took 70 us stacked against 40 us
+# elementwise, d=8 100-170 us against 140-300 us.
+_SAMPLE_MAJOR_QUBITS = 3
+
+
+def _block_width(n_qubits: int, per_sample: bool) -> int:
+    """Qubits per Kronecker block of a commuting stage.
+
+    A per-sample block costs a ``(B, d, d)`` Kronecker product per stage, so
+    it spans at most half the register: at n = 4 one 16x16 block per sample
+    costs more to build than the four gates it replaces.
+    """
+    return min(_KRON_QUBITS, (n_qubits + 1) // 2) if per_sample else _KRON_QUBITS
+
+
+def _storage(buf: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """A ``shape`` array in the storage of the C-contiguous ``buf`` when it fits, else a new one."""
+    size = math.prod(shape)
+    return buf.reshape(-1)[:size].reshape(shape) if size <= buf.size else np.empty(shape, dtype=buf.dtype)
+
+
+def _kron(factors: list[np.ndarray], scratch: np.ndarray | None = None) -> np.ndarray:
+    """``factors[0] (x) factors[1] (x) ...`` of matrix-major ``(2, 2, Bx)`` 2x2s.
+
+    Wire 0 is the most significant. The result is ``(d, d, Bx)``, where
+    ``Bx`` is 1 unless some factor is per-sample; the last product is
+    written into ``scratch``'s storage when it is given.
+    """
     u = factors[0]
-    for f in factors[1:]:
-        d = 2 * u.shape[0]
-        u = (u[:, None, :, None] * f[None, :, None, :]).reshape(d, d)
+    bx = max(f.shape[2] for f in factors)
+    for k, f in enumerate(factors[1:], 2):
+        h = u.shape[0]
+        out = None if scratch is None or k < len(factors) else _storage(scratch, (h, 2, h, 2, bx))
+        u = np.multiply(u[:, None, :, None], f[None, :, None, :], out=out).reshape(2 * h, 2 * h, -1)
     return u
 
 
-def _partial_trace(g: np.ndarray, wire: int, n_wires: int) -> np.ndarray:
-    """The 2x2 overlap of one wire of a block overlap: the trace over the others."""
-    a, b = 1 << wire, 1 << (n_wires - 1 - wire)
-    return np.einsum("aibajb->ij", g.reshape(a, 2, b, a, 2, b))
+def _wire_overlaps(g: np.ndarray) -> list[np.ndarray]:
+    """Each wire's 2x2 overlap, matrix-major ``(2, 2, Bx)``, from a block overlap ``g`` (Bx, d, d).
+
+    A wire's overlap is the trace of ``g`` over the block's other wires. The
+    traces halve the block recursively, so the full-size ``g`` is read twice
+    rather than once per wire.
+    """
+    k = g.shape[1].bit_length() - 1
+    if k == 1:
+        return [g.transpose(1, 2, 0)]
+    h = k // 2
+    v = g.reshape(-1, 1 << h, 1 << (k - h), 1 << h, 1 << (k - h))
+    return _wire_overlaps(np.einsum("zacbc->zab", v)) + _wire_overlaps(np.einsum("zcacb->zab", v))
 
 
 @dataclass(frozen=True)
@@ -243,41 +293,66 @@ class _Apply:
     """One kernel call of a stage: a fused gate, or a Kronecker block.
 
     ``members`` are ``(group, slot, wire)``. A fused gate has one member with
-    ``wire=None``. A block is the Kronecker product of batch-shared one-qubit
-    gates on the descending run ``qubits``, with the identity on any wire that
-    no member occupies.
+    ``wire=None``. A block is the Kronecker product of one-qubit gates on the
+    descending run ``qubits``, with the identity on any wire that no member
+    occupies; it is per-sample as soon as one member is.
     """
 
     qubits: tuple[int, ...]
     per_sample: bool
     members: tuple[tuple[int, int, int | None], ...]
 
-    def unitary(self, us: list[np.ndarray], groups: tuple) -> np.ndarray:
+    def unitary(self, us: list[np.ndarray], out: np.ndarray | None = None, scratch: np.ndarray | None = None) -> np.ndarray:
+        """The call's matrix, batch-first ``(Bx, d, d)``.
+
+        Without ``out`` it is a view of matrix-major storage. With it, it is
+        a C-contiguous copy in ``out``'s storage, and a block's last
+        Kronecker product is built in ``scratch``'s.
+        """
         gi, slot, wire = self.members[0]
         if wire is None:
-            return _gate_matrix(us[gi], groups[gi], slot)
-        factors = [_I2] * len(self.qubits)
-        for gi, slot, wire in self.members:
-            factors[wire] = us[gi][:, :, slot, 0]
-        return _kron(factors)
+            u = us[gi][:, :, slot]
+        else:
+            factors = [_I2] * len(self.qubits)
+            for gi, slot, wire in self.members:
+                factors[wire] = us[gi][:, :, slot]
+            u = _kron(factors, scratch)
+        if out is None:
+            return u.transpose(2, 0, 1)
+        t = _storage(out, (u.shape[2],) + u.shape[:2])
+        np.copyto(t, u.transpose(2, 0, 1))
+        return t
 
-    def member_overlap(self, g: np.ndarray, wire: int | None) -> np.ndarray:
-        """A member's overlap ``(d, d, Bx)`` from the overlap ``g`` on ``qubits``."""
-        g = g if wire is None else _partial_trace(g, wire, len(self.qubits))
-        return g.reshape(g.shape[:2] + (-1,))
+    def take_overlaps(self, stage: Stage, mu: np.ndarray, psi: np.ndarray, spare: np.ndarray, overlaps: list) -> None:
+        """Write the overlaps of the members that have gradients to find.
+
+        The states are in the layout of ``_to_rows``; a member of a shared
+        group sums its overlap over the batch.
+        """
+        if all(overlaps[gi] is None for gi, _, _ in self.members):
+            return
+        g = _overlap(stage, mu, psi, spare, self.qubits)
+        per_wire = [g.transpose(1, 2, 0)] if self.members[0][2] is None else _wire_overlaps(g)
+        for gi, slot, wire in self.members:
+            if overlaps[gi] is not None:
+                ov = per_wire[wire or 0]
+                overlaps[gi][:, :, slot] = ov if overlaps[gi].shape[3] == ov.shape[2] else ov.sum(axis=2, keepdims=True)
 
 
 class Stage:
     """Fused gates between two entangler runs.
 
     When every gate acts on one qubit, the gates act on distinct qubits and
-    commute: the batch-shared ones are applied as Kronecker blocks of up to
-    ``_KRON_QUBITS`` adjacent qubits (``q // _KRON_QUBITS``), the per-sample
-    ones one by one, and the adjoint sweep may take every overlap at the stage
-    output. Otherwise the gates are applied one by one, in order.
+    commute: they are applied as Kronecker blocks of adjacent qubits (``q //
+    _block_width``), and the adjoint sweep may take every overlap at the stage
+    output. Otherwise the gates are applied one by one, in order. A
+    batch-shared stage runs on the ``(2**n, B)`` state (``apply_gate``). A
+    stage with a per-sample gate runs every call on ``(B, 2**n)`` rows
+    (``apply_rows``): a sample-major copy when its blocks may span
+    ``_SAMPLE_MAJOR_QUBITS`` or more qubits, else the transposed view.
     """
 
-    def __init__(self, gates: list[FusedGate]):
+    def __init__(self, gates: list[FusedGate], n_qubits: int):
         self.gates = tuple(gates)
         keys: dict = {}
         members: list[list[FusedGate]] = []
@@ -291,19 +366,21 @@ class Stage:
             members[keys[key]].append(g)
         self.groups = tuple(_Group(m) for m in members)
         self.commuting = all(len(g.qubits) == 1 for g in self.gates)
-        blocks: dict[int, dict[int, tuple[int, int]]] = {}
-        loose = []
+        self.per_sample = any(g.per_sample for g in self.gates)
+        self.sample_major = self.per_sample and _block_width(n_qubits, True) >= _SAMPLE_MAJOR_QUBITS
+        if not self.commuting:
+            self.apps = tuple(_Apply(g.qubits, g.per_sample, ((gi, slot, None),)) for g, (gi, slot) in zip(self.gates, where))
+            return
+        width = _block_width(n_qubits, self.per_sample)
+        blocks: dict[int, dict[int, tuple[FusedGate, int, int]]] = {}
         for g, (gi, slot) in zip(self.gates, where):
-            if self.commuting and not g.per_sample:
-                blocks.setdefault(g.qubits[0] // _KRON_QUBITS, {})[g.qubits[0]] = (gi, slot)
-            else:
-                loose.append(_Apply(g.qubits, g.per_sample, ((gi, slot, None),)))
-        kron = []
+            blocks.setdefault(g.qubits[0] // width, {})[g.qubits[0]] = (g, gi, slot)
+        apps = []
         for _, block in sorted(blocks.items()):
             hi, lo = max(block), min(block)
-            wires = tuple((gi, slot, hi - q) for q, (gi, slot) in block.items())
-            kron.append(_Apply(tuple(range(hi, lo - 1, -1)), False, wires))
-        self.apps = tuple(kron + loose)
+            wires = tuple((gi, slot, hi - q) for q, (_, gi, slot) in block.items())
+            apps.append(_Apply(tuple(range(hi, lo - 1, -1)), any(g.per_sample for g, _, _ in block.values()), wires))
+        self.apps = tuple(apps)
 
 
 class SignedPerm:
@@ -346,7 +423,7 @@ def _compile_program(ops: tuple[Gate, ...], n_qubits: int) -> tuple:
         if gate.kind in (GateKind.CNOT, GateKind.CZ):
             close(tuple(pending))
             if stage:
-                program.append(Stage(stage))
+                program.append(Stage(stage, n_qubits))
                 stage = []
             run.append(gate)
             continue
@@ -364,7 +441,7 @@ def _compile_program(ops: tuple[Gate, ...], n_qubits: int) -> tuple:
             angles.extend(gate.angles)
     close(tuple(pending))
     if stage:
-        program.append(Stage(stage))
+        program.append(Stage(stage, n_qubits))
     if run:
         program.append(SignedPerm(run, n_qubits))
     return tuple(program)
@@ -609,19 +686,35 @@ def _encode_batch(circuit: Circuit, x: np.ndarray) -> np.ndarray:
     return amps
 
 
-def _gate_matrix(us: np.ndarray, group: _Group, slot: int) -> np.ndarray:
-    """One gate's unitary from its group's ``(d, d, G, Bx)`` batch."""
-    u = us[:, :, slot]
-    return u if group.per_sample else u[..., 0]
+def _to_rows(stage: Stage, amps: np.ndarray, buf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A ``(2**n, B)`` state and its spare buffer in the layout ``stage``'s calls take.
+
+    A per-sample stage takes ``(B, 2**n)`` rows: a copy into ``buf`` when it
+    is sample-major, a transposed view otherwise.
+    """
+    if stage.sample_major:
+        return transpose_into(amps, buf), amps.reshape(amps.shape[::-1])
+    return (amps.T, buf.T) if stage.per_sample else (amps, buf)
 
 
-def _take_overlaps(app: _Apply, mu: np.ndarray, psi: np.ndarray, overlaps: list) -> None:
-    """Write the overlaps of ``app``'s members that have gradients to find."""
-    if any(overlaps[gi] is not None for gi, _, _ in app.members):
-        g = gate_overlap(mu, psi, app.qubits, app.per_sample)
-        for gi, slot, wire in app.members:
-            if overlaps[gi] is not None:
-                overlaps[gi][:, :, slot] = app.member_overlap(g, wire)
+def _from_rows(stage: Stage, rows: np.ndarray, spare: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The inverse of ``_to_rows``: the ``(2**n, B)`` state and its spare buffer."""
+    if stage.sample_major:
+        return transpose_into(rows, spare), rows.reshape(rows.shape[::-1])
+    return (rows.T, spare.T) if stage.per_sample else (rows, spare)
+
+
+def _apply(stage: Stage, amps: np.ndarray, qubits: tuple[int, ...], u: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Apply a call's batch-first matrix ``u`` of ``stage`` to the state, in the layout of ``_to_rows``."""
+    return apply_rows(amps, qubits, u, out) if stage.per_sample else apply_gate(amps, qubits, u[0], out)
+
+
+def _overlap(stage: Stage, mu: np.ndarray, psi: np.ndarray, spare: np.ndarray, qubits: tuple[int, ...]) -> np.ndarray:
+    """The batch-first overlap on ``qubits`` for a call of ``stage``; a sample-major one goes into ``spare``."""
+    if not stage.per_sample:
+        return gate_overlap(mu, psi, qubits)[None]
+    d = 1 << len(qubits)
+    return rows_overlap(mu, psi, qubits, _storage(spare, (len(mu), d, d)) if stage.sample_major else None)
 
 
 def qnn_forward_batch(
@@ -638,14 +731,20 @@ def qnn_forward_batch(
     p = np.asarray(params, dtype=np.float64)
     _check_shapes(circuit, x, p)
     state = _encode_batch(circuit, x)
-    buf = np.empty_like(state)
+    # The spare state, and room for the contiguous per-sample matrices of
+    # sample-major stages. One allocation: as two, they raised the peak RSS
+    # of the 8-qubit hybrid benchmark by ~4 MB.
+    buf, work = np.empty((2,) + state.shape, dtype=state.dtype)
     for op in circuit.program:
         if isinstance(op, SignedPerm):
             state, buf = apply_signed_perm(state, op.perm, op.sign, buf), state
             continue
         us = [_product(g.step_matrices(x, p)) for g in op.groups]
+        state, buf = _to_rows(op, state, buf)
         for app in op.apps:
-            state, buf = apply_gate(state, app.qubits, app.unitary(us, op.groups), buf), state
+            u = app.unitary(us, work, buf) if op.sample_major else app.unitary(us)
+            state, buf = _apply(op, state, app.qubits, u, buf), state
+        state, buf = _from_rows(op, state, buf)
     out = expval_batch(state.T, circuit.n_qubits, circuit.observable)
     return (out, state.T) if return_state else out
 
@@ -696,17 +795,27 @@ def qnn_backward_batch(
         # overlap before un-applying anything.
         last = op.commuting and op is circuit.program[0]
         keep_psi, keep_mu = not last, not last or circuit.encoding == "amplitude"
+        psi, psi_buf = _to_rows(op, psi, psi_buf)
+        mu, mu_buf = _to_rows(op, mu, mu_buf)
         if op.commuting:
             for app in op.apps:
-                _take_overlaps(app, mu, psi, overlaps)
+                app.take_overlaps(op, mu, psi, psi_buf, overlaps)
         for app in reversed(op.apps):
             if not op.commuting:
-                _take_overlaps(app, mu, psi, overlaps)
-            ut = app.unitary(us, op.groups).swapaxes(0, 1)
-            if keep_psi:
-                psi, psi_buf = apply_gate(psi, app.qubits, ut.conj(), psi_buf), psi
+                app.take_overlaps(op, mu, psi, psi_buf, overlaps)
+            # U^T un-applies a call from mu, then conj(U^T) = U^H from psi. A
+            # contiguous U sits in mu_buf, so mu goes into psi's spare storage
+            # and psi into mu's old one.
+            ut = (app.unitary(us, mu_buf, psi_buf) if op.sample_major else app.unitary(us)).swapaxes(1, 2)
             if keep_mu:
-                mu, mu_buf = apply_gate(mu, app.qubits, ut, mu_buf), mu
+                mu, psi_buf = _apply(op, mu, app.qubits, ut, psi_buf), mu
+            if keep_psi:
+                uh = np.conjugate(ut, out=ut) if op.sample_major else ut.conj()
+                psi, psi_buf = _apply(op, psi, app.qubits, uh, psi_buf), psi
+        if keep_psi:
+            psi, psi_buf = _from_rows(op, psi, psi_buf)
+        if keep_mu:
+            mu, mu_buf = _from_rows(op, mu, mu_buf)
         for group, ov, m in zip(op.groups, overlaps, mats):
             if ov is not None:
                 group.scatter(group.gradients(ov, m), grad_inputs, grad_params)

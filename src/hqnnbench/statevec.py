@@ -13,21 +13,33 @@ Conventions (fixed, used everywhere in this package):
   RZ(-pi/2) on b; CNOT b->a; RZ(p0) on a; RY(p1) on b; CNOT a->b;
   RY(p2) on b; CNOT b->a; RZ(pi/2) on a.
 
-The kernels (``apply_gate``, ``gate_overlap``, ``apply_signed_perm``) work
-on raw complex amplitude arrays shaped ``(2**n, B)``: the basis index is the
-*first* axis and the batch the last, so each view a kernel takes keeps the
-batch contiguous whichever qubit it targets. ``apply_gate`` applies a d x d
-unitary on ``log2 d`` qubits, batch-shared or one per batch column, out of
-place into a caller-owned buffer; ``gate_overlap`` reduces two states onto a
-gate's qubits. A gate's local index puts its first target in the most
-significant bit, so on a contiguous descending run ``(lo + k - 1, ..., lo)``
-(any one qubit, or a Kronecker block of adjacent qubits) the local index is
-the middle axis of ``amps.reshape(-1, 2**k, B << lo)``, and both kernels take
-a batch-shared gate there as one BLAS matmul per column chunk. Elsewhere a
-gate has one or two qubits and is applied elementwise. Small matrices are
-matrix-major, ``(d, d, ...)``, so their batch axes stay contiguous too.
-``expval_batch`` takes the transposed ``(B, 2**n)`` view, which is also what
-the forward pass returns as its state.
+The kernels work on raw complex amplitude arrays shaped ``(2**n, B)``: the
+basis index is the *first* axis and the batch the last, so each view a
+kernel takes keeps the batch contiguous whichever qubit it targets.
+``apply_gate`` applies a batch-shared d x d unitary on ``log2 d`` qubits, out
+of place into a caller-owned buffer; ``gate_overlap`` reduces two states onto
+a gate's qubits, summed over the batch. A gate's local index puts its first
+target in the most significant bit, so on a contiguous descending run
+``(lo + k - 1, ..., lo)`` (any one qubit, or a Kronecker block of adjacent
+qubits) the local index is the middle axis of ``amps.reshape(-1, 2**k, B << lo)``,
+and both kernels take the gate there as one BLAS matmul per column chunk.
+Elsewhere a gate has one or two qubits and is applied elementwise.
+
+Gates with one matrix per sample take the state as ``(B, 2**n)`` rows, in
+which each sample's amplitudes on a run form a ``(R, d, C)`` block:
+``apply_rows`` applies ``u[b]`` to sample ``b`` and ``rows_overlap`` takes
+the per-sample overlaps. On sample-major storage (a copy made by
+``transpose_into``) each is one stacked BLAS matmul. At n = 8 a sample is a
+16 x 16 matrix, so a 4-qubit block on qubits 7-4 multiplies it from the left
+and one on qubits 3-0 from the right. On the transposed view of
+``(2**n, B)`` storage they are elementwise over the contiguous batch, which
+is faster for 4 x 4 blocks and smaller. These kernels take their matrices
+batch-first, ``(Bx, d, d)`` with ``Bx`` 1 or B; a gate off a descending run
+is embedded in the run that spans it.
+
+Every other small matrix is matrix-major, ``(d, d, ...)``, so its batch axes
+stay contiguous too. ``expval_batch`` takes the transposed ``(B, 2**n)``
+view, which is also what the forward pass returns as its state.
 """
 
 from __future__ import annotations
@@ -218,15 +230,13 @@ def _shared_run(amps: np.ndarray, qubits: tuple[int, ...]) -> int | None:
 
 
 def apply_gate(amps: np.ndarray, qubits: tuple[int, ...], u: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Write ``U`` applied to ``qubits`` of ``amps`` into ``out`` and return it.
+    """Write the batch-shared ``U`` (d x d) applied to ``qubits`` of ``amps`` into ``out`` and return it.
 
-    ``u`` is matrix-major: ``(d, d)`` for a batch-shared gate or ``(d, d, B)``
-    for one matrix per batch column. A batch-shared gate on a contiguous
-    descending qubit run (any one qubit, or a Kronecker block) is a BLAS
-    matmul; everything else is elementwise over the local views.
-    ``out`` must not overlap ``amps``.
+    On a contiguous descending qubit run (any one qubit, or a Kronecker
+    block) it is a BLAS matmul; elsewhere it is elementwise over the local
+    views. ``out`` must not overlap ``amps``.
     """
-    cols = _shared_run(amps, qubits) if u.ndim == 2 else None
+    cols = _shared_run(amps, qubits)
     if cols is not None:
         src = amps.reshape(-1, u.shape[0], cols)
         dst = out.reshape(-1, u.shape[0], cols)
@@ -249,14 +259,12 @@ def apply_gate(amps: np.ndarray, qubits: tuple[int, ...], u: np.ndarray, out: np
     return out
 
 
-def gate_overlap(mu: np.ndarray, psi: np.ndarray, qubits: tuple[int, ...], per_sample: bool) -> np.ndarray:
-    """Reduced overlap ``G[i, j] = sum_rest mu_i psi_j`` on a gate's qubits.
+def gate_overlap(mu: np.ndarray, psi: np.ndarray, qubits: tuple[int, ...]) -> np.ndarray:
+    """Reduced overlap ``G[i, j] = sum_rest mu_i psi_j`` on a gate's qubits, summed over the batch.
 
-    Matrix-major: ``(d, d, B)`` per batch column, or ``(d, d)`` summed over
-    the batch as well. The batch-summed overlap on a contiguous descending
-    run is a BLAS matmul, as in ``apply_gate``.
+    On a contiguous descending run it is a BLAS matmul, as in ``apply_gate``.
     """
-    cols = None if per_sample else _shared_run(mu, qubits)
+    cols = _shared_run(mu, qubits)
     if cols is not None:
         d = 1 << len(qubits)
         m = mu.reshape(-1, d, cols)
@@ -264,14 +272,111 @@ def gate_overlap(mu: np.ndarray, psi: np.ndarray, qubits: tuple[int, ...], per_s
         return np.matmul(m, p.transpose(0, 2, 1)).sum(axis=0)
     ms = _local_views(mu, qubits)
     ps = _local_views(psi, qubits)
-    batch = mu.shape[1]
-    g = np.empty((len(ms), len(ms)) + ((batch,) if per_sample else ()), dtype=np.complex128)
+    g = np.empty((len(ms), len(ms)), dtype=np.complex128)
     tmp = np.empty_like(ms[0])
     for i, m in enumerate(ms):
         for j, p in enumerate(ps):
-            np.multiply(m, p, out=tmp)
-            g[i, j] = tmp.reshape(-1, batch).sum(axis=0) if per_sample else tmp.sum()
+            g[i, j] = np.multiply(m, p, out=tmp).sum()
     return g
+
+
+def transpose_into(a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Copy ``a.T`` into the storage of ``out`` and return it there, shaped like ``a.T``.
+
+    This moves a state between the ``(2**n, B)`` layout and the sample-major
+    ``(B, 2**n)`` one, in either direction.
+    """
+    t = out.reshape(a.shape[::-1])
+    np.copyto(t, a.T)
+    return t
+
+
+def _partial_trace(g: np.ndarray, wires: tuple[int, ...], n_wires: int) -> np.ndarray:
+    """The overlap on ``wires`` (in their order) of a run's overlap ``g``: the trace over its other wires.
+
+    ``g`` is batch-first, ``(Bx, 2**n_wires, 2**n_wires)``, and so is the
+    result; wire 0 is the run's most significant qubit.
+    """
+    rows = "".join(chr(ord("a") + w) for w in range(n_wires))
+    cols = "".join(r.upper() if w in wires else r for w, r in enumerate(rows))
+    keep = "".join(rows[w] for w in wires) + "".join(cols[w] for w in wires)
+    t = np.einsum(f"z{rows}{cols}->z{keep}", g.reshape((-1,) + (2,) * (2 * n_wires)))
+    d = 1 << len(wires)
+    return t.reshape(-1, d, d)
+
+
+def _descending_run(dim: int, qubits: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The descending run ``(hi, ..., lo)`` spanning ``qubits`` and their wires in it."""
+    hi, lo = max(qubits), min(qubits)
+    if 1 << (hi + 1) > dim:
+        raise ValueError(f"qubit {hi} out of range for dim-{dim} register")
+    return tuple(range(hi, lo - 1, -1)), tuple(hi - q for q in qubits)
+
+
+def _run_view(rows: np.ndarray, run: tuple[int, ...]) -> np.ndarray:
+    """``rows`` (B, 2**n) as ``(B, R, d, C)``: each sample's local index on ``run`` on axis 2."""
+    return rows.reshape(rows.shape[0], -1, 1 << len(run), 1 << run[-1])
+
+
+def apply_rows(rows: np.ndarray, qubits: tuple[int, ...], u: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write ``u[b]`` applied to ``qubits`` of each sample ``rows[b]`` into ``out`` and return it.
+
+    ``rows`` and ``out`` are ``(B, 2**n)`` and must not overlap; ``u`` is
+    batch-first ``(Bx, d, d)``, shared when ``Bx`` is 1. On sample-major
+    (C-contiguous) storage this is one stacked BLAS matmul, which needs a
+    BLAS-able ``u``: on a run that ends at qubit 0 each sample's block is
+    multiplied from the right by ``u[b]^T``, elsewhere from the left. On the
+    transposed view of ``(2**n, B)`` storage it is elementwise over the
+    contiguous batch axis, d multiplies, which is faster for d <= 4.
+    """
+    run, wires = _descending_run(rows.shape[1], qubits)
+    if wires != tuple(range(len(run))):
+        u = _embed(u, wires, len(run))
+    src, dst = _run_view(rows, run), _run_view(out, run)
+    if not rows.flags.c_contiguous:
+        tmp = np.empty_like(dst)
+        np.multiply(u[:, None, :, 0, None], src[:, :, None, 0], out=dst)
+        for j in range(1, src.shape[2]):
+            dst += np.multiply(u[:, None, :, j, None], src[:, :, None, j], out=tmp)
+    elif src.shape[3] == 1:
+        np.matmul(src[..., 0], u.swapaxes(1, 2), out=dst[..., 0])
+    else:
+        np.matmul(u[:, None], src, out=dst)
+    return out
+
+
+def rows_overlap(mu: np.ndarray, psi: np.ndarray, qubits: tuple[int, ...], out: np.ndarray | None = None) -> np.ndarray:
+    """Per-sample reduced overlaps ``G[b, i, j] = sum_rest mu_i psi_j`` on ``qubits``, batch-first.
+
+    ``mu`` and ``psi`` are ``(B, 2**n)``, stored as in ``apply_rows``. On
+    sample-major storage a run that ends at qubit 0 gives ``M_b^T P_b`` and
+    one that starts at the top qubit ``M_b P_b^T``, each one stacked BLAS
+    matmul. On a run the result goes into ``out`` when it is given.
+    """
+    run, wires = _descending_run(mu.shape[1], qubits)
+    m, p = _run_view(mu, run), _run_view(psi, run)
+    on_run = wires == tuple(range(len(run)))
+    g = out if on_run else None
+    if not mu.flags.c_contiguous:
+        g = np.sum(m[:, :, :, None] * p[:, :, None], axis=(1, 4), out=g)
+    elif m.shape[3] == 1:
+        g = np.matmul(m[..., 0].swapaxes(1, 2), p[..., 0], out=g)
+    elif m.shape[1] == 1:
+        g = np.matmul(m[:, 0], p[:, 0].swapaxes(1, 2), out=g)
+    else:
+        g = np.sum(np.matmul(m, p.swapaxes(2, 3)), axis=1, out=g)
+    return g if on_run else _partial_trace(g, wires, len(run))
+
+
+def _embed(u: np.ndarray, wires: tuple[int, ...], n_wires: int) -> np.ndarray:
+    """The batch-first gate ``u`` on ``wires`` of an ``n_wires`` run, with the identity on the others."""
+    rows = "".join(chr(ord("a") + w) for w in range(n_wires))
+    cols = rows.upper()
+    gate = "z" + "".join(rows[w] for w in wires) + "".join(cols[w] for w in wires)
+    eyes = [rows[w] + cols[w] for w in range(n_wires) if w not in wires]
+    operands = [u.reshape((-1,) + (2,) * (2 * len(wires)))] + [np.eye(2)] * len(eyes)
+    d = 1 << n_wires
+    return np.einsum(",".join([gate] + eyes) + f"->z{rows}{cols}", *operands).reshape(-1, d, d)
 
 
 def apply_signed_perm(

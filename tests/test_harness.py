@@ -28,6 +28,7 @@ from hqnnbench.data import synth_blobs, make_folds
 from hqnnbench.harness import (
     Model,
     ProtocolMismatchError,
+    ResultsFileError,
     build_model,
     main,
     run_experiment,
@@ -546,9 +547,14 @@ class TestRunGrid:
         out = tmp_path / "out"
         run_grid(dict(TINY_RUN), tmp_path, out)
         lines = (out / "results.jsonl").read_bytes().splitlines(keepends=True)
-        (out / "results.jsonl").write_bytes(lines[0][:-40] + b"\n" + lines[1])
-        with pytest.raises(json.JSONDecodeError):
+        # a cut inner row, with a truncated last row that alone would be dropped
+        damaged = lines[0][:-40] + b"\n" + lines[1][:-40]
+        (out / "results.jsonl").write_bytes(damaged)
+        meta = (out / "run_meta.json").read_bytes()
+        with pytest.raises(ResultsFileError, match=r"results\.jsonl line 1 cannot be read"):
             run_grid(dict(TINY_RUN), tmp_path, out)
+        assert (out / "results.jsonl").read_bytes() == damaged
+        assert (out / "run_meta.json").read_bytes() == meta
 
     def test_resume_refuses_a_different_protocol(self, tmp_path):
         out = tmp_path / "out"
@@ -664,6 +670,23 @@ class TestCli:
         assert "truncated" in capsys.readouterr().err
         assert (out / "results.jsonl").read_bytes() == full[: full.index(b"\n") + 1]
         assert len((out / "boxplot_data.csv").read_text().splitlines()) > 1
+
+    @pytest.mark.parametrize("command", ["run", "report"])
+    @pytest.mark.parametrize("damage", ["cut", "not_an_object"])
+    def test_malformed_inner_line_is_refused_untouched(self, tmp_path, capsys, command, damage):
+        cfg = self.write_cfg(tmp_path)
+        out = tmp_path / "out"
+        argv = ["run", "--config", str(cfg), "--data-dir", str(tmp_path), "--out", str(out), "--epochs", "1"]
+        assert main(argv) == 0
+        row = (out / "results.jsonl").read_bytes()
+        bad = {"cut": row[:-40] + b"\n", "not_an_object": b"[1, 2]\n"}[damage]
+        (out / "results.jsonl").write_bytes(row + bad + row)
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        capsys.readouterr()
+        assert main(argv if command == "run" else ["report", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {out / 'results.jsonl'} line 2 cannot be read") and err.count("\n") == 1
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
     def test_report_without_results_fails(self, tmp_path, capsys):
         assert main(["report", "--out", str(tmp_path)]) == 1

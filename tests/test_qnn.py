@@ -360,13 +360,23 @@ class TestCompiledProgram:
                 assert [app.qubits for app in op.apps] == [(3, 2, 1, 0), (7, 6, 5, 4)]
                 assert [sorted(w for _, _, w in app.members) for app in op.apps] == [[0, 1, 2, 3]] * 2
 
-    def test_ang_arb_8_l20_tail_is_one_single_qubit_block_and_seven_per_sample_gates(self):
+    def test_ang_arb_8_l20_tail_is_two_per_sample_blocks(self):
         # 20 features fill qubits 0-5 and two slots of qubit 6; qubit 7 reads only padding
         (stage,) = build_ang_arb(8, 20, True).program
-        assert stage.commuting
-        assert [(app.qubits, app.per_sample, len(app.members)) for app in stage.apps] == [((7,), False, 1)] + [
-            ((q,), True, 1) for q in range(7)
+        assert stage.commuting and stage.sample_major
+        assert [(app.qubits, app.per_sample, len(app.members)) for app in stage.apps] == [
+            ((3, 2, 1, 0), True, 4),
+            ((7, 6, 5, 4), True, 4),
         ]
+        # qubit 7 (wire 0 of the upper block) is a batch-shared member of a per-sample block
+        shared = [w for gi, _, w in stage.apps[1].members if not stage.groups[gi].per_sample]
+        assert shared == [0]
+
+    def test_per_sample_blocks_span_half_the_register(self):
+        for n, runs, sample_major in ((4, [(1, 0), (3, 2)], False), (5, [(2, 1, 0), (4, 3)], True)):
+            (stage,) = build_ang_arb(n, 3 * n, False).program
+            assert [app.qubits for app in stage.apps] == runs
+            assert stage.sample_major is sample_major
 
 
 def _fused_slot_reuse_circuit():
@@ -520,10 +530,13 @@ class TestKroneckerBlocks:
 class TestBackwardKernelCalls:
     """Every stage but the first un-applies each kernel call on psi and on mu.
     The first stage is processed last: nothing reads psi afterwards, and mu only
-    for the input gradient of an amplitude-encoded circuit."""
+    for the input gradient of an amplitude-encoded circuit. A per-sample stage
+    moves psi and mu to sample-major rows and, unless it is the first, back."""
 
-    @staticmethod
-    def count_calls(monkeypatch, c):
+    KERNELS = ("apply_gate", "gate_overlap", "apply_rows", "rows_overlap", "transpose_into")
+
+    @classmethod
+    def count_calls(cls, monkeypatch, c):
         calls = collections.Counter()
 
         def counting(name):
@@ -539,7 +552,7 @@ class TestBackwardKernelCalls:
         xs = rng.normal(size=(4, c.n_inputs))
         p = rng.normal(size=c.n_params)
         out, amps = qnn_forward_batch(c, xs, p, return_state=True)
-        for name in ("apply_gate", "gate_overlap"):
+        for name in cls.KERNELS:
             monkeypatch.setattr(qnn_module, name, counting(name))
         qnn_backward_batch(c, xs, p, np.ones_like(out), final_amps=amps)
         return calls
@@ -549,10 +562,47 @@ class TestBackwardKernelCalls:
         assert calls == {"apply_gate": 31 * 2 * 2 + 2, "gate_overlap": 32 * 2}
 
     def test_ang_arb_8_first_stage_is_not_unapplied(self, monkeypatch):
-        # 11 stages; in the last, qubits 6 and 7 read only padding and form one shared block
+        # 11 stages of two per-sample blocks; in the last, qubits 6 and 7 read only padding
         calls = self.count_calls(monkeypatch, build_ang_arb(8, 256, True))
-        assert calls == {"apply_gate": (9 * 8 + 7) * 2, "gate_overlap": 9 * 8 + 7 + 8}
+        assert calls == {"apply_rows": 10 * 2 * 2, "rows_overlap": 11 * 2, "transpose_into": 11 * 2 + 10 * 2}
+
+    def test_ang_ry_8_first_stage_is_not_unapplied(self, monkeypatch):
+        calls = self.count_calls(monkeypatch, build_ang_ry(8, 256, True))
+        assert calls == {"apply_rows": 31 * 2 * 2, "rows_overlap": 32 * 2, "transpose_into": 32 * 2 + 31 * 2}
 
     def test_qcnn_unapplies_every_gate(self, monkeypatch):
         calls = self.count_calls(monkeypatch, build_qcnn(4))
         assert calls == {"apply_gate": 8 * 2, "gate_overlap": 8}
+
+
+@functools.lru_cache(maxsize=None)
+def _single_sample_calls(kind):
+    """An entangled 8-qubit l256 circuit, 256 rows, and each row's B=1 outputs and gradients."""
+    c = (build_ang_ry if kind == "ang_ry" else build_ang_arb)(8, 256, True)
+    rng = np.random.default_rng(53)
+    xs = rng.normal(size=(256, 256))
+    p = rng.normal(size=c.n_params)
+    ups = rng.normal(size=(256, c.out_dim))
+    rows = []
+    for x, up in zip(xs, ups):
+        out, amps = qnn_forward_batch(c, x[None], p, return_state=True)
+        gx, gp = qnn_backward_batch(c, x[None], p, up[None], final_amps=amps)
+        rows.append((out[0], gx[0], gp))
+    outs, gxs, gps = (np.array(col) for col in zip(*rows))
+    return c, xs, p, ups, outs, gxs, gps
+
+
+class TestBatchInvariance:
+    """Per-sample blocks in a batch against B=1 calls. At B=16 the sample-major
+    (B, 16, 16) view of an 8-qubit state has three equal axes, so a swapped
+    axis raises no shape error and shows only here."""
+
+    @pytest.mark.parametrize("batch", [16, 256])
+    @pytest.mark.parametrize("kind", ["ang_ry", "ang_arb"])
+    def test_rows_match_single_sample_calls(self, kind, batch):
+        c, xs, p, ups, outs, gxs, gps = _single_sample_calls(kind)
+        out, amps = qnn_forward_batch(c, xs[:batch], p, return_state=True)
+        gx, gp = qnn_backward_batch(c, xs[:batch], p, ups[:batch], final_amps=amps)
+        assert np.abs(out - outs[:batch]).max() < 1e-12
+        assert np.abs(gx - gxs[:batch]).max() < 1e-12
+        assert np.abs(gp - gps[:batch].sum(axis=0)).max() < 1e-12

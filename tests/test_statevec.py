@@ -14,10 +14,12 @@ from hqnnbench.statevec import (
     Gate,
     Observable,
     apply_gate,
+    apply_rows,
     apply_signed_perm,
     expval_batch,
     gate_overlap,
     measurement_diagonals,
+    rows_overlap,
 )
 
 from oracles import dense_circuit_state, dense_observable_matrices, gate_matrix
@@ -294,14 +296,62 @@ class TestSharedRunKernels:
             for k, lo, run in self.runs(n):
                 shape = (1 << (n - lo - k), 1 << k, 1 << lo, 3)
                 ref = np.einsum("aibc,ajbc->ij", mu.reshape(shape), psi.reshape(shape))
-                assert np.abs(gate_overlap(mu, psi, run, per_sample=False) - ref).max() < 1e-12
+                assert np.abs(gate_overlap(mu, psi, run) - ref).max() < 1e-12
 
     def test_run_out_of_range_rejected(self):
         amps = np.zeros((16, 1), dtype=np.complex128)
         with pytest.raises(ValueError):
             apply_gate(amps, (4, 3), np.eye(4), np.empty_like(amps))
         with pytest.raises(ValueError):
-            gate_overlap(amps, amps, (4, 3), per_sample=False)
+            gate_overlap(amps, amps, (4, 3))
+
+
+class TestRowKernels:
+    """Per-sample d x d gates on (B, 2**n) rows, on sample-major storage and on
+    the transposed view of (2**n, B) storage, against the dense embedding:
+    runs, reversed and non-adjacent qubit pairs, shared and per-sample."""
+
+    N, B = 5, 3
+    QUBITS = [(0,), (3,), (4, 3, 2, 1), (2, 1, 0), (4, 3), (1, 3), (4, 0), (0, 2)]
+
+    @classmethod
+    def local(cls, qubits):
+        """Each basis state's local index on ``qubits`` (first target most significant) and the rest."""
+        idx = np.arange(1 << cls.N)
+        loc = sum(((idx >> q) & 1) << (len(qubits) - 1 - k) for k, q in enumerate(qubits))
+        return loc, idx & ~sum(1 << q for q in qubits)
+
+    def storages(self, rng):
+        """Two random (B, 2**n) states, sample-major, then as views of (2**n, B) storage."""
+        a, b = (rng.normal(size=(self.B, 1 << self.N)) + 1j * rng.normal(size=(self.B, 1 << self.N)) for _ in range(2))
+        yield a, b
+        yield np.ascontiguousarray(a.T).T, np.ascontiguousarray(b.T).T
+
+    def test_apply_rows_matches_the_dense_embedding(self):
+        rng = np.random.default_rng(18)
+        for qubits in self.QUBITS:
+            loc, rest = self.local(qubits)
+            d = 1 << len(qubits)
+            for bx in (1, self.B):
+                u = rng.normal(size=(bx, d, d)) + 1j * rng.normal(size=(bx, d, d))
+                for rows, out in self.storages(rng):
+                    got = apply_rows(rows, qubits, u, out)
+                    for b in range(self.B):
+                        dense = u[b % bx][loc[:, None], loc[None, :]] * (rest[:, None] == rest[None, :])
+                        assert np.abs(got[b] - dense @ rows[b]).max() < 1e-12
+
+    def test_rows_overlap_matches_the_direct_sum(self):
+        rng = np.random.default_rng(19)
+        for qubits in self.QUBITS:
+            loc, rest = self.local(qubits)
+            d = 1 << len(qubits)
+            for mu, psi in self.storages(rng):
+                got = rows_overlap(mu, psi, qubits)
+                for b in range(self.B):
+                    pairs = mu[b][:, None] * psi[b][None, :] * (rest[:, None] == rest[None, :])
+                    ref = np.zeros((d, d), dtype=np.complex128)
+                    np.add.at(ref, (loc[:, None], loc[None, :]), pairs)
+                    assert np.abs(got[b] - ref).max() < 1e-12
 
 
 class TestSignedPermutation:
