@@ -29,17 +29,27 @@ constants and *per-sample* when it reads an input slot. The fused gates
 between two permutations form a ``Stage``; the small matrices of a stage are
 computed together, one batch of ``(d, d, G, B)`` arrays per step signature.
 
+The state's layout is fixed per circuit, from what it reads. A circuit
+that reads input slots (Ang-RY, Ang-Arb: data re-uploading in every layer)
+may hold only one-qubit rotations and CNOT/CZ gates, and keeps its state
+as ``(B, 2**n)`` rows from encoding to readout (``statevec.apply_rows``):
+sample-major storage when its blocks may span ``_SAMPLE_MAJOR_QUBITS`` or
+more qubits, else the transposed view of ``(2**n, B)`` storage. A circuit
+that reads none (Amp-Gen, QCNN: the data enter once, as the start state)
+keeps ``(2**n, B)`` columns (``statevec.apply_gate``). Signed permutations
+act along the basis axis of the storage.
+
 A stage that holds only one-qubit gates is a *Kronecker layer*: its gates
 act on distinct qubits and commute. They are applied as blocks of adjacent
 qubits, each one d x d unitary (d <= 16), the Kronecker product of its
 members' ``(2, 2, Bx)`` matrices with the identity on any qubit in the
 block's run that no member occupies. A block is per-sample, one matrix per
-batch column, as soon as one member is. Blocks of batch-shared stages span
-up to ``_KRON_QUBITS`` qubits; per-sample ones at most half the register,
-so at n = 8 a data re-uploading layer is two 16x16 blocks per sample, which
-the stage applies to each sample's 16x16 amplitude matrix ``Psi_b`` as
-``U_b Psi_b V_b^T`` on sample-major storage (``statevec.apply_rows``).
-Two-qubit ``BLOCK`` gates are applied one by one.
+batch column, as soon as one member is. Blocks of a circuit on columns span
+up to ``_KRON_QUBITS`` qubits; blocks of a circuit on rows at most half the
+register, so at n = 8 a data re-uploading layer is two 16x16 blocks per
+sample, which the stage applies to each sample's 16x16 amplitude matrix
+``Psi_b`` as ``U_b Psi_b V_b^T``. Every stage of a circuit on rows is such a
+layer. Two-qubit ``BLOCK`` gates are applied one by one.
 
 Gradients are computed in adjoint mode: one forward pass, then a single
 reverse sweep that un-applies each fused gate ``U`` on the state ``psi``
@@ -88,7 +98,6 @@ from .statevec import (
     measurement_diagonals,
     rotation_matrices,
     rows_overlap,
-    transpose_into,
 )
 
 _NORM_EPS = 1e-12
@@ -234,21 +243,23 @@ _KRON_QUBITS = 4
 _I2 = np.eye(2, dtype=np.complex128)[:, :, None]
 
 
-# Per-sample blocks of at least this many qubits run on sample-major storage
-# as stacked BLAS matmuls, smaller ones elementwise on the (2**n, B) storage.
+# A circuit that reads inputs keeps sample-major rows when its blocks may
+# span this many qubits or more, and runs them as stacked BLAS matmuls;
+# smaller blocks run elementwise on the batch-contiguous (2**n, B) storage.
 # One block product at B=256 on 2 cores: d=4 took 70 us stacked against 40 us
 # elementwise, d=8 100-170 us against 140-300 us.
 _SAMPLE_MAJOR_QUBITS = 3
 
 
-def _block_width(n_qubits: int, per_sample: bool) -> int:
+def _block_width(n_qubits: int, rows: bool) -> int:
     """Qubits per Kronecker block of a commuting stage.
 
-    A per-sample block costs a ``(B, d, d)`` Kronecker product per stage, so
-    it spans at most half the register: at n = 4 one 16x16 block per sample
+    In a circuit that reads inputs a block is per-sample as soon as one
+    member is, and costs a ``(B, d, d)`` Kronecker product per stage, so it
+    spans at most half the register: at n = 4 one 16x16 block per sample
     costs more to build than the four gates it replaces.
     """
-    return min(_KRON_QUBITS, (n_qubits + 1) // 2) if per_sample else _KRON_QUBITS
+    return min(_KRON_QUBITS, (n_qubits + 1) // 2) if rows else _KRON_QUBITS
 
 
 def _storage(buf: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -299,7 +310,6 @@ class _Apply:
     """
 
     qubits: tuple[int, ...]
-    per_sample: bool
     members: tuple[tuple[int, int, int | None], ...]
 
     def unitary(self, us: list[np.ndarray], out: np.ndarray | None = None, scratch: np.ndarray | None = None) -> np.ndarray:
@@ -323,15 +333,15 @@ class _Apply:
         np.copyto(t, u.transpose(2, 0, 1))
         return t
 
-    def take_overlaps(self, stage: Stage, mu: np.ndarray, psi: np.ndarray, spare: np.ndarray, overlaps: list) -> None:
+    def take_overlaps(self, circuit: Circuit, mu: np.ndarray, psi: np.ndarray, spare: np.ndarray, overlaps: list) -> None:
         """Write the overlaps of the members that have gradients to find.
 
-        The states are in the layout of ``_to_rows``; a member of a shared
-        group sums its overlap over the batch.
+        The states are in ``circuit``'s storage; a member of a shared group
+        sums its overlap over the batch.
         """
         if all(overlaps[gi] is None for gi, _, _ in self.members):
             return
-        g = _overlap(stage, mu, psi, spare, self.qubits)
+        g = _overlap(circuit, mu, psi, spare, self.qubits)
         per_wire = [g.transpose(1, 2, 0)] if self.members[0][2] is None else _wire_overlaps(g)
         for gi, slot, wire in self.members:
             if overlaps[gi] is not None:
@@ -343,16 +353,12 @@ class Stage:
     """Fused gates between two entangler runs.
 
     When every gate acts on one qubit, the gates act on distinct qubits and
-    commute: they are applied as Kronecker blocks of adjacent qubits (``q //
-    _block_width``), and the adjoint sweep may take every overlap at the stage
-    output. Otherwise the gates are applied one by one, in order. A
-    batch-shared stage runs on the ``(2**n, B)`` state (``apply_gate``). A
-    stage with a per-sample gate runs every call on ``(B, 2**n)`` rows
-    (``apply_rows``): a sample-major copy when its blocks may span
-    ``_SAMPLE_MAJOR_QUBITS`` or more qubits, else the transposed view.
+    commute: they are applied as Kronecker blocks of ``width`` adjacent
+    qubits (``q // width``), and the adjoint sweep may take every overlap at
+    the stage output. Otherwise the gates are applied one by one, in order.
     """
 
-    def __init__(self, gates: list[FusedGate], n_qubits: int):
+    def __init__(self, gates: list[FusedGate], width: int):
         self.gates = tuple(gates)
         keys: dict = {}
         members: list[list[FusedGate]] = []
@@ -366,12 +372,9 @@ class Stage:
             members[keys[key]].append(g)
         self.groups = tuple(_Group(m) for m in members)
         self.commuting = all(len(g.qubits) == 1 for g in self.gates)
-        self.per_sample = any(g.per_sample for g in self.gates)
-        self.sample_major = self.per_sample and _block_width(n_qubits, True) >= _SAMPLE_MAJOR_QUBITS
         if not self.commuting:
-            self.apps = tuple(_Apply(g.qubits, g.per_sample, ((gi, slot, None),)) for g, (gi, slot) in zip(self.gates, where))
+            self.apps = tuple(_Apply(g.qubits, ((gi, slot, None),)) for g, (gi, slot) in zip(self.gates, where))
             return
-        width = _block_width(n_qubits, self.per_sample)
         blocks: dict[int, dict[int, tuple[FusedGate, int, int]]] = {}
         for g, (gi, slot) in zip(self.gates, where):
             blocks.setdefault(g.qubits[0] // width, {})[g.qubits[0]] = (g, gi, slot)
@@ -379,7 +382,7 @@ class Stage:
         for _, block in sorted(blocks.items()):
             hi, lo = max(block), min(block)
             wires = tuple((gi, slot, hi - q) for q, (_, gi, slot) in block.items())
-            apps.append(_Apply(tuple(range(hi, lo - 1, -1)), any(g.per_sample for g, _, _ in block.values()), wires))
+            apps.append(_Apply(tuple(range(hi, lo - 1, -1)), wires))
         self.apps = tuple(apps)
 
 
@@ -407,8 +410,8 @@ class SignedPerm:
         self.inv_sign = sign[inverse] if self.sign is not None else None
 
 
-def _compile_program(ops: tuple[Gate, ...], n_qubits: int) -> tuple:
-    """Fuse a gate list into a tuple of ``Stage`` and ``SignedPerm`` ops."""
+def _compile_program(ops: tuple[Gate, ...], n_qubits: int, width: int) -> tuple:
+    """Fuse a gate list into a tuple of ``Stage`` and ``SignedPerm`` ops, with ``width``-qubit Kronecker blocks."""
     program: list = []
     stage: list[FusedGate] = []
     pending: dict[int, tuple[list, list]] = {}  # qubit -> (steps, angles) of its open rotation run
@@ -423,7 +426,7 @@ def _compile_program(ops: tuple[Gate, ...], n_qubits: int) -> tuple:
         if gate.kind in (GateKind.CNOT, GateKind.CZ):
             close(tuple(pending))
             if stage:
-                program.append(Stage(stage, n_qubits))
+                program.append(Stage(stage, width))
                 stage = []
             run.append(gate)
             continue
@@ -441,7 +444,7 @@ def _compile_program(ops: tuple[Gate, ...], n_qubits: int) -> tuple:
             angles.extend(gate.angles)
     close(tuple(pending))
     if stage:
-        program.append(Stage(stage, n_qubits))
+        program.append(Stage(stage, width))
     if run:
         program.append(SignedPerm(run, n_qubits))
     return tuple(program)
@@ -455,6 +458,13 @@ class Circuit:
     starts in |0...0>) or ``"amplitude"`` (register starts as the normalized
     input vector; gates may not read input slots). ``program`` is the fused
     form that the simulator runs.
+
+    The state's layout is fixed here, from what the circuit reads. ``rows``
+    is set when a gate reads an input slot: the state is then ``(B, 2**n)``
+    rows from encoding to readout, and the circuit may hold only one-qubit
+    rotations and CNOT/CZ gates. ``sample_major`` says that those rows are
+    C-contiguous; otherwise they are the transposed view of ``(2**n, B)``
+    storage, which is also the storage of a circuit without ``rows``.
     """
 
     n_qubits: int
@@ -464,6 +474,8 @@ class Circuit:
     n_inputs: int
     observable: Observable
     program: tuple = field(init=False, repr=False, compare=False)
+    rows: bool = field(init=False, repr=False, compare=False)
+    sample_major: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 1 <= self.n_qubits <= MAX_QUBITS:
@@ -485,7 +497,13 @@ class Circuit:
                         raise ValueError(f"input slot {ang.index} >= n_inputs {self.n_inputs}")
         if self.observable.kind == "single_z" and self.observable.qubit >= self.n_qubits:
             raise ValueError("observable qubit out of range")
-        object.__setattr__(self, "program", _compile_program(self.ops, self.n_qubits))
+        rows = any(a.source == "input" for gate in self.ops for a in gate.angles)
+        if rows and any(gate.kind is GateKind.BLOCK for gate in self.ops):
+            raise ValueError("a circuit that reads input slots may hold only one-qubit rotations and CNOT/CZ gates, not BLOCK")
+        width = _block_width(self.n_qubits, rows)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "sample_major", rows and width >= _SAMPLE_MAJOR_QUBITS)
+        object.__setattr__(self, "program", _compile_program(self.ops, self.n_qubits, width))
 
     @property
     def out_dim(self) -> int:
@@ -673,48 +691,44 @@ def _check_shapes(circuit: Circuit, x: np.ndarray, params: np.ndarray) -> None:
 
 
 def _encode_batch(circuit: Circuit, x: np.ndarray) -> np.ndarray:
-    """Initial states, shaped (2**n, B) like every state inside the simulator."""
-    dim = 1 << circuit.n_qubits
+    """Initial states in ``circuit``'s storage: ``(B, 2**n)`` when sample-major, else ``(2**n, B)``."""
     if circuit.encoding == "amplitude":
         norms = np.linalg.norm(x, axis=1)
         if np.any(norms <= _NORM_EPS):
             bad = int(np.argmin(norms))
             raise EncodingError(f"batch row {bad} has norm {norms[bad]:.3e}, cannot amplitude-encode")
         return np.ascontiguousarray((x / norms[:, None]).T, dtype=np.complex128)
-    amps = np.zeros((dim, x.shape[0]), dtype=np.complex128)
-    amps[0] = 1.0
+    dim = 1 << circuit.n_qubits
+    amps = np.zeros((x.shape[0], dim) if circuit.sample_major else (dim, x.shape[0]), dtype=np.complex128)
+    _rows(circuit, amps)[:, 0] = 1.0
     return amps
 
 
-def _to_rows(stage: Stage, amps: np.ndarray, buf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A ``(2**n, B)`` state and its spare buffer in the layout ``stage``'s calls take.
-
-    A per-sample stage takes ``(B, 2**n)`` rows: a copy into ``buf`` when it
-    is sample-major, a transposed view otherwise.
-    """
-    if stage.sample_major:
-        return transpose_into(amps, buf), amps.reshape(amps.shape[::-1])
-    return (amps.T, buf.T) if stage.per_sample else (amps, buf)
+def _rows(circuit: Circuit, amps: np.ndarray) -> np.ndarray:
+    """The ``(B, 2**n)`` view of a state in ``circuit``'s storage."""
+    return amps if circuit.sample_major else amps.T
 
 
-def _from_rows(stage: Stage, rows: np.ndarray, spare: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The inverse of ``_to_rows``: the ``(2**n, B)`` state and its spare buffer."""
-    if stage.sample_major:
-        return transpose_into(rows, spare), rows.reshape(rows.shape[::-1])
-    return (rows.T, spare.T) if stage.per_sample else (rows, spare)
+def _permute(circuit: Circuit, amps: np.ndarray, perm, sign, out: np.ndarray) -> np.ndarray:
+    """A signed permutation along the basis axis of ``circuit``'s storage."""
+    return apply_signed_perm(amps, perm, sign, out, 1 if circuit.sample_major else 0)
 
 
-def _apply(stage: Stage, amps: np.ndarray, qubits: tuple[int, ...], u: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Apply a call's batch-first matrix ``u`` of ``stage`` to the state, in the layout of ``_to_rows``."""
-    return apply_rows(amps, qubits, u, out) if stage.per_sample else apply_gate(amps, qubits, u[0], out)
+def _apply(circuit: Circuit, amps: np.ndarray, qubits: tuple[int, ...], u: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Apply a call's batch-first matrix ``u`` to a state in ``circuit``'s storage, into ``out``."""
+    if not circuit.rows:
+        return apply_gate(amps, qubits, u[0], out)
+    apply_rows(_rows(circuit, amps), qubits, u, _rows(circuit, out))
+    return out
 
 
-def _overlap(stage: Stage, mu: np.ndarray, psi: np.ndarray, spare: np.ndarray, qubits: tuple[int, ...]) -> np.ndarray:
-    """The batch-first overlap on ``qubits`` for a call of ``stage``; a sample-major one goes into ``spare``."""
-    if not stage.per_sample:
+def _overlap(circuit: Circuit, mu: np.ndarray, psi: np.ndarray, spare: np.ndarray, qubits: tuple[int, ...]) -> np.ndarray:
+    """The batch-first overlap on ``qubits`` of two states in ``circuit``'s storage; a sample-major one goes into ``spare``."""
+    if not circuit.rows:
         return gate_overlap(mu, psi, qubits)[None]
     d = 1 << len(qubits)
-    return rows_overlap(mu, psi, qubits, _storage(spare, (len(mu), d, d)) if stage.sample_major else None)
+    out = _storage(spare, (len(mu), d, d)) if circuit.sample_major else None
+    return rows_overlap(_rows(circuit, mu), _rows(circuit, psi), qubits, out)
 
 
 def qnn_forward_batch(
@@ -731,22 +745,21 @@ def qnn_forward_batch(
     p = np.asarray(params, dtype=np.float64)
     _check_shapes(circuit, x, p)
     state = _encode_batch(circuit, x)
-    # The spare state, and room for the contiguous per-sample matrices of
-    # sample-major stages. One allocation: as two, they raised the peak RSS
+    # The spare state, and room for the contiguous per-sample matrices of a
+    # sample-major circuit. One allocation: as two, they raised the peak RSS
     # of the 8-qubit hybrid benchmark by ~4 MB.
     buf, work = np.empty((2,) + state.shape, dtype=state.dtype)
     for op in circuit.program:
         if isinstance(op, SignedPerm):
-            state, buf = apply_signed_perm(state, op.perm, op.sign, buf), state
+            state, buf = _permute(circuit, state, op.perm, op.sign, buf), state
             continue
         us = [_product(g.step_matrices(x, p)) for g in op.groups]
-        state, buf = _to_rows(op, state, buf)
         for app in op.apps:
-            u = app.unitary(us, work, buf) if op.sample_major else app.unitary(us)
-            state, buf = _apply(op, state, app.qubits, u, buf), state
-        state, buf = _from_rows(op, state, buf)
-    out = expval_batch(state.T, circuit.n_qubits, circuit.observable)
-    return (out, state.T) if return_state else out
+            u = app.unitary(us, work, buf) if circuit.sample_major else app.unitary(us)
+            state, buf = _apply(circuit, state, app.qubits, u, buf), state
+    rows = _rows(circuit, state)
+    out = expval_batch(rows, circuit.n_qubits, circuit.observable)
+    return (out, rows) if return_state else out
 
 
 def qnn_backward_batch(
@@ -769,17 +782,18 @@ def qnn_backward_batch(
     if up.shape != (x.shape[0], circuit.out_dim):
         raise ValueError(f"upstream must have shape {(x.shape[0], circuit.out_dim)}, got {up.shape}")
 
-    psi = np.array(final_amps.T, dtype=np.complex128, order="C")
+    psi = np.array(_rows(circuit, final_amps), dtype=np.complex128, order="C")  # circuit's storage
     mu = np.conj(psi)  # conj(lambda), lambda = M psi
-    mu *= (up @ measurement_diagonals(circuit.n_qubits, circuit.observable)).T
+    mu_rows = _rows(circuit, mu)
+    mu_rows *= up @ measurement_diagonals(circuit.n_qubits, circuit.observable)
     psi_buf, mu_buf = np.empty_like(psi), np.empty_like(mu)
 
     grad_inputs = np.zeros_like(x)
     grad_params = np.zeros(circuit.n_params)
     for op in reversed(circuit.program):
         if isinstance(op, SignedPerm):
-            psi, psi_buf = apply_signed_perm(psi, op.inv_perm, op.inv_sign, psi_buf), psi
-            mu, mu_buf = apply_signed_perm(mu, op.inv_perm, op.inv_sign, mu_buf), mu
+            psi, psi_buf = _permute(circuit, psi, op.inv_perm, op.inv_sign, psi_buf), psi
+            mu, mu_buf = _permute(circuit, mu, op.inv_perm, op.inv_sign, mu_buf), mu
             continue
         mats = [g.step_matrices(x, p) for g in op.groups]
         us = [_product(m) for m in mats]
@@ -795,27 +809,21 @@ def qnn_backward_batch(
         # overlap before un-applying anything.
         last = op.commuting and op is circuit.program[0]
         keep_psi, keep_mu = not last, not last or circuit.encoding == "amplitude"
-        psi, psi_buf = _to_rows(op, psi, psi_buf)
-        mu, mu_buf = _to_rows(op, mu, mu_buf)
         if op.commuting:
             for app in op.apps:
-                app.take_overlaps(op, mu, psi, psi_buf, overlaps)
+                app.take_overlaps(circuit, mu, psi, psi_buf, overlaps)
         for app in reversed(op.apps):
             if not op.commuting:
-                app.take_overlaps(op, mu, psi, psi_buf, overlaps)
+                app.take_overlaps(circuit, mu, psi, psi_buf, overlaps)
             # U^T un-applies a call from mu, then conj(U^T) = U^H from psi. A
             # contiguous U sits in mu_buf, so mu goes into psi's spare storage
             # and psi into mu's old one.
-            ut = (app.unitary(us, mu_buf, psi_buf) if op.sample_major else app.unitary(us)).swapaxes(1, 2)
+            ut = (app.unitary(us, mu_buf, psi_buf) if circuit.sample_major else app.unitary(us)).swapaxes(1, 2)
             if keep_mu:
-                mu, psi_buf = _apply(op, mu, app.qubits, ut, psi_buf), mu
+                mu, psi_buf = _apply(circuit, mu, app.qubits, ut, psi_buf), mu
             if keep_psi:
-                uh = np.conjugate(ut, out=ut) if op.sample_major else ut.conj()
-                psi, psi_buf = _apply(op, psi, app.qubits, uh, psi_buf), psi
-        if keep_psi:
-            psi, psi_buf = _from_rows(op, psi, psi_buf)
-        if keep_mu:
-            mu, mu_buf = _from_rows(op, mu, mu_buf)
+                uh = np.conjugate(ut, out=ut) if circuit.sample_major else ut.conj()
+                psi, psi_buf = _apply(circuit, psi, app.qubits, uh, psi_buf), psi
         for group, ov, m in zip(op.groups, overlaps, mats):
             if ov is not None:
                 group.scatter(group.gradients(ov, m), grad_inputs, grad_params)
@@ -823,7 +831,7 @@ def qnn_backward_batch(
     if circuit.encoding == "amplitude":
         # mu is now conj((U^dag M U) psi0); the real-direction gradient on the
         # encoded state is 2 Re(lambda), chained through x -> x/||x||.
-        g0 = 2.0 * mu.real.T
+        g0 = 2.0 * _rows(circuit, mu).real
         norms = np.linalg.norm(x, axis=1, keepdims=True)
         xhat = x / norms
         grad_inputs += (g0 - np.sum(g0 * xhat, axis=1, keepdims=True) * xhat) / norms

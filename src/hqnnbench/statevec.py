@@ -13,9 +13,12 @@ Conventions (fixed, used everywhere in this package):
   RZ(-pi/2) on b; CNOT b->a; RZ(p0) on a; RY(p1) on b; CNOT a->b;
   RY(p2) on b; CNOT b->a; RZ(pi/2) on a.
 
-The kernels work on raw complex amplitude arrays shaped ``(2**n, B)``: the
-basis index is the *first* axis and the batch the last, so each view a
-kernel takes keeps the batch contiguous whichever qubit it targets.
+A circuit's state has one layout from encoding to readout, fixed when the
+circuit is compiled (``hqnnbench.qnn``), and each layout has its kernels.
+
+A circuit that reads no input slots keeps ``(2**n, B)`` columns: the basis
+index is the *first* axis and the batch the last, so each view a kernel
+takes keeps the batch contiguous whichever qubit it targets.
 ``apply_gate`` applies a batch-shared d x d unitary on ``log2 d`` qubits, out
 of place into a caller-owned buffer; ``gate_overlap`` reduces two states onto
 a gate's qubits, summed over the batch. A gate's local index puts its first
@@ -25,21 +28,23 @@ qubits) the local index is the middle axis of ``amps.reshape(-1, 2**k, B << lo)`
 and both kernels take the gate there as one BLAS matmul per column chunk.
 Elsewhere a gate has one or two qubits and is applied elementwise.
 
-Gates with one matrix per sample take the state as ``(B, 2**n)`` rows, in
-which each sample's amplitudes on a run form a ``(R, d, C)`` block:
-``apply_rows`` applies ``u[b]`` to sample ``b`` and ``rows_overlap`` takes
-the per-sample overlaps. On sample-major storage (a copy made by
-``transpose_into``) each is one stacked BLAS matmul. At n = 8 a sample is a
-16 x 16 matrix, so a 4-qubit block on qubits 7-4 multiplies it from the left
-and one on qubits 3-0 from the right. On the transposed view of
-``(2**n, B)`` storage they are elementwise over the contiguous batch, which
-is faster for 4 x 4 blocks and smaller. These kernels take their matrices
-batch-first, ``(Bx, d, d)`` with ``Bx`` 1 or B; a gate off a descending run
-is embedded in the run that spans it.
+A circuit that reads input slots holds one-qubit rotations and CNOT/CZ
+gates only, so it applies every matrix on a descending run, and it keeps
+its state as ``(B, 2**n)`` rows, in which each sample's amplitudes on a run
+form a ``(R, d, C)`` block. ``apply_rows`` applies ``u[b]`` to sample ``b``
+and ``rows_overlap`` takes the per-sample overlaps; both refuse a qubit
+tuple that is not a run. Their matrices are batch-first, ``(Bx, d, d)``
+with ``Bx`` 1 (batch-shared) or B. On sample-major storage each is one
+stacked BLAS matmul. At n = 8 a sample is a 16 x 16 matrix, so a 4-qubit
+block on qubits 7-4 multiplies it from the left and one on qubits 3-0 from
+the right. On the transposed view of ``(2**n, B)`` storage they are
+elementwise over the contiguous batch, which is faster for 4 x 4 blocks and
+smaller. ``apply_signed_perm`` gathers along the basis axis of either
+storage.
 
 Every other small matrix is matrix-major, ``(d, d, ...)``, so its batch axes
-stay contiguous too. ``expval_batch`` takes the transposed ``(B, 2**n)``
-view, which is also what the forward pass returns as its state.
+stay contiguous too. ``expval_batch`` takes a ``(B, 2**n)`` view of the
+state, which is also what the forward pass returns as its state.
 """
 
 from __future__ import annotations
@@ -215,18 +220,18 @@ def _local_views(amps: np.ndarray, qubits: tuple[int, ...]) -> list[np.ndarray]:
     return [v[:, k & 1, :, k >> 1] for k in range(4)]
 
 
-def _shared_run(amps: np.ndarray, qubits: tuple[int, ...]) -> int | None:
-    """Column count of a contiguous descending run ``(lo + k - 1, ..., lo)``, else None.
+def _run_low(dim: int, qubits: tuple[int, ...]) -> int | None:
+    """The low qubit ``lo`` of a contiguous descending run ``(lo + k - 1, ..., lo)``, else None.
 
     On such a run the local index of ``_local_views`` is the middle axis of
-    ``amps.reshape(-1, 2**k, B << lo)``, so a batch-shared gate is one matmul.
+    ``amps.reshape(-1, 2**k, B << lo)``, so a gate on it is one matmul.
     """
     lo = qubits[-1]
     if qubits != tuple(range(lo + len(qubits) - 1, lo - 1, -1)):
         return None
-    if 1 << (lo + len(qubits)) > amps.shape[0]:
-        raise ValueError(f"qubit {qubits[0]} out of range for dim-{amps.shape[0]} register")
-    return amps.shape[1] << lo
+    if 1 << (lo + len(qubits)) > dim:
+        raise ValueError(f"qubit {qubits[0]} out of range for dim-{dim} register")
+    return lo
 
 
 def apply_gate(amps: np.ndarray, qubits: tuple[int, ...], u: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -236,8 +241,9 @@ def apply_gate(amps: np.ndarray, qubits: tuple[int, ...], u: np.ndarray, out: np
     block) it is a BLAS matmul; elsewhere it is elementwise over the local
     views. ``out`` must not overlap ``amps``.
     """
-    cols = _shared_run(amps, qubits)
-    if cols is not None:
+    lo = _run_low(amps.shape[0], qubits)
+    if lo is not None:
+        cols = amps.shape[1] << lo
         src = amps.reshape(-1, u.shape[0], cols)
         dst = out.reshape(-1, u.shape[0], cols)
         for s in range(0, cols, _BLAS_COLS):
@@ -264,9 +270,9 @@ def gate_overlap(mu: np.ndarray, psi: np.ndarray, qubits: tuple[int, ...]) -> np
 
     On a contiguous descending run it is a BLAS matmul, as in ``apply_gate``.
     """
-    cols = _shared_run(mu, qubits)
-    if cols is not None:
-        d = 1 << len(qubits)
+    lo = _run_low(mu.shape[0], qubits)
+    if lo is not None:
+        cols, d = mu.shape[1] << lo, 1 << len(qubits)
         m = mu.reshape(-1, d, cols)
         p = psi.reshape(-1, d, cols)
         return np.matmul(m, p.transpose(0, 2, 1)).sum(axis=0)
@@ -280,46 +286,16 @@ def gate_overlap(mu: np.ndarray, psi: np.ndarray, qubits: tuple[int, ...]) -> np
     return g
 
 
-def transpose_into(a: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Copy ``a.T`` into the storage of ``out`` and return it there, shaped like ``a.T``.
-
-    This moves a state between the ``(2**n, B)`` layout and the sample-major
-    ``(B, 2**n)`` one, in either direction.
-    """
-    t = out.reshape(a.shape[::-1])
-    np.copyto(t, a.T)
-    return t
-
-
-def _partial_trace(g: np.ndarray, wires: tuple[int, ...], n_wires: int) -> np.ndarray:
-    """The overlap on ``wires`` (in their order) of a run's overlap ``g``: the trace over its other wires.
-
-    ``g`` is batch-first, ``(Bx, 2**n_wires, 2**n_wires)``, and so is the
-    result; wire 0 is the run's most significant qubit.
-    """
-    rows = "".join(chr(ord("a") + w) for w in range(n_wires))
-    cols = "".join(r.upper() if w in wires else r for w, r in enumerate(rows))
-    keep = "".join(rows[w] for w in wires) + "".join(cols[w] for w in wires)
-    t = np.einsum(f"z{rows}{cols}->z{keep}", g.reshape((-1,) + (2,) * (2 * n_wires)))
-    d = 1 << len(wires)
-    return t.reshape(-1, d, d)
-
-
-def _descending_run(dim: int, qubits: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The descending run ``(hi, ..., lo)`` spanning ``qubits`` and their wires in it."""
-    hi, lo = max(qubits), min(qubits)
-    if 1 << (hi + 1) > dim:
-        raise ValueError(f"qubit {hi} out of range for dim-{dim} register")
-    return tuple(range(hi, lo - 1, -1)), tuple(hi - q for q in qubits)
-
-
-def _run_view(rows: np.ndarray, run: tuple[int, ...]) -> np.ndarray:
-    """``rows`` (B, 2**n) as ``(B, R, d, C)``: each sample's local index on ``run`` on axis 2."""
-    return rows.reshape(rows.shape[0], -1, 1 << len(run), 1 << run[-1])
+def _run_view(rows: np.ndarray, qubits: tuple[int, ...]) -> np.ndarray:
+    """``rows`` (B, 2**n) as ``(B, R, d, C)``: each sample's local index on the run ``qubits`` on axis 2."""
+    lo = _run_low(rows.shape[1], qubits)
+    if lo is None:
+        raise ValueError(f"qubits {qubits} are not a contiguous descending run")
+    return rows.reshape(rows.shape[0], -1, 1 << len(qubits), 1 << lo)
 
 
 def apply_rows(rows: np.ndarray, qubits: tuple[int, ...], u: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Write ``u[b]`` applied to ``qubits`` of each sample ``rows[b]`` into ``out`` and return it.
+    """Write ``u[b]`` applied to the run ``qubits`` of each sample ``rows[b]`` into ``out`` and return it.
 
     ``rows`` and ``out`` are ``(B, 2**n)`` and must not overlap; ``u`` is
     batch-first ``(Bx, d, d)``, shared when ``Bx`` is 1. On sample-major
@@ -329,10 +305,7 @@ def apply_rows(rows: np.ndarray, qubits: tuple[int, ...], u: np.ndarray, out: np
     transposed view of ``(2**n, B)`` storage it is elementwise over the
     contiguous batch axis, d multiplies, which is faster for d <= 4.
     """
-    run, wires = _descending_run(rows.shape[1], qubits)
-    if wires != tuple(range(len(run))):
-        u = _embed(u, wires, len(run))
-    src, dst = _run_view(rows, run), _run_view(out, run)
+    src, dst = _run_view(rows, qubits), _run_view(out, qubits)
     if not rows.flags.c_contiguous:
         tmp = np.empty_like(dst)
         np.multiply(u[:, None, :, 0, None], src[:, :, None, 0], out=dst)
@@ -346,55 +319,43 @@ def apply_rows(rows: np.ndarray, qubits: tuple[int, ...], u: np.ndarray, out: np
 
 
 def rows_overlap(mu: np.ndarray, psi: np.ndarray, qubits: tuple[int, ...], out: np.ndarray | None = None) -> np.ndarray:
-    """Per-sample reduced overlaps ``G[b, i, j] = sum_rest mu_i psi_j`` on ``qubits``, batch-first.
+    """Per-sample reduced overlaps ``G[b, i, j] = sum_rest mu_i psi_j`` on the run ``qubits``, batch-first.
 
     ``mu`` and ``psi`` are ``(B, 2**n)``, stored as in ``apply_rows``. On
     sample-major storage a run that ends at qubit 0 gives ``M_b^T P_b`` and
     one that starts at the top qubit ``M_b P_b^T``, each one stacked BLAS
-    matmul. On a run the result goes into ``out`` when it is given.
+    matmul. The result goes into ``out`` when it is given.
     """
-    run, wires = _descending_run(mu.shape[1], qubits)
-    m, p = _run_view(mu, run), _run_view(psi, run)
-    on_run = wires == tuple(range(len(run)))
-    g = out if on_run else None
+    m, p = _run_view(mu, qubits), _run_view(psi, qubits)
     if not mu.flags.c_contiguous:
-        g = np.sum(m[:, :, :, None] * p[:, :, None], axis=(1, 4), out=g)
-    elif m.shape[3] == 1:
-        g = np.matmul(m[..., 0].swapaxes(1, 2), p[..., 0], out=g)
-    elif m.shape[1] == 1:
-        g = np.matmul(m[:, 0], p[:, 0].swapaxes(1, 2), out=g)
-    else:
-        g = np.sum(np.matmul(m, p.swapaxes(2, 3)), axis=1, out=g)
-    return g if on_run else _partial_trace(g, wires, len(run))
-
-
-def _embed(u: np.ndarray, wires: tuple[int, ...], n_wires: int) -> np.ndarray:
-    """The batch-first gate ``u`` on ``wires`` of an ``n_wires`` run, with the identity on the others."""
-    rows = "".join(chr(ord("a") + w) for w in range(n_wires))
-    cols = rows.upper()
-    gate = "z" + "".join(rows[w] for w in wires) + "".join(cols[w] for w in wires)
-    eyes = [rows[w] + cols[w] for w in range(n_wires) if w not in wires]
-    operands = [u.reshape((-1,) + (2,) * (2 * len(wires)))] + [np.eye(2)] * len(eyes)
-    d = 1 << n_wires
-    return np.einsum(",".join([gate] + eyes) + f"->z{rows}{cols}", *operands).reshape(-1, d, d)
+        return np.sum(m[:, :, :, None] * p[:, :, None], axis=(1, 4), out=out)
+    if m.shape[3] == 1:
+        return np.matmul(m[..., 0].swapaxes(1, 2), p[..., 0], out=out)
+    if m.shape[1] == 1:
+        return np.matmul(m[:, 0], p[:, 0].swapaxes(1, 2), out=out)
+    return np.sum(np.matmul(m, p.swapaxes(2, 3)), axis=1, out=out)
 
 
 def apply_signed_perm(
-    amps: np.ndarray, perm: np.ndarray | None, sign: np.ndarray | None, out: np.ndarray
+    amps: np.ndarray, perm: np.ndarray | None, sign: np.ndarray | None, out: np.ndarray, axis: int
 ) -> np.ndarray:
-    """``out[i] = sign[i] * amps[perm[i]]``; ``perm=None`` is the identity and ``sign=None`` all +1.
+    """``out[i] = sign[i] * amps[perm[i]]`` along the basis axis ``axis`` of a 2-D state.
 
+    ``perm=None`` is the identity and ``sign=None`` all +1. The basis axis
+    is 0 of ``(2**n, B)`` storage and 1 of sample-major ``(B, 2**n)`` rows.
     A sign-only map (a run of CZ gates) is one multiply, with no gather.
     ``perm`` indexes ``amps`` by construction, so the gather runs with
     ``mode="clip"``: under the default ``"raise"`` NumPy gathers into a
     temporary buffer and copies it to ``out``.
     """
+    if sign is not None and axis == 0:
+        sign = sign[:, None]
     if perm is not None:
-        np.take(amps, perm, axis=0, out=out, mode="clip")
+        np.take(amps, perm, axis=axis, out=out, mode="clip")
         if sign is not None:
-            out *= sign[:, None]
+            out *= sign
     elif sign is not None:
-        np.multiply(amps, sign[:, None], out=out)
+        np.multiply(amps, sign, out=out)
     else:
         np.copyto(out, amps)
     return out
@@ -460,6 +421,11 @@ def measurement_diagonals(n_qubits: int, obs: Observable) -> np.ndarray:
 
 
 def expval_batch(amps: np.ndarray, n_qubits: int, obs: Observable) -> np.ndarray:
-    """Expectation values for amplitudes shaped (..., 2**n) -> (..., out_dim)."""
-    probs = amps.real**2 + amps.imag**2
+    """Expectation values for amplitudes shaped (B, 2**n) or (2**n,) -> (B, out_dim) or (out_dim,).
+
+    The product runs on batch-contiguous probabilities whatever the storage
+    of ``amps``: BLAS sums in an order that depends on the layout, so this
+    gives every circuit's readout the same rounding.
+    """
+    probs = np.asfortranarray(amps.real**2 + amps.imag**2)
     return probs @ measurement_diagonals(n_qubits, obs).T

@@ -210,7 +210,9 @@ def random_circuit(rng: np.random.Generator, max_qubits: int = 4, encoding: str 
 
     Each parameter slot is bound to at most one gate angle (as the real
     builders do), which keeps the plain two-term parameter-shift rule valid
-    as a gradient oracle. Input slots may be reused.
+    as a gradient oracle. Input slots may be reused. Two-qubit ``BLOCK``
+    gates are drawn for amplitude encoding only: a circuit that reads input
+    slots may hold only one-qubit rotations and CNOT/CZ gates.
     """
     n = int(rng.integers(1, max_qubits + 1))
     if encoding == "amplitude":
@@ -231,10 +233,10 @@ def random_circuit(rng: np.random.Generator, max_qubits: int = 4, encoding: str 
 
     ops = []
     kinds_1q = ["ry", "rz", "arb"]
-    kinds_2q = ["cnot", "cz", "block"]
+    kinds_2q = ["cnot", "cz", "block"] if encoding == "amplitude" else ["cnot", "cz"]
     for _ in range(n_gates):
         if n >= 2 and rng.integers(0, 2):
-            kind = kinds_2q[int(rng.integers(0, 3))]
+            kind = kinds_2q[int(rng.integers(0, len(kinds_2q)))]
             a, b = rng.choice(n, size=2, replace=False)
             if kind == "cnot":
                 ops.append(Gate.cnot(int(a), int(b)))

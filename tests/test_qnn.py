@@ -195,6 +195,14 @@ class TestCircuitValidation:
         with pytest.raises(ValueError):
             Circuit(1, "angle", (Gate.ry(1, 0.1),), 0, 1, Observable.single_z(0))
 
+    def test_input_reading_circuit_refuses_block_gates(self):
+        block = Gate.block(0, 1, Angle.param(0), 0.2, 0.3)
+        with pytest.raises(ValueError, match="reads input slots may hold only one-qubit rotations and CNOT/CZ"):
+            Circuit(2, "angle", (Gate.ry(0, Angle.input(0)), block), 1, 1, Observable.global_z())
+        # the same gate in a circuit that reads no input slot runs on (2**n, B) columns
+        c = Circuit(2, "angle", (Gate.ry(0, 0.5), block), 1, 1, Observable.global_z())
+        assert not c.rows and not c.sample_major
+
 
 class TestForward:
     def test_outputs_bounded(self):
@@ -362,9 +370,11 @@ class TestCompiledProgram:
 
     def test_ang_arb_8_l20_tail_is_two_per_sample_blocks(self):
         # 20 features fill qubits 0-5 and two slots of qubit 6; qubit 7 reads only padding
-        (stage,) = build_ang_arb(8, 20, True).program
-        assert stage.commuting and stage.sample_major
-        assert [(app.qubits, app.per_sample, len(app.members)) for app in stage.apps] == [
+        c = build_ang_arb(8, 20, True)
+        (stage,) = c.program
+        assert stage.commuting and c.sample_major
+        per_sample = [any(stage.groups[gi].per_sample for gi, _, _ in app.members) for app in stage.apps]
+        assert [(app.qubits, ps, len(app.members)) for app, ps in zip(stage.apps, per_sample)] == [
             ((3, 2, 1, 0), True, 4),
             ((7, 6, 5, 4), True, 4),
         ]
@@ -374,9 +384,19 @@ class TestCompiledProgram:
 
     def test_per_sample_blocks_span_half_the_register(self):
         for n, runs, sample_major in ((4, [(1, 0), (3, 2)], False), (5, [(2, 1, 0), (4, 3)], True)):
-            (stage,) = build_ang_arb(n, 3 * n, False).program
+            c = build_ang_arb(n, 3 * n, False)
+            (stage,) = c.program
             assert [app.qubits for app in stage.apps] == runs
-            assert stage.sample_major is sample_major
+            assert c.rows and c.sample_major is sample_major
+
+    def test_layout_is_decided_per_circuit_by_its_input_slots(self):
+        # angle circuits read inputs in every layer and keep (B, 2**n) rows, sample-major
+        # from 5 qubits on; amplitude circuits read none and keep (2**n, B) columns
+        for n in (4, 8):
+            for c in (build_ang_ry(n, 2 * n, True), build_ang_arb(n, 3 * n, True)):
+                assert (c.rows, c.sample_major) == (True, n == 8)
+            for c in (build_amp_gen(n, True), build_qcnn(n)):
+                assert (c.rows, c.sample_major) == (False, False)
 
 
 def _fused_slot_reuse_circuit():
@@ -386,7 +406,9 @@ def _fused_slot_reuse_circuit():
         Gate.rz(0, Angle.input(0)),
         Gate.arb(0, Angle.input(1), Angle.input(0), Angle.param(0)),
         Gate.arb(1, Angle.input(1), Angle.input(0), Angle.param(1)),
-        Gate.block(0, 1, Angle.input(1), Angle.param(2), Angle.input(1)),
+        Gate.rz(0, Angle.input(1)),
+        Gate.ry(1, Angle.param(2)),
+        Gate.arb(1, Angle.input(1), Angle.input(1), Angle.const(0.3)),
         Gate.cnot(1, 0),
         Gate.ry(1, Angle.input(0)),
     )
@@ -501,7 +523,7 @@ class TestKroneckerBlocks:
                 widths |= {len(app.qubits) for app in blocks}
                 holes |= any(len(app.members) < len(app.qubits) for app in blocks)
                 blocks_per_stage.add(len(blocks))
-                mixed |= bool(blocks) and any(app.per_sample for app in op.apps)
+                mixed |= bool(blocks) and any(op.groups[gi].per_sample for app in op.apps for gi, _, _ in app.members)
         assert widths == {1, 2, 3, 4} and holes and mixed and 3 in blocks_per_stage
 
     def test_forward_rows_match_dense_oracle(self):
@@ -530,10 +552,10 @@ class TestKroneckerBlocks:
 class TestBackwardKernelCalls:
     """Every stage but the first un-applies each kernel call on psi and on mu.
     The first stage is processed last: nothing reads psi afterwards, and mu only
-    for the input gradient of an amplitude-encoded circuit. A per-sample stage
-    moves psi and mu to sample-major rows and, unless it is the first, back."""
+    for the input gradient of an amplitude-encoded circuit. A circuit that reads
+    inputs runs every call on rows, one that reads none on columns."""
 
-    KERNELS = ("apply_gate", "gate_overlap", "apply_rows", "rows_overlap", "transpose_into")
+    KERNELS = ("apply_gate", "gate_overlap", "apply_rows", "rows_overlap")
 
     @classmethod
     def count_calls(cls, monkeypatch, c):
@@ -564,11 +586,11 @@ class TestBackwardKernelCalls:
     def test_ang_arb_8_first_stage_is_not_unapplied(self, monkeypatch):
         # 11 stages of two per-sample blocks; in the last, qubits 6 and 7 read only padding
         calls = self.count_calls(monkeypatch, build_ang_arb(8, 256, True))
-        assert calls == {"apply_rows": 10 * 2 * 2, "rows_overlap": 11 * 2, "transpose_into": 11 * 2 + 10 * 2}
+        assert calls == {"apply_rows": 10 * 2 * 2, "rows_overlap": 11 * 2}
 
     def test_ang_ry_8_first_stage_is_not_unapplied(self, monkeypatch):
         calls = self.count_calls(monkeypatch, build_ang_ry(8, 256, True))
-        assert calls == {"apply_rows": 31 * 2 * 2, "rows_overlap": 32 * 2, "transpose_into": 32 * 2 + 31 * 2}
+        assert calls == {"apply_rows": 31 * 2 * 2, "rows_overlap": 32 * 2}
 
     def test_qcnn_unapplies_every_gate(self, monkeypatch):
         calls = self.count_calls(monkeypatch, build_qcnn(4))

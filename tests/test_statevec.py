@@ -265,7 +265,9 @@ class TestBatchedKernels:
             Gate.cnot(0, 1),
             Gate.cz(1, 2),
             Gate.arb(2, Angle.input(1), 0.4, Angle.input(0)),
-            Gate.block(2, 0, Angle.input(0), -0.3, Angle.input(1)),
+            Gate.rz(2, Angle.input(0)),
+            Gate.ry(0, -0.3),
+            Gate.arb(0, Angle.input(1), Angle.input(0), 0.7),
         )
         self.rows_match_dense(Circuit(3, "angle", ops, 0, 2, Observable.global_z()), rng.normal(size=(5, 2)))
 
@@ -309,10 +311,10 @@ class TestSharedRunKernels:
 class TestRowKernels:
     """Per-sample d x d gates on (B, 2**n) rows, on sample-major storage and on
     the transposed view of (2**n, B) storage, against the dense embedding:
-    runs, reversed and non-adjacent qubit pairs, shared and per-sample."""
+    descending runs, shared and per-sample."""
 
     N, B = 5, 3
-    QUBITS = [(0,), (3,), (4, 3, 2, 1), (2, 1, 0), (4, 3), (1, 3), (4, 0), (0, 2)]
+    QUBITS = [(0,), (3,), (4, 3, 2, 1), (2, 1, 0), (4, 3)]
 
     @classmethod
     def local(cls, qubits):
@@ -353,9 +355,21 @@ class TestRowKernels:
                     np.add.at(ref, (loc[:, None], loc[None, :]), pairs)
                     assert np.abs(got[b] - ref).max() < 1e-12
 
+    def test_kernels_refuse_qubits_off_a_descending_run(self):
+        rng = np.random.default_rng(20)
+        for rows, out in self.storages(rng):
+            for qubits in ((1, 3), (4, 0), (0, 2)):
+                u = np.eye(1 << len(qubits), dtype=np.complex128)[None]
+                with pytest.raises(ValueError, match="descending run"):
+                    apply_rows(rows, qubits, u, out)
+                with pytest.raises(ValueError, match="descending run"):
+                    rows_overlap(rows, out, qubits)
+
 
 class TestSignedPermutation:
-    """``apply_signed_perm`` is ``sign[:, None] * amps[perm]``, written into ``out``."""
+    """``apply_signed_perm`` is ``sign[:, None] * amps[perm]`` on (2**n, B) storage
+    (basis axis 0) and ``sign * rows[:, perm]`` on sample-major rows (axis 1),
+    written into ``out``. B != 2**n, so a swapped axis cannot pass."""
 
     @pytest.mark.parametrize("with_perm, with_sign", [(True, True), (True, False), (False, True), (False, False)])
     def test_matches_the_fancy_index(self, with_perm, with_sign):
@@ -365,9 +379,12 @@ class TestSignedPermutation:
         perm = rng.permutation(1 << n) if with_perm else None
         sign = rng.choice([-1.0, 1.0], size=1 << n) if with_sign else None
         want = (np.ones(1 << n) if sign is None else sign)[:, None] * amps[np.arange(1 << n) if perm is None else perm]
-        out = np.empty_like(amps)
-        assert apply_signed_perm(amps, perm, sign, out) is out
-        assert np.array_equal(out, want)
+        for axis in (0, 1):
+            if axis:
+                amps, want = np.ascontiguousarray(amps.T), want.T
+            out = np.empty_like(amps)
+            assert apply_signed_perm(amps, perm, sign, out, axis) is out
+            assert np.array_equal(out, want)
 
 
 class TestFusion:
