@@ -34,6 +34,7 @@ from statistics import median
 
 import numpy as np
 
+from . import __version__
 from .classical import (
     Param,
     adam_init,
@@ -356,6 +357,7 @@ def run_grid(
         "aggregate": aggregate,
         "dataset": run_cfg.get("dataset", "blobs"),
         "data_digest": _data_digest(dataset),
+        "version": __version__,
     }
     results_path = out_dir / "results.jsonl"
     meta_path = out_dir / "run_meta.json"

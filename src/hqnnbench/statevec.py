@@ -9,31 +9,29 @@ Conventions (fixed, used everywhere in this package):
 * ``RZ(t) = diag(exp(-i t/2), exp(+i t/2))``
 * ``ArbRot(phi, theta, omega) = RZ(omega) @ RY(theta) @ RZ(phi)`` (RZ(phi)
   acts first).
-* ``TwoQubitBlock(p0, p1, p2)`` on targets ``(a, b)`` is the fixed sequence
-  RZ(-pi/2) on b; CNOT b->a; RZ(p0) on a; RY(p1) on b; CNOT a->b;
-  RY(p2) on b; CNOT b->a; RZ(pi/2) on a.
 
 A circuit's state has one layout from encoding to readout, fixed when the
 circuit is compiled (``hqnnbench.qnn``), and each layout has its kernels.
 
+Every circuit is made of one-qubit rotations and CNOT/CZ gates, so every
+matrix the simulator applies acts on a contiguous descending qubit run
+``(lo + k - 1, ..., lo)``: one qubit, or a Kronecker block of adjacent
+qubits. The run's local index puts its first qubit in the most significant
+bit. Every kernel refuses a qubit tuple that is not such a run.
+
 A circuit that reads no input slots keeps ``(2**n, B)`` columns: the basis
 index is the *first* axis and the batch the last, so each view a kernel
 takes keeps the batch contiguous whichever qubit it targets.
-``apply_gate`` applies a batch-shared d x d unitary on ``log2 d`` qubits, out
-of place into a caller-owned buffer; ``gate_overlap`` reduces two states onto
-a gate's qubits, summed over the batch. A gate's local index puts its first
-target in the most significant bit, so on a contiguous descending run
-``(lo + k - 1, ..., lo)`` (any one qubit, or a Kronecker block of adjacent
-qubits) the local index is the middle axis of ``amps.reshape(-1, 2**k, B << lo)``,
-and both kernels take the gate there as one BLAS matmul per column chunk.
-Elsewhere a gate has one or two qubits and is applied elementwise.
+``apply_gate`` applies a batch-shared d x d unitary on a run, out of place
+into a caller-owned buffer; ``gate_overlap`` reduces two states onto a run,
+summed over the batch. The local index is the middle axis of
+``amps.reshape(-1, 2**k, B << lo)``, and both kernels take the gate there as
+one BLAS matmul per column chunk.
 
-A circuit that reads input slots holds one-qubit rotations and CNOT/CZ
-gates only, so it applies every matrix on a descending run, and it keeps
-its state as ``(B, 2**n)`` rows, in which each sample's amplitudes on a run
-form a ``(R, d, C)`` block. ``apply_rows`` applies ``u[b]`` to sample ``b``
-and ``rows_overlap`` takes the per-sample overlaps; both refuse a qubit
-tuple that is not a run. Their matrices are batch-first, ``(Bx, d, d)``
+A circuit that reads input slots keeps its state as ``(B, 2**n)`` rows, in
+which each sample's amplitudes on a run form a ``(R, d, C)`` block.
+``apply_rows`` applies ``u[b]`` to sample ``b`` and ``rows_overlap`` takes
+the per-sample overlaps. Their matrices are batch-first, ``(Bx, d, d)``
 with ``Bx`` 1 (batch-shared) or B. On sample-major storage each is one
 stacked BLAS matmul. At n = 8 a sample is a 16 x 16 matrix, so a 4-qubit
 block on qubits 7-4 multiplies it from the left and one on qubits 3-0 from
@@ -68,7 +66,6 @@ class GateKind(Enum):
     ARB = "arb"
     CNOT = "cnot"
     CZ = "cz"
-    BLOCK = "block"
 
 
 _N_ANGLES = {
@@ -77,7 +74,6 @@ _N_ANGLES = {
     GateKind.ARB: 3,
     GateKind.CNOT: 0,
     GateKind.CZ: 0,
-    GateKind.BLOCK: 3,
 }
 _N_TARGETS = {
     GateKind.RY: 1,
@@ -85,7 +81,6 @@ _N_TARGETS = {
     GateKind.ARB: 1,
     GateKind.CNOT: 2,
     GateKind.CZ: 2,
-    GateKind.BLOCK: 2,
 }
 
 
@@ -162,10 +157,6 @@ class Gate:
     def cz(a: int, b: int) -> "Gate":
         return Gate(GateKind.CZ, (a, b))
 
-    @staticmethod
-    def block(a: int, b: int, p0, p1, p2) -> "Gate":
-        return Gate(GateKind.BLOCK, (a, b), (_as_angle(p0), _as_angle(p1), _as_angle(p2)))
-
 
 # ---------------------------------------------------------------------------
 # Kernels on raw amplitude arrays shaped (2**n, B): the basis index is the
@@ -173,7 +164,7 @@ class Gate:
 # batch axis contiguous, whichever qubit it targets.
 # ---------------------------------------------------------------------------
 
-# Columns per BLAS call in ``apply_gate``'s batch-shared branch, for every d.
+# Columns per BLAS call in ``apply_gate``, for every d.
 # On 2 cores, (d x d) @ (d x 4096) products cost about 5, 9, 17 and 40 ns
 # per column for d = 2, 4, 8, 16. A 2x2 product this narrow stays on one
 # OpenBLAS thread; wider ones save at most ~20% per column, and in some
@@ -199,98 +190,45 @@ def rotation_matrices(kind: str, theta) -> np.ndarray:
     return m
 
 
-def _local_views(amps: np.ndarray, qubits: tuple[int, ...]) -> list[np.ndarray]:
-    """Views of ``amps`` indexed by a gate's local basis state.
+def _run_low(dim: int, qubits: tuple[int, ...]) -> int:
+    """The low qubit ``lo`` of the contiguous descending run ``qubits = (lo + k - 1, ..., lo)``.
 
-    The local index of a two-qubit gate on ``(a, b)`` is ``2 * bit_a + bit_b``.
-    Each view has the batch as its last axis.
-    """
-    dim, batch = amps.shape
-    if len(qubits) == 1:
-        (q,) = qubits
-        if 1 << q >= dim:
-            raise ValueError(f"qubit {q} out of range for dim-{dim} register")
-        v = amps.reshape(dim >> (q + 1), 2, 1 << q, batch)
-        return [v[:, 0], v[:, 1]]
-    a, b = qubits
-    hi, lo = max(a, b), min(a, b)
-    v = amps.reshape(dim >> (hi + 1), 2, 1 << (hi - lo - 1), 2, 1 << lo, batch)
-    if a == hi:
-        return [v[:, k >> 1, :, k & 1] for k in range(4)]
-    return [v[:, k & 1, :, k >> 1] for k in range(4)]
-
-
-def _run_low(dim: int, qubits: tuple[int, ...]) -> int | None:
-    """The low qubit ``lo`` of a contiguous descending run ``(lo + k - 1, ..., lo)``, else None.
-
-    On such a run the local index of ``_local_views`` is the middle axis of
+    On such a run the gate's local index is the middle axis of
     ``amps.reshape(-1, 2**k, B << lo)``, so a gate on it is one matmul.
     """
     lo = qubits[-1]
     if qubits != tuple(range(lo + len(qubits) - 1, lo - 1, -1)):
-        return None
+        raise ValueError(f"qubits {qubits} are not a contiguous descending run")
     if 1 << (lo + len(qubits)) > dim:
         raise ValueError(f"qubit {qubits[0]} out of range for dim-{dim} register")
     return lo
 
 
 def apply_gate(amps: np.ndarray, qubits: tuple[int, ...], u: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Write the batch-shared ``U`` (d x d) applied to ``qubits`` of ``amps`` into ``out`` and return it.
+    """Write the batch-shared ``U`` (d x d) applied to the run ``qubits`` of ``amps`` into ``out`` and return it.
 
-    On a contiguous descending qubit run (any one qubit, or a Kronecker
-    block) it is a BLAS matmul; elsewhere it is elementwise over the local
-    views. ``out`` must not overlap ``amps``.
+    ``out`` must not overlap ``amps``.
     """
     lo = _run_low(amps.shape[0], qubits)
-    if lo is not None:
-        cols = amps.shape[1] << lo
-        src = amps.reshape(-1, u.shape[0], cols)
-        dst = out.reshape(-1, u.shape[0], cols)
-        for s in range(0, cols, _BLAS_COLS):
-            np.matmul(u, src[..., s : s + _BLAS_COLS], out=dst[..., s : s + _BLAS_COLS])
-        return out
-    src = _local_views(amps, qubits)
-    tmp = np.empty_like(src[0])
-    for i, dst in enumerate(_local_views(out, qubits)):
-        first = True
-        for j, v in enumerate(src):
-            c = u[i, j]
-            if not c.any():  # structural zeros, e.g. half of a two-qubit block
-                continue
-            if first:
-                np.multiply(v, c, out=dst)
-                first = False
-            else:
-                dst += np.multiply(v, c, out=tmp)
+    cols = amps.shape[1] << lo
+    src = amps.reshape(-1, u.shape[0], cols)
+    dst = out.reshape(-1, u.shape[0], cols)
+    for s in range(0, cols, _BLAS_COLS):
+        np.matmul(u, src[..., s : s + _BLAS_COLS], out=dst[..., s : s + _BLAS_COLS])
     return out
 
 
 def gate_overlap(mu: np.ndarray, psi: np.ndarray, qubits: tuple[int, ...]) -> np.ndarray:
-    """Reduced overlap ``G[i, j] = sum_rest mu_i psi_j`` on a gate's qubits, summed over the batch.
-
-    On a contiguous descending run it is a BLAS matmul, as in ``apply_gate``.
-    """
-    lo = _run_low(mu.shape[0], qubits)
-    if lo is not None:
-        cols, d = mu.shape[1] << lo, 1 << len(qubits)
-        m = mu.reshape(-1, d, cols)
-        p = psi.reshape(-1, d, cols)
-        return np.matmul(m, p.transpose(0, 2, 1)).sum(axis=0)
-    ms = _local_views(mu, qubits)
-    ps = _local_views(psi, qubits)
-    g = np.empty((len(ms), len(ms)), dtype=np.complex128)
-    tmp = np.empty_like(ms[0])
-    for i, m in enumerate(ms):
-        for j, p in enumerate(ps):
-            g[i, j] = np.multiply(m, p, out=tmp).sum()
-    return g
+    """Reduced overlap ``G[i, j] = sum_rest mu_i psi_j`` on the run ``qubits``, summed over the batch."""
+    cols, d = mu.shape[1] << _run_low(mu.shape[0], qubits), 1 << len(qubits)
+    m = mu.reshape(-1, d, cols)
+    p = psi.reshape(-1, d, cols)
+    return np.matmul(m, p.transpose(0, 2, 1)).sum(axis=0)
 
 
 def _run_view(rows: np.ndarray, qubits: tuple[int, ...]) -> np.ndarray:
     """``rows`` (B, 2**n) as ``(B, R, d, C)``: each sample's local index on the run ``qubits`` on axis 2."""
     lo = _run_low(rows.shape[1], qubits)
-    if lo is None:
-        raise ValueError(f"qubits {qubits} are not a contiguous descending run")
     return rows.reshape(rows.shape[0], -1, 1 << len(qubits), 1 << lo)
 
 

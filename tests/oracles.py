@@ -18,7 +18,9 @@ from hqnnbench.statevec import Angle, Gate, GateKind, Observable
 
 # ---------------------------------------------------------------------------
 # Dense statevector / expectation route. Gates are expanded here from the
-# conventions in the ``hqnnbench.statevec`` docstring, not by the package.
+# conventions in the ``hqnnbench.statevec`` docstring, not by the package,
+# and ``block_gates`` writes out the QCNN block that the docstring of
+# ``hqnnbench.qnn.build_qcnn`` defines.
 # ---------------------------------------------------------------------------
 
 _Z = np.diag([1.0, -1.0]).astype(np.complex128)
@@ -71,22 +73,43 @@ def gate_matrix(gate: Gate, n_qubits: int, inputs=None, params=None) -> np.ndarr
         return _on_qubit(_rz(t[2]) @ _ry(t[1]) @ _rz(t[0]), gate.targets[0], n)
     if kind is GateKind.CNOT:
         return _cnot_matrix(*gate.targets, n)
-    if kind is GateKind.CZ:
-        return _cz_matrix(*gate.targets, n)
-    a, b = gate.targets  # two-qubit block, in application order
-    steps = (
-        _on_qubit(_rz(-math.pi / 2), b, n),
-        _cnot_matrix(b, a, n),
-        _on_qubit(_rz(t[0]), a, n),
-        _on_qubit(_ry(t[1]), b, n),
-        _cnot_matrix(a, b, n),
-        _on_qubit(_ry(t[2]), b, n),
-        _cnot_matrix(b, a, n),
-        _on_qubit(_rz(math.pi / 2), a, n),
-    )
-    mat = np.eye(1 << n, dtype=np.complex128)
-    for step in steps:
-        mat = step @ mat
+    return _cz_matrix(*gate.targets, n)
+
+
+def block_gates(a: int, b: int, p0, p1, p2) -> list[Gate]:
+    """The QCNN two-qubit block on ``(a, b)`` as its eight primitives, in application order."""
+    return [
+        Gate.rz(b, -math.pi / 2),
+        Gate.cnot(b, a),
+        Gate.rz(a, p0),
+        Gate.ry(b, p1),
+        Gate.cnot(a, b),
+        Gate.ry(b, p2),
+        Gate.cnot(b, a),
+        Gate.rz(a, math.pi / 2),
+    ]
+
+
+def qcnn_reference_unitary(n_qubits: int, params) -> np.ndarray:
+    """Dense unitary of the QCNN, one block after another in the paper's order.
+
+    While more than one qubit is active: blocks on the even pairs, then on
+    the odd pairs with wrap-around (only while more than two qubits are
+    active), then pooling blocks on the even pairs, which keep each pair's
+    second qubit. Each block takes the next three parameters.
+    """
+    active = list(range(n_qubits))
+    pairs = []
+    while len(active) > 1:
+        m = len(active)
+        even = [(active[i], active[i + 1]) for i in range(0, m, 2)]
+        odd = [(active[i], active[(i + 1) % m]) for i in range(1, m, 2)] if m > 2 else []
+        pairs += even + odd + even
+        active = [b for _, b in even]
+    mat = np.eye(1 << n_qubits, dtype=np.complex128)
+    for k, (a, b) in enumerate(pairs):
+        for gate in block_gates(a, b, *params[3 * k : 3 * k + 3]):
+            mat = gate_matrix(gate, n_qubits) @ mat
     return mat
 
 
@@ -210,9 +233,8 @@ def random_circuit(rng: np.random.Generator, max_qubits: int = 4, encoding: str 
 
     Each parameter slot is bound to at most one gate angle (as the real
     builders do), which keeps the plain two-term parameter-shift rule valid
-    as a gradient oracle. Input slots may be reused. Two-qubit ``BLOCK``
-    gates are drawn for amplitude encoding only: a circuit that reads input
-    slots may hold only one-qubit rotations and CNOT/CZ gates.
+    as a gradient oracle. Input slots may be reused. A drawn QCNN block
+    counts as one gate and adds its eight primitives.
     """
     n = int(rng.integers(1, max_qubits + 1))
     if encoding == "amplitude":
@@ -233,7 +255,7 @@ def random_circuit(rng: np.random.Generator, max_qubits: int = 4, encoding: str 
 
     ops = []
     kinds_1q = ["ry", "rz", "arb"]
-    kinds_2q = ["cnot", "cz", "block"] if encoding == "amplitude" else ["cnot", "cz"]
+    kinds_2q = ["cnot", "cz", "block"]
     for _ in range(n_gates):
         if n >= 2 and rng.integers(0, 2):
             kind = kinds_2q[int(rng.integers(0, len(kinds_2q)))]
@@ -243,7 +265,7 @@ def random_circuit(rng: np.random.Generator, max_qubits: int = 4, encoding: str 
             elif kind == "cz":
                 ops.append(Gate.cz(int(a), int(b)))
             else:
-                ops.append(Gate.block(int(a), int(b), slot(), slot(), slot()))
+                ops.extend(block_gates(int(a), int(b), slot(), slot(), slot()))
         else:
             kind = kinds_1q[int(rng.integers(0, 3))]
             q = int(rng.integers(0, n))

@@ -569,6 +569,24 @@ class TestRunGrid:
             assert (out / "results.jsonl").read_bytes() == results
             assert (out / "run_meta.json").read_bytes() == meta
 
+    def test_resume_refuses_another_package_version(self, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        run_grid(dict(TINY_RUN), tmp_path, out)
+        results = (out / "results.jsonl").read_bytes()
+        meta = (out / "run_meta.json").read_bytes()
+        version = harness.__version__
+        monkeypatch.setattr(harness, "__version__", version + ".post1")
+        with pytest.raises(ProtocolMismatchError, match=re.escape(f"version {version!r} -> '{version}.post1'")):
+            run_grid(dict(TINY_RUN), tmp_path, out)
+        assert (out / "results.jsonl").read_bytes() == results
+        assert (out / "run_meta.json").read_bytes() == meta
+        # a run_meta.json that records no version resumes, as for any absent key
+        stored = json.loads(meta)
+        del stored["version"]
+        (out / "run_meta.json").write_text(json.dumps(stored))
+        run_grid(dict(TINY_RUN), tmp_path, out)
+        assert json.loads((out / "run_meta.json").read_text())["n_skipped"] == 2
+
     def test_resume_refuses_changed_dataset_parameters(self, tmp_path):
         out = tmp_path / "out"
         run_grid(dict(TINY_RUN), tmp_path, out)

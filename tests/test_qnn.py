@@ -32,6 +32,7 @@ from oracles import (
     fd_scalar_grad,
     one_qubit_stage_circuit,
     param_shift_jacobian,
+    qcnn_reference_unitary,
     qnn_backward,
     qnn_forward,
     random_circuit,
@@ -143,21 +144,29 @@ class TestAmpGenBuilder:
 class TestQcnnBuilder:
     def test_structure_4(self):
         c = build_qcnn(4)
-        assert c.n_params == 24  # 8 two-qubit blocks
-        assert gate_count(c, GateKind.BLOCK) == 8
+        assert c.n_params == 24  # 8 two-qubit blocks, 3 params each
+        assert gate_count(c, GateKind.CNOT) == 24  # 3 per block
         assert c.observable.kind == "single_z" and c.observable.qubit == 3
         assert c.out_dim == 1
 
     def test_structure_8(self):
         c = build_qcnn(8)
         assert c.n_params == 60  # (8+4) + (4+2) + (1+1) blocks, 3 params each
-        assert gate_count(c, GateKind.BLOCK) == 20
+        assert gate_count(c, GateKind.CNOT) == 60  # 3 per block
         assert c.observable.qubit == 7
 
     def test_unsupported_sizes_rejected(self):
         for n in (2, 3, 6, 16):
             with pytest.raises(ValueError):
                 build_qcnn(n)
+
+    def test_unitary_matches_block_by_block_reference(self):
+        # the builder's gates against the oracle's own block, emitted block after block
+        rng = np.random.default_rng(60)
+        for n in (4, 8):
+            c = build_qcnn(n)
+            p = rng.normal(size=c.n_params)
+            assert np.abs(circuit_unitary(c, params=p) - qcnn_reference_unitary(n, p)).max() < 1e-12
 
 
 class TestInitParams:
@@ -194,14 +203,6 @@ class TestCircuitValidation:
     def test_gate_target_out_of_range(self):
         with pytest.raises(ValueError):
             Circuit(1, "angle", (Gate.ry(1, 0.1),), 0, 1, Observable.single_z(0))
-
-    def test_input_reading_circuit_refuses_block_gates(self):
-        block = Gate.block(0, 1, Angle.param(0), 0.2, 0.3)
-        with pytest.raises(ValueError, match="reads input slots may hold only one-qubit rotations and CNOT/CZ"):
-            Circuit(2, "angle", (Gate.ry(0, Angle.input(0)), block), 1, 1, Observable.global_z())
-        # the same gate in a circuit that reads no input slot runs on (2**n, B) columns
-        c = Circuit(2, "angle", (Gate.ry(0, 0.5), block), 1, 1, Observable.global_z())
-        assert not c.rows and not c.sample_major
 
 
 class TestForward:
@@ -321,25 +322,24 @@ class TestCompiledProgram:
     @staticmethod
     def layout(c):
         return [
-            ("perm",) if isinstance(op, SignedPerm) else ("stage", tuple((g.dim, g.per_sample) for g in op.gates))
+            ("perm",) if isinstance(op, SignedPerm) else ("stage", tuple((g.qubit, g.per_sample) for g in op.gates))
             for op in c.program
         ]
 
     def test_amp_gen_8_is_32_shared_stages_and_32_permutations(self):
         layout = self.layout(build_amp_gen(8, True))
-        assert layout == [("stage", ((2, False),) * 8), ("perm",)] * 32
+        assert layout == [("stage", tuple((q, False) for q in range(8))), ("perm",)] * 32
 
     def test_ang_ry_8_is_32_per_sample_stages_and_32_permutations(self):
         c = build_ang_ry(8, 256, True)
-        assert self.layout(c) == [("stage", ((2, True),) * 8), ("perm",)] * 32
+        assert self.layout(c) == [("stage", tuple((q, True) for q in range(8))), ("perm",)] * 32
         # RY encoding then ARB: four rotations per fused gate
         assert {len(g.angles) for op in c.program if isinstance(op, Stage) for g in op.gates} == {4}
 
     def test_unentangled_ang_arb_8_is_one_per_sample_stage(self):
         c = build_ang_arb(8, 256, False)
-        assert self.layout(c) == [("stage", ((2, True),) * 8)]
+        assert self.layout(c) == [("stage", tuple((q, True) for q in range(8)))]
         (stage,) = c.program
-        assert [g.qubits for g in stage.gates] == [(q,) for q in range(8)]
         assert {len(g.angles) for g in stage.gates} == {6 * 11}
         assert len(stage.groups) == 1
 
@@ -350,17 +350,14 @@ class TestCompiledProgram:
             # the identity permutation is dropped, so the kernel only multiplies
             assert op.perm is None and op.inv_perm is None and op.sign is not None
 
-    def test_qcnn_is_only_4x4_blocks(self):
-        for n, n_blocks in ((4, 8), (8, 20)):
-            (stage,) = build_qcnn(n).program
-            assert isinstance(stage, Stage)
-            assert [g.dim for g in stage.gates] == [4] * n_blocks
-            assert not any(g.per_sample for g in stage.gates)
-            # two-qubit gates do not commute: one kernel call per gate, no Kronecker block
-            assert not stage.commuting
-            assert [(app.qubits, app.members) for app in stage.apps] == [
-                (g.qubits, ((0, k, None),)) for k, g in enumerate(stage.gates)
-            ]
+    def test_qcnn_is_one_op_per_layer_step(self):
+        # The blocks of a layer are disjoint, so one step of every block fuses into
+        # one op: per layer three CNOT permutations and four rotation stages, the
+        # last stage shared with the next layer's first (5 layers at n=4, 8 at n=8).
+        for n, n_perms in ((4, 15), (8, 24)):
+            c = build_qcnn(n)
+            assert [isinstance(op, SignedPerm) for op in c.program] == [False, True] * n_perms + [False]
+            assert not any(g.per_sample for op in c.program if isinstance(op, Stage) for g in op.gates)
 
     def test_amp_gen_8_stages_are_two_4_qubit_kronecker_blocks(self):
         for op in build_amp_gen(8, True).program:
@@ -372,7 +369,7 @@ class TestCompiledProgram:
         # 20 features fill qubits 0-5 and two slots of qubit 6; qubit 7 reads only padding
         c = build_ang_arb(8, 20, True)
         (stage,) = c.program
-        assert stage.commuting and c.sample_major
+        assert c.sample_major
         per_sample = [any(stage.groups[gi].per_sample for gi, _, _ in app.members) for app in stage.apps]
         assert [(app.qubits, ps, len(app.members)) for app, ps in zip(stage.apps, per_sample)] == [
             ((3, 2, 1, 0), True, 4),
@@ -485,7 +482,8 @@ class TestBackwardMemory:
 
 @functools.lru_cache(maxsize=None)
 def _one_qubit_stage_cases():
-    """Random one-qubit-stage circuits for n = 1..10 (B=3 distinct rows), plus the Ang-Arb 8/l20 tail."""
+    """Random one-qubit-stage circuits for n = 1..10 (B=3 distinct rows), plus the
+    Ang-Arb 8/l20 tail and QCNN 4 and 8."""
     rng = np.random.default_rng(51)
     out = []
     for n in range(1, 11):
@@ -495,6 +493,8 @@ def _one_qubit_stage_cases():
             out.append((c, xs, p, rng.normal(size=(3, c.out_dim))))
     c = build_ang_arb(8, 20, True)
     out.append((c, rng.normal(size=(3, 20)), rng.normal(size=c.n_params), rng.normal(size=(3, 1))))
+    for c in (build_qcnn(4), build_qcnn(8)):
+        out.append((c, rng.normal(size=(3, c.n_inputs)), rng.normal(size=c.n_params), rng.normal(size=(3, 1))))
     return out
 
 
@@ -518,12 +518,10 @@ class TestKroneckerBlocks:
             for op in c.program:
                 if not isinstance(op, Stage):
                     continue
-                assert op.commuting
-                blocks = [app for app in op.apps if app.members[0][2] is not None]
-                widths |= {len(app.qubits) for app in blocks}
-                holes |= any(len(app.members) < len(app.qubits) for app in blocks)
-                blocks_per_stage.add(len(blocks))
-                mixed |= bool(blocks) and any(op.groups[gi].per_sample for app in op.apps for gi, _, _ in app.members)
+                widths |= {len(app.qubits) for app in op.apps}
+                holes |= any(len(app.members) < len(app.qubits) for app in op.apps)
+                blocks_per_stage.add(len(op.apps))
+                mixed |= any(op.groups[gi].per_sample for app in op.apps for gi, _, _ in app.members)
         assert widths == {1, 2, 3, 4} and holes and mixed and 3 in blocks_per_stage
 
     def test_forward_rows_match_dense_oracle(self):
@@ -593,8 +591,9 @@ class TestBackwardKernelCalls:
         assert calls == {"apply_rows": 31 * 2 * 2, "rows_overlap": 32 * 2}
 
     def test_qcnn_unapplies_every_gate(self, monkeypatch):
+        # 16 stages of one 4-qubit block; 10 of them hold parameters
         calls = self.count_calls(monkeypatch, build_qcnn(4))
-        assert calls == {"apply_gate": 8 * 2, "gate_overlap": 8}
+        assert calls == {"apply_gate": 15 * 2 + 1, "gate_overlap": 10}
 
 
 @functools.lru_cache(maxsize=None)

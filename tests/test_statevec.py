@@ -22,25 +22,26 @@ from hqnnbench.statevec import (
     rows_overlap,
 )
 
-from oracles import dense_circuit_state, dense_observable_matrices, gate_matrix
+from oracles import block_gates, dense_circuit_state, dense_observable_matrices, gate_matrix
 
 
-def random_gate(rng, n_qubits):
+def random_gates(rng, n_qubits):
+    """One random gate, or the eight primitives of a QCNN block."""
     choice = rng.integers(0, 6 if n_qubits >= 2 else 3)
     q = int(rng.integers(0, n_qubits))
     ang = lambda: float(rng.uniform(-2 * math.pi, 2 * math.pi))  # noqa: E731
     if choice == 0:
-        return Gate.ry(q, ang())
+        return [Gate.ry(q, ang())]
     if choice == 1:
-        return Gate.rz(q, ang())
+        return [Gate.rz(q, ang())]
     if choice == 2:
-        return Gate.arb(q, ang(), ang(), ang())
+        return [Gate.arb(q, ang(), ang(), ang())]
     a, b = rng.choice(n_qubits, size=2, replace=False)
     if choice == 3:
-        return Gate.cnot(int(a), int(b))
+        return [Gate.cnot(int(a), int(b))]
     if choice == 4:
-        return Gate.cz(int(a), int(b))
-    return Gate.block(int(a), int(b), ang(), ang(), ang())
+        return [Gate.cz(int(a), int(b))]
+    return block_gates(int(a), int(b), ang(), ang(), ang())
 
 
 def random_state(rng, n_qubits):
@@ -218,7 +219,7 @@ class TestDenseOracle:
         for _ in range(40):
             n = int(rng.integers(1, 5))
             x = rng.normal(size=1 << n)
-            gates = [random_gate(rng, n) for _ in range(int(rng.integers(1, 8)))]
+            gates = [g for _ in range(int(rng.integers(1, 8))) for g in random_gates(rng, n)]
             ref = x / np.linalg.norm(x)
             for g in gates:
                 ref = gate_matrix(g, n) @ ref
@@ -228,20 +229,14 @@ class TestDenseOracle:
 
     def test_block_expansion_is_unitary_and_consistent(self):
         rng = np.random.default_rng(12)
-        g = Gate.block(0, 2, 0.4, -1.2, 2.2)
-        m = gate_matrix(g, 3)
+        gates = block_gates(0, 2, 0.4, -1.2, 2.2)
+        m = np.eye(8)
+        for g in gates:
+            m = gate_matrix(g, 3) @ m
         assert np.allclose(m @ m.conj().T, np.eye(8), atol=1e-12)
         x = rng.normal(size=8)
         ref = m @ (x / np.linalg.norm(x))
-        assert np.abs(final_state(3, (g,), x=x) - ref).max() < 1e-12
-
-    def test_block_is_one_4x4_matching_the_oracle(self):
-        for a, b, n in ((0, 1, 2), (1, 0, 2), (0, 2, 3), (2, 0, 3)):
-            g = Gate.block(a, b, 0.1, 0.2, 0.3)
-            circuit = Circuit(n, "amplitude", (g,), 0, 1 << n, Observable.global_z())
-            (stage,) = circuit.program
-            assert [(f.qubits, f.dim) for f in stage.gates] == [((a, b), 4)]
-            assert np.abs(simulated_matrix(n, (g,)) - gate_matrix(g, n)).max() < 1e-14
+        assert np.abs(final_state(3, gates, x=x) - ref).max() < 1e-12
 
 
 class TestBatchedKernels:
@@ -356,6 +351,7 @@ class TestRowKernels:
                     assert np.abs(got[b] - ref).max() < 1e-12
 
     def test_kernels_refuse_qubits_off_a_descending_run(self):
+        # the column kernels too, on the (2**n, B) view of each storage
         rng = np.random.default_rng(20)
         for rows, out in self.storages(rng):
             for qubits in ((1, 3), (4, 0), (0, 2)):
@@ -364,6 +360,10 @@ class TestRowKernels:
                     apply_rows(rows, qubits, u, out)
                 with pytest.raises(ValueError, match="descending run"):
                     rows_overlap(rows, out, qubits)
+                with pytest.raises(ValueError, match="descending run"):
+                    apply_gate(rows.T, qubits, u[0], out.T)
+                with pytest.raises(ValueError, match="descending run"):
+                    gate_overlap(rows.T, out.T, qubits)
 
 
 class TestSignedPermutation:
@@ -392,7 +392,7 @@ class TestFusion:
         ops = (Gate.ry(0, 0.3), Gate.rz(1, 0.2), Gate.arb(0, 0.1, -0.5, 0.9), Gate.rz(0, 1.3))
         c = Circuit(2, "angle", ops, 0, 1, Observable.global_z())
         (stage,) = c.program
-        assert [(f.qubits, len(f.angles)) for f in stage.gates] == [((0,), 5), ((1,), 1)]
+        assert [(f.qubit, len(f.angles)) for f in stage.gates] == [(0, 5), (1, 1)]
         assert isinstance(stage.gates[0], FusedGate)
         ref = np.eye(4)
         for g in ops:
