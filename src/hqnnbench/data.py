@@ -154,10 +154,12 @@ def load_npz(path, images_key: str, labels_key: str) -> Dataset:
         raise DataFormatError(f"{labels_key}: expected shape [n] or [n,1], got {labels.shape}")
     if labels.shape[0] != images.shape[0]:
         raise DataFormatError(f"{labels_key}: {labels.shape[0]} labels for {images.shape[0]} images")
-    labels = labels.astype(np.int64)
+    if labels.dtype.kind not in "biuf":
+        raise DataFormatError(f"{labels_key}: labels need a bool, integer or float dtype, got {labels.dtype}")
+    # the raw values, before the cast: casting truncates 0.7 to 0 and warns on NaN
     if not np.isin(labels, (0, 1)).all():
         raise DataFormatError(f"{labels_key}: labels must be 0/1")
-    return Dataset(_canonical_images(images), labels)
+    return Dataset(_canonical_images(images), labels.astype(np.int64))
 
 
 # ---------------------------------------------------------------------------

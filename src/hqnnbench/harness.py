@@ -10,9 +10,10 @@ Persistence: ``results.jsonl`` holds one JSON object per configuration with
 sorted keys and no timing information, so identical runs produce
 byte-identical files; wall-clock timings go to ``timings.jsonl``. Completed
 configurations (keyed by config hash) are skipped on re-run; a re-run whose
-epochs, folds, seed, batch size, aggregate, dataset name or data digest
-differ from the stored, atomically replaced ``run_meta.json``, or whose
-``run_meta.json`` does not parse, is refused.
+epochs, folds, seed, batch size, aggregate, dataset name, data digest or
+package version (``hqnnbench.__version__``) differ from the stored,
+atomically replaced ``run_meta.json``, or whose ``run_meta.json`` does not
+parse, is refused.
 
 Training and run code call the layers through this module's globals, where
 ``perfbench/spans.py`` wraps them for its traced runs.

@@ -23,10 +23,12 @@ fused gates (Jones & Gacon, arXiv:2009.02823; the fusion follows qsim):
 * every maximal run of CNOT/CZ gates becomes one signed basis permutation,
   ``out[i] = sign[i] * a[perm[i]]``.
 
-A fused gate is *batch-shared* when all its angles are parameters or
-constants and *per-sample* when it reads an input slot. The fused gates
-between two permutations form a ``Stage``; the small matrices of a stage are
-computed together, one batch of ``(2, 2, G, B)`` arrays per step signature.
+The fused gates between two permutations form a ``Stage``: one ``(G, L)``
+table of RY and RZ steps, gate by step, whose ``(2, 2, L, G, Bx)`` step
+matrices are built in one pass and multiplied along the step axis. The
+batch extent ``Bx`` belongs to the circuit, not to a gate: it is B when the
+circuit reads input slots, so every gate of such a circuit is per-sample,
+and 1 when it reads none.
 
 The state's layout is fixed per circuit, from what it reads. A circuit that
 reads input slots (Ang-RY, Ang-Arb: data re-uploading in every layer) keeps
@@ -42,8 +44,8 @@ Every stage is a *Kronecker layer*: its gates act on distinct qubits and
 commute. They are applied as blocks of adjacent qubits, each one d x d
 unitary (d <= 16), the Kronecker product of its members' ``(2, 2, Bx)``
 matrices with the identity on any qubit in the block's run that no member
-occupies. A block is per-sample, one matrix per batch column, as soon as one
-member is. Blocks of a circuit on columns span up to ``_KRON_QUBITS``
+occupies: one matrix per sample in a circuit on rows, one for the batch in a
+circuit on columns. Blocks of a circuit on columns span up to ``_KRON_QUBITS``
 qubits; blocks of a circuit on rows at most half the register, so at n = 8 a
 data re-uploading layer is two 16x16 blocks per sample, which the stage
 applies to each sample's 16x16 amplitude matrix ``Psi_b`` as
@@ -53,15 +55,17 @@ Gradients are computed in adjoint mode: one forward pass, then a single
 reverse sweep that un-applies each fused gate ``U`` on the state ``psi``
 and on ``mu = conj(lambda)`` (with ``U^T``, so no conjugate copies are
 made). Before un-applying, it takes one reduced overlap per gate,
-``G_ij = sum_rest conj(lambda_i) psi_j`` on the gate's qubit: per sample
-for per-sample gates, summed over the batch for shared ones. With
-``U = S_k R_k P_k`` for rotation ``k``, every angle gradient of the gate
-follows from ``G`` alone::
+``G_ij = sum_rest conj(lambda_i) psi_j`` on the gate's qubit, with the
+circuit's batch extent: per sample on rows, summed over the batch on
+columns. With ``U = S_k R_k P_k`` for rotation ``k``, every angle gradient
+of the gate follows from ``G`` alone::
 
-    g_k = Re tr(S_k^H G^T S_k Gamma_k),   Gamma_k = 2 dR_k/dt R_k^-1
+    g_k = Re tr(W_k Gamma_k),   W_k = S_k^H G^T S_k,   Gamma_k = 2 dR_k/dt R_k^-1
 
-where ``Gamma_k`` is the constant RY(pi) or RZ(pi). Every overlap of a stage
-is taken at its output, before any un-apply: one d x d overlap per block
+where ``Gamma_k`` is the constant RY(pi) or RZ(pi), so an RY step's
+gradient is ``Re(W_01 - W_10)`` and an RZ step's ``Im(W_00 - W_11)``. Every
+overlap of a stage is taken at its output, before any un-apply, and a stage
+with no parameter or input slot takes none: one d x d overlap per block
 (for per-sample blocks ``M_b P_b^T`` and ``M_b^T P_b`` on the sample
 matrices of ``mu`` and ``psi``), from which each member's 2x2 overlap is the
 partial trace over the block's other qubits (un-applying a unitary on
@@ -94,7 +98,6 @@ from .statevec import (
     expval_batch,
     gate_overlap,
     measurement_diagonals,
-    rotation_matrices,
     rows_overlap,
 )
 
@@ -106,8 +109,6 @@ _NORM_EPS = 1e-12
 
 # A fused gate is a product of "ry" and "rz" steps on one qubit, each reading one angle.
 _ROTATION_STEPS = {GateKind.RY: ("ry",), GateKind.RZ: ("rz",), GateKind.ARB: ("rz", "ry", "rz")}
-# 2 dR/dt R^-1 = R(pi) for both rotation kinds.
-_GENERATORS = {"ry": np.array([[0, -1], [1, 0]], dtype=np.complex128), "rz": np.diag([-1j, 1j])}
 
 
 def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -118,11 +119,11 @@ def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _product(mats: list[np.ndarray]) -> np.ndarray:
-    """``mats[-1] @ ... @ mats[0]``: the steps in application order."""
-    u = mats[0]
-    for m in mats[1:]:
-        u = _mm(m, u)
+def _product(mats: np.ndarray) -> np.ndarray:
+    """Each gate's unitary ``(2, 2, G, Bx)`` from step matrices ``(2, 2, L, G, Bx)``, steps in application order."""
+    u = mats[:, :, 0]
+    for r in range(1, mats.shape[2]):
+        u = _mm(mats[:, :, r], u)
     return u
 
 
@@ -133,64 +134,6 @@ class FusedGate:
     qubit: int
     steps: tuple[str, ...]
     angles: tuple[Angle, ...]  # one per step, in application order
-
-    @property
-    def per_sample(self) -> bool:
-        return any(a.source == "input" for a in self.angles)
-
-
-class _Group:
-    """The gates of one stage with one step signature, handled as a batch.
-
-    Matrices are matrix-major, ``(2, 2, G, Bx)``: ``G`` counts the gates and
-    ``Bx`` is the batch for per-sample gates and 1 for shared ones.
-    """
-
-    def __init__(self, gates: list[FusedGate]):
-        first = gates[0]
-        self.steps, self.per_sample = first.steps, first.per_sample
-        self.shape = (len(gates), len(first.angles))
-        flat = [a for g in gates for a in g.angles]  # gate-major
-        self.const = np.array([a.value for a in flat])
-        pos = {src: np.array([k for k, a in enumerate(flat) if a.source == src], dtype=np.intp) for src in ("param", "input")}
-        self.param_pos, self.input_pos = pos["param"], pos["input"]
-        self.param_idx = np.array([flat[k].index for k in self.param_pos], dtype=np.intp)
-        self.input_idx = np.array([flat[k].index for k in self.input_pos], dtype=np.intp)
-        self.live = np.zeros(self.shape[1], dtype=bool)  # rotations with a gradient to find
-        self.live[np.concatenate([self.param_pos, self.input_pos]) % self.shape[1]] = True
-        self.first_live = int(np.argmax(self.live))
-        # tr(W Gamma) as a sum over Gamma's nonzero entries Gamma[j, i] W[i, j]
-        gammas = [_GENERATORS[kind] for kind in self.steps]
-        self.traces = [[(i, j, gamma[j, i]) for j, i in zip(*np.nonzero(gamma))] for gamma in gammas]
-
-    def step_matrices(self, x: np.ndarray, params: np.ndarray) -> list[np.ndarray]:
-        bx = x.shape[0] if self.per_sample else 1
-        angles = np.empty((self.const.size, bx))
-        angles[:] = self.const[:, None]
-        angles[self.param_pos] = params[self.param_idx, None]
-        if self.per_sample:
-            angles[self.input_pos] = x[:, self.input_idx].T
-        angles = angles.reshape(self.shape + (bx,))
-        return [rotation_matrices(kind, angles[:, r]) for r, kind in enumerate(self.steps)]
-
-    def gradients(self, overlaps: np.ndarray, mats: list[np.ndarray]) -> np.ndarray:
-        """Angle gradients ``(G, n_rot, Bx)`` from the overlaps ``(2, 2, G, Bx)``."""
-        w = overlaps.swapaxes(0, 1)  # S_k^H G^T S_k, starting from the last step
-        grads = np.zeros((self.shape[0], self.shape[1], overlaps.shape[3]))
-        for r in range(self.shape[1] - 1, self.first_live - 1, -1):
-            if self.live[r]:
-                grads[:, r] = sum(c * w[i, j] for i, j, c in self.traces[r]).real
-            if r > self.first_live:
-                m = mats[r]
-                w = _mm(_mm(m.conj().swapaxes(0, 1), w), m)
-        return grads
-
-    def scatter(self, grads: np.ndarray, grad_inputs: np.ndarray, grad_params: np.ndarray) -> None:
-        flat = grads.reshape(self.const.size, -1)
-        if self.param_pos.size:
-            np.add.at(grad_params, self.param_idx, flat[self.param_pos].sum(axis=1))
-        if self.input_pos.size:
-            np.add.at(grad_inputs, (slice(None), self.input_idx), flat[self.input_pos].T)
 
 
 # Qubits per Kronecker block. Amp-Gen 8 fwd+bwd at B=256 on 2 cores, median
@@ -213,10 +156,10 @@ _SAMPLE_MAJOR_QUBITS = 3
 def _block_width(n_qubits: int, rows: bool) -> int:
     """Qubits per Kronecker block of a stage.
 
-    In a circuit that reads inputs a block is per-sample as soon as one
-    member is, and costs a ``(B, d, d)`` Kronecker product per stage, so it
-    spans at most half the register: at n = 4 one 16x16 block per sample
-    costs more to build than the four gates it replaces.
+    In a circuit that reads inputs every block is per-sample and costs a
+    ``(B, d, d)`` Kronecker product per stage, so it spans at most half the
+    register: at n = 4 one 16x16 block per sample costs more to build than
+    the four gates it replaces.
     """
     return min(_KRON_QUBITS, (n_qubits + 1) // 2) if rows else _KRON_QUBITS
 
@@ -262,25 +205,26 @@ def _wire_overlaps(g: np.ndarray) -> list[np.ndarray]:
 class _Apply:
     """One kernel call of a stage: a Kronecker block.
 
-    ``members`` are ``(group, slot, wire)``. A block is the Kronecker product
-    of one-qubit gates on the descending run ``qubits``, with the identity on
-    any wire that no member occupies; it is per-sample as soon as one member
-    is.
+    ``members`` are ``(slot, wire)``: the gate in row ``slot`` of the stage's
+    table sits on wire ``wire`` of the descending run ``qubits``. The block is
+    the Kronecker product of its members, with the identity on any wire that
+    no member occupies.
     """
 
     qubits: tuple[int, ...]
-    members: tuple[tuple[int, int, int], ...]
+    members: tuple[tuple[int, int], ...]
 
-    def unitary(self, us: list[np.ndarray], out: np.ndarray | None = None, scratch: np.ndarray | None = None) -> np.ndarray:
-        """The call's matrix, batch-first ``(Bx, d, d)``.
+    def unitary(self, us: np.ndarray, out: np.ndarray | None = None, scratch: np.ndarray | None = None) -> np.ndarray:
+        """The call's matrix, batch-first ``(Bx, d, d)``, from the gate unitaries ``us`` ``(2, 2, G, Bx)``.
 
-        Without ``out`` it is a view of matrix-major storage. With it, it is
-        a C-contiguous copy in ``out``'s storage, and the last Kronecker
+        Without ``out`` it is a view of matrix-major storage, which the
+        elementwise row kernel reads with the batch contiguous. With it, it
+        is a C-contiguous copy in ``out``'s storage, and the last Kronecker
         product is built in ``scratch``'s.
         """
         factors = [_I2] * len(self.qubits)
-        for gi, slot, wire in self.members:
-            factors[wire] = us[gi][:, :, slot]
+        for slot, wire in self.members:
+            factors[wire] = us[:, :, slot]
         u = _kron(factors, scratch)
         if out is None:
             return u.transpose(2, 0, 1)
@@ -288,23 +232,21 @@ class _Apply:
         np.copyto(t, u.transpose(2, 0, 1))
         return t
 
-    def take_overlaps(self, circuit: Circuit, mu: np.ndarray, psi: np.ndarray, spare: np.ndarray, overlaps: list) -> None:
-        """Write the overlaps of the members that have gradients to find.
-
-        The states are in ``circuit``'s storage; a member of a shared group
-        sums its overlap over the batch.
-        """
-        if all(overlaps[gi] is None for gi, _, _ in self.members):
-            return
+    def take_overlaps(self, circuit: Circuit, mu: np.ndarray, psi: np.ndarray, spare: np.ndarray, overlaps: np.ndarray) -> None:
+        """Write each member's overlap into its slot of ``overlaps`` ``(2, 2, G, Bx)``; the states are in ``circuit``'s storage."""
         per_wire = _wire_overlaps(_overlap(circuit, mu, psi, spare, self.qubits))
-        for gi, slot, wire in self.members:
-            if overlaps[gi] is not None:
-                ov = per_wire[wire]
-                overlaps[gi][:, :, slot] = ov if overlaps[gi].shape[3] == ov.shape[2] else ov.sum(axis=2, keepdims=True)
+        for slot, wire in self.members:
+            overlaps[:, :, slot] = per_wire[wire]
 
 
 class Stage:
-    """Fused gates between two entangler runs.
+    """Fused gates between two entangler runs, as one table of rotations.
+
+    Gate ``g`` is row ``g`` of a ``(G, L)`` table (``shape``); each entry is
+    an RY or RZ step and its angle, in application order. A gate of fewer
+    than ``L`` steps is padded at its front with constant RZ(0), an exact
+    identity. The arrays below run over the table step by step, so one
+    step's matrices for all gates are contiguous.
 
     The gates act on distinct qubits and commute: they are applied as
     Kronecker blocks of ``width`` adjacent qubits (``q // width``), and the
@@ -313,26 +255,78 @@ class Stage:
 
     def __init__(self, gates: list[FusedGate], width: int):
         self.gates = tuple(gates)
-        keys: dict = {}
-        members: list[list[FusedGate]] = []
-        where = []
-        for g in self.gates:
-            key = (g.steps, g.per_sample)
-            if key not in keys:
-                keys[key] = len(members)
-                members.append([])
-            where.append((keys[key], len(members[keys[key]])))
-            members[keys[key]].append(g)
-        self.groups = tuple(_Group(m) for m in members)
-        blocks: dict[int, dict[int, tuple[int, int]]] = {}
-        for g, (gi, slot) in zip(self.gates, where):
-            blocks.setdefault(g.qubit // width, {})[g.qubit] = (gi, slot)
+        n_steps = max(len(g.steps) for g in gates)
+        pad = [n_steps - len(g.steps) for g in gates]
+        self.table = tuple(
+            tuple(zip(("rz",) * k + g.steps, (Angle.const(0.0),) * k + g.angles)) for g, k in zip(gates, pad)
+        )
+        self.shape = (len(gates), n_steps)
+        flat = [row[r] for r in range(n_steps) for row in self.table]  # step-major
+        self.ry = np.array([kind == "ry" for kind, _ in flat]).reshape(n_steps, -1, 1)
+        self.rz = ~self.ry
+        self.const = np.array([a.value for _, a in flat])
+        pos = {src: np.array([k for k, (_, a) in enumerate(flat) if a.source == src], dtype=np.intp) for src in ("param", "input")}
+        self.param_pos, self.input_pos = pos["param"], pos["input"]
+        self.param_idx = np.array([flat[k][1].index for k in self.param_pos], dtype=np.intp)
+        self.input_idx = np.array([flat[k][1].index for k in self.input_pos], dtype=np.intp)
+        live = np.zeros(len(flat), dtype=bool)
+        live[self.param_pos] = live[self.input_pos] = True
+        self.live = live.reshape(n_steps, -1).any(axis=1)  # steps with a gradient to find
+        self.first_live = int(np.argmax(self.live))
+        blocks: dict[int, dict[int, int]] = {}
+        for slot, g in enumerate(self.gates):
+            blocks.setdefault(g.qubit // width, {})[g.qubit] = slot
         apps = []
         for _, block in sorted(blocks.items()):
             hi, lo = max(block), min(block)
-            wires = tuple((gi, slot, hi - q) for q, (gi, slot) in block.items())
-            apps.append(_Apply(tuple(range(hi, lo - 1, -1)), wires))
+            apps.append(_Apply(tuple(range(hi, lo - 1, -1)), tuple((slot, hi - q) for q, slot in block.items())))
         self.apps = tuple(apps)
+
+    def step_matrices(self, x: np.ndarray, params: np.ndarray, bx: int) -> np.ndarray:
+        """Every entry's 2x2, matrix-major ``(2, 2, L, G, Bx)``; ``Bx`` is the circuit's batch extent."""
+        angles = np.empty((self.const.size, bx))
+        angles[:] = self.const[:, None]
+        angles[self.param_pos] = params[self.param_idx, None]
+        if self.input_pos.size:
+            angles[self.input_pos] = x[:, self.input_idx].T
+        half = np.multiply(angles, 0.5, out=angles).reshape(self.ry.shape[:2] + (bx,))
+        # RY is [[c, -s], [s, c]] and RZ diag(c - 1j s, c + 1j s). The masked
+        # writes need no temporaries: s sits in m[0, 1]'s storage until that
+        # entry is written last, and 0 -/+ s signs a zero imaginary part as
+        # c -/+ 1j s does.
+        m = np.empty((2, 2) + half.shape, dtype=np.complex128)
+        re, im = m.real, m.imag
+        s = np.sin(half, out=_storage(m[0, 1].view(np.float64), half.shape))
+        c = np.cos(half, out=half)
+        m[0, 0] = m[1, 1] = c
+        m[1, 0] = 0.0
+        np.copyto(re[1, 0], s, where=self.ry)
+        np.subtract(0.0, s, out=im[0, 0], where=self.rz)
+        np.add(0.0, s, out=im[1, 1], where=self.rz)
+        m[0, 1] = 0.0
+        np.negative(re[1, 0], out=re[0, 1], where=self.ry)
+        return m
+
+    def add_gradients(self, overlaps: np.ndarray, mats: np.ndarray, grad_inputs: np.ndarray, grad_params: np.ndarray) -> None:
+        """Add the angle gradients from the overlaps ``(2, 2, G, Bx)`` and the step matrices.
+
+        With ``W = S^H G^T S``, where ``S`` is the product of the steps after
+        step ``r``, an RY step's gradient is ``Re(W01 - W10)`` and an RZ
+        step's ``Im(W00 - W11)``.
+        """
+        w = overlaps.swapaxes(0, 1)
+        grads = np.zeros(mats.shape[2:])
+        for r in range(self.shape[1] - 1, self.first_live - 1, -1):
+            if self.live[r]:
+                grads[r] = np.where(self.ry[r], w[0, 1].real - w[1, 0].real, w[0, 0].imag - w[1, 1].imag)
+            if r > self.first_live:
+                m = mats[:, :, r]
+                w = _mm(_mm(m.conj().swapaxes(0, 1), w), m)
+        flat = grads.reshape(self.const.size, -1)
+        if self.param_pos.size:
+            np.add.at(grad_params, self.param_idx, flat[self.param_pos].sum(axis=1))
+        if self.input_pos.size:
+            np.add.at(grad_inputs, (slice(None), self.input_idx), flat[self.input_pos].T)
 
 
 class SignedPerm:
@@ -707,6 +701,7 @@ def qnn_forward_batch(
     p = np.asarray(params, dtype=np.float64)
     _check_shapes(circuit, x, p)
     state = _encode_batch(circuit, x)
+    bx = x.shape[0] if circuit.rows else 1
     # The spare state, and room for the contiguous per-sample matrices of a
     # sample-major circuit. One allocation: as two, they raised the peak RSS
     # of the 8-qubit hybrid benchmark by ~4 MB.
@@ -715,7 +710,7 @@ def qnn_forward_batch(
         if isinstance(op, SignedPerm):
             state, buf = _permute(circuit, state, op.perm, op.sign, buf), state
             continue
-        us = [_product(g.step_matrices(x, p)) for g in op.groups]
+        us = _product(op.step_matrices(x, p, bx))
         for app in op.apps:
             u = app.unitary(us, work, buf) if circuit.sample_major else app.unitary(us)
             state, buf = _apply(circuit, state, app.qubits, u, buf), state
@@ -752,27 +747,24 @@ def qnn_backward_batch(
 
     grad_inputs = np.zeros_like(x)
     grad_params = np.zeros(circuit.n_params)
+    bx = x.shape[0] if circuit.rows else 1
     for op in reversed(circuit.program):
         if isinstance(op, SignedPerm):
             psi, psi_buf = _permute(circuit, psi, op.inv_perm, op.inv_sign, psi_buf), psi
             mu, mu_buf = _permute(circuit, mu, op.inv_perm, op.inv_sign, mu_buf), mu
             continue
-        mats = [g.step_matrices(x, p) for g in op.groups]
-        us = [_product(m) for m in mats]
-        overlaps = [
-            np.empty((2, 2, g.shape[0], x.shape[0] if g.per_sample else 1), dtype=np.complex128)
-            if g.live.any()
-            else None
-            for g in op.groups
-        ]
+        mats = op.step_matrices(x, p, bx)
+        us = _product(mats)
+        live = op.live.any()
+        if live:  # every overlap is taken at the stage output, before any un-apply
+            overlaps = np.empty((2, 2, op.shape[0], bx), dtype=np.complex128)
+            for app in op.apps:
+                app.take_overlaps(circuit, mu, psi, psi_buf, overlaps)
 
         # Nothing reads psi after the last op of the sweep, and mu only for
-        # an amplitude-encoded input gradient; a stage takes every overlap
-        # before un-applying anything.
+        # an amplitude-encoded input gradient.
         last = op is circuit.program[0]
         keep_psi, keep_mu = not last, not last or circuit.encoding == "amplitude"
-        for app in op.apps:
-            app.take_overlaps(circuit, mu, psi, psi_buf, overlaps)
         for app in reversed(op.apps):
             # U^T un-applies a call from mu, then conj(U^T) = U^H from psi. A
             # contiguous U sits in mu_buf, so mu goes into psi's spare storage
@@ -783,9 +775,8 @@ def qnn_backward_batch(
             if keep_psi:
                 uh = np.conjugate(ut, out=ut) if circuit.sample_major else ut.conj()
                 psi, psi_buf = _apply(circuit, psi, app.qubits, uh, psi_buf), psi
-        for group, ov, m in zip(op.groups, overlaps, mats):
-            if ov is not None:
-                group.scatter(group.gradients(ov, m), grad_inputs, grad_params)
+        if live:
+            op.add_gradients(overlaps, mats, grad_inputs, grad_params)
 
     if circuit.encoding == "amplitude":
         # mu is now conj((U^dag M U) psi0); the real-direction gradient on the

@@ -32,17 +32,19 @@ A circuit that reads input slots keeps its state as ``(B, 2**n)`` rows, in
 which each sample's amplitudes on a run form a ``(R, d, C)`` block.
 ``apply_rows`` applies ``u[b]`` to sample ``b`` and ``rows_overlap`` takes
 the per-sample overlaps. Their matrices are batch-first, ``(Bx, d, d)``
-with ``Bx`` 1 (batch-shared) or B. On sample-major storage each is one
-stacked BLAS matmul. At n = 8 a sample is a 16 x 16 matrix, so a 4-qubit
-block on qubits 7-4 multiplies it from the left and one on qubits 3-0 from
-the right. On the transposed view of ``(2**n, B)`` storage they are
-elementwise over the contiguous batch, which is faster for 4 x 4 blocks and
-smaller. ``apply_signed_perm`` gathers along the basis axis of either
-storage.
+with ``Bx`` 1 (one matrix for the batch) or B; ``hqnnbench.qnn`` passes B,
+since every block of a circuit on rows is per-sample. On sample-major
+storage each is one stacked BLAS matmul. At n = 8 a sample is a 16 x 16
+matrix, so a 4-qubit block on qubits 7-4 multiplies it from the left and
+one on qubits 3-0 from the right. On the transposed view of ``(2**n, B)``
+storage they are elementwise over the contiguous batch, which is faster for
+4 x 4 blocks and smaller. ``apply_signed_perm`` gathers along the basis
+axis of either storage.
 
-Every other small matrix is matrix-major, ``(d, d, ...)``, so its batch axes
-stay contiguous too. ``expval_batch`` takes a ``(B, 2**n)`` view of the
-state, which is also what the forward pass returns as its state.
+The small matrices that ``hqnnbench.qnn`` builds for the kernels are
+matrix-major, ``(d, d, ...)``, so their batch axes stay contiguous too.
+``expval_batch`` takes a ``(B, 2**n)`` view of the state, which is also what
+the forward pass returns as its state.
 """
 
 from __future__ import annotations
@@ -173,21 +175,6 @@ class Gate:
 # outliers (d=4 on qubits 4-5: 8-37 ms once in 300 calls, median 0.15 ms),
 # but narrower calls cost up to twice as much per column at d = 16.
 _BLAS_COLS = 4096
-
-
-def rotation_matrices(kind: str, theta) -> np.ndarray:
-    """RY or RZ matrices in matrix-major layout: shape (2, 2) + theta's shape."""
-    half = np.multiply(theta, 0.5)
-    c, s = np.cos(half), np.sin(half)
-    m = np.zeros((2, 2) + np.shape(theta), dtype=np.complex128)
-    if kind == "ry":
-        m[0, 0] = m[1, 1] = c
-        m[0, 1] = -s
-        m[1, 0] = s
-    else:
-        m[0, 0] = c - 1j * s
-        m[1, 1] = c + 1j * s
-    return m
 
 
 def _run_low(dim: int, qubits: tuple[int, ...]) -> int:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import warnings
 import zipfile
 
 import numpy as np
@@ -190,6 +191,32 @@ class TestNpz:
         p = tmp_path / "d.npz"
         np.savez(p, images=np.zeros((3, 4)), labels=np.array([0, 1, 2]))
         with pytest.raises(DataFormatError, match="0/1"):
+            load_npz(p, "images", "labels")
+
+    @pytest.mark.parametrize(
+        "labels", [np.array([0, 1, 0.7, 1, 0, -0.5]), np.array([0.0, 1.0, np.nan, 1.0, 0.0, 1.0])], ids=["fraction", "nan"]
+    )
+    def test_non_binary_float_labels_rejected_before_the_cast(self, tmp_path, labels):
+        # a cast first would load 0.7 and -0.5 as 0, and warn on NaN
+        p = tmp_path / "d.npz"
+        np.savez(p, images=np.zeros((6, 4)), labels=labels)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataFormatError, match="0/1"):
+                load_npz(p, "images", "labels")
+
+    @pytest.mark.parametrize("labels", [np.array([0.0, 1.0, 1.0, 0.0]), np.array([False, True, True, False])])
+    def test_float_and_bool_labels_load(self, tmp_path, labels):
+        p = tmp_path / "d.npz"
+        np.savez(p, images=np.zeros((4, 4)), labels=labels)
+        ds = load_npz(p, "images", "labels")
+        assert ds.labels.dtype == np.int64 and ds.labels.tolist() == [0, 1, 1, 0]
+
+    @pytest.mark.parametrize("labels", [np.array(["0", "1"]), np.array([0j, 1 + 0j])], ids=["str", "complex"])
+    def test_label_dtype_must_be_bool_integer_or_float(self, tmp_path, labels):
+        p = tmp_path / "d.npz"
+        np.savez(p, images=np.zeros((2, 4)), labels=labels)
+        with pytest.raises(DataFormatError, match="dtype"):
             load_npz(p, "images", "labels")
 
     def test_missing_entry_lists_names(self, tmp_path):

@@ -6,6 +6,7 @@ import hashlib
 import importlib
 import json
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -933,6 +934,21 @@ class TestCli:
         for name, target in scripts.items():
             module, _, attr = target.partition(":")
             assert callable(getattr(importlib.import_module(module), attr, None)), name
+
+    def test_version_has_one_source(self):
+        # results resume only under the same hqnnbench.__version__, so the
+        # distribution's version is read from it rather than repeated
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        config = tomllib.loads(pyproject.read_text())
+        assert "version" not in config["project"] and "version" in config["project"]["dynamic"]
+        assert config["tool"]["setuptools"]["dynamic"]["version"] == {"attr": "hqnnbench.__version__"}
+        pyprojecttoml = pytest.importorskip("setuptools.config.pyprojecttoml")
+        with warnings.catch_warnings():
+            # setuptools before 68 warns that [tool.setuptools] support is beta
+            warnings.filterwarnings("ignore", message=r"Support for `\[tool\.setuptools\]`")
+            expanded = pyprojecttoml.read_configuration(pyproject)
+        assert expanded["project"]["version"] == importlib.import_module("hqnnbench").__version__
 
     def test_selftest_is_unknown_command(self, capsys):
         with pytest.raises(SystemExit) as exc:

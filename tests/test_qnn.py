@@ -316,13 +316,18 @@ class TestAdjointGradients:
         assert np.allclose(gp_b, gp_sum, atol=1e-12)
 
 
+def _reads_input(angles) -> bool:
+    return any(a.source == "input" for a in angles)
+
+
 class TestCompiledProgram:
     """The fusion read off the builders; a fallback to per-rotation gates shows here."""
 
     @staticmethod
     def layout(c):
+        """Each op as ("perm",) or ("stage", ((qubit, reads an input slot), ...))."""
         return [
-            ("perm",) if isinstance(op, SignedPerm) else ("stage", tuple((g.qubit, g.per_sample) for g in op.gates))
+            ("perm",) if isinstance(op, SignedPerm) else ("stage", tuple((g.qubit, _reads_input(g.angles)) for g in op.gates))
             for op in c.program
         ]
 
@@ -341,7 +346,7 @@ class TestCompiledProgram:
         assert self.layout(c) == [("stage", tuple((q, True) for q in range(8)))]
         (stage,) = c.program
         assert {len(g.angles) for g in stage.gates} == {6 * 11}
-        assert len(stage.groups) == 1
+        assert stage.shape == (8, 66)  # one table: 8 gates by 66 steps
 
     def test_entangled_ang_arb_cz_layers_are_sign_only_permutations(self):
         perms = [op for op in build_ang_arb(4, 36, True).program if isinstance(op, SignedPerm)]
@@ -357,27 +362,27 @@ class TestCompiledProgram:
         for n, n_perms in ((4, 15), (8, 24)):
             c = build_qcnn(n)
             assert [isinstance(op, SignedPerm) for op in c.program] == [False, True] * n_perms + [False]
-            assert not any(g.per_sample for op in c.program if isinstance(op, Stage) for g in op.gates)
+            assert not any(_reads_input(g.angles) for op in c.program if isinstance(op, Stage) for g in op.gates)
 
     def test_amp_gen_8_stages_are_two_4_qubit_kronecker_blocks(self):
         for op in build_amp_gen(8, True).program:
             if isinstance(op, Stage):
                 assert [app.qubits for app in op.apps] == [(3, 2, 1, 0), (7, 6, 5, 4)]
-                assert [sorted(w for _, _, w in app.members) for app in op.apps] == [[0, 1, 2, 3]] * 2
+                # (wire, qubit) of each member: wire 0 is the block's top qubit
+                assert [sorted((w, op.gates[slot].qubit) for slot, w in app.members) for app in op.apps] == [
+                    [(0, 3), (1, 2), (2, 1), (3, 0)],
+                    [(0, 7), (1, 6), (2, 5), (3, 4)],
+                ]
 
     def test_ang_arb_8_l20_tail_is_two_per_sample_blocks(self):
         # 20 features fill qubits 0-5 and two slots of qubit 6; qubit 7 reads only padding
         c = build_ang_arb(8, 20, True)
         (stage,) = c.program
-        assert c.sample_major
-        per_sample = [any(stage.groups[gi].per_sample for gi, _, _ in app.members) for app in stage.apps]
-        assert [(app.qubits, ps, len(app.members)) for app, ps in zip(stage.apps, per_sample)] == [
-            ((3, 2, 1, 0), True, 4),
-            ((7, 6, 5, 4), True, 4),
-        ]
-        # qubit 7 (wire 0 of the upper block) is a batch-shared member of a per-sample block
-        shared = [w for gi, _, w in stage.apps[1].members if not stage.groups[gi].per_sample]
-        assert shared == [0]
+        assert c.rows and c.sample_major  # every block is per-sample
+        assert [(app.qubits, len(app.members)) for app in stage.apps] == [((3, 2, 1, 0), 4), ((7, 6, 5, 4), 4)]
+        # qubit 7 (wire 0 of the upper block) reads no input slot in any entry of its table row
+        reads = {stage.gates[slot].qubit: (w, _reads_input(a for _, a in stage.table[slot])) for slot, w in stage.apps[1].members}
+        assert reads == {7: (0, False), 6: (1, True), 5: (2, True), 4: (3, True)}
 
     def test_per_sample_blocks_span_half_the_register(self):
         for n, runs, sample_major in ((4, [(1, 0), (3, 2)], False), (5, [(2, 1, 0), (4, 3)], True)):
@@ -385,6 +390,22 @@ class TestCompiledProgram:
             (stage,) = c.program
             assert [app.qubits for app in stage.apps] == runs
             assert c.rows and c.sample_major is sample_major
+
+    def test_qcnn_8_live_stages_mix_ry_and_rz_in_one_table(self):
+        # RZ(p0) on a and RY(p1) on b of every block of a layer form one one-step
+        # table, and RY(p2) on b the next; 8 layers at n=8
+        live = [op for op in build_qcnn(8).program if isinstance(op, Stage) and op.live.any()]
+        assert [sorted({kind for row in op.table for kind, _ in row}) for op in live] == [["ry", "rz"], ["ry"]] * 8
+        assert {op.shape[1] for op in live} == {1}
+
+    def test_short_runs_are_padded_at_the_front_with_const_rz0(self):
+        stage = _fused_slot_reuse_circuit().program[0]
+        # qubit 0 fuses 6 steps and qubit 1 fuses 7, so qubit 0's row starts with one RZ(0)
+        assert [g.qubit for g in stage.gates] == [0, 1] and stage.shape == (2, 7)
+        assert [len(g.steps) for g in stage.gates] == [6, 7]
+        assert stage.table[0][0] == ("rz", Angle.const(0.0))
+        assert stage.table[0][1:] == tuple(zip(stage.gates[0].steps, stage.gates[0].angles))
+        assert stage.table[1] == tuple(zip(stage.gates[1].steps, stage.gates[1].angles))
 
     def test_layout_is_decided_per_circuit_by_its_input_slots(self):
         # angle circuits read inputs in every layer and keep (B, 2**n) rows, sample-major
@@ -397,7 +418,7 @@ class TestCompiledProgram:
 
 
 def _fused_slot_reuse_circuit():
-    """One input slot feeding several rotations of one fused gate and of its group."""
+    """One input slot feeding several rotations of one fused gate and of its stage."""
     ops = (
         Gate.ry(0, Angle.input(0)),
         Gate.rz(0, Angle.input(0)),
@@ -513,7 +534,7 @@ class TestKroneckerBlocks:
     four qubits, and the adjoint sweep takes every overlap at the stage output."""
 
     def test_cases_cover_the_block_layouts(self):
-        widths, holes, blocks_per_stage, mixed = set(), False, set(), False
+        widths, holes, blocks_per_stage, shared = set(), False, set(), False
         for c, *_ in _one_qubit_stage_cases():
             for op in c.program:
                 if not isinstance(op, Stage):
@@ -521,8 +542,9 @@ class TestKroneckerBlocks:
                 widths |= {len(app.qubits) for app in op.apps}
                 holes |= any(len(app.members) < len(app.qubits) for app in op.apps)
                 blocks_per_stage.add(len(op.apps))
-                mixed |= any(op.groups[gi].per_sample for app in op.apps for gi, _, _ in app.members)
-        assert widths == {1, 2, 3, 4} and holes and mixed and 3 in blocks_per_stage
+                # a gate that reads no input slot, in a block of a circuit that reads them
+                shared |= c.rows and not all(_reads_input(a for _, a in row) for row in op.table)
+        assert widths == {1, 2, 3, 4} and holes and shared and 3 in blocks_per_stage
 
     def test_forward_rows_match_dense_oracle(self):
         for c, xs, p, _ in _one_qubit_stage_cases():
