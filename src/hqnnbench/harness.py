@@ -230,14 +230,27 @@ def _run_one(config: ModelConfig) -> ExperimentResult:
 
 
 class ResultsFileError(ValueError):
-    """A line of ``results.jsonl`` other than an unterminated last one is not a JSON object."""
+    """A line of ``results.jsonl`` other than an unterminated last one is not a result row."""
+
+
+def _check_row(row) -> None:
+    """Raise ``ValueError`` unless ``row`` has the fields that resuming and the tables read."""
+    if not isinstance(row, dict):
+        raise ValueError("not a JSON object")
+    for key, kind, name in (("config_hash", str, "string"), ("group", str, "string"), ("config", dict, "object")):
+        if not isinstance(row.get(key), kind):
+            raise ValueError(f"{key} is not a JSON {name}")
+    if "aggregate" not in row:
+        raise ValueError("no aggregate")
+    agg = row["aggregate"]
+    if agg is not None and not (isinstance(agg, dict) and all(type(agg.get(m)) in (int, float) for m in METRIC_NAMES)):
+        raise ValueError(f"aggregate is neither null nor an object with numbers {', '.join(METRIC_NAMES)}")
 
 
 def _parse_row(results_path: Path, number: int, line: bytes) -> dict:
     try:
         row = json.loads(line)
-        if not isinstance(row, dict):
-            raise ValueError("not a JSON object")
+        _check_row(row)
     except ValueError as exc:
         raise ResultsFileError(
             f"{results_path} line {number} cannot be read ({exc}); repair or remove it, or use a new --out directory"
@@ -250,8 +263,8 @@ def _load_existing(results_path: Path) -> list[dict]:
 
     An unterminated, unparseable last line (a crash mid-write) is cut from
     the file with a warning; a parseable one gets its newline. Any other
-    line that does not parse raises ``ResultsFileError`` before the file is
-    touched.
+    line that does not parse, or is not a result row, raises
+    ``ResultsFileError`` before the file is touched.
     """
     if not results_path.exists():
         return []
@@ -348,7 +361,10 @@ def run_grid(
     aggregate = run_cfg.get("aggregate", "mean")
     # Only a configuration that loads, splits, expands and builds gets an output directory.
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file at --out or above it
+        raise RunConfigError(f"--out {out_dir} cannot be made a directory ({exc.strerror})") from None
 
     protocol = {
         "epochs": epochs,

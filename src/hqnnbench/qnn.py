@@ -14,16 +14,18 @@ Four circuit families are provided:
   convolution and pooling stages that halve the active register until one
   qubit remains; each two-qubit block is RZ/RY rotations around three CNOTs.
 
-Each ``Circuit`` is compiled once, when it is built, into a program of
-fused gates (Jones & Gacon, arXiv:2009.02823; the fusion follows qsim):
+Each ``Circuit`` is compiled once, when it is built, into one op per
+maximal run of its gate list (gate fusion as in Jones & Gacon,
+arXiv:2009.02823, and qsim):
 
-* every run of RY/RZ rotations on one qubit becomes one 2x2 unitary. The
-  run reaches across gates on other qubits, so an encoding rotation and the
-  variational ARB after it on the same qubit fuse into one gate;
-* every maximal run of CNOT/CZ gates becomes one signed basis permutation,
+* a run of RY/RZ rotations becomes a ``Stage``. Each qubit's rotations in
+  the run fuse into one 2x2 unitary, across gates on other qubits, so an
+  encoding rotation and the variational ARB after it on the same qubit
+  fuse into one gate;
+* a run of CNOT/CZ gates becomes one signed basis permutation,
   ``out[i] = sign[i] * a[perm[i]]``.
 
-The fused gates between two permutations form a ``Stage``: one ``(G, L)``
+Stages and permutations therefore alternate. A stage is one ``(G, L)``
 table of RY and RZ steps, gate by step, whose ``(2, 2, L, G, Bx)`` step
 matrices are built in one pass and multiplied along the step axis. The
 batch extent ``Bx`` belongs to the circuit, not to a gate: it is B when the
@@ -80,6 +82,7 @@ only as a test oracle.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -104,7 +107,7 @@ from .statevec import (
 _NORM_EPS = 1e-12
 
 # ---------------------------------------------------------------------------
-# Compilation into fused gates.
+# Compilation into runs of rotations and of entanglers.
 # ---------------------------------------------------------------------------
 
 # A fused gate is a product of "ry" and "rz" steps on one qubit, each reading one angle.
@@ -125,15 +128,6 @@ def _product(mats: np.ndarray) -> np.ndarray:
     for r in range(1, mats.shape[2]):
         u = _mm(mats[:, :, r], u)
     return u
-
-
-@dataclass(frozen=True)
-class FusedGate:
-    """One compiled gate: the product of the rotation ``steps`` on ``qubit``."""
-
-    qubit: int
-    steps: tuple[str, ...]
-    angles: tuple[Angle, ...]  # one per step, in application order
 
 
 # Qubits per Kronecker block. Amp-Gen 8 fwd+bwd at B=256 on 2 cores, median
@@ -240,27 +234,29 @@ class _Apply:
 
 
 class Stage:
-    """Fused gates between two entangler runs, as one table of rotations.
+    """A maximal run of rotations in the gate list, as one table of steps.
 
-    Gate ``g`` is row ``g`` of a ``(G, L)`` table (``shape``); each entry is
-    an RY or RZ step and its angle, in application order. A gate of fewer
-    than ``L`` steps is padded at its front with constant RZ(0), an exact
-    identity. The arrays below run over the table step by step, so one
-    step's matrices for all gates are contiguous.
+    Each qubit the run touches fuses its rotations into one gate: gate ``g``
+    acts on ``qubits[g]`` (in order of first appearance in the run) and is
+    row ``g`` of a ``(G, L)`` table (``shape``); each entry is an RY or RZ
+    step and its angle, in application order. A gate of fewer than ``L``
+    steps is padded at its front with constant RZ(0), an exact identity.
+    The arrays below run over the table step by step, so one step's
+    matrices for all gates are contiguous.
 
     The gates act on distinct qubits and commute: they are applied as
     Kronecker blocks of ``width`` adjacent qubits (``q // width``), and the
     adjoint sweep takes every overlap at the stage output.
     """
 
-    def __init__(self, gates: list[FusedGate], width: int):
-        self.gates = tuple(gates)
-        n_steps = max(len(g.steps) for g in gates)
-        pad = [n_steps - len(g.steps) for g in gates]
-        self.table = tuple(
-            tuple(zip(("rz",) * k + g.steps, (Angle.const(0.0),) * k + g.angles)) for g, k in zip(gates, pad)
-        )
-        self.shape = (len(gates), n_steps)
+    def __init__(self, run: list[Gate], width: int):
+        rows: dict[int, list[tuple[str, Angle]]] = {}
+        for gate in run:
+            rows.setdefault(gate.targets[0], []).extend(zip(_ROTATION_STEPS[gate.kind], gate.angles))
+        self.qubits = tuple(rows)
+        n_steps = max(map(len, rows.values()))
+        self.table = tuple((("rz", Angle.const(0.0)),) * (n_steps - len(row)) + tuple(row) for row in rows.values())
+        self.shape = (len(self.table), n_steps)
         flat = [row[r] for r in range(n_steps) for row in self.table]  # step-major
         self.ry = np.array([kind == "ry" for kind, _ in flat]).reshape(n_steps, -1, 1)
         self.rz = ~self.ry
@@ -269,13 +265,10 @@ class Stage:
         self.param_pos, self.input_pos = pos["param"], pos["input"]
         self.param_idx = np.array([flat[k][1].index for k in self.param_pos], dtype=np.intp)
         self.input_idx = np.array([flat[k][1].index for k in self.input_pos], dtype=np.intp)
-        live = np.zeros(len(flat), dtype=bool)
-        live[self.param_pos] = live[self.input_pos] = True
-        self.live = live.reshape(n_steps, -1).any(axis=1)  # steps with a gradient to find
-        self.first_live = int(np.argmax(self.live))
+        self.live = bool(self.param_pos.size or self.input_pos.size)  # has a gradient to find
         blocks: dict[int, dict[int, int]] = {}
-        for slot, g in enumerate(self.gates):
-            blocks.setdefault(g.qubit // width, {})[g.qubit] = slot
+        for slot, q in enumerate(self.qubits):
+            blocks.setdefault(q // width, {})[q] = slot
         apps = []
         for _, block in sorted(blocks.items()):
             hi, lo = max(block), min(block)
@@ -315,11 +308,10 @@ class Stage:
         step's ``Im(W00 - W11)``.
         """
         w = overlaps.swapaxes(0, 1)
-        grads = np.zeros(mats.shape[2:])
-        for r in range(self.shape[1] - 1, self.first_live - 1, -1):
-            if self.live[r]:
-                grads[r] = np.where(self.ry[r], w[0, 1].real - w[1, 0].real, w[0, 0].imag - w[1, 1].imag)
-            if r > self.first_live:
+        grads = np.empty(mats.shape[2:])
+        for r in range(self.shape[1] - 1, -1, -1):
+            grads[r] = np.where(self.ry[r], w[0, 1].real - w[1, 0].real, w[0, 0].imag - w[1, 1].imag)
+            if r:
                 m = mats[:, :, r]
                 w = _mm(_mm(m.conj().swapaxes(0, 1), w), m)
         flat = grads.reshape(self.const.size, -1)
@@ -354,37 +346,12 @@ class SignedPerm:
 
 
 def _compile_program(ops: tuple[Gate, ...], n_qubits: int, width: int) -> tuple:
-    """Fuse a gate list into a tuple of ``Stage`` and ``SignedPerm`` ops, with ``width``-qubit Kronecker blocks."""
-    program: list = []
-    stage: list[FusedGate] = []
-    pending: dict[int, tuple[list, list]] = {}  # qubit -> (steps, angles) of its open rotation run
-    run: list[Gate] = []
+    """One op per maximal run of ``ops``: a ``SignedPerm`` per run of CNOT/CZ gates, a ``Stage`` per run of rotations.
 
-    def close(qubits) -> None:
-        for q in [q for q in pending if q in qubits]:
-            steps, angles = pending.pop(q)
-            stage.append(FusedGate(q, tuple(steps), tuple(angles)))
-
-    for gate in ops:
-        if gate.kind in (GateKind.CNOT, GateKind.CZ):
-            close(tuple(pending))
-            if stage:
-                program.append(Stage(stage, width))
-                stage = []
-            run.append(gate)
-            continue
-        if run:
-            program.append(SignedPerm(run, n_qubits))
-            run = []
-        steps, angles = pending.setdefault(gate.targets[0], ([], []))
-        steps.extend(_ROTATION_STEPS[gate.kind])
-        angles.extend(gate.angles)
-    close(tuple(pending))
-    if stage:
-        program.append(Stage(stage, width))
-    if run:
-        program.append(SignedPerm(run, n_qubits))
-    return tuple(program)
+    A stage applies its gates as ``width``-qubit Kronecker blocks.
+    """
+    runs = itertools.groupby(ops, key=lambda gate: gate.kind in (GateKind.CNOT, GateKind.CZ))
+    return tuple(SignedPerm(list(run), n_qubits) if entangles else Stage(list(run), width) for entangles, run in runs)
 
 
 @dataclass(frozen=True)
@@ -755,8 +722,7 @@ def qnn_backward_batch(
             continue
         mats = op.step_matrices(x, p, bx)
         us = _product(mats)
-        live = op.live.any()
-        if live:  # every overlap is taken at the stage output, before any un-apply
+        if op.live:  # every overlap is taken at the stage output, before any un-apply
             overlaps = np.empty((2, 2, op.shape[0], bx), dtype=np.complex128)
             for app in op.apps:
                 app.take_overlaps(circuit, mu, psi, psi_buf, overlaps)
@@ -775,7 +741,7 @@ def qnn_backward_batch(
             if keep_psi:
                 uh = np.conjugate(ut, out=ut) if circuit.sample_major else ut.conj()
                 psi, psi_buf = _apply(circuit, psi, app.qubits, uh, psi_buf), psi
-        if live:
+        if op.live:
             op.add_gradients(overlaps, mats, grad_inputs, grad_params)
 
     if circuit.encoding == "amplitude":

@@ -691,14 +691,21 @@ class TestCli:
         assert len((out / "boxplot_data.csv").read_text().splitlines()) > 1
 
     @pytest.mark.parametrize("command", ["run", "report"])
-    @pytest.mark.parametrize("damage", ["cut", "not_an_object"])
+    @pytest.mark.parametrize("damage", ["cut", "not_an_object", "no_config_hash", "text_metric"])
     def test_malformed_inner_line_is_refused_untouched(self, tmp_path, capsys, command, damage):
         cfg = self.write_cfg(tmp_path)
         out = tmp_path / "out"
         argv = ["run", "--config", str(cfg), "--data-dir", str(tmp_path), "--out", str(out), "--epochs", "1"]
         assert main(argv) == 0
         row = (out / "results.jsonl").read_bytes()
-        bad = {"cut": row[:-40] + b"\n", "not_an_object": b"[1, 2]\n"}[damage]
+        text_metric = json.loads(row)
+        text_metric["aggregate"]["roc_auc"] = "high"
+        bad = {
+            "cut": row[:-40] + b"\n",
+            "not_an_object": b"[1, 2]\n",
+            "no_config_hash": b'{"label": "x"}\n',
+            "text_metric": json.dumps(text_metric, sort_keys=True).encode() + b"\n",
+        }[damage]
         (out / "results.jsonl").write_bytes(row + bad + row)
         before = {p.name: p.read_bytes() for p in out.iterdir()}
         capsys.readouterr()
@@ -706,6 +713,18 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {out / 'results.jsonl'} line 2 cannot be read") and err.count("\n") == 1
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    @pytest.mark.parametrize("under_a_file", [False, True])
+    def test_out_that_cannot_be_a_directory_is_refused(self, tmp_path, capsys, under_a_file):
+        cfg = self.write_cfg(tmp_path)
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory\n")
+        out = taken / "out" if under_a_file else taken
+        before = sorted(tmp_path.rglob("*"))
+        assert main(["run", "--config", str(cfg), "--data-dir", str(tmp_path), "--out", str(out), "--epochs", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --out {out} cannot be made a directory") and err.count("\n") == 1
+        assert sorted(tmp_path.rglob("*")) == before and taken.read_text() == "not a directory\n"
 
     def test_report_without_results_fails(self, tmp_path, capsys):
         assert main(["report", "--out", str(tmp_path)]) == 1

@@ -327,7 +327,9 @@ class TestCompiledProgram:
     def layout(c):
         """Each op as ("perm",) or ("stage", ((qubit, reads an input slot), ...))."""
         return [
-            ("perm",) if isinstance(op, SignedPerm) else ("stage", tuple((g.qubit, _reads_input(g.angles)) for g in op.gates))
+            ("perm",)
+            if isinstance(op, SignedPerm)
+            else ("stage", tuple((q, _reads_input(a for _, a in row)) for q, row in zip(op.qubits, op.table)))
             for op in c.program
         ]
 
@@ -338,14 +340,16 @@ class TestCompiledProgram:
     def test_ang_ry_8_is_32_per_sample_stages_and_32_permutations(self):
         c = build_ang_ry(8, 256, True)
         assert self.layout(c) == [("stage", tuple((q, True) for q in range(8))), ("perm",)] * 32
-        # RY encoding then ARB: four rotations per fused gate
-        assert {len(g.angles) for op in c.program if isinstance(op, Stage) for g in op.gates} == {4}
+        # RY encoding then ARB: four rotations per fused gate, none of them padding
+        rows = {tuple((kind, a.source) for kind, a in row) for op in c.program if isinstance(op, Stage) for row in op.table}
+        assert rows == {(("ry", "input"), ("rz", "param"), ("ry", "param"), ("rz", "param"))}
 
     def test_unentangled_ang_arb_8_is_one_per_sample_stage(self):
         c = build_ang_arb(8, 256, False)
         assert self.layout(c) == [("stage", tuple((q, True) for q in range(8)))]
         (stage,) = c.program
-        assert {len(g.angles) for g in stage.gates} == {6 * 11}
+        # 11 layers of two ARBs: 66 steps per fused gate, none of them padding
+        assert {tuple(kind for kind, _ in row) for row in stage.table} == {("rz", "ry", "rz") * 22}
         assert stage.shape == (8, 66)  # one table: 8 gates by 66 steps
 
     def test_entangled_ang_arb_cz_layers_are_sign_only_permutations(self):
@@ -362,14 +366,14 @@ class TestCompiledProgram:
         for n, n_perms in ((4, 15), (8, 24)):
             c = build_qcnn(n)
             assert [isinstance(op, SignedPerm) for op in c.program] == [False, True] * n_perms + [False]
-            assert not any(_reads_input(g.angles) for op in c.program if isinstance(op, Stage) for g in op.gates)
+            assert not any(_reads_input(a for row in op.table for _, a in row) for op in c.program if isinstance(op, Stage))
 
     def test_amp_gen_8_stages_are_two_4_qubit_kronecker_blocks(self):
         for op in build_amp_gen(8, True).program:
             if isinstance(op, Stage):
                 assert [app.qubits for app in op.apps] == [(3, 2, 1, 0), (7, 6, 5, 4)]
                 # (wire, qubit) of each member: wire 0 is the block's top qubit
-                assert [sorted((w, op.gates[slot].qubit) for slot, w in app.members) for app in op.apps] == [
+                assert [sorted((w, op.qubits[slot]) for slot, w in app.members) for app in op.apps] == [
                     [(0, 3), (1, 2), (2, 1), (3, 0)],
                     [(0, 7), (1, 6), (2, 5), (3, 4)],
                 ]
@@ -381,7 +385,7 @@ class TestCompiledProgram:
         assert c.rows and c.sample_major  # every block is per-sample
         assert [(app.qubits, len(app.members)) for app in stage.apps] == [((3, 2, 1, 0), 4), ((7, 6, 5, 4), 4)]
         # qubit 7 (wire 0 of the upper block) reads no input slot in any entry of its table row
-        reads = {stage.gates[slot].qubit: (w, _reads_input(a for _, a in stage.table[slot])) for slot, w in stage.apps[1].members}
+        reads = {stage.qubits[slot]: (w, _reads_input(a for _, a in stage.table[slot])) for slot, w in stage.apps[1].members}
         assert reads == {7: (0, False), 6: (1, True), 5: (2, True), 4: (3, True)}
 
     def test_per_sample_blocks_span_half_the_register(self):
@@ -394,18 +398,44 @@ class TestCompiledProgram:
     def test_qcnn_8_live_stages_mix_ry_and_rz_in_one_table(self):
         # RZ(p0) on a and RY(p1) on b of every block of a layer form one one-step
         # table, and RY(p2) on b the next; 8 layers at n=8
-        live = [op for op in build_qcnn(8).program if isinstance(op, Stage) and op.live.any()]
+        live = [op for op in build_qcnn(8).program if isinstance(op, Stage) and op.live]
         assert [sorted({kind for row in op.table for kind, _ in row}) for op in live] == [["ry", "rz"], ["ry"]] * 8
         assert {op.shape[1] for op in live} == {1}
 
     def test_short_runs_are_padded_at_the_front_with_const_rz0(self):
         stage = _fused_slot_reuse_circuit().program[0]
         # qubit 0 fuses 6 steps and qubit 1 fuses 7, so qubit 0's row starts with one RZ(0)
-        assert [g.qubit for g in stage.gates] == [0, 1] and stage.shape == (2, 7)
-        assert [len(g.steps) for g in stage.gates] == [6, 7]
+        i0, i1, p0, p1, p2 = Angle.input(0), Angle.input(1), Angle.param(0), Angle.param(1), Angle.param(2)
+        assert stage.qubits == (0, 1) and stage.shape == (2, 7)
         assert stage.table[0][0] == ("rz", Angle.const(0.0))
-        assert stage.table[0][1:] == tuple(zip(stage.gates[0].steps, stage.gates[0].angles))
-        assert stage.table[1] == tuple(zip(stage.gates[1].steps, stage.gates[1].angles))
+        assert stage.table[0][1:] == (("ry", i0), ("rz", i0), ("rz", i1), ("ry", i0), ("rz", p0), ("rz", i1))
+        assert stage.table[1] == (("rz", i1), ("ry", i0), ("rz", p1), ("ry", p2), ("rz", i1), ("ry", i1), ("rz", Angle.const(0.3)))
+
+    def test_random_circuits_compile_to_one_op_per_maximal_run(self):
+        rng = np.random.default_rng(53)
+        steps = {GateKind.RY: ("ry",), GateKind.RZ: ("rz",), GateKind.ARB: ("rz", "ry", "rz")}
+        for k in range(80):
+            c, _, _ = random_circuit(rng, max_qubits=5, encoding="amplitude" if k % 4 == 3 else "angle")
+            runs: list[tuple[bool, list[Gate]]] = []
+            for gate in c.ops:
+                entangles = gate.kind in (GateKind.CNOT, GateKind.CZ)
+                if runs and runs[-1][0] == entangles:
+                    runs[-1][1].append(gate)
+                else:
+                    runs.append((entangles, [gate]))
+            # stages and permutations alternate, one op per maximal run
+            kinds = [isinstance(op, SignedPerm) for op in c.program]
+            assert kinds == [entangles for entangles, _ in runs] and all(a != b for a, b in zip(kinds, kinds[1:]))
+            for op, (entangles, run) in zip(c.program, runs):
+                if entangles:
+                    continue
+                # one row per qubit, in order of first appearance in the run
+                assert op.qubits == tuple(dict.fromkeys(g.targets[0] for g in run))
+                for q, row in zip(op.qubits, op.table):
+                    want = tuple((kind, a) for g in run if g.targets[0] == q for kind, a in zip(steps[g.kind], g.angles))
+                    pad = op.shape[1] - len(want)
+                    # a short row starts with constant RZ(0) steps
+                    assert row == (("rz", Angle.const(0.0)),) * pad + want
 
     def test_layout_is_decided_per_circuit_by_its_input_slots(self):
         # angle circuits read inputs in every layer and keep (B, 2**n) rows, sample-major

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from hqnnbench.qnn import Circuit, FusedGate, qnn_forward_batch
+from hqnnbench.qnn import Circuit, qnn_forward_batch
 from hqnnbench.statevec import (
     Angle,
     EncodingError,
@@ -392,8 +392,10 @@ class TestFusion:
         ops = (Gate.ry(0, 0.3), Gate.rz(1, 0.2), Gate.arb(0, 0.1, -0.5, 0.9), Gate.rz(0, 1.3))
         c = Circuit(2, "angle", ops, 0, 1, Observable.global_z())
         (stage,) = c.program
-        assert [(f.qubit, len(f.angles)) for f in stage.gates] == [(0, 5), (1, 1)]
-        assert isinstance(stage.gates[0], FusedGate)
+        # one fused gate per qubit: 5 steps on qubit 0, and 1 on qubit 1 behind 4 steps of padding
+        assert stage.qubits == (0, 1) and stage.shape == (2, 5)
+        assert [kind for kind, _ in stage.table[0]] == ["ry", "rz", "ry", "rz", "rz"]
+        assert stage.table[1][:4] == (("rz", Angle.const(0.0)),) * 4
         ref = np.eye(4)
         for g in ops:
             ref = gate_matrix(g, 2) @ ref
