@@ -156,25 +156,42 @@ def _as_list(value) -> list:
     return list(value) if isinstance(value, (list, tuple)) else [value]
 
 
+# What the values of a grid axis must be where no model would refuse a wrong
+# one: a family that no branch of the grid reads, and switches and latent
+# sizes, which the models compare by ==, so 1 would pass for true and 16.0
+# for 16.
+_AXIS_VALUES = {
+    "families": ("hybrid or classical", lambda v: v in ("hybrid", "classical")),
+    "latent": ("an integer", lambda v: type(v) is int),
+    "tanh": ("true or false", lambda v: isinstance(v, bool)),
+    "entangle": ("true or false", lambda v: isinstance(v, bool)),
+}
+
+
 def expand_grid(run_cfg: dict) -> list[ModelConfig]:
     """Enumerate ModelConfigs for the axes in ``run_cfg`` (defaults = full grid).
 
     A circuit family takes the requested values of the switches it varies
-    (``FAMILY_AXES``) and its fixed value of every other switch.
+    (``FAMILY_AXES``) and its fixed value of every other switch. An empty
+    axis, a value of the wrong kind (``_AXIS_VALUES``) and a value listed
+    twice in one axis are refused.
     """
     families = _as_list(run_cfg.get("families", ["hybrid", "classical"]))
     preprocs = _as_list(run_cfg.get("preproc", list(PREPROCS)))
-    latents = [int(v) for v in _as_list(run_cfg.get("latent", [16, 256]))]
+    latents = _as_list(run_cfg.get("latent", [16, 256]))
     kinds = _as_list(run_cfg.get("qnn", list(QNN_KINDS)))
     heads = _as_list(run_cfg.get("heads", list(HEADS)))
     switches = {s: _as_list(run_cfg.get(s, list(varied))) for s, (varied, _) in SWITCHES.items()}
-    switches["tanh"] = [bool(v) for v in switches["tanh"]]
-    switches["entangle"] = [bool(v) for v in switches["entangle"]]
     seed = int(run_cfg.get("seed", 0))
     axes = {"families": families, "preproc": preprocs, "latent": latents, "qnn": kinds, "heads": heads, **switches}
     for name, axis in axes.items():
         if not axis:
             raise ValueError(f"empty axis {name!r}")
+        for i, value in enumerate(axis):
+            if name in _AXIS_VALUES and not _AXIS_VALUES[name][1](value):
+                raise RunConfigError(f"{name} takes {_AXIS_VALUES[name][0]}, got {value!r}")
+            if value in axis[:i]:
+                raise RunConfigError(f"{name} lists {value!r} twice")
 
     configs: list[ModelConfig] = []
     if "hybrid" in families:

@@ -4,7 +4,8 @@ Four circuit families are provided:
 
 * ``build_ang_ry``   -- RY angle encoding, segment by segment, interleaved
   with variational layers of arbitrary rotations and an optional circular
-  CNOT entangler.
+  CNOT entangler. An arbitrary rotation is three gates, RZ, RY and RZ
+  (``_arb``).
 * ``build_ang_arb``  -- arbitrary-rotation angle encoding (three features
   per qubit per layer) with alternating nearest-neighbor CZ entanglers.
 * ``build_amp_gen``  -- amplitude encoding followed by the same variational
@@ -20,8 +21,8 @@ arXiv:2009.02823, and qsim):
 
 * a run of RY/RZ rotations becomes a ``Stage``. Each qubit's rotations in
   the run fuse into one 2x2 unitary, across gates on other qubits, so an
-  encoding rotation and the variational ARB after it on the same qubit
-  fuse into one gate;
+  encoding rotation and the three rotations of the variational arbitrary
+  rotation after it on the same qubit fuse into one gate;
 * a run of CNOT/CZ gates becomes one signed basis permutation,
   ``out[i] = sign[i] * a[perm[i]]``.
 
@@ -100,7 +101,6 @@ from .statevec import (
     apply_signed_perm,
     expval_batch,
     gate_overlap,
-    measurement_diagonals,
     rows_overlap,
 )
 
@@ -109,10 +109,6 @@ _NORM_EPS = 1e-12
 # ---------------------------------------------------------------------------
 # Compilation into runs of rotations and of entanglers.
 # ---------------------------------------------------------------------------
-
-# A fused gate is a product of "ry" and "rz" steps on one qubit, each reading one angle.
-_ROTATION_STEPS = {GateKind.RY: ("ry",), GateKind.RZ: ("rz",), GateKind.ARB: ("rz", "ry", "rz")}
-
 
 def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Matrix-major product: ``(d, d, ...) @ (d, d, ...)`` over the leading axes."""
@@ -252,7 +248,7 @@ class Stage:
     def __init__(self, run: list[Gate], width: int):
         rows: dict[int, list[tuple[str, Angle]]] = {}
         for gate in run:
-            rows.setdefault(gate.targets[0], []).extend(zip(_ROTATION_STEPS[gate.kind], gate.angles))
+            rows.setdefault(gate.targets[0], []).append((gate.kind.value, gate.angles[0]))
         self.qubits = tuple(rows)
         n_steps = max(map(len, rows.values()))
         self.table = tuple((("rz", Angle.const(0.0)),) * (n_steps - len(row)) + tuple(row) for row in rows.values())
@@ -361,7 +357,8 @@ class Circuit:
     ``encoding`` is ``"angle"`` (inputs consumed by gate slots, register
     starts in |0...0>) or ``"amplitude"`` (register starts as the normalized
     input vector; gates may not read input slots). ``program`` is the fused
-    form that the simulator runs.
+    form that the simulator runs, and ``diagonals`` the observable's
+    (``Observable.diagonals``), which both passes read.
 
     The state's layout is fixed here, from what the circuit reads. ``rows``
     is set when a gate reads an input slot: the state is then ``(B, 2**n)``
@@ -377,6 +374,7 @@ class Circuit:
     n_inputs: int
     observable: Observable
     program: tuple = field(init=False, repr=False, compare=False)
+    diagonals: np.ndarray = field(init=False, repr=False, compare=False)
     rows: bool = field(init=False, repr=False, compare=False)
     sample_major: bool = field(init=False, repr=False, compare=False)
 
@@ -398,8 +396,7 @@ class Circuit:
                         raise ValueError("amplitude-encoded circuits take no input slots")
                     if ang.index >= self.n_inputs:
                         raise ValueError(f"input slot {ang.index} >= n_inputs {self.n_inputs}")
-        if self.observable.kind == "single_z" and self.observable.qubit >= self.n_qubits:
-            raise ValueError("observable qubit out of range")
+        object.__setattr__(self, "diagonals", self.observable.diagonals(self.n_qubits))
         rows = any(a.source == "input" for gate in self.ops for a in gate.angles)
         width = _block_width(self.n_qubits, rows)
         object.__setattr__(self, "rows", rows)
@@ -408,7 +405,7 @@ class Circuit:
 
     @property
     def out_dim(self) -> int:
-        return self.observable.out_dim(self.n_qubits)
+        return len(self.diagonals)
 
 
 def init_params(n_params: int, rng: np.random.Generator) -> np.ndarray:
@@ -425,11 +422,20 @@ def _input_or_pad(index: int, n_features: int) -> Angle:
     return Angle.input(index) if index < n_features else Angle.const(0.0)
 
 
+def _arb(q: int, phi, theta, omega) -> tuple[Gate, Gate, Gate]:
+    """The arbitrary rotation on qubit ``q`` as its three gates, in application order.
+
+    ``ARB(phi, theta, omega) = RZ(omega) RY(theta) RZ(phi)``: RZ(phi) acts
+    first. Every arbitrary rotation of the circuit families is built here.
+    """
+    return (Gate.rz(q, phi), Gate.ry(q, theta), Gate.rz(q, omega))
+
+
 def _variational_layer(ops: list[Gate], n_qubits: int, p0: int, entangle: bool) -> int:
     """One arbitrary-rotation layer plus optional circular CNOT entangler."""
     p = p0
     for q in range(n_qubits):
-        ops.append(Gate.arb(q, Angle.param(p), Angle.param(p + 1), Angle.param(p + 2)))
+        ops.extend(_arb(q, Angle.param(p), Angle.param(p + 1), Angle.param(p + 2)))
         p += 3
     if entangle and n_qubits >= 2:
         for q in range(n_qubits):
@@ -483,18 +489,8 @@ def build_ang_arb(
     p = 0
     for s in range(k):
         for q in range(n_qubits):
-            base = s * seg + 3 * q
-            ops.append(
-                Gate.arb(
-                    q,
-                    _input_or_pad(base, latent_dim),
-                    _input_or_pad(base + 1, latent_dim),
-                    _input_or_pad(base + 2, latent_dim),
-                )
-            )
-        for q in range(n_qubits):
-            ops.append(Gate.arb(q, Angle.param(p), Angle.param(p + 1), Angle.param(p + 2)))
-            p += 3
+            ops.extend(_arb(q, *(_input_or_pad(s * seg + 3 * q + j, latent_dim) for j in range(3))))
+        p = _variational_layer(ops, n_qubits, p, entangle=False)
         if entangle and n_qubits >= 2 and s < k - 1:
             start = 0 if s % 2 == 0 else 1
             for q in range(start, n_qubits - 1, 2):
@@ -682,7 +678,7 @@ def qnn_forward_batch(
             u = app.unitary(us, work, buf) if circuit.sample_major else app.unitary(us)
             state, buf = _apply(circuit, state, app.qubits, u, buf), state
     rows = _rows(circuit, state)
-    out = expval_batch(rows, circuit.n_qubits, circuit.observable)
+    out = expval_batch(rows, circuit.diagonals)
     return (out, rows) if return_state else out
 
 
@@ -709,7 +705,7 @@ def qnn_backward_batch(
     psi = np.array(_rows(circuit, final_amps), dtype=np.complex128, order="C")  # circuit's storage
     mu = np.conj(psi)  # conj(lambda), lambda = M psi
     mu_rows = _rows(circuit, mu)
-    mu_rows *= up @ measurement_diagonals(circuit.n_qubits, circuit.observable)
+    mu_rows *= up @ circuit.diagonals
     psi_buf, mu_buf = np.empty_like(psi), np.empty_like(mu)
 
     grad_inputs = np.zeros_like(x)

@@ -7,8 +7,9 @@ Conventions (fixed, used everywhere in this package):
   ``i = sum_q b_q * 2**q``.
 * ``RY(t) = [[cos t/2, -sin t/2], [sin t/2, cos t/2]]``
 * ``RZ(t) = diag(exp(-i t/2), exp(+i t/2))``
-* ``ArbRot(phi, theta, omega) = RZ(omega) @ RY(theta) @ RZ(phi)`` (RZ(phi)
-  acts first).
+
+The gate set is RY, RZ, CNOT and CZ. The arbitrary rotation of the circuit
+families is not a gate: ``hqnnbench.qnn._arb`` writes it as three rotations.
 
 A circuit's state has one layout from encoding to readout, fixed when the
 circuit is compiled (``hqnnbench.qnn``), and each layout has its kernels.
@@ -44,14 +45,14 @@ axis of either storage.
 The small matrices that ``hqnnbench.qnn`` builds for the kernels are
 matrix-major, ``(d, d, ...)``, so their batch axes stay contiguous too.
 ``expval_batch`` takes a ``(B, 2**n)`` view of the state, which is also what
-the forward pass returns as its state.
+the forward pass returns as its state, and the observable's diagonals
+(``Observable.diagonals``), which each circuit computes once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 
 import numpy as np
 
@@ -65,25 +66,8 @@ class EncodingError(ValueError):
 class GateKind(Enum):
     RY = "ry"
     RZ = "rz"
-    ARB = "arb"
     CNOT = "cnot"
     CZ = "cz"
-
-
-_N_ANGLES = {
-    GateKind.RY: 1,
-    GateKind.RZ: 1,
-    GateKind.ARB: 3,
-    GateKind.CNOT: 0,
-    GateKind.CZ: 0,
-}
-_N_TARGETS = {
-    GateKind.RY: 1,
-    GateKind.RZ: 1,
-    GateKind.ARB: 1,
-    GateKind.CNOT: 2,
-    GateKind.CZ: 2,
-}
 
 
 @dataclass(frozen=True)
@@ -123,17 +107,17 @@ def _as_angle(a) -> Angle:
 
 @dataclass(frozen=True)
 class Gate:
-    """One gate of the supported set, with angle slots where parameterized."""
+    """One gate of the supported set: a rotation takes one target and one angle, an entangler two targets and none."""
 
     kind: GateKind
     targets: tuple[int, ...]
     angles: tuple[Angle, ...] = ()
 
     def __post_init__(self):
-        if len(self.targets) != _N_TARGETS[self.kind]:
-            raise ValueError(f"{self.kind.value} takes {_N_TARGETS[self.kind]} targets")
-        if len(self.angles) != _N_ANGLES[self.kind]:
-            raise ValueError(f"{self.kind.value} takes {_N_ANGLES[self.kind]} angles")
+        rotation = self.kind in (GateKind.RY, GateKind.RZ)
+        if (len(self.targets), len(self.angles)) != ((1, 1) if rotation else (2, 0)):
+            arity = "one target and one angle" if rotation else "two targets and no angle"
+            raise ValueError(f"{self.kind.value} takes {arity}")
         if len(set(self.targets)) != len(self.targets):
             raise ValueError(f"duplicate qubit indices in {self.kind.value} gate")
         if any(q < 0 for q in self.targets):
@@ -146,10 +130,6 @@ class Gate:
     @staticmethod
     def rz(qubit: int, angle) -> "Gate":
         return Gate(GateKind.RZ, (qubit,), (_as_angle(angle),))
-
-    @staticmethod
-    def arb(qubit: int, phi, theta, omega) -> "Gate":
-        return Gate(GateKind.ARB, (qubit,), (_as_angle(phi), _as_angle(theta), _as_angle(omega)))
 
     @staticmethod
     def cnot(control: int, target: int) -> "Gate":
@@ -311,46 +291,25 @@ class Observable:
     def single_z(qubit: int) -> "Observable":
         return Observable("single_z", qubit=qubit)
 
-    def out_dim(self, n_qubits: int) -> int:
-        return n_qubits if self.kind == "local_z" else 1
+    def diagonals(self, n_qubits: int) -> np.ndarray:
+        """Diagonals of the measured operator(s) on ``n_qubits``, ``(out_dim, 2**n)``: +1 or -1 per basis state."""
+        if self.kind == "single_z" and self.qubit >= n_qubits:
+            raise ValueError(f"observable qubit {self.qubit} out of range")
+        bits = (np.arange(1 << n_qubits) >> np.arange(n_qubits)[:, None]) & 1  # bits[q, i] is qubit q of state i
+        if self.kind == "global_z":
+            bits = np.bitwise_xor.reduce(bits, axis=0, keepdims=True)
+        elif self.kind == "single_z":
+            bits = bits[self.qubit, None]
+        return 1.0 - 2.0 * bits
 
 
-@lru_cache(maxsize=None)
-def _z_sign(n_qubits: int, qubit: int) -> np.ndarray:
-    idx = np.arange(1 << n_qubits)
-    s = 1.0 - 2.0 * ((idx >> qubit) & 1)
-    s.setflags(write=False)
-    return s
-
-
-@lru_cache(maxsize=None)
-def _parity_sign(n_qubits: int) -> np.ndarray:
-    par = np.zeros(1 << n_qubits, dtype=np.int64)
-    idx = np.arange(1 << n_qubits)
-    for q in range(n_qubits):
-        par ^= (idx >> q) & 1
-    s = 1.0 - 2.0 * par
-    s.setflags(write=False)
-    return s
-
-
-def measurement_diagonals(n_qubits: int, obs: Observable) -> np.ndarray:
-    """Diagonals of the measured operator(s), shape (out_dim, 2**n)."""
-    if obs.kind == "local_z":
-        return np.stack([_z_sign(n_qubits, q) for q in range(n_qubits)])
-    if obs.kind == "global_z":
-        return _parity_sign(n_qubits)[None, :]
-    if obs.qubit >= n_qubits:
-        raise ValueError(f"observable qubit {obs.qubit} out of range")
-    return _z_sign(n_qubits, obs.qubit)[None, :]
-
-
-def expval_batch(amps: np.ndarray, n_qubits: int, obs: Observable) -> np.ndarray:
+def expval_batch(amps: np.ndarray, diagonals: np.ndarray) -> np.ndarray:
     """Expectation values for amplitudes shaped (B, 2**n) or (2**n,) -> (B, out_dim) or (out_dim,).
 
-    The product runs on batch-contiguous probabilities whatever the storage
-    of ``amps``: BLAS sums in an order that depends on the layout, so this
-    gives every circuit's readout the same rounding.
+    ``diagonals`` are the observable's, ``(out_dim, 2**n)``. The product runs
+    on batch-contiguous probabilities whatever the storage of ``amps``: BLAS
+    sums in an order that depends on the layout, so this gives every
+    circuit's readout the same rounding.
     """
     probs = np.asfortranarray(amps.real**2 + amps.imag**2)
-    return probs @ measurement_diagonals(n_qubits, obs).T
+    return probs @ diagonals.T

@@ -18,9 +18,10 @@ from hqnnbench.statevec import Angle, Gate, GateKind, Observable
 
 # ---------------------------------------------------------------------------
 # Dense statevector / expectation route. Gates are expanded here from the
-# conventions in the ``hqnnbench.statevec`` docstring, not by the package,
-# and ``block_gates`` writes out the QCNN block that the docstring of
-# ``hqnnbench.qnn.build_qcnn`` defines.
+# conventions in the ``hqnnbench.statevec`` docstring, not by the package;
+# ``arb`` writes out the arbitrary rotation that the docstring of
+# ``hqnnbench.qnn._arb`` defines, and ``block_gates`` the QCNN block that
+# the docstring of ``hqnnbench.qnn.build_qcnn`` defines.
 # ---------------------------------------------------------------------------
 
 _Z = np.diag([1.0, -1.0]).astype(np.complex128)
@@ -34,6 +35,11 @@ def _ry(t: float) -> np.ndarray:
 
 def _rz(t: float) -> np.ndarray:
     return np.diag([np.exp(-0.5j * t), np.exp(0.5j * t)])
+
+
+def arb_matrix(phi: float, theta: float, omega: float) -> np.ndarray:
+    """Dense ``ARB(phi, theta, omega) = RZ(omega) RY(theta) RZ(phi)``: RZ(phi) acts first."""
+    return _rz(omega) @ _ry(theta) @ _rz(phi)
 
 
 def _on_qubit(u: np.ndarray, qubit: int, n_qubits: int) -> np.ndarray:
@@ -69,11 +75,14 @@ def gate_matrix(gate: Gate, n_qubits: int, inputs=None, params=None) -> np.ndarr
         return _on_qubit(_ry(t[0]), gate.targets[0], n)
     if kind is GateKind.RZ:
         return _on_qubit(_rz(t[0]), gate.targets[0], n)
-    if kind is GateKind.ARB:  # RZ(phi) acts first
-        return _on_qubit(_rz(t[2]) @ _ry(t[1]) @ _rz(t[0]), gate.targets[0], n)
     if kind is GateKind.CNOT:
         return _cnot_matrix(*gate.targets, n)
     return _cz_matrix(*gate.targets, n)
+
+
+def arb(q: int, phi, theta, omega) -> list[Gate]:
+    """The arbitrary rotation on qubit ``q`` as its three primitives, in application order."""
+    return [Gate.rz(q, phi), Gate.ry(q, theta), Gate.rz(q, omega)]
 
 
 def block_gates(a: int, b: int, p0, p1, p2) -> list[Gate]:
@@ -233,8 +242,9 @@ def random_circuit(rng: np.random.Generator, max_qubits: int = 4, encoding: str 
 
     Each parameter slot is bound to at most one gate angle (as the real
     builders do), which keeps the plain two-term parameter-shift rule valid
-    as a gradient oracle. Input slots may be reused. A drawn QCNN block
-    counts as one gate and adds its eight primitives.
+    as a gradient oracle. Input slots may be reused. A drawn arbitrary
+    rotation counts as one gate and adds its three primitives, and a drawn
+    QCNN block its eight.
     """
     n = int(rng.integers(1, max_qubits + 1))
     if encoding == "amplitude":
@@ -274,7 +284,7 @@ def random_circuit(rng: np.random.Generator, max_qubits: int = 4, encoding: str 
             elif kind == "rz":
                 ops.append(Gate.rz(q, slot()))
             else:
-                ops.append(Gate.arb(q, slot(), slot(), slot()))
+                ops.extend(arb(q, slot(), slot(), slot()))
     obs_kind = int(rng.integers(0, 3))
     if obs_kind == 0:
         obs = Observable.local_z()
@@ -326,14 +336,14 @@ def one_qubit_stage_circuit(rng: np.random.Generator, n: int, encoding: str = "a
             if role == 0:
                 continue
             for r in range(int(rng.integers(1, 3))):
-                make = (Gate.arb, Gate.ry, Gate.rz)[int(rng.integers(0, 3))]
+                make = (arb, Gate.ry, Gate.rz)[int(rng.integers(0, 3))]
                 angles = []
-                for k in range(3 if make is Gate.arb else 1):
+                for k in range(3 if make is arb else 1):
                     if role == 2 and r == 0 and (k == 0 or rng.integers(0, 2)):
                         angles.append(fresh("input"))
                     else:
                         angles.append(fresh("param") if rng.integers(0, 3) else Angle.const(float(rng.normal())))
-                ops.append(make(q, *angles))
+                ops.extend(arb(q, *angles) if make is arb else [make(q, *angles)])
     n_inputs = 1 << n if encoding == "amplitude" else max(counts["input"], 1)
     obs = (Observable.local_z(), Observable.global_z(), Observable.single_z(int(rng.integers(0, n))))
     obs = obs[int(rng.integers(0, 3))]

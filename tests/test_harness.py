@@ -20,6 +20,7 @@ from hqnnbench.config import (
     RUN_KEYS,
     ModelConfig,
     QnnArch,
+    RunConfigError,
     default_batch_size,
     expand_grid,
     load_run_dataset,
@@ -163,6 +164,24 @@ class TestExpandGrid:
             expand_grid({"preproc": []})
         with pytest.raises(ValueError):
             expand_grid({"families": []})
+
+    @pytest.mark.parametrize(
+        "axis, value, message",
+        [
+            ("entangle", 2, "entangle takes true or false, got 2"),
+            ("tanh", "false", "tanh takes true or false, got 'false'"),
+            ("latent", 16.5, "latent takes an integer, got 16.5"),
+            ("latent", True, "latent takes an integer, got True"),
+            ("families", ["hybrid", "quantum"], "families takes hybrid or classical, got 'quantum'"),
+            ("qnn", ["ang_ry", "qcnn", "ang_ry"], "qnn lists 'ang_ry' twice"),
+            ("entangle", [False, False], "entangle lists False twice"),
+        ],
+        ids=["integer_switch", "text_switch", "fractional_latent", "bool_latent", "unknown_family", "repeated_qnn",
+             "repeated_switch"],
+    )
+    def test_values_are_checked_not_cast(self, axis, value, message):
+        with pytest.raises(RunConfigError, match=f"^{re.escape(message)}$"):
+            expand_grid({axis: value})
 
 
 class TestRunConfigParsing:
@@ -906,6 +925,28 @@ class TestCli:
         assert main(["run", "--config", str(cfg), "--data-dir", str(tmp_path), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.endswith(message) and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "lines, message",
+        [
+            ("families = hybrid, clasical\nqnn = ang_ry\ntanh = false", "families takes hybrid or classical, got 'clasical'"),
+            ("families = hybrid\nqnn = ang_ry\ntanh = flase", "tanh takes true or false, got 'flase'"),
+            ("families = hybrid\nqnn = amp_gen\nentangle = 2", "entangle takes true or false, got 2"),
+            ("latent = 16.5", "latent takes an integer, got 16.5"),
+            ("heads = none, none", "heads lists 'none' twice"),
+            ("families = hybrid\nqnn = ang_ry, ang_ry\ntanh = false", "qnn lists 'ang_ry' twice"),
+            ("families = hybrid\nqnn = ang_arb\ntanh = true, TRUE", "tanh lists True twice"),
+        ],
+        ids=["misspelt_family", "misspelt_switch", "integer_switch", "fractional_latent",
+             "repeated_head", "repeated_qnn", "repeated_switch"],
+    )
+    def test_run_refuses_a_grid_value_it_would_cast_ignore_or_repeat(self, tmp_path, capsys, lines, message):
+        cfg = self.write_cfg(tmp_path)
+        cfg.write_text(cfg.read_text() + "epochs = 1\n" + lines + "\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--data-dir", str(tmp_path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize(

@@ -26,6 +26,7 @@ from hqnnbench.qnn import (
 from hqnnbench.statevec import Angle, EncodingError, Gate, GateKind, Observable
 
 from oracles import (
+    arb,
     circuit_unitary,
     dense_expectations,
     fd_jacobian,
@@ -43,19 +44,32 @@ def gate_count(circuit, kind):
     return sum(1 for g in circuit.ops if g.kind is kind)
 
 
+def encoding_rys(circuit):
+    """The encoding RYs: the RY gates that read no param slot."""
+    return [g for g in circuit.ops if g.kind is GateKind.RY and g.angles[0].source != "param"]
+
+
+def variational_kinds(circuit):
+    """The kinds of the rotations that read a param slot, in order."""
+    return [g.kind for g in circuit.ops if any(a.source == "param" for a in g.angles)]
+
+
+ARB_KINDS = [GateKind.RZ, GateKind.RY, GateKind.RZ]  # an arbitrary rotation's gates, in application order
+
+
 class TestAngRyBuilder:
     def test_structure_4_16(self):
         c = build_ang_ry(4, 16, entangle=True)
         assert c.n_params == 48
         assert c.n_inputs == 16
-        assert gate_count(c, GateKind.RY) == 16  # four embedding layers
-        assert gate_count(c, GateKind.ARB) == 16  # four variational layers
+        assert len(encoding_rys(c)) == 16  # four embedding layers
+        assert variational_kinds(c) == ARB_KINDS * 16  # four variational layers of arbitrary rotations
         assert gate_count(c, GateKind.CNOT) == 16  # ring of 4, four times
 
     def test_structure_8_256(self):
         c = build_ang_ry(8, 256, entangle=True)
         assert c.n_params == 768
-        assert gate_count(c, GateKind.RY) == 256
+        assert len(encoding_rys(c)) == 256
 
     def test_entangle_toggle_removes_cnots(self):
         c = build_ang_ry(4, 16, entangle=False)
@@ -69,10 +83,8 @@ class TestAngRyBuilder:
     def test_non_divisible_latent_zero_pads(self):
         c = build_ang_ry(4, 15, entangle=False)
         assert c.n_inputs == 15
-        assert gate_count(c, GateKind.RY) == 16
-        consts = [
-            g for g in c.ops if g.kind is GateKind.RY and g.angles[0].source == "const"
-        ]
+        assert len(encoding_rys(c)) == 16
+        consts = [g for g in encoding_rys(c) if g.angles[0].source == "const"]
         assert len(consts) == 1 and consts[0].angles[0].value == 0.0
 
     def test_single_ry_circuit_is_cosine(self):
@@ -102,7 +114,9 @@ class TestAngArbBuilder:
         c = build_ang_arb(4, 16, entangle=True)
         assert c.n_params == 24  # two embedding layers (16 padded to 24)
         assert c.n_inputs == 16
-        assert gate_count(c, GateKind.ARB) == 16  # 2 layers x (4 embed + 4 var)
+        # 2 layers x (4 embed + 4 var) arbitrary rotations
+        assert [g.kind for g in c.ops if g.kind is not GateKind.CZ] == ARB_KINDS * 16
+        assert variational_kinds(c) == ARB_KINDS * 8
 
     def test_structure_8_256(self):
         c = build_ang_arb(8, 256, entangle=True)
@@ -340,7 +354,7 @@ class TestCompiledProgram:
     def test_ang_ry_8_is_32_per_sample_stages_and_32_permutations(self):
         c = build_ang_ry(8, 256, True)
         assert self.layout(c) == [("stage", tuple((q, True) for q in range(8))), ("perm",)] * 32
-        # RY encoding then ARB: four rotations per fused gate, none of them padding
+        # RY encoding then an arbitrary rotation: four rotations per fused gate, none of them padding
         rows = {tuple((kind, a.source) for kind, a in row) for op in c.program if isinstance(op, Stage) for row in op.table}
         assert rows == {(("ry", "input"), ("rz", "param"), ("ry", "param"), ("rz", "param"))}
 
@@ -348,7 +362,7 @@ class TestCompiledProgram:
         c = build_ang_arb(8, 256, False)
         assert self.layout(c) == [("stage", tuple((q, True) for q in range(8)))]
         (stage,) = c.program
-        # 11 layers of two ARBs: 66 steps per fused gate, none of them padding
+        # 11 layers of two arbitrary rotations: 66 steps per fused gate, none of them padding
         assert {tuple(kind for kind, _ in row) for row in stage.table} == {("rz", "ry", "rz") * 22}
         assert stage.shape == (8, 66)  # one table: 8 gates by 66 steps
 
@@ -413,7 +427,6 @@ class TestCompiledProgram:
 
     def test_random_circuits_compile_to_one_op_per_maximal_run(self):
         rng = np.random.default_rng(53)
-        steps = {GateKind.RY: ("ry",), GateKind.RZ: ("rz",), GateKind.ARB: ("rz", "ry", "rz")}
         for k in range(80):
             c, _, _ = random_circuit(rng, max_qubits=5, encoding="amplitude" if k % 4 == 3 else "angle")
             runs: list[tuple[bool, list[Gate]]] = []
@@ -432,7 +445,7 @@ class TestCompiledProgram:
                 # one row per qubit, in order of first appearance in the run
                 assert op.qubits == tuple(dict.fromkeys(g.targets[0] for g in run))
                 for q, row in zip(op.qubits, op.table):
-                    want = tuple((kind, a) for g in run if g.targets[0] == q for kind, a in zip(steps[g.kind], g.angles))
+                    want = tuple((g.kind.value, g.angles[0]) for g in run if g.targets[0] == q)
                     pad = op.shape[1] - len(want)
                     # a short row starts with constant RZ(0) steps
                     assert row == (("rz", Angle.const(0.0)),) * pad + want
@@ -452,11 +465,11 @@ def _fused_slot_reuse_circuit():
     ops = (
         Gate.ry(0, Angle.input(0)),
         Gate.rz(0, Angle.input(0)),
-        Gate.arb(0, Angle.input(1), Angle.input(0), Angle.param(0)),
-        Gate.arb(1, Angle.input(1), Angle.input(0), Angle.param(1)),
+        *arb(0, Angle.input(1), Angle.input(0), Angle.param(0)),
+        *arb(1, Angle.input(1), Angle.input(0), Angle.param(1)),
         Gate.rz(0, Angle.input(1)),
         Gate.ry(1, Angle.param(2)),
-        Gate.arb(1, Angle.input(1), Angle.input(1), Angle.const(0.3)),
+        *arb(1, Angle.input(1), Angle.input(1), Angle.const(0.3)),
         Gate.cnot(1, 0),
         Gate.ry(1, Angle.input(0)),
     )

@@ -7,22 +7,22 @@ import math
 import numpy as np
 import pytest
 
-from hqnnbench.qnn import Circuit, qnn_forward_batch
+from hqnnbench.qnn import Circuit, _arb, qnn_forward_batch
 from hqnnbench.statevec import (
     Angle,
     EncodingError,
     Gate,
+    GateKind,
     Observable,
     apply_gate,
     apply_rows,
     apply_signed_perm,
     expval_batch,
     gate_overlap,
-    measurement_diagonals,
     rows_overlap,
 )
 
-from oracles import block_gates, dense_circuit_state, dense_observable_matrices, gate_matrix
+from oracles import arb, arb_matrix, block_gates, circuit_unitary, dense_circuit_state, dense_observable_matrices, gate_matrix
 
 
 def random_gates(rng, n_qubits):
@@ -35,7 +35,7 @@ def random_gates(rng, n_qubits):
     if choice == 1:
         return [Gate.rz(q, ang())]
     if choice == 2:
-        return [Gate.arb(q, ang(), ang(), ang())]
+        return arb(q, ang(), ang(), ang())
     a, b = rng.choice(n_qubits, size=2, replace=False)
     if choice == 3:
         return [Gate.cnot(int(a), int(b))]
@@ -107,16 +107,16 @@ class TestSingleGates:
         assert np.allclose(simulated_matrix(1, (Gate.rz(0, t),)), m, atol=1e-15)
 
     def test_arbrot_applies_phi_first(self):
+        # the builders' arbitrary rotation is the dense RZ(omega) RY(theta) RZ(phi)
         phi, theta, omega = 0.3, 1.1, -0.7
-        m = gate_matrix(Gate.arb(0, phi, theta, omega), 1)
-        rz = lambda t: np.diag([np.exp(-0.5j * t), np.exp(0.5j * t)])  # noqa: E731
-        ry = np.array(
-            [[math.cos(theta / 2), -math.sin(theta / 2)], [math.sin(theta / 2), math.cos(theta / 2)]]
-        )
-        assert np.allclose(m, rz(omega) @ ry @ rz(phi), atol=1e-14)
+        m = arb_matrix(phi, theta, omega)
+        assert np.abs(simulated_matrix(1, _arb(0, phi, theta, omega)) - m).max() < 1e-14
         x = np.array([0.6, -0.8])
-        s = final_state(1, (Gate.arb(0, phi, theta, omega),), x=x)
+        s = final_state(1, _arb(0, phi, theta, omega), x=x)
         assert np.abs(s - m @ x).max() < 1e-14
+        # and so is the oracle's own three-gate form
+        c = Circuit(1, "angle", tuple(arb(0, phi, theta, omega)), 0, 1, Observable.global_z())
+        assert np.abs(circuit_unitary(c) - m).max() < 1e-15
 
     def test_cnot_truth_table(self):
         # qubit 0 is the least significant bit: flipping the target (qubit 1)
@@ -132,6 +132,16 @@ class TestSingleGates:
     def test_two_qubit_gate_rejects_duplicate_targets(self):
         with pytest.raises(ValueError):
             Gate.cnot(1, 1)
+
+    def test_rotations_take_one_target_and_one_angle_entanglers_two_and_none(self):
+        for kind in (GateKind.RY, GateKind.RZ):
+            for targets, angles in (((0,), ()), ((0, 1), (Angle.const(0.1),)), ((0,), (Angle.const(0.1),) * 3)):
+                with pytest.raises(ValueError, match="one target and one angle"):
+                    Gate(kind, targets, angles)
+        for kind in (GateKind.CNOT, GateKind.CZ):
+            for targets, angles in (((0, 1), (Angle.const(0.1),)), ((0,), ())):
+                with pytest.raises(ValueError, match="two targets and no angle"):
+                    Gate(kind, targets, angles)
 
     def test_out_of_range_target_rejected(self):
         with pytest.raises(ValueError):
@@ -179,18 +189,18 @@ class TestAmplitudeEncode:
 
 class TestExpectations:
     def test_single_z_on_zero_state(self):
-        assert expval_batch(final_state(1, ()), 1, Observable.single_z(0))[0] == 1.0
+        assert expval_batch(final_state(1, ()), Observable.single_z(0).diagonals(1))[0] == 1.0
 
     def test_bell_state_global_and_local(self):
         s = np.zeros(4, dtype=np.complex128)
         s[0] = s[3] = 1 / math.sqrt(2)
-        assert abs(expval_batch(s, 2, Observable.global_z())[0] - 1.0) < 1e-15
-        assert np.abs(expval_batch(s, 2, Observable.local_z())).max() < 1e-15
+        assert abs(expval_batch(s, Observable.global_z().diagonals(2))[0] - 1.0) < 1e-15
+        assert np.abs(expval_batch(s, Observable.local_z().diagonals(2))).max() < 1e-15
 
     def test_global_z_matches_popcount_sum_and_dense(self):
         rng = np.random.default_rng(9)
         amps = random_state(rng, 4)
-        got = expval_batch(amps, 4, Observable.global_z())[0]
+        got = expval_batch(amps, Observable.global_z().diagonals(4))[0]
         direct = sum(
             abs(amps[i]) ** 2 * (-1) ** bin(i).count("1") for i in range(16)
         )
@@ -201,16 +211,27 @@ class TestExpectations:
     def test_local_z_matches_dense(self):
         rng = np.random.default_rng(10)
         amps = random_state(rng, 3)
-        got = expval_batch(amps, 3, Observable.local_z())
+        got = expval_batch(amps, Observable.local_z().diagonals(3))
         for q, mat in enumerate(dense_observable_matrices(3, Observable.local_z())):
             assert abs(got[q] - (amps.conj() @ mat @ amps).real) < 1e-12
 
     def test_measurement_diagonals_match_dense_diagonals(self):
-        for obs in (Observable.local_z(), Observable.global_z(), Observable.single_z(2)):
-            diags = measurement_diagonals(3, obs)
-            mats = dense_observable_matrices(3, obs)
-            for row, mat in zip(diags, mats):
-                assert np.allclose(row, np.diag(mat).real)
+        for n in range(1, 6):
+            for obs in (Observable.local_z(), Observable.global_z(), Observable.single_z(n - 1)):
+                diags = obs.diagonals(n)
+                mats = dense_observable_matrices(n, obs)
+                assert diags.shape == (len(mats), 1 << n)
+                for row, mat in zip(diags, mats):
+                    assert np.array_equal(row, np.diag(mat).real)
+                # a circuit computes its observable's diagonals once, when it is built
+                c = Circuit(n, "angle", (), 0, 1, obs)
+                assert np.array_equal(c.diagonals, diags) and c.out_dim == len(mats)
+
+    def test_single_z_qubit_out_of_range_rejected(self):
+        with pytest.raises(ValueError, match="observable qubit 3 out of range"):
+            Observable.single_z(3).diagonals(3)
+        with pytest.raises(ValueError, match="observable qubit 3 out of range"):
+            Circuit(3, "angle", (), 0, 1, Observable.single_z(3))
 
 
 class TestDenseOracle:
@@ -259,10 +280,10 @@ class TestBatchedKernels:
             Gate.rz(0, Angle.input(1)),
             Gate.cnot(0, 1),
             Gate.cz(1, 2),
-            Gate.arb(2, Angle.input(1), 0.4, Angle.input(0)),
+            *arb(2, Angle.input(1), 0.4, Angle.input(0)),
             Gate.rz(2, Angle.input(0)),
             Gate.ry(0, -0.3),
-            Gate.arb(0, Angle.input(1), Angle.input(0), 0.7),
+            *arb(0, Angle.input(1), Angle.input(0), 0.7),
         )
         self.rows_match_dense(Circuit(3, "angle", ops, 0, 2, Observable.global_z()), rng.normal(size=(5, 2)))
 
@@ -389,7 +410,7 @@ class TestSignedPermutation:
 
 class TestFusion:
     def test_fused_gates_keep_the_rotation_order(self):
-        ops = (Gate.ry(0, 0.3), Gate.rz(1, 0.2), Gate.arb(0, 0.1, -0.5, 0.9), Gate.rz(0, 1.3))
+        ops = (Gate.ry(0, 0.3), Gate.rz(1, 0.2), *arb(0, 0.1, -0.5, 0.9), Gate.rz(0, 1.3))
         c = Circuit(2, "angle", ops, 0, 1, Observable.global_z())
         (stage,) = c.program
         # one fused gate per qubit: 5 steps on qubit 0, and 1 on qubit 1 behind 4 steps of padding
