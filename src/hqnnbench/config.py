@@ -8,18 +8,22 @@ only), four circuit families (Ang-RY, Ang-Arb, Amp-Gen, QCNN) with their
 entanglement/observable axes, and four classical heads
 (``classical.HEAD_LAYERS``) -- 150 configurations.
 
-``expand_grid`` enumerates the points a run configuration selects,
-``parse_run_config`` reads the flat ``key = value`` file that holds it, and
-``check_run_config`` rejects keys that nothing reads and training-protocol
-values that no run accepts. ``load_run_dataset`` and ``default_batch_size``
-turn its dataset keys into a ``Dataset``.
+Two tables declare the run configuration: ``RUN_CONFIG`` holds every key a
+run-configuration file may set, with the values or the type it takes, and
+``FAMILIES`` holds each circuit family's group name, the switches it varies
+and its builder. ``expand_grid`` enumerates the points a run configuration
+selects, ``parse_run_config`` reads the flat ``key = value`` file that holds
+it, and ``check_run_config`` refuses keys that nothing reads and protocol or
+dataset values that no run accepts. ``ModelConfig`` and ``QnnArch`` check
+their fields against the same tables. ``load_run_dataset`` and
+``default_batch_size`` turn the dataset keys into a ``Dataset``.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import numbers
+from collections.abc import Callable
 from dataclasses import asdict, dataclass
 from itertools import product
 from pathlib import Path
@@ -32,43 +36,107 @@ from .statevec import Observable
 QUBITS_FOR_LATENT = {16: 4, 256: 8}
 PREPROCS = tuple(PREPROC_CHANNELS)
 HEADS = tuple(HEAD_LAYERS)
-# The switches a circuit family may vary: the values a family that varies one
-# takes, in the grid's default order, and the one value every other family holds.
-SWITCHES = {
-    "tanh": ((True, False), False),
-    "entangle": ((True, False), True),
-    "observable": (("local", "global"), "single"),
+
+
+@dataclass(frozen=True)
+class Family:
+    """A circuit family: its group in the tables, the switches it varies, and its builder."""
+
+    group: str
+    varies: tuple[str, ...]
+    build: Callable[[int, int, bool, Observable], Circuit]  # (qubits, latent_dim, entangle, observable)
+
+    def takes(self, switch: str) -> tuple:
+        """The values of ``switch`` that this family's models hold."""
+        axis = AXES[switch]
+        return axis.default if switch in self.varies else (axis.fixed,)
+
+
+FAMILIES = {
+    "ang_ry": Family("Ang-RY", ("tanh", "entangle", "observable"), build_ang_ry),
+    "ang_arb": Family("Ang-Arb", ("tanh", "entangle", "observable"), build_ang_arb),
+    "amp_gen": Family("Amp-Gen", ("entangle", "observable"), lambda n, _, ent, obs: build_amp_gen(n, ent, obs)),
+    "qcnn": Family("QCNN", (), lambda n, *_: build_qcnn(n)),
 }
-# Which switches each circuit family varies; the grid, config validation and
-# the paired comparisons all read it from here.
-FAMILY_AXES = {
-    "ang_ry": ("tanh", "entangle", "observable"),
-    "ang_arb": ("tanh", "entangle", "observable"),
-    "amp_gen": ("entangle", "observable"),
-    "qcnn": (),
+QNN_KINDS = tuple(FAMILIES)
+
+
+@dataclass(frozen=True)
+class Axis:
+    """A grid axis: a list of values, expanded to ``default`` when the configuration leaves it out.
+
+    A switch also has the ``fixed`` value that every circuit family which does
+    not vary it holds; a family that varies it takes the ``default`` values.
+    """
+
+    default: tuple
+    fixed: object = None
+
+    @property
+    def values(self) -> tuple:
+        """Every value some model accepts on this axis."""
+        return self.default if self.fixed is None or self.fixed in self.default else (*self.default, self.fixed)
+
+
+@dataclass(frozen=True)
+class Value:
+    """A key that holds one value: one of the ``accepts`` values, or a value of type ``accepts``.
+
+    An integer key may also have a ``least`` value.
+    """
+
+    accepts: tuple | type
+    least: int | None = None
+
+
+# Every key a run configuration may hold; the README's run-configuration
+# section lists the same keys.
+RUN_CONFIG = {
+    # The grid axes.
+    "families": Axis(("hybrid", "classical")),
+    "qnn": Axis(QNN_KINDS),
+    "preproc": Axis(PREPROCS),
+    "latent": Axis(tuple(QUBITS_FOR_LATENT)),
+    "tanh": Axis((True, False), fixed=False),
+    "entangle": Axis((True, False), fixed=True),
+    "observable": Axis(("local", "global"), fixed="single"),
+    "heads": Axis(HEADS),
+    # The training protocol.
+    "folds": Value(int, 2), "epochs": Value(int, 1), "batch_size": Value(int, 1), "seed": Value(int, 0),
+    "aggregate": Value(("mean", "median")),
+    # The dataset, then each dataset's own keys.
+    "dataset": Value(str),
+    "blobs_n": Value(int), "blobs_dim": Value(int), "blobs_separation": Value(float),
+    "beats_n": Value(int), "beats_subjects": Value(int), "beats_noise": Value(float), "beats_ambiguity": Value(float),
+    "beats_file": Value(str),
+    "npz_file": Value(str), "images_key": Value(str), "labels_key": Value(str),
 }
-QNN_KINDS = tuple(FAMILY_AXES)
-GROUP_NAMES = {"ang_ry": "Ang-RY", "ang_arb": "Ang-Arb", "amp_gen": "Amp-Gen", "qcnn": "QCNN"}
-AGGREGATES = ("mean", "median")
+RUN_KEYS = frozenset(RUN_CONFIG)
+AXES = {name: row for name, row in RUN_CONFIG.items() if isinstance(row, Axis)}
+SWITCHES = tuple(name for name, axis in AXES.items() if axis.fixed is not None)
 
-# Every key a run configuration may hold: the grid axes, the training
-# protocol, and the dataset keys of the README's run-configuration table.
-RUN_KEYS = frozenset(
-    (
-        "families qnn preproc latent tanh entangle observable heads "
-        "folds epochs batch_size aggregate seed "
-        "dataset blobs_n blobs_dim blobs_separation "
-        "beats_n beats_subjects beats_noise beats_ambiguity beats_file "
-        "npz_file images_key labels_key"
-    ).split()
-)
+_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string"}
 
 
-def _check_switch(kind: str, switch: str, value) -> None:
-    varied, fixed = SWITCHES[switch]
-    allowed = varied if switch in FAMILY_AXES[kind] else (fixed,)
-    if value not in allowed:
-        raise ValueError(f"{kind} takes {switch} {' or '.join(map(repr, allowed))}, got {value!r}")
+class RunConfigError(ValueError):
+    """A run or model configuration holds a key that nothing reads or a value that no run accepts."""
+
+
+def _check(what: str, value, accepts: tuple | type, least: int | None = None) -> None:
+    """Refuse ``value`` unless it is one of ``accepts`` or of exactly that type.
+
+    Values compare by type as well as by ==, so 1 does not pass for true nor
+    16.0 for 16. A float also takes an int, but not a bool.
+    """
+    if isinstance(accepts, type):
+        ok = type(value) is accepts or (accepts is float and type(value) is int)
+        ok = ok and (least is None or value >= least)
+        spelt = _TYPE_NAMES[accepts] + ("" if least is None else f" of at least {least}")
+    else:
+        ok = any(type(value) is type(a) and value == a for a in accepts)
+        spelt = " or ".join(str(a).lower() for a in accepts)
+    if not ok:
+        raise RunConfigError(f"{what} {spelt}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -80,23 +148,14 @@ class QnnArch:
     observable: str = "global"  # "local" | "global" | "single"
 
     def __post_init__(self):
-        if self.kind not in FAMILY_AXES:
-            raise ValueError(f"unknown qnn kind {self.kind!r}")
-        _check_switch(self.kind, "entangle", self.entangle)
-        _check_switch(self.kind, "observable", self.observable)
+        _check("qnn takes", self.kind, AXES["qnn"].values)
+        for switch in ("entangle", "observable"):
+            _check(f"{self.kind} takes {switch}", getattr(self, switch), FAMILIES[self.kind].takes(switch))
 
     def build(self, latent_dim: int) -> Circuit:
-        if latent_dim not in QUBITS_FOR_LATENT:
-            raise ValueError(f"latent_dim must be one of {sorted(QUBITS_FOR_LATENT)}")
-        n = QUBITS_FOR_LATENT[latent_dim]
+        _check("latent takes", latent_dim, AXES["latent"].values)
         obs = Observable.local_z() if self.observable == "local" else Observable.global_z()
-        if self.kind == "ang_ry":
-            return build_ang_ry(n, latent_dim, self.entangle, obs)
-        if self.kind == "ang_arb":
-            return build_ang_arb(n, latent_dim, self.entangle, obs)
-        if self.kind == "amp_gen":
-            return build_amp_gen(n, self.entangle, obs)
-        return build_qcnn(n)
+        return FAMILIES[self.kind].build(QUBITS_FOR_LATENT[latent_dim], latent_dim, self.entangle, obs)
 
 
 @dataclass(frozen=True)
@@ -112,23 +171,22 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.preproc not in PREPROCS:
-            raise ValueError(f"unknown preproc {self.preproc!r}")
-        if self.latent_dim not in QUBITS_FOR_LATENT:
-            raise ValueError(f"latent_dim must be one of {sorted(QUBITS_FOR_LATENT)}")
+        for name, value in (("families", self.family), ("preproc", self.preproc), ("latent", self.latent_dim)):
+            _check(f"{name} takes", value, AXES[name].values)
+        _check("seed must be", self.seed, int, RUN_CONFIG["seed"].least)
         if self.family == "hybrid":
             if self.qnn is None or self.head is not None:
-                raise ValueError("hybrid configs carry a qnn and no classical head")
-            _check_switch(self.qnn.kind, "tanh", self.tanh_pi)
-        elif self.family == "classical":
-            if self.head not in HEADS or self.qnn is not None or self.tanh_pi:
-                raise ValueError("classical configs carry a head, no qnn and no tanh_pi")
+                raise RunConfigError("hybrid configs carry a qnn and no classical head")
+            _check(f"{self.qnn.kind} takes tanh", self.tanh_pi, FAMILIES[self.qnn.kind].takes("tanh"))
         else:
-            raise ValueError(f"unknown family {self.family!r}")
+            if self.qnn is not None:
+                raise RunConfigError("classical configs carry a head and no qnn")
+            _check("heads takes", self.head, AXES["heads"].values)
+            _check("classical takes tanh", self.tanh_pi, (False,))
 
     @property
     def group(self) -> str:
-        return "classical" if self.family == "classical" else GROUP_NAMES[self.qnn.kind]
+        return "classical" if self.family == "classical" else FAMILIES[self.qnn.kind].group
 
     @property
     def label(self) -> str:
@@ -156,57 +214,36 @@ def _as_list(value) -> list:
     return list(value) if isinstance(value, (list, tuple)) else [value]
 
 
-# What the values of a grid axis must be where no model would refuse a wrong
-# one: a family that no branch of the grid reads, and switches and latent
-# sizes, which the models compare by ==, so 1 would pass for true and 16.0
-# for 16.
-_AXIS_VALUES = {
-    "families": ("hybrid or classical", lambda v: v in ("hybrid", "classical")),
-    "latent": ("an integer", lambda v: type(v) is int),
-    "tanh": ("true or false", lambda v: isinstance(v, bool)),
-    "entangle": ("true or false", lambda v: isinstance(v, bool)),
-}
-
-
 def expand_grid(run_cfg: dict) -> list[ModelConfig]:
     """Enumerate ModelConfigs for the axes in ``run_cfg`` (defaults = full grid).
 
     A circuit family takes the requested values of the switches it varies
-    (``FAMILY_AXES``) and its fixed value of every other switch. An empty
-    axis, a value of the wrong kind (``_AXIS_VALUES``) and a value listed
-    twice in one axis are refused.
+    (``FAMILIES``) and its fixed value of every other switch. An empty axis, a
+    value that no model accepts (``RUN_CONFIG``), whether or not a selected
+    family reads its axis, and a value listed twice in one axis are refused
+    with ``RunConfigError``.
     """
-    families = _as_list(run_cfg.get("families", ["hybrid", "classical"]))
-    preprocs = _as_list(run_cfg.get("preproc", list(PREPROCS)))
-    latents = _as_list(run_cfg.get("latent", [16, 256]))
-    kinds = _as_list(run_cfg.get("qnn", list(QNN_KINDS)))
-    heads = _as_list(run_cfg.get("heads", list(HEADS)))
-    switches = {s: _as_list(run_cfg.get(s, list(varied))) for s, (varied, _) in SWITCHES.items()}
-    seed = int(run_cfg.get("seed", 0))
-    axes = {"families": families, "preproc": preprocs, "latent": latents, "qnn": kinds, "heads": heads, **switches}
-    for name, axis in axes.items():
-        if not axis:
-            raise ValueError(f"empty axis {name!r}")
-        for i, value in enumerate(axis):
-            if name in _AXIS_VALUES and not _AXIS_VALUES[name][1](value):
-                raise RunConfigError(f"{name} takes {_AXIS_VALUES[name][0]}, got {value!r}")
-            if value in axis[:i]:
+    axes = {}
+    for name, axis in AXES.items():
+        axes[name] = listed = _as_list(run_cfg.get(name, axis.default))
+        if not listed:
+            raise RunConfigError(f"empty axis {name!r}")
+        for i, value in enumerate(listed):
+            _check(f"{name} takes", value, axis.values)
+            if value in listed[:i]:
                 raise RunConfigError(f"{name} lists {value!r} twice")
+    seed = run_cfg.get("seed", 0)
 
     configs: list[ModelConfig] = []
-    if "hybrid" in families:
-        for kind in kinds:
-            # An unknown kind varies nothing here and is refused by QnnArch.
-            varies = FAMILY_AXES.get(kind, ())
-            values = [switches[s] if s in varies else [fixed] for s, (_, fixed) in SWITCHES.items()]
-            for preproc, latent, (tanh, ent, obs) in product(preprocs, latents, product(*values)):
+    if "hybrid" in axes["families"]:
+        for kind in axes["qnn"]:
+            values = [axes[s] if s in FAMILIES[kind].varies else [AXES[s].fixed] for s in SWITCHES]
+            for preproc, latent, (tanh, ent, obs) in product(axes["preproc"], axes["latent"], product(*values)):
                 qnn = QnnArch(kind, ent, obs)
                 configs.append(ModelConfig("hybrid", preproc, latent, tanh, qnn, seed=seed))
-    if "classical" in families:
-        for preproc, latent, head in product(preprocs, latents, heads):
+    if "classical" in axes["families"]:
+        for preproc, latent, head in product(axes["preproc"], axes["latent"], axes["heads"]):
             configs.append(ModelConfig("classical", preproc, latent, head=head, seed=seed))
-    if not configs:
-        raise ValueError("grid expansion produced no configurations")
     return configs
 
 
@@ -229,7 +266,8 @@ def parse_run_config(path) -> dict:
 
     ``#`` starts a comment; comma-separated values become lists; tokens are
     coerced to int/float/bool when they parse as such. A file that cannot be
-    opened is a ``RunConfigError``.
+    opened, a line that is not ``key = value`` and a key set twice are a
+    ``RunConfigError`` (the last two name the file and line).
     """
     cfg: dict = {}
     try:
@@ -245,6 +283,8 @@ def parse_run_config(path) -> dict:
             key, val = key.strip(), val.strip()
             if not sep or not key or not val:
                 raise RunConfigError(f"{path}:{line_no}: expected 'key = value', got {raw.rstrip()!r}")
+            if key in cfg:
+                raise RunConfigError(f"{path}:{line_no}: {key} is set twice")
             if "," in val:
                 cfg[key] = [_coerce(tok.strip()) for tok in val.split(",") if tok.strip()]
             else:
@@ -252,20 +292,14 @@ def parse_run_config(path) -> dict:
     return cfg
 
 
-class RunConfigError(ValueError):
-    """A run configuration holds a key that nothing reads or a value that no run accepts."""
-
-
-# Least value of each integer training-protocol key.
-_LEAST = {"folds": 2, "epochs": 1, "batch_size": 1, "seed": 0}
-
-
 def check_run_config(run_cfg: dict) -> None:
-    """Refuse unknown keys and out-of-range protocol values before any work starts.
+    """Refuse unknown keys and bad protocol or dataset values before any work starts.
 
     A misspelt key would silently leave its default in force, and a bad
-    ``folds``, ``epochs``, ``batch_size``, ``seed`` or ``aggregate`` would
-    fail only once training or data generation had started.
+    protocol value would fail only once training or data generation had
+    started. Dataset values are checked, not cast: ``beats_n = 12.7`` is
+    refused rather than read as 12 samples. The grid axes are
+    ``expand_grid``'s to check.
     """
     unknown = sorted(set(run_cfg) - RUN_KEYS)
     if unknown:
@@ -273,36 +307,29 @@ def check_run_config(run_cfg: dict) -> None:
             f"unknown run-config key(s) {', '.join(map(repr, unknown))}; "
             f"known keys: {', '.join(sorted(RUN_KEYS))}"
         )
-    for key, least in _LEAST.items():
-        value = run_cfg.get(key, least)
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
-            raise RunConfigError(f"{key} must be an integer of at least {least}, got {value!r}")
-    if run_cfg.get("aggregate", "mean") not in AGGREGATES:
-        raise RunConfigError(f"aggregate must be {' or '.join(AGGREGATES)}, got {run_cfg['aggregate']!r}")
+    for key, row in RUN_CONFIG.items():
+        if isinstance(row, Value) and key in run_cfg:
+            _check(f"{key} must be", run_cfg[key], row.accepts, row.least)
 
 
-_BEATS_ARGS = {
-    "beats_n": ("n", int),
-    "beats_subjects": ("n_subjects", int),
-    "beats_noise": ("noise", float),
-    "beats_ambiguity": ("ambiguity", float),
-}
+_BEATS_ARGS = {"beats_n": "n", "beats_subjects": "n_subjects", "beats_noise": "noise", "beats_ambiguity": "ambiguity"}
 
 
 def load_run_dataset(run_cfg: dict, data_dir: Path) -> Dataset:
-    """Materialize the dataset named by the run configuration."""
+    """Materialize the dataset named by the run configuration, after ``check_run_config``."""
+    check_run_config(run_cfg)
     name = run_cfg.get("dataset", "blobs")
-    seed = int(run_cfg.get("seed", 0))
+    seed = run_cfg.get("seed", 0)
     if name == "blobs":
         return synth_blobs(
-            n=int(run_cfg.get("blobs_n", 512)),
-            dim=int(run_cfg.get("blobs_dim", 16)),
-            separation=float(run_cfg.get("blobs_separation", 10.0)),
+            n=run_cfg.get("blobs_n", 512),
+            dim=run_cfg.get("blobs_dim", 16),
+            separation=run_cfg.get("blobs_separation", 10.0),
             seed=seed,
         )
     if name == "synth_beats":
         # Keys the configuration leaves out keep synth_beats' own defaults.
-        args = {arg: cast(run_cfg[key]) for key, (arg, cast) in _BEATS_ARGS.items() if key in run_cfg}
+        args = {arg: run_cfg[key] for key, arg in _BEATS_ARGS.items() if key in run_cfg}
         return synth_beats(seed=seed, **args)
     if name == "beats_csv":
         return load_beats_csv(Path(data_dir) / run_cfg.get("beats_file", "beats.csv"))

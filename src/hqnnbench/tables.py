@@ -16,16 +16,16 @@ from itertools import combinations
 from pathlib import Path
 from statistics import median
 
-from .config import FAMILY_AXES, GROUP_NAMES, PREPROCS
+from .config import FAMILIES, PREPROCS
 from .metrics import METRIC_NAMES
 from .stats import StatTestResult, bonferroni, mann_whitney_u, wilcoxon_signed_rank
 
-GROUP_ORDER = ("classical", *GROUP_NAMES.values())
+GROUP_ORDER = ("classical", *(family.group for family in FAMILIES.values()))
 COMPARE_METRIC = "roc_auc"
 
 
 def _varying(switch: str) -> tuple[str, ...]:
-    return tuple(kind for kind, axes in FAMILY_AXES.items() if switch in axes)
+    return tuple(kind for kind, family in FAMILIES.items() if switch in family.varies)
 
 
 # The paired comparisons in table order: the axis, the config field that
@@ -37,7 +37,7 @@ PAIRED = (
     ("activation", "tanh_pi", (True, "tanh_pi"), (False, "identity"), _varying("tanh")),
     ("entanglement", "entangle", (True, "entangled"), (False, "unentangled"), _varying("entangle")),
     *(
-        (f"observable[{GROUP_NAMES[k]}]", "observable", ("local", "local"), ("global", "global"), (k,))
+        (f"observable[{FAMILIES[k].group}]", "observable", ("local", "local"), ("global", "global"), (k,))
         for k in _varying("observable")
     ),
 )

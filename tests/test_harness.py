@@ -21,6 +21,7 @@ from hqnnbench.config import (
     ModelConfig,
     QnnArch,
     RunConfigError,
+    check_run_config,
     default_batch_size,
     expand_grid,
     load_run_dataset,
@@ -65,6 +66,11 @@ class TestQnnArch:
     def test_unknown_latent(self):
         with pytest.raises(ValueError):
             QnnArch("ang_ry").build(64)
+
+    def test_look_alike_switch_is_refused(self):
+        # 1 == True, so a check by == would let it through and change the config hash.
+        with pytest.raises(ValueError, match="^ang_ry takes entangle true or false, got 1$"):
+            QnnArch("ang_ry", 1, "global")
 
 
 class TestModelConfig:
@@ -119,6 +125,27 @@ class TestModelConfig:
         with pytest.raises(ValueError):
             ModelConfig(family="classical", preproc="conv0", latent_dim=64, head="mlp")
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            (dict(latent_dim=16.0), "latent takes 16 or 256, got 16.0"),
+            (dict(tanh_pi=1), "ang_ry takes tanh true or false, got 1"),
+            (dict(seed=1.0), "seed must be an integer of at least 0, got 1.0"),
+            (dict(seed=True), "seed must be an integer of at least 0, got True"),
+            (dict(seed=-1), "seed must be an integer of at least 0, got -1"),
+        ],
+        ids=["float_latent", "integer_tanh", "float_seed", "bool_seed", "negative_seed"],
+    )
+    def test_look_alike_values_are_refused(self, kwargs, message):
+        fields = dict(family="hybrid", preproc="conv0", latent_dim=16, tanh_pi=True, qnn=QnnArch("ang_ry"))
+        ModelConfig(**fields)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ModelConfig(**{**fields, **kwargs})
+
+    def test_classical_tanh_is_exactly_false(self):
+        with pytest.raises(ValueError, match="^classical takes tanh false, got 0$"):
+            ModelConfig("classical", "conv0", 16, 0, head="mlp")
+
 
 class TestExpandGrid:
     def test_default_grid_is_150(self):
@@ -159,10 +186,43 @@ class TestExpandGrid:
         configs = expand_grid({"families": "classical", "seed": 9})
         assert all(c.seed == 9 for c in configs)
 
+    @pytest.mark.parametrize(
+        "run_cfg, message",
+        [
+            ({"families": "classical", "qnn": "bogus"}, "qnn takes ang_ry or ang_arb or amp_gen or qcnn, got 'bogus'"),
+            ({"families": "classical", "observable": "sideways"},
+             "observable takes local or global or single, got 'sideways'"),
+            ({"families": "hybrid", "qnn": "qcnn", "heads": "nosuch"},
+             "heads takes none or fcnone or fcrelu or mlp, got 'nosuch'"),
+            ({"families": "hybrid", "qnn": "qcnn", "tanh": 1}, "tanh takes true or false, got 1"),
+        ],
+        ids=["qnn_of_classical_grid", "observable_of_classical_grid", "heads_of_hybrid_grid", "tanh_of_qcnn_grid"],
+    )
+    def test_values_that_no_selected_family_reads_are_checked(self, run_cfg, message):
+        with pytest.raises(RunConfigError, match=f"^{re.escape(message)}$"):
+            expand_grid(run_cfg)
+
+    @pytest.mark.parametrize(
+        "run_cfg, message",
+        [
+            ({"qnn": "ang_ry", "observable": "single"}, "ang_ry takes observable local or global, got 'single'"),
+            ({"seed": 1.0}, "seed must be an integer of at least 0, got 1.0"),
+        ],
+        ids=["single_observable", "float_seed"],
+    )
+    def test_model_refusals_are_run_config_errors(self, run_cfg, message):
+        with pytest.raises(RunConfigError, match=f"^{re.escape(message)}$"):
+            expand_grid(run_cfg)
+
+    def test_fixed_switch_value_expands_where_no_family_varies_it(self):
+        configs = expand_grid({"families": "hybrid", "qnn": "qcnn", "observable": "single", "entangle": True})
+        assert configs == expand_grid({"families": "hybrid", "qnn": "qcnn"})
+        assert len(configs) == 6
+
     def test_empty_axis_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(RunConfigError, match="^empty axis 'preproc'$"):
             expand_grid({"preproc": []})
-        with pytest.raises(ValueError):
+        with pytest.raises(RunConfigError, match="^empty axis 'families'$"):
             expand_grid({"families": []})
 
     @pytest.mark.parametrize(
@@ -170,8 +230,8 @@ class TestExpandGrid:
         [
             ("entangle", 2, "entangle takes true or false, got 2"),
             ("tanh", "false", "tanh takes true or false, got 'false'"),
-            ("latent", 16.5, "latent takes an integer, got 16.5"),
-            ("latent", True, "latent takes an integer, got True"),
+            ("latent", 16.5, "latent takes 16 or 256, got 16.5"),
+            ("latent", True, "latent takes 16 or 256, got True"),
             ("families", ["hybrid", "quantum"], "families takes hybrid or classical, got 'quantum'"),
             ("qnn", ["ang_ry", "qcnn", "ang_ry"], "qnn lists 'ang_ry' twice"),
             ("entangle", [False, False], "entangle lists False twice"),
@@ -222,6 +282,33 @@ class TestRunConfigParsing:
             load_run_dataset({"dataset": "imagenet"}, tmp_path)
         with pytest.raises(ValueError):
             load_run_dataset({"dataset": "npz"}, tmp_path)
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("beats_n", 12.7, "beats_n must be an integer, got 12.7"),
+            ("blobs_n", 10.9, "blobs_n must be an integer, got 10.9"),
+            ("blobs_dim", True, "blobs_dim must be an integer, got True"),
+            ("beats_subjects", 2.5, "beats_subjects must be an integer, got 2.5"),
+            ("beats_noise", True, "beats_noise must be a number, got True"),
+            ("beats_ambiguity", "low", "beats_ambiguity must be a number, got 'low'"),
+            ("npz_file", 7, "npz_file must be a string, got 7"),
+            ("beats_n", [100, 200], "beats_n must be an integer, got [100, 200]"),
+        ],
+        ids=["fractional_beats_n", "fractional_blobs_n", "bool_blobs_dim", "fractional_beats_subjects",
+             "bool_beats_noise", "text_beats_ambiguity", "integer_npz_file", "listed_beats_n"],
+    )
+    def test_dataset_values_are_checked_not_cast(self, tmp_path, key, value, message):
+        with pytest.raises(RunConfigError, match=f"^{re.escape(message)}$"):
+            check_run_config({key: value})
+        with pytest.raises(RunConfigError, match=f"^{re.escape(message)}$"):
+            load_run_dataset({key: value}, tmp_path)
+
+    def test_float_dataset_values_take_an_int(self, tmp_path):
+        check_run_config({"blobs_separation": 2.5, "beats_noise": 0, "beats_ambiguity": 0.1})
+        as_int = load_run_dataset({"blobs_n": 8, "blobs_dim": 2, "blobs_separation": 2}, tmp_path)
+        as_float = load_run_dataset({"blobs_n": 8, "blobs_dim": 2, "blobs_separation": 2.0}, tmp_path)
+        assert np.array_equal(as_int.samples, as_float.samples)
 
     def test_readme_lists_every_run_key(self):
         # README promises that a key it does not list is refused.
@@ -669,20 +756,30 @@ class TestRunGrid:
 
 
 class TestCli:
-    def write_cfg(self, tmp_path):
+    BASE_CFG = (
+        "dataset = blobs\n"
+        "blobs_n = 32\n"
+        "blobs_dim = 8\n"
+        "blobs_separation = 10.0\n"
+        "families = classical\n"
+        "preproc = conv0\n"
+        "latent = 16\n"
+        "heads = none\n"
+        "folds = 2\n"
+        "batch_size = 16\n"
+    )
+
+    def write_cfg(self, tmp_path, lines=""):
+        """Write the base run config, where each line of ``lines`` replaces the base's line for its key.
+
+        A key may be set only once in a run-config file, so ``lines`` cannot
+        simply be appended to the base.
+        """
+        own = lines.splitlines()
+        keys = {line.split("=")[0].strip() for line in own}
+        base = [line for line in self.BASE_CFG.splitlines() if line.split("=")[0].strip() not in keys]
         p = tmp_path / "run.cfg"
-        p.write_text(
-            "dataset = blobs\n"
-            "blobs_n = 32\n"
-            "blobs_dim = 8\n"
-            "blobs_separation = 10.0\n"
-            "families = classical\n"
-            "preproc = conv0\n"
-            "latent = 16\n"
-            "heads = none\n"
-            "folds = 2\n"
-            "batch_size = 16\n"
-        )
+        p.write_text("".join(line + "\n" for line in base + own))
         return p
 
     def test_run_and_report(self, tmp_path, capsys):
@@ -835,7 +932,6 @@ class TestCli:
 
     @pytest.mark.parametrize("source", ["npz_image", "beats_cell", "blobs_separation"])
     def test_run_refuses_non_finite_samples_before_creating_out(self, tmp_path, capsys, source):
-        cfg = self.write_cfg(tmp_path)
         if source == "npz_image":
             images = np.zeros((16, 8))
             images[3, 4] = np.nan
@@ -848,7 +944,7 @@ class TestCli:
             extra = "dataset = beats_csv\n"
         else:
             extra = "blobs_separation = inf\n"
-        cfg.write_text(cfg.read_text() + extra)
+        cfg = self.write_cfg(tmp_path, extra)
         out = tmp_path / "out"
         assert main(["run", "--config", str(cfg), "--data-dir", str(tmp_path), "--out", str(out)]) == 2
         assert capsys.readouterr().err == "error: samples must be finite, not NaN or infinite\n"
@@ -875,16 +971,14 @@ class TestCli:
         assert "different protocol" in capsys.readouterr().err
 
     def test_run_refuses_an_unknown_key(self, tmp_path, capsys):
-        cfg = self.write_cfg(tmp_path)
-        cfg.write_text(cfg.read_text() + "epoch = 1\n")
+        cfg = self.write_cfg(tmp_path, "epoch = 1")
         out = tmp_path / "out"
         assert main(["run", "--config", str(cfg), "--data-dir", str(tmp_path), "--out", str(out)]) == 2
         assert "'epoch'" in capsys.readouterr().err
         assert not out.exists()
 
     def test_run_refuses_a_bad_protocol_value(self, tmp_path, capsys):
-        cfg = self.write_cfg(tmp_path)
-        cfg.write_text(cfg.read_text() + "aggregate = max\n")
+        cfg = self.write_cfg(tmp_path, "aggregate = max")
         out = tmp_path / "out"
         assert main(["run", "--config", str(cfg), "--data-dir", str(tmp_path), "--out", str(out)]) == 2
         assert "aggregate must be mean or median, got 'max'" in capsys.readouterr().err
@@ -897,12 +991,16 @@ class TestCli:
             ("dataset = nosuch", "unknown dataset 'nosuch'"),
             ("seed = -1", "seed must be an integer of at least 0, got -1"),
             ("blobs_n = 7", "n must be even for balanced classes"),  # synth_blobs refuses an odd count
+            ("dataset = synth_beats\nbeats_n = 12.7", "beats_n must be an integer, got 12.7"),
+            ("blobs_n = 10.9", "blobs_n must be an integer, got 10.9"),
+            ("blobs_dim = true", "blobs_dim must be an integer, got True"),
+            ("dataset = synth_beats\nbeats_noise = true", "beats_noise must be a number, got True"),
         ],
-        ids=["npz_without_file", "unknown_dataset", "negative_seed", "odd_blobs_n"],
+        ids=["npz_without_file", "unknown_dataset", "negative_seed", "odd_blobs_n", "fractional_beats_n",
+             "fractional_blobs_n", "bool_blobs_dim", "bool_beats_noise"],
     )
     def test_run_refuses_a_bad_dataset_key_before_creating_out(self, tmp_path, capsys, line, message):
-        cfg = self.write_cfg(tmp_path)
-        cfg.write_text(cfg.read_text() + line + "\n")
+        cfg = self.write_cfg(tmp_path, line)
         out = tmp_path / "out"
         argv = ["run", "--config", str(cfg), "--data-dir", str(tmp_path), "--out", str(out)]
         assert main(argv) == 2
@@ -914,13 +1012,13 @@ class TestCli:
         [
             ("blobs_n = 4\nfolds = 3", "error: class 0 has fewer than k=3 samples\n"),  # make_folds
             ("folds 2", "expected 'key = value', got 'folds 2'\n"),  # parse_run_config
-            ("latent = 7", "error: latent_dim must be one of [16, 256]\n"),  # expand_grid
+            ("latent = 7", "error: latent takes 16 or 256, got 7\n"),  # expand_grid
+            ("qnn = ang_ry\nqnn = qcnn", ":12: qnn is set twice\n"),  # parse_run_config
         ],
-        ids=["too_few_per_class", "malformed_line", "bad_grid_axis"],
+        ids=["too_few_per_class", "malformed_line", "bad_grid_axis", "repeated_key"],
     )
     def test_run_reports_a_config_that_cannot_split_or_expand(self, tmp_path, capsys, lines, message):
-        cfg = self.write_cfg(tmp_path)
-        cfg.write_text(cfg.read_text() + lines + "\n")
+        cfg = self.write_cfg(tmp_path, lines)
         out = tmp_path / "out"
         assert main(["run", "--config", str(cfg), "--data-dir", str(tmp_path), "--out", str(out)]) == 2
         err = capsys.readouterr().err
@@ -933,17 +1031,20 @@ class TestCli:
             ("families = hybrid, clasical\nqnn = ang_ry\ntanh = false", "families takes hybrid or classical, got 'clasical'"),
             ("families = hybrid\nqnn = ang_ry\ntanh = flase", "tanh takes true or false, got 'flase'"),
             ("families = hybrid\nqnn = amp_gen\nentangle = 2", "entangle takes true or false, got 2"),
-            ("latent = 16.5", "latent takes an integer, got 16.5"),
+            ("latent = 16.5", "latent takes 16 or 256, got 16.5"),
             ("heads = none, none", "heads lists 'none' twice"),
             ("families = hybrid\nqnn = ang_ry, ang_ry\ntanh = false", "qnn lists 'ang_ry' twice"),
             ("families = hybrid\nqnn = ang_arb\ntanh = true, TRUE", "tanh lists True twice"),
+            ("qnn = bogus", "qnn takes ang_ry or ang_arb or amp_gen or qcnn, got 'bogus'"),
+            ("observable = sideways", "observable takes local or global or single, got 'sideways'"),
+            ("families = hybrid\nqnn = qcnn\nheads = nosuch", "heads takes none or fcnone or fcrelu or mlp, got 'nosuch'"),
         ],
         ids=["misspelt_family", "misspelt_switch", "integer_switch", "fractional_latent",
-             "repeated_head", "repeated_qnn", "repeated_switch"],
+             "repeated_head", "repeated_qnn", "repeated_switch", "qnn_of_classical_grid",
+             "observable_of_classical_grid", "heads_of_hybrid_grid"],
     )
     def test_run_refuses_a_grid_value_it_would_cast_ignore_or_repeat(self, tmp_path, capsys, lines, message):
-        cfg = self.write_cfg(tmp_path)
-        cfg.write_text(cfg.read_text() + "epochs = 1\n" + lines + "\n")
+        cfg = self.write_cfg(tmp_path, "epochs = 1\n" + lines)
         out = tmp_path / "out"
         assert main(["run", "--config", str(cfg), "--data-dir", str(tmp_path), "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
@@ -959,8 +1060,7 @@ class TestCli:
         ids=["missing_npz_file", "missing_beats_file", "unpoolable_samples"],
     )
     def test_run_refuses_unreadable_or_unbuildable_data_before_creating_out(self, tmp_path, capsys, lines, message):
-        cfg = self.write_cfg(tmp_path)
-        cfg.write_text(cfg.read_text() + lines + "\n")
+        cfg = self.write_cfg(tmp_path, lines)
         out = tmp_path / "out"
         assert main(["run", "--config", str(cfg), "--data-dir", str(tmp_path), "--out", str(out)]) == 2
         err = capsys.readouterr().err
