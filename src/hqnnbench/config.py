@@ -82,11 +82,11 @@ class Axis:
 class Value:
     """A key that holds one value: one of the ``accepts`` values, or a value of type ``accepts``.
 
-    An integer key may also have a ``least`` value.
+    A number key may also have a ``least`` value.
     """
 
     accepts: tuple | type
-    least: int | None = None
+    least: float | None = None
 
 
 # Every key a run configuration may hold; the README's run-configuration
@@ -106,8 +106,9 @@ RUN_CONFIG = {
     "aggregate": Value(("mean", "median")),
     # The dataset, then each dataset's own keys.
     "dataset": Value(str),
-    "blobs_n": Value(int), "blobs_dim": Value(int), "blobs_separation": Value(float),
-    "beats_n": Value(int), "beats_subjects": Value(int), "beats_noise": Value(float), "beats_ambiguity": Value(float),
+    "blobs_n": Value(int, 2), "blobs_dim": Value(int, 1), "blobs_separation": Value(float),
+    "beats_n": Value(int, 4), "beats_subjects": Value(int, 1), "beats_noise": Value(float, 0),
+    "beats_ambiguity": Value(float),
     "beats_file": Value(str),
     "npz_file": Value(str), "images_key": Value(str), "labels_key": Value(str),
 }
@@ -122,7 +123,7 @@ class RunConfigError(ValueError):
     """A run or model configuration holds a key that nothing reads or a value that no run accepts."""
 
 
-def _check(what: str, value, accepts: tuple | type, least: int | None = None) -> None:
+def _check(what: str, value, accepts: tuple | type, least: float | None = None) -> None:
     """Refuse ``value`` unless it is one of ``accepts`` or of exactly that type.
 
     Values compare by type as well as by ==, so 1 does not pass for true nor
@@ -175,8 +176,8 @@ class ModelConfig:
             _check(f"{name} takes", value, AXES[name].values)
         _check("seed must be", self.seed, int, RUN_CONFIG["seed"].least)
         if self.family == "hybrid":
-            if self.qnn is None or self.head is not None:
-                raise RunConfigError("hybrid configs carry a qnn and no classical head")
+            if not isinstance(self.qnn, QnnArch) or self.head is not None:
+                raise RunConfigError(f"hybrid configs carry a QnnArch as qnn and no classical head, got qnn={self.qnn!r}")
             _check(f"{self.qnn.kind} takes tanh", self.tanh_pi, FAMILIES[self.qnn.kind].takes("tanh"))
         else:
             if self.qnn is not None:

@@ -281,6 +281,10 @@ def synth_beats(
     """
     if n < 4:
         raise ValueError("n must be at least 4")
+    if n_subjects < 1:
+        raise ValueError("n_subjects must be at least 1")
+    if noise < 0.0:
+        raise ValueError("noise must be non-negative")
     if not 0.0 <= ambiguity < 0.5:
         raise ValueError("ambiguity must lie in [0, 0.5)")
     rng = np.random.default_rng(seed)

@@ -91,18 +91,19 @@ class Model:
         return stack_params(self.pre) + theta + stack_params(self.head)
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
+        self._cache = None  # the last pass's circuit state goes before this pass builds its own
         z = stack_forward(self.pre, x, training=training)
         if self.circuit is not None:
-            q, amps = qnn_forward_batch(self.circuit, z, self.theta.value, return_state=True)
-            self._cache = (z, amps)
+            q, state = qnn_forward_batch(self.circuit, z, self.theta.value, return_state=True)
+            self._cache = (z, state)
             z = q
         return stack_forward(self.head, z, training=training)[:, 0]
 
     def backward(self, grad_logits: np.ndarray) -> None:
         g = stack_backward(self.head, grad_logits[:, None])
         if self.circuit is not None:
-            z, amps = self._cache
-            g, gp = qnn_backward_batch(self.circuit, z, self.theta.value, g, final_amps=amps)
+            z, state = self._cache
+            g, gp = qnn_backward_batch(self.circuit, z, self.theta.value, g, final_amps=state)
             self.theta.grad += gp
         stack_backward(self.pre, g, input_grad=False)
 

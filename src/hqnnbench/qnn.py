@@ -23,15 +23,23 @@ arXiv:2009.02823, and qsim):
   the run fuse into one 2x2 unitary, across gates on other qubits, so an
   encoding rotation and the three rotations of the variational arbitrary
   rotation after it on the same qubit fuse into one gate;
-* a run of CNOT/CZ gates becomes one signed basis permutation,
-  ``out[i] = sign[i] * a[perm[i]]``.
+* a run of CNOT/CZ gates becomes one phased basis permutation,
+  ``out[i] = phase[i] * a[perm[i]]`` (``PhasedPerm``). A run of constant
+  RZ rotations is a diagonal phase, so it is not a stage: it joins the
+  permutations next to it, and adjacent maps merge into one. QCNN's
+  constant RZ(-pi/2) and RZ(pi/2) block steps fold this way, which leaves
+  QCNN 4 with 21 ops and QCNN 8 with 33.
 
 Stages and permutations therefore alternate. A stage is one ``(G, L)``
 table of RY and RZ steps, gate by step, whose ``(2, 2, L, G, Bx)`` step
-matrices are built in one pass and multiplied along the step axis. The
-batch extent ``Bx`` belongs to the circuit, not to a gate: it is B when the
-circuit reads input slots, so every gate of such a circuit is per-sample,
-and 1 when it reads none.
+matrices are multiplied along the step axis. The table splits after its
+last column that reads an input slot: the head's steps are per-sample
+(``Bx = B``), and the tail's (parameter and constant steps) are shared by
+the batch (``Bx = 1``). The tails of all the stages are built in one call
+per pass and multiplied once per batch into each stage's ``T``, and each
+gate is ``T H`` for its per-sample head product ``H``. A stage that reads
+no input (every stage of Amp-Gen and QCNN) is all tail, so its gates are
+shared.
 
 The state's layout is fixed per circuit, from what it reads. A circuit that
 reads input slots (Ang-RY, Ang-Arb: data re-uploading in every layer) keeps
@@ -40,15 +48,15 @@ its state as ``(B, 2**n)`` rows from encoding to readout
 ``_SAMPLE_MAJOR_QUBITS`` or more qubits, else the transposed view of
 ``(2**n, B)`` storage. A circuit that reads none (Amp-Gen, QCNN: the data
 enter once, as the start state) keeps ``(2**n, B)`` columns
-(``statevec.apply_gate``). Signed permutations act along the basis axis of
+(``statevec.apply_gate``). Phased permutations act along the basis axis of
 the storage.
 
 Every stage is a *Kronecker layer*: its gates act on distinct qubits and
 commute. They are applied as blocks of adjacent qubits, each one d x d
 unitary (d <= 16), the Kronecker product of its members' ``(2, 2, Bx)``
 matrices with the identity on any qubit in the block's run that no member
-occupies: one matrix per sample in a circuit on rows, one for the batch in a
-circuit on columns. Blocks of a circuit on columns span up to ``_KRON_QUBITS``
+occupies: one matrix per sample in a stage that reads inputs, one for the
+batch in a stage that reads none. Blocks of a circuit on columns span up to ``_KRON_QUBITS``
 qubits; blocks of a circuit on rows at most half the register, so at n = 8 a
 data re-uploading layer is two 16x16 blocks per sample, which the stage
 applies to each sample's 16x16 amplitude matrix ``Psi_b`` as
@@ -57,25 +65,33 @@ applies to each sample's 16x16 amplitude matrix ``Psi_b`` as
 Gradients are computed in adjoint mode: one forward pass, then a single
 reverse sweep that un-applies each fused gate ``U`` on the state ``psi``
 and on ``mu = conj(lambda)`` (with ``U^T``, so no conjugate copies are
-made). Before un-applying, it takes one reduced overlap per gate,
-``G_ij = sum_rest conj(lambda_i) psi_j`` on the gate's qubit, with the
-circuit's batch extent: per sample on rows, summed over the batch on
-columns. With ``U = S_k R_k P_k`` for rotation ``k``, every angle gradient
-of the gate follows from ``G`` alone::
+made; a phased permutation un-applies with ``conj(phase)`` from ``psi`` and
+``phase`` from ``mu``). The forward pass hands the sweep what it built
+(``ForwardState``): each stage's gate unitaries, tail steps and ``T``, and
+its Kronecker blocks unless they are per-sample blocks on sample-major
+rows, which would cost a state's memory per stage; those are built again
+from the kept gate unitaries. Before un-applying, the sweep takes one
+reduced overlap per gate, ``G_ij = sum_rest conj(lambda_i) psi_j`` on the
+gate's qubit: per sample on rows, summed over the batch on columns. With
+``U = S_k R_k P_k`` for rotation ``k``, every angle gradient of the gate
+follows from ``G`` alone::
 
     g_k = Re tr(W_k Gamma_k),   W_k = S_k^H G^T S_k,   Gamma_k = 2 dR_k/dt R_k^-1
 
 where ``Gamma_k`` is the constant RY(pi) or RZ(pi), so an RY step's
-gradient is ``Re(W_01 - W_10)`` and an RZ step's ``Im(W_00 - W_11)``. Every
-overlap of a stage is taken at its output, before any un-apply, and a stage
-with no parameter or input slot takes none: one d x d overlap per block
-(for per-sample blocks ``M_b P_b^T`` and ``M_b^T P_b`` on the sample
-matrices of ``mu`` and ``psi``), from which each member's 2x2 overlap is the
-partial trace over the block's other qubits (un-applying a unitary on
+gradient is ``Re(W_01 - W_10)`` and an RZ step's ``Im(W_00 - W_11)``. A
+tail step's ``S_k`` is shared, so its batch-summed gradient comes from the
+batch-summed ``G``; a head step's ``S_k`` is ``T`` times the head steps
+after it, which the sweep builds again (all but the head's first column).
+Every overlap of a stage is taken at its output, before any un-apply, and
+a stage with no parameter or input slot takes none: one d x d overlap per
+block (for per-sample blocks ``M_b P_b^T`` and ``M_b^T P_b`` on the sample
+matrices of ``mu`` and ``psi``), from which each member's 2x2 overlap is
+the partial trace over the block's other qubits (un-applying a unitary on
 another qubit from both states cancels in ``sum_rest``). A per-sample block
 is un-applied as ``U_b^H P_b conj(V_b)`` from ``psi`` and ``U_b^T M_b V_b``
-from ``mu``. The sweep does not un-apply a circuit's first op when it is a
-stage: nothing reads ``psi`` afterwards, and ``mu`` is only read for the
+from ``mu``. The sweep does not un-apply a circuit's first op from
+``psi``: nothing reads ``psi`` afterwards, and ``mu`` is only read for the
 input gradient of an amplitude-encoded circuit. All of this is exact for
 noiseless statevector simulation; the parameter-shift rule is kept around
 only as a test oracle.
@@ -86,6 +102,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -98,7 +115,7 @@ from .statevec import (
     Observable,
     apply_gate,
     apply_rows,
-    apply_signed_perm,
+    apply_phased_perm,
     expval_batch,
     gate_overlap,
     rows_overlap,
@@ -177,18 +194,19 @@ def _kron(factors: list[np.ndarray], scratch: np.ndarray | None = None) -> np.nd
 
 
 def _wire_overlaps(g: np.ndarray) -> list[np.ndarray]:
-    """Each wire's 2x2 overlap, matrix-major ``(2, 2, Bx)``, from a block overlap ``g`` (Bx, d, d).
+    """Each wire's 2x2 overlap, matrix-major ``(2, 2, Bx)``, from a matrix-major block overlap ``g`` (d, d, Bx).
 
     A wire's overlap is the trace of ``g`` over the block's other wires. The
     traces halve the block recursively, so the full-size ``g`` is read twice
-    rather than once per wire.
+    rather than once per wire; on ``(d, d, B)`` storage they run along the
+    contiguous batch.
     """
-    k = g.shape[1].bit_length() - 1
+    k = g.shape[0].bit_length() - 1
     if k == 1:
-        return [g.transpose(1, 2, 0)]
+        return [g]
     h = k // 2
-    v = g.reshape(-1, 1 << h, 1 << (k - h), 1 << h, 1 << (k - h))
-    return _wire_overlaps(np.einsum("zacbc->zab", v)) + _wire_overlaps(np.einsum("zcacb->zab", v))
+    v = g.reshape(1 << h, 1 << (k - h), 1 << h, 1 << (k - h), -1)
+    return _wire_overlaps(np.einsum("acbcz->abz", v)) + _wire_overlaps(np.einsum("cacbz->abz", v))
 
 
 @dataclass(frozen=True)
@@ -229,56 +247,37 @@ class _Apply:
             overlaps[:, :, slot] = per_wire[wire]
 
 
-class Stage:
-    """A maximal run of rotations in the gate list, as one table of steps.
+def _angle_gradients(w: np.ndarray, ry: np.ndarray) -> np.ndarray:
+    """Steps' angle gradients from their ``W`` (matrix-major): ``Re(W01 - W10)`` for RY, ``Im(W00 - W11)`` for RZ."""
+    return np.where(ry, w[0, 1].real - w[1, 0].real, w[0, 0].imag - w[1, 1].imag)
 
-    Each qubit the run touches fuses its rotations into one gate: gate ``g``
-    acts on ``qubits[g]`` (in order of first appearance in the run) and is
-    row ``g`` of a ``(G, L)`` table (``shape``); each entry is an RY or RZ
-    step and its angle, in application order. A gate of fewer than ``L``
-    steps is padded at its front with constant RZ(0), an exact identity.
-    The arrays below run over the table step by step, so one step's
-    matrices for all gates are contiguous.
 
-    The gates act on distinct qubits and commute: they are applied as
-    Kronecker blocks of ``width`` adjacent qubits (``q // width``), and the
-    adjoint sweep takes every overlap at the stage output.
+class _Steps:
+    """Step-table entries, flat: each entry's kind (``ry``, else RZ), constant angle and slot.
+
+    One ``_Steps`` holds the head of a stage, and one the tails of all the
+    stages of a circuit (``Circuit.tails``), so that they are built in one
+    call per pass and their gradients added in one.
     """
 
-    def __init__(self, run: list[Gate], width: int):
-        rows: dict[int, list[tuple[str, Angle]]] = {}
-        for gate in run:
-            rows.setdefault(gate.targets[0], []).append((gate.kind.value, gate.angles[0]))
-        self.qubits = tuple(rows)
-        n_steps = max(map(len, rows.values()))
-        self.table = tuple((("rz", Angle.const(0.0)),) * (n_steps - len(row)) + tuple(row) for row in rows.values())
-        self.shape = (len(self.table), n_steps)
-        flat = [row[r] for r in range(n_steps) for row in self.table]  # step-major
-        self.ry = np.array([kind == "ry" for kind, _ in flat]).reshape(n_steps, -1, 1)
+    def __init__(self, entries: list[tuple[str, Angle]]):
+        self.ry = np.array([kind == "ry" for kind, _ in entries], dtype=bool)[:, None]
         self.rz = ~self.ry
-        self.const = np.array([a.value for _, a in flat])
-        pos = {src: np.array([k for k, (_, a) in enumerate(flat) if a.source == src], dtype=np.intp) for src in ("param", "input")}
+        self.const = np.array([a.value for _, a in entries], dtype=np.float64)
+        pos = {src: np.array([k for k, (_, a) in enumerate(entries) if a.source == src], dtype=np.intp) for src in ("param", "input")}
         self.param_pos, self.input_pos = pos["param"], pos["input"]
-        self.param_idx = np.array([flat[k][1].index for k in self.param_pos], dtype=np.intp)
-        self.input_idx = np.array([flat[k][1].index for k in self.input_pos], dtype=np.intp)
-        self.live = bool(self.param_pos.size or self.input_pos.size)  # has a gradient to find
-        blocks: dict[int, dict[int, int]] = {}
-        for slot, q in enumerate(self.qubits):
-            blocks.setdefault(q // width, {})[q] = slot
-        apps = []
-        for _, block in sorted(blocks.items()):
-            hi, lo = max(block), min(block)
-            apps.append(_Apply(tuple(range(hi, lo - 1, -1)), tuple((slot, hi - q) for q, slot in block.items())))
-        self.apps = tuple(apps)
+        self.param_idx = np.array([entries[k][1].index for k in self.param_pos], dtype=np.intp)
+        self.input_idx = np.array([entries[k][1].index for k in self.input_pos], dtype=np.intp)
 
-    def step_matrices(self, x: np.ndarray, params: np.ndarray, bx: int) -> np.ndarray:
-        """Every entry's 2x2, matrix-major ``(2, 2, L, G, Bx)``; ``Bx`` is the circuit's batch extent."""
+    def matrices(self, x: np.ndarray, params: np.ndarray, bx: int, first: int = 0) -> np.ndarray:
+        """The 2x2s of the entries from ``first`` on, matrix-major ``(2, 2, K - first, bx)``."""
         angles = np.empty((self.const.size, bx))
         angles[:] = self.const[:, None]
         angles[self.param_pos] = params[self.param_idx, None]
         if self.input_pos.size:
             angles[self.input_pos] = x[:, self.input_idx].T
-        half = np.multiply(angles, 0.5, out=angles).reshape(self.ry.shape[:2] + (bx,))
+        half = np.multiply(angles[first:], 0.5, out=angles[first:])
+        ry, rz = self.ry[first:], self.rz[first:]
         # RY is [[c, -s], [s, c]] and RZ diag(c - 1j s, c + 1j s). The masked
         # writes need no temporaries: s sits in m[0, 1]'s storage until that
         # entry is written last, and 0 -/+ s signs a zero imaginary part as
@@ -289,65 +288,205 @@ class Stage:
         c = np.cos(half, out=half)
         m[0, 0] = m[1, 1] = c
         m[1, 0] = 0.0
-        np.copyto(re[1, 0], s, where=self.ry)
-        np.subtract(0.0, s, out=im[0, 0], where=self.rz)
-        np.add(0.0, s, out=im[1, 1], where=self.rz)
+        np.copyto(re[1, 0], s, where=ry)
+        np.subtract(0.0, s, out=im[0, 0], where=rz)
+        np.add(0.0, s, out=im[1, 1], where=rz)
         m[0, 1] = 0.0
-        np.negative(re[1, 0], out=re[0, 1], where=self.ry)
+        np.negative(re[1, 0], out=re[0, 1], where=ry)
         return m
 
-    def add_gradients(self, overlaps: np.ndarray, mats: np.ndarray, grad_inputs: np.ndarray, grad_params: np.ndarray) -> None:
-        """Add the angle gradients from the overlaps ``(2, 2, G, Bx)`` and the step matrices.
+    def add_gradients(self, grads: np.ndarray, grad_inputs: np.ndarray, grad_params: np.ndarray) -> None:
+        """Add every entry's angle gradients ``(K, Bx)`` to their slots: summed over the batch for a param."""
+        if self.param_pos.size:
+            np.add.at(grad_params, self.param_idx, grads[self.param_pos].sum(axis=1))
+        if self.input_pos.size:
+            np.add.at(grad_inputs, (slice(None), self.input_idx), grads[self.input_pos].T)
+
+
+class Stage:
+    """A maximal run of rotations in the gate list, as one table of steps.
+
+    Each qubit the run touches fuses its rotations into one gate: gate ``g``
+    acts on ``qubits[g]`` (in order of first appearance in the run) and is
+    row ``g`` of a ``(G, L)`` table (``shape``); each entry is an RY or RZ
+    step and its angle, in application order. A gate of fewer than ``L``
+    steps is padded at its front with constant RZ(0), an exact identity.
+    Step matrices are ``(2, 2, L, G, Bx)``, column by column.
+
+    The table splits after its last column that reads an input slot. The
+    ``head`` (``n_head`` columns, up to and including that one) is
+    per-sample. The tail (the other ``n_tail`` columns: parameter and
+    constant steps only) is shared by the batch: its matrices and their
+    product ``T`` are built once per batch, and each gate is ``T H`` for its
+    head product ``H``. A stage that reads no input is all tail. The tail's
+    entries sit in the circuit's ``tails`` from ``tail_at`` on.
+
+    The gates act on distinct qubits and commute: they are applied as
+    Kronecker blocks of ``width`` adjacent qubits (``q // width``), and the
+    adjoint sweep takes every overlap at the stage output.
+    """
+
+    def __init__(self, run: list[Gate], width: int, tail_at: int):
+        rows: dict[int, list[tuple[str, Angle]]] = {}
+        for gate in run:
+            rows.setdefault(gate.targets[0], []).append((gate.kind.value, gate.angles[0]))
+        self.qubits = tuple(rows)
+        n_steps = max(map(len, rows.values()))
+        self.table = tuple((("rz", Angle.const(0.0)),) * (n_steps - len(row)) + tuple(row) for row in rows.values())
+        self.shape = (len(self.table), n_steps)
+        columns = list(zip(*self.table))
+        self.n_head = max((r + 1 for r, column in enumerate(columns) if any(a.source == "input" for _, a in column)), default=0)
+        self.n_tail = n_steps - self.n_head
+        self.head = _Steps([entry for column in columns[: self.n_head] for entry in column])
+        self.tail_entries = [entry for column in columns[self.n_head :] for entry in column]
+        self.tail_at = tail_at
+        self.live = any(a.source != "const" for row in self.table for _, a in row)  # has a gradient to find
+        blocks: dict[int, dict[int, int]] = {}
+        for slot, q in enumerate(self.qubits):
+            blocks.setdefault(q // width, {})[q] = slot
+        apps = []
+        for _, block in sorted(blocks.items()):
+            hi, lo = max(block), min(block)
+            apps.append(_Apply(tuple(range(hi, lo - 1, -1)), tuple((slot, hi - q) for q, slot in block.items())))
+        self.apps = tuple(apps)
+
+    def _tail_slice(self) -> slice:
+        return slice(self.tail_at, self.tail_at + self.n_tail * self.shape[0])
+
+    def build(self, x: np.ndarray, params: np.ndarray, tails: np.ndarray) -> _Built:
+        """The stage's gate unitaries for the batch ``x``, with what the backward pass reads.
+
+        ``tails`` holds the 2x2s of every tail of the circuit (``Bx = 1``).
+        """
+        tail = tails[:, :, self._tail_slice()].reshape(2, 2, self.n_tail, self.shape[0], 1)
+        t = _product(tail) if self.n_tail else None
+        if not self.n_head:
+            return _Built(t, t, tail)
+        h = _product(self.head.matrices(x, params, x.shape[0]).reshape(2, 2, self.n_head, self.shape[0], -1))
+        return _Built(h if t is None else _mm(t, h), t, tail)
+
+    def add_gradients(
+        self,
+        overlaps: np.ndarray,
+        built: _Built,
+        x: np.ndarray,
+        params: np.ndarray,
+        tail_w: np.ndarray,
+        grad_inputs: np.ndarray,
+        grad_params: np.ndarray,
+    ) -> None:
+        """Find the angle gradients from the overlaps ``(2, 2, G, Bx)`` at the stage output.
 
         With ``W = S^H G^T S``, where ``S`` is the product of the steps after
-        step ``r``, an RY step's gradient is ``Re(W01 - W10)`` and an RZ
-        step's ``Im(W00 - W11)``.
+        step ``r``, the step's gradient follows from ``W`` (``_angle_gradients``).
+        The tail's ``W`` come from the overlaps summed over the batch, which
+        its shared steps carry to every earlier step unchanged; they go into
+        the tail's place in ``tail_w``, the ``W`` of all the circuit's tails.
+        The head's start from ``W = T^H G^T T`` per sample, need the head's
+        matrices after its first column, which are built again here, and are
+        added to the slots at once.
         """
-        w = overlaps.swapaxes(0, 1)
-        grads = np.empty(mats.shape[2:])
-        for r in range(self.shape[1] - 1, -1, -1):
-            grads[r] = np.where(self.ry[r], w[0, 1].real - w[1, 0].real, w[0, 0].imag - w[1, 1].imag)
-            if r:
-                m = mats[:, :, r]
-                w = _mm(_mm(m.conj().swapaxes(0, 1), w), m)
-        flat = grads.reshape(self.const.size, -1)
-        if self.param_pos.size:
-            np.add.at(grad_params, self.param_idx, flat[self.param_pos].sum(axis=1))
-        if self.input_pos.size:
-            np.add.at(grad_inputs, (slice(None), self.input_idx), flat[self.input_pos].T)
+        g = self.shape[0]
+        if self.n_tail:
+            w = overlaps.sum(axis=3, keepdims=True).swapaxes(0, 1)
+            mine = tail_w[:, :, self._tail_slice()].reshape(2, 2, self.n_tail, g, 1)
+            for r in range(self.n_tail - 1, -1, -1):
+                mine[:, :, r] = w
+                if r:  # einsum beats two _mm products on the shared 2x2s
+                    m = built.tail[:, :, r]
+                    w = np.einsum("jigz,jkgz,klgz->ilgz", m.conj(), w, m)
+        if self.n_head:
+            w, t = overlaps.swapaxes(0, 1), built.tail_product
+            if t is not None:
+                w = _mm(_mm(t.conj().swapaxes(0, 1), w), t)
+            ry = self.head.ry.reshape(self.n_head, g, 1)
+            if self.n_head > 1:
+                later = self.head.matrices(x, params, x.shape[0], first=g).reshape(2, 2, self.n_head - 1, g, -1)
+            grads = np.empty((self.n_head, g, w.shape[3]))
+            for r in range(self.n_head - 1, -1, -1):
+                grads[r] = _angle_gradients(w, ry[r])
+                if r:
+                    m = later[:, :, r - 1]
+                    w = _mm(_mm(m.conj().swapaxes(0, 1), w), m)
+            self.head.add_gradients(grads.reshape(self.n_head * g, -1), grad_inputs, grad_params)
 
 
-class SignedPerm:
-    """A run of CNOT/CZ gates as one map ``out[i] = sign[i] * a[perm[i]]``.
+class _Built(NamedTuple):
+    """A stage's matrices from the forward pass.
 
-    ``perm`` is None when the run moves no amplitude (CZ gates only, or
-    CNOTs that cancel), ``sign`` when it flips none.
+    Its gate unitaries ``(2, 2, G, Bx)``, its tail's product and steps
+    (``Bx = 1``), and its Kronecker blocks, batch-first, unless they are
+    per-sample blocks on sample-major rows, which the backward pass builds
+    again rather than keep a state's worth of memory per stage.
     """
 
-    def __init__(self, gates: list[Gate], n_qubits: int):
+    unitaries: np.ndarray
+    tail_product: np.ndarray | None
+    tail: np.ndarray
+    blocks: tuple | None = None
+
+
+class PhasedPerm:
+    """A run of CNOT/CZ gates and constant RZ phases as one map ``out[i] = phase[i] * a[perm[i]]``.
+
+    ``perm`` is None when the run moves no amplitude (CZ gates and phases
+    only, or CNOTs that cancel), ``phase`` when it changes none; a phase
+    that only flips signs is real. ``inv_perm`` and ``inv_phase`` are the
+    inverse map, which un-applies the run from ``psi``; ``mu`` takes the
+    transpose, the same gather with ``conj(inv_phase)``
+    (``inv_phase_conj``).
+    """
+
+    def __init__(self, run: list[Gate], n_qubits: int):
         idx = np.arange(1 << n_qubits)
-        perm, sign = idx, np.ones(1 << n_qubits)
-        for g in gates:
-            a, b = g.targets
+        perm, phase = idx, np.ones(1 << n_qubits, dtype=np.complex128)
+        for g in run:
             if g.kind is GateKind.CNOT:
-                step, step_sign = idx ^ (((idx >> a) & 1) << b), 1.0
-            else:
-                step, step_sign = idx, 1.0 - 2.0 * ((idx >> a) & (idx >> b) & 1)
-            perm, sign = perm[step], step_sign * sign[step]
+                a, b = g.targets
+                step, step_phase = idx ^ (((idx >> a) & 1) << b), 1.0
+            elif g.kind is GateKind.CZ:
+                a, b = g.targets
+                step, step_phase = idx, 1.0 - 2.0 * ((idx >> a) & (idx >> b) & 1)
+            else:  # RZ(t) = diag(c - 1j s, c + 1j s), as a stage builds it
+                half = 0.5 * g.angles[0].value
+                c, s = math.cos(half), math.sin(half)
+                step, step_phase = idx, np.where((idx >> g.targets[0]) & 1, c + 1j * s, c - 1j * s)
+            perm, phase = perm[step], step_phase * phase[step]
+        if not phase.imag.any():
+            phase = phase.real
         inverse = np.argsort(perm)
         moves = not np.array_equal(perm, idx)
-        self.perm, self.sign = (perm if moves else None), (sign if np.any(sign < 0) else None)
-        self.inv_perm = inverse if moves else None
-        self.inv_sign = sign[inverse] if self.sign is not None else None
+        self.perm, self.inv_perm = (perm, inverse) if moves else (None, None)
+        self.phase, self.inv_phase, self.inv_phase_conj = None, None, None
+        if np.any(phase != 1.0):
+            self.phase, self.inv_phase_conj = phase, phase[inverse]
+            self.inv_phase = self.inv_phase_conj.conj()
 
 
-def _compile_program(ops: tuple[Gate, ...], n_qubits: int, width: int) -> tuple:
-    """One op per maximal run of ``ops``: a ``SignedPerm`` per run of CNOT/CZ gates, a ``Stage`` per run of rotations.
+def _is_phase(run: list[Gate]) -> bool:
+    """Whether a run of rotations is a constant diagonal: constant RZ gates only."""
+    return all(g.kind is GateKind.RZ and g.angles[0].source == "const" for g in run)
 
-    A stage applies its gates as ``width``-qubit Kronecker blocks.
+
+def _compile_program(ops: tuple[Gate, ...], n_qubits: int, width: int) -> tuple[tuple, _Steps]:
+    """One op per maximal run of ``ops`` that is a ``Stage`` or a ``PhasedPerm``, and the stages' tails.
+
+    A run of CNOT/CZ gates is a permutation, and so is a run of constant RZ
+    rotations: it joins the permutations next to it as their phase. Every
+    other run of rotations is a stage, which applies its gates as
+    ``width``-qubit Kronecker blocks.
     """
-    runs = itertools.groupby(ops, key=lambda gate: gate.kind in (GateKind.CNOT, GateKind.CZ))
-    return tuple(SignedPerm(list(run), n_qubits) if entangles else Stage(list(run), width) for entangles, run in runs)
+    runs = [list(run) for _, run in itertools.groupby(ops, key=lambda gate: gate.kind in (GateKind.CNOT, GateKind.CZ))]
+    program, tails = [], []
+    for is_perm, group in itertools.groupby(runs, key=lambda run: run[0].kind in (GateKind.CNOT, GateKind.CZ) or _is_phase(run)):
+        gates = [gate for run in group for gate in run]
+        if is_perm:
+            program.append(PhasedPerm(gates, n_qubits))
+            continue
+        stage = Stage(gates, width, len(tails))
+        tails += stage.tail_entries
+        program.append(stage)
+    return tuple(program), _Steps(tails)
 
 
 @dataclass(frozen=True)
@@ -357,7 +496,8 @@ class Circuit:
     ``encoding`` is ``"angle"`` (inputs consumed by gate slots, register
     starts in |0...0>) or ``"amplitude"`` (register starts as the normalized
     input vector; gates may not read input slots). ``program`` is the fused
-    form that the simulator runs, and ``diagonals`` the observable's
+    form that the simulator runs, ``tails`` the batch-shared steps of all its
+    stages (see ``Stage``), and ``diagonals`` the observable's
     (``Observable.diagonals``), which both passes read.
 
     The state's layout is fixed here, from what the circuit reads. ``rows``
@@ -374,6 +514,7 @@ class Circuit:
     n_inputs: int
     observable: Observable
     program: tuple = field(init=False, repr=False, compare=False)
+    tails: _Steps = field(init=False, repr=False, compare=False)
     diagonals: np.ndarray = field(init=False, repr=False, compare=False)
     rows: bool = field(init=False, repr=False, compare=False)
     sample_major: bool = field(init=False, repr=False, compare=False)
@@ -401,7 +542,9 @@ class Circuit:
         width = _block_width(self.n_qubits, rows)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "sample_major", rows and width >= _SAMPLE_MAJOR_QUBITS)
-        object.__setattr__(self, "program", _compile_program(self.ops, self.n_qubits, width))
+        program, tails = _compile_program(self.ops, self.n_qubits, width)
+        object.__setattr__(self, "program", program)
+        object.__setattr__(self, "tails", tails)
 
     @property
     def out_dim(self) -> int:
@@ -628,9 +771,9 @@ def _rows(circuit: Circuit, amps: np.ndarray) -> np.ndarray:
     return amps if circuit.sample_major else amps.T
 
 
-def _permute(circuit: Circuit, amps: np.ndarray, perm, sign, out: np.ndarray) -> np.ndarray:
-    """A signed permutation along the basis axis of ``circuit``'s storage."""
-    return apply_signed_perm(amps, perm, sign, out, 1 if circuit.sample_major else 0)
+def _permute(circuit: Circuit, amps: np.ndarray, perm, phase, out: np.ndarray) -> np.ndarray:
+    """A phased permutation along the basis axis of ``circuit``'s storage."""
+    return apply_phased_perm(amps, perm, phase, out, 1 if circuit.sample_major else 0)
 
 
 def _apply(circuit: Circuit, amps: np.ndarray, qubits: tuple[int, ...], u: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -642,12 +785,36 @@ def _apply(circuit: Circuit, amps: np.ndarray, qubits: tuple[int, ...], u: np.nd
 
 
 def _overlap(circuit: Circuit, mu: np.ndarray, psi: np.ndarray, spare: np.ndarray, qubits: tuple[int, ...]) -> np.ndarray:
-    """The batch-first overlap on ``qubits`` of two states in ``circuit``'s storage; a sample-major one goes into ``spare``."""
+    """The matrix-major overlap ``(d, d, Bx)`` on ``qubits`` of two states in ``circuit``'s storage.
+
+    A sample-major one is built batch-first in ``spare``.
+    """
     if not circuit.rows:
-        return gate_overlap(mu, psi, qubits)[None]
+        return gate_overlap(mu, psi, qubits)[..., None]
     d = 1 << len(qubits)
     out = _storage(spare, (len(mu), d, d)) if circuit.sample_major else None
-    return rows_overlap(_rows(circuit, mu), _rows(circuit, psi), qubits, out)
+    return rows_overlap(_rows(circuit, mu), _rows(circuit, psi), qubits, out).transpose(1, 2, 0)
+
+
+@dataclass(frozen=True)
+class ForwardState:
+    """What a forward pass hands to the backward pass on the same batch.
+
+    ``amps`` is the final state as ``(B, 2**n)`` rows, a view of the
+    circuit's ``storage``. ``built`` holds, per op of the program, a stage's
+    ``_Built`` matrices (None for a permutation). ``inputs`` and ``params``
+    are copies of what the pass ran on, which the backward pass checks.
+    """
+
+    circuit: Circuit
+    inputs: np.ndarray
+    params: np.ndarray
+    storage: np.ndarray = field(repr=False)
+    built: tuple = field(repr=False)
+
+    @property
+    def amps(self) -> np.ndarray:
+        return _rows(self.circuit, self.storage)
 
 
 def qnn_forward_batch(
@@ -658,28 +825,40 @@ def qnn_forward_batch(
 ):
     """Evaluate the circuit on a batch, returning (B, out_dim) expectations.
 
-    With ``return_state`` the final amplitudes come back too, shaped (B, 2**n).
+    With ``return_state`` a ``ForwardState`` comes back too: the final
+    amplitudes (``.amps``, (B, 2**n)) and the matrices that the backward
+    pass (``final_amps=``) reads instead of building them again.
     """
     x = np.asarray(inputs, dtype=np.float64)
     p = np.asarray(params, dtype=np.float64)
     _check_shapes(circuit, x, p)
     state = _encode_batch(circuit, x)
-    bx = x.shape[0] if circuit.rows else 1
     # The spare state, and room for the contiguous per-sample matrices of a
     # sample-major circuit. One allocation: as two, they raised the peak RSS
     # of the 8-qubit hybrid benchmark by ~4 MB.
     buf, work = np.empty((2,) + state.shape, dtype=state.dtype)
+    built: list = []
+    tails = circuit.tails.matrices(x, p, 1)  # every stage's shared steps, in one call
     for op in circuit.program:
-        if isinstance(op, SignedPerm):
-            state, buf = _permute(circuit, state, op.perm, op.sign, buf), state
+        if isinstance(op, PhasedPerm):
+            state, buf = _permute(circuit, state, op.perm, op.phase, buf), state
+            built.append(None)
             continue
-        us = _product(op.step_matrices(x, p, bx))
-        for app in op.apps:
-            u = app.unitary(us, work, buf) if circuit.sample_major else app.unitary(us)
+        b = op.build(x, p, tails)
+        # A block is a view of its Kronecker product, kept for the backward
+        # pass, except a per-sample one on sample-major rows: that one is
+        # copied into the spare storage, batch-first.
+        if not (circuit.sample_major and b.unitaries.shape[3] > 1):
+            b = b._replace(blocks=tuple(app.unitary(b.unitaries) for app in op.apps))
+        for i, app in enumerate(op.apps):
+            u = app.unitary(b.unitaries, work, buf) if b.blocks is None else b.blocks[i]
             state, buf = _apply(circuit, state, app.qubits, u, buf), state
+        built.append(b)
     rows = _rows(circuit, state)
     out = expval_batch(rows, circuit.diagonals)
-    return (out, rows) if return_state else out
+    if not return_state:
+        return out
+    return out, ForwardState(circuit, x.copy(), p.copy(), state, tuple(built))
 
 
 def qnn_backward_batch(
@@ -687,13 +866,14 @@ def qnn_backward_batch(
     inputs: np.ndarray,
     params: np.ndarray,
     upstream: np.ndarray,
-    final_amps: np.ndarray,
+    final_amps: ForwardState,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Adjoint-mode gradients of ``sum_b upstream_b . outputs_b``.
 
     Returns per-sample input gradients (B, n_inputs) and batch-summed
-    parameter gradients (n_params,). ``final_amps`` is the state from the
-    ``return_state=True`` forward call on the same inputs and parameters.
+    parameter gradients (n_params,). ``final_amps`` is the ``ForwardState``
+    from the ``return_state=True`` forward call on the same circuit, inputs
+    and parameters; one from another call is refused.
     """
     x = np.asarray(inputs, dtype=np.float64)
     p = np.asarray(params, dtype=np.float64)
@@ -701,8 +881,12 @@ def qnn_backward_batch(
     up = np.asarray(upstream, dtype=np.float64)
     if up.shape != (x.shape[0], circuit.out_dim):
         raise ValueError(f"upstream must have shape {(x.shape[0], circuit.out_dim)}, got {up.shape}")
+    fwd = final_amps
+    same = fwd.circuit is circuit and fwd.inputs.shape == x.shape and fwd.params.shape == p.shape
+    if not (same and np.array_equal(fwd.inputs, x, equal_nan=True) and np.array_equal(fwd.params, p, equal_nan=True)):
+        raise ValueError("final_amps comes from a forward pass on another circuit, inputs or params")
 
-    psi = np.array(_rows(circuit, final_amps), dtype=np.complex128, order="C")  # circuit's storage
+    psi = fwd.storage.copy()  # circuit's storage
     mu = np.conj(psi)  # conj(lambda), lambda = M psi
     mu_rows = _rows(circuit, mu)
     mu_rows *= up @ circuit.diagonals
@@ -710,35 +894,36 @@ def qnn_backward_batch(
 
     grad_inputs = np.zeros_like(x)
     grad_params = np.zeros(circuit.n_params)
+    tail_w = np.zeros((2, 2, circuit.tails.const.size, 1), dtype=np.complex128)
     bx = x.shape[0] if circuit.rows else 1
-    for op in reversed(circuit.program):
-        if isinstance(op, SignedPerm):
-            psi, psi_buf = _permute(circuit, psi, op.inv_perm, op.inv_sign, psi_buf), psi
-            mu, mu_buf = _permute(circuit, mu, op.inv_perm, op.inv_sign, mu_buf), mu
-            continue
-        mats = op.step_matrices(x, p, bx)
-        us = _product(mats)
-        if op.live:  # every overlap is taken at the stage output, before any un-apply
-            overlaps = np.empty((2, 2, op.shape[0], bx), dtype=np.complex128)
-            for app in op.apps:
-                app.take_overlaps(circuit, mu, psi, psi_buf, overlaps)
-
+    for op, b in zip(reversed(circuit.program), reversed(fwd.built)):
         # Nothing reads psi after the last op of the sweep, and mu only for
         # an amplitude-encoded input gradient.
         last = op is circuit.program[0]
         keep_psi, keep_mu = not last, not last or circuit.encoding == "amplitude"
-        for app in reversed(op.apps):
+        if isinstance(op, PhasedPerm):
+            if keep_psi:
+                psi, psi_buf = _permute(circuit, psi, op.inv_perm, op.inv_phase, psi_buf), psi
+            if keep_mu:
+                mu, mu_buf = _permute(circuit, mu, op.inv_perm, op.inv_phase_conj, mu_buf), mu
+            continue
+        if op.live:  # every overlap is taken at the stage output, before any un-apply
+            overlaps = np.empty((2, 2, op.shape[0], bx), dtype=np.complex128)
+            for app in op.apps:
+                app.take_overlaps(circuit, mu, psi, psi_buf, overlaps)
+        for i, app in reversed(list(enumerate(op.apps))):
             # U^T un-applies a call from mu, then conj(U^T) = U^H from psi. A
-            # contiguous U sits in mu_buf, so mu goes into psi's spare storage
-            # and psi into mu's old one.
-            ut = (app.unitary(us, mu_buf, psi_buf) if circuit.sample_major else app.unitary(us)).swapaxes(1, 2)
+            # contiguous per-sample U sits in mu_buf, so mu goes into psi's
+            # spare storage and psi into mu's old one.
+            ut = (app.unitary(b.unitaries, mu_buf, psi_buf) if b.blocks is None else b.blocks[i]).swapaxes(1, 2)
             if keep_mu:
                 mu, psi_buf = _apply(circuit, mu, app.qubits, ut, psi_buf), mu
             if keep_psi:
-                uh = np.conjugate(ut, out=ut) if circuit.sample_major else ut.conj()
+                uh = np.conjugate(ut, out=ut) if b.blocks is None else ut.conj()
                 psi, psi_buf = _apply(circuit, psi, app.qubits, uh, psi_buf), psi
         if op.live:
-            op.add_gradients(overlaps, mats, grad_inputs, grad_params)
+            op.add_gradients(overlaps, b, x, p, tail_w, grad_inputs, grad_params)
+    circuit.tails.add_gradients(_angle_gradients(tail_w, circuit.tails.ry), grad_inputs, grad_params)
 
     if circuit.encoding == "amplitude":
         # mu is now conj((U^dag M U) psi0); the real-direction gradient on the

@@ -39,8 +39,9 @@ storage each is one stacked BLAS matmul. At n = 8 a sample is a 16 x 16
 matrix, so a 4-qubit block on qubits 7-4 multiplies it from the left and
 one on qubits 3-0 from the right. On the transposed view of ``(2**n, B)``
 storage they are elementwise over the contiguous batch, which is faster for
-4 x 4 blocks and smaller. ``apply_signed_perm`` gathers along the basis
-axis of either storage.
+4 x 4 blocks and smaller. ``apply_phased_perm`` applies a run of CNOT/CZ
+gates and constant RZ phases, ``out[i] = phase[i] * a[perm[i]]``, as one
+gather along the basis axis of either storage and one multiply.
 
 The small matrices that ``hqnnbench.qnn`` builds for the kernels are
 matrix-major, ``(d, d, ...)``, so their batch axes stay contiguous too.
@@ -229,11 +230,16 @@ def rows_overlap(mu: np.ndarray, psi: np.ndarray, qubits: tuple[int, ...], out: 
     ``mu`` and ``psi`` are ``(B, 2**n)``, stored as in ``apply_rows``. On
     sample-major storage a run that ends at qubit 0 gives ``M_b^T P_b`` and
     one that starts at the top qubit ``M_b P_b^T``, each one stacked BLAS
-    matmul. The result goes into ``out`` when it is given.
+    matmul, and the result goes into ``out`` when it is given. On the
+    transposed view of ``(2**n, B)`` storage it is one elementwise product
+    and one sum, and the result a view of ``(d, d, B)`` storage.
     """
-    m, p = _run_view(mu, qubits), _run_view(psi, qubits)
     if not mu.flags.c_contiguous:
-        return np.sum(m[:, :, :, None] * p[:, :, None], axis=(1, 4), out=out)
+        # (R, d, C, B) blocks of the (2**n, B) storage; the products keep the batch contiguous
+        lo, d = _run_low(mu.shape[1], qubits), 1 << len(qubits)
+        m, p = mu.T.reshape(-1, d, 1, 1 << lo, len(mu)), psi.T.reshape(-1, 1, d, 1 << lo, len(mu))
+        return np.sum(m * p, axis=(0, 3)).transpose(2, 0, 1)
+    m, p = _run_view(mu, qubits), _run_view(psi, qubits)
     if m.shape[3] == 1:
         return np.matmul(m[..., 0].swapaxes(1, 2), p[..., 0], out=out)
     if m.shape[1] == 1:
@@ -241,26 +247,27 @@ def rows_overlap(mu: np.ndarray, psi: np.ndarray, qubits: tuple[int, ...], out: 
     return np.sum(np.matmul(m, p.swapaxes(2, 3)), axis=1, out=out)
 
 
-def apply_signed_perm(
-    amps: np.ndarray, perm: np.ndarray | None, sign: np.ndarray | None, out: np.ndarray, axis: int
+def apply_phased_perm(
+    amps: np.ndarray, perm: np.ndarray | None, phase: np.ndarray | None, out: np.ndarray, axis: int
 ) -> np.ndarray:
-    """``out[i] = sign[i] * amps[perm[i]]`` along the basis axis ``axis`` of a 2-D state.
+    """``out[i] = phase[i] * amps[perm[i]]`` along the basis axis ``axis`` of a 2-D state.
 
-    ``perm=None`` is the identity and ``sign=None`` all +1. The basis axis
-    is 0 of ``(2**n, B)`` storage and 1 of sample-major ``(B, 2**n)`` rows.
-    A sign-only map (a run of CZ gates) is one multiply, with no gather.
-    ``perm`` indexes ``amps`` by construction, so the gather runs with
-    ``mode="clip"``: under the default ``"raise"`` NumPy gathers into a
-    temporary buffer and copies it to ``out``.
+    ``perm=None`` is the identity and ``phase=None`` all 1; a real ``phase``
+    only flips signs. The basis axis is 0 of ``(2**n, B)`` storage and 1 of
+    sample-major ``(B, 2**n)`` rows. A phase-only map (CZ gates and constant
+    RZ rotations) is one multiply, with no gather. ``perm`` indexes ``amps``
+    by construction, so the gather runs with ``mode="clip"``: under the
+    default ``"raise"`` NumPy gathers into a temporary buffer and copies it
+    to ``out``.
     """
-    if sign is not None and axis == 0:
-        sign = sign[:, None]
+    if phase is not None and axis == 0:
+        phase = phase[:, None]
     if perm is not None:
         np.take(amps, perm, axis=axis, out=out, mode="clip")
-        if sign is not None:
-            out *= sign
-    elif sign is not None:
-        np.multiply(amps, sign, out=out)
+        if phase is not None:
+            out *= phase
+    elif phase is not None:
+        np.multiply(amps, phase, out=out)
     else:
         np.copyto(out, amps)
     return out

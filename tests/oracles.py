@@ -351,6 +351,47 @@ def one_qubit_stage_circuit(rng: np.random.Generator, n: int, encoding: str = "a
     return circuit, rng.normal(size=n_inputs), rng.normal(size=counts["param"])
 
 
+def phased_perm_circuit(rng: np.random.Generator, n: int, encoding: str = "angle", n_stages: int = 3):
+    """A random circuit whose runs of constant RZ gates sit between CNOT/CZ runs.
+
+    The circuit starts and ends with such a run, and between them alternates
+    a CNOT/CZ run, a constant RZ run, another CNOT/CZ run and a stage of
+    rotations on random qubits (param angles, and under angle encoding input
+    angles). Every param and input slot feeds one rotation, so the two-term
+    shift rule is exact for both. Needs ``n >= 2``.
+    """
+    counts = {"param": 0, "input": 0}
+
+    def fresh(source: str) -> Angle:
+        counts[source] += 1
+        return Angle(source, index=counts[source] - 1)
+
+    ops: list[Gate] = []
+
+    def phases() -> None:
+        for _ in range(int(rng.integers(1, 4))):
+            ops.append(Gate.rz(int(rng.integers(0, n)), float(rng.normal())))
+
+    def entangle() -> None:
+        for _ in range(int(rng.integers(1, 3))):
+            a, b = (int(q) for q in rng.choice(n, size=2, replace=False))
+            ops.append(Gate.cnot(a, b) if rng.integers(0, 2) else Gate.cz(a, b))
+
+    phases()
+    for _ in range(n_stages):
+        entangle()
+        phases()
+        entangle()
+        for q in rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False):
+            source = "input" if encoding == "angle" and rng.integers(0, 2) else "param"
+            ops.append((Gate.ry, Gate.rz)[int(rng.integers(0, 2))](int(q), fresh(source)))
+    entangle()
+    phases()
+    n_inputs = 1 << n if encoding == "amplitude" else max(counts["input"], 1)
+    circuit = Circuit(n, encoding, tuple(ops), counts["param"], n_inputs, Observable.local_z())
+    return circuit, rng.normal(size=n_inputs), rng.normal(size=counts["param"])
+
+
 # ---------------------------------------------------------------------------
 # Metric / statistics oracles.
 # ---------------------------------------------------------------------------

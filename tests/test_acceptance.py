@@ -80,9 +80,9 @@ def test_criterion_01_statevector_matches_dense_oracle():
     for i in range(200):
         encoding = "amplitude" if i % 3 == 0 else "angle"
         circuit, x, theta = random_circuit(rng, max_qubits=4, encoding=encoding)
-        _, amps = qnn_forward_batch(circuit, x[None, :], theta, return_state=True)
+        _, state = qnn_forward_batch(circuit, x[None, :], theta, return_state=True)
         ref = dense_circuit_state(circuit, x, theta)
-        worst = max(worst, float(np.abs(amps[0] - ref).max()))
+        worst = max(worst, float(np.abs(state.amps[0] - ref).max()))
         ref_ev = dense_expectations(circuit, x, theta)
         worst = max(worst, float(np.abs(qnn_forward(circuit, x, theta) - ref_ev).max()))
     took = time.perf_counter() - t0

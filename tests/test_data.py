@@ -451,3 +451,9 @@ class TestSynthBeats:
     def test_too_few_samples(self):
         with pytest.raises(ValueError):
             synth_beats(n=2)
+
+    def test_negative_noise_and_no_subjects_are_refused(self):
+        with pytest.raises(ValueError, match="noise must be non-negative"):
+            synth_beats(n=8, noise=-1.0)
+        with pytest.raises(ValueError, match="n_subjects must be at least 1"):
+            synth_beats(n=8, n_subjects=0)

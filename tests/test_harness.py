@@ -142,6 +142,11 @@ class TestModelConfig:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             ModelConfig(**{**fields, **kwargs})
 
+    def test_qnn_must_be_a_qnn_arch(self):
+        # a kind name where a QnnArch belongs is refused with the field's name
+        with pytest.raises(RunConfigError, match="qnn='ang_ry'"):
+            ModelConfig("hybrid", "conv0", 16, qnn="ang_ry")
+
     def test_classical_tanh_is_exactly_false(self):
         with pytest.raises(ValueError, match="^classical takes tanh false, got 0$"):
             ModelConfig("classical", "conv0", 16, 0, head="mlp")
@@ -286,14 +291,14 @@ class TestRunConfigParsing:
     @pytest.mark.parametrize(
         "key, value, message",
         [
-            ("beats_n", 12.7, "beats_n must be an integer, got 12.7"),
-            ("blobs_n", 10.9, "blobs_n must be an integer, got 10.9"),
-            ("blobs_dim", True, "blobs_dim must be an integer, got True"),
-            ("beats_subjects", 2.5, "beats_subjects must be an integer, got 2.5"),
-            ("beats_noise", True, "beats_noise must be a number, got True"),
+            ("beats_n", 12.7, "beats_n must be an integer of at least 4, got 12.7"),
+            ("blobs_n", 10.9, "blobs_n must be an integer of at least 2, got 10.9"),
+            ("blobs_dim", True, "blobs_dim must be an integer of at least 1, got True"),
+            ("beats_subjects", 2.5, "beats_subjects must be an integer of at least 1, got 2.5"),
+            ("beats_noise", True, "beats_noise must be a number of at least 0, got True"),
             ("beats_ambiguity", "low", "beats_ambiguity must be a number, got 'low'"),
             ("npz_file", 7, "npz_file must be a string, got 7"),
-            ("beats_n", [100, 200], "beats_n must be an integer, got [100, 200]"),
+            ("beats_n", [100, 200], "beats_n must be an integer of at least 4, got [100, 200]"),
         ],
         ids=["fractional_beats_n", "fractional_blobs_n", "bool_blobs_dim", "fractional_beats_subjects",
              "bool_beats_noise", "text_beats_ambiguity", "integer_npz_file", "listed_beats_n"],
@@ -303,6 +308,28 @@ class TestRunConfigParsing:
             check_run_config({key: value})
         with pytest.raises(RunConfigError, match=f"^{re.escape(message)}$"):
             load_run_dataset({key: value}, tmp_path)
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("blobs_n", 0, "blobs_n must be an integer of at least 2, got 0"),
+            ("blobs_dim", 0, "blobs_dim must be an integer of at least 1, got 0"),
+            ("beats_n", 3, "beats_n must be an integer of at least 4, got 3"),
+            ("beats_subjects", 0, "beats_subjects must be an integer of at least 1, got 0"),
+            ("beats_noise", -1, "beats_noise must be a number of at least 0, got -1"),
+            ("beats_noise", -0.5, "beats_noise must be a number of at least 0, got -0.5"),
+        ],
+        ids=["empty_blobs_n", "zero_blobs_dim", "short_beats_n", "no_beats_subjects", "negative_beats_noise",
+             "negative_fractional_beats_noise"],
+    )
+    def test_dataset_values_below_their_least_are_refused(self, tmp_path, key, value, message):
+        with pytest.raises(RunConfigError, match=f"^{re.escape(message)}$"):
+            check_run_config({key: value})
+        with pytest.raises(RunConfigError, match=f"^{re.escape(message)}$"):
+            load_run_dataset({"dataset": "synth_beats" if key.startswith("beats") else "blobs", key: value}, tmp_path)
+
+    def test_dataset_values_at_their_least_are_accepted(self):
+        check_run_config({"blobs_n": 2, "blobs_dim": 1, "beats_n": 4, "beats_subjects": 1, "beats_noise": 0.0})
 
     def test_float_dataset_values_take_an_int(self, tmp_path):
         check_run_config({"blobs_separation": 2.5, "beats_noise": 0, "beats_ambiguity": 0.1})
@@ -991,10 +1018,10 @@ class TestCli:
             ("dataset = nosuch", "unknown dataset 'nosuch'"),
             ("seed = -1", "seed must be an integer of at least 0, got -1"),
             ("blobs_n = 7", "n must be even for balanced classes"),  # synth_blobs refuses an odd count
-            ("dataset = synth_beats\nbeats_n = 12.7", "beats_n must be an integer, got 12.7"),
-            ("blobs_n = 10.9", "blobs_n must be an integer, got 10.9"),
-            ("blobs_dim = true", "blobs_dim must be an integer, got True"),
-            ("dataset = synth_beats\nbeats_noise = true", "beats_noise must be a number, got True"),
+            ("dataset = synth_beats\nbeats_n = 12.7", "beats_n must be an integer of at least 4, got 12.7"),
+            ("blobs_n = 10.9", "blobs_n must be an integer of at least 2, got 10.9"),
+            ("blobs_dim = true", "blobs_dim must be an integer of at least 1, got True"),
+            ("dataset = synth_beats\nbeats_noise = true", "beats_noise must be a number of at least 0, got True"),
         ],
         ids=["npz_without_file", "unknown_dataset", "negative_seed", "odd_blobs_n", "fractional_beats_n",
              "fractional_blobs_n", "bool_blobs_dim", "bool_beats_noise"],

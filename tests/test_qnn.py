@@ -13,7 +13,7 @@ import pytest
 import hqnnbench.qnn as qnn_module
 from hqnnbench.qnn import (
     Circuit,
-    SignedPerm,
+    PhasedPerm,
     Stage,
     build_amp_gen,
     build_ang_arb,
@@ -31,8 +31,10 @@ from oracles import (
     dense_expectations,
     fd_jacobian,
     fd_scalar_grad,
+    gate_matrix,
     one_qubit_stage_circuit,
     param_shift_jacobian,
+    phased_perm_circuit,
     qcnn_reference_unitary,
     qnn_backward,
     qnn_forward,
@@ -342,7 +344,7 @@ class TestCompiledProgram:
         """Each op as ("perm",) or ("stage", ((qubit, reads an input slot), ...))."""
         return [
             ("perm",)
-            if isinstance(op, SignedPerm)
+            if isinstance(op, PhasedPerm)
             else ("stage", tuple((q, _reads_input(a for _, a in row)) for q, row in zip(op.qubits, op.table)))
             for op in c.program
         ]
@@ -367,20 +369,32 @@ class TestCompiledProgram:
         assert stage.shape == (8, 66)  # one table: 8 gates by 66 steps
 
     def test_entangled_ang_arb_cz_layers_are_sign_only_permutations(self):
-        perms = [op for op in build_ang_arb(4, 36, True).program if isinstance(op, SignedPerm)]
+        perms = [op for op in build_ang_arb(4, 36, True).program if isinstance(op, PhasedPerm)]
         assert len(perms) == 2
         for op in perms:
-            # the identity permutation is dropped, so the kernel only multiplies
-            assert op.perm is None and op.inv_perm is None and op.sign is not None
+            # the identity permutation is dropped, so the kernel only multiplies, by a real sign
+            assert op.perm is None and op.inv_perm is None and op.phase.dtype == np.float64
+            assert set(op.phase) == {1.0, -1.0}
 
     def test_qcnn_is_one_op_per_layer_step(self):
         # The blocks of a layer are disjoint, so one step of every block fuses into
-        # one op: per layer three CNOT permutations and four rotation stages, the
-        # last stage shared with the next layer's first (5 layers at n=4, 8 at n=8).
-        for n, n_perms in ((4, 15), (8, 24)):
+        # one op. The constant RZ(-pi/2) and RZ(pi/2) steps fold into the CNOT
+        # permutations around them as phases, so each layer is two live stages
+        # between three permutations, and a layer's last permutation is the next
+        # one's first (5 layers at n=4, 8 at n=8): 21 and 33 ops.
+        rng = np.random.default_rng(54)
+        for n, n_stages in ((4, 10), (8, 16)):
             c = build_qcnn(n)
-            assert [isinstance(op, SignedPerm) for op in c.program] == [False, True] * n_perms + [False]
-            assert not any(_reads_input(a for row in op.table for _, a in row) for op in c.program if isinstance(op, Stage))
+            assert len(c.program) == 2 * n_stages + 1
+            assert [isinstance(op, PhasedPerm) for op in c.program] == [True, False] * n_stages + [True]
+            stages = [op for op in c.program if isinstance(op, Stage)]
+            assert all(op.live and not op.n_head for op in stages)  # no input slot: every stage is shared
+            # the first map carries the layer's RZ(-pi/2) phases, the last the final RZ(pi/2)
+            assert c.program[0].phase.dtype == np.complex128 and c.program[-1].phase.dtype == np.complex128
+            x = rng.normal(size=(3, c.n_inputs))
+            p = rng.normal(size=c.n_params)
+            for row, xi in zip(qnn_forward_batch(c, x, p), x):
+                assert np.abs(row - dense_expectations(c, xi, p)).max() < 1e-10
 
     def test_amp_gen_8_stages_are_two_4_qubit_kronecker_blocks(self):
         for op in build_amp_gen(8, True).program:
@@ -428,7 +442,11 @@ class TestCompiledProgram:
     def test_random_circuits_compile_to_one_op_per_maximal_run(self):
         rng = np.random.default_rng(53)
         for k in range(80):
-            c, _, _ = random_circuit(rng, max_qubits=5, encoding="amplitude" if k % 4 == 3 else "angle")
+            encoding = "amplitude" if k % 4 == 3 else "angle"
+            if k % 2:
+                c, _, _ = random_circuit(rng, max_qubits=5, encoding=encoding)
+            else:
+                c, _, _ = phased_perm_circuit(rng, int(rng.integers(2, 6)), encoding)
             runs: list[tuple[bool, list[Gate]]] = []
             for gate in c.ops:
                 entangles = gate.kind in (GateKind.CNOT, GateKind.CZ)
@@ -436,11 +454,25 @@ class TestCompiledProgram:
                     runs[-1][1].append(gate)
                 else:
                     runs.append((entangles, [gate]))
+            # a run of constant RZ gates is a phase and joins the permutations around it
+            merged: list[tuple[bool, list[Gate]]] = []
+            for entangles, run in runs:
+                is_perm = entangles or all(g.kind is GateKind.RZ and g.angles[0].source == "const" for g in run)
+                if merged and merged[-1][0] and is_perm:
+                    merged[-1][1].extend(run)
+                else:
+                    merged.append((is_perm, run))
             # stages and permutations alternate, one op per maximal run
-            kinds = [isinstance(op, SignedPerm) for op in c.program]
-            assert kinds == [entangles for entangles, _ in runs] and all(a != b for a, b in zip(kinds, kinds[1:]))
-            for op, (entangles, run) in zip(c.program, runs):
-                if entangles:
+            kinds = [isinstance(op, PhasedPerm) for op in c.program]
+            assert kinds == [is_perm for is_perm, _ in merged] and all(a != b for a, b in zip(kinds, kinds[1:]))
+            for op, (is_perm, run) in zip(c.program, merged):
+                if is_perm:
+                    # out[i] = phase[i] * a[perm[i]] is the dense product of the run's gates
+                    dense = functools.reduce(lambda acc, g: gate_matrix(g, c.n_qubits) @ acc, run, np.eye(1 << c.n_qubits))
+                    mapped = np.zeros_like(dense)
+                    idx = np.arange(1 << c.n_qubits)
+                    mapped[idx, idx if op.perm is None else op.perm] = 1.0 if op.phase is None else op.phase
+                    assert np.abs(mapped - dense).max() < 1e-12
                     continue
                 # one row per qubit, in order of first appearance in the run
                 assert op.qubits == tuple(dict.fromkeys(g.targets[0] for g in run))
@@ -449,6 +481,10 @@ class TestCompiledProgram:
                     pad = op.shape[1] - len(want)
                     # a short row starts with constant RZ(0) steps
                     assert row == (("rz", Angle.const(0.0)),) * pad + want
+                # the head ends at the last column that reads an input slot
+                reads = [any(a.source == "input" for _, a in column) for column in zip(*op.table)]
+                assert op.n_head == max((r + 1 for r, read in enumerate(reads) if read), default=0)
+                assert op.n_head + op.n_tail == op.shape[1]
 
     def test_layout_is_decided_per_circuit_by_its_input_slots(self):
         # angle circuits read inputs in every layer and keep (B, 2**n) rows, sample-major
@@ -612,9 +648,148 @@ class TestKroneckerBlocks:
                         assert math.isclose(row @ v, (f(1e-5) - f(-1e-5)) / 2e-5, rel_tol=1e-5, abs_tol=1e-7)
 
 
+@functools.lru_cache(maxsize=None)
+def _phased_perm_cases():
+    """Random circuits with constant RZ runs between CNOT/CZ runs, n = 2..6 (B=3 distinct rows)."""
+    rng = np.random.default_rng(55)
+    out = []
+    for n in range(2, 7):
+        for encoding in ("angle", "angle", "amplitude"):
+            c, _, p = phased_perm_circuit(rng, n, encoding)
+            xs = rng.normal(size=(3, c.n_inputs))
+            out.append((c, xs, p, rng.normal(size=(3, c.out_dim))))
+    return out
+
+
+class TestPhasedPermutations:
+    """Constant RZ runs fold into the permutations around them as complex phases."""
+
+    def test_cases_fold_complex_phases_at_both_ends(self):
+        for c, *_ in _phased_perm_cases():
+            assert isinstance(c.program[0], PhasedPerm) and isinstance(c.program[-1], PhasedPerm)
+            assert len(c.program) == 7  # four maps around three stages
+            assert any(op.phase is not None and op.phase.dtype == np.complex128 for op in c.program[::2])
+
+    def test_forward_rows_match_dense_oracle(self):
+        for c, xs, p, _ in _phased_perm_cases():
+            for row, x in zip(qnn_forward_batch(c, xs, p), xs):
+                assert np.abs(row - dense_expectations(c, x, p)).max() < 1e-10
+
+    def test_param_gradients_match_row_summed_parameter_shift(self):
+        for c, xs, p, ups in _phased_perm_cases():
+            _, gp = qnn_backward(c, xs, p, ups)
+            expect = sum(up @ param_shift_jacobian(c, x, p) for x, up in zip(xs, ups))
+            assert np.abs(gp - expect).max() < 1e-10
+
+    def test_input_gradients_match_shift_rule_or_fd(self):
+        for c, xs, p, ups in _phased_perm_cases():
+            gx, _ = qnn_backward(c, xs, p, ups)
+            for row, x, up in zip(gx, xs, ups):
+                if c.encoding == "angle":
+                    assert np.abs(row - up @ _input_shift_jacobian(c, x, p)).max() < 1e-10
+                else:
+                    fd = fd_scalar_grad(lambda z: float(up @ qnn_forward(c, z, p)), x, 1e-5)
+                    assert np.allclose(row, fd, rtol=1e-5, atol=1e-7)
+
+
+def _head_and_tail_circuit():
+    """Two stages on three qubits whose heads hold param and constant steps between input steps.
+
+    In the first, qubit 1's row is padded, qubit 2's reads no input, and the
+    head (columns 0-3) is followed by a one-column tail; the second stage ends
+    with an input step, so it is all head.
+    """
+    i = [Angle.input(k) for k in range(4)]
+    p = [Angle.param(k) for k in range(12)]
+    ops = (
+        Gate.ry(0, i[0]), Gate.rz(0, p[0]), Gate.ry(0, i[1]), Gate.rz(0, p[1]), Gate.ry(0, p[2]),
+        Gate.rz(1, 0.3), Gate.ry(1, p[3]), Gate.rz(1, i[2]), Gate.ry(1, p[4]),
+        Gate.ry(2, p[5]), Gate.rz(2, -0.7), Gate.ry(2, p[6]), Gate.rz(2, p[7]), Gate.ry(2, p[8]),
+        Gate.cnot(0, 1), Gate.cz(1, 2),
+        Gate.rz(2, p[9]), Gate.ry(2, i[3]), Gate.ry(1, p[10]), Gate.rz(1, p[11]),
+    )
+    return Circuit(3, "angle", ops, 12, 4, Observable.local_z())
+
+
+class TestHeadAndTail:
+    """A stage's per-sample head and batch-shared tail, split at its last input column."""
+
+    B = 5
+
+    def case(self):
+        rng = np.random.default_rng(56)
+        c = _head_and_tail_circuit()
+        return c, rng.normal(size=(self.B, 4)), rng.normal(size=12), rng.normal(size=(self.B, 3))
+
+    def test_split_at_the_last_input_column(self):
+        first, _, second = _head_and_tail_circuit().program
+        assert (first.n_head, first.n_tail) == (4, 1) and (second.n_head, second.n_tail) == (2, 0)
+        assert first.table[1][0] == ("rz", Angle.const(0.0))  # qubit 1's row is padded
+        # the head's columns hold param and constant steps too
+        sources = {a.source for row in first.table for _, a in row[: first.n_head]}
+        assert sources == {"input", "param", "const"}
+
+    def test_matches_the_oracles(self):
+        c, xs, p, ups = self.case()
+        for row, x in zip(qnn_forward_batch(c, xs, p), xs):
+            assert np.abs(row - dense_expectations(c, x, p)).max() < 1e-10
+        gx, gp = qnn_backward(c, xs, p, ups)
+        expect = sum(up @ param_shift_jacobian(c, x, p) for x, up in zip(xs, ups))
+        assert np.abs(gp - expect).max() < 1e-10
+        for row, x, up in zip(gx, xs, ups):
+            assert np.abs(row - up @ _input_shift_jacobian(c, x, p)).max() < 1e-10
+
+    def test_shared_stage_of_a_circuit_on_rows(self):
+        # A stage that reads no input, in a circuit that does, is all tail and
+        # runs its blocks once for the batch. On sample-major rows the forward
+        # pass keeps those blocks and builds the per-sample ones again.
+        ops = (Gate.ry(0, Angle.input(0)), Gate.cnot(0, 1), Gate.ry(1, Angle.param(0)), Gate.rz(4, Angle.param(1)))
+        c = Circuit(5, "angle", ops, 2, 1, Observable.global_z())
+        assert c.sample_major and not c.program[-1].n_head
+        rng = np.random.default_rng(57)
+        xs, p, ups = rng.normal(size=(4, 1)), rng.normal(size=2), rng.normal(size=(4, 1))
+        _, state = qnn_forward_batch(c, xs, p, return_state=True)
+        assert state.built[0].blocks is None and [u.shape for u in state.built[-1].blocks] == [(1, 2, 2), (1, 2, 2)]
+        for row, x in zip(qnn_forward_batch(c, xs, p), xs):
+            assert np.abs(row - dense_expectations(c, x, p)).max() < 1e-10
+        gx, gp = qnn_backward(c, xs, p, ups)
+        expect = sum(up @ param_shift_jacobian(c, x, p) for x, up in zip(xs, ups))
+        assert np.abs(gp - expect).max() < 1e-10
+        for row, x, up in zip(gx, xs, ups):
+            assert np.abs(row - up @ _input_shift_jacobian(c, x, p)).max() < 1e-10
+
+
+class TestForwardState:
+    def test_backward_refuses_a_state_from_other_inputs_or_params(self):
+        rng = np.random.default_rng(58)
+        c = build_ang_ry(4, 16, True)
+        xs, p = rng.normal(size=(3, 16)), rng.normal(size=c.n_params)
+        out, state = qnn_forward_batch(c, xs, p, return_state=True)
+        up = np.ones_like(out)
+        qnn_backward_batch(c, xs.copy(), p.copy(), up, final_amps=state)  # equal values pass
+        other_x = xs.copy()
+        other_x[1, 3] += 1e-9
+        other_p = p.copy()
+        other_p[0] = -other_p[0]
+        for args in ((c, other_x, p), (c, xs, other_p), (c, xs[:2], p), (build_ang_ry(4, 16, True), xs, p)):
+            with pytest.raises(ValueError, match="final_amps comes from a forward pass on another"):
+                qnn_backward_batch(*args, np.ones((len(args[1]), 1)), final_amps=state)
+
+    def test_backward_leaves_the_state_as_it_was(self):
+        rng = np.random.default_rng(59)
+        c = build_ang_arb(4, 16, True)
+        xs, p = rng.normal(size=(3, 16)), rng.normal(size=c.n_params)
+        out, state = qnn_forward_batch(c, xs, p, return_state=True)
+        amps = state.amps.copy()
+        first = qnn_backward_batch(c, xs, p, np.ones_like(out), final_amps=state)
+        assert np.array_equal(state.amps, amps)
+        second = qnn_backward_batch(c, xs, p, np.ones_like(out), final_amps=state)
+        assert all(np.array_equal(a, b) for a, b in zip(first, second))
+
+
 class TestBackwardKernelCalls:
-    """Every stage but the first un-applies each kernel call on psi and on mu.
-    The first stage is processed last: nothing reads psi afterwards, and mu only
+    """Every op but the first un-applies each kernel call on psi and on mu.
+    The first op is processed last: nothing reads psi afterwards, and mu only
     for the input gradient of an amplitude-encoded circuit. A circuit that reads
     inputs runs every call on rows, one that reads none on columns."""
 
@@ -656,9 +831,10 @@ class TestBackwardKernelCalls:
         assert calls == {"apply_rows": 31 * 2 * 2, "rows_overlap": 32 * 2}
 
     def test_qcnn_unapplies_every_gate(self, monkeypatch):
-        # 16 stages of one 4-qubit block; 10 of them hold parameters
+        # 10 stages of one 4-qubit block, all holding parameters; the program starts
+        # with a permutation, so every stage is un-applied from both states
         calls = self.count_calls(monkeypatch, build_qcnn(4))
-        assert calls == {"apply_gate": 15 * 2 + 1, "gate_overlap": 10}
+        assert calls == {"apply_gate": 10 * 2, "gate_overlap": 10}
 
 
 @functools.lru_cache(maxsize=None)

@@ -16,7 +16,7 @@ from hqnnbench.statevec import (
     Observable,
     apply_gate,
     apply_rows,
-    apply_signed_perm,
+    apply_phased_perm,
     expval_batch,
     gate_overlap,
     rows_overlap,
@@ -61,8 +61,8 @@ def final_state(n_qubits, ops, x=None):
         x = np.zeros(1)
     else:
         circuit = Circuit(n_qubits, "amplitude", tuple(ops), 0, 1 << n_qubits, Observable.global_z())
-    _, amps = qnn_forward_batch(circuit, np.atleast_2d(x), np.zeros(0), return_state=True)
-    return amps[0]
+    _, state = qnn_forward_batch(circuit, np.atleast_2d(x), np.zeros(0), return_state=True)
+    return state.amps[0]
 
 
 def simulated_matrix(n_qubits, ops):
@@ -264,8 +264,8 @@ class TestBatchedKernels:
     """Per-row angles in one batch against the dense oracle row by row."""
 
     def rows_match_dense(self, c, xs):
-        _, amps = qnn_forward_batch(c, xs, np.zeros(0), return_state=True)
-        for row, x in zip(amps, xs):
+        _, state = qnn_forward_batch(c, xs, np.zeros(0), return_state=True)
+        for row, x in zip(state.amps, xs):
             assert np.abs(row - dense_circuit_state(c, x, np.zeros(0))).max() < 1e-13
 
     def test_batched_matches_per_row(self):
@@ -388,9 +388,10 @@ class TestRowKernels:
 
 
 class TestSignedPermutation:
-    """``apply_signed_perm`` is ``sign[:, None] * amps[perm]`` on (2**n, B) storage
-    (basis axis 0) and ``sign * rows[:, perm]`` on sample-major rows (axis 1),
-    written into ``out``. B != 2**n, so a swapped axis cannot pass."""
+    """``apply_phased_perm`` is ``phase[:, None] * amps[perm]`` on (2**n, B) storage
+    (basis axis 0) and ``phase * rows[:, perm]`` on sample-major rows (axis 1),
+    written into ``out``; a sign is a real phase. B != 2**n, so a swapped axis
+    cannot pass."""
 
     @pytest.mark.parametrize("with_perm, with_sign", [(True, True), (True, False), (False, True), (False, False)])
     def test_matches_the_fancy_index(self, with_perm, with_sign):
@@ -404,8 +405,23 @@ class TestSignedPermutation:
             if axis:
                 amps, want = np.ascontiguousarray(amps.T), want.T
             out = np.empty_like(amps)
-            assert apply_signed_perm(amps, perm, sign, out, axis) is out
+            assert apply_phased_perm(amps, perm, sign, out, axis) is out
             assert np.array_equal(out, want)
+
+    @pytest.mark.parametrize("with_perm", [True, False])
+    def test_complex_phase_matches_the_fancy_index(self, with_perm):
+        rng = np.random.default_rng(18)
+        n, batch = 4, 3
+        amps = rng.normal(size=(1 << n, batch)) + 1j * rng.normal(size=(1 << n, batch))
+        perm = rng.permutation(1 << n) if with_perm else None
+        phase = np.exp(1j * rng.normal(size=1 << n))
+        want = phase[:, None] * amps[np.arange(1 << n) if perm is None else perm]
+        for axis in (0, 1):
+            if axis:
+                amps, want = np.ascontiguousarray(amps.T), want.T
+            out = np.empty_like(amps)
+            assert apply_phased_perm(amps, perm, phase, out, axis) is out
+            assert np.abs(out - want).max() < 1e-15  # complex products may round apart in the last bit
 
 
 class TestFusion:
@@ -426,8 +442,8 @@ class TestFusion:
 class TestAngleSlots:
     def test_slot_resolution(self):
         c = Circuit(1, "angle", (Gate.ry(0, Angle.input(1)),), 0, 2, Observable.global_z())
-        _, amps = qnn_forward_batch(c, np.array([[0.0, math.pi]]), np.zeros(0), return_state=True)
-        assert np.allclose(amps[0], [0.0, 1.0], atol=1e-15)
+        _, state = qnn_forward_batch(c, np.array([[0.0, math.pi]]), np.zeros(0), return_state=True)
+        assert np.allclose(state.amps[0], [0.0, 1.0], atol=1e-15)
 
     def test_angle_source_validation(self):
         with pytest.raises(ValueError):
