@@ -8,20 +8,24 @@ only), four circuit families (Ang-RY, Ang-Arb, Amp-Gen, QCNN) with their
 entanglement/observable axes, and four classical heads
 (``classical.HEAD_LAYERS``) -- 150 configurations.
 
-Two tables declare the run configuration: ``RUN_CONFIG`` holds every key a
-run-configuration file may set, with the values or the type it takes, and
+Three tables declare the run configuration: ``RUN_CONFIG`` holds every key a
+run-configuration file may set, with the values or the type it takes and its
+default, ``DATASETS`` holds each dataset's loader and the keys it reads, and
 ``FAMILIES`` holds each circuit family's group name, the switches it varies
-and its builder. ``expand_grid`` enumerates the points a run configuration
-selects, ``parse_run_config`` reads the flat ``key = value`` file that holds
-it, and ``check_run_config`` refuses keys that nothing reads and protocol or
-dataset values that no run accepts. ``ModelConfig`` and ``QnnArch`` check
-their fields against the same tables. ``load_run_dataset`` and
-``default_batch_size`` turn the dataset keys into a ``Dataset``.
+and its builder. ``parse_run_config`` reads the flat ``key = value`` file
+that holds a run configuration, ``check_run_config`` refuses keys that
+nothing reads and protocol or dataset values that no run accepts, and
+``resolve_run_config`` fills in the defaults and refuses keys that the chosen
+dataset does not read. ``expand_grid`` enumerates the points a run
+configuration selects, and ``ModelConfig`` and ``QnnArch`` check their fields
+against the same tables. ``load_run_dataset`` and ``default_batch_size`` turn
+the dataset keys into a ``Dataset``.
 """
 
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
 from collections.abc import Callable
 from dataclasses import asdict, dataclass
@@ -82,15 +86,40 @@ class Axis:
 class Value:
     """A key that holds one value: one of the ``accepts`` values, or a value of type ``accepts``.
 
-    A number key may also have a ``least`` value.
+    A number key may also have a ``least`` value. A key without a ``default``
+    is derived (``batch_size``) or required by the dataset that reads it.
     """
 
     accepts: tuple | type
     least: float | None = None
+    default: object = None
 
 
-# Every key a run configuration may hold; the README's run-configuration
-# section lists the same keys.
+@dataclass(frozen=True)
+class Source:
+    """A dataset: its loader and the run-config keys it reads, each with the loader argument it fills.
+
+    A ``path`` argument is a file name under the data directory.
+    """
+
+    load: Callable[..., Dataset]
+    reads: dict[str, str]
+
+
+DATASETS = {
+    "blobs": Source(synth_blobs, {"blobs_n": "n", "blobs_dim": "dim", "blobs_separation": "separation", "seed": "seed"}),
+    "synth_beats": Source(synth_beats, {"beats_n": "n", "beats_subjects": "n_subjects", "beats_noise": "noise",
+                                        "beats_ambiguity": "ambiguity", "seed": "seed"}),
+    "beats_csv": Source(load_beats_csv, {"beats_file": "path"}),
+    "npz": Source(load_npz, {"npz_file": "path", "images_key": "images_key", "labels_key": "labels_key"}),
+}
+# The keys that only a dataset reads; the synthetic datasets also read the run's seed.
+DATASET_KEYS = frozenset(key for source in DATASETS.values() for key in source.reads) - {"seed"}
+# The beats keys default to synth_beats' own keyword defaults.
+_BEATS = {name: arg.default for name, arg in inspect.signature(synth_beats).parameters.items()}
+
+# Every key a run configuration may hold, with its default; the README's
+# run-configuration section lists the same keys.
 RUN_CONFIG = {
     # The grid axes.
     "families": Axis(("hybrid", "classical")),
@@ -102,15 +131,16 @@ RUN_CONFIG = {
     "observable": Axis(("local", "global"), fixed="single"),
     "heads": Axis(HEADS),
     # The training protocol.
-    "folds": Value(int, 2), "epochs": Value(int, 1), "batch_size": Value(int, 1), "seed": Value(int, 0),
-    "aggregate": Value(("mean", "median")),
+    "folds": Value(int, 2, default=5), "epochs": Value(int, 1, default=50), "batch_size": Value(int, 1),
+    "seed": Value(int, 0, default=0), "aggregate": Value(("mean", "median"), default="mean"),
     # The dataset, then each dataset's own keys.
-    "dataset": Value(str),
-    "blobs_n": Value(int, 2), "blobs_dim": Value(int, 1), "blobs_separation": Value(float),
-    "beats_n": Value(int, 4), "beats_subjects": Value(int, 1), "beats_noise": Value(float, 0),
-    "beats_ambiguity": Value(float),
-    "beats_file": Value(str),
-    "npz_file": Value(str), "images_key": Value(str), "labels_key": Value(str),
+    "dataset": Value(tuple(DATASETS), default="blobs"),
+    "blobs_n": Value(int, 2, default=512), "blobs_dim": Value(int, 1, default=16),
+    "blobs_separation": Value(float, default=10.0),
+    "beats_n": Value(int, 4, default=_BEATS["n"]), "beats_subjects": Value(int, 1, default=_BEATS["n_subjects"]),
+    "beats_noise": Value(float, 0, default=_BEATS["noise"]), "beats_ambiguity": Value(float, default=_BEATS["ambiguity"]),
+    "beats_file": Value(str, default="beats.csv"),
+    "npz_file": Value(str), "images_key": Value(str, default="images"), "labels_key": Value(str, default="labels"),
 }
 RUN_KEYS = frozenset(RUN_CONFIG)
 AXES = {name: row for name, row in RUN_CONFIG.items() if isinstance(row, Axis)}
@@ -169,7 +199,7 @@ class ModelConfig:
     tanh_pi: bool = False
     qnn: QnnArch | None = None
     head: str | None = None
-    seed: int = 0
+    seed: int = RUN_CONFIG["seed"].default
 
     def __post_init__(self):
         for name, value in (("families", self.family), ("preproc", self.preproc), ("latent", self.latent_dim)):
@@ -216,7 +246,7 @@ def _as_list(value) -> list:
 
 
 def expand_grid(run_cfg: dict) -> list[ModelConfig]:
-    """Enumerate ModelConfigs for the axes in ``run_cfg`` (defaults = full grid).
+    """Enumerate ModelConfigs for the axes of ``run_cfg`` once resolved (defaults = full grid).
 
     A circuit family takes the requested values of the switches it varies
     (``FAMILIES``) and its fixed value of every other switch. An empty axis, a
@@ -224,16 +254,16 @@ def expand_grid(run_cfg: dict) -> list[ModelConfig]:
     family reads its axis, and a value listed twice in one axis are refused
     with ``RunConfigError``.
     """
+    run_cfg = resolve_run_config(run_cfg)
     axes = {}
     for name, axis in AXES.items():
-        axes[name] = listed = _as_list(run_cfg.get(name, axis.default))
+        axes[name] = listed = _as_list(run_cfg[name])
         if not listed:
             raise RunConfigError(f"empty axis {name!r}")
         for i, value in enumerate(listed):
             _check(f"{name} takes", value, axis.values)
             if value in listed[:i]:
                 raise RunConfigError(f"{name} lists {value!r} twice")
-    seed = run_cfg.get("seed", 0)
 
     configs: list[ModelConfig] = []
     if "hybrid" in axes["families"]:
@@ -241,10 +271,10 @@ def expand_grid(run_cfg: dict) -> list[ModelConfig]:
             values = [axes[s] if s in FAMILIES[kind].varies else [AXES[s].fixed] for s in SWITCHES]
             for preproc, latent, (tanh, ent, obs) in product(axes["preproc"], axes["latent"], product(*values)):
                 qnn = QnnArch(kind, ent, obs)
-                configs.append(ModelConfig("hybrid", preproc, latent, tanh, qnn, seed=seed))
+                configs.append(ModelConfig("hybrid", preproc, latent, tanh, qnn, seed=run_cfg["seed"]))
     if "classical" in axes["families"]:
         for preproc, latent, head in product(axes["preproc"], axes["latent"], axes["heads"]):
-            configs.append(ModelConfig("classical", preproc, latent, head=head, seed=seed))
+            configs.append(ModelConfig("classical", preproc, latent, head=head, seed=run_cfg["seed"]))
     return configs
 
 
@@ -313,36 +343,34 @@ def check_run_config(run_cfg: dict) -> None:
             _check(f"{key} must be", run_cfg[key], row.accepts, row.least)
 
 
-_BEATS_ARGS = {"beats_n": "n", "beats_subjects": "n_subjects", "beats_noise": "noise", "beats_ambiguity": "ambiguity"}
+def resolve_run_config(run_cfg: dict) -> dict:
+    """``run_cfg`` with every default of ``RUN_CONFIG`` filled in, after ``check_run_config``.
+
+    Only the chosen dataset's keys are filled in, and a key that another
+    dataset reads is refused, as is a key that the chosen dataset requires
+    and the configuration leaves out. Resolving a resolved configuration
+    returns it unchanged.
+    """
+    check_run_config(run_cfg)
+    name = run_cfg.get("dataset", RUN_CONFIG["dataset"].default)
+    reads = DATASETS[name].reads
+    foreign = sorted(run_cfg.keys() & DATASET_KEYS - reads.keys())
+    if foreign:
+        raise RunConfigError(f"dataset {name} does not read {', '.join(foreign)}")
+    cfg = {key: row.default for key, row in RUN_CONFIG.items() if key in reads or key not in DATASET_KEYS}
+    cfg = {key: value for key, value in cfg.items() if value is not None} | run_cfg
+    missing = [key for key in reads if key not in cfg]
+    if missing:
+        raise RunConfigError(f"dataset {name} requires {', '.join(missing)}")
+    return cfg
 
 
 def load_run_dataset(run_cfg: dict, data_dir: Path) -> Dataset:
-    """Materialize the dataset named by the run configuration, after ``check_run_config``."""
-    check_run_config(run_cfg)
-    name = run_cfg.get("dataset", "blobs")
-    seed = run_cfg.get("seed", 0)
-    if name == "blobs":
-        return synth_blobs(
-            n=run_cfg.get("blobs_n", 512),
-            dim=run_cfg.get("blobs_dim", 16),
-            separation=run_cfg.get("blobs_separation", 10.0),
-            seed=seed,
-        )
-    if name == "synth_beats":
-        # Keys the configuration leaves out keep synth_beats' own defaults.
-        args = {arg: run_cfg[key] for key, arg in _BEATS_ARGS.items() if key in run_cfg}
-        return synth_beats(seed=seed, **args)
-    if name == "beats_csv":
-        return load_beats_csv(Path(data_dir) / run_cfg.get("beats_file", "beats.csv"))
-    if name == "npz":
-        if "npz_file" not in run_cfg:
-            raise RunConfigError("dataset npz requires npz_file")
-        return load_npz(
-            Path(data_dir) / run_cfg["npz_file"],
-            run_cfg.get("images_key", "images"),
-            run_cfg.get("labels_key", "labels"),
-        )
-    raise RunConfigError(f"unknown dataset {name!r}")
+    """Materialize the dataset named by the run configuration, after ``resolve_run_config``."""
+    cfg = resolve_run_config(run_cfg)
+    source = DATASETS[cfg["dataset"]]
+    args = {arg: Path(data_dir) / cfg[key] if arg == "path" else cfg[key] for key, arg in source.reads.items()}
+    return source.load(**args)
 
 
 def default_batch_size(dataset: Dataset) -> int:

@@ -30,6 +30,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from multiprocessing import get_context
 from pathlib import Path
 from statistics import median
 
@@ -48,6 +49,7 @@ from .classical import (
     stack_params,
 )
 from .config import (
+    RUN_CONFIG,
     ModelConfig,
     RunConfigError,
     check_run_config,
@@ -55,6 +57,7 @@ from .config import (
     expand_grid,
     load_run_dataset,
     parse_run_config,
+    resolve_run_config,
 )
 
 # Not used here: perfbench and tests/test_acceptance.py read them as harness attributes.
@@ -62,7 +65,6 @@ from .config import PREPROCS, QNN_KINDS, QUBITS_FOR_LATENT, QnnArch  # noqa: F40
 from .data import Dataset, FoldPlan, make_folds
 from .metrics import METRIC_NAMES, MetricReport
 from .qnn import init_params, qnn_backward_batch, qnn_forward_batch
-from .statevec import EncodingError
 from .tables import TABLE_COLUMNS, NoCompletedRunsError, aggregate_tables, write_tables
 
 # ---------------------------------------------------------------------------
@@ -185,13 +187,14 @@ def run_experiment(
     folds: FoldPlan,
     epochs: int,
     batch_size: int,
-    aggregate: str = "mean",
+    aggregate: str = RUN_CONFIG["aggregate"].default,
 ) -> ExperimentResult:
     """Train ``config`` over every fold and aggregate fold-best metrics.
 
-    Numerical failures (degenerate amplitude encodings, overflow,
-    non-finite losses) abort the affected fold with a diagnostic record
-    instead of raising.
+    An exception in training (a degenerate amplitude encoding, overflow, a
+    non-finite loss, or any other error) aborts the affected fold with a
+    diagnostic record instead of raising, so the other folds and configs
+    still train.
     """
     check_run_config({"epochs": epochs, "batch_size": batch_size, "aggregate": aggregate})
     hash_int = int(config.config_hash()[:16], 16)
@@ -202,7 +205,7 @@ def run_experiment(
         t0 = time.perf_counter()
         try:
             entry = _train_fold(config, dataset, train_idx, val_idx, epochs, batch_size, rng)
-        except (EncodingError, FloatingPointError, OverflowError) as exc:
+        except Exception as exc:
             entry = {"epochs": [], "best": None, "aborted": f"{type(exc).__name__}: {exc}"}
         wall.append(time.perf_counter() - t0)
         entry["fold"] = f
@@ -345,21 +348,17 @@ def run_grid(
     progress=None,
 ) -> list[dict]:
     """Execute the configured grid, append results, and write tables."""
-    check_run_config(run_cfg)
-    seed = int(run_cfg.get("seed", 0))
-    k = run_cfg.get("folds", 5)
+    cfg = resolve_run_config(run_cfg)
     try:
-        dataset = load_run_dataset(run_cfg, Path(data_dir))
-        folds = make_folds(dataset, k, seed)
-        configs = expand_grid(run_cfg)
+        dataset = load_run_dataset(cfg, Path(data_dir))
+        folds = make_folds(dataset, cfg["folds"], cfg["seed"])
+        configs = expand_grid(cfg)
     except (OSError, ValueError) as exc:
         # A data file that cannot be read, or a dataset, fold plan or grid
         # that cannot be built, is a bad configuration.
         raise RunConfigError(str(exc)) from exc
     _check_preprocessors(configs, dataset.sample_shape)
-    epochs = run_cfg.get("epochs", 50)
-    batch_size = run_cfg.get("batch_size", default_batch_size(dataset))
-    aggregate = run_cfg.get("aggregate", "mean")
+    cfg.setdefault("batch_size", default_batch_size(dataset))
     # Only a configuration that loads, splits, expands and builds gets an output directory.
     out_dir = Path(out_dir)
     try:
@@ -367,16 +366,8 @@ def run_grid(
     except OSError as exc:  # a file at --out or above it
         raise RunConfigError(f"--out {out_dir} cannot be made a directory ({exc.strerror})") from None
 
-    protocol = {
-        "epochs": epochs,
-        "batch_size": batch_size,
-        "folds": k,
-        "seed": seed,
-        "aggregate": aggregate,
-        "dataset": run_cfg.get("dataset", "blobs"),
-        "data_digest": _data_digest(dataset),
-        "version": __version__,
-    }
+    protocol = {key: cfg[key] for key in ("epochs", "batch_size", "folds", "seed", "aggregate", "dataset")}
+    protocol.update(data_digest=_data_digest(dataset), version=__version__)
     results_path = out_dir / "results.jsonl"
     meta_path = out_dir / "run_meta.json"
     if meta_path.exists() and results_path.exists() and results_path.read_bytes().strip():
@@ -412,17 +403,23 @@ def run_grid(
         if progress is not None:
             progress(json_dict)
 
+    train_args = (dataset, folds, cfg["epochs"], cfg["batch_size"], cfg["aggregate"])
     if jobs > 1 and len(todo) > 1:
-        with ProcessPoolExecutor(
-            max_workers=jobs,
-            initializer=_init_worker,
-            initargs=(dataset, folds, epochs, batch_size, aggregate),
-        ) as pool:
-            for result in pool.map(_run_one, todo):
-                emit(result)
+        # Spawned workers start their own OpenBLAS, with one thread unless the
+        # user chose a count; forked ones would inherit this process's, already
+        # started with a thread per core, and jobs would contend for the cores.
+        pinned = "OPENBLAS_NUM_THREADS" not in os.environ
+        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+        try:
+            with ProcessPoolExecutor(jobs, get_context("spawn"), initializer=_init_worker, initargs=train_args) as pool:
+                for result in pool.map(_run_one, todo):
+                    emit(result)
+        finally:
+            if pinned:
+                del os.environ["OPENBLAS_NUM_THREADS"]
     else:
         for config in todo:
-            emit(run_experiment(config, dataset, folds, epochs, batch_size, aggregate))
+            emit(run_experiment(config, *train_args))
 
     if rows:
         _write_tables(out_dir, rows)
@@ -475,10 +472,8 @@ def main(argv=None) -> int:
             print(f"wrote {', '.join(TABLE_COLUMNS)} to {out_dir}")
             return 0
         run_cfg = parse_run_config(args.config)
-        if args.epochs is not None:
-            run_cfg["epochs"] = args.epochs
-        if args.seed is not None:
-            run_cfg["seed"] = args.seed
+        overrides = {"epochs": args.epochs, "seed": args.seed}
+        run_cfg.update({key: value for key, value in overrides.items() if value is not None})
         rows = run_grid(run_cfg, Path(args.data_dir), out_dir, jobs=args.jobs, progress=progress)
     except (ProtocolMismatchError, ResultsFileError, RunConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)

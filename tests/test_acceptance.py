@@ -374,6 +374,7 @@ def test_criterion_09_scaled_down_reproduction(tmp_path):
     real_csv = os.environ.get("HQNN_BEATS_CSV")
     corpus = "synthetic surrogate beats"
     if real_csv:
+        del run_cfg["beats_n"]  # beats_csv does not read it
         run_cfg["dataset"] = "beats_csv"
         run_cfg["beats_file"] = Path(real_csv).name
         data_dir = Path(real_csv).parent

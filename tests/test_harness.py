@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import importlib
 import json
+import os
 import re
 import warnings
 from pathlib import Path
@@ -15,17 +16,23 @@ import pytest
 import hqnnbench.harness as harness
 from hqnnbench.classical import build_head, build_preprocessor, stack_params
 from hqnnbench.config import (
+    AXES,
+    DATASET_KEYS,
+    DATASETS,
     HEADS,
     QNN_KINDS,
+    RUN_CONFIG,
     RUN_KEYS,
     ModelConfig,
     QnnArch,
     RunConfigError,
+    Value,
     check_run_config,
     default_batch_size,
     expand_grid,
     load_run_dataset,
     parse_run_config,
+    resolve_run_config,
 )
 from hqnnbench.data import synth_blobs, make_folds
 from hqnnbench.harness import (
@@ -347,6 +354,33 @@ class TestRunConfigParsing:
             keys |= set(re.findall(r"`([a-z_]+)`", row.split("|")[2]))
         assert keys == RUN_KEYS
 
+    def test_every_default_passes_its_own_check(self):
+        for key, row in RUN_CONFIG.items():
+            if isinstance(row, Value) and row.default is not None:
+                check_run_config({key: row.default})
+        assert expand_grid({name: list(axis.default) for name, axis in AXES.items()}) == expand_grid({})
+        # batch_size is derived from the samples, and npz_file names the one file no default could
+        assert {key for key, row in RUN_CONFIG.items() if row.default is None} == {"batch_size", "npz_file"}
+
+    def test_resolve_fills_in_the_chosen_dataset_and_protocol_defaults(self):
+        cfg = resolve_run_config({"dataset": "synth_beats", "beats_n": 40, "seed": 3})
+        assert {key: cfg[key] for key in ("folds", "epochs", "seed", "aggregate", "beats_n")} == {
+            "folds": 5, "epochs": 50, "seed": 3, "aggregate": "mean", "beats_n": 40}
+        assert cfg["beats_subjects"] == 20 and cfg["beats_noise"] == 0.35 and cfg["beats_ambiguity"] == 0.065
+        assert "batch_size" not in cfg and not cfg.keys() & DATASET_KEYS - set(DATASETS["synth_beats"].reads)
+        assert resolve_run_config(cfg) == cfg
+        assert resolve_run_config({})["dataset"] == "blobs"
+
+    def test_a_key_of_another_dataset_is_refused(self, tmp_path):
+        for name, source in DATASETS.items():
+            own = {"npz_file": "d.npz"} if name == "npz" else {}
+            for key in sorted(DATASET_KEYS - set(source.reads)):
+                value = RUN_CONFIG[key].default or "d.npz"
+                with pytest.raises(RunConfigError, match=f"^dataset {name} does not read {key}$"):
+                    load_run_dataset({"dataset": name, **own, key: value}, tmp_path)
+        with pytest.raises(RunConfigError, match="^dataset blobs does not read beats_n, beats_noise$"):
+            resolve_run_config({"beats_noise": 0.1, "beats_n": 100})
+
     def test_default_batch_size(self):
         assert default_batch_size(synth_blobs(8, 5, 1.0, 0)) == 256
         from hqnnbench.data import Dataset
@@ -409,20 +443,22 @@ class TestRunExperiment:
         folds = make_folds(ds, 2, seed=5)
         cfg = ModelConfig(family="classical", preproc="conv0", latent_dim=16, head="none")
         real = harness._train_fold
-        calls = {"n": 0}
+        # A numerical failure, and an error of any other kind, abort only their fold.
+        for error in (EncodingError("zero-norm latent vector"), RuntimeError("out of workspace")):
+            calls = {"n": 0}
 
-        def flaky(*args, **kwargs):
-            calls["n"] += 1
-            if calls["n"] == 1:
-                raise EncodingError("zero-norm latent vector")
-            return real(*args, **kwargs)
+            def flaky(*args, **kwargs):
+                calls["n"] += 1
+                if calls["n"] == 1:
+                    raise error
+                return real(*args, **kwargs)
 
-        monkeypatch.setattr(harness, "_train_fold", flaky)
-        res = run_experiment(cfg, ds, folds, epochs=2, batch_size=16)
-        assert res.per_fold[0]["aborted"].startswith("EncodingError")
-        assert res.per_fold[0]["best"] is None
-        assert res.per_fold[1]["aborted"] is None
-        assert res.aggregate == res.per_fold[1]["best"]
+            monkeypatch.setattr(harness, "_train_fold", flaky)
+            res = run_experiment(cfg, ds, folds, epochs=2, batch_size=16)
+            assert res.per_fold[0]["aborted"] == f"{type(error).__name__}: {error}"
+            assert res.per_fold[0]["best"] is None
+            assert res.per_fold[1]["aborted"] is None
+            assert res.aggregate == res.per_fold[1]["best"]
 
     def test_non_finite_validation_logits_abort_the_fold(self, monkeypatch):
         ds = synth_blobs(32, 4, 6.0, seed=5)
@@ -697,9 +733,13 @@ class TestRunGrid:
         meta = (out / "run_meta.json").read_bytes()
         changes = (("epochs", 3), ("folds", 3), ("seed", 1), ("batch_size", 8),
                    ("aggregate", "median"), ("dataset", "synth_beats"))
+        blobs_keys = ("blobs_n", "blobs_dim", "blobs_separation")
         for key, value in changes:
+            run = dict(TINY_RUN, **{key: value})
+            if key == "dataset":  # synth_beats does not read the blobs keys
+                run = {k: v for k, v in run.items() if k not in blobs_keys} | {"beats_n": 40}
             with pytest.raises(ProtocolMismatchError, match=key):
-                run_grid(dict(TINY_RUN, beats_n=40, **{key: value}), tmp_path, out)
+                run_grid(run, tmp_path, out)
             assert (out / "results.jsonl").read_bytes() == results
             assert (out / "run_meta.json").read_bytes() == meta
 
@@ -775,6 +815,33 @@ class TestRunGrid:
         assert [r["config"]["preproc"] for r in rows] == ["conv1"]
         assert rows[0]["aggregate"] is not None
 
+    def test_run_meta_records_the_table_protocol_defaults(self, tmp_path):
+        run = {"families": "classical", "preproc": "conv0", "latent": 16, "heads": "none"}
+        rows = run_grid(run, tmp_path, tmp_path / "out")
+        meta = json.loads((tmp_path / "out/run_meta.json").read_text())
+        for key in ("folds", "epochs", "seed", "aggregate", "dataset"):
+            assert meta[key] == RUN_CONFIG[key].default, key
+        assert meta["batch_size"] == 256
+        assert len(rows[0]["per_fold"]) == 5 and len(rows[0]["per_fold"][0]["epochs"]) == 50
+
+    @pytest.mark.parametrize("user_threads", [None, "3"], ids=["unset", "user_set"])
+    def test_pool_workers_start_with_one_blas_thread_unless_the_user_set_it(self, tmp_path, monkeypatch, user_threads):
+        if user_threads is None:
+            monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", user_threads)
+        seen = []
+
+        class Probe(harness.ProcessPoolExecutor):
+            def map(self, fn, *iterables):
+                seen.append(self.submit(os.getenv, "OPENBLAS_NUM_THREADS").result())
+                return super().map(fn, *iterables)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", Probe)
+        run_grid(dict(TINY_RUN), tmp_path, tmp_path / "out", jobs=2)
+        assert seen == [user_threads or "1"]
+        assert os.environ.get("OPENBLAS_NUM_THREADS") == user_threads  # this process's environment is as it was
+
     def test_progress_callback(self, tmp_path):
         seen = []
         run_grid(dict(TINY_RUN), tmp_path, tmp_path / "out", progress=seen.append)
@@ -800,10 +867,14 @@ class TestCli:
         """Write the base run config, where each line of ``lines`` replaces the base's line for its key.
 
         A key may be set only once in a run-config file, so ``lines`` cannot
-        simply be appended to the base.
+        simply be appended to the base. A line that chooses a dataset other
+        than blobs also drops the base's blobs keys, which that dataset would
+        refuse.
         """
         own = lines.splitlines()
         keys = {line.split("=")[0].strip() for line in own}
+        if any(line.replace(" ", "").startswith("dataset=") and "blobs" not in line for line in own):
+            keys |= {"blobs_n", "blobs_dim", "blobs_separation"}  # another dataset does not read them
         base = [line for line in self.BASE_CFG.splitlines() if line.split("=")[0].strip() not in keys]
         p = tmp_path / "run.cfg"
         p.write_text("".join(line + "\n" for line in base + own))
@@ -1015,16 +1086,19 @@ class TestCli:
         "line, message",
         [
             ("dataset = npz", "dataset npz requires npz_file"),
-            ("dataset = nosuch", "unknown dataset 'nosuch'"),
+            ("dataset = nosuch", "dataset must be blobs or synth_beats or beats_csv or npz, got 'nosuch'"),
             ("seed = -1", "seed must be an integer of at least 0, got -1"),
             ("blobs_n = 7", "n must be even for balanced classes"),  # synth_blobs refuses an odd count
             ("dataset = synth_beats\nbeats_n = 12.7", "beats_n must be an integer of at least 4, got 12.7"),
             ("blobs_n = 10.9", "blobs_n must be an integer of at least 2, got 10.9"),
             ("blobs_dim = true", "blobs_dim must be an integer of at least 1, got True"),
             ("dataset = synth_beats\nbeats_noise = true", "beats_noise must be a number of at least 0, got True"),
+            ("beats_n = 100", "dataset blobs does not read beats_n"),
+            ("dataset = npz\nnpz_file = d.npz\nbeats_file = b.csv", "dataset npz does not read beats_file"),
         ],
         ids=["npz_without_file", "unknown_dataset", "negative_seed", "odd_blobs_n", "fractional_beats_n",
-             "fractional_blobs_n", "bool_blobs_dim", "bool_beats_noise"],
+             "fractional_blobs_n", "bool_blobs_dim", "bool_beats_noise", "key_of_another_dataset",
+             "file_of_another_dataset"],
     )
     def test_run_refuses_a_bad_dataset_key_before_creating_out(self, tmp_path, capsys, line, message):
         cfg = self.write_cfg(tmp_path, line)
