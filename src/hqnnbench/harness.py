@@ -12,8 +12,8 @@ byte-identical files; wall-clock timings go to ``timings.jsonl``. Completed
 configurations (keyed by config hash) are skipped on re-run; a re-run whose
 epochs, folds, seed, batch size, aggregate, dataset name, data digest or
 package version (``hqnnbench.__version__``) differ from the stored,
-atomically replaced ``run_meta.json``, or whose ``run_meta.json`` does not
-parse, is refused.
+atomically replaced ``run_meta.json``, or whose ``run_meta.json`` is
+missing or does not parse, is refused.
 
 Training and run code call the layers through this module's globals, where
 ``perfbench/spans.py`` wraps them for its traced runs.
@@ -265,10 +265,11 @@ def _parse_row(results_path: Path, number: int, line: bytes) -> dict:
 def _load_existing(results_path: Path) -> list[dict]:
     """The rows of ``results.jsonl``, none if it does not exist.
 
-    An unterminated, unparseable last line (a crash mid-write) is cut from
-    the file with a warning; a parseable one gets its newline. Any other
-    line that does not parse, or is not a result row, raises
-    ``ResultsFileError`` before the file is touched.
+    An unterminated last line (a crash mid-write) is cut from the file with
+    a warning, so its configuration trains again; training is deterministic,
+    so the file ends as it would have. Any other line that does not parse,
+    or is not a result row, raises ``ResultsFileError`` before the file is
+    touched.
     """
     if not results_path.exists():
         return []
@@ -276,16 +277,9 @@ def _load_existing(results_path: Path) -> list[dict]:
     lines = data.split(b"\n")
     rows = [_parse_row(results_path, k, line) for k, line in enumerate(lines[:-1], 1) if line.strip()]
     if lines[-1].strip():
-        try:
-            json.loads(lines[-1])
-        except ValueError:
-            print(f"warning: dropping truncated last line of {results_path}", file=sys.stderr)
-            with open(results_path, "r+b") as fh:
-                fh.truncate(len(data) - len(lines[-1]))
-        else:
-            rows.append(_parse_row(results_path, len(lines), lines[-1]))
-            with open(results_path, "ab") as fh:
-                fh.write(b"\n")
+        print(f"warning: dropping truncated last line of {results_path}", file=sys.stderr)
+        with open(results_path, "r+b") as fh:
+            fh.truncate(len(data) - len(lines[-1]))
     return rows
 
 
@@ -294,12 +288,12 @@ class ProtocolMismatchError(ValueError):
 
 
 def _check_same_protocol(meta_path: Path, protocol: dict) -> None:
-    """Refuse to resume into rows whose ``run_meta.json`` records another protocol or does not parse."""
+    """Refuse to resume into rows whose ``run_meta.json`` records another protocol, is missing or does not parse."""
     try:
         stored = json.loads(meta_path.read_text())
         if not isinstance(stored, dict):
             raise ValueError("not a JSON object")
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         raise ProtocolMismatchError(f"{meta_path} cannot be read ({exc}); use a new --out directory") from None
     changed = [f"{key} {stored[key]!r} -> {value!r}" for key, value in protocol.items() if key in stored and stored[key] != value]
     if changed:
@@ -370,7 +364,7 @@ def run_grid(
     protocol.update(data_digest=_data_digest(dataset), version=__version__)
     results_path = out_dir / "results.jsonl"
     meta_path = out_dir / "run_meta.json"
-    if meta_path.exists() and results_path.exists() and results_path.read_bytes().strip():
+    if results_path.exists() and results_path.read_bytes().strip():
         _check_same_protocol(meta_path, protocol)
     rows = _load_existing(results_path)
     done_hashes = {r["config_hash"] for r in rows}
@@ -421,8 +415,7 @@ def run_grid(
         for config in todo:
             emit(run_experiment(config, *train_args))
 
-    if rows:
-        _write_tables(out_dir, rows)
+    _write_tables(out_dir, rows)
     return rows
 
 

@@ -35,11 +35,12 @@ table of RY and RZ steps, gate by step, whose ``(2, 2, L, G, Bx)`` step
 matrices are multiplied along the step axis. The table splits after its
 last column that reads an input slot: the head's steps are per-sample
 (``Bx = B``), and the tail's (parameter and constant steps) are shared by
-the batch (``Bx = 1``). The tails of all the stages are built in one call
-per pass and multiplied once per batch into each stage's ``T``, and each
-gate is ``T H`` for its per-sample head product ``H``. A stage that reads
-no input (every stage of Amp-Gen and QCNN) is all tail, so its gates are
-shared.
+the batch (``Bx = 1``). A table whose last column reads an input gets one
+more column of constant RZ(0), an exact identity, so every stage has a
+tail. The tails of all the stages are built in one call per pass and
+multiplied once per batch into each stage's ``T``, and each gate is ``T H``
+for its per-sample head product ``H``. A stage that reads no input (every
+stage of Amp-Gen and QCNN) is all tail, so its gates are shared.
 
 The state's layout is fixed per circuit, from what it reads. A circuit that
 reads input slots (Ang-RY, Ang-Arb: data re-uploading in every layer) keeps
@@ -83,18 +84,17 @@ gradient is ``Re(W_01 - W_10)`` and an RZ step's ``Im(W_00 - W_11)``. A
 tail step's ``S_k`` is shared, so its batch-summed gradient comes from the
 batch-summed ``G``; a head step's ``S_k`` is ``T`` times the head steps
 after it, which the sweep builds again (all but the head's first column).
-Every overlap of a stage is taken at its output, before any un-apply, and
-a stage with no parameter or input slot takes none: one d x d overlap per
-block (for per-sample blocks ``M_b P_b^T`` and ``M_b^T P_b`` on the sample
-matrices of ``mu`` and ``psi``), from which each member's 2x2 overlap is
-the partial trace over the block's other qubits (un-applying a unitary on
-another qubit from both states cancels in ``sum_rest``). A per-sample block
-is un-applied as ``U_b^H P_b conj(V_b)`` from ``psi`` and ``U_b^T M_b V_b``
-from ``mu``. The sweep does not un-apply a circuit's first op from
-``psi``: nothing reads ``psi`` afterwards, and ``mu`` is only read for the
-input gradient of an amplitude-encoded circuit. All of this is exact for
-noiseless statevector simulation; the parameter-shift rule is kept around
-only as a test oracle.
+Every overlap of a stage is taken at its output, before any un-apply: one
+d x d overlap per block (for per-sample blocks ``M_b P_b^T`` and
+``M_b^T P_b`` on the sample matrices of ``mu`` and ``psi``), from which
+each member's 2x2 overlap is the partial trace over the block's other
+qubits (un-applying a unitary on another qubit from both states cancels in
+``sum_rest``). A per-sample block is un-applied as ``U_b^H P_b conj(V_b)``
+from ``psi`` and ``U_b^T M_b V_b`` from ``mu``. The sweep does not
+un-apply a circuit's first op from ``psi``: nothing reads ``psi``
+afterwards, and ``mu`` is only read for the input gradient of an
+amplitude-encoded circuit. All of this is exact for noiseless statevector
+simulation; the parameter-shift rule is kept around only as a test oracle.
 """
 
 from __future__ import annotations
@@ -297,10 +297,8 @@ class _Steps:
 
     def add_gradients(self, grads: np.ndarray, grad_inputs: np.ndarray, grad_params: np.ndarray) -> None:
         """Add every entry's angle gradients ``(K, Bx)`` to their slots: summed over the batch for a param."""
-        if self.param_pos.size:
-            np.add.at(grad_params, self.param_idx, grads[self.param_pos].sum(axis=1))
-        if self.input_pos.size:
-            np.add.at(grad_inputs, (slice(None), self.input_idx), grads[self.input_pos].T)
+        np.add.at(grad_params, self.param_idx, grads[self.param_pos].sum(axis=1))
+        np.add.at(grad_inputs, (slice(None), self.input_idx), grads[self.input_pos].T)
 
 
 class Stage:
@@ -318,8 +316,10 @@ class Stage:
     per-sample. The tail (the other ``n_tail`` columns: parameter and
     constant steps only) is shared by the batch: its matrices and their
     product ``T`` are built once per batch, and each gate is ``T H`` for its
-    head product ``H``. A stage that reads no input is all tail. The tail's
-    entries sit in the circuit's ``tails`` from ``tail_at`` on.
+    head product ``H``. Every stage has a tail: when the last column reads
+    an input, one column of constant RZ(0) is appended. A stage that reads
+    no input is all tail. The tail's entries sit in the circuit's ``tails``
+    from ``tail_at`` on.
 
     The gates act on distinct qubits and commute: they are applied as
     Kronecker blocks of ``width`` adjacent qubits (``q // width``), and the
@@ -332,15 +332,18 @@ class Stage:
             rows.setdefault(gate.targets[0], []).append((gate.kind.value, gate.angles[0]))
         self.qubits = tuple(rows)
         n_steps = max(map(len, rows.values()))
-        self.table = tuple((("rz", Angle.const(0.0)),) * (n_steps - len(row)) + tuple(row) for row in rows.values())
-        self.shape = (len(self.table), n_steps)
-        columns = list(zip(*self.table))
-        self.n_head = max((r + 1 for r, column in enumerate(columns) if any(a.source == "input" for _, a in column)), default=0)
-        self.n_tail = n_steps - self.n_head
+        identity = ("rz", Angle.const(0.0))
+        table = [(identity,) * (n_steps - len(row)) + tuple(row) for row in rows.values()]
+        self.n_head = max((r + 1 for r, column in enumerate(zip(*table)) if any(a.source == "input" for _, a in column)), default=0)
+        if self.n_head == n_steps:  # the last column reads an input: an identity column is the tail
+            table = [row + (identity,) for row in table]
+        self.table = tuple(table)
+        self.shape = (len(table), len(table[0]))
+        self.n_tail = self.shape[1] - self.n_head
+        columns = list(zip(*table))
         self.head = _Steps([entry for column in columns[: self.n_head] for entry in column])
         self.tail_entries = [entry for column in columns[self.n_head :] for entry in column]
         self.tail_at = tail_at
-        self.live = any(a.source != "const" for row in self.table for _, a in row)  # has a gradient to find
         blocks: dict[int, dict[int, int]] = {}
         for slot, q in enumerate(self.qubits):
             blocks.setdefault(q // width, {})[q] = slot
@@ -359,11 +362,11 @@ class Stage:
         ``tails`` holds the 2x2s of every tail of the circuit (``Bx = 1``).
         """
         tail = tails[:, :, self._tail_slice()].reshape(2, 2, self.n_tail, self.shape[0], 1)
-        t = _product(tail) if self.n_tail else None
+        t = _product(tail)
         if not self.n_head:
             return _Built(t, t, tail)
         h = _product(self.head.matrices(x, params, x.shape[0]).reshape(2, 2, self.n_head, self.shape[0], -1))
-        return _Built(h if t is None else _mm(t, h), t, tail)
+        return _Built(_mm(t, h), t, tail)
 
     def add_gradients(
         self,
@@ -387,18 +390,16 @@ class Stage:
         added to the slots at once.
         """
         g = self.shape[0]
-        if self.n_tail:
-            w = overlaps.sum(axis=3, keepdims=True).swapaxes(0, 1)
-            mine = tail_w[:, :, self._tail_slice()].reshape(2, 2, self.n_tail, g, 1)
-            for r in range(self.n_tail - 1, -1, -1):
-                mine[:, :, r] = w
-                if r:  # einsum beats two _mm products on the shared 2x2s
-                    m = built.tail[:, :, r]
-                    w = np.einsum("jigz,jkgz,klgz->ilgz", m.conj(), w, m)
+        w = overlaps.sum(axis=3, keepdims=True).swapaxes(0, 1)
+        mine = tail_w[:, :, self._tail_slice()].reshape(2, 2, self.n_tail, g, 1)
+        for r in range(self.n_tail - 1, -1, -1):
+            mine[:, :, r] = w
+            if r:  # einsum beats two _mm products on the shared 2x2s
+                m = built.tail[:, :, r]
+                w = np.einsum("jigz,jkgz,klgz->ilgz", m.conj(), w, m)
         if self.n_head:
-            w, t = overlaps.swapaxes(0, 1), built.tail_product
-            if t is not None:
-                w = _mm(_mm(t.conj().swapaxes(0, 1), w), t)
+            t = built.tail_product
+            w = _mm(_mm(t.conj().swapaxes(0, 1), overlaps.swapaxes(0, 1)), t)
             ry = self.head.ry.reshape(self.n_head, g, 1)
             if self.n_head > 1:
                 later = self.head.matrices(x, params, x.shape[0], first=g).reshape(2, 2, self.n_head - 1, g, -1)
@@ -421,7 +422,7 @@ class _Built(NamedTuple):
     """
 
     unitaries: np.ndarray
-    tail_product: np.ndarray | None
+    tail_product: np.ndarray
     tail: np.ndarray
     blocks: tuple | None = None
 
@@ -907,10 +908,9 @@ def qnn_backward_batch(
             if keep_mu:
                 mu, mu_buf = _permute(circuit, mu, op.inv_perm, op.inv_phase_conj, mu_buf), mu
             continue
-        if op.live:  # every overlap is taken at the stage output, before any un-apply
-            overlaps = np.empty((2, 2, op.shape[0], bx), dtype=np.complex128)
-            for app in op.apps:
-                app.take_overlaps(circuit, mu, psi, psi_buf, overlaps)
+        overlaps = np.empty((2, 2, op.shape[0], bx), dtype=np.complex128)
+        for app in op.apps:  # every overlap is taken at the stage output, before any un-apply
+            app.take_overlaps(circuit, mu, psi, psi_buf, overlaps)
         for i, app in reversed(list(enumerate(op.apps))):
             # U^T un-applies a call from mu, then conj(U^T) = U^H from psi. A
             # contiguous per-sample U sits in mu_buf, so mu goes into psi's
@@ -921,8 +921,7 @@ def qnn_backward_batch(
             if keep_psi:
                 uh = np.conjugate(ut, out=ut) if b.blocks is None else ut.conj()
                 psi, psi_buf = _apply(circuit, psi, app.qubits, uh, psi_buf), psi
-        if op.live:
-            op.add_gradients(overlaps, b, x, p, tail_w, grad_inputs, grad_params)
+        op.add_gradients(overlaps, b, x, p, tail_w, grad_inputs, grad_params)
     circuit.tails.add_gradients(_angle_gradients(tail_w, circuit.tails.ry), grad_inputs, grad_params)
 
     if circuit.encoding == "amplitude":

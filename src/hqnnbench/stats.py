@@ -11,7 +11,8 @@ least as large as the observed one. Exact p-values are used for small
 samples (Wilcoxon: n <= 25 after dropping zero differences; Mann-Whitney:
 n_a + n_b <= 12); otherwise ``_normal_p`` applies tie-corrected variances
 and a continuity correction of 0.5 that is clamped at zero, so a statistic
-within 0.5 of its mean gets p = 1.
+within 0.5 of its mean gets p = 1. Paired samples with no nonzero
+difference take the exact path with n = 0: statistic 0 and p = 1.
 """
 
 from __future__ import annotations
@@ -76,7 +77,8 @@ def wilcoxon_signed_rank(x, y) -> StatTestResult:
 
     Zero differences are dropped. The statistic is min(W+, W-). For n <= 25
     the p-value counts all 2^n sign patterns exactly; otherwise the normal
-    approximation is used.
+    approximation is used. With no nonzero difference (n = 0) the one empty
+    pattern gives statistic 0 and p = 1.
     """
     xv = np.asarray(x, dtype=np.float64).ravel()
     yv = np.asarray(y, dtype=np.float64).ravel()
@@ -85,8 +87,6 @@ def wilcoxon_signed_rank(x, y) -> StatTestResult:
     d = xv - yv
     d = d[d != 0.0]
     n = d.size
-    if n == 0:
-        raise ValueError("all differences are zero; no test possible")
     ranks = midranks(np.abs(d))
     w = min(float(ranks[d > 0].sum()), float(ranks[d < 0].sum()))
     if n <= WILCOXON_EXACT_MAX:

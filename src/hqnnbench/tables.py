@@ -18,7 +18,7 @@ from statistics import median
 
 from .config import FAMILIES, PREPROCS
 from .metrics import METRIC_NAMES
-from .stats import StatTestResult, bonferroni, mann_whitney_u, wilcoxon_signed_rank
+from .stats import bonferroni, mann_whitney_u, wilcoxon_signed_rank
 
 GROUP_ORDER = ("classical", *(family.group for family in FAMILIES.values()))
 COMPARE_METRIC = "roc_auc"
@@ -68,14 +68,6 @@ def _paired_scores(rows: list[dict], field: str, val_a, val_b, kinds):
             xs.append(pair[val_a])
             ys.append(pair[val_b])
     return xs, ys
-
-
-def _paired_test(xs: list[float], ys: list[float]) -> StatTestResult:
-    try:
-        return wilcoxon_signed_rank(xs, ys)
-    except ValueError:
-        # identical lists: no evidence of any difference
-        return StatTestResult(0.0, 1.0, "WilcoxonExact", (0,))
 
 
 def _comparison(axis: str, name_a: str, name_b: str, xs: list[float], ys: list[float], test) -> dict:
@@ -137,12 +129,12 @@ def aggregate_tables(rows: list[dict]):
     for axis, field, (val_a, name_a), (val_b, name_b), kinds in PAIRED:
         xs, ys = _paired_scores(done, field, val_a, val_b, kinds)
         if xs:
-            comparisons.append(_comparison(axis, name_a, name_b, xs, ys, _paired_test))
+            comparisons.append(_comparison(axis, name_a, name_b, xs, ys, wilcoxon_signed_rank))
     scores = {g: [r["aggregate"][COMPARE_METRIC] for r in by_group[g]] for g in GROUP_ORDER if g in by_group}
     for ga, gb in combinations(scores, 2):
         comparisons.append(_comparison("group", ga, gb, scores[ga], scores[gb], mann_whitney_u))
 
-    corrected = bonferroni([c["raw_p"] for c in comparisons]) if comparisons else []
+    corrected = bonferroni([c["raw_p"] for c in comparisons])
     for c, cp in zip(comparisons, corrected):
         c["corrected_p"] = float(cp)
         c["significant_at_0.05"] = bool(cp < 0.05)

@@ -46,7 +46,7 @@ from hqnnbench.harness import (
 )
 from hqnnbench.qnn import init_params
 from hqnnbench.statevec import EncodingError
-from hqnnbench.tables import aggregate_tables
+from hqnnbench.tables import aggregate_tables, write_tables
 
 
 class TestQnnArch:
@@ -614,12 +614,25 @@ class TestAggregateTables:
         assert abs(group_row["raw_p"] - 1.0 / 3.0) < 1e-12
         assert group_row["n_a"] == 2 and group_row["n_b"] == 2
 
-    def test_identical_paired_scores_give_p_one(self):
+    def test_identical_paired_scores_give_p_one(self, tmp_path):
         rows = self.grid_rows([0.9, 0.9, 0.7, 0.7])
         _, comparisons, _ = aggregate_tables(rows)
         pre = [c for c in comparisons if c["axis"] == "preproc"][0]
         assert pre["raw_p"] == 1.0
         assert pre["test"] == "WilcoxonExact"
+        # Every preproc pair ties, so no difference is nonzero: the paired row is
+        # an exact test over no sign pattern but the empty one.
+        write_tables(tmp_path, *aggregate_tables(rows))
+        assert (tmp_path / "comparisons.csv").read_bytes() == (
+            b"axis,group_a,group_b,test,n_a,n_b,statistic,raw_p,corrected_p,significant_at_0.05\r\n"
+            b"preproc,conv1,conv0,WilcoxonExact,2,2,0.0,1.0,1.0,False\r\n"
+            b"group,classical,Amp-Gen,MannWhitneyExact,2,2,4.0,0.3333333333333333,0.6666666666666666,False\r\n"
+        )
+        assert (tmp_path / "table1.csv").read_bytes() == b"group,metric,median,min,max\r\n" + b"".join(
+            f"{g},{m},{s},{s},{s}\r\n".encode()
+            for g, s in (("classical", 0.9), ("Amp-Gen", 0.7))
+            for m in ("roc_auc", "avg_precision", "balanced_acc")
+        )
 
     def test_group_with_zero_completions_rejected(self):
         rows = self.grid_rows([0.9, 0.9, 0.7, 0.7])
@@ -709,9 +722,13 @@ class TestRunGrid:
         assert (out / "results.jsonl").read_bytes() == full
         assert json.loads((out / "run_meta.json").read_text())["n_skipped"] == 1
 
-        (out / "results.jsonl").write_bytes(full[:-1])  # complete row, newline lost
+        # A complete row that lost its newline is dropped too, and trained again
+        # into the same bytes.
+        (out / "results.jsonl").write_bytes(full[:-1])
         assert len(run_grid(dict(TINY_RUN), tmp_path, out)) == 2
+        assert "truncated" in capsys.readouterr().err
         assert (out / "results.jsonl").read_bytes() == full
+        assert json.loads((out / "run_meta.json").read_text())["n_skipped"] == 1
 
     def test_resume_rejects_malformed_inner_line(self, tmp_path):
         out = tmp_path / "out"
@@ -881,7 +898,12 @@ class TestCli:
         return p
 
     def test_run_and_report(self, tmp_path, capsys):
-        cfg = self.write_cfg(tmp_path)
+        # Two Ang-RY hybrids (an activation pair) and two classical heads: a paired
+        # and a group comparison.
+        cfg = self.write_cfg(tmp_path, (
+            "families = hybrid, classical\nqnn = ang_ry\ntanh = true, false\nentangle = true\n"
+            "observable = global\nheads = none, fcrelu\n"
+        ))
         out = tmp_path / "out"
         rc = main(["run", "--config", str(cfg), "--data-dir", str(tmp_path), "--out", str(out),
                    "--epochs", "2"])
@@ -889,10 +911,14 @@ class TestCli:
         captured = capsys.readouterr().out
         assert "roc_auc=" in captured
         assert (out / "results.jsonl").exists()
+        written = {name: (out / name).read_bytes() for name in TABLES}
+        assert [line.split(b",")[0] for line in written["comparisons.csv"].splitlines()[1:]] == [b"activation", b"group"]
 
+        # report rebuilds the tables from the rows it reads back: the same bytes
         rc = main(["report", "--out", str(out)])
         assert rc == 0
         assert "comparisons.csv" in capsys.readouterr().out
+        assert {name: (out / name).read_bytes() for name in TABLES} == written
 
     def test_report_drops_a_truncated_last_line(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -1009,24 +1035,26 @@ class TestCli:
         assert (out / "results.jsonl").read_text() == results
         assert not any((out / name).exists() for name in TABLES)
 
-    @pytest.mark.parametrize("damage", ["truncated", "list", "number"])
+    @pytest.mark.parametrize("damage", ["truncated", "list", "number", "missing"])
     def test_run_refuses_an_unreadable_run_meta(self, tmp_path, capsys, damage):
         cfg = self.write_cfg(tmp_path)
         out = tmp_path / "out"
         argv = ["run", "--config", str(cfg), "--data-dir", str(tmp_path), "--out", str(out), "--epochs", "1"]
         assert main(argv) == 0
         meta = out / "run_meta.json"
-        # A kill mid-write, or a file that parses to something other than an object.
-        meta.write_bytes({"truncated": meta.read_bytes()[:40], "list": b"[]\n", "number": b"1\n"}[damage])
-        argv[-1] = "2"  # a different protocol, which a list would otherwise let through
-        results = (out / "results.jsonl").read_bytes()
+        # A kill mid-write, a file that parses to something other than an object,
+        # or no file: then nothing records the protocol of the stored rows.
+        damaged = {"truncated": meta.read_bytes()[:40], "list": b"[]\n", "number": b"1\n", "missing": None}[damage]
+        meta.unlink()
+        if damaged is not None:
+            meta.write_bytes(damaged)
+        argv[-1] = "2"  # a different protocol, which a list or a missing file would otherwise let through
+        files = {p.name: p.read_bytes() for p in out.iterdir()}
         capsys.readouterr()
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {meta} cannot be read") and err.count("\n") == 1
-        assert (out / "results.jsonl").read_bytes() == results
-        files = sorted(p.name for p in out.iterdir())
-        assert files == sorted(["results.jsonl", "run_meta.json", "timings.jsonl", *TABLES])
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == files
 
     @pytest.mark.parametrize("source", ["npz_image", "beats_cell", "blobs_separation"])
     def test_run_refuses_non_finite_samples_before_creating_out(self, tmp_path, capsys, source):

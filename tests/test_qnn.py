@@ -379,7 +379,7 @@ class TestCompiledProgram:
     def test_qcnn_is_one_op_per_layer_step(self):
         # The blocks of a layer are disjoint, so one step of every block fuses into
         # one op. The constant RZ(-pi/2) and RZ(pi/2) steps fold into the CNOT
-        # permutations around them as phases, so each layer is two live stages
+        # permutations around them as phases, so each layer is two stages
         # between three permutations, and a layer's last permutation is the next
         # one's first (5 layers at n=4, 8 at n=8): 21 and 33 ops.
         rng = np.random.default_rng(54)
@@ -388,7 +388,8 @@ class TestCompiledProgram:
             assert len(c.program) == 2 * n_stages + 1
             assert [isinstance(op, PhasedPerm) for op in c.program] == [True, False] * n_stages + [True]
             stages = [op for op in c.program if isinstance(op, Stage)]
-            assert all(op.live and not op.n_head for op in stages)  # no input slot: every stage is shared
+            # no input slot: every stage is all tail, shared by the batch
+            assert all(op.n_head == 0 and op.n_tail == op.shape[1] >= 1 for op in stages)
             # the first map carries the layer's RZ(-pi/2) phases, the last the final RZ(pi/2)
             assert c.program[0].phase.dtype == np.complex128 and c.program[-1].phase.dtype == np.complex128
             x = rng.normal(size=(3, c.n_inputs))
@@ -423,21 +424,24 @@ class TestCompiledProgram:
             assert [app.qubits for app in stage.apps] == runs
             assert c.rows and c.sample_major is sample_major
 
-    def test_qcnn_8_live_stages_mix_ry_and_rz_in_one_table(self):
+    def test_qcnn_8_stages_mix_ry_and_rz_in_one_table(self):
         # RZ(p0) on a and RY(p1) on b of every block of a layer form one one-step
         # table, and RY(p2) on b the next; 8 layers at n=8
-        live = [op for op in build_qcnn(8).program if isinstance(op, Stage) and op.live]
-        assert [sorted({kind for row in op.table for kind, _ in row}) for op in live] == [["ry", "rz"], ["ry"]] * 8
-        assert {op.shape[1] for op in live} == {1}
+        stages = [op for op in build_qcnn(8).program if isinstance(op, Stage)]
+        assert [sorted({kind for row in op.table for kind, _ in row}) for op in stages] == [["ry", "rz"], ["ry"]] * 8
+        assert {(op.n_head, op.n_tail) for op in stages} == {(0, 1)}
+        assert all(a.source == "param" for op in stages for row in op.table for _, a in row)
 
     def test_short_runs_are_padded_at_the_front_with_const_rz0(self):
         stage = _fused_slot_reuse_circuit().program[0]
-        # qubit 0 fuses 6 steps and qubit 1 fuses 7, so qubit 0's row starts with one RZ(0)
+        # qubit 0 fuses 6 steps and qubit 1 fuses 7, so qubit 0's row starts with one RZ(0);
+        # the last column reads input 1, so one column of RZ(0) follows as the stage's tail
         i0, i1, p0, p1, p2 = Angle.input(0), Angle.input(1), Angle.param(0), Angle.param(1), Angle.param(2)
-        assert stage.qubits == (0, 1) and stage.shape == (2, 7)
-        assert stage.table[0][0] == ("rz", Angle.const(0.0))
-        assert stage.table[0][1:] == (("ry", i0), ("rz", i0), ("rz", i1), ("ry", i0), ("rz", p0), ("rz", i1))
-        assert stage.table[1] == (("rz", i1), ("ry", i0), ("rz", p1), ("ry", p2), ("rz", i1), ("ry", i1), ("rz", Angle.const(0.3)))
+        rz0 = ("rz", Angle.const(0.0))
+        assert stage.qubits == (0, 1) and stage.shape == (2, 8)
+        assert (stage.n_head, stage.n_tail) == (7, 1)
+        assert stage.table[0] == (rz0, ("ry", i0), ("rz", i0), ("rz", i1), ("ry", i0), ("rz", p0), ("rz", i1), rz0)
+        assert stage.table[1] == (("rz", i1), ("ry", i0), ("rz", p1), ("ry", p2), ("rz", i1), ("ry", i1), ("rz", Angle.const(0.3)), rz0)
 
     def test_random_circuits_compile_to_one_op_per_maximal_run(self):
         rng = np.random.default_rng(53)
@@ -476,15 +480,18 @@ class TestCompiledProgram:
                     continue
                 # one row per qubit, in order of first appearance in the run
                 assert op.qubits == tuple(dict.fromkeys(g.targets[0] for g in run))
-                for q, row in zip(op.qubits, op.table):
-                    want = tuple((g.kind.value, g.angles[0]) for g in run if g.targets[0] == q)
-                    pad = op.shape[1] - len(want)
-                    # a short row starts with constant RZ(0) steps
-                    assert row == (("rz", Angle.const(0.0)),) * pad + want
+                wants = [tuple((g.kind.value, g.angles[0]) for g in run if g.targets[0] == q) for q in op.qubits]
+                n_steps = max(map(len, wants))
+                rz0 = ("rz", Angle.const(0.0))
+                # a short row starts with constant RZ(0) steps
+                padded = [(rz0,) * (n_steps - len(want)) + want for want in wants]
                 # the head ends at the last column that reads an input slot
-                reads = [any(a.source == "input" for _, a in column) for column in zip(*op.table)]
-                assert op.n_head == max((r + 1 for r, read in enumerate(reads) if read), default=0)
-                assert op.n_head + op.n_tail == op.shape[1]
+                reads = [any(a.source == "input" for _, a in column) for column in zip(*padded)]
+                n_head = max((r + 1 for r, read in enumerate(reads) if read), default=0)
+                assert op.n_head == n_head
+                # every stage has a shared tail: a last column that reads an input is followed by RZ(0)
+                assert op.table == tuple(row + (rz0,) * (n_head == n_steps) for row in padded)
+                assert op.n_tail >= 1 and op.n_head + op.n_tail == op.shape[1]
 
     def test_layout_is_decided_per_circuit_by_its_input_slots(self):
         # angle circuits read inputs in every layer and keep (B, 2**n) rows, sample-major
@@ -723,14 +730,45 @@ class TestHeadAndTail:
 
     def test_split_at_the_last_input_column(self):
         first, _, second = _head_and_tail_circuit().program
-        assert (first.n_head, first.n_tail) == (4, 1) and (second.n_head, second.n_tail) == (2, 0)
+        assert (first.n_head, first.n_tail) == (4, 1) and (second.n_head, second.n_tail) == (2, 1)
         assert first.table[1][0] == ("rz", Angle.const(0.0))  # qubit 1's row is padded
+        # the second stage ends with an input step, so a column of RZ(0) is its tail
+        assert [row[-1] for row in second.table] == [("rz", Angle.const(0.0))] * 2
         # the head's columns hold param and constant steps too
         sources = {a.source for row in first.table for _, a in row[: first.n_head]}
         assert sources == {"input", "param", "const"}
 
     def test_matches_the_oracles(self):
         c, xs, p, ups = self.case()
+        for row, x in zip(qnn_forward_batch(c, xs, p), xs):
+            assert np.abs(row - dense_expectations(c, x, p)).max() < 1e-10
+        gx, gp = qnn_backward(c, xs, p, ups)
+        expect = sum(up @ param_shift_jacobian(c, x, p) for x, up in zip(xs, ups))
+        assert np.abs(gp - expect).max() < 1e-10
+        for row, x, up in zip(gx, xs, ups):
+            assert np.abs(row - up @ _input_shift_jacobian(c, x, p)).max() < 1e-10
+
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_stages_ending_in_an_input_get_an_identity_tail(self, n):
+        # The first and last stages end with input steps and the middle one holds
+        # only a constant RY, on columns of (2**n, B) storage (n = 3) and on
+        # sample-major rows (n = 5). Every stage has a tail; the oracles hold.
+        ops = (
+            *(Gate.ry(q, Angle.input(q)) for q in range(n)),
+            *(Gate.cnot(q, q + 1) for q in range(n - 1)),
+            Gate.ry(1, 0.4),
+            Gate.cz(0, 1),
+            Gate.rz(0, Angle.param(0)), Gate.ry(0, Angle.input(n)),
+            Gate.ry(n - 1, Angle.param(1)), Gate.rz(n - 1, Angle.input(n + 1)),
+        )
+        c = Circuit(n, "angle", ops, 2, n + 2, Observable.local_z())
+        assert c.sample_major is (n == 5)
+        first, _, middle, _, last = c.program
+        rz0 = ("rz", Angle.const(0.0))
+        assert (first.n_head, first.n_tail, middle.n_head, middle.n_tail, last.n_head, last.n_tail) == (1, 1, 0, 1, 2, 1)
+        assert all(row[-1] == rz0 for op in (first, last) for row in op.table)
+        rng = np.random.default_rng(60)
+        xs, p, ups = rng.normal(size=(4, n + 2)), rng.normal(size=2), rng.normal(size=(4, n))
         for row, x in zip(qnn_forward_batch(c, xs, p), xs):
             assert np.abs(row - dense_expectations(c, x, p)).max() < 1e-10
         gx, gp = qnn_backward(c, xs, p, ups)

@@ -23,10 +23,11 @@ class TestWilcoxonExamples:
         assert res.method == "WilcoxonExact"
         assert res.n == (5,)
 
-    def test_identical_samples_rejected(self):
+    def test_identical_samples_give_statistic_zero_and_p_one(self):
+        # no nonzero difference: the exact null over the one empty sign pattern
         x = np.arange(6.0)
-        with pytest.raises(ValueError):
-            wilcoxon_signed_rank(x, x.copy())
+        res = wilcoxon_signed_rank(x, x.copy())
+        assert res == StatTestResult(0.0, 1.0, "WilcoxonExact", (0,))
 
     def test_zero_differences_dropped(self):
         x = np.array([1.0, 5.0, 2.0, 9.0])
