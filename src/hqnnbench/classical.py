@@ -480,13 +480,10 @@ def bce_with_logits(logits: np.ndarray, targets: np.ndarray) -> tuple[float, np.
     n = z.size
     if n == 0:
         raise ValueError("empty batch")
-    loss = float(np.mean(np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z)))))
-    # sigmoid without overflow: split on sign.
-    sig = np.empty_like(z)
-    pos = z >= 0
-    sig[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    sig[~pos] = ez / (1.0 + ez)
+    e = np.exp(-np.abs(z))
+    loss = float(np.mean(np.maximum(z, 0.0) - z * y + np.log1p(e)))
+    # sigmoid without overflow: 1 / (1 + e^-z) for z >= 0, e^z / (1 + e^z) below.
+    sig = np.where(z >= 0, 1.0, e) / (1.0 + e)
     grad = (sig - y) / n
     return loss, grad.reshape(np.asarray(logits).shape)
 

@@ -143,6 +143,9 @@ RUN_CONFIG = {
     "npz_file": Value(str), "images_key": Value(str, default="images"), "labels_key": Value(str, default="labels"),
 }
 RUN_KEYS = frozenset(RUN_CONFIG)
+# The protocol that ``run_meta.json`` records and a resume must match: every
+# one-value key but the dataset's own, whose data the run's data digest covers.
+PROTOCOL_KEYS = tuple(key for key, row in RUN_CONFIG.items() if isinstance(row, Value) and key not in DATASET_KEYS)
 AXES = {name: row for name, row in RUN_CONFIG.items() if isinstance(row, Axis)}
 SWITCHES = tuple(name for name, axis in AXES.items() if axis.fixed is not None)
 

@@ -207,26 +207,21 @@ def make_folds(dataset: Dataset, k: int, seed: int) -> FoldPlan:
         if int((labels == c).sum()) < k:
             raise ValueError(f"class {c} has fewer than k={k} samples")
     rng = np.random.default_rng(seed)
-    assignments = np.empty(n, dtype=np.int64)
 
     if dataset.subject_ids is not None:
-        subjects = np.unique(dataset.subject_ids)
-        sizes = {int(s): int((dataset.subject_ids == s).sum()) for s in subjects}
-        tiebreak = rng.permutation(subjects.size)
-        order = sorted(
-            range(subjects.size), key=lambda i: (-sizes[int(subjects[i])], tiebreak[i])
-        )
-        load = [0] * k
-        for i in order:
-            f = min(range(k), key=lambda j: (load[j], j))
-            assignments[dataset.subject_ids == subjects[i]] = f
-            load[f] += sizes[int(subjects[i])]
+        _, subject, sizes = np.unique(dataset.subject_ids, return_inverse=True, return_counts=True)
+        tiebreak = rng.permutation(sizes.size)
+        fold_of = np.empty(sizes.size, dtype=np.int64)
+        load = np.zeros(k, dtype=np.int64)
+        for i in np.lexsort((tiebreak, -sizes)):  # largest first, ties in seeded order
+            fold_of[i] = f = np.argmin(load)  # the first of the smallest folds
+            load[f] += sizes[i]
+        assignments = fold_of[subject]
     else:
+        assignments = np.empty(n, dtype=np.int64)
         for c in (0, 1):
-            idx = np.flatnonzero(labels == c)
-            idx = rng.permutation(idx)
-            for pos, sample in enumerate(idx):
-                assignments[sample] = pos % k
+            idx = rng.permutation(np.flatnonzero(labels == c))
+            assignments[idx] = np.arange(idx.size) % k
 
     folds = []
     for f in range(k):

@@ -10,10 +10,12 @@ Persistence: ``results.jsonl`` holds one JSON object per configuration with
 sorted keys and no timing information, so identical runs produce
 byte-identical files; wall-clock timings go to ``timings.jsonl``. Completed
 configurations (keyed by config hash) are skipped on re-run; a re-run whose
-epochs, folds, seed, batch size, aggregate, dataset name, data digest or
-package version (``hqnnbench.__version__``) differ from the stored,
-atomically replaced ``run_meta.json``, or whose ``run_meta.json`` is
-missing or does not parse, is refused.
+protocol (``config.PROTOCOL_KEYS``: epochs, folds, seed, batch size,
+aggregate, dataset name), data digest or package version
+(``hqnnbench.__version__``) differ from the stored, atomically replaced
+``run_meta.json``, or whose ``run_meta.json`` is missing or does not parse,
+is refused. ``report`` only reads ``results.jsonl``; a re-run alone cuts an
+unterminated last line from it.
 
 Training and run code call the layers through this module's globals, where
 ``perfbench/spans.py`` wraps them for its traced runs.
@@ -49,8 +51,10 @@ from .classical import (
     stack_params,
 )
 from .config import (
+    PROTOCOL_KEYS,
     RUN_CONFIG,
     ModelConfig,
+    QnnArch,
     RunConfigError,
     check_run_config,
     default_batch_size,
@@ -61,7 +65,7 @@ from .config import (
 )
 
 # Not used here: perfbench and tests/test_acceptance.py read them as harness attributes.
-from .config import PREPROCS, QNN_KINDS, QUBITS_FOR_LATENT, QnnArch  # noqa: F401
+from .config import PREPROCS, QNN_KINDS, QUBITS_FOR_LATENT  # noqa: F401
 from .data import Dataset, FoldPlan, make_folds
 from .metrics import METRIC_NAMES, MetricReport
 from .qnn import init_params, qnn_backward_batch, qnn_forward_batch
@@ -238,12 +242,26 @@ class ResultsFileError(ValueError):
 
 
 def _check_row(row) -> None:
-    """Raise ``ValueError`` unless ``row`` has the fields that resuming and the tables read."""
+    """Raise ``ValueError`` unless ``row`` has the fields that resuming and the tables read.
+
+    Its ``config`` must rebuild, every field present, into the model
+    configuration whose hash and group the row records.
+    """
     if not isinstance(row, dict):
         raise ValueError("not a JSON object")
     for key, kind, name in (("config_hash", str, "string"), ("group", str, "string"), ("config", dict, "object")):
         if not isinstance(row.get(key), kind):
             raise ValueError(f"{key} is not a JSON {name}")
+    cfg = row["config"]
+    try:
+        qnn = cfg.get("qnn")
+        config = ModelConfig(**{**cfg, "qnn": qnn if qnn is None else QnnArch(**qnn)})
+        if config.to_dict() != cfg:
+            raise ValueError("a field is missing")
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"config is not a model configuration ({exc})") from None
+    if (row["config_hash"], row["group"]) != (config.config_hash(), config.group):
+        raise ValueError("config_hash or group is not that of config")
     if "aggregate" not in row:
         raise ValueError("no aggregate")
     agg = row["aggregate"]
@@ -263,24 +281,28 @@ def _parse_row(results_path: Path, number: int, line: bytes) -> dict:
 
 
 def _load_existing(results_path: Path) -> list[dict]:
-    """The rows of ``results.jsonl``, none if it does not exist.
+    """The rows of ``results.jsonl``, none if it does not exist; the file is only read.
 
-    An unterminated last line (a crash mid-write) is cut from the file with
-    a warning, so its configuration trains again; training is deterministic,
-    so the file ends as it would have. Any other line that does not parse,
-    or is not a result row, raises ``ResultsFileError`` before the file is
-    touched.
+    An unterminated last line (a crash mid-write) is skipped with a warning.
+    ``run_grid`` writes the file again without it, so its configuration
+    trains again; training is deterministic, so the file ends as it would
+    have. Any other line that does not parse, or is not a result row, raises
+    ``ResultsFileError``.
     """
     if not results_path.exists():
         return []
-    data = results_path.read_bytes()
-    lines = data.split(b"\n")
+    lines = results_path.read_bytes().split(b"\n")
     rows = [_parse_row(results_path, k, line) for k, line in enumerate(lines[:-1], 1) if line.strip()]
     if lines[-1].strip():
         print(f"warning: dropping truncated last line of {results_path}", file=sys.stderr)
-        with open(results_path, "r+b") as fh:
-            fh.truncate(len(data) - len(lines[-1]))
     return rows
+
+
+def _write_atomically(path: Path, text: str) -> None:
+    """Write ``text`` to ``path`` through a file renamed over it, so a kill mid-write leaves the old file whole."""
+    tmp_path = path.with_name(path.name + ".tmp")
+    tmp_path.write_text(text)
+    os.replace(tmp_path, path)
 
 
 class ProtocolMismatchError(ValueError):
@@ -294,7 +316,8 @@ def _check_same_protocol(meta_path: Path, protocol: dict) -> None:
         if not isinstance(stored, dict):
             raise ValueError("not a JSON object")
     except (OSError, ValueError) as exc:
-        raise ProtocolMismatchError(f"{meta_path} cannot be read ({exc}); use a new --out directory") from None
+        reason = exc.strerror if isinstance(exc, OSError) else exc  # an OSError's str() names the file again
+        raise ProtocolMismatchError(f"{meta_path} cannot be read ({reason}); use a new --out directory") from None
     changed = [f"{key} {stored[key]!r} -> {value!r}" for key, value in protocol.items() if key in stored and stored[key] != value]
     if changed:
         raise ProtocolMismatchError(
@@ -360,13 +383,15 @@ def run_grid(
     except OSError as exc:  # a file at --out or above it
         raise RunConfigError(f"--out {out_dir} cannot be made a directory ({exc.strerror})") from None
 
-    protocol = {key: cfg[key] for key in ("epochs", "batch_size", "folds", "seed", "aggregate", "dataset")}
+    protocol = {key: cfg[key] for key in PROTOCOL_KEYS}
     protocol.update(data_digest=_data_digest(dataset), version=__version__)
     results_path = out_dir / "results.jsonl"
     meta_path = out_dir / "run_meta.json"
-    if results_path.exists() and results_path.read_bytes().strip():
-        _check_same_protocol(meta_path, protocol)
     rows = _load_existing(results_path)
+    if rows:
+        _check_same_protocol(meta_path, protocol)
+    if results_path.exists():  # the same bytes, less an unterminated last line
+        _write_atomically(results_path, "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows))
     done_hashes = {r["config_hash"] for r in rows}
     todo = [c for c in configs if c.config_hash() not in done_hashes]
 
@@ -376,23 +401,14 @@ def run_grid(
         **protocol,
         "groups": sorted({c.group for c in configs}),
     }
-    # Renamed over the old file, so a kill mid-write leaves the previous meta whole.
-    tmp_path = out_dir / "run_meta.json.tmp"
-    tmp_path.write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
-    os.replace(tmp_path, meta_path)
+    _write_atomically(meta_path, json.dumps(meta, sort_keys=True, indent=2) + "\n")
 
     def emit(result: ExperimentResult) -> None:
         json_dict = result.to_json_dict()
-        with open(results_path, "a") as fh:
-            fh.write(json.dumps(json_dict, sort_keys=True) + "\n")
-        with open(out_dir / "timings.jsonl", "a") as fh:
-            fh.write(
-                json.dumps(
-                    {"config_hash": json_dict["config_hash"], "wall_times": result.wall_times},
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+        timings = {"config_hash": json_dict["config_hash"], "wall_times": result.wall_times}
+        for name, record in (("results.jsonl", json_dict), ("timings.jsonl", timings)):
+            with open(out_dir / name, "a") as fh:
+                fh.write(json.dumps(record, sort_keys=True) + "\n")
         rows.append(json_dict)
         if progress is not None:
             progress(json_dict)

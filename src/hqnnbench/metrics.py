@@ -20,21 +20,22 @@ def midranks(values: np.ndarray) -> np.ndarray:
     return (np.cumsum(counts) - (counts - 1) / 2.0)[group]
 
 
-def _check_binary(labels: np.ndarray, need_both: bool = True) -> np.ndarray:
-    y = np.asarray(labels)
+def _scores_and_labels(scores, labels, need_both: bool = True) -> tuple[np.ndarray, np.ndarray]:
+    """``scores`` as floats and ``labels`` as 0/1 integers, both flat and of equal length."""
+    s = np.asarray(scores, dtype=np.float64).ravel()
+    y = np.asarray(labels).ravel()
     if not np.isin(y, (0, 1)).all():
         raise ValueError("labels must be 0/1")
     if need_both and (not (y == 0).any() or not (y == 1).any()):
         raise ValueError("both classes must be present")
-    return y.astype(np.int64)
+    if s.shape != y.shape:
+        raise ValueError("scores and labels must have equal length")
+    return s, y.astype(np.int64)
 
 
 def roc_auc(scores, labels) -> float:
     """Probability that a random positive outranks a random negative."""
-    s = np.asarray(scores, dtype=np.float64).ravel()
-    y = _check_binary(np.asarray(labels).ravel())
-    if s.shape != y.shape:
-        raise ValueError("scores and labels must have equal length")
+    s, y = _scores_and_labels(scores, labels)
     n_pos = int(y.sum())
     n_neg = y.size - n_pos
     rank_sum_pos = float(midranks(s)[y == 1].sum())
@@ -44,10 +45,7 @@ def roc_auc(scores, labels) -> float:
 
 def average_precision(scores, labels) -> float:
     """Area under the precision-recall step curve, ties grouped."""
-    s = np.asarray(scores, dtype=np.float64).ravel()
-    y = _check_binary(np.asarray(labels).ravel(), need_both=False)
-    if s.shape != y.shape:
-        raise ValueError("scores and labels must have equal length")
+    s, y = _scores_and_labels(scores, labels, need_both=False)
     n_pos = int(y.sum())
     if n_pos == 0:
         raise ValueError("average precision needs at least one positive")
@@ -65,10 +63,7 @@ def average_precision(scores, labels) -> float:
 
 def balanced_accuracy(logits, labels) -> float:
     """(sensitivity + specificity) / 2 with predictions = logit > 0."""
-    z = np.asarray(logits, dtype=np.float64).ravel()
-    y = _check_binary(np.asarray(labels).ravel())
-    if z.shape != y.shape:
-        raise ValueError("logits and labels must have equal length")
+    z, y = _scores_and_labels(logits, labels)
     pred = z > 0
     tpr = float(pred[y == 1].mean())
     tnr = float((~pred)[y == 0].mean())

@@ -67,11 +67,6 @@ def _normal_p(statistic: float, mean: float, var: float) -> float:
     return min(math.erfc(z / math.sqrt(2.0)), 1.0)
 
 
-def _tie_counts(ranked_values: np.ndarray) -> np.ndarray:
-    _, counts = np.unique(ranked_values, return_counts=True)
-    return counts
-
-
 def wilcoxon_signed_rank(x, y) -> StatTestResult:
     """Two-sided Wilcoxon signed-rank test on paired samples.
 
@@ -92,7 +87,7 @@ def wilcoxon_signed_rank(x, y) -> StatTestResult:
     if n <= WILCOXON_EXACT_MAX:
         return StatTestResult(w, _exact_p(ranks, None, w), "WilcoxonExact", (n,))
     var = n * (n + 1) * (2 * n + 1) / 24.0
-    t = _tie_counts(np.abs(d))
+    t = np.unique(np.abs(d), return_counts=True)[1]
     var -= float((t**3 - t).sum()) / 48.0
     return StatTestResult(w, _normal_p(w, n * (n + 1) / 4.0, var), "WilcoxonNormal", (n,))
 
@@ -117,7 +112,7 @@ def mann_whitney_u(a, b) -> StatTestResult:
         return StatTestResult(u_a, _exact_p(ranks, n_a, rank_sum), "MannWhitneyExact", (n_a, n_b))
     n = n_a + n_b
     var = n_a * n_b * (n + 1) / 12.0
-    t = _tie_counts(pooled)
+    t = np.unique(pooled, return_counts=True)[1]
     var -= n_a * n_b * float((t**3 - t).sum()) / (12.0 * n * (n - 1))
     return StatTestResult(u_a, _normal_p(u_a, n_a * n_b / 2.0, var), "MannWhitneyNormal", (n_a, n_b))
 

@@ -168,8 +168,7 @@ def _write_csv(path: Path, rows: list[dict], columns: list[str]) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=columns)
         writer.writeheader()
-        for row in rows:
-            writer.writerow({c: row.get(c, "") for c in columns})
+        writer.writerows(rows)
 
 
 def write_tables(out_dir: Path, table1: list[dict], comparisons: list[dict], boxplot: list[dict]) -> None:

@@ -605,6 +605,26 @@ class TestBceWithLogits:
         loss, grad = bce_with_logits(np.array([1000.0, -1000.0]), np.array([0.0, 1.0]))
         assert math.isfinite(loss) and np.all(np.isfinite(grad))
 
+    @pytest.mark.parametrize(
+        "z, y, loss, grad",
+        [
+            (0.0, 1.0, math.log(2.0), -0.5),
+            (-0.0, 1.0, math.log(2.0), -0.5),
+            (0.0, 0.0, math.log(2.0), 0.5),
+            (-0.0, 0.0, math.log(2.0), 0.5),
+            # exp(-745) is the smallest subnormal: log1p(e) = e and sigmoid(-745) = e
+            (745.0, 1.0, math.exp(-745.0), 0.0),
+            (745.0, 0.0, 745.0, 1.0),
+            (-745.0, 0.0, math.exp(-745.0), math.exp(-745.0)),
+            (-745.0, 1.0, 745.0, -1.0),
+            (1000.0, 1.0, 0.0, 0.0),
+            (-1000.0, 1.0, 1000.0, -1.0),
+        ],
+    )
+    def test_closed_form_at_signed_zero_and_subnormal_exponentials(self, z, y, loss, grad):
+        got_loss, got_grad = bce_with_logits(np.array([z]), np.array([y]))
+        assert got_loss == loss and got_grad[0] == grad
+
     def test_matches_naive_formula(self):
         rng = np.random.default_rng(25)
         z = rng.normal(scale=3.0, size=200)

@@ -362,6 +362,22 @@ class TestMakeFolds:
         for s in np.unique(ds.subject_ids):
             assert np.unique(plan.assignments[ds.subject_ids == s]).size == 1
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_subjects_are_dealt_largest_first_onto_the_smallest_fold(self, seed):
+        # Non-contiguous and negative ids of sizes 4, 3, 3, 2 and 1, the samples
+        # interleaved: 4 -> fold 0, both 3s -> fold 1 (whichever of them comes
+        # first), 2 and 1 -> fold 0, so the raw folds hold 7 and 6 samples.
+        sizes = {-7: 4, 12: 3, 3: 3, -1: 2, 40: 1}
+        subjects = np.random.default_rng(100 + seed).permutation(np.repeat(list(sizes), list(sizes.values())))
+        ds = Dataset(np.zeros((13, 2)), np.arange(13) % 2, subject_ids=subjects)
+        plan = make_folds(ds, 2, seed=seed)
+        assert np.bincount(plan.assignments).tolist() == [7, 6]
+        fold_of = {}
+        for s in sizes:
+            assert np.unique(plan.assignments[subjects == s]).size == 1  # no subject is split
+            fold_of[s] = int(plan.assignments[subjects == s][0])
+        assert fold_of == {-7: 0, 12: 1, 3: 1, -1: 0, 40: 0}
+
     def test_deterministic_by_seed(self):
         ds = synth_beats(n=300, seed=7, n_subjects=10)
         a = make_folds(ds, 3, seed=42)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import importlib
 import json
@@ -20,6 +21,7 @@ from hqnnbench.config import (
     DATASET_KEYS,
     DATASETS,
     HEADS,
+    PROTOCOL_KEYS,
     QNN_KINDS,
     RUN_CONFIG,
     RUN_KEYS,
@@ -841,6 +843,9 @@ class TestRunGrid:
         assert meta["batch_size"] == 256
         assert len(rows[0]["per_fold"]) == 5 and len(rows[0]["per_fold"][0]["epochs"]) == 50
 
+    def test_protocol_keys_are_the_one_value_keys_that_not_only_a_dataset_reads(self):
+        assert PROTOCOL_KEYS == ("folds", "epochs", "batch_size", "seed", "aggregate", "dataset")
+
     @pytest.mark.parametrize("user_threads", [None, "3"], ids=["unset", "user_set"])
     def test_pool_workers_start_with_one_blas_thread_unless_the_user_set_it(self, tmp_path, monkeypatch, user_threads):
         if user_threads is None:
@@ -927,24 +932,30 @@ class TestCli:
         (out / "results.jsonl").write_bytes(full[:-40])  # crash mid-way through row 2
         assert main(["report", "--out", str(out)]) == 0
         assert "truncated" in capsys.readouterr().err
-        assert (out / "results.jsonl").read_bytes() == full[: full.index(b"\n") + 1]
-        assert len((out / "boxplot_data.csv").read_text().splitlines()) > 1
+        # report only reads: the tables hold the first row, and the file keeps its cut line
+        assert (out / "results.jsonl").read_bytes() == full[:-40]
+        assert len((out / "boxplot_data.csv").read_text().splitlines()) == 2
 
     @pytest.mark.parametrize("command", ["run", "report"])
-    @pytest.mark.parametrize("damage", ["cut", "not_an_object", "no_config_hash", "text_metric"])
+    @pytest.mark.parametrize(
+        "damage", ["cut", "not_an_object", "no_config_hash", "text_metric", "no_preproc", "stale_hash"]
+    )
     def test_malformed_inner_line_is_refused_untouched(self, tmp_path, capsys, command, damage):
         cfg = self.write_cfg(tmp_path)
         out = tmp_path / "out"
         argv = ["run", "--config", str(cfg), "--data-dir", str(tmp_path), "--out", str(out), "--epochs", "1"]
         assert main(argv) == 0
         row = (out / "results.jsonl").read_bytes()
-        text_metric = json.loads(row)
+        text_metric, no_preproc, stale_hash = (json.loads(row) for _ in range(3))
         text_metric["aggregate"]["roc_auc"] = "high"
+        del no_preproc["config"]["preproc"]  # a config that no longer rebuilds
+        stale_hash["config"]["seed"] += 1  # a config that rebuilds, but not into its config_hash
         bad = {
             "cut": row[:-40] + b"\n",
             "not_an_object": b"[1, 2]\n",
             "no_config_hash": b'{"label": "x"}\n',
-            "text_metric": json.dumps(text_metric, sort_keys=True).encode() + b"\n",
+            **{name: json.dumps(damaged, sort_keys=True).encode() + b"\n" for name, damaged in
+               (("text_metric", text_metric), ("no_preproc", no_preproc), ("stale_hash", stale_hash))},
         }[damage]
         (out / "results.jsonl").write_bytes(row + bad + row)
         before = {p.name: p.read_bytes() for p in out.iterdir()}
@@ -1055,6 +1066,19 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {meta} cannot be read") and err.count("\n") == 1
         assert {p.name: p.read_bytes() for p in out.iterdir()} == files
+
+    def test_a_missing_run_meta_is_named_once(self, tmp_path, capsys):
+        cfg = self.write_cfg(tmp_path)
+        out = tmp_path / "out"
+        argv = ["run", "--config", str(cfg), "--data-dir", str(tmp_path), "--out", str(out), "--epochs", "1"]
+        assert main(argv) == 0
+        (out / "run_meta.json").unlink()
+        capsys.readouterr()
+        assert main(argv) == 2
+        reason = os.strerror(errno.ENOENT)
+        assert capsys.readouterr().err == (
+            f"error: {out / 'run_meta.json'} cannot be read ({reason}); use a new --out directory\n"
+        )
 
     @pytest.mark.parametrize("source", ["npz_image", "beats_cell", "blobs_separation"])
     def test_run_refuses_non_finite_samples_before_creating_out(self, tmp_path, capsys, source):
