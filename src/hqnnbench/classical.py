@@ -17,10 +17,11 @@ and one zero of padding per side, so it keeps the spatial shape. It is
 lowered to BLAS matrix products (im2col + GEMM): a window view of the padded
 input is copied into per-sample (C_in * 3**ndim, positions) column matrices;
 batched matmuls with the (C_out, C_in * 3**ndim) weight matrix give the
-output, the weight gradient and the input-gradient columns, which are
-slice-added back onto the input grid. The column copy is bounded by
-``_CONV_COLS_BYTES``; a batch whose columns would exceed it is processed in
-chunks of samples.
+output and the weight gradient. The input gradient needs no columns: it is
+one product per kernel tap, the tap's transposed weights times the output
+gradient, added onto the padded grid where the tap reads. The column copy
+is bounded by ``_CONV_COLS_BYTES``; a batch whose columns would exceed it is
+processed in chunks of samples.
 
 ``BatchNormReLUPool`` pools before it activates. It computes the batch
 statistics and x̂ at full size; only the pooled x̂ goes through γ·x̂ + β and
@@ -165,24 +166,23 @@ class Conv(Layer):
         win, chunks = self._columns(self._xp)
         w2 = self.weight.value.reshape(self.out_ch, -1)
         gw2 = self.weight.grad.reshape(w2.shape)
-        grad_xp = np.zeros_like(self._xp) if input_grad else None
+        # As in forward, each chunk's columns are a temporary of one statement,
+        # so none is alive beside the input gradient below.
         for sl in chunks:
-            cols = win[sl].reshape(-1, w2.shape[1], g3.shape[2])
-            gw2 += np.matmul(g3[sl], cols.transpose(0, 2, 1)).sum(axis=0)
-            del cols  # before the input-gradient columns of the same size
-            if input_grad:
-                self._add_columns(grad_xp[sl], np.matmul(w2.T, g3[sl]), out_sp)
+            gw2 += np.matmul(g3[sl], win[sl].reshape(-1, w2.shape[1], g3.shape[2]).transpose(0, 2, 1)).sum(axis=0)
         self.bias.grad += grad_out.sum(axis=tuple(i for i in range(grad_out.ndim) if i != 1))
         if not input_grad:
             return None
-        return grad_xp[(slice(None), slice(None)) + (slice(1, -1),) * self.ndim]
-
-    def _add_columns(self, grad_xp: np.ndarray, cols: np.ndarray, out_sp: tuple[int, ...]) -> None:
-        """col2im: slice-add (b, C_in * 3**ndim, prod(out)) columns onto the padded grid."""
-        cols = cols.reshape(cols.shape[:1] + self.weight.value.shape[1:] + out_sp)
-        for offset in np.ndindex(*(3,) * self.ndim):
+        # One product per kernel tap, added where the tap reads: the tap's
+        # (C_out, C_in) weights, transposed, times each sample's grad_out.
+        # The taps are copied out contiguous; strided slices multiply slower.
+        taps = w2.reshape(self.out_ch, self.in_ch, -1).transpose(2, 0, 1).copy()
+        per_tap = grad_out.shape[:1] + (self.in_ch,) + out_sp
+        grad_xp = np.zeros_like(self._xp)
+        for tap, offset in zip(taps, np.ndindex(*(3,) * self.ndim)):
             sl = tuple(slice(o, o + d) for o, d in zip(offset, out_sp))
-            grad_xp[(slice(None), slice(None)) + sl] += cols[(slice(None), slice(None)) + offset]
+            grad_xp[(slice(None), slice(None)) + sl] += np.matmul(tap.T, g3).reshape(per_tap)
+        return grad_xp[(slice(None), slice(None)) + (slice(1, -1),) * self.ndim]
 
     def params(self):
         return [self.weight, self.bias]

@@ -149,11 +149,13 @@ class TestConv:
     @pytest.mark.parametrize("kernel_size, padding", [(3, 1)])
     # The last shape has axes of length 1 and 2, which only the padding lets the kernel fit.
     @pytest.mark.parametrize("spatial", [(10,), (6, 7), (5, 4, 6), (1, 2, 1)])
-    def test_matches_direct_oracle(self, spatial, kernel_size, padding):
+    # One input channel, as in every preprocessor's lowest Conv, and more than one.
+    @pytest.mark.parametrize("in_ch", [1, 2])
+    def test_matches_direct_oracle(self, in_ch, spatial, kernel_size, padding):
         rng = np.random.default_rng([len(spatial), kernel_size, padding])
-        conv = Conv(2, 3, len(spatial), rng)
+        conv = Conv(in_ch, 3, len(spatial), rng)
         assert conv.weight.value.shape[2:] == (kernel_size,) * len(spatial)
-        x = rng.normal(size=(2, 2) + spatial)
+        x = rng.normal(size=(2, in_ch) + spatial)
         ref_y = conv_direct(x, conv.weight.value, conv.bias.value, 1, padding)
         grad_out = rng.normal(size=ref_y.shape)
         y, grad_w, grad_b, grad_x = conv_fwd_bwd(conv, x, grad_out)
@@ -532,18 +534,18 @@ class TestParameterOnlyBackward:
             assert_same_bits(full, params_only)
 
     def test_training_step_computes_no_gradient_of_the_samples(self, monkeypatch):
-        col2im, fc_returns = [], []
-        add_columns, fc_backward = Conv._add_columns, FullyConnected.backward
+        conv_calls, fc_returns = [], []
+        conv_backward, fc_backward = Conv.backward, FullyConnected.backward
 
-        def counting_add_columns(self, *args):
-            col2im.append(self)
-            return add_columns(self, *args)
+        def recording_conv_backward(self, grad_out, input_grad=True):
+            conv_calls.append((self, input_grad))
+            return conv_backward(self, grad_out, input_grad)
 
         def recording_fc_backward(self, *args, **kwargs):
             fc_returns.append((self, fc_backward(self, *args, **kwargs)))
             return fc_returns[-1][1]
 
-        monkeypatch.setattr(Conv, "_add_columns", counting_add_columns)
+        monkeypatch.setattr(Conv, "backward", recording_conv_backward)
         monkeypatch.setattr(FullyConnected, "backward", recording_fc_backward)
         rng = np.random.default_rng(64)
         x = rng.normal(size=(4, 1, 12, 12))
@@ -552,7 +554,10 @@ class TestParameterOnlyBackward:
         model.forward(x, training=True)
         model.backward(rng.normal(size=4))
         convs = [layer for layer in model.pre if isinstance(layer, Conv)]
-        assert [id(c) for c in col2im] == [id(c) for c in reversed(convs[1:])]
+        # only the lowest Conv is asked for its parameter gradients alone
+        assert [(id(c), input_grad) for c, input_grad in conv_calls] == [
+            (id(c), c is not convs[0]) for c in reversed(convs)
+        ]
 
         fc_returns.clear()
         hybrid = Model(ModelConfig("hybrid", "conv0", 16, qnn=QnnArch("ang_arb", True, "global")), (30,), rng)
