@@ -369,18 +369,18 @@ def stack_backward(layers: list[Layer], grad_out: np.ndarray, input_grad: bool =
     """Accumulate parameter gradients and return the gradient wrt the input.
 
     With ``input_grad=False`` the pass stops at the lowest layer with
-    parameters, which accumulates its parameter gradients only; nothing is
-    returned. Training needs no gradient of the raw samples.
+    parameters (every stack the builders make has one), which accumulates
+    its parameter gradients only; nothing is returned. Training needs no
+    gradient of the raw samples.
     """
     if input_grad:
         for layer in reversed(layers):
             grad_out = layer.backward(grad_out)
         return grad_out
-    with_params = [i for i, layer in enumerate(layers) if layer.params()]
-    if with_params:
-        for layer in reversed(layers[with_params[0] + 1 :]):
-            grad_out = layer.backward(grad_out)
-        layers[with_params[0]].backward(grad_out, input_grad=False)
+    lowest = next(i for i, layer in enumerate(layers) if layer.params())
+    for layer in reversed(layers[lowest + 1 :]):
+        grad_out = layer.backward(grad_out)
+    layers[lowest].backward(grad_out, input_grad=False)
     return None
 
 
@@ -497,28 +497,25 @@ ADAM_EPS = 1e-8
 
 @dataclass
 class AdamState:
-    """First/second moment buffers and step counter for one parameter set."""
+    """The parameters one optimizer updates, their first/second moment buffers and the step counter."""
 
+    params: list[Param]
     m: list[np.ndarray]
     v: list[np.ndarray]
     t: int = 0
 
 
 def adam_init(params: list[Param]) -> AdamState:
-    return AdamState(m=[np.zeros_like(p.value) for p in params], v=[np.zeros_like(p.value) for p in params])
+    return AdamState(params, m=[np.zeros_like(p.value) for p in params], v=[np.zeros_like(p.value) for p in params])
 
 
-def adam_step(params: list[Param], state: AdamState) -> None:
-    """One Adam update from each param's accumulated grad; grads are cleared."""
-    if len(params) != len(state.m) or any(
-        p.value.shape != m.shape for p, m in zip(params, state.m)
-    ):
-        raise ValueError("param list does not match optimizer state")
+def adam_step(state: AdamState) -> None:
+    """One Adam update of ``state.params`` from each one's accumulated grad; grads are cleared."""
     state.t += 1
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     bc1 = 1.0 - b1**state.t
     bc2 = 1.0 - b2**state.t
-    for p, m, v in zip(params, state.m, state.v):
+    for p, m, v in zip(state.params, state.m, state.v):
         m += (1.0 - b1) * (p.grad - m)
         v += (1.0 - b2) * (p.grad**2 - v)
         p.value -= ADAM_LR * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)

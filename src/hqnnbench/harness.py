@@ -13,9 +13,9 @@ configurations (keyed by config hash) are skipped on re-run; a re-run whose
 protocol (``config.PROTOCOL_KEYS``: epochs, folds, seed, batch size,
 aggregate, dataset name), data digest or package version
 (``hqnnbench.__version__``) differ from the stored, atomically replaced
-``run_meta.json``, or whose ``run_meta.json`` is missing or does not parse,
-is refused. ``report`` only reads ``results.jsonl``; a re-run alone cuts an
-unterminated last line from it.
+``run_meta.json``, or whose ``run_meta.json`` is missing, does not parse or
+lacks a protocol key, is refused. ``report`` only reads ``results.jsonl``; a
+re-run alone cuts an unterminated last line from it.
 
 Training and run code call the layers through this module's globals, where
 ``perfbench/spans.py`` wraps them for its traced runs.
@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -122,6 +123,11 @@ build_model = Model  # the name training calls
 # ---------------------------------------------------------------------------
 
 
+def _identity(config: ModelConfig) -> dict:
+    """The fields of a result row that its model configuration determines."""
+    return {"config": config.to_dict(), "config_hash": config.config_hash(), "label": config.label, "group": config.group}
+
+
 @dataclass
 class ExperimentResult:
     """Per-fold epoch metrics, fold bests, and their cross-fold aggregate."""
@@ -134,14 +140,7 @@ class ExperimentResult:
     def to_json_dict(self) -> dict:
         # wall_times are intentionally excluded so result files are
         # byte-identical across repeated runs.
-        return {
-            "config": self.config.to_dict(),
-            "config_hash": self.config.config_hash(),
-            "label": self.config.label,
-            "group": self.config.group,
-            "per_fold": self.per_fold,
-            "aggregate": self.aggregate,
-        }
+        return {**_identity(self.config), "per_fold": self.per_fold, "aggregate": self.aggregate}
 
 
 def _predict(model, x: np.ndarray, batch_size: int) -> np.ndarray:
@@ -159,11 +158,9 @@ def _train_fold(
     rng: np.random.Generator,
 ) -> dict:
     model = build_model(config, dataset.sample_shape, rng)
-    params = model.parameters()
-    opt = adam_init(params)
+    opt = adam_init(model.parameters())
     x, y = dataset.samples, dataset.labels
     epoch_reports: list[dict] = []
-    best = {m: -math.inf for m in METRIC_NAMES}
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for epoch in range(epochs):
             perm = rng.permutation(train_idx)
@@ -174,14 +171,12 @@ def _train_fold(
                 if not math.isfinite(loss):
                     raise FloatingPointError(f"non-finite loss in epoch {epoch}")
                 model.backward(grad)
-                adam_step(params, opt)
+                adam_step(opt)
             val_logits = _predict(model, x[val_idx], batch_size)
             if not np.isfinite(val_logits).all():
                 raise FloatingPointError(f"non-finite validation logits in epoch {epoch}")
-            report = MetricReport.compute(val_logits, y[val_idx])
-            epoch_reports.append(report.as_dict())
-            for m, v in report.as_dict().items():
-                best[m] = max(best[m], v)
+            epoch_reports.append(MetricReport.compute(val_logits, y[val_idx]).as_dict())
+    best = {m: max(report[m] for report in epoch_reports) for m in METRIC_NAMES}
     return {"epochs": epoch_reports, "best": best, "aborted": None}
 
 
@@ -244,24 +239,20 @@ class ResultsFileError(ValueError):
 def _check_row(row) -> None:
     """Raise ``ValueError`` unless ``row`` has the fields that resuming and the tables read.
 
-    Its ``config`` must rebuild, every field present, into the model
-    configuration whose hash and group the row records.
+    Its ``config`` must rebuild into a model configuration whose fields
+    (``_identity``: config, hash, label and group) are the row's.
     """
     if not isinstance(row, dict):
         raise ValueError("not a JSON object")
-    for key, kind, name in (("config_hash", str, "string"), ("group", str, "string"), ("config", dict, "object")):
-        if not isinstance(row.get(key), kind):
-            raise ValueError(f"{key} is not a JSON {name}")
-    cfg = row["config"]
+    cfg = row.get("config")
     try:
         qnn = cfg.get("qnn")
         config = ModelConfig(**{**cfg, "qnn": qnn if qnn is None else QnnArch(**qnn)})
-        if config.to_dict() != cfg:
-            raise ValueError("a field is missing")
-    except (TypeError, ValueError) as exc:
+    except (AttributeError, TypeError, ValueError) as exc:
         raise ValueError(f"config is not a model configuration ({exc})") from None
-    if (row["config_hash"], row["group"]) != (config.config_hash(), config.group):
-        raise ValueError("config_hash or group is not that of config")
+    stale = [key for key, value in _identity(config).items() if row.get(key) != value]
+    if stale:
+        raise ValueError(f"the configuration that config rebuilds into has another {', '.join(stale)}")
     if "aggregate" not in row:
         raise ValueError("no aggregate")
     agg = row["aggregate"]
@@ -310,7 +301,7 @@ class ProtocolMismatchError(ValueError):
 
 
 def _check_same_protocol(meta_path: Path, protocol: dict) -> None:
-    """Refuse to resume into rows whose ``run_meta.json`` records another protocol, is missing or does not parse."""
+    """Refuse to resume into rows unless ``run_meta.json`` parses and records each key of ``protocol`` as is."""
     try:
         stored = json.loads(meta_path.read_text())
         if not isinstance(stored, dict):
@@ -318,7 +309,11 @@ def _check_same_protocol(meta_path: Path, protocol: dict) -> None:
     except (OSError, ValueError) as exc:
         reason = exc.strerror if isinstance(exc, OSError) else exc  # an OSError's str() names the file again
         raise ProtocolMismatchError(f"{meta_path} cannot be read ({reason}); use a new --out directory") from None
-    changed = [f"{key} {stored[key]!r} -> {value!r}" for key, value in protocol.items() if key in stored and stored[key] != value]
+    changed = [
+        f"{key} {stored[key]!r} -> {value!r}" if key in stored else f"{key} missing"
+        for key, value in protocol.items()
+        if key not in stored or stored[key] != value
+    ]
     if changed:
         raise ProtocolMismatchError(
             f"{meta_path.parent} holds results from a different protocol ({', '.join(changed)}); "
@@ -390,8 +385,8 @@ def run_grid(
     rows = _load_existing(results_path)
     if rows:
         _check_same_protocol(meta_path, protocol)
-    if results_path.exists():  # the same bytes, less an unterminated last line
-        _write_atomically(results_path, "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows))
+    # the same bytes, less an unterminated last line
+    _write_atomically(results_path, "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows))
     done_hashes = {r["config_hash"] for r in rows}
     todo = [c for c in configs if c.config_hash() not in done_hashes]
 
@@ -462,14 +457,12 @@ def main(argv=None) -> int:
     if args.command == "run" and args.jobs < 1:
         p_run.error(f"--jobs must be at least 1, got {args.jobs}")
     out_dir = Path(args.out)
-    n_done = 0
+    n_done = itertools.count(1)
 
     def progress(json_dict: dict) -> None:
-        nonlocal n_done
-        n_done += 1
         agg = json_dict["aggregate"]
         score = "aborted" if not agg else f"roc_auc={agg['roc_auc']:.4f}"
-        print(f"[{n_done}] {json_dict['label']}: {score}", flush=True)
+        print(f"[{next(n_done)}] {json_dict['label']}: {score}", flush=True)
 
     try:
         if args.command == "report":

@@ -11,7 +11,6 @@ points. ``write_tables`` writes tables it is given to ``table1.csv``,
 from __future__ import annotations
 
 import csv
-import json
 from itertools import combinations
 from pathlib import Path
 from statistics import median
@@ -43,31 +42,19 @@ PAIRED = (
 )
 
 
-def _match_key(cfg: dict, drop: str) -> str:
-    redacted = json.loads(json.dumps(cfg))
-    if drop in redacted:
-        redacted[drop] = None
-    else:
-        redacted["qnn"][drop] = None
-    redacted.pop("seed", None)
-    return json.dumps(redacted, sort_keys=True)
+def _paired_scores(scored: list[tuple[dict, float]], field: str, val_a, val_b, kinds):
+    """Scores paired across configs equal, seed aside, except in ``field``.
 
-
-def _paired_scores(rows: list[dict], field: str, val_a, val_b, kinds):
-    """Aggregate scores paired across configs equal except in ``field``."""
-    buckets: dict[str, dict] = {}
-    for row in rows:
-        cfg = row["config"]
-        if kinds is not None and (cfg["qnn"] is None or cfg["qnn"]["kind"] not in kinds):
-            continue
-        axis_value = cfg[field] if field in cfg else cfg["qnn"][field]
-        buckets.setdefault(_match_key(cfg, field), {})[axis_value] = row["aggregate"][COMPARE_METRIC]
-    xs, ys = [], []
-    for _, pair in sorted(buckets.items()):
-        if val_a in pair and val_b in pair:
-            xs.append(pair[val_a])
-            ys.append(pair[val_b])
-    return xs, ys
+    ``scored`` holds (flat config, score) pairs; a flat config has its
+    circuit's fields beside the model's.
+    """
+    buckets: dict[frozenset, dict] = {}
+    for flat, score in scored:
+        if kinds is None or flat.get("kind") in kinds:
+            key = frozenset((k, v) for k, v in flat.items() if k not in (field, "qnn", "seed"))
+            buckets.setdefault(key, {})[flat[field]] = score
+    pairs = [pair for pair in buckets.values() if val_a in pair and val_b in pair]
+    return [pair[val_a] for pair in pairs], [pair[val_b] for pair in pairs]
 
 
 def _comparison(axis: str, name_a: str, name_b: str, xs: list[float], ys: list[float], test) -> dict:
@@ -101,13 +88,12 @@ def aggregate_tables(rows: list[dict]):
     if not rows:
         raise ValueError("no results to aggregate")
     done = [r for r in rows if r.get("aggregate")]
-    groups_all = {r["group"] for r in rows}
     by_group: dict[str, list[dict]] = {}
     for r in done:
         by_group.setdefault(r["group"], []).append(r)
-    for g in sorted(groups_all):
-        if g not in by_group:
-            raise NoCompletedRunsError(f"group {g!r} has zero completed runs")
+    empty = {r["group"] for r in rows} - by_group.keys()
+    if empty:
+        raise NoCompletedRunsError(f"group {min(empty)!r} has zero completed runs")
 
     table1 = []
     for g in GROUP_ORDER:
@@ -125,9 +111,10 @@ def aggregate_tables(rows: list[dict]):
                 }
             )
 
+    scored = [({**r["config"], **(r["config"]["qnn"] or {})}, r["aggregate"][COMPARE_METRIC]) for r in done]
     comparisons = []
     for axis, field, (val_a, name_a), (val_b, name_b), kinds in PAIRED:
-        xs, ys = _paired_scores(done, field, val_a, val_b, kinds)
+        xs, ys = _paired_scores(scored, field, val_a, val_b, kinds)
         if xs:
             comparisons.append(_comparison(axis, name_a, name_b, xs, ys, wilcoxon_signed_rank))
     scores = {g: [r["aggregate"][COMPARE_METRIC] for r in by_group[g]] for g in GROUP_ORDER if g in by_group}

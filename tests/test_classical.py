@@ -651,7 +651,7 @@ class TestAdam:
         state = adam_init([p])
         p.grad[:] = [0.5, -3.0]
         before = p.value.copy()
-        adam_step([p], state)
+        adam_step(state)
         delta = p.value - before
         assert np.allclose(np.abs(delta), 0.001, rtol=1e-6)
         assert np.all(np.sign(delta) == [-1.0, 1.0])
@@ -660,7 +660,7 @@ class TestAdam:
         p = Param(np.array([3.0]))
         state = adam_init([p])
         for _ in range(10):
-            adam_step([p], state)
+            adam_step(state)
         assert p.value[0] == 3.0
 
     def test_deterministic_trajectories(self):
@@ -670,16 +670,21 @@ class TestAdam:
             state = adam_init([p])
             for _ in range(20):
                 p.grad[:] = rng.normal(size=4)
-                adam_step([p], state)
+                adam_step(state)
             return p.value.copy()
 
         assert np.array_equal(run(), run())
 
-    def test_shape_mismatch_rejected(self):
-        p = Param(np.zeros(3))
-        state = adam_init([p])
-        with pytest.raises(ValueError):
-            adam_step([Param(np.zeros(2))], state)
+    def test_step_moves_exactly_the_initial_params_and_clears_their_grads(self):
+        given, other = [Param(np.zeros(3)), Param(np.ones((2, 2)))], Param(np.zeros(2))
+        state = adam_init(given)
+        for p in (*given, other):
+            p.grad[...] = 1.0
+        adam_step(state)
+        # a first step moves each element by the learning rate against its grad's sign
+        assert np.allclose(given[0].value, -0.001) and np.allclose(given[1].value, 0.999)
+        assert all(not p.grad.any() for p in given)
+        assert not other.value.any() and other.grad.all()
 
 
 class TestHybridSeam:

@@ -773,12 +773,19 @@ class TestRunGrid:
             run_grid(dict(TINY_RUN), tmp_path, out)
         assert (out / "results.jsonl").read_bytes() == results
         assert (out / "run_meta.json").read_bytes() == meta
-        # a run_meta.json that records no version resumes, as for any absent key
-        stored = json.loads(meta)
-        del stored["version"]
-        (out / "run_meta.json").write_text(json.dumps(stored))
+
+    @pytest.mark.parametrize("lost", ["version", "epochs", "every key"])
+    def test_resume_refuses_a_run_meta_without_a_protocol_key(self, tmp_path, lost):
+        out = tmp_path / "out"
         run_grid(dict(TINY_RUN), tmp_path, out)
-        assert json.loads((out / "run_meta.json").read_text())["n_skipped"] == 2
+        stored = json.loads((out / "run_meta.json").read_text())
+        (out / "run_meta.json").write_text(json.dumps({k: v for k, v in stored.items() if lost not in (k, "every key")}))
+        results, meta = ((out / name).read_bytes() for name in ("results.jsonl", "run_meta.json"))
+        # the stored rows hold two epochs per fold; a resume must not mix them with three
+        with pytest.raises(ProtocolMismatchError, match="epochs missing" if lost == "every key" else f"{lost} missing"):
+            run_grid(dict(TINY_RUN, epochs=3), tmp_path, out)
+        assert (out / "results.jsonl").read_bytes() == results
+        assert (out / "run_meta.json").read_bytes() == meta
 
     def test_resume_refuses_changed_dataset_parameters(self, tmp_path):
         out = tmp_path / "out"
@@ -938,7 +945,7 @@ class TestCli:
 
     @pytest.mark.parametrize("command", ["run", "report"])
     @pytest.mark.parametrize(
-        "damage", ["cut", "not_an_object", "no_config_hash", "text_metric", "no_preproc", "stale_hash"]
+        "damage", ["cut", "not_an_object", "no_config_hash", "text_metric", "no_preproc", "stale_hash", "stale_label"]
     )
     def test_malformed_inner_line_is_refused_untouched(self, tmp_path, capsys, command, damage):
         cfg = self.write_cfg(tmp_path)
@@ -946,16 +953,18 @@ class TestCli:
         argv = ["run", "--config", str(cfg), "--data-dir", str(tmp_path), "--out", str(out), "--epochs", "1"]
         assert main(argv) == 0
         row = (out / "results.jsonl").read_bytes()
-        text_metric, no_preproc, stale_hash = (json.loads(row) for _ in range(3))
+        text_metric, no_preproc, stale_hash, stale_label = (json.loads(row) for _ in range(4))
         text_metric["aggregate"]["roc_auc"] = "high"
         del no_preproc["config"]["preproc"]  # a config that no longer rebuilds
         stale_hash["config"]["seed"] += 1  # a config that rebuilds, but not into its config_hash
+        stale_label["label"] = stale_label["label"].replace("conv0", "conv1")  # another preprocessor's label
         bad = {
             "cut": row[:-40] + b"\n",
             "not_an_object": b"[1, 2]\n",
             "no_config_hash": b'{"label": "x"}\n',
             **{name: json.dumps(damaged, sort_keys=True).encode() + b"\n" for name, damaged in
-               (("text_metric", text_metric), ("no_preproc", no_preproc), ("stale_hash", stale_hash))},
+               (("text_metric", text_metric), ("no_preproc", no_preproc), ("stale_hash", stale_hash),
+                ("stale_label", stale_label))},
         }[damage]
         (out / "results.jsonl").write_bytes(row + bad + row)
         before = {p.name: p.read_bytes() for p in out.iterdir()}
