@@ -38,18 +38,23 @@ class Dataset:
     subject_ids: np.ndarray | None = None
 
     def __post_init__(self):
+        # labels and subject ids are checked before the integer cast, which truncates 0.7 to 0
         self.samples = np.asarray(self.samples, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
+        labels = np.asarray(self.labels)
         if not np.isfinite(self.samples).all():
             raise ValueError("samples must be finite, not NaN or infinite")
-        if self.labels.shape != (self.samples.shape[0],):
+        if labels.shape != (self.samples.shape[0],):
             raise ValueError("labels length must match number of samples")
-        if not np.isin(self.labels, (0, 1)).all():
+        if not np.isin(labels, (0, 1)).all():
             raise ValueError("labels must be 0/1")
+        self.labels = np.asarray(labels, dtype=np.int64)
         if self.subject_ids is not None:
-            self.subject_ids = np.asarray(self.subject_ids, dtype=np.int64)
-            if self.subject_ids.shape != (self.labels.shape[0],):
+            ids = np.asarray(self.subject_ids)
+            if ids.shape != labels.shape:
                 raise ValueError("subject_ids length must match number of samples")
+            if ids.dtype.kind not in "biu" and not (ids.dtype.kind == "f" and (np.isfinite(ids) & (ids == np.round(ids))).all()):
+                raise ValueError("subject_ids must be integers")
+            self.subject_ids = np.asarray(ids, dtype=np.int64)
 
     @property
     def n(self) -> int:

@@ -101,16 +101,14 @@ class Model:
         self._cache = None  # the last pass's circuit state goes before this pass builds its own
         z = stack_forward(self.pre, x, training=training)
         if self.circuit is not None:
-            q, state = qnn_forward_batch(self.circuit, z, self.theta.value, return_state=True)
-            self._cache = (z, state)
-            z = q
+            z, self._cache = qnn_forward_batch(self.circuit, z, self.theta.value, return_state=True)
         return stack_forward(self.head, z, training=training)[:, 0]
 
     def backward(self, grad_logits: np.ndarray) -> None:
         g = stack_backward(self.head, grad_logits[:, None])
         if self.circuit is not None:
-            z, state = self._cache
-            g, gp = qnn_backward_batch(self.circuit, z, self.theta.value, g, final_amps=state)
+            state = self._cache  # it holds copies of the inputs and parameters the forward pass ran on
+            g, gp = qnn_backward_batch(self.circuit, state.inputs, state.params, g, final_amps=state)
             self.theta.grad += gp
         stack_backward(self.pre, g, input_grad=False)
 

@@ -42,26 +42,27 @@ multiplied once per batch into each stage's ``T``, and each gate is ``T H``
 for its per-sample head product ``H``. A stage that reads no input (every
 stage of Amp-Gen and QCNN) is all tail, so its gates are shared.
 
-The state's layout is fixed per circuit, from what it reads. A circuit that
-reads input slots (Ang-RY, Ang-Arb: data re-uploading in every layer) keeps
-its state as ``(B, 2**n)`` rows from encoding to readout
-(``statevec.apply_rows``): sample-major storage when its blocks may span
-``_SAMPLE_MAJOR_QUBITS`` or more qubits, else the transposed view of
-``(2**n, B)`` storage. A circuit that reads none (Amp-Gen, QCNN: the data
-enter once, as the start state) keeps ``(2**n, B)`` columns
-(``statevec.apply_gate``). Phased permutations act along the basis axis of
-the storage.
+The state's storage is fixed per circuit, from what it reads, and after
+encoding both passes hold the state only as ``(B, 2**n)`` rows. A circuit
+that reads input slots (Ang-RY, Ang-Arb: data re-uploading in every layer)
+keeps sample-major storage when its blocks may span ``_SAMPLE_MAJOR_QUBITS``
+or more qubits. Any other circuit, and so every one that reads none
+(Amp-Gen, QCNN: the data enter once, as the start state), keeps its rows as
+the transposed view of ``(2**n, B)`` storage. The passes hand every block to
+``statevec.apply_rows`` and ``statevec.rows_overlap`` and every permutation
+to ``statevec.apply_phased_perm``, which pick their kernel from the storage
+order and from whether the matrix is shared by the batch.
 
 Every stage is a *Kronecker layer*: its gates act on distinct qubits and
 commute. They are applied as blocks of adjacent qubits, each one d x d
 unitary (d <= 16), the Kronecker product of its members' ``(2, 2, Bx)``
 matrices with the identity on any qubit in the block's run that no member
 occupies: one matrix per sample in a stage that reads inputs, one for the
-batch in a stage that reads none. Blocks of a circuit on columns span up to ``_KRON_QUBITS``
-qubits; blocks of a circuit on rows at most half the register, so at n = 8 a
-data re-uploading layer is two 16x16 blocks per sample, which the stage
-applies to each sample's 16x16 amplitude matrix ``Psi_b`` as
-``U_b Psi_b V_b^T``.
+batch in a stage that reads none. Blocks of a circuit that reads no input
+span up to ``_KRON_QUBITS`` qubits; blocks of one that reads inputs at most
+half the register, so at n = 8 a data re-uploading layer is two 16x16
+blocks per sample, which the stage applies to each sample's 16x16 amplitude
+matrix ``Psi_b`` as ``U_b Psi_b V_b^T``.
 
 Gradients are computed in adjoint mode: one forward pass, then a single
 reverse sweep that un-applies each fused gate ``U`` on the state ``psi``
@@ -73,9 +74,9 @@ its Kronecker blocks unless they are per-sample blocks on sample-major
 rows, which would cost a state's memory per stage; those are built again
 from the kept gate unitaries. Before un-applying, the sweep takes one
 reduced overlap per gate, ``G_ij = sum_rest conj(lambda_i) psi_j`` on the
-gate's qubit: per sample on rows, summed over the batch on columns. With
-``U = S_k R_k P_k`` for rotation ``k``, every angle gradient of the gate
-follows from ``G`` alone::
+gate's qubit: per sample for a per-sample gate, summed over the batch for a
+shared one. With ``U = S_k R_k P_k`` for rotation ``k``, every angle
+gradient of the gate follows from ``G`` alone::
 
     g_k = Re tr(W_k Gamma_k),   W_k = S_k^H G^T S_k,   Gamma_k = 2 dR_k/dt R_k^-1
 
@@ -113,11 +114,9 @@ from .statevec import (
     GateKind,
     MAX_QUBITS,
     Observable,
-    apply_gate,
     apply_rows,
     apply_phased_perm,
     expval_batch,
-    gate_overlap,
     rows_overlap,
 )
 
@@ -160,7 +159,7 @@ _I2 = np.eye(2, dtype=np.complex128)[:, :, None]
 _SAMPLE_MAJOR_QUBITS = 3
 
 
-def _block_width(n_qubits: int, rows: bool) -> int:
+def _block_width(n_qubits: int, reads_inputs: bool) -> int:
     """Qubits per Kronecker block of a stage.
 
     In a circuit that reads inputs every block is per-sample and costs a
@@ -168,13 +167,13 @@ def _block_width(n_qubits: int, rows: bool) -> int:
     register: at n = 4 one 16x16 block per sample costs more to build than
     the four gates it replaces.
     """
-    return min(_KRON_QUBITS, (n_qubits + 1) // 2) if rows else _KRON_QUBITS
+    return min(_KRON_QUBITS, (n_qubits + 1) // 2) if reads_inputs else _KRON_QUBITS
 
 
 def _storage(buf: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """A ``shape`` array in the storage of the C-contiguous ``buf`` when it fits, else a new one."""
+    """A C-contiguous ``shape`` array in the storage of the C- or F-contiguous ``buf`` when it fits, else a new one."""
     size = math.prod(shape)
-    return buf.reshape(-1)[:size].reshape(shape) if size <= buf.size else np.empty(shape, dtype=buf.dtype)
+    return buf.reshape(-1, order="A")[:size].reshape(shape) if size <= buf.size else np.empty(shape, dtype=buf.dtype)
 
 
 def _kron(factors: list[np.ndarray], scratch: np.ndarray | None = None) -> np.ndarray:
@@ -240,9 +239,16 @@ class _Apply:
         np.copyto(t, u.transpose(2, 0, 1))
         return t
 
-    def take_overlaps(self, circuit: Circuit, mu: np.ndarray, psi: np.ndarray, spare: np.ndarray, overlaps: np.ndarray) -> None:
-        """Write each member's overlap into its slot of ``overlaps`` ``(2, 2, G, Bx)``; the states are in ``circuit``'s storage."""
-        per_wire = _wire_overlaps(_overlap(circuit, mu, psi, spare, self.qubits))
+    def take_overlaps(self, mu: np.ndarray, psi: np.ndarray, spare: np.ndarray, overlaps: np.ndarray) -> None:
+        """Write each member's overlap into its slot of ``overlaps`` ``(2, 2, G, Bx)``.
+
+        The overlaps are per-sample, or summed over the batch when ``Bx`` is
+        1. ``mu`` and ``psi`` are ``(B, 2**n)`` rows; per-sample overlaps
+        are built in ``spare``'s storage when the kernel needs room for them.
+        """
+        bx, d = overlaps.shape[3], 1 << len(self.qubits)
+        room = _storage(spare, (bx, d, d)) if bx > 1 else None
+        per_wire = _wire_overlaps(rows_overlap(mu, psi, self.qubits, bx == 1, room).transpose(1, 2, 0))
         for slot, wire in self.members:
             overlaps[:, :, slot] = per_wire[wire]
 
@@ -501,11 +507,11 @@ class Circuit:
     stages (see ``Stage``), and ``diagonals`` the observable's
     (``Observable.diagonals``), which both passes read.
 
-    The state's layout is fixed here, from what the circuit reads. ``rows``
-    is set when a gate reads an input slot: the state is then ``(B, 2**n)``
-    rows from encoding to readout. ``sample_major`` says that those rows are
-    C-contiguous; otherwise they are the transposed view of ``(2**n, B)``
-    storage, which is also the storage of a circuit without ``rows``.
+    The state's storage is fixed here, from what the circuit reads: the
+    passes work on ``(B, 2**n)`` rows, and ``sample_major`` says that they
+    are C-contiguous. It is set when a gate reads an input slot and the
+    blocks may span ``_SAMPLE_MAJOR_QUBITS`` qubits; otherwise the rows are
+    the transposed view of ``(2**n, B)`` storage.
     """
 
     n_qubits: int
@@ -517,7 +523,6 @@ class Circuit:
     program: tuple = field(init=False, repr=False, compare=False)
     tails: _Steps = field(init=False, repr=False, compare=False)
     diagonals: np.ndarray = field(init=False, repr=False, compare=False)
-    rows: bool = field(init=False, repr=False, compare=False)
     sample_major: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -539,10 +544,9 @@ class Circuit:
                     if ang.index >= self.n_inputs:
                         raise ValueError(f"input slot {ang.index} >= n_inputs {self.n_inputs}")
         object.__setattr__(self, "diagonals", self.observable.diagonals(self.n_qubits))
-        rows = any(a.source == "input" for gate in self.ops for a in gate.angles)
-        width = _block_width(self.n_qubits, rows)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "sample_major", rows and width >= _SAMPLE_MAJOR_QUBITS)
+        reads_inputs = any(a.source == "input" for gate in self.ops for a in gate.angles)
+        width = _block_width(self.n_qubits, reads_inputs)
+        object.__setattr__(self, "sample_major", reads_inputs and width >= _SAMPLE_MAJOR_QUBITS)
         program, tails = _compile_program(self.ops, self.n_qubits, width)
         object.__setattr__(self, "program", program)
         object.__setattr__(self, "tails", tails)
@@ -753,69 +757,47 @@ def _check_shapes(circuit: Circuit, x: np.ndarray, params: np.ndarray) -> None:
         raise ValueError(f"expected {circuit.n_params} params, got {params.shape}")
 
 
+def _states(circuit: Circuit, batch: int, count: int, new=np.empty) -> np.ndarray:
+    """``count`` new ``(B, 2**n)`` states in ``circuit``'s storage, ``(count, B, 2**n)``.
+
+    Each is sample-major rows or the transposed view of ``(2**n, B)``
+    storage; ``new`` is ``np.empty`` or ``np.zeros``.
+    """
+    dim = 1 << circuit.n_qubits
+    if circuit.sample_major:
+        return new((count, batch, dim), dtype=np.complex128)
+    return new((count, dim, batch), dtype=np.complex128).transpose(0, 2, 1)
+
+
 def _encode_batch(circuit: Circuit, x: np.ndarray) -> np.ndarray:
-    """Initial states in ``circuit``'s storage: ``(B, 2**n)`` when sample-major, else ``(2**n, B)``."""
+    """Initial states, ``(B, 2**n)`` rows in ``circuit``'s storage."""
+    amps = _states(circuit, x.shape[0], 1, np.zeros)[0]
     if circuit.encoding == "amplitude":
         norms = np.linalg.norm(x, axis=1)
         if np.any(norms <= _NORM_EPS):
             bad = int(np.argmin(norms))
             raise EncodingError(f"batch row {bad} has norm {norms[bad]:.3e}, cannot amplitude-encode")
-        return np.ascontiguousarray((x / norms[:, None]).T, dtype=np.complex128)
-    dim = 1 << circuit.n_qubits
-    amps = np.zeros((x.shape[0], dim) if circuit.sample_major else (dim, x.shape[0]), dtype=np.complex128)
-    _rows(circuit, amps)[:, 0] = 1.0
+        amps[:] = x / norms[:, None]
+    else:
+        amps[:, 0] = 1.0
     return amps
-
-
-def _rows(circuit: Circuit, amps: np.ndarray) -> np.ndarray:
-    """The ``(B, 2**n)`` view of a state in ``circuit``'s storage."""
-    return amps if circuit.sample_major else amps.T
-
-
-def _permute(circuit: Circuit, amps: np.ndarray, perm, phase, out: np.ndarray) -> np.ndarray:
-    """A phased permutation along the basis axis of ``circuit``'s storage."""
-    return apply_phased_perm(amps, perm, phase, out, 1 if circuit.sample_major else 0)
-
-
-def _apply(circuit: Circuit, amps: np.ndarray, qubits: tuple[int, ...], u: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Apply a call's batch-first matrix ``u`` to a state in ``circuit``'s storage, into ``out``."""
-    if not circuit.rows:
-        return apply_gate(amps, qubits, u[0], out)
-    apply_rows(_rows(circuit, amps), qubits, u, _rows(circuit, out))
-    return out
-
-
-def _overlap(circuit: Circuit, mu: np.ndarray, psi: np.ndarray, spare: np.ndarray, qubits: tuple[int, ...]) -> np.ndarray:
-    """The matrix-major overlap ``(d, d, Bx)`` on ``qubits`` of two states in ``circuit``'s storage.
-
-    A sample-major one is built batch-first in ``spare``.
-    """
-    if not circuit.rows:
-        return gate_overlap(mu, psi, qubits)[..., None]
-    d = 1 << len(qubits)
-    out = _storage(spare, (len(mu), d, d)) if circuit.sample_major else None
-    return rows_overlap(_rows(circuit, mu), _rows(circuit, psi), qubits, out).transpose(1, 2, 0)
 
 
 @dataclass(frozen=True)
 class ForwardState:
     """What a forward pass hands to the backward pass on the same batch.
 
-    ``amps`` is the final state as ``(B, 2**n)`` rows, a view of the
-    circuit's ``storage``. ``built`` holds, per op of the program, a stage's
-    ``_Built`` matrices (None for a permutation). ``inputs`` and ``params``
-    are copies of what the pass ran on, which the backward pass checks.
+    ``amps`` is the final state, ``(B, 2**n)`` rows in the circuit's
+    storage. ``built`` holds, per op of the program, a stage's ``_Built``
+    matrices (None for a permutation). ``inputs`` and ``params`` are copies
+    of what the pass ran on, which the backward pass checks.
     """
 
     circuit: Circuit
     inputs: np.ndarray
     params: np.ndarray
-    storage: np.ndarray = field(repr=False)
+    amps: np.ndarray = field(repr=False)
     built: tuple = field(repr=False)
-
-    @property
-    def amps(self) -> np.ndarray:
-        return _rows(self.circuit, self.storage)
 
 
 def qnn_forward_batch(
@@ -837,12 +819,12 @@ def qnn_forward_batch(
     # The spare state, and room for the contiguous per-sample matrices of a
     # sample-major circuit. One allocation: as two, they raised the peak RSS
     # of the 8-qubit hybrid benchmark by ~4 MB.
-    buf, work = np.empty((2,) + state.shape, dtype=state.dtype)
+    buf, work = _states(circuit, x.shape[0], 2)
     built: list = []
     tails = circuit.tails.matrices(x, p, 1)  # every stage's shared steps, in one call
     for op in circuit.program:
         if isinstance(op, PhasedPerm):
-            state, buf = _permute(circuit, state, op.perm, op.phase, buf), state
+            state, buf = apply_phased_perm(state, op.perm, op.phase, buf), state
             built.append(None)
             continue
         b = op.build(x, p, tails)
@@ -853,10 +835,9 @@ def qnn_forward_batch(
             b = b._replace(blocks=tuple(app.unitary(b.unitaries) for app in op.apps))
         for i, app in enumerate(op.apps):
             u = app.unitary(b.unitaries, work, buf) if b.blocks is None else b.blocks[i]
-            state, buf = _apply(circuit, state, app.qubits, u, buf), state
+            state, buf = apply_rows(state, app.qubits, u, buf), state
         built.append(b)
-    rows = _rows(circuit, state)
-    out = expval_batch(rows, circuit.diagonals)
+    out = expval_batch(state, circuit.diagonals)
     if not return_state:
         return out
     return out, ForwardState(circuit, x.copy(), p.copy(), state, tuple(built))
@@ -887,16 +868,14 @@ def qnn_backward_batch(
     if not (same and np.array_equal(fwd.inputs, x, equal_nan=True) and np.array_equal(fwd.params, p, equal_nan=True)):
         raise ValueError("final_amps comes from a forward pass on another circuit, inputs or params")
 
-    psi = fwd.storage.copy()  # circuit's storage
+    psi = fwd.amps.copy(order="K")  # in the circuit's storage, as every state below
     mu = np.conj(psi)  # conj(lambda), lambda = M psi
-    mu_rows = _rows(circuit, mu)
-    mu_rows *= up @ circuit.diagonals
+    mu *= up @ circuit.diagonals
     psi_buf, mu_buf = np.empty_like(psi), np.empty_like(mu)
 
     grad_inputs = np.zeros_like(x)
     grad_params = np.zeros(circuit.n_params)
     tail_w = np.zeros((2, 2, circuit.tails.const.size, 1), dtype=np.complex128)
-    bx = x.shape[0] if circuit.rows else 1
     for op, b in zip(reversed(circuit.program), reversed(fwd.built)):
         # Nothing reads psi after the last op of the sweep, and mu only for
         # an amplitude-encoded input gradient.
@@ -904,30 +883,31 @@ def qnn_backward_batch(
         keep_psi, keep_mu = not last, not last or circuit.encoding == "amplitude"
         if isinstance(op, PhasedPerm):
             if keep_psi:
-                psi, psi_buf = _permute(circuit, psi, op.inv_perm, op.inv_phase, psi_buf), psi
+                psi, psi_buf = apply_phased_perm(psi, op.inv_perm, op.inv_phase, psi_buf), psi
             if keep_mu:
-                mu, mu_buf = _permute(circuit, mu, op.inv_perm, op.inv_phase_conj, mu_buf), mu
+                mu, mu_buf = apply_phased_perm(mu, op.inv_perm, op.inv_phase_conj, mu_buf), mu
             continue
-        overlaps = np.empty((2, 2, op.shape[0], bx), dtype=np.complex128)
+        # per-sample overlaps for per-sample gates, batch-summed ones for shared gates
+        overlaps = np.empty((2, 2, op.shape[0], b.unitaries.shape[3]), dtype=np.complex128)
         for app in op.apps:  # every overlap is taken at the stage output, before any un-apply
-            app.take_overlaps(circuit, mu, psi, psi_buf, overlaps)
+            app.take_overlaps(mu, psi, psi_buf, overlaps)
         for i, app in reversed(list(enumerate(op.apps))):
             # U^T un-applies a call from mu, then conj(U^T) = U^H from psi. A
             # contiguous per-sample U sits in mu_buf, so mu goes into psi's
             # spare storage and psi into mu's old one.
             ut = (app.unitary(b.unitaries, mu_buf, psi_buf) if b.blocks is None else b.blocks[i]).swapaxes(1, 2)
             if keep_mu:
-                mu, psi_buf = _apply(circuit, mu, app.qubits, ut, psi_buf), mu
+                mu, psi_buf = apply_rows(mu, app.qubits, ut, psi_buf), mu
             if keep_psi:
                 uh = np.conjugate(ut, out=ut) if b.blocks is None else ut.conj()
-                psi, psi_buf = _apply(circuit, psi, app.qubits, uh, psi_buf), psi
+                psi, psi_buf = apply_rows(psi, app.qubits, uh, psi_buf), psi
         op.add_gradients(overlaps, b, x, p, tail_w, grad_inputs, grad_params)
     circuit.tails.add_gradients(_angle_gradients(tail_w, circuit.tails.ry), grad_inputs, grad_params)
 
     if circuit.encoding == "amplitude":
         # mu is now conj((U^dag M U) psi0); the real-direction gradient on the
         # encoded state is 2 Re(lambda), chained through x -> x/||x||.
-        g0 = 2.0 * _rows(circuit, mu).real
+        g0 = 2.0 * mu.real
         norms = np.linalg.norm(x, axis=1, keepdims=True)
         xhat = x / norms
         grad_inputs += (g0 - np.sum(g0 * xhat, axis=1, keepdims=True) * xhat) / norms

@@ -11,8 +11,12 @@ Conventions (fixed, used everywhere in this package):
 The gate set is RY, RZ, CNOT and CZ. The arbitrary rotation of the circuit
 families is not a gate: ``hqnnbench.qnn._arb`` writes it as three rotations.
 
-A circuit's state has one layout from encoding to readout, fixed when the
-circuit is compiled (``hqnnbench.qnn``), and each layout has its kernels.
+A circuit's state keeps one storage from encoding to readout, fixed when
+the circuit is compiled (``hqnnbench.qnn``), and the circuit passes it to
+the kernels as ``(B, 2**n)`` rows. The kernels alone pick their path, from
+two facts about their arguments: the storage order of the rows
+(``flags.c_contiguous``) and the batch extent ``Bx`` of the matrix, 1 for
+one matrix shared by the batch, B for one per sample.
 
 Every circuit is made of one-qubit rotations and CNOT/CZ gates, so every
 matrix the simulator applies acts on a contiguous descending qubit run
@@ -20,27 +24,26 @@ matrix the simulator applies acts on a contiguous descending qubit run
 qubits. The run's local index puts its first qubit in the most significant
 bit. Every kernel refuses a qubit tuple that is not such a run.
 
-A circuit that reads no input slots keeps ``(2**n, B)`` columns: the basis
-index is the *first* axis and the batch the last, so each view a kernel
-takes keeps the batch contiguous whichever qubit it targets.
-``apply_gate`` applies a batch-shared d x d unitary on a run, out of place
-into a caller-owned buffer; ``gate_overlap`` reduces two states onto a run,
-summed over the batch. The local index is the middle axis of
-``amps.reshape(-1, 2**k, B << lo)``, and both kernels take the gate there as
-one BLAS matmul per column chunk.
+``apply_rows`` applies ``u[b]`` to sample ``b``, with ``u`` batch-first
+``(Bx, d, d)``; ``rows_overlap`` takes the reduced overlaps on a run, per
+sample or summed over the batch. There are three paths:
 
-A circuit that reads input slots keeps its state as ``(B, 2**n)`` rows, in
-which each sample's amplitudes on a run form a ``(R, d, C)`` block.
-``apply_rows`` applies ``u[b]`` to sample ``b`` and ``rows_overlap`` takes
-the per-sample overlaps. Their matrices are batch-first, ``(Bx, d, d)``
-with ``Bx`` 1 (one matrix for the batch) or B; ``hqnnbench.qnn`` passes B,
-since every block of a circuit on rows is per-sample. On sample-major
-storage each is one stacked BLAS matmul. At n = 8 a sample is a 16 x 16
-matrix, so a 4-qubit block on qubits 7-4 multiplies it from the left and
-one on qubits 3-0 from the right. On the transposed view of ``(2**n, B)``
-storage they are elementwise over the contiguous batch, which is faster for
-4 x 4 blocks and smaller. ``apply_phased_perm`` applies a run of CNOT/CZ
-gates and constant RZ phases, ``out[i] = phase[i] * a[perm[i]]``, as one
+* sample-major (C-contiguous) rows: each sample's amplitudes on a run form
+  an ``(R, d, C)`` block, and each kernel is one stacked BLAS matmul. At
+  n = 8 a sample is a 16 x 16 matrix, so a 4-qubit block on qubits 7-4
+  multiplies it from the left and one on qubits 3-0 from the right;
+* the transposed view of ``(2**n, B)`` storage with a shared matrix: the
+  column kernels ``apply_gate`` and ``gate_overlap``. The basis index is
+  the storage's first axis and the batch its last, so the local index is
+  the middle axis of ``amps.reshape(-1, 2**k, B << lo)`` and the gate one
+  BLAS matmul per column chunk, out of place into a caller-owned buffer;
+  the overlap is summed over the batch;
+* the same view with per-sample matrices: elementwise over the contiguous
+  batch, which is faster for 4 x 4 blocks and smaller.
+
+At B = 1 both storages are C-contiguous, and every kernel takes the
+sample-major path. ``apply_phased_perm`` applies a run of CNOT/CZ gates and
+constant RZ phases, ``out[:, i] = phase[i] * rows[:, perm[i]]``, as one
 gather along the basis axis of either storage and one multiply.
 
 The small matrices that ``hqnnbench.qnn`` builds for the kernels are
@@ -142,9 +145,10 @@ class Gate:
 
 
 # ---------------------------------------------------------------------------
-# Kernels on raw amplitude arrays shaped (2**n, B): the basis index is the
-# first axis and the batch the last, so every view a kernel takes keeps the
-# batch axis contiguous, whichever qubit it targets.
+# Kernels on (B, 2**n) rows, and the column kernels on raw (2**n, B) storage
+# that they hand a shared matrix: there the basis index is the first axis and
+# the batch the last, so every view a column kernel takes keeps the batch axis
+# contiguous, whichever qubit it targets.
 # ---------------------------------------------------------------------------
 
 # Columns per BLAS call in ``apply_gate``, for every d.
@@ -203,14 +207,19 @@ def _run_view(rows: np.ndarray, qubits: tuple[int, ...]) -> np.ndarray:
 def apply_rows(rows: np.ndarray, qubits: tuple[int, ...], u: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Write ``u[b]`` applied to the run ``qubits`` of each sample ``rows[b]`` into ``out`` and return it.
 
-    ``rows`` and ``out`` are ``(B, 2**n)`` and must not overlap; ``u`` is
-    batch-first ``(Bx, d, d)``, shared when ``Bx`` is 1. On sample-major
-    (C-contiguous) storage this is one stacked BLAS matmul, which needs a
-    BLAS-able ``u``: on a run that ends at qubit 0 each sample's block is
-    multiplied from the right by ``u[b]^T``, elsewhere from the left. On the
-    transposed view of ``(2**n, B)`` storage it is elementwise over the
-    contiguous batch axis, d multiplies, which is faster for d <= 4.
+    ``rows`` and ``out`` are ``(B, 2**n)`` in one storage and must not
+    overlap; ``u`` is batch-first ``(Bx, d, d)``, shared when ``Bx`` is 1.
+    On sample-major (C-contiguous) storage this is one stacked BLAS matmul,
+    which needs a BLAS-able ``u``: on a run that ends at qubit 0 each
+    sample's block is multiplied from the right by ``u[b]^T``, elsewhere
+    from the left. On the transposed view of ``(2**n, B)`` storage a shared
+    ``u`` is ``apply_gate``'s BLAS product, and a per-sample one is
+    elementwise over the contiguous batch axis, d multiplies, which is
+    faster for d <= 4.
     """
+    if not rows.flags.c_contiguous and len(u) == 1:
+        apply_gate(rows.T, qubits, u[0], out.T)
+        return out
     src, dst = _run_view(rows, qubits), _run_view(out, qubits)
     if not rows.flags.c_contiguous:
         tmp = np.empty_like(dst)
@@ -224,44 +233,54 @@ def apply_rows(rows: np.ndarray, qubits: tuple[int, ...], u: np.ndarray, out: np
     return out
 
 
-def rows_overlap(mu: np.ndarray, psi: np.ndarray, qubits: tuple[int, ...], out: np.ndarray | None = None) -> np.ndarray:
-    """Per-sample reduced overlaps ``G[b, i, j] = sum_rest mu_i psi_j`` on the run ``qubits``, batch-first.
+def rows_overlap(
+    mu: np.ndarray, psi: np.ndarray, qubits: tuple[int, ...], summed: bool, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Reduced overlaps ``G[b, i, j] = sum_rest mu_i psi_j`` on the run ``qubits``, batch-first ``(Bx, d, d)``.
 
-    ``mu`` and ``psi`` are ``(B, 2**n)``, stored as in ``apply_rows``. On
-    sample-major storage a run that ends at qubit 0 gives ``M_b^T P_b`` and
-    one that starts at the top qubit ``M_b P_b^T``, each one stacked BLAS
-    matmul, and the result goes into ``out`` when it is given. On the
-    transposed view of ``(2**n, B)`` storage it is one elementwise product
-    and one sum, and the result a view of ``(d, d, B)`` storage.
+    ``mu`` and ``psi`` are ``(B, 2**n)``, stored as in ``apply_rows``. They
+    are per-sample (``Bx = B``), or with ``summed`` summed over the batch
+    (``Bx = 1``), as a shared matrix's gradient needs. On sample-major
+    storage a run that ends at qubit 0 gives ``M_b^T P_b`` and one that
+    starts at the top qubit ``M_b P_b^T``, each one stacked BLAS matmul,
+    and the per-sample overlaps go into ``out`` when it is given. On the
+    transposed view of ``(2**n, B)`` storage a summed overlap is
+    ``gate_overlap``'s BLAS product, and per-sample ones are one elementwise
+    product and one sum, a view of ``(d, d, B)`` storage.
     """
     if not mu.flags.c_contiguous:
+        if summed:
+            return gate_overlap(mu.T, psi.T, qubits)[None]
         # (R, d, C, B) blocks of the (2**n, B) storage; the products keep the batch contiguous
         lo, d = _run_low(mu.shape[1], qubits), 1 << len(qubits)
         m, p = mu.T.reshape(-1, d, 1, 1 << lo, len(mu)), psi.T.reshape(-1, 1, d, 1 << lo, len(mu))
         return np.sum(m * p, axis=(0, 3)).transpose(2, 0, 1)
     m, p = _run_view(mu, qubits), _run_view(psi, qubits)
     if m.shape[3] == 1:
-        return np.matmul(m[..., 0].swapaxes(1, 2), p[..., 0], out=out)
-    if m.shape[1] == 1:
-        return np.matmul(m[:, 0], p[:, 0].swapaxes(1, 2), out=out)
-    return np.sum(np.matmul(m, p.swapaxes(2, 3)), axis=1, out=out)
+        g = np.matmul(m[..., 0].swapaxes(1, 2), p[..., 0], out=out)
+    elif m.shape[1] == 1:
+        g = np.matmul(m[:, 0], p[:, 0].swapaxes(1, 2), out=out)
+    else:
+        g = np.sum(np.matmul(m, p.swapaxes(2, 3)), axis=1, out=out)
+    return g.sum(axis=0, keepdims=True) if summed else g
 
 
-def apply_phased_perm(
-    amps: np.ndarray, perm: np.ndarray | None, phase: np.ndarray | None, out: np.ndarray, axis: int
-) -> np.ndarray:
-    """``out[i] = phase[i] * amps[perm[i]]`` along the basis axis ``axis`` of a 2-D state.
+def apply_phased_perm(amps: np.ndarray, perm: np.ndarray | None, phase: np.ndarray | None, out: np.ndarray) -> np.ndarray:
+    """``out[:, i] = phase[i] * amps[:, perm[i]]`` on ``(B, 2**n)`` rows, written into ``out`` and returned.
 
     ``perm=None`` is the identity and ``phase=None`` all 1; a real ``phase``
-    only flips signs. The basis axis is 0 of ``(2**n, B)`` storage and 1 of
-    sample-major ``(B, 2**n)`` rows. A phase-only map (CZ gates and constant
-    RZ rotations) is one multiply, with no gather. ``perm`` indexes ``amps``
-    by construction, so the gather runs with ``mode="clip"``: under the
-    default ``"raise"`` NumPy gathers into a temporary buffer and copies it
-    to ``out``.
+    only flips signs. ``amps`` and ``out`` share a storage, and the map runs
+    along its basis axis: axis 1 of sample-major (C-contiguous) rows, axis 0
+    of the ``(2**n, B)`` storage behind a transposed view. A phase-only map
+    (CZ gates and constant RZ rotations) is one multiply, with no gather.
+    ``perm`` indexes ``amps`` by construction, so the gather runs with
+    ``mode="clip"``: under the default ``"raise"`` NumPy gathers into a
+    temporary buffer and copies it to ``out``.
     """
-    if phase is not None and axis == 0:
-        phase = phase[:, None]
+    result, axis = out, 1
+    if not amps.flags.c_contiguous:
+        amps, out, axis = amps.T, out.T, 0
+        phase = None if phase is None else phase[:, None]
     if perm is not None:
         np.take(amps, perm, axis=axis, out=out, mode="clip")
         if phase is not None:
@@ -270,7 +289,7 @@ def apply_phased_perm(
         np.multiply(amps, phase, out=out)
     else:
         np.copyto(out, amps)
-    return out
+    return result
 
 
 @dataclass(frozen=True)

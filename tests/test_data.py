@@ -302,6 +302,21 @@ class TestDataset:
         with pytest.raises(ValueError):
             Dataset(np.zeros((3, 2)), np.array([0, 1, 0]), subject_ids=np.array([1, 2]))
 
+    @pytest.mark.parametrize("labels", [[0.7, 1.2], [0.0, np.nan], [0, 2]])
+    def test_non_binary_labels_rejected_before_the_cast(self, labels):
+        with pytest.raises(ValueError, match="labels must be 0/1"):
+            Dataset(np.zeros((2, 3)), labels)
+
+    @pytest.mark.parametrize("ids", [[1.5, 2.9], [1.0, np.nan], [1.0, np.inf], ["a", "b"]])
+    def test_non_integral_subject_ids_rejected_before_the_cast(self, ids):
+        with pytest.raises(ValueError, match="subject_ids must be integers"):
+            Dataset(np.zeros((2, 3)), [0, 1], subject_ids=ids)
+
+    def test_integral_labels_and_subject_ids_of_any_numeric_dtype_load(self):
+        ds = Dataset(np.zeros((3, 3)), [True, False, True], subject_ids=np.array([4.0, -1.0, 4.0]))
+        assert ds.labels.dtype == ds.subject_ids.dtype == np.int64
+        assert ds.labels.tolist() == [1, 0, 1] and ds.subject_ids.tolist() == [4, -1, 4]
+
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_samples_rejected(self, value):
         samples = np.zeros((4, 2, 5))

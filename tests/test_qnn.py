@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import hqnnbench.qnn as qnn_module
+import hqnnbench.statevec as statevec_module
 from hqnnbench.qnn import (
     Circuit,
     PhasedPerm,
@@ -411,7 +412,7 @@ class TestCompiledProgram:
         # 20 features fill qubits 0-5 and two slots of qubit 6; qubit 7 reads only padding
         c = build_ang_arb(8, 20, True)
         (stage,) = c.program
-        assert c.rows and c.sample_major  # every block is per-sample
+        assert c.sample_major  # every block is per-sample
         assert [(app.qubits, len(app.members)) for app in stage.apps] == [((3, 2, 1, 0), 4), ((7, 6, 5, 4), 4)]
         # qubit 7 (wire 0 of the upper block) reads no input slot in any entry of its table row
         reads = {stage.qubits[slot]: (w, _reads_input(a for _, a in stage.table[slot])) for slot, w in stage.apps[1].members}
@@ -422,7 +423,7 @@ class TestCompiledProgram:
             c = build_ang_arb(n, 3 * n, False)
             (stage,) = c.program
             assert [app.qubits for app in stage.apps] == runs
-            assert c.rows and c.sample_major is sample_major
+            assert c.sample_major is sample_major
 
     def test_qcnn_8_stages_mix_ry_and_rz_in_one_table(self):
         # RZ(p0) on a and RY(p1) on b of every block of a layer form one one-step
@@ -494,13 +495,21 @@ class TestCompiledProgram:
                 assert op.n_tail >= 1 and op.n_head + op.n_tail == op.shape[1]
 
     def test_layout_is_decided_per_circuit_by_its_input_slots(self):
-        # angle circuits read inputs in every layer and keep (B, 2**n) rows, sample-major
-        # from 5 qubits on; amplitude circuits read none and keep (2**n, B) columns
+        # angle circuits read inputs in every layer and keep sample-major rows from
+        # 5 qubits on; amplitude circuits read none and keep (2**n, B) storage. The
+        # forward pass hands back (B, 2**n) rows of that storage.
+        rng = np.random.default_rng(61)
         for n in (4, 8):
-            for c in (build_ang_ry(n, 2 * n, True), build_ang_arb(n, 3 * n, True)):
-                assert (c.rows, c.sample_major) == (True, n == 8)
-            for c in (build_amp_gen(n, True), build_qcnn(n)):
-                assert (c.rows, c.sample_major) == (False, False)
+            for c, sample_major in (
+                (build_ang_ry(n, 2 * n, True), n == 8),
+                (build_ang_arb(n, 3 * n, True), n == 8),
+                (build_amp_gen(n, True), False),
+                (build_qcnn(n), False),
+            ):
+                assert c.sample_major is sample_major
+                _, state = qnn_forward_batch(c, rng.normal(size=(3, c.n_inputs)), np.zeros(c.n_params), return_state=True)
+                assert state.amps.shape == (3, 1 << n)
+                assert (state.amps if sample_major else state.amps.T).flags.c_contiguous
 
 
 def _fused_slot_reuse_circuit():
@@ -622,6 +631,7 @@ class TestKroneckerBlocks:
     def test_cases_cover_the_block_layouts(self):
         widths, holes, blocks_per_stage, shared = set(), False, set(), False
         for c, *_ in _one_qubit_stage_cases():
+            reads = _reads_input(a for gate in c.ops for a in gate.angles)
             for op in c.program:
                 if not isinstance(op, Stage):
                     continue
@@ -629,7 +639,7 @@ class TestKroneckerBlocks:
                 holes |= any(len(app.members) < len(app.qubits) for app in op.apps)
                 blocks_per_stage.add(len(op.apps))
                 # a gate that reads no input slot, in a block of a circuit that reads them
-                shared |= c.rows and not all(_reads_input(a for _, a in row) for row in op.table)
+                shared |= reads and not all(_reads_input(a for _, a in row) for row in op.table)
         assert widths == {1, 2, 3, 4} and holes and shared and 3 in blocks_per_stage
 
     def test_forward_rows_match_dense_oracle(self):
@@ -828,36 +838,42 @@ class TestForwardState:
 class TestBackwardKernelCalls:
     """Every op but the first un-applies each kernel call on psi and on mu.
     The first op is processed last: nothing reads psi afterwards, and mu only
-    for the input gradient of an amplitude-encoded circuit. A circuit that reads
-    inputs runs every call on rows, one that reads none on columns."""
+    for the input gradient of an amplitude-encoded circuit. The backward pass
+    runs every call on rows (``apply_rows``, ``rows_overlap``), and statevec
+    hands a batch-shared one on (2**n, B) storage to its column kernels
+    (``apply_gate``, ``gate_overlap``): every call of a circuit that reads no
+    input, and none of one whose every stage reads inputs."""
 
-    KERNELS = ("apply_gate", "gate_overlap", "apply_rows", "rows_overlap")
+    ROW_KERNELS, COLUMN_KERNELS = ("apply_rows", "rows_overlap"), ("apply_gate", "gate_overlap")
 
     @classmethod
     def count_calls(cls, monkeypatch, c):
         calls = collections.Counter()
 
-        def counting(name):
-            real = getattr(qnn_module, name)
+        def counting(module, name):
+            real = getattr(module, name)
 
             def wrapper(*args, **kwargs):
                 calls[name] += 1
                 return real(*args, **kwargs)
 
-            return wrapper
+            monkeypatch.setattr(module, name, wrapper)
 
         rng = np.random.default_rng(44)
         xs = rng.normal(size=(4, c.n_inputs))
         p = rng.normal(size=c.n_params)
         out, amps = qnn_forward_batch(c, xs, p, return_state=True)
-        for name in cls.KERNELS:
-            monkeypatch.setattr(qnn_module, name, counting(name))
+        for name in cls.ROW_KERNELS:  # where qnn calls them
+            counting(qnn_module, name)
+        for name in cls.COLUMN_KERNELS:  # where statevec calls them
+            counting(statevec_module, name)
         qnn_backward_batch(c, xs, p, np.ones_like(out), final_amps=amps)
         return calls
 
     def test_amp_gen_8_two_blocks_per_stage(self, monkeypatch):
         calls = self.count_calls(monkeypatch, build_amp_gen(8, True))
-        assert calls == {"apply_gate": 31 * 2 * 2 + 2, "gate_overlap": 32 * 2}
+        applies, overlaps = 31 * 2 * 2 + 2, 32 * 2
+        assert calls == {"apply_rows": applies, "rows_overlap": overlaps, "apply_gate": applies, "gate_overlap": overlaps}
 
     def test_ang_arb_8_first_stage_is_not_unapplied(self, monkeypatch):
         # 11 stages of two per-sample blocks; in the last, qubits 6 and 7 read only padding
@@ -872,7 +888,29 @@ class TestBackwardKernelCalls:
         # 10 stages of one 4-qubit block, all holding parameters; the program starts
         # with a permutation, so every stage is un-applied from both states
         calls = self.count_calls(monkeypatch, build_qcnn(4))
-        assert calls == {"apply_gate": 10 * 2, "gate_overlap": 10}
+        assert calls == {"apply_rows": 10 * 2, "rows_overlap": 10, "apply_gate": 10 * 2, "gate_overlap": 10}
+
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_a_shared_stage_of_a_circuit_on_rows_takes_a_summed_overlap(self, n, monkeypatch):
+        # per-sample stage, CNOTs, a shared RY on qubit 1, per-sample stage: the
+        # shared one takes the column kernels on (2**n, B) storage (n = 3) and
+        # the row kernels' batch-summed overlap on sample-major rows (n = 5)
+        ops = (
+            *(Gate.ry(q, Angle.input(q)) for q in range(n)),
+            *(Gate.cnot(q, q + 1) for q in range(n - 1)),
+            Gate.ry(1, 0.4),
+            Gate.cz(0, 1),
+            Gate.ry(0, Angle.input(0)),
+        )
+        c = Circuit(n, "angle", ops, 0, n, Observable.local_z())
+        summed = []
+        real = qnn_module.rows_overlap
+        monkeypatch.setattr(qnn_module, "rows_overlap", lambda *args: summed.append(args[3]) or real(*args))
+        calls = self.count_calls(monkeypatch, c)
+        blocks = 2  # the first stage: two blocks, overlaps only
+        column = {"apply_gate": 2, "gate_overlap": 1} if n == 3 else {}
+        assert calls == {"apply_rows": 2 + 2, "rows_overlap": 1 + 1 + blocks, **column}
+        assert summed == [False, True] + [False] * blocks
 
 
 @functools.lru_cache(maxsize=None)

@@ -359,17 +359,34 @@ class TestRowKernels:
                         assert np.abs(got[b] - dense @ rows[b]).max() < 1e-12
 
     def test_rows_overlap_matches_the_direct_sum(self):
+        # per-sample, and summed over the batch, on both storages
         rng = np.random.default_rng(19)
         for qubits in self.QUBITS:
             loc, rest = self.local(qubits)
             d = 1 << len(qubits)
             for mu, psi in self.storages(rng):
-                got = rows_overlap(mu, psi, qubits)
+                refs = np.zeros((self.B, d, d), dtype=np.complex128)
                 for b in range(self.B):
                     pairs = mu[b][:, None] * psi[b][None, :] * (rest[:, None] == rest[None, :])
-                    ref = np.zeros((d, d), dtype=np.complex128)
-                    np.add.at(ref, (loc[:, None], loc[None, :]), pairs)
-                    assert np.abs(got[b] - ref).max() < 1e-12
+                    np.add.at(refs[b], (loc[:, None], loc[None, :]), pairs)
+                per_sample, summed = rows_overlap(mu, psi, qubits, False), rows_overlap(mu, psi, qubits, True)
+                assert per_sample.shape == refs.shape and np.abs(per_sample - refs).max() < 1e-12
+                assert summed.shape == (1, d, d) and np.abs(summed[0] - refs.sum(axis=0)).max() < 1e-12
+
+    def test_a_shared_matrix_on_the_transposed_view_is_the_column_product(self):
+        # wide enough that the column kernel splits the run's columns over several BLAS calls
+        rng = np.random.default_rng(21)
+        batch = 300
+        storage = rng.normal(size=(1 << self.N, batch)) + 1j * rng.normal(size=(1 << self.N, batch))
+        rows, out = storage.T, np.empty_like(storage).T
+        for qubits in self.QUBITS:
+            loc, rest = self.local(qubits)
+            d = 1 << len(qubits)
+            u = rng.normal(size=(1, d, d)) + 1j * rng.normal(size=(1, d, d))
+            assert apply_rows(rows, qubits, u, out) is out
+            dense = u[0][loc[:, None], loc[None, :]] * (rest[:, None] == rest[None, :])
+            assert np.abs(out - rows @ dense.T).max() < 1e-12
+            assert np.array_equal(out.T, apply_gate(storage, qubits, u[0], np.empty_like(storage)))
 
     def test_kernels_refuse_qubits_off_a_descending_run(self):
         # the column kernels too, on the (2**n, B) view of each storage
@@ -379,8 +396,9 @@ class TestRowKernels:
                 u = np.eye(1 << len(qubits), dtype=np.complex128)[None]
                 with pytest.raises(ValueError, match="descending run"):
                     apply_rows(rows, qubits, u, out)
-                with pytest.raises(ValueError, match="descending run"):
-                    rows_overlap(rows, out, qubits)
+                for summed in (False, True):
+                    with pytest.raises(ValueError, match="descending run"):
+                        rows_overlap(rows, out, qubits, summed)
                 with pytest.raises(ValueError, match="descending run"):
                     apply_gate(rows.T, qubits, u[0], out.T)
                 with pytest.raises(ValueError, match="descending run"):
@@ -388,39 +406,41 @@ class TestRowKernels:
 
 
 class TestSignedPermutation:
-    """``apply_phased_perm`` is ``phase[:, None] * amps[perm]`` on (2**n, B) storage
-    (basis axis 0) and ``phase * rows[:, perm]`` on sample-major rows (axis 1),
-    written into ``out``; a sign is a real phase. B != 2**n, so a swapped axis
+    """``apply_phased_perm`` is ``phase * rows[:, perm]`` on (B, 2**n) rows, written
+    into ``out``, on sample-major storage and on the transposed view of
+    (2**n, B) storage; a sign is a real phase. B != 2**n, so a swapped axis
     cannot pass."""
+
+    @staticmethod
+    def storages(rng, n, batch):
+        """One random (B, 2**n) state, sample-major, then as a view of (2**n, B) storage."""
+        rows = rng.normal(size=(batch, 1 << n)) + 1j * rng.normal(size=(batch, 1 << n))
+        yield rows
+        yield np.ascontiguousarray(rows.T).T
 
     @pytest.mark.parametrize("with_perm, with_sign", [(True, True), (True, False), (False, True), (False, False)])
     def test_matches_the_fancy_index(self, with_perm, with_sign):
         rng = np.random.default_rng(17)
         n, batch = 5, 3
-        amps = rng.normal(size=(1 << n, batch)) + 1j * rng.normal(size=(1 << n, batch))
         perm = rng.permutation(1 << n) if with_perm else None
         sign = rng.choice([-1.0, 1.0], size=1 << n) if with_sign else None
-        want = (np.ones(1 << n) if sign is None else sign)[:, None] * amps[np.arange(1 << n) if perm is None else perm]
-        for axis in (0, 1):
-            if axis:
-                amps, want = np.ascontiguousarray(amps.T), want.T
-            out = np.empty_like(amps)
-            assert apply_phased_perm(amps, perm, sign, out, axis) is out
+        for rows in self.storages(rng, n, batch):
+            want = (np.ones(1 << n) if sign is None else sign) * rows[:, np.arange(1 << n) if perm is None else perm]
+            out = np.empty_like(rows)
+            assert out.flags.c_contiguous is rows.flags.c_contiguous
+            assert apply_phased_perm(rows, perm, sign, out) is out
             assert np.array_equal(out, want)
 
     @pytest.mark.parametrize("with_perm", [True, False])
     def test_complex_phase_matches_the_fancy_index(self, with_perm):
         rng = np.random.default_rng(18)
         n, batch = 4, 3
-        amps = rng.normal(size=(1 << n, batch)) + 1j * rng.normal(size=(1 << n, batch))
         perm = rng.permutation(1 << n) if with_perm else None
         phase = np.exp(1j * rng.normal(size=1 << n))
-        want = phase[:, None] * amps[np.arange(1 << n) if perm is None else perm]
-        for axis in (0, 1):
-            if axis:
-                amps, want = np.ascontiguousarray(amps.T), want.T
-            out = np.empty_like(amps)
-            assert apply_phased_perm(amps, perm, phase, out, axis) is out
+        for rows in self.storages(rng, n, batch):
+            want = phase * rows[:, np.arange(1 << n) if perm is None else perm]
+            out = np.empty_like(rows)
+            assert apply_phased_perm(rows, perm, phase, out) is out
             assert np.abs(out - want).max() < 1e-15  # complex products may round apart in the last bit
 
 
