@@ -70,7 +70,7 @@ N_BEAT_FEATURES = 360
 
 def load_beats_csv(path) -> Dataset:
     """Read the 362-column beats CSV (360 features, label, subject id)."""
-    feats: list[list[float]] = []
+    feats: list[np.ndarray] = []
     labels: list[int] = []
     subjects: list[int] = []
     with open(path, newline="") as fh:
@@ -82,14 +82,17 @@ def load_beats_csv(path) -> Dataset:
                     f"row {row_no}: expected {N_BEAT_FEATURES + 2} columns "
                     f"(features, label, subject), got {len(row)}"
                 )
-            values = []
-            for col_no, tok in enumerate(row[:N_BEAT_FEATURES], start=1):
-                try:
-                    values.append(float(tok))
-                except ValueError:
-                    raise DataFormatError(
-                        f"row {row_no}, column {col_no}: cannot parse {tok.strip()!r} as a number"
-                    ) from None
+            try:  # NumPy parses each token with float()
+                values = np.array(row[:N_BEAT_FEATURES], dtype=np.float64)
+            except ValueError:
+                for col_no, tok in enumerate(row[:N_BEAT_FEATURES], start=1):
+                    try:
+                        float(tok)
+                    except ValueError:
+                        raise DataFormatError(
+                            f"row {row_no}, column {col_no}: cannot parse {tok.strip()!r} as a number"
+                        ) from None
+                raise
             lab = row[N_BEAT_FEATURES].strip()
             if lab not in ("0", "1"):
                 raise DataFormatError(f"row {row_no}: label must be 0 or 1, got {lab!r}")
@@ -105,7 +108,7 @@ def load_beats_csv(path) -> Dataset:
             subjects.append(subj)
     if not feats:
         raise DataFormatError(f"{path}: no data rows")
-    return Dataset(np.array(feats), np.array(labels), np.array(subjects))
+    return Dataset(np.stack(feats), np.array(labels), np.array(subjects))
 
 
 def _canonical_images(images: np.ndarray) -> np.ndarray:
@@ -260,6 +263,21 @@ def synth_blobs(n: int, dim: int, separation: float, seed: int) -> Dataset:
     return Dataset(x, labels)
 
 
+BEAT_BLOCK_ROWS = 256  # rows synth_beats fills per step (0.7 MB): its peak is its output plus about one block
+
+
+def _bump(t: np.ndarray, center, width, height, out: np.ndarray) -> np.ndarray:
+    """Write ``height * exp(-0.5 * ((t - center) / width) ** 2)`` into ``out``, one op at a time."""
+    out[...] = t  # t - center as two ops with one broadcast operand each: NumPy buffers 64 kB, not 128 kB
+    out -= center
+    out /= width
+    np.square(out, out=out)
+    out *= -0.5
+    np.exp(out, out=out)
+    out *= height
+    return out
+
+
 def synth_beats(
     n: int = 2000,
     seed: int = 0,
@@ -296,30 +314,46 @@ def synth_beats(
     s_shift = 0.02 * rng.standard_normal(n_subjects)
     s_noise = noise * (1.0 + 0.3 * rng.standard_normal(n_subjects)).clip(0.4, 2.0)
 
-    def bump(center, width, height):
-        return height * np.exp(-0.5 * ((t[None, :] - center) / width) ** 2)
-
     col = lambda v: np.asarray(v)[:, None]  # noqa: E731 - tiny shaping helper
 
     flip = rng.random(n) < ambiguity
     sick = (labels == 1) ^ flip  # morphology class; labels stay untouched
     jitter = lambda w: col(rng.normal(1.0, w, size=n))  # noqa: E731
 
+    # Every per-beat parameter is drawn before any sample, so the white noise
+    # is the tail of the stream and each block below draws the next rows of it.
     center_main = 0.45 + col(s_shift[subj]) + rng.normal(0.0, 0.01, size=(n, 1))
     width_main = col(np.where(sick, 0.030, 0.016)) * jitter(0.15)
     height_main = col(np.where(sick, 0.75, 1.15)) * jitter(0.12)
-    x = bump(center_main, width_main, height_main)
-    x -= bump(center_main - 0.035, 0.012, 0.25 * jitter(0.2))
-
+    height_dip = 0.25 * jitter(0.2)
     height_p = col(np.where(sick, 0.04, 0.14)) * jitter(0.25)
-    x += bump(0.20 + col(s_shift[subj]), 0.035, height_p)
-
     height_t = col(np.where(sick, 0.30, 0.22)) * jitter(0.3)
     center_t = col(np.where(sick, 0.74, 0.70))
-    x += bump(center_t, 0.05, height_t)
-
-    x *= col(s_scale[subj])
     phase = rng.uniform(0.0, 2 * np.pi, size=(n, 1))
-    x += 0.08 * np.sin(2 * np.pi * t[None, :] * rng.uniform(0.5, 1.5, (n, 1)) + phase)
-    x += col(s_noise[subj]) * rng.standard_normal((n, N_BEAT_FEATURES)) * 0.2
+    freq = rng.uniform(0.5, 1.5, (n, 1))
+    two_pi_t = 2 * np.pi * t
+
+    x = np.empty((n, N_BEAT_FEATURES))
+    work = np.empty((min(n, BEAT_BLOCK_ROWS), N_BEAT_FEATURES))
+    for lo in range(0, n, BEAT_BLOCK_ROWS):
+        rows = slice(lo, lo + BEAT_BLOCK_ROWS)
+        xb = x[rows]
+        w = work[: len(xb)]
+        _bump(t, center_main[rows], width_main[rows], height_main[rows], out=xb)
+        xb -= _bump(t, center_main[rows] - 0.035, 0.012, height_dip[rows], out=w)
+        xb += _bump(t, 0.20 + col(s_shift[subj[rows]]), 0.035, height_p[rows], out=w)
+        xb += _bump(t, center_t[rows], 0.05, height_t[rows], out=w)
+        xb *= col(s_scale[subj[rows]])
+        # baseline wander; two_pi_t * freq as two ops, as in _bump
+        w[...] = two_pi_t
+        w *= freq[rows]
+        w += phase[rows]
+        np.sin(w, out=w)
+        w *= 0.08
+        xb += w
+        rng.standard_normal(out=w)  # white noise
+        w *= col(s_noise[subj[rows]])
+        w *= 0.2
+        xb += w
+    del work, w  # so the Dataset's checks below do not stack on the block
     return Dataset(x, labels, subject_ids=subj)

@@ -31,9 +31,7 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from multiprocessing import get_context
 from pathlib import Path
 from statistics import median
 
@@ -408,6 +406,10 @@ def run_grid(
 
     train_args = (dataset, folds, cfg["epochs"], cfg["batch_size"], cfg["aggregate"])
     if jobs > 1 and len(todo) > 1:
+        # Imported here, so a sequential run never loads the pool's modules.
+        from concurrent.futures import ProcessPoolExecutor
+        from multiprocessing import get_context
+
         # Spawned workers start their own OpenBLAS, with one thread unless the
         # user chose a count; forked ones would inherit this process's, already
         # started with a thread per core, and jobs would contend for the cores.

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import csv
+import hashlib
 import io
+import tracemalloc
 import warnings
 import zipfile
 
@@ -91,6 +94,43 @@ class TestBeatsCsv:
         p.write_text("\n")
         with pytest.raises(DataFormatError, match="no data rows"):
             load_beats_csv(p)
+
+    def test_synth_beats_round_trip_through_repr(self, tmp_path):
+        ds = synth_beats(n=120, seed=4)
+        p = tmp_path / "beats.csv"
+        with open(p, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            for x, label, subject in zip(ds.samples, ds.labels, ds.subject_ids):
+                writer.writerow([repr(v) for v in x.tolist()] + [label, subject])
+        back = load_beats_csv(p)
+        assert back.samples.tobytes() == ds.samples.tobytes()
+        assert back.labels.tolist() == ds.labels.tolist()
+        assert back.subject_ids.tolist() == ds.subject_ids.tolist()
+
+    @pytest.mark.parametrize(
+        "tok",
+        [
+            "1.25", " 1.25 ", "\t-3e-2", "\u00a02\u00a0", "+.5", "-0.0", "1E3", "1e999", "1_000", "1__0", "_1",
+            "inf", "-Infinity", "nan", "NaN", "nan(123)", "\u0663.\u0665", "0x10", "1,5", "1.5.2", ".", "", " ", "--1",
+        ],
+    )
+    def test_feature_tokens_parse_as_float_does(self, tmp_path, tok):
+        p = tmp_path / "beats.csv"
+        row = beat_row(0, 1)
+        row[0] = tok
+        with open(p, "w", newline="") as fh:
+            csv.writer(fh).writerow(row)
+        try:
+            value = float(tok)
+        except ValueError:
+            with pytest.raises(DataFormatError, match="row 1, column 1: cannot parse"):
+                load_beats_csv(p)
+            return
+        if np.isfinite(value):
+            assert load_beats_csv(p).samples[0, 0].tobytes() == np.float64(value).tobytes()
+        else:
+            with pytest.raises(ValueError, match="finite"):
+                load_beats_csv(p)
 
 
 def npy_bytes(arr):
@@ -470,6 +510,45 @@ class TestSynthBeats:
         b = synth_beats(n=64, seed=15)
         assert np.array_equal(a.samples, b.samples)
         assert np.array_equal(a.subject_ids, b.subject_ids)
+
+    # sha256 of samples, labels and subject ids, as float64/int64 C-order bytes;
+    # run_meta.json's data_digest and perfbench's reference AUCs rest on them
+    PINNED = [
+        (
+            dict(n=2000, seed=0),
+            "bd5447408f6320118cc2e71246302e51813163a9dc19dc3a973569b62311a51f",
+            "b409f4c492389c861e2234bc0eec2dcba20686f86bb6470594fe25b62e550577",
+            "d399477e8741c91d5282a7e2e7e4d62d24da1aab14ae19ce63f5df3b76010761",
+        ),
+        (
+            dict(n=2000, seed=1),
+            "bb4c5f332e5e9822d993ba3e695eccbc3c390d58884995faa116775055c96585",
+            "b409f4c492389c861e2234bc0eec2dcba20686f86bb6470594fe25b62e550577",
+            "8ad6f2bb528f00298ad13ccccb5d6f6fc686662120c685a896cb67e9abec149f",
+        ),
+        (
+            dict(n=257, seed=3, ambiguity=0.2, noise=0.0),
+            "be7e09f36593f123d7b73958417b952e8fb92d6577993b1fbe459ae75a4c21b4",
+            "8ae3f03730e3ee9f7cf7b9cef005af054a25521843c9de743202310eaed99f11",
+            "cbf2e0c1c3b6b9ca5e32b482870556016885769071f8f9bc2d273b3ce0032918",
+        ),
+    ]
+
+    @pytest.mark.parametrize("kwargs, samples, labels, subjects", PINNED)
+    def test_bytes_are_pinned(self, kwargs, samples, labels, subjects):
+        ds = synth_beats(**kwargs)
+        digests = [hashlib.sha256(a.tobytes()).hexdigest() for a in (ds.samples, ds.labels, ds.subject_ids)]
+        assert digests == [samples, labels, subjects]
+
+    def test_peak_memory_is_the_output_plus_at_most_one_mib(self):
+        synth_beats(n=8, seed=0)  # first-call costs outside the generator are not counted
+        tracemalloc.start()
+        try:
+            ds = synth_beats(n=2000, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= ds.samples.nbytes + 2**20
 
     def test_classes_are_separable_but_not_trivially(self):
         ds = synth_beats(n=1200, seed=16)

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import errno
 import hashlib
 import importlib
 import json
 import os
 import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -853,6 +856,17 @@ class TestRunGrid:
     def test_protocol_keys_are_the_one_value_keys_that_not_only_a_dataset_reads(self):
         assert PROTOCOL_KEYS == ("folds", "epochs", "batch_size", "seed", "aggregate", "dataset")
 
+    def test_a_sequential_run_loads_no_process_pool_modules(self, tmp_path):
+        # a fresh interpreter: this one may hold the modules from a --jobs test
+        code = (
+            "import sys; sys.path.insert(0, sys.argv[1]); from hqnnbench.harness import run_grid; "
+            f"run_grid({TINY_RUN!r}, sys.argv[2], sys.argv[2] + '/out'); "
+            "print(sorted(m for m in sys.modules if m.startswith(('multiprocessing', 'concurrent.futures.process'))))"
+        )
+        src = str(Path(harness.__file__).parents[1])
+        proc = subprocess.run([sys.executable, "-c", code, src, str(tmp_path)], capture_output=True, text=True, check=True)
+        assert proc.stdout.strip() == "[]"
+
     @pytest.mark.parametrize("user_threads", [None, "3"], ids=["unset", "user_set"])
     def test_pool_workers_start_with_one_blas_thread_unless_the_user_set_it(self, tmp_path, monkeypatch, user_threads):
         if user_threads is None:
@@ -861,12 +875,12 @@ class TestRunGrid:
             monkeypatch.setenv("OPENBLAS_NUM_THREADS", user_threads)
         seen = []
 
-        class Probe(harness.ProcessPoolExecutor):
+        class Probe(concurrent.futures.ProcessPoolExecutor):
             def map(self, fn, *iterables):
                 seen.append(self.submit(os.getenv, "OPENBLAS_NUM_THREADS").result())
                 return super().map(fn, *iterables)
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", Probe)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Probe)
         run_grid(dict(TINY_RUN), tmp_path, tmp_path / "out", jobs=2)
         assert seen == [user_threads or "1"]
         assert os.environ.get("OPENBLAS_NUM_THREADS") == user_threads  # this process's environment is as it was
