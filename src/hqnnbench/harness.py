@@ -252,8 +252,10 @@ def _check_row(row) -> None:
     if "aggregate" not in row:
         raise ValueError("no aggregate")
     agg = row["aggregate"]
-    if agg is not None and not (isinstance(agg, dict) and all(type(agg.get(m)) in (int, float) for m in METRIC_NAMES)):
-        raise ValueError(f"aggregate is neither null nor an object with numbers {', '.join(METRIC_NAMES)}")
+    # abs(v) < inf refuses the NaN and Infinity that json.loads reads, and compares an int of any size exactly
+    finite = isinstance(agg, dict) and all(type(agg.get(m)) in (int, float) and abs(agg[m]) < math.inf for m in METRIC_NAMES)
+    if agg is not None and not finite:
+        raise ValueError(f"aggregate is neither null nor an object with finite numbers {', '.join(METRIC_NAMES)}")
 
 
 def _parse_row(results_path: Path, number: int, line: bytes) -> dict:

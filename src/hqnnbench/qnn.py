@@ -507,6 +507,12 @@ class Circuit:
     stages (see ``Stage``), and ``diagonals`` the observable's
     (``Observable.diagonals``), which both passes read.
 
+    The slot counts come from the gates. ``n_params`` is one more than the
+    largest parameter slot a gate reads (0 if none reads one), so a slot no
+    gate reads below it gets a zero gradient. ``n_inputs`` is ``2**n`` for
+    amplitude encoding, and otherwise one more than the largest input slot
+    read (0 if none).
+
     The state's storage is fixed here, from what the circuit reads: the
     passes work on ``(B, 2**n)`` rows, and ``sample_major`` says that they
     are C-contiguous. It is set when a gate reads an input slot and the
@@ -517,9 +523,9 @@ class Circuit:
     n_qubits: int
     encoding: str
     ops: tuple[Gate, ...]
-    n_params: int
-    n_inputs: int
     observable: Observable
+    n_params: int = field(init=False)
+    n_inputs: int = field(init=False)
     program: tuple = field(init=False, repr=False, compare=False)
     tails: _Steps = field(init=False, repr=False, compare=False)
     diagonals: np.ndarray = field(init=False, repr=False, compare=False)
@@ -530,21 +536,18 @@ class Circuit:
             raise ValueError(f"n_qubits must be in 1..{MAX_QUBITS}")
         if self.encoding not in ("angle", "amplitude"):
             raise ValueError(f"unknown encoding {self.encoding!r}")
-        if self.encoding == "amplitude" and self.n_inputs != 1 << self.n_qubits:
-            raise ValueError("amplitude-encoded circuits must consume 2**n_qubits inputs")
+        largest = {"param": -1, "input": -1, "const": -1}  # the largest slot each source reads
         for gate in self.ops:
             if any(q >= self.n_qubits for q in gate.targets):
                 raise ValueError(f"gate target out of range: {gate}")
             for ang in gate.angles:
-                if ang.source == "param" and ang.index >= self.n_params:
-                    raise ValueError(f"param slot {ang.index} >= n_params {self.n_params}")
-                if ang.source == "input":
-                    if self.encoding == "amplitude":
-                        raise ValueError("amplitude-encoded circuits take no input slots")
-                    if ang.index >= self.n_inputs:
-                        raise ValueError(f"input slot {ang.index} >= n_inputs {self.n_inputs}")
+                largest[ang.source] = max(largest[ang.source], ang.index)
+        reads_inputs = largest["input"] >= 0
+        if self.encoding == "amplitude" and reads_inputs:
+            raise ValueError("amplitude-encoded circuits take no input slots")
+        object.__setattr__(self, "n_params", largest["param"] + 1)
+        object.__setattr__(self, "n_inputs", 1 << self.n_qubits if self.encoding == "amplitude" else largest["input"] + 1)
         object.__setattr__(self, "diagonals", self.observable.diagonals(self.n_qubits))
-        reads_inputs = any(a.source == "input" for gate in self.ops for a in gate.angles)
         width = _block_width(self.n_qubits, reads_inputs)
         object.__setattr__(self, "sample_major", reads_inputs and width >= _SAMPLE_MAJOR_QUBITS)
         program, tails = _compile_program(self.ops, self.n_qubits, width)
@@ -579,16 +582,13 @@ def _arb(q: int, phi, theta, omega) -> tuple[Gate, Gate, Gate]:
     return (Gate.rz(q, phi), Gate.ry(q, theta), Gate.rz(q, omega))
 
 
-def _variational_layer(ops: list[Gate], n_qubits: int, p0: int, entangle: bool) -> int:
-    """One arbitrary-rotation layer plus optional circular CNOT entangler."""
-    p = p0
+def _variational_layer(ops: list[Gate], n_qubits: int, slots: itertools.count, entangle: bool) -> None:
+    """One arbitrary-rotation layer, on the next parameter slots, plus optional circular CNOT entangler."""
     for q in range(n_qubits):
-        ops.extend(_arb(q, Angle.param(p), Angle.param(p + 1), Angle.param(p + 2)))
-        p += 3
+        ops.extend(_arb(q, *(Angle.param(next(slots)) for _ in range(3))))
     if entangle and n_qubits >= 2:
         for q in range(n_qubits):
             ops.append(Gate.cnot(q, (q + 1) % n_qubits))
-    return p
 
 
 def build_ang_ry(
@@ -602,17 +602,15 @@ def build_ang_ry(
         raise ValueError("latent_dim must be positive")
     k = -(-latent_dim // n_qubits)
     ops: list[Gate] = []
-    p = 0
+    slots = itertools.count()
     for s in range(k):
         for q in range(n_qubits):
             ops.append(Gate.ry(q, _input_or_pad(s * n_qubits + q, latent_dim)))
-        p = _variational_layer(ops, n_qubits, p, entangle)
+        _variational_layer(ops, n_qubits, slots, entangle)
     return Circuit(
         n_qubits=n_qubits,
         encoding="angle",
         ops=tuple(ops),
-        n_params=p,
-        n_inputs=latent_dim,
         observable=observable or Observable.global_z(),
     )
 
@@ -634,11 +632,11 @@ def build_ang_arb(
     seg = 3 * n_qubits
     k = -(-latent_dim // seg)
     ops: list[Gate] = []
-    p = 0
+    slots = itertools.count()
     for s in range(k):
         for q in range(n_qubits):
             ops.extend(_arb(q, *(_input_or_pad(s * seg + 3 * q + j, latent_dim) for j in range(3))))
-        p = _variational_layer(ops, n_qubits, p, entangle=False)
+        _variational_layer(ops, n_qubits, slots, entangle=False)
         if entangle and n_qubits >= 2 and s < k - 1:
             start = 0 if s % 2 == 0 else 1
             for q in range(start, n_qubits - 1, 2):
@@ -647,8 +645,6 @@ def build_ang_arb(
         n_qubits=n_qubits,
         encoding="angle",
         ops=tuple(ops),
-        n_params=p,
-        n_inputs=latent_dim,
         observable=observable or Observable.global_z(),
     )
 
@@ -668,15 +664,13 @@ def build_amp_gen(
     latent_dim = 1 << n_qubits
     k = latent_dim // n_qubits
     ops: list[Gate] = []
-    p = 0
+    slots = itertools.count()
     for _ in range(k):
-        p = _variational_layer(ops, n_qubits, p, entangle)
+        _variational_layer(ops, n_qubits, slots, entangle)
     return Circuit(
         n_qubits=n_qubits,
         encoding="amplitude",
         ops=tuple(ops),
-        n_params=p,
-        n_inputs=latent_dim,
         observable=observable or Observable.global_z(),
     )
 
@@ -716,14 +710,10 @@ def build_qcnn(n_qubits: int) -> Circuit:
         raise ValueError("qcnn circuit supports 4 or 8 qubits")
     active = list(range(n_qubits))
     ops: list[Gate] = []
-    p = 0
+    slots = itertools.count()
 
     def layer(pairs: list[tuple[int, int]]) -> None:
-        nonlocal p
-        blocks = []
-        for a, b in pairs:
-            blocks.append(_qcnn_block(a, b, Angle.param(p), Angle.param(p + 1), Angle.param(p + 2)))
-            p += 3
+        blocks = [_qcnn_block(a, b, *(Angle.param(next(slots)) for _ in range(3))) for a, b in pairs]
         for step in zip(*blocks):  # one step of every block, then the next step
             ops.extend(step)
 
@@ -738,8 +728,6 @@ def build_qcnn(n_qubits: int) -> Circuit:
         n_qubits=n_qubits,
         encoding="amplitude",
         ops=tuple(ops),
-        n_params=p,
-        n_inputs=1 << n_qubits,
         observable=Observable.single_z(active[0]),
     )
 

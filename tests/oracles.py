@@ -211,13 +211,13 @@ def param_shift_jacobian(circuit: Circuit, inputs, params) -> np.ndarray:
 def fd_jacobian(f, x: np.ndarray, h: float) -> np.ndarray:
     """Central-difference Jacobian of vector-valued f; shape (out, x.size)."""
     x = np.asarray(x, dtype=np.float64)
-    cols = []
+    jac = np.zeros(np.shape(f(x)) + (x.size,))
     for j in range(x.size):
         xp, xm = x.copy(), x.copy()
         xp.flat[j] += h
         xm.flat[j] -= h
-        cols.append((np.asarray(f(xp)) - np.asarray(f(xm))) / (2.0 * h))
-    return np.stack(cols, axis=-1)
+        jac[..., j] = (np.asarray(f(xp)) - np.asarray(f(xm))) / (2.0 * h)
+    return jac
 
 
 def fd_scalar_grad(f, x: np.ndarray, h: float) -> np.ndarray:
@@ -244,21 +244,19 @@ def random_circuit(rng: np.random.Generator, max_qubits: int = 4, encoding: str 
     builders do), which keeps the plain two-term parameter-shift rule valid
     as a gradient oracle. Input slots may be reused. A drawn arbitrary
     rotation counts as one gate and adds its three primitives, and a drawn
-    QCNN block its eight.
+    QCNN block its eight. The slots are drawn from fixed ranges, so the
+    circuit's counts (which come from the slots its gates read) may leave
+    unread parameter and input slots below the largest one.
     """
     n = int(rng.integers(1, max_qubits + 1))
-    if encoding == "amplitude":
-        n_inputs = 1 << n
-    else:
-        n_inputs = int(rng.integers(1, 6))
-    n_params = int(rng.integers(1, 13))
+    input_slots = int(rng.integers(1, 6))
     n_gates = int(rng.integers(3, 10))
-    free_params = list(rng.permutation(n_params))
+    free_params = list(rng.permutation(int(rng.integers(1, 13))))
 
     def slot() -> Angle:
         kind = rng.integers(0, 3)
         if kind == 1 and encoding != "amplitude":
-            return Angle.input(int(rng.integers(0, n_inputs)))
+            return Angle.input(int(rng.integers(0, input_slots)))
         if kind != 0 and free_params:
             return Angle.param(int(free_params.pop()))
         return Angle.const(float(rng.normal()))
@@ -292,20 +290,13 @@ def random_circuit(rng: np.random.Generator, max_qubits: int = 4, encoding: str 
         obs = Observable.global_z()
     else:
         obs = Observable.single_z(int(rng.integers(0, n)))
-    circuit = Circuit(
-        n_qubits=n,
-        encoding=encoding,
-        ops=tuple(ops),
-        n_params=n_params,
-        n_inputs=n_inputs,
-        observable=obs,
-    )
-    inputs = rng.normal(size=n_inputs)
+    circuit = Circuit(n_qubits=n, encoding=encoding, ops=tuple(ops), observable=obs)
+    inputs = rng.normal(size=circuit.n_inputs)
     if encoding == "amplitude":
         # keep the norm comfortably away from the degenerate-input cutoff
         while np.linalg.norm(inputs) < 0.5:
-            inputs = rng.normal(size=n_inputs)
-    params = rng.normal(size=n_params)
+            inputs = rng.normal(size=circuit.n_inputs)
+    params = rng.normal(size=circuit.n_params)
     return circuit, inputs, params
 
 
@@ -319,11 +310,10 @@ def one_qubit_stage_circuit(rng: np.random.Generator, n: int, encoding: str = "a
     stages mixing both kinds all occur. Every param and input slot feeds one
     rotation, so the two-term shift rule is exact for both.
     """
-    counts = {"param": 0, "input": 0}
+    slots = {"param": itertools.count(), "input": itertools.count()}
 
     def fresh(source: str) -> Angle:
-        counts[source] += 1
-        return Angle(source, index=counts[source] - 1)
+        return Angle(source, index=next(slots[source]))
 
     ops = []
     for s in range(n_stages):
@@ -344,11 +334,9 @@ def one_qubit_stage_circuit(rng: np.random.Generator, n: int, encoding: str = "a
                     else:
                         angles.append(fresh("param") if rng.integers(0, 3) else Angle.const(float(rng.normal())))
                 ops.extend(arb(q, *angles) if make is arb else [make(q, *angles)])
-    n_inputs = 1 << n if encoding == "amplitude" else max(counts["input"], 1)
     obs = (Observable.local_z(), Observable.global_z(), Observable.single_z(int(rng.integers(0, n))))
-    obs = obs[int(rng.integers(0, 3))]
-    circuit = Circuit(n, encoding, tuple(ops), counts["param"], n_inputs, obs)
-    return circuit, rng.normal(size=n_inputs), rng.normal(size=counts["param"])
+    circuit = Circuit(n, encoding, tuple(ops), obs[int(rng.integers(0, 3))])
+    return circuit, rng.normal(size=circuit.n_inputs), rng.normal(size=circuit.n_params)
 
 
 def phased_perm_circuit(rng: np.random.Generator, n: int, encoding: str = "angle", n_stages: int = 3):
@@ -360,11 +348,10 @@ def phased_perm_circuit(rng: np.random.Generator, n: int, encoding: str = "angle
     angles). Every param and input slot feeds one rotation, so the two-term
     shift rule is exact for both. Needs ``n >= 2``.
     """
-    counts = {"param": 0, "input": 0}
+    slots = {"param": itertools.count(), "input": itertools.count()}
 
     def fresh(source: str) -> Angle:
-        counts[source] += 1
-        return Angle(source, index=counts[source] - 1)
+        return Angle(source, index=next(slots[source]))
 
     ops: list[Gate] = []
 
@@ -387,9 +374,8 @@ def phased_perm_circuit(rng: np.random.Generator, n: int, encoding: str = "angle
             ops.append((Gate.ry, Gate.rz)[int(rng.integers(0, 2))](int(q), fresh(source)))
     entangle()
     phases()
-    n_inputs = 1 << n if encoding == "amplitude" else max(counts["input"], 1)
-    circuit = Circuit(n, encoding, tuple(ops), counts["param"], n_inputs, Observable.local_z())
-    return circuit, rng.normal(size=n_inputs), rng.normal(size=counts["param"])
+    circuit = Circuit(n, encoding, tuple(ops), Observable.local_z())
+    return circuit, rng.normal(size=circuit.n_inputs), rng.normal(size=circuit.n_params)
 
 
 # ---------------------------------------------------------------------------

@@ -98,7 +98,7 @@ def test_criterion_02_gradient_triple_check():
         upstream = np.ones(circuit.out_dim)
         _, gp = qnn_backward(circuit, x, theta, upstream)
         ps = param_shift_jacobian(circuit, x, theta).sum(axis=0)
-        worst_ps = max(worst_ps, float(np.abs(gp - ps).max()))
+        worst_ps = max(worst_ps, float(np.abs(gp - ps).max(initial=0.0)))
         fd = fd_jacobian(lambda p: qnn_forward(circuit, x, p), theta, 1e-5).sum(axis=0)
         if not np.allclose(gp, fd, rtol=1e-5, atol=1e-7):
             worst_fd = max(worst_fd, float(np.abs(gp - fd).max()))
@@ -125,11 +125,9 @@ def test_criterion_03_analytic_ry_case():
         n_qubits=1,
         encoding="angle",
         ops=(Gate.ry(0, Angle.param(0)),),
-        n_params=1,
-        n_inputs=1,
         observable=Observable.single_z(0),
     )
-    x = np.zeros(1)
+    x = np.zeros(0)
     worst_v, worst_g = 0.0, 0.0
     for theta in np.linspace(-3.0, 3.0, 20):
         p = np.array([theta])

@@ -959,7 +959,11 @@ class TestCli:
 
     @pytest.mark.parametrize("command", ["run", "report"])
     @pytest.mark.parametrize(
-        "damage", ["cut", "not_an_object", "no_config_hash", "text_metric", "no_preproc", "stale_hash", "stale_label"]
+        "damage",
+        [
+            "cut", "not_an_object", "no_config_hash", "text_metric", "non_finite_metric", "infinite_metric",
+            "no_preproc", "stale_hash", "stale_label",
+        ],
     )
     def test_malformed_inner_line_is_refused_untouched(self, tmp_path, capsys, command, damage):
         cfg = self.write_cfg(tmp_path)
@@ -967,8 +971,12 @@ class TestCli:
         argv = ["run", "--config", str(cfg), "--data-dir", str(tmp_path), "--out", str(out), "--epochs", "1"]
         assert main(argv) == 0
         row = (out / "results.jsonl").read_bytes()
-        text_metric, no_preproc, stale_hash, stale_label = (json.loads(row) for _ in range(4))
+        text_metric, non_finite_metric, infinite_metric, no_preproc, stale_hash, stale_label = (
+            json.loads(row) for _ in range(6)
+        )
         text_metric["aggregate"]["roc_auc"] = "high"
+        non_finite_metric["aggregate"]["roc_auc"] = float("nan")  # json writes NaN, which json.loads reads
+        infinite_metric["aggregate"]["avg_precision"] = float("inf")  # and Infinity
         del no_preproc["config"]["preproc"]  # a config that no longer rebuilds
         stale_hash["config"]["seed"] += 1  # a config that rebuilds, but not into its config_hash
         stale_label["label"] = stale_label["label"].replace("conv0", "conv1")  # another preprocessor's label
@@ -977,7 +985,8 @@ class TestCli:
             "not_an_object": b"[1, 2]\n",
             "no_config_hash": b'{"label": "x"}\n',
             **{name: json.dumps(damaged, sort_keys=True).encode() + b"\n" for name, damaged in
-               (("text_metric", text_metric), ("no_preproc", no_preproc), ("stale_hash", stale_hash),
+               (("text_metric", text_metric), ("non_finite_metric", non_finite_metric),
+                ("infinite_metric", infinite_metric), ("no_preproc", no_preproc), ("stale_hash", stale_hash),
                 ("stale_label", stale_label))},
         }[damage]
         (out / "results.jsonl").write_bytes(row + bad + row)

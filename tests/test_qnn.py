@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import collections
 import functools
+import itertools
 import math
 import tracemalloc
 
@@ -12,6 +13,7 @@ import pytest
 
 import hqnnbench.qnn as qnn_module
 import hqnnbench.statevec as statevec_module
+from hqnnbench.config import FAMILIES, QUBITS_FOR_LATENT, QnnArch
 from hqnnbench.qnn import (
     Circuit,
     PhasedPerm,
@@ -95,8 +97,6 @@ class TestAngRyBuilder:
             n_qubits=1,
             encoding="angle",
             ops=(Gate.ry(0, Angle.input(0)),),
-            n_params=0,
-            n_inputs=1,
             observable=Observable.single_z(0),
         )
         for t in np.linspace(-3, 3, 7):
@@ -201,25 +201,49 @@ class TestInitParams:
 
 
 class TestCircuitValidation:
-    def test_param_slot_out_of_range(self):
-        with pytest.raises(ValueError):
-            Circuit(1, "angle", (Gate.ry(0, Angle.param(3)),), 2, 1, Observable.single_z(0))
-
-    def test_input_slot_out_of_range(self):
-        with pytest.raises(ValueError):
-            Circuit(1, "angle", (Gate.ry(0, Angle.input(1)),), 0, 1, Observable.single_z(0))
-
     def test_amplitude_refuses_input_slots(self):
         with pytest.raises(ValueError):
-            Circuit(1, "amplitude", (Gate.ry(0, Angle.input(0)),), 0, 2, Observable.single_z(0))
-
-    def test_amplitude_requires_full_register_inputs(self):
-        with pytest.raises(ValueError):
-            Circuit(2, "amplitude", (), 0, 3, Observable.global_z())
+            Circuit(1, "amplitude", (Gate.ry(0, Angle.input(0)),), Observable.single_z(0))
 
     def test_gate_target_out_of_range(self):
         with pytest.raises(ValueError):
-            Circuit(1, "angle", (Gate.ry(1, 0.1),), 0, 1, Observable.single_z(0))
+            Circuit(1, "angle", (Gate.ry(1, 0.1),), Observable.single_z(0))
+
+
+def _grid_circuits():
+    """Every circuit of the grid, with its latent: each family at each latent and each value of its switches."""
+    for kind, family in FAMILIES.items():
+        for latent, entangle, observable in itertools.product(
+            QUBITS_FOR_LATENT, family.takes("entangle"), family.takes("observable")
+        ):
+            yield latent, QnnArch(kind, entangle, observable).build(latent)
+
+
+class TestSlotCounts:
+    """A circuit's ``n_params`` and ``n_inputs`` come from the slots its gates read."""
+
+    def test_grid_circuits_read_each_param_slot_once(self):
+        # The parameter-shift oracles need each slot on one rotation, and
+        # criterion 04's parity compares the slots the gates read.
+        circuits = list(_grid_circuits())
+        assert len(circuits) == 26
+        for latent, c in circuits:
+            reads = collections.Counter(a.index for g in c.ops for a in g.angles if a.source == "param")
+            assert sorted(reads) == list(range(c.n_params)) and set(reads.values()) == {1}
+            assert c.n_inputs == (1 << c.n_qubits if c.encoding == "amplitude" else latent)
+
+    def test_unread_param_slot_below_the_largest(self):
+        # Slots 0 and 2 are read and slot 1 is not: n_params is 3, and the
+        # unread slot's gradient is exactly zero.
+        ops = (Gate.ry(0, Angle.param(0)), Gate.cnot(0, 1), Gate.rz(1, Angle.input(1)), Gate.ry(1, Angle.param(2)))
+        c = Circuit(2, "angle", ops, Observable.local_z())
+        assert (c.n_params, c.n_inputs) == (3, 2)
+        rng = np.random.default_rng(61)
+        xs, p, ups = rng.normal(size=(4, 2)), rng.normal(size=3), rng.normal(size=(4, 2))
+        gx, gp = qnn_backward(c, xs, p, ups)
+        assert gp[1] == 0.0 and np.all(gx[:, 0] == 0.0)
+        expect = sum(up @ param_shift_jacobian(c, x, p) for x, up in zip(xs, ups))
+        assert np.abs(gp - expect).max() < 1e-10
 
 
 class TestForward:
@@ -277,8 +301,6 @@ class TestAdjointGradients:
             n_qubits=1,
             encoding="angle",
             ops=(Gate.ry(0, Angle.input(0)),),
-            n_params=0,
-            n_inputs=1,
             observable=Observable.single_z(0),
         )
         gx, _ = qnn_backward(c, [math.pi / 2], np.zeros(0), [1.0])
@@ -295,7 +317,7 @@ class TestAdjointGradients:
                 up = np.zeros(c.out_dim)
                 up[k] = 1.0
                 gx, gp = qnn_backward(c, x, p, up)
-                assert np.abs(gp - jac_ps[k]).max() < 1e-10
+                assert np.abs(gp - jac_ps[k]).max(initial=0.0) < 1e-10
                 assert np.allclose(gp, jac_fd_p[k], rtol=1e-5, atol=1e-7)
                 assert np.allclose(gx, jac_fd_x[k], rtol=1e-5, atol=1e-7)
 
@@ -525,7 +547,7 @@ def _fused_slot_reuse_circuit():
         Gate.cnot(1, 0),
         Gate.ry(1, Angle.input(0)),
     )
-    return Circuit(2, "angle", ops, 3, 2, Observable.local_z())
+    return Circuit(2, "angle", ops, Observable.local_z())
 
 
 class TestBatchedAdjoint:
@@ -658,7 +680,7 @@ class TestKroneckerBlocks:
             gx, _ = qnn_backward(c, xs, p, ups)
             for row, x, up in zip(gx, xs, ups):
                 if c.encoding == "angle":
-                    assert np.abs(row - up @ _input_shift_jacobian(c, x, p)).max() < 1e-10
+                    assert np.abs(row - up @ _input_shift_jacobian(c, x, p)).max(initial=0.0) < 1e-10
                 else:  # directional central differences: up to 1024 inputs per row
                     for v in np.random.default_rng(52).normal(size=(3, x.size)):
                         f = lambda t: float(up @ qnn_forward(c, x + t * v, p))  # noqa: E731
@@ -703,7 +725,7 @@ class TestPhasedPermutations:
             gx, _ = qnn_backward(c, xs, p, ups)
             for row, x, up in zip(gx, xs, ups):
                 if c.encoding == "angle":
-                    assert np.abs(row - up @ _input_shift_jacobian(c, x, p)).max() < 1e-10
+                    assert np.abs(row - up @ _input_shift_jacobian(c, x, p)).max(initial=0.0) < 1e-10
                 else:
                     fd = fd_scalar_grad(lambda z: float(up @ qnn_forward(c, z, p)), x, 1e-5)
                     assert np.allclose(row, fd, rtol=1e-5, atol=1e-7)
@@ -725,7 +747,7 @@ def _head_and_tail_circuit():
         Gate.cnot(0, 1), Gate.cz(1, 2),
         Gate.rz(2, p[9]), Gate.ry(2, i[3]), Gate.ry(1, p[10]), Gate.rz(1, p[11]),
     )
-    return Circuit(3, "angle", ops, 12, 4, Observable.local_z())
+    return Circuit(3, "angle", ops, Observable.local_z())
 
 
 class TestHeadAndTail:
@@ -771,7 +793,7 @@ class TestHeadAndTail:
             Gate.rz(0, Angle.param(0)), Gate.ry(0, Angle.input(n)),
             Gate.ry(n - 1, Angle.param(1)), Gate.rz(n - 1, Angle.input(n + 1)),
         )
-        c = Circuit(n, "angle", ops, 2, n + 2, Observable.local_z())
+        c = Circuit(n, "angle", ops, Observable.local_z())
         assert c.sample_major is (n == 5)
         first, _, middle, _, last = c.program
         rz0 = ("rz", Angle.const(0.0))
@@ -792,7 +814,7 @@ class TestHeadAndTail:
         # runs its blocks once for the batch. On sample-major rows the forward
         # pass keeps those blocks and builds the per-sample ones again.
         ops = (Gate.ry(0, Angle.input(0)), Gate.cnot(0, 1), Gate.ry(1, Angle.param(0)), Gate.rz(4, Angle.param(1)))
-        c = Circuit(5, "angle", ops, 2, 1, Observable.global_z())
+        c = Circuit(5, "angle", ops, Observable.global_z())
         assert c.sample_major and not c.program[-1].n_head
         rng = np.random.default_rng(57)
         xs, p, ups = rng.normal(size=(4, 1)), rng.normal(size=2), rng.normal(size=(4, 1))
@@ -902,7 +924,7 @@ class TestBackwardKernelCalls:
             Gate.cz(0, 1),
             Gate.ry(0, Angle.input(0)),
         )
-        c = Circuit(n, "angle", ops, 0, n, Observable.local_z())
+        c = Circuit(n, "angle", ops, Observable.local_z())
         summed = []
         real = qnn_module.rows_overlap
         monkeypatch.setattr(qnn_module, "rows_overlap", lambda *args: summed.append(args[3]) or real(*args))

@@ -57,10 +57,10 @@ def final_state(n_qubits, ops, x=None):
     ``x``; without it the register starts in |0...0>.
     """
     if x is None:
-        circuit = Circuit(n_qubits, "angle", tuple(ops), 0, 1, Observable.global_z())
-        x = np.zeros(1)
+        circuit = Circuit(n_qubits, "angle", tuple(ops), Observable.global_z())
+        x = np.zeros(circuit.n_inputs)
     else:
-        circuit = Circuit(n_qubits, "amplitude", tuple(ops), 0, 1 << n_qubits, Observable.global_z())
+        circuit = Circuit(n_qubits, "amplitude", tuple(ops), Observable.global_z())
     _, state = qnn_forward_batch(circuit, np.atleast_2d(x), np.zeros(0), return_state=True)
     return state.amps[0]
 
@@ -80,9 +80,9 @@ class TestZeroState:
 
     def test_rejects_empty_and_oversized_register(self):
         with pytest.raises(ValueError):
-            Circuit(0, "angle", (), 0, 1, Observable.global_z())
+            Circuit(0, "angle", (), Observable.global_z())
         with pytest.raises(ValueError):
-            Circuit(11, "angle", (), 0, 1, Observable.global_z())
+            Circuit(11, "angle", (), Observable.global_z())
 
 
 class TestSingleGates:
@@ -115,7 +115,7 @@ class TestSingleGates:
         s = final_state(1, _arb(0, phi, theta, omega), x=x)
         assert np.abs(s - m @ x).max() < 1e-14
         # and so is the oracle's own three-gate form
-        c = Circuit(1, "angle", tuple(arb(0, phi, theta, omega)), 0, 1, Observable.global_z())
+        c = Circuit(1, "angle", tuple(arb(0, phi, theta, omega)), Observable.global_z())
         assert np.abs(circuit_unitary(c) - m).max() < 1e-15
 
     def test_cnot_truth_table(self):
@@ -145,7 +145,7 @@ class TestSingleGates:
 
     def test_out_of_range_target_rejected(self):
         with pytest.raises(ValueError):
-            Circuit(2, "angle", (Gate.ry(2, 0.1),), 0, 1, Observable.global_z())
+            Circuit(2, "angle", (Gate.ry(2, 0.1),), Observable.global_z())
         amps = np.zeros((4, 1), dtype=np.complex128)
         with pytest.raises(ValueError):
             apply_gate(amps, (2,), np.eye(2), np.empty_like(amps))
@@ -177,12 +177,12 @@ class TestAmplitudeEncode:
         assert np.array_equal(final_state(4, (), x=f), f)
 
     def test_zero_norm_rejected(self):
-        c = Circuit(1, "amplitude", (), 0, 2, Observable.global_z())
+        c = Circuit(1, "amplitude", (), Observable.global_z())
         with pytest.raises(EncodingError, match="row 1"):
             qnn_forward_batch(c, np.array([[1.0, 0.0], [0.0, 0.0]]), np.zeros(0))
 
     def test_capacity_exceeded_rejected(self):
-        c = Circuit(2, "amplitude", (), 0, 4, Observable.global_z())
+        c = Circuit(2, "amplitude", (), Observable.global_z())
         with pytest.raises(ValueError):
             qnn_forward_batch(c, np.ones((1, 5)), np.zeros(0))
 
@@ -224,14 +224,14 @@ class TestExpectations:
                 for row, mat in zip(diags, mats):
                     assert np.array_equal(row, np.diag(mat).real)
                 # a circuit computes its observable's diagonals once, when it is built
-                c = Circuit(n, "angle", (), 0, 1, obs)
+                c = Circuit(n, "angle", (), obs)
                 assert np.array_equal(c.diagonals, diags) and c.out_dim == len(mats)
 
     def test_single_z_qubit_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="observable qubit 3 out of range"):
             Observable.single_z(3).diagonals(3)
         with pytest.raises(ValueError, match="observable qubit 3 out of range"):
-            Circuit(3, "angle", (), 0, 1, Observable.single_z(3))
+            Circuit(3, "angle", (), Observable.single_z(3))
 
 
 class TestDenseOracle:
@@ -270,7 +270,7 @@ class TestBatchedKernels:
 
     def test_batched_matches_per_row(self):
         rng = np.random.default_rng(13)
-        c = Circuit(3, "angle", (Gate.ry(1, Angle.input(0)), Gate.ry(0, 0.4)), 0, 1, Observable.global_z())
+        c = Circuit(3, "angle", (Gate.ry(1, Angle.input(0)), Gate.ry(0, 0.4)), Observable.global_z())
         self.rows_match_dense(c, rng.normal(size=(5, 1)))
 
     def test_batched_rz_and_entanglers(self):
@@ -285,7 +285,7 @@ class TestBatchedKernels:
             Gate.ry(0, -0.3),
             *arb(0, Angle.input(1), Angle.input(0), 0.7),
         )
-        self.rows_match_dense(Circuit(3, "angle", ops, 0, 2, Observable.global_z()), rng.normal(size=(5, 2)))
+        self.rows_match_dense(Circuit(3, "angle", ops, Observable.global_z()), rng.normal(size=(5, 2)))
 
 
 class TestSharedRunKernels:
@@ -447,7 +447,7 @@ class TestSignedPermutation:
 class TestFusion:
     def test_fused_gates_keep_the_rotation_order(self):
         ops = (Gate.ry(0, 0.3), Gate.rz(1, 0.2), *arb(0, 0.1, -0.5, 0.9), Gate.rz(0, 1.3))
-        c = Circuit(2, "angle", ops, 0, 1, Observable.global_z())
+        c = Circuit(2, "angle", ops, Observable.global_z())
         (stage,) = c.program
         # one fused gate per qubit: 5 steps on qubit 0, and 1 on qubit 1 behind 4 steps of padding
         assert stage.qubits == (0, 1) and stage.shape == (2, 5)
@@ -461,7 +461,7 @@ class TestFusion:
 
 class TestAngleSlots:
     def test_slot_resolution(self):
-        c = Circuit(1, "angle", (Gate.ry(0, Angle.input(1)),), 0, 2, Observable.global_z())
+        c = Circuit(1, "angle", (Gate.ry(0, Angle.input(1)),), Observable.global_z())
         _, state = qnn_forward_batch(c, np.array([[0.0, math.pi]]), np.zeros(0), return_state=True)
         assert np.allclose(state.amps[0], [0.0, 1.0], atol=1e-15)
 
