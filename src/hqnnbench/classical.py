@@ -5,7 +5,7 @@ Everything here is plain numpy. Each layer stores its parameters as
 
 * ``forward(x, training)``  -> output, caching whatever backward needs,
 * ``backward(grad_out)``    -> grad wrt input, accumulating into ``p.grad``;
-  layers with parameters take ``input_grad=False`` to accumulate only,
+  ``Conv`` and ``FullyConnected`` take ``input_grad=False`` to accumulate only,
 * ``params()``              -> list of trainable ``Param``s.
 
 Arrays use shape (batch, channels, *spatial). A conv block is
@@ -306,7 +306,7 @@ class BatchNormReLUPool(Layer):
         self._cache = (z, xhat, mask, windows, arg, sign, inv_std, shape, training)
         return y
 
-    def backward(self, grad_out, input_grad=True):
+    def backward(self, grad_out):
         z, xhat, mask, windows, arg, sign, inv_std, shape, training = self._cache
         self._cache = None  # z and xhat are overwritten below
         g = grad_out * mask
@@ -315,8 +315,6 @@ class BatchNormReLUPool(Layer):
         sum_gx = np.einsum("bcn,bcn->c", g.reshape(per_channel), xhat.reshape(per_channel))
         self.gamma.grad += sum_gx
         self.beta.grad += sum_g
-        if not input_grad:
-            return None
         # Batch normalization's input gradient is inv_std·(scatter(γ·g) - Σγg/m - x̂·Σ(γg·x̂)/m).
         # The scattered gradient is zero off the selected elements, so both
         # sums are the pooled ones above times γ. It is written into z.
@@ -369,9 +367,9 @@ def stack_backward(layers: list[Layer], grad_out: np.ndarray, input_grad: bool =
     """Accumulate parameter gradients and return the gradient wrt the input.
 
     With ``input_grad=False`` the pass stops at the lowest layer with
-    parameters (every stack the builders make has one), which accumulates
-    its parameter gradients only; nothing is returned. Training needs no
-    gradient of the raw samples.
+    parameters, which accumulates its parameter gradients only; nothing is
+    returned. In every stack the builders make that layer is a ``Conv`` or a
+    ``FullyConnected``. Training needs no gradient of the raw samples.
     """
     if input_grad:
         for layer in reversed(layers):

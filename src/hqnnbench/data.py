@@ -152,8 +152,8 @@ def load_npz(path, images_key: str, labels_key: str) -> Dataset:
         with archive:
             images = _npz_entry(archive, images_key, path)
             labels = _npz_entry(archive, labels_key, path)
-    if not np.issubdtype(images.dtype, np.number):
-        raise DataFormatError(f"{images_key}: non-numeric dtype {images.dtype}")
+    if images.dtype.kind not in "iuf":  # a cast to float64 would drop a complex image's imaginary part
+        raise DataFormatError(f"{images_key}: images need an integer or float dtype, got {images.dtype}")
     if images.ndim < 2:
         raise DataFormatError(f"{images_key}: expected shape [n, ...], got {images.shape}")
     if labels.ndim == 2 and labels.shape[1] == 1:

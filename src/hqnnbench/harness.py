@@ -229,7 +229,7 @@ def _run_one(config: ModelConfig) -> ExperimentResult:
 
 
 class ResultsFileError(ValueError):
-    """A line of ``results.jsonl`` other than an unterminated last one is not a result row."""
+    """A line of ``results.jsonl`` other than an unterminated last one is not a result row, or repeats a configuration."""
 
 
 def _check_row(row) -> None:
@@ -258,10 +258,14 @@ def _check_row(row) -> None:
         raise ValueError(f"aggregate is neither null nor an object with finite numbers {', '.join(METRIC_NAMES)}")
 
 
-def _parse_row(results_path: Path, number: int, line: bytes) -> dict:
+def _parse_row(results_path: Path, number: int, line: bytes, seen: dict[str, int]) -> dict:
+    """Line ``number`` as a result row; ``seen`` maps each configuration hash read so far to its line."""
     try:
         row = json.loads(line)
         _check_row(row)
+        first = seen.setdefault(row["config_hash"], number)
+        if first != number:
+            raise ValueError(f"it repeats the configuration of line {first}")
     except ValueError as exc:
         raise ResultsFileError(
             f"{results_path} line {number} cannot be read ({exc}); repair or remove it, or use a new --out directory"
@@ -275,13 +279,15 @@ def _load_existing(results_path: Path) -> list[dict]:
     An unterminated last line (a crash mid-write) is skipped with a warning.
     ``run_grid`` writes the file again without it, so its configuration
     trains again; training is deterministic, so the file ends as it would
-    have. Any other line that does not parse, or is not a result row, raises
-    ``ResultsFileError``.
+    have. Any other line that does not parse, is not a result row, or
+    repeats the configuration of an earlier line (as two runs into one
+    ``--out`` at once would write) raises ``ResultsFileError``.
     """
     if not results_path.exists():
         return []
     lines = results_path.read_bytes().split(b"\n")
-    rows = [_parse_row(results_path, k, line) for k, line in enumerate(lines[:-1], 1) if line.strip()]
+    seen: dict[str, int] = {}
+    rows = [_parse_row(results_path, k, line, seen) for k, line in enumerate(lines[:-1], 1) if line.strip()]
     if lines[-1].strip():
         print(f"warning: dropping truncated last line of {results_path}", file=sys.stderr)
     return rows

@@ -69,10 +69,12 @@ reverse sweep that un-applies each fused gate ``U`` on the state ``psi``
 and on ``mu = conj(lambda)`` (with ``U^T``, so no conjugate copies are
 made; a phased permutation un-applies with ``conj(phase)`` from ``psi`` and
 ``phase`` from ``mu``). The forward pass hands the sweep what it built
-(``ForwardState``): each stage's gate unitaries, tail steps and ``T``, and
-its Kronecker blocks unless they are per-sample blocks on sample-major
-rows, which would cost a state's memory per stage; those are built again
-from the kept gate unitaries. Before un-applying, the sweep takes one
+(``ForwardState``), and the sweep reads nothing else: the inputs and
+parameters the pass ran on, the matrices of every stage's tail steps (one
+table for the circuit), and each stage's gate unitaries and Kronecker
+blocks, unless they are per-sample blocks on sample-major rows, which
+would cost a state's memory per stage; those are built again from the kept
+gate unitaries. Before un-applying, the sweep takes one
 reduced overlap per gate, ``G_ij = sum_rest conj(lambda_i) psi_j`` on the
 gate's qubit: per sample for a per-sample gate, summed over the batch for a
 shared one. With ``U = S_k R_k P_k`` for rotation ``k``, every angle
@@ -84,7 +86,8 @@ where ``Gamma_k`` is the constant RY(pi) or RZ(pi), so an RY step's
 gradient is ``Re(W_01 - W_10)`` and an RZ step's ``Im(W_00 - W_11)``. A
 tail step's ``S_k`` is shared, so its batch-summed gradient comes from the
 batch-summed ``G``; a head step's ``S_k`` is ``T`` times the head steps
-after it, which the sweep builds again (all but the head's first column).
+after it, so the sweep multiplies ``T`` again from the kept tail steps and
+builds the head's steps again from the state's inputs and parameters.
 Every overlap of a stage is taken at its output, before any un-apply: one
 d x d overlap per block (for per-sample blocks ``M_b P_b^T`` and
 ``M_b^T P_b`` on the sample matrices of ``mu`` and ``psi``), from which
@@ -103,7 +106,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -261,9 +263,10 @@ def _angle_gradients(w: np.ndarray, ry: np.ndarray) -> np.ndarray:
 class _Steps:
     """Step-table entries, flat: each entry's kind (``ry``, else RZ), constant angle and slot.
 
-    One ``_Steps`` holds the head of a stage, and one the tails of all the
-    stages of a circuit (``Circuit.tails``), so that they are built in one
-    call per pass and their gradients added in one.
+    One ``_Steps`` holds the head of a stage, built whole in each pass, and
+    one the tails of all the stages of a circuit (``Circuit.tails``), built
+    in one call by the forward pass, which hands the matrices on to the
+    backward pass; the tails' gradients are added in one call too.
     """
 
     def __init__(self, entries: list[tuple[str, Angle]]):
@@ -275,15 +278,14 @@ class _Steps:
         self.param_idx = np.array([entries[k][1].index for k in self.param_pos], dtype=np.intp)
         self.input_idx = np.array([entries[k][1].index for k in self.input_pos], dtype=np.intp)
 
-    def matrices(self, x: np.ndarray, params: np.ndarray, bx: int, first: int = 0) -> np.ndarray:
-        """The 2x2s of the entries from ``first`` on, matrix-major ``(2, 2, K - first, bx)``."""
+    def matrices(self, x: np.ndarray, params: np.ndarray, bx: int) -> np.ndarray:
+        """The entries' 2x2s, matrix-major ``(2, 2, K, bx)``."""
         angles = np.empty((self.const.size, bx))
         angles[:] = self.const[:, None]
         angles[self.param_pos] = params[self.param_idx, None]
         if self.input_pos.size:
             angles[self.input_pos] = x[:, self.input_idx].T
-        half = np.multiply(angles[first:], 0.5, out=angles[first:])
-        ry, rz = self.ry[first:], self.rz[first:]
+        half = np.multiply(angles, 0.5, out=angles)
         # RY is [[c, -s], [s, c]] and RZ diag(c - 1j s, c + 1j s). The masked
         # writes need no temporaries: s sits in m[0, 1]'s storage until that
         # entry is written last, and 0 -/+ s signs a zero imaginary part as
@@ -294,11 +296,11 @@ class _Steps:
         c = np.cos(half, out=half)
         m[0, 0] = m[1, 1] = c
         m[1, 0] = 0.0
-        np.copyto(re[1, 0], s, where=ry)
-        np.subtract(0.0, s, out=im[0, 0], where=rz)
-        np.add(0.0, s, out=im[1, 1], where=rz)
+        np.copyto(re[1, 0], s, where=self.ry)
+        np.subtract(0.0, s, out=im[0, 0], where=self.rz)
+        np.add(0.0, s, out=im[1, 1], where=self.rz)
         m[0, 1] = 0.0
-        np.negative(re[1, 0], out=re[0, 1], where=ry)
+        np.negative(re[1, 0], out=re[0, 1], where=self.ry)
         return m
 
     def add_gradients(self, grads: np.ndarray, grad_inputs: np.ndarray, grad_params: np.ndarray) -> None:
@@ -325,7 +327,10 @@ class Stage:
     head product ``H``. Every stage has a tail: when the last column reads
     an input, one column of constant RZ(0) is appended. A stage that reads
     no input is all tail. The tail's entries sit in the circuit's ``tails``
-    from ``tail_at`` on.
+    from ``tail_at`` on; ``_tail`` views them in any table laid out like
+    ``tails``: the forward pass's matrices and the backward pass's ``W``.
+    The backward pass builds ``T`` and the whole head again, from what the
+    forward pass hands it (``ForwardState``).
 
     The gates act on distinct qubits and commute: they are applied as
     Kronecker blocks of ``width`` adjacent qubits (``q // width``), and the
@@ -359,27 +364,26 @@ class Stage:
             apps.append(_Apply(tuple(range(hi, lo - 1, -1)), tuple((slot, hi - q) for q, slot in block.items())))
         self.apps = tuple(apps)
 
-    def _tail_slice(self) -> slice:
-        return slice(self.tail_at, self.tail_at + self.n_tail * self.shape[0])
+    def _tail(self, table: np.ndarray) -> np.ndarray:
+        """A view of this stage's entries of a circuit-wide tail table ``(2, 2, K, 1)``, as ``(2, 2, n_tail, G, 1)``."""
+        return table[:, :, self.tail_at : self.tail_at + self.n_tail * self.shape[0]].reshape(2, 2, self.n_tail, self.shape[0], 1)
 
-    def build(self, x: np.ndarray, params: np.ndarray, tails: np.ndarray) -> _Built:
-        """The stage's gate unitaries for the batch ``x``, with what the backward pass reads.
+    def _head(self, x: np.ndarray, params: np.ndarray) -> np.ndarray:
+        """The head's step matrices for the batch ``x``, ``(2, 2, n_head, G, B)``."""
+        return self.head.matrices(x, params, x.shape[0]).reshape(2, 2, self.n_head, self.shape[0], -1)
+
+    def build(self, x: np.ndarray, params: np.ndarray, tails: np.ndarray) -> np.ndarray:
+        """The stage's gate unitaries ``(2, 2, G, Bx)`` for the batch ``x``.
 
         ``tails`` holds the 2x2s of every tail of the circuit (``Bx = 1``).
         """
-        tail = tails[:, :, self._tail_slice()].reshape(2, 2, self.n_tail, self.shape[0], 1)
-        t = _product(tail)
-        if not self.n_head:
-            return _Built(t, t, tail)
-        h = _product(self.head.matrices(x, params, x.shape[0]).reshape(2, 2, self.n_head, self.shape[0], -1))
-        return _Built(_mm(t, h), t, tail)
+        t = _product(self._tail(tails))
+        return _mm(t, _product(self._head(x, params))) if self.n_head else t
 
     def add_gradients(
         self,
         overlaps: np.ndarray,
-        built: _Built,
-        x: np.ndarray,
-        params: np.ndarray,
+        fwd: ForwardState,
         tail_w: np.ndarray,
         grad_inputs: np.ndarray,
         grad_params: np.ndarray,
@@ -389,48 +393,32 @@ class Stage:
         With ``W = S^H G^T S``, where ``S`` is the product of the steps after
         step ``r``, the step's gradient follows from ``W`` (``_angle_gradients``).
         The tail's ``W`` come from the overlaps summed over the batch, which
-        its shared steps carry to every earlier step unchanged; they go into
-        the tail's place in ``tail_w``, the ``W`` of all the circuit's tails.
-        The head's start from ``W = T^H G^T T`` per sample, need the head's
-        matrices after its first column, which are built again here, and are
-        added to the slots at once.
+        its shared steps (viewed in ``fwd.tails``) carry to every earlier step
+        unchanged; they go into the tail's place in ``tail_w``, the ``W`` of
+        all the circuit's tails. The head's start from ``W = T^H G^T T`` per
+        sample; ``T`` and the head's matrices are built again here from
+        ``fwd``, and the head's gradients are added to the slots at once.
         """
         g = self.shape[0]
+        tail, mine = self._tail(fwd.tails), self._tail(tail_w)
         w = overlaps.sum(axis=3, keepdims=True).swapaxes(0, 1)
-        mine = tail_w[:, :, self._tail_slice()].reshape(2, 2, self.n_tail, g, 1)
         for r in range(self.n_tail - 1, -1, -1):
             mine[:, :, r] = w
             if r:  # einsum beats two _mm products on the shared 2x2s
-                m = built.tail[:, :, r]
+                m = tail[:, :, r]
                 w = np.einsum("jigz,jkgz,klgz->ilgz", m.conj(), w, m)
         if self.n_head:
-            t = built.tail_product
+            t = _product(tail)
             w = _mm(_mm(t.conj().swapaxes(0, 1), overlaps.swapaxes(0, 1)), t)
             ry = self.head.ry.reshape(self.n_head, g, 1)
-            if self.n_head > 1:
-                later = self.head.matrices(x, params, x.shape[0], first=g).reshape(2, 2, self.n_head - 1, g, -1)
+            head = self._head(fwd.inputs, fwd.params)
             grads = np.empty((self.n_head, g, w.shape[3]))
             for r in range(self.n_head - 1, -1, -1):
                 grads[r] = _angle_gradients(w, ry[r])
                 if r:
-                    m = later[:, :, r - 1]
+                    m = head[:, :, r]
                     w = _mm(_mm(m.conj().swapaxes(0, 1), w), m)
             self.head.add_gradients(grads.reshape(self.n_head * g, -1), grad_inputs, grad_params)
-
-
-class _Built(NamedTuple):
-    """A stage's matrices from the forward pass.
-
-    Its gate unitaries ``(2, 2, G, Bx)``, its tail's product and steps
-    (``Bx = 1``), and its Kronecker blocks, batch-first, unless they are
-    per-sample blocks on sample-major rows, which the backward pass builds
-    again rather than keep a state's worth of memory per stage.
-    """
-
-    unitaries: np.ndarray
-    tail_product: np.ndarray
-    tail: np.ndarray
-    blocks: tuple | None = None
 
 
 class PhasedPerm:
@@ -776,15 +764,21 @@ class ForwardState:
     """What a forward pass hands to the backward pass on the same batch.
 
     ``amps`` is the final state, ``(B, 2**n)`` rows in the circuit's
-    storage. ``built`` holds, per op of the program, a stage's ``_Built``
-    matrices (None for a permutation). ``inputs`` and ``params`` are copies
-    of what the pass ran on, which the backward pass checks.
+    storage. ``tails`` holds the ``(2, 2, K, 1)`` matrices of every stage's
+    batch-shared steps (``Circuit.tails``). ``built`` holds, per op of the
+    program, a stage's gate unitaries ``(2, 2, G, Bx)`` and its Kronecker
+    blocks, batch-first, or None for blocks that are per-sample on
+    sample-major rows: the backward pass builds those again rather than keep
+    a state's worth of memory per stage. A permutation's entry is None.
+    ``inputs`` and ``params`` are copies of what the pass ran on, which the
+    backward pass checks and then reads.
     """
 
     circuit: Circuit
     inputs: np.ndarray
     params: np.ndarray
     amps: np.ndarray = field(repr=False)
+    tails: np.ndarray = field(repr=False)
     built: tuple = field(repr=False)
 
 
@@ -815,20 +809,19 @@ def qnn_forward_batch(
             state, buf = apply_phased_perm(state, op.perm, op.phase, buf), state
             built.append(None)
             continue
-        b = op.build(x, p, tails)
+        us = op.build(x, p, tails)
         # A block is a view of its Kronecker product, kept for the backward
         # pass, except a per-sample one on sample-major rows: that one is
         # copied into the spare storage, batch-first.
-        if not (circuit.sample_major and b.unitaries.shape[3] > 1):
-            b = b._replace(blocks=tuple(app.unitary(b.unitaries) for app in op.apps))
+        blocks = None if circuit.sample_major and us.shape[3] > 1 else tuple(app.unitary(us) for app in op.apps)
         for i, app in enumerate(op.apps):
-            u = app.unitary(b.unitaries, work, buf) if b.blocks is None else b.blocks[i]
+            u = app.unitary(us, work, buf) if blocks is None else blocks[i]
             state, buf = apply_rows(state, app.qubits, u, buf), state
-        built.append(b)
+        built.append((us, blocks))
     out = expval_batch(state, circuit.diagonals)
     if not return_state:
         return out
-    return out, ForwardState(circuit, x.copy(), p.copy(), state, tuple(built))
+    return out, ForwardState(circuit, x.copy(), p.copy(), state, tails, tuple(built))
 
 
 def qnn_backward_batch(
@@ -845,16 +838,16 @@ def qnn_backward_batch(
     from the ``return_state=True`` forward call on the same circuit, inputs
     and parameters; one from another call is refused.
     """
+    fwd = final_amps
     x = np.asarray(inputs, dtype=np.float64)
     p = np.asarray(params, dtype=np.float64)
-    _check_shapes(circuit, x, p)
-    up = np.asarray(upstream, dtype=np.float64)
-    if up.shape != (x.shape[0], circuit.out_dim):
-        raise ValueError(f"upstream must have shape {(x.shape[0], circuit.out_dim)}, got {up.shape}")
-    fwd = final_amps
     same = fwd.circuit is circuit and fwd.inputs.shape == x.shape and fwd.params.shape == p.shape
     if not (same and np.array_equal(fwd.inputs, x, equal_nan=True) and np.array_equal(fwd.params, p, equal_nan=True)):
         raise ValueError("final_amps comes from a forward pass on another circuit, inputs or params")
+    x = fwd.inputs  # from here on the sweep reads only the state
+    up = np.asarray(upstream, dtype=np.float64)
+    if up.shape != (x.shape[0], circuit.out_dim):
+        raise ValueError(f"upstream must have shape {(x.shape[0], circuit.out_dim)}, got {up.shape}")
 
     psi = fwd.amps.copy(order="K")  # in the circuit's storage, as every state below
     mu = np.conj(psi)  # conj(lambda), lambda = M psi
@@ -863,8 +856,8 @@ def qnn_backward_batch(
 
     grad_inputs = np.zeros_like(x)
     grad_params = np.zeros(circuit.n_params)
-    tail_w = np.zeros((2, 2, circuit.tails.const.size, 1), dtype=np.complex128)
-    for op, b in zip(reversed(circuit.program), reversed(fwd.built)):
+    tail_w = np.zeros_like(fwd.tails)
+    for op, built in zip(reversed(circuit.program), reversed(fwd.built)):
         # Nothing reads psi after the last op of the sweep, and mu only for
         # an amplitude-encoded input gradient.
         last = op is circuit.program[0]
@@ -875,21 +868,22 @@ def qnn_backward_batch(
             if keep_mu:
                 mu, mu_buf = apply_phased_perm(mu, op.inv_perm, op.inv_phase_conj, mu_buf), mu
             continue
+        us, blocks = built
         # per-sample overlaps for per-sample gates, batch-summed ones for shared gates
-        overlaps = np.empty((2, 2, op.shape[0], b.unitaries.shape[3]), dtype=np.complex128)
+        overlaps = np.empty((2, 2, op.shape[0], us.shape[3]), dtype=np.complex128)
         for app in op.apps:  # every overlap is taken at the stage output, before any un-apply
             app.take_overlaps(mu, psi, psi_buf, overlaps)
         for i, app in reversed(list(enumerate(op.apps))):
             # U^T un-applies a call from mu, then conj(U^T) = U^H from psi. A
             # contiguous per-sample U sits in mu_buf, so mu goes into psi's
             # spare storage and psi into mu's old one.
-            ut = (app.unitary(b.unitaries, mu_buf, psi_buf) if b.blocks is None else b.blocks[i]).swapaxes(1, 2)
+            ut = (app.unitary(us, mu_buf, psi_buf) if blocks is None else blocks[i]).swapaxes(1, 2)
             if keep_mu:
                 mu, psi_buf = apply_rows(mu, app.qubits, ut, psi_buf), mu
             if keep_psi:
-                uh = np.conjugate(ut, out=ut) if b.blocks is None else ut.conj()
+                uh = np.conjugate(ut, out=ut) if blocks is None else ut.conj()
                 psi, psi_buf = apply_rows(psi, app.qubits, uh, psi_buf), psi
-        op.add_gradients(overlaps, b, x, p, tail_w, grad_inputs, grad_params)
+        op.add_gradients(overlaps, fwd, tail_w, grad_inputs, grad_params)
     circuit.tails.add_gradients(_angle_gradients(tail_w, circuit.tails.ry), grad_inputs, grad_params)
 
     if circuit.encoding == "amplitude":

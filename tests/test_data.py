@@ -259,6 +259,16 @@ class TestNpz:
         with pytest.raises(DataFormatError, match="dtype"):
             load_npz(p, "images", "labels")
 
+    @pytest.mark.parametrize(
+        "images", [np.full((2, 4), "0"), np.zeros((2, 4), dtype=complex), np.zeros((2, 4), dtype=bool)],
+        ids=["str", "complex", "bool"],
+    )
+    def test_image_dtype_must_be_integer_or_float(self, tmp_path, images):
+        p = tmp_path / "d.npz"
+        np.savez(p, images=images, labels=np.array([0, 1]))
+        with pytest.raises(DataFormatError, match="images need an integer or float dtype"):
+            load_npz(p, "images", "labels")
+
     def test_missing_entry_lists_names(self, tmp_path):
         p = tmp_path / "d.npz"
         np.savez(p, images=np.zeros((2, 4)), labels=np.array([0, 1]))

@@ -962,7 +962,7 @@ class TestCli:
         "damage",
         [
             "cut", "not_an_object", "no_config_hash", "text_metric", "non_finite_metric", "infinite_metric",
-            "no_preproc", "stale_hash", "stale_label",
+            "no_preproc", "stale_hash", "stale_label", "repeated_config",
         ],
     )
     def test_malformed_inner_line_is_refused_untouched(self, tmp_path, capsys, command, damage):
@@ -984,6 +984,7 @@ class TestCli:
             "cut": row[:-40] + b"\n",
             "not_an_object": b"[1, 2]\n",
             "no_config_hash": b'{"label": "x"}\n',
+            "repeated_config": row,  # as two runs into one --out at once write
             **{name: json.dumps(damaged, sort_keys=True).encode() + b"\n" for name, damaged in
                (("text_metric", text_metric), ("non_finite_metric", non_finite_metric),
                 ("infinite_metric", infinite_metric), ("no_preproc", no_preproc), ("stale_hash", stale_hash),
@@ -1130,6 +1131,17 @@ class TestCli:
         out = tmp_path / "out"
         assert main(["run", "--config", str(cfg), "--data-dir", str(tmp_path), "--out", str(out)]) == 2
         assert capsys.readouterr().err == "error: samples must be finite, not NaN or infinite\n"
+        assert not out.exists()
+
+    def test_run_refuses_complex_images_before_creating_out(self, tmp_path, capsys):
+        # a cast to float64 would train on the real parts alone
+        rng = np.random.default_rng(3)
+        images = rng.normal(size=(40, 1, 8, 8)) + 1j * rng.normal(size=(40, 1, 8, 8))
+        np.savez(tmp_path / "d.npz", images=images, labels=np.arange(40) % 2)
+        cfg = self.write_cfg(tmp_path, "dataset = npz\nnpz_file = d.npz\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--data-dir", str(tmp_path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: images: images need an integer or float dtype, got complex128\n"
         assert not out.exists()
 
     def test_seed_override_changes_hashes(self, tmp_path):

@@ -819,7 +819,8 @@ class TestHeadAndTail:
         rng = np.random.default_rng(57)
         xs, p, ups = rng.normal(size=(4, 1)), rng.normal(size=2), rng.normal(size=(4, 1))
         _, state = qnn_forward_batch(c, xs, p, return_state=True)
-        assert state.built[0].blocks is None and [u.shape for u in state.built[-1].blocks] == [(1, 2, 2), (1, 2, 2)]
+        (_, per_sample), (_, shared) = state.built[0], state.built[-1]  # each stage's (gate unitaries, kept blocks)
+        assert per_sample is None and [u.shape for u in shared] == [(1, 2, 2), (1, 2, 2)]
         for row, x in zip(qnn_forward_batch(c, xs, p), xs):
             assert np.abs(row - dense_expectations(c, x, p)).max() < 1e-10
         gx, gp = qnn_backward(c, xs, p, ups)
@@ -841,7 +842,9 @@ class TestForwardState:
         other_x[1, 3] += 1e-9
         other_p = p.copy()
         other_p[0] = -other_p[0]
-        for args in ((c, other_x, p), (c, xs, other_p), (c, xs[:2], p), (build_ang_ry(4, 16, True), xs, p)):
+        # A batch of the wrong width is refused by the same check: the state's
+        # inputs passed the forward pass's shape check.
+        for args in ((c, other_x, p), (c, xs, other_p), (c, xs[:2], p), (c, xs[:, :15], p), (build_ang_ry(4, 16, True), xs, p)):
             with pytest.raises(ValueError, match="final_amps comes from a forward pass on another"):
                 qnn_backward_batch(*args, np.ones((len(args[1]), 1)), final_amps=state)
 
