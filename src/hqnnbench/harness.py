@@ -229,7 +229,10 @@ def _run_one(config: ModelConfig) -> ExperimentResult:
 
 
 class ResultsFileError(ValueError):
-    """A line of ``results.jsonl`` other than an unterminated last one is not a result row, or repeats a configuration."""
+    """``results.jsonl`` cannot be read, or holds a line that is not a result row or repeats a configuration.
+
+    An unterminated last line is not refused: ``_load_existing`` skips it.
+    """
 
 
 def _check_row(row) -> None:
@@ -279,13 +282,19 @@ def _load_existing(results_path: Path) -> list[dict]:
     An unterminated last line (a crash mid-write) is skipped with a warning.
     ``run_grid`` writes the file again without it, so its configuration
     trains again; training is deterministic, so the file ends as it would
-    have. Any other line that does not parse, is not a result row, or
-    repeats the configuration of an earlier line (as two runs into one
-    ``--out`` at once would write) raises ``ResultsFileError``.
+    have. A file that cannot be read (a directory, or no read permission),
+    or any other line that does not parse, is not a result row, or repeats
+    the configuration of an earlier line (as two runs into one ``--out`` at
+    once would write) raises ``ResultsFileError``.
     """
     if not results_path.exists():
         return []
-    lines = results_path.read_bytes().split(b"\n")
+    try:
+        lines = results_path.read_bytes().split(b"\n")
+    except OSError as exc:  # an OSError's str() names the file again
+        raise ResultsFileError(
+            f"{results_path} cannot be read ({exc.strerror}); repair or remove it, or use a new --out directory"
+        ) from None
     seen: dict[str, int] = {}
     rows = [_parse_row(results_path, k, line, seen) for k, line in enumerate(lines[:-1], 1) if line.strip()]
     if lines[-1].strip():

@@ -33,11 +33,10 @@ sample or summed over the batch. There are three paths:
   n = 8 a sample is a 16 x 16 matrix, so a 4-qubit block on qubits 7-4
   multiplies it from the left and one on qubits 3-0 from the right;
 * the transposed view of ``(2**n, B)`` storage with a shared matrix: the
-  column kernels ``apply_gate`` and ``gate_overlap``. The basis index is
-  the storage's first axis and the batch its last, so the local index is
-  the middle axis of ``amps.reshape(-1, 2**k, B << lo)`` and the gate one
-  BLAS matmul per column chunk, out of place into a caller-owned buffer;
-  the overlap is summed over the batch;
+  basis index is the storage's first axis and the batch its last, so the
+  local index is the middle axis of ``amps.reshape(-1, 2**k, B << lo)``,
+  and the gate is one BLAS matmul into the caller's ``out`` and the
+  overlap, summed over the batch, one more;
 * the same view with per-sample matrices: elementwise over the contiguous
   batch, which is faster for 4 x 4 blocks and smaller.
 
@@ -145,28 +144,20 @@ class Gate:
 
 
 # ---------------------------------------------------------------------------
-# Kernels on (B, 2**n) rows, and the column kernels on raw (2**n, B) storage
-# that they hand a shared matrix: there the basis index is the first axis and
-# the batch the last, so every view a column kernel takes keeps the batch axis
-# contiguous, whichever qubit it targets.
+# Kernels on (B, 2**n) rows. On the transposed view of (2**n, B) storage the
+# basis index is the storage's first axis and the batch its last, so every
+# view a kernel takes there keeps the batch axis contiguous, whichever qubit
+# it targets.
 # ---------------------------------------------------------------------------
-
-# Columns per BLAS call in ``apply_gate``, for every d.
-# On 2 cores, (d x d) @ (d x 4096) products cost about 5, 9, 17 and 40 ns
-# per column for d = 2, 4, 8, 16. A 2x2 product this narrow stays on one
-# OpenBLAS thread; wider ones save at most ~20% per column, and in some
-# processes every (2 x 2) @ (2 x 16384) call took 5-16 ms instead of
-# ~0.07 ms. Products with d >= 4 run on two threads and have rare multi-ms
-# outliers (d=4 on qubits 4-5: 8-37 ms once in 300 calls, median 0.15 ms),
-# but narrower calls cost up to twice as much per column at d = 16.
-_BLAS_COLS = 4096
 
 
 def _run_low(dim: int, qubits: tuple[int, ...]) -> int:
     """The low qubit ``lo`` of the contiguous descending run ``qubits = (lo + k - 1, ..., lo)``.
 
-    On such a run the gate's local index is the middle axis of
-    ``amps.reshape(-1, 2**k, B << lo)``, so a gate on it is one matmul.
+    On such a run the gate's local index is axis 2 of
+    ``rows.reshape(B, -1, 2**k, 2**lo)`` on sample-major rows, and the
+    middle axis of ``amps.reshape(-1, 2**k, B << lo)`` on ``(2**n, B)``
+    storage, so a gate on it is one matmul on either.
     """
     lo = qubits[-1]
     if qubits != tuple(range(lo + len(qubits) - 1, lo - 1, -1)):
@@ -174,28 +165,6 @@ def _run_low(dim: int, qubits: tuple[int, ...]) -> int:
     if 1 << (lo + len(qubits)) > dim:
         raise ValueError(f"qubit {qubits[0]} out of range for dim-{dim} register")
     return lo
-
-
-def apply_gate(amps: np.ndarray, qubits: tuple[int, ...], u: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Write the batch-shared ``U`` (d x d) applied to the run ``qubits`` of ``amps`` into ``out`` and return it.
-
-    ``out`` must not overlap ``amps``.
-    """
-    lo = _run_low(amps.shape[0], qubits)
-    cols = amps.shape[1] << lo
-    src = amps.reshape(-1, u.shape[0], cols)
-    dst = out.reshape(-1, u.shape[0], cols)
-    for s in range(0, cols, _BLAS_COLS):
-        np.matmul(u, src[..., s : s + _BLAS_COLS], out=dst[..., s : s + _BLAS_COLS])
-    return out
-
-
-def gate_overlap(mu: np.ndarray, psi: np.ndarray, qubits: tuple[int, ...]) -> np.ndarray:
-    """Reduced overlap ``G[i, j] = sum_rest mu_i psi_j`` on the run ``qubits``, summed over the batch."""
-    cols, d = mu.shape[1] << _run_low(mu.shape[0], qubits), 1 << len(qubits)
-    m = mu.reshape(-1, d, cols)
-    p = psi.reshape(-1, d, cols)
-    return np.matmul(m, p.transpose(0, 2, 1)).sum(axis=0)
 
 
 def _run_view(rows: np.ndarray, qubits: tuple[int, ...]) -> np.ndarray:
@@ -213,12 +182,13 @@ def apply_rows(rows: np.ndarray, qubits: tuple[int, ...], u: np.ndarray, out: np
     which needs a BLAS-able ``u``: on a run that ends at qubit 0 each
     sample's block is multiplied from the right by ``u[b]^T``, elsewhere
     from the left. On the transposed view of ``(2**n, B)`` storage a shared
-    ``u`` is ``apply_gate``'s BLAS product, and a per-sample one is
-    elementwise over the contiguous batch axis, d multiplies, which is
-    faster for d <= 4.
+    ``u`` is one BLAS product on the storage's ``(R, d, B << lo)`` blocks,
+    and a per-sample one is elementwise over the contiguous batch axis, d
+    multiplies, which is faster for d <= 4.
     """
     if not rows.flags.c_contiguous and len(u) == 1:
-        apply_gate(rows.T, qubits, u[0], out.T)
+        d, cols = u.shape[1], len(rows) << _run_low(rows.shape[1], qubits)
+        np.matmul(u[0], rows.T.reshape(-1, d, cols), out=out.T.reshape(-1, d, cols))
         return out
     src, dst = _run_view(rows, qubits), _run_view(out, qubits)
     if not rows.flags.c_contiguous:
@@ -244,15 +214,17 @@ def rows_overlap(
     storage a run that ends at qubit 0 gives ``M_b^T P_b`` and one that
     starts at the top qubit ``M_b P_b^T``, each one stacked BLAS matmul,
     and the per-sample overlaps go into ``out`` when it is given. On the
-    transposed view of ``(2**n, B)`` storage a summed overlap is
-    ``gate_overlap``'s BLAS product, and per-sample ones are one elementwise
-    product and one sum, a view of ``(d, d, B)`` storage.
+    transposed view of ``(2**n, B)`` storage a summed overlap is one BLAS
+    product on the storage's ``(R, d, B << lo)`` blocks, summed over ``R``,
+    and per-sample ones are one elementwise product and one sum, a view of
+    ``(d, d, B)`` storage.
     """
     if not mu.flags.c_contiguous:
-        if summed:
-            return gate_overlap(mu.T, psi.T, qubits)[None]
-        # (R, d, C, B) blocks of the (2**n, B) storage; the products keep the batch contiguous
         lo, d = _run_low(mu.shape[1], qubits), 1 << len(qubits)
+        if summed:
+            m, p = mu.T.reshape(-1, d, len(mu) << lo), psi.T.reshape(-1, d, len(mu) << lo)
+            return np.matmul(m, p.transpose(0, 2, 1)).sum(axis=0)[None]
+        # (R, d, C, B) blocks of the (2**n, B) storage; the products keep the batch contiguous
         m, p = mu.T.reshape(-1, d, 1, 1 << lo, len(mu)), psi.T.reshape(-1, 1, d, 1 << lo, len(mu))
         return np.sum(m * p, axis=(0, 3)).transpose(2, 0, 1)
     m, p = _run_view(mu, qubits), _run_view(psi, qubits)

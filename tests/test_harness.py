@@ -998,6 +998,25 @@ class TestCli:
         assert err.startswith(f"error: {out / 'results.jsonl'} line 2 cannot be read") and err.count("\n") == 1
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
+    @pytest.mark.parametrize("command", ["run", "report"])
+    def test_a_results_file_that_cannot_be_read_is_refused_untouched(self, tmp_path, capsys, command):
+        cfg = self.write_cfg(tmp_path)
+        out = tmp_path / "out"
+        argv = ["run", "--config", str(cfg), "--data-dir", str(tmp_path), "--out", str(out), "--epochs", "1"]
+        assert main(argv) == 0
+        results = out / "results.jsonl"
+        results.unlink()
+        results.mkdir()  # an unreadable file fails the same way, except for a superuser, who reads it anyway
+        meta = (out / "run_meta.json").read_bytes()
+        capsys.readouterr()
+        assert main(argv if command == "run" else ["report", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {results} cannot be read ({os.strerror(errno.EISDIR)}); "
+            "repair or remove it, or use a new --out directory\n"
+        )
+        assert results.is_dir() and not any(results.iterdir())
+        assert (out / "run_meta.json").read_bytes() == meta
+
     @pytest.mark.parametrize("under_a_file", [False, True])
     def test_out_that_cannot_be_a_directory_is_refused(self, tmp_path, capsys, under_a_file):
         cfg = self.write_cfg(tmp_path)

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 import hqnnbench.qnn as qnn_module
-import hqnnbench.statevec as statevec_module
 from hqnnbench.config import FAMILIES, QUBITS_FOR_LATENT, QnnArch
 from hqnnbench.qnn import (
     Circuit,
@@ -864,62 +863,67 @@ class TestBackwardKernelCalls:
     """Every op but the first un-applies each kernel call on psi and on mu.
     The first op is processed last: nothing reads psi afterwards, and mu only
     for the input gradient of an amplitude-encoded circuit. The backward pass
-    runs every call on rows (``apply_rows``, ``rows_overlap``), and statevec
-    hands a batch-shared one on (2**n, B) storage to its column kernels
-    (``apply_gate``, ``gate_overlap``): every call of a circuit that reads no
-    input, and none of one whose every stage reads inputs."""
+    runs every call on rows (``apply_rows``, ``rows_overlap``); a call counts
+    again as ``"<kernel> shared"`` when it takes a batch-shared matrix (or a
+    batch-summed overlap) on (2**n, B) storage, statevec's one-BLAS-product
+    path: every call of a circuit that reads no input, and none of one whose
+    every stage reads inputs."""
 
-    ROW_KERNELS, COLUMN_KERNELS = ("apply_rows", "rows_overlap"), ("apply_gate", "gate_overlap")
-
-    @classmethod
-    def count_calls(cls, monkeypatch, c):
+    @staticmethod
+    def count_calls(monkeypatch, c):
         calls = collections.Counter()
 
-        def counting(module, name):
-            real = getattr(module, name)
+        def counting(name, shared):
+            real = getattr(qnn_module, name)
 
-            def wrapper(*args, **kwargs):
+            def wrapper(*args):
                 calls[name] += 1
-                return real(*args, **kwargs)
+                calls[name + " shared"] += shared(*args) and not args[0].flags.c_contiguous
+                return real(*args)
 
-            monkeypatch.setattr(module, name, wrapper)
+            monkeypatch.setattr(qnn_module, name, wrapper)
 
         rng = np.random.default_rng(44)
         xs = rng.normal(size=(4, c.n_inputs))
         p = rng.normal(size=c.n_params)
         out, amps = qnn_forward_batch(c, xs, p, return_state=True)
-        for name in cls.ROW_KERNELS:  # where qnn calls them
-            counting(qnn_module, name)
-        for name in cls.COLUMN_KERNELS:  # where statevec calls them
-            counting(statevec_module, name)
+        counting("apply_rows", lambda rows, qubits, u, out: len(u) == 1)
+        counting("rows_overlap", lambda mu, psi, qubits, summed, out=None: summed)
         qnn_backward_batch(c, xs, p, np.ones_like(out), final_amps=amps)
         return calls
+
+    @staticmethod
+    def expected(applies, overlaps, shared_applies, shared_overlaps):
+        return {
+            "apply_rows": applies, "rows_overlap": overlaps,
+            "apply_rows shared": shared_applies, "rows_overlap shared": shared_overlaps,
+        }
 
     def test_amp_gen_8_two_blocks_per_stage(self, monkeypatch):
         calls = self.count_calls(monkeypatch, build_amp_gen(8, True))
         applies, overlaps = 31 * 2 * 2 + 2, 32 * 2
-        assert calls == {"apply_rows": applies, "rows_overlap": overlaps, "apply_gate": applies, "gate_overlap": overlaps}
+        assert calls == self.expected(applies, overlaps, applies, overlaps)
 
     def test_ang_arb_8_first_stage_is_not_unapplied(self, monkeypatch):
         # 11 stages of two per-sample blocks; in the last, qubits 6 and 7 read only padding
         calls = self.count_calls(monkeypatch, build_ang_arb(8, 256, True))
-        assert calls == {"apply_rows": 10 * 2 * 2, "rows_overlap": 11 * 2}
+        assert calls == self.expected(10 * 2 * 2, 11 * 2, 0, 0)
 
     def test_ang_ry_8_first_stage_is_not_unapplied(self, monkeypatch):
         calls = self.count_calls(monkeypatch, build_ang_ry(8, 256, True))
-        assert calls == {"apply_rows": 31 * 2 * 2, "rows_overlap": 32 * 2}
+        assert calls == self.expected(31 * 2 * 2, 32 * 2, 0, 0)
 
     def test_qcnn_unapplies_every_gate(self, monkeypatch):
         # 10 stages of one 4-qubit block, all holding parameters; the program starts
         # with a permutation, so every stage is un-applied from both states
         calls = self.count_calls(monkeypatch, build_qcnn(4))
-        assert calls == {"apply_rows": 10 * 2, "rows_overlap": 10, "apply_gate": 10 * 2, "gate_overlap": 10}
+        assert calls == self.expected(10 * 2, 10, 10 * 2, 10)
 
     @pytest.mark.parametrize("n", [3, 5])
     def test_a_shared_stage_of_a_circuit_on_rows_takes_a_summed_overlap(self, n, monkeypatch):
         # per-sample stage, CNOTs, a shared RY on qubit 1, per-sample stage: the
-        # shared one takes the column kernels on (2**n, B) storage (n = 3) and
-        # the row kernels' batch-summed overlap on sample-major rows (n = 5)
+        # shared one takes one BLAS product on (2**n, B) storage (n = 3) and the
+        # row kernels' batch-summed overlap on sample-major rows (n = 5)
         ops = (
             *(Gate.ry(q, Angle.input(q)) for q in range(n)),
             *(Gate.cnot(q, q + 1) for q in range(n - 1)),
@@ -933,15 +937,21 @@ class TestBackwardKernelCalls:
         monkeypatch.setattr(qnn_module, "rows_overlap", lambda *args: summed.append(args[3]) or real(*args))
         calls = self.count_calls(monkeypatch, c)
         blocks = 2  # the first stage: two blocks, overlaps only
-        column = {"apply_gate": 2, "gate_overlap": 1} if n == 3 else {}
-        assert calls == {"apply_rows": 2 + 2, "rows_overlap": 1 + 1 + blocks, **column}
+        shared = (2, 1) if n == 3 else (0, 0)
+        assert calls == self.expected(2 + 2, 1 + 1 + blocks, *shared)
         assert summed == [False, True] + [False] * blocks
 
 
 @functools.lru_cache(maxsize=None)
 def _single_sample_calls(kind):
     """An entangled 8-qubit l256 circuit, 256 rows, and each row's B=1 outputs and gradients."""
-    c = (build_ang_ry if kind == "ang_ry" else build_ang_arb)(8, 256, True)
+    build = {
+        "ang_ry": lambda: build_ang_ry(8, 256, True),
+        "ang_arb": lambda: build_ang_arb(8, 256, True),
+        "amp_gen": lambda: build_amp_gen(8, True),
+        "qcnn": lambda: build_qcnn(8),
+    }
+    c = build[kind]()
     rng = np.random.default_rng(53)
     xs = rng.normal(size=(256, 256))
     p = rng.normal(size=c.n_params)
@@ -956,12 +966,15 @@ def _single_sample_calls(kind):
 
 
 class TestBatchInvariance:
-    """Per-sample blocks in a batch against B=1 calls. At B=16 the sample-major
+    """A batch against B=1 calls. Per-sample blocks: at B=16 the sample-major
     (B, 16, 16) view of an 8-qubit state has three equal axes, so a swapped
-    axis raises no shape error and shows only here."""
+    axis raises no shape error and shows only here. Batch-shared blocks
+    (Amp-Gen, QCNN): at B=256 they run on (2**n, B) storage, where QCNN 8's
+    widest product has 32,768 columns in one BLAS call, and at B=1 on the
+    sample-major path."""
 
     @pytest.mark.parametrize("batch", [16, 256])
-    @pytest.mark.parametrize("kind", ["ang_ry", "ang_arb"])
+    @pytest.mark.parametrize("kind", ["ang_ry", "ang_arb", "amp_gen", "qcnn"])
     def test_rows_match_single_sample_calls(self, kind, batch):
         c, xs, p, ups, outs, gxs, gps = _single_sample_calls(kind)
         out, amps = qnn_forward_batch(c, xs[:batch], p, return_state=True)

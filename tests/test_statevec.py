@@ -14,11 +14,9 @@ from hqnnbench.statevec import (
     Gate,
     GateKind,
     Observable,
-    apply_gate,
     apply_rows,
     apply_phased_perm,
     expval_batch,
-    gate_overlap,
     rows_overlap,
 )
 
@@ -146,9 +144,15 @@ class TestSingleGates:
     def test_out_of_range_target_rejected(self):
         with pytest.raises(ValueError):
             Circuit(2, "angle", (Gate.ry(2, 0.1),), Observable.global_z())
-        amps = np.zeros((4, 1), dtype=np.complex128)
-        with pytest.raises(ValueError):
-            apply_gate(amps, (2,), np.eye(2), np.empty_like(amps))
+        # a qubit above a 2-qubit register, and a run that ends above a 4-qubit one, on both storages
+        for n, qubits in ((2, (2,)), (4, (4, 3))):
+            for rows in (np.zeros((3, 1 << n), dtype=np.complex128), np.zeros((1 << n, 3), dtype=np.complex128).T):
+                u = np.eye(1 << len(qubits), dtype=np.complex128)[None]
+                with pytest.raises(ValueError, match="out of range"):
+                    apply_rows(rows, qubits, u, np.empty_like(rows))
+                for summed in (False, True):
+                    with pytest.raises(ValueError, match="out of range"):
+                        rows_overlap(rows, rows, qubits, summed)
 
 
 class TestGateInverses:
@@ -288,71 +292,38 @@ class TestBatchedKernels:
         self.rows_match_dense(Circuit(3, "angle", ops, Observable.global_z()), rng.normal(size=(5, 2)))
 
 
-class TestSharedRunKernels:
-    """A batch-shared d x d gate on a contiguous descending qubit run is one BLAS product."""
+class TestRowKernels:
+    """d x d gates on (B, 2**n) rows, on sample-major storage and on the
+    transposed view of (2**n, B) storage, against the dense embedding:
+    descending runs, shared and per-sample. The runs are five at n = 5 and
+    every run of 1-4 qubits at n = 4 and n = 6."""
+
+    B = 3
+    CASES = [(5, qubits) for qubits in ((0,), (3,), (4, 3, 2, 1), (2, 1, 0), (4, 3))] + [
+        (n, tuple(range(lo + k - 1, lo - 1, -1))) for n in (4, 6) for k in range(1, 5) for lo in range(n - k + 1)
+    ]
 
     @staticmethod
-    def runs(n):
-        for k in range(1, 5):
-            for lo in range(n - k + 1):
-                yield k, lo, tuple(range(lo + k - 1, lo - 1, -1))
-
-    def test_apply_gate_matches_the_dense_kronecker_embedding(self):
-        rng = np.random.default_rng(15)
-        for n in (4, 6):
-            amps = rng.normal(size=(1 << n, 3)) + 1j * rng.normal(size=(1 << n, 3))
-            for k, lo, run in self.runs(n):
-                u = rng.normal(size=(1 << k, 1 << k)) + 1j * rng.normal(size=(1 << k, 1 << k))
-                dense = np.kron(np.kron(np.eye(1 << (n - lo - k)), u), np.eye(1 << lo))
-                got = apply_gate(amps, run, u, np.empty_like(amps))
-                assert np.abs(got - dense @ amps).max() < 1e-12
-
-    def test_overlap_matches_the_direct_sum(self):
-        rng = np.random.default_rng(16)
-        for n in (4, 6):
-            mu, psi = (rng.normal(size=(1 << n, 3)) + 1j * rng.normal(size=(1 << n, 3)) for _ in range(2))
-            for k, lo, run in self.runs(n):
-                shape = (1 << (n - lo - k), 1 << k, 1 << lo, 3)
-                ref = np.einsum("aibc,ajbc->ij", mu.reshape(shape), psi.reshape(shape))
-                assert np.abs(gate_overlap(mu, psi, run) - ref).max() < 1e-12
-
-    def test_run_out_of_range_rejected(self):
-        amps = np.zeros((16, 1), dtype=np.complex128)
-        with pytest.raises(ValueError):
-            apply_gate(amps, (4, 3), np.eye(4), np.empty_like(amps))
-        with pytest.raises(ValueError):
-            gate_overlap(amps, amps, (4, 3))
-
-
-class TestRowKernels:
-    """Per-sample d x d gates on (B, 2**n) rows, on sample-major storage and on
-    the transposed view of (2**n, B) storage, against the dense embedding:
-    descending runs, shared and per-sample."""
-
-    N, B = 5, 3
-    QUBITS = [(0,), (3,), (4, 3, 2, 1), (2, 1, 0), (4, 3)]
-
-    @classmethod
-    def local(cls, qubits):
+    def local(n, qubits):
         """Each basis state's local index on ``qubits`` (first target most significant) and the rest."""
-        idx = np.arange(1 << cls.N)
+        idx = np.arange(1 << n)
         loc = sum(((idx >> q) & 1) << (len(qubits) - 1 - k) for k, q in enumerate(qubits))
         return loc, idx & ~sum(1 << q for q in qubits)
 
-    def storages(self, rng):
+    def storages(self, rng, n):
         """Two random (B, 2**n) states, sample-major, then as views of (2**n, B) storage."""
-        a, b = (rng.normal(size=(self.B, 1 << self.N)) + 1j * rng.normal(size=(self.B, 1 << self.N)) for _ in range(2))
+        a, b = (rng.normal(size=(self.B, 1 << n)) + 1j * rng.normal(size=(self.B, 1 << n)) for _ in range(2))
         yield a, b
         yield np.ascontiguousarray(a.T).T, np.ascontiguousarray(b.T).T
 
     def test_apply_rows_matches_the_dense_embedding(self):
         rng = np.random.default_rng(18)
-        for qubits in self.QUBITS:
-            loc, rest = self.local(qubits)
+        for n, qubits in self.CASES:
+            loc, rest = self.local(n, qubits)
             d = 1 << len(qubits)
             for bx in (1, self.B):
                 u = rng.normal(size=(bx, d, d)) + 1j * rng.normal(size=(bx, d, d))
-                for rows, out in self.storages(rng):
+                for rows, out in self.storages(rng, n):
                     got = apply_rows(rows, qubits, u, out)
                     for b in range(self.B):
                         dense = u[b % bx][loc[:, None], loc[None, :]] * (rest[:, None] == rest[None, :])
@@ -361,10 +332,10 @@ class TestRowKernels:
     def test_rows_overlap_matches_the_direct_sum(self):
         # per-sample, and summed over the batch, on both storages
         rng = np.random.default_rng(19)
-        for qubits in self.QUBITS:
-            loc, rest = self.local(qubits)
+        for n, qubits in self.CASES:
+            loc, rest = self.local(n, qubits)
             d = 1 << len(qubits)
-            for mu, psi in self.storages(rng):
+            for mu, psi in self.storages(rng, n):
                 refs = np.zeros((self.B, d, d), dtype=np.complex128)
                 for b in range(self.B):
                     pairs = mu[b][:, None] * psi[b][None, :] * (rest[:, None] == rest[None, :])
@@ -374,35 +345,31 @@ class TestRowKernels:
                 assert summed.shape == (1, d, d) and np.abs(summed[0] - refs.sum(axis=0)).max() < 1e-12
 
     def test_a_shared_matrix_on_the_transposed_view_is_the_column_product(self):
-        # wide enough that the column kernel splits the run's columns over several BLAS calls
+        # a batch wide enough that a run's columns (B << lo) pass 4,096, all in one BLAS call
         rng = np.random.default_rng(21)
         batch = 300
-        storage = rng.normal(size=(1 << self.N, batch)) + 1j * rng.normal(size=(1 << self.N, batch))
-        rows, out = storage.T, np.empty_like(storage).T
-        for qubits in self.QUBITS:
-            loc, rest = self.local(qubits)
+        for n, qubits in self.CASES:
+            storage = rng.normal(size=(1 << n, batch)) + 1j * rng.normal(size=(1 << n, batch))
+            rows, out = storage.T, np.empty_like(storage).T
+            loc, rest = self.local(n, qubits)
             d = 1 << len(qubits)
             u = rng.normal(size=(1, d, d)) + 1j * rng.normal(size=(1, d, d))
             assert apply_rows(rows, qubits, u, out) is out
             dense = u[0][loc[:, None], loc[None, :]] * (rest[:, None] == rest[None, :])
             assert np.abs(out - rows @ dense.T).max() < 1e-12
-            assert np.array_equal(out.T, apply_gate(storage, qubits, u[0], np.empty_like(storage)))
 
     def test_kernels_refuse_qubits_off_a_descending_run(self):
-        # the column kernels too, on the (2**n, B) view of each storage
+        # shared and per-sample matrices, on both storages
         rng = np.random.default_rng(20)
-        for rows, out in self.storages(rng):
+        for rows, out in self.storages(rng, 5):
             for qubits in ((1, 3), (4, 0), (0, 2)):
-                u = np.eye(1 << len(qubits), dtype=np.complex128)[None]
-                with pytest.raises(ValueError, match="descending run"):
-                    apply_rows(rows, qubits, u, out)
+                for bx in (1, self.B):
+                    u = np.repeat(np.eye(1 << len(qubits), dtype=np.complex128)[None], bx, axis=0)
+                    with pytest.raises(ValueError, match="descending run"):
+                        apply_rows(rows, qubits, u, out)
                 for summed in (False, True):
                     with pytest.raises(ValueError, match="descending run"):
                         rows_overlap(rows, out, qubits, summed)
-                with pytest.raises(ValueError, match="descending run"):
-                    apply_gate(rows.T, qubits, u[0], out.T)
-                with pytest.raises(ValueError, match="descending run"):
-                    gate_overlap(rows.T, out.T, qubits)
 
 
 class TestSignedPermutation:
