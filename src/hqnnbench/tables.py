@@ -4,7 +4,11 @@
 model group), the comparisons (paired Wilcoxon signed-rank tests along each
 design axis and unpaired Mann–Whitney U tests between groups on the ROC-AUC
 aggregate, Bonferroni-corrected over the whole table) and the box-plot
-points. ``write_tables`` writes tables it is given to ``table1.csv``,
+points. Every test is exact at every size the grid forms; ``stats`` states
+the cost, ~0.2 s for Mann–Whitney at 48 vs 48. A paired row's ``n_a`` and
+``n_b`` count its pairs, tied pairs included; the signed-rank test drops
+those, and its ``StatTestResult.n`` holds the pairs it kept.
+``write_tables`` writes tables it is given to ``table1.csv``,
 ``comparisons.csv`` and ``boxplot_data.csv``.
 """
 

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 
@@ -461,6 +463,76 @@ def mwu_bruteforce(a, b) -> float:
         if abs(u - center) >= dev - 1e-9:
             count += 1
     return count / total
+
+
+# Null counts in Python integers for samples too large to enumerate. Each
+# returns a Counter from a statistic's value to the number of equally likely
+# null outcomes that give it; ``two_sided_p`` turns one into a p-value.
+
+
+def mwu_u_counts(n_a: int, n_b: int) -> Counter:
+    """Orderings of n_a + n_b untied values by U of the first sample.
+
+    Mann & Whitney's recursion on the largest value: it belongs to the
+    first sample, which then beats all n_b of the second, or to the second:
+    f(m, n; u) = f(m - 1, n; u - n) + f(m, n - 1; u).
+    """
+    prev = [[1]] * (n_b + 1)  # m = 0: U = 0 in one way, for every n
+    for m in range(1, n_a + 1):
+        cur = [[1]]  # n = 0: U = 0 in one way
+        for n in range(1, n_b + 1):
+            row = [0] * (m * n + 1)
+            for u, c in enumerate(prev[n]):
+                row[u + n] += c
+            for u, c in enumerate(cur[n - 1]):
+                row[u] += c
+            cur.append(row)
+        prev = cur
+    return Counter(dict(enumerate(prev[n_b])))
+
+
+def signed_rank_counts(n: int) -> Counter:
+    """Sign patterns of n untied differences by W+, the sum of the positive ranks 1..n."""
+    counts = [1]  # no rank yet: W+ = 0 in one way
+    for r in range(1, n + 1):
+        nxt = counts + [0] * r
+        for w, c in enumerate(counts):
+            nxt[w + r] += c  # rank r positive
+        counts = nxt
+    return Counter(dict(enumerate(counts)))
+
+
+def tied_subset_counts(doubled, size: int | None = None) -> Counter:
+    """Subsets of the integers ``doubled`` by sum: of ``size`` elements, or of any size when None.
+
+    Equal values are taken together: j of a group of t equal values can be
+    picked in C(t, j) ways. The pass runs over the distinct values, so it is
+    quick when few are distinct, as under heavy ties.
+    """
+    by_size_sum = Counter({(0, 0): 1})
+    for value, t in Counter(doubled).items():
+        nxt = Counter()
+        for (k, s), c in by_size_sum.items():
+            for j in range(t + 1 if size is None else min(t, size - k) + 1):
+                nxt[k + j, s + j * value] += c * math.comb(t, j)
+        by_size_sum = nxt
+    out = Counter()
+    for (k, s), c in by_size_sum.items():
+        if size is None or k == size:
+            out[s] += c
+    return out
+
+
+def doubled_midranks(v) -> list[int]:
+    """Twice the midranks of ``v``, as Python integers."""
+    return [round(2 * r) for r in _midranks_ref(np.asarray(v, dtype=np.float64))]
+
+
+def two_sided_p(counts: Counter, mean, observed) -> float:
+    """Share of the null outcomes at least as far from ``mean`` as ``observed``, rounded once."""
+    mean, observed = Fraction(mean), Fraction(observed)
+    tail = sum(c for v, c in counts.items() if abs(v - mean) >= abs(observed - mean))
+    return tail / sum(counts.values())
 
 
 def lda_scores(train_x, train_y, test_x) -> np.ndarray:

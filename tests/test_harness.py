@@ -656,12 +656,12 @@ class TestAggregateTables:
         _, comparisons, _ = aggregate_tables(rows)
         got = [(c["axis"], c["group_a"], c["group_b"], c["test"], c["n_a"], c["n_b"]) for c in comparisons]
         paired = [
-            ("preproc", "conv3", "conv1", "WilcoxonNormal", 50, 50),
-            ("preproc", "conv3", "conv0", "WilcoxonNormal", 50, 50),
-            ("preproc", "conv1", "conv0", "WilcoxonNormal", 50, 50),
-            ("latent_dim", "latent16", "latent256", "WilcoxonNormal", 75, 75),
-            ("activation", "tanh_pi", "identity", "WilcoxonNormal", 48, 48),
-            ("entanglement", "entangled", "unentangled", "WilcoxonNormal", 60, 60),
+            ("preproc", "conv3", "conv1", "WilcoxonExact", 50, 50),
+            ("preproc", "conv3", "conv0", "WilcoxonExact", 50, 50),
+            ("preproc", "conv1", "conv0", "WilcoxonExact", 50, 50),
+            ("latent_dim", "latent16", "latent256", "WilcoxonExact", 75, 75),
+            ("activation", "tanh_pi", "identity", "WilcoxonExact", 48, 48),
+            ("entanglement", "entangled", "unentangled", "WilcoxonExact", 60, 60),
             ("observable[Ang-RY]", "local", "global", "WilcoxonExact", 24, 24),
             ("observable[Ang-Arb]", "local", "global", "WilcoxonExact", 24, 24),
             ("observable[Amp-Gen]", "local", "global", "WilcoxonExact", 12, 12),
@@ -669,7 +669,7 @@ class TestAggregateTables:
         sizes = {"classical": 24, "Ang-RY": 48, "Ang-Arb": 48, "Amp-Gen": 24, "QCNN": 6}
         groups = list(sizes)
         unpaired = [
-            ("group", a, b, "MannWhitneyNormal", sizes[a], sizes[b])
+            ("group", a, b, "MannWhitneyExact", sizes[a], sizes[b])
             for i, a in enumerate(groups)
             for b in groups[i + 1 :]
         ]

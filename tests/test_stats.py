@@ -7,10 +7,17 @@ import math
 import numpy as np
 import pytest
 
-import hqnnbench.stats as stats
 from hqnnbench.stats import StatTestResult, bonferroni, mann_whitney_u, wilcoxon_signed_rank
 
-from oracles import mwu_bruteforce, wilcoxon_bruteforce
+from oracles import (
+    doubled_midranks,
+    mwu_bruteforce,
+    mwu_u_counts,
+    signed_rank_counts,
+    tied_subset_counts,
+    two_sided_p,
+    wilcoxon_bruteforce,
+)
 
 
 class TestWilcoxonExamples:
@@ -75,36 +82,26 @@ class TestWilcoxonExactness:
             scaled = res.p_value * 2.0 ** res.n[0]
             assert abs(scaled - round(scaled)) < 1e-6
 
-    def test_exact_vs_normal_close_at_boundary(self, monkeypatch):
-        rng = np.random.default_rng(10)
-        agree = []
-        for _ in range(30):
-            x = rng.normal(size=25)
-            y = rng.normal(size=25)
-            exact = wilcoxon_signed_rank(x, y)
-            assert exact.method == "WilcoxonExact"
-            monkeypatch.setattr(stats, "WILCOXON_EXACT_MAX", 0)
-            approx = wilcoxon_signed_rank(x, y)
-            monkeypatch.setattr(stats, "WILCOXON_EXACT_MAX", 25)
-            assert approx.method == "WilcoxonNormal"
-            agree.append(abs(exact.p_value - approx.p_value))
-        assert max(agree) < 0.01
 
-
-class TestNormalContinuityCorrection:
+class TestStatisticAtItsMean:
+    # Every null outcome deviates from the mean at least as much as a statistic at it.
     def test_wilcoxon_at_its_mean_gives_p_one(self):
-        # 26 differences +-1..+-13 put W+ = W- = n(n+1)/4 = 175.5 on the normal path;
-        # a correction that pushes the deviation past zero would give p = 0.98986.
+        # 26 differences +-1..+-13 put W+ = W- = n(n+1)/4 = 175.5
         d = np.concatenate([np.arange(1.0, 14.0), -np.arange(1.0, 14.0)])
         res = wilcoxon_signed_rank(d, np.zeros(26))
-        assert res.method == "WilcoxonNormal"
+        assert res.method == "WilcoxonExact"
         assert res.statistic == 175.5
         assert res.p_value == 1.0
 
     def test_mann_whitney_at_its_mean_gives_p_one(self):
         a = np.arange(0.0, 14.0, 2.0)
         res = mann_whitney_u(np.r_[a, a + 1], np.r_[a + 1, a])  # U = n_a * n_b / 2
-        assert res.method == "MannWhitneyNormal"
+        assert res.method == "MannWhitneyExact"
+        assert res.p_value == 1.0
+
+    def test_mann_whitney_all_tied_gives_p_one(self):
+        res = mann_whitney_u(np.zeros(20), np.zeros(20))
+        assert res.method == "MannWhitneyExact"
         assert res.p_value == 1.0
 
 
@@ -166,26 +163,50 @@ class TestMannWhitneyExactness:
             scaled = res.p_value * math.comb(n_a + n_b, n_a)
             assert abs(scaled - round(scaled)) < 1e-6
 
-    def test_exact_vs_normal_close_at_boundary(self, monkeypatch):
-        rng = np.random.default_rng(13)
-        gaps = []
-        for _ in range(30):
-            a = rng.normal(size=6)
-            b = rng.normal(size=6)
-            exact = mann_whitney_u(a, b)
-            assert exact.method == "MannWhitneyExact"
-            monkeypatch.setattr(stats, "MWU_EXACT_MAX", 0)
-            approx = mann_whitney_u(a, b)
-            monkeypatch.setattr(stats, "MWU_EXACT_MAX", 12)
-            assert approx.method == "MannWhitneyNormal"
-            gaps.append(abs(exact.p_value - approx.p_value))
-        # n=12 is small for the CLT; the two paths still track each other
-        assert max(gaps) < 0.06
 
-    def test_normal_path_handles_all_ties(self):
-        res = mann_whitney_u(np.zeros(20), np.zeros(20))
-        assert res.method == "MannWhitneyNormal"
-        assert res.p_value == 1.0
+class TestLargeSampleOracles:
+    """The largest comparisons the default grid forms, against null counts in Python integers."""
+
+    @staticmethod
+    def assert_close(got: float, want: float):
+        assert abs(got - want) <= 1e-12 * want
+
+    def test_mann_whitney_48_vs_48_untied(self):
+        rng = np.random.default_rng(16)
+        counts = mwu_u_counts(48, 48)
+        for shift in (0.0, 0.4, 1.0):
+            res = mann_whitney_u(rng.normal(size=48) + shift, rng.normal(size=48))
+            assert res.method == "MannWhitneyExact"
+            self.assert_close(res.p_value, two_sided_p(counts, 48 * 48 / 2, res.statistic))
+
+    def test_wilcoxon_75_pairs_untied(self):
+        rng = np.random.default_rng(17)
+        counts = signed_rank_counts(75)
+        for shift in (0.0, 0.2, 0.5):
+            res = wilcoxon_signed_rank(rng.normal(size=75) + shift, rng.normal(size=75))
+            assert res.method == "WilcoxonExact" and res.n == (75,)
+            self.assert_close(res.p_value, two_sided_p(counts, 75 * 76 / 4, res.statistic))
+
+    def test_mann_whitney_48_vs_48_tied(self):
+        rng = np.random.default_rng(18)
+        for shift in (0, 1):
+            a = rng.integers(0, 4, size=48) + shift * (rng.random(48) < 0.3)
+            b = rng.integers(0, 4, size=48)
+            doubled = doubled_midranks(np.r_[a, b])
+            counts = tied_subset_counts(doubled, 48)
+            res = mann_whitney_u(a, b)
+            observed = 2 * (res.statistic + 48 * 49 / 2)  # doubled rank sum of a
+            self.assert_close(res.p_value, two_sided_p(counts, sum(doubled) / 2, observed))
+
+    def test_wilcoxon_75_pairs_tied(self):
+        rng = np.random.default_rng(19)
+        for shift in (0, 1):
+            d = rng.choice([-3, -2, -1, 1, 2, 3], size=75) + shift * (rng.random(75) < 0.2)
+            res = wilcoxon_signed_rank(d.astype(float), np.zeros(75))
+            doubled = doubled_midranks(np.abs(d[d != 0]))
+            counts = tied_subset_counts(doubled)
+            assert res.n == (len(doubled),)
+            self.assert_close(res.p_value, two_sided_p(counts, sum(doubled) / 2, 2 * res.statistic))
 
 
 class TestNullCalibration:
@@ -241,3 +262,12 @@ class TestResultDataclass:
         res = StatTestResult(1.0, 0.5, "WilcoxonExact", (4,))
         with pytest.raises(AttributeError):
             res.p_value = 0.1
+
+    def test_statistic_and_p_value_are_python_floats(self):
+        rng = np.random.default_rng(20)
+        for res in (
+            wilcoxon_signed_rank(rng.normal(size=9), rng.normal(size=9)),
+            mann_whitney_u(rng.normal(size=5), rng.normal(size=7)),
+        ):
+            assert type(res.statistic) is float
+            assert type(res.p_value) is float
